@@ -22,7 +22,8 @@ from .models import (SRE, AssumptionFit, CoefficientFn, ModelSpec,
                      PhysicalDepEstimate, SamplePath, TvARCH, TvVAR, TvVMA,
                      affine_fn, assumption_fit, constant_fn, cov_block,
                      cov_pad, cov_window, effective_memory,
-                     local_spectral_density, physical_dep_estimate,
+                     local_spectral_densities, local_spectral_density,
+                     physical_dep_estimate,
                      simulate_ensemble, simulate_path, sinusoidal_fn,
                      spectral_eig_range, stability_radius, stationary_cov,
                      stationary_cov_sequence, stationary_window,

@@ -62,7 +62,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="JSON config path or bundled config name")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--threads", type=int, default=None,
-                       help="parallel grid evaluation "
+                       help="worker threads for the verify-all checks; other "
+                            "experiments ignore it "
                             "(default: NONSTATCOV_THREADS or 1)")
     return parser
 
@@ -79,7 +80,13 @@ def main(argv=None) -> int:
         return EXIT_CONFIG_ERROR
     threads = args.threads
     if threads is None:
-        threads = int(os.environ.get("NONSTATCOV_THREADS", "1"))
+        raw = os.environ.get("NONSTATCOV_THREADS", "1")
+        try:
+            threads = int(raw)
+        except ValueError:
+            print(f"config error: NONSTATCOV_THREADS must be an integer, "
+                  f"got {raw!r}", file=sys.stderr)
+            return EXIT_CONFIG_ERROR
     try:
         config = load_config(resolve_config_path(args.config),
                              default_experiment=args.experiment)

@@ -103,14 +103,15 @@ def _check_schema(rows) -> None:
 
 
 def _finalize(experiment: str, config: ExperimentConfig, rows, verdicts) -> Report:
+    model_hash = config.model_hash  # serialises the whole model: once per report
     for row in rows:
         row.setdefault("experiment", experiment)
-        row.setdefault("model_hash", config.model_hash)
+        row.setdefault("model_hash", model_hash)
     _check_schema(rows)
     metadata = {
         "experiment": experiment,
         "config_sha256": config.config_hash,
-        "model_hash": config.model_hash,
+        "model_hash": model_hash,
         "seed": config.seed,
         "package_version": _pkg_version,
         "numpy_version": np.__version__,

@@ -37,8 +37,15 @@ _COV_TAIL_TOL = 1e-12      # relative truncation tolerance of MA tails
 _DEFAULT_U_GRID = 33       # points used when validating invariants on [0, 1]
 
 
-def _clamp_u(u: float) -> float:
-    return 0.0 if u < 0.0 else (1.0 if u > 1.0 else u)
+def _clamp_u(us) -> np.ndarray:
+    us = np.asarray(us, dtype=float)
+    return np.where(us < 0.0, 0.0, np.where(us > 1.0, 1.0, us))
+
+
+def _readonly_copy(v) -> np.ndarray:
+    a = np.array(v, dtype=float)
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,7 +60,8 @@ class CoefficientFn:
     * ``piecewise``: linear interpolation of ``values`` over ``knots``
 
     All payload matrices must share one square shape.  Evaluation clamps
-    ``u`` into ``[0, 1]``.
+    ``u`` into ``[0, 1]``.  Payload arrays are read-only copies, so a
+    function (and a model built from it) cannot change after construction.
     """
 
     form: str
@@ -62,7 +70,7 @@ class CoefficientFn:
     def __post_init__(self):
         if self.form not in ("constant", "affine", "sinusoidal", "piecewise"):
             raise InputError(f"CoefficientFn: unknown form {self.form!r}")
-        payload = {k: (np.asarray(v, dtype=float) if not np.isscalar(v) else float(v))
+        payload = {k: (_readonly_copy(v) if not np.isscalar(v) else float(v))
                    for k, v in self.payload.items()}
         object.__setattr__(self, "payload", payload)
         shape = self.matrix_shape  # validates
@@ -83,24 +91,34 @@ class CoefficientFn:
     def dim(self) -> int:
         return self.matrix_shape[0]
 
-    def __call__(self, u: float) -> np.ndarray:
-        u = _clamp_u(float(u))
+    def at(self, us) -> np.ndarray:
+        """Values at every point of the 1-d array ``us``, shape ``(len(us), p, p)``.
+
+        The result is always a fresh array, never a view of the payload.
+        """
+        u = _clamp_u(us)
+        if u.ndim != 1:
+            raise InputError("CoefficientFn.at: expects a 1-d array of times")
         p = self.payload
         if self.form == "constant":
-            return np.atleast_2d(p["value"]).copy()
+            return np.repeat(np.atleast_2d(p["value"])[None], u.size, axis=0)
         if self.form == "affine":
-            return np.atleast_2d(p["base"]) + u * np.atleast_2d(p["slope"])
+            return (np.atleast_2d(p["base"])
+                    + u[:, None, None] * np.atleast_2d(p["slope"]))
         if self.form == "sinusoidal":
             freq = p.get("frequency", 1.0)
             phase = p.get("phase", 0.0)
+            s = np.sin(2.0 * math.pi * (freq * u + phase))
             return (np.atleast_2d(p["base"])
-                    + math.sin(2.0 * math.pi * (freq * u + phase))
-                    * np.atleast_2d(p["amplitude"]))
+                    + s[:, None, None] * np.atleast_2d(p["amplitude"]))
         knots = p["knots"]
-        values = p["values"]
-        i = int(np.clip(np.searchsorted(knots, u, side="right") - 1, 0, len(knots) - 2))
-        w = (u - knots[i]) / (knots[i + 1] - knots[i])
+        values = p["values"].reshape(len(knots), *self.matrix_shape)
+        i = np.clip(np.searchsorted(knots, u, side="right") - 1, 0, len(knots) - 2)
+        w = ((u - knots[i]) / (knots[i + 1] - knots[i]))[:, None, None]
         return (1.0 - w) * values[i] + w * values[i + 1]
+
+    def __call__(self, u: float) -> np.ndarray:
+        return self.at(np.array([float(u)]))[0]
 
     def derivative(self, u: float) -> np.ndarray:
         """d/du at an interior point of [0, 1] (zero outside)."""
@@ -193,16 +211,28 @@ class TvVMA:
     def order(self) -> int:
         return len(self.psis) - 1
 
+    def psi_stacks(self, us) -> np.ndarray:
+        """Smooth coefficients at each ``u``, shape ``(len(us), order+1, p, p)``."""
+        return np.stack([fn.at(us) for fn in self.psis], axis=1)
+
+    def psi_stacks_array(self, ts, n: int) -> np.ndarray:
+        """Array coefficients at the integer times ``ts``, including the 1/N
+        term, shape ``(len(ts), order+1, p, p)``."""
+        return self._array_stacks(np.asarray(ts) / n, n)
+
+    def _array_stacks(self, us, n: int) -> np.ndarray:
+        out = self.psi_stacks(us)
+        if self.n_correction is not None:
+            out = out + np.stack([fn.at(us) for fn in self.n_correction], axis=1) / n
+        return out
+
     def psi_stack(self, u: float) -> np.ndarray:
         """Smooth coefficients at ``u``, shape ``(order+1, p, p)``."""
-        return np.stack([fn(u) for fn in self.psis])
+        return self.psi_stacks([u])[0]
 
     def psi_stack_array(self, u: float, n: int) -> np.ndarray:
         """Array coefficients at time ``t = u*n``, including the 1/N term."""
-        out = self.psi_stack(u)
-        if self.n_correction is not None:
-            out = out + np.stack([fn(u) for fn in self.n_correction]) / n
-        return out
+        return self._array_stacks([u], n)[0]
 
     def psi_stack_derivative(self, u: float) -> np.ndarray:
         return np.stack([fn.derivative(u) for fn in self.psis])
@@ -230,12 +260,20 @@ class TvVAR:
     def order(self) -> int:
         return len(self.phis)
 
+    def phi_stacks(self, us) -> np.ndarray:
+        """Lag coefficients at each ``u``, shape ``(len(us), order, p, p)``."""
+        return np.stack([fn.at(us) for fn in self.phis], axis=1)
+
+    def sigma_stacks(self, us) -> np.ndarray:
+        """Symmetrised innovation variances at each ``u``, ``(len(us), p, p)``."""
+        s = self.sigma.at(us)
+        return 0.5 * (s + s.transpose(0, 2, 1))
+
     def phi_stack(self, u: float) -> np.ndarray:
-        return np.stack([fn(u) for fn in self.phis])
+        return self.phi_stacks([u])[0]
 
     def sigma_at(self, u: float) -> np.ndarray:
-        s = self.sigma(u)
-        return 0.5 * (s + s.T)
+        return self.sigma_stacks([u])[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -260,8 +298,13 @@ class TvARCH:
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    def a_values(self, u: float) -> np.ndarray:
-        return np.array([float(fn(u)[0, 0]) for fn in self.coeffs])
+    def a_values(self, u) -> np.ndarray:
+        """Coefficients ``(a_0, ..., a_d)`` at ``u``; for a 1-d array of
+        times, one row per time, shape ``(len(u), order+1)``."""
+        us = np.asarray(u, dtype=float)
+        rows = np.stack([fn.at(np.atleast_1d(us))[:, 0, 0] for fn in self.coeffs],
+                        axis=1)
+        return rows if us.ndim else rows[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -295,8 +338,8 @@ class SRE:
         if u_grid is None:
             u_grid = np.linspace(0.0, 1.0, _DEFAULT_U_GRID)
         m2 = float(np.linalg.norm(self.a_matrix @ self.a_matrix.T, 2))
-        vals = [(float(self.a_scale(u)[0, 0]) ** 2 + self.a_noise**2) * m2
-                for u in u_grid]
+        vals = [(float(a) ** 2 + self.a_noise**2) * m2
+                for a in self.a_scale.at(u_grid)[:, 0, 0]]
         return max(vals)
 
 
@@ -352,9 +395,9 @@ def stability_radius(model: ModelSpec, u_grid=None) -> float:
     if isinstance(model, TvVMA):
         return 0.0
     if isinstance(model, TvVAR):
-        return max(_companion_radius(model.phi_stack(u)) for u in u_grid)
+        return max(_companion_radius(phi) for phi in model.phi_stacks(u_grid))
     if isinstance(model, TvARCH):
-        return max(float(np.sum(model.a_values(u)[1:])) for u in u_grid)
+        return max(float(np.sum(a[1:])) for a in model.a_values(u_grid))
     if isinstance(model, SRE):
         return math.sqrt(model.contraction_bound(u_grid))
     raise UnsupportedFamilyError(f"unknown family {type(model).__name__}")
@@ -373,12 +416,29 @@ def effective_memory(model: ModelSpec) -> int:
     return max(1, math.ceil(-1.0 / math.log(rho)))
 
 
+_VALIDATED_ATTR = "_validated_info"
+
+
 def validate_model(model: ModelSpec, u_grid=None, omega_points: int = 128) -> dict:
     """Check the family invariants; raises ModelError on violation.
 
     Returns a dict of measured margins (stability radius, filter minimum,
-    eigenvalue floors) for reporting.
+    eigenvalue floors) for reporting.  With the default grids the check
+    runs once per model instance: models are immutable, so a passing result
+    is kept on the instance and later calls return a copy of it.  Failures
+    are not kept and raise again on every call.
     """
+    if u_grid is not None or omega_points != 128:
+        return _check_invariants(model, u_grid, omega_points)
+    info = getattr(model, _VALIDATED_ATTR, None)
+    if info is None:
+        info = _check_invariants(model, None, omega_points)
+        # Concurrent first calls may both compute; the results are equal.
+        object.__setattr__(model, _VALIDATED_ATTR, info)
+    return dict(info)
+
+
+def _check_invariants(model: ModelSpec, u_grid, omega_points: int) -> dict:
     if u_grid is None:
         u_grid = np.linspace(0.0, 1.0, _DEFAULT_U_GRID)
     info: dict = {"family": type(model).__name__}
@@ -392,12 +452,12 @@ def validate_model(model: ModelSpec, u_grid=None, omega_points: int = 128) -> di
         omegas = np.linspace(0.0, 2.0 * math.pi, omega_points, endpoint=False)
         z = (1.0 + 0.02) * np.exp(1j * omegas)
         margin = math.inf
-        for u in u_grid:
-            phi = model.phi_stack(u)
-            powers = z[:, None] ** np.arange(1, model.order + 1)[None, :]
+        powers = z[:, None] ** np.arange(1, model.order + 1)[None, :]
+        for u, phi, sigma in zip(u_grid, model.phi_stacks(u_grid),
+                                 model.sigma_stacks(u_grid)):
             a = np.eye(model.p) - np.einsum("wj,jab->wab", powers, phi)
             margin = min(margin, float(np.linalg.svd(a, compute_uv=False)[..., -1].min()))
-            svals = np.linalg.eigvalsh(model.sigma_at(u))
+            svals = np.linalg.eigvalsh(sigma)
             if svals[0] <= 0:
                 raise ModelError(f"TvVAR: innovation variance not SPD at u={u:.3f}")
         info["stability_margin"] = margin
@@ -411,8 +471,7 @@ def validate_model(model: ModelSpec, u_grid=None, omega_points: int = 128) -> di
         phases = np.exp(1j * omegas[:, None] * np.arange(model.order + 1)[None, :])
         filt_min = math.inf
         env_const = 0.0
-        for u in u_grid:
-            stack = model.psi_stack(u)
+        for stack in model.psi_stacks(u_grid):
             transfer = np.einsum("wj,jab->wab", phases, stack)
             filt_min = min(filt_min, float(
                 np.linalg.svd(transfer, compute_uv=False)[..., -1].min()))
@@ -429,17 +488,15 @@ def validate_model(model: ModelSpec, u_grid=None, omega_points: int = 128) -> di
         return info
 
     if isinstance(model, TvARCH):
-        a0_min = min(float(model.a_values(u)[0]) for u in u_grid)
+        rows = model.a_values(u_grid)
+        a0_min = min(float(a[0]) for a in rows)
         info["a0_min"] = a0_min
         if a0_min <= 0:
             raise ModelError("TvARCH: intercept must be bounded away from zero")
-        for u in u_grid:
-            a = model.a_values(u)
-            if np.any(a[1:] < 0):
-                raise ModelError("TvARCH: lag coefficients must be nonnegative")
+        if np.any(rows[:, 1:] < 0):
+            raise ModelError("TvARCH: lag coefficients must be nonnegative")
         # fourth-moment condition with Gaussian innovations: sqrt(E Z^4) = sqrt(3)
-        load = max(math.sqrt(3.0) * float(np.sum(model.a_values(u)[1:]))
-                   for u in u_grid)
+        load = max(math.sqrt(3.0) * float(np.sum(a[1:])) for a in rows)
         info["fourth_moment_load"] = load
         if load >= 1.0:
             raise ModelError(f"TvARCH: fourth-moment condition fails "
@@ -463,8 +520,7 @@ def validate_model(model: ModelSpec, u_grid=None, omega_points: int = 128) -> di
 def _vma_cov_window(model: TvVMA, n: int, t_lo: int, t_hi: int) -> BlockWindow:
     length = t_hi - t_lo + 1
     j_max = model.order
-    stacks = np.stack([model.psi_stack_array(t / n, n)
-                       for t in range(t_lo, t_hi + 1)])  # (L, J+1, p, p)
+    stacks = model.psi_stacks_array(np.arange(t_lo, t_hi + 1), n)  # (L, J+1, p, p)
     blocks = np.zeros((length, length, model.p, model.p))
     for delta in range(length):
         if delta > j_max:
@@ -483,19 +539,15 @@ def _var_precision_flat(model: TvVAR, n: int, t_lo: int, t_hi: int) -> np.ndarra
     """Flattened section of the exactly banded precision operator."""
     length = t_hi - t_lo + 1
     p, d = model.p, model.order
+    us = np.arange(t_lo, t_hi + 1) / n
     big = np.eye(length * p)
-    for i, t in enumerate(range(t_lo, t_hi + 1)):
-        phi = model.phi_stack(t / n)
+    for i, phi in enumerate(model.phi_stacks(us)):
         for j in range(1, d + 1):
             if i - j < 0:
                 break
             big[i * p:(i + 1) * p, (i - j) * p:(i - j + 1) * p] = -phi[j - 1]
-    sinv_blocks = []
-    for t in range(t_lo, t_hi + 1):
-        s = model.sigma_at(t / n)
-        si = np.linalg.inv(s)
-        sinv_blocks.append(0.5 * (si + si.T))
-    sinv = scipy.linalg.block_diag(*sinv_blocks)
+    si = np.linalg.inv(model.sigma_stacks(us))
+    sinv = scipy.linalg.block_diag(*(0.5 * (si + si.transpose(0, 2, 1))))
     prec = big.T @ sinv @ big
     return 0.5 * (prec + prec.T)
 
@@ -561,12 +613,11 @@ def _arch_mean_square(model: TvARCH, n: int, t_lo: int, t_hi: int) -> np.ndarray
     d = model.order
     burn = 10 * effective_memory(model) + d
     start = t_lo - burn
-    a_start = model.a_values(start / n)
-    denom = 1.0 - float(np.sum(a_start[1:]))
-    state = [a_start[0] / denom] * max(d, 1)
+    rows = model.a_values(np.arange(start, t_hi + 1) / n)
+    denom = 1.0 - float(np.sum(rows[0, 1:]))
+    state = [rows[0, 0] / denom] * max(d, 1)
     out = np.zeros(t_hi - t_lo + 1)
-    for t in range(start, t_hi + 1):
-        a = model.a_values(t / n)
+    for t, a in zip(range(start, t_hi + 1), rows):
         m = a[0] + float(np.dot(a[1:], state[:d][::-1])) if d else a[0]
         if d:
             state = state[1:] + [m] if len(state) >= d else state + [m]
@@ -687,25 +738,42 @@ def local_spectral_density(model: ModelSpec, u: float, omega: float) -> np.ndarr
     Raises:
         ModelError: if a TvVAR transfer function is singular at ``(u, omega)``.
     """
+    return local_spectral_densities(model, u, [omega])[0]
+
+
+def local_spectral_densities(model: ModelSpec, u: float, omega_grid) -> np.ndarray:
+    """``f(omega; u)`` at every ``omega`` of a grid, shape ``(len, p, p)``.
+
+    The coefficients at ``u`` are evaluated once for the whole grid; see
+    :func:`local_spectral_density`.
+    """
+    omegas = np.atleast_1d(np.asarray(omega_grid, dtype=float))
     if isinstance(model, TvARCH):
-        return stationary_cov(model, u, 0).astype(complex)
-    z = np.exp(1j * float(omega))
+        f0 = stationary_cov(model, u, 0).astype(complex)
+        return np.repeat(f0[None], omegas.size, axis=0)
     if isinstance(model, TvVMA):
         stack = model.psi_stack(u)
-        transfer = np.einsum("j,jab->ab", z ** np.arange(stack.shape[0]), stack)
-        f = transfer @ transfer.conj().T
+        lags = np.arange(stack.shape[0])
     elif isinstance(model, TvVAR):
-        phi = model.phi_stack(u)
-        a = np.eye(model.p) - np.einsum("j,jab->ab",
-                                        z ** np.arange(1, model.order + 1), phi)
-        svals = np.linalg.svd(a, compute_uv=False)
-        if svals[-1] < 1e-10 * max(svals[0], 1.0):
-            raise ModelError(f"TvVAR: transfer singular at u={u}, omega={omega}")
-        ainv = np.linalg.inv(a)
-        f = ainv @ model.sigma_at(u) @ ainv.conj().T
+        phi, sigma = model.phi_stack(u), model.sigma_at(u)
+        lags = np.arange(1, model.order + 1)
     else:
         raise UnsupportedFamilyError("no spectral density for this family")
-    return 0.5 * (f + f.conj().T)
+    out = np.empty((omegas.size, model.p, model.p), dtype=complex)
+    for k, omega in enumerate(omegas):
+        z = np.exp(1j * float(omega))
+        if isinstance(model, TvVMA):
+            transfer = np.einsum("j,jab->ab", z ** lags, stack)
+            f = transfer @ transfer.conj().T
+        else:
+            a = np.eye(model.p) - np.einsum("j,jab->ab", z ** lags, phi)
+            svals = np.linalg.svd(a, compute_uv=False)
+            if svals[-1] < 1e-10 * max(svals[0], 1.0):
+                raise ModelError(f"TvVAR: transfer singular at u={u}, omega={omega}")
+            ainv = np.linalg.inv(a)
+            f = ainv @ sigma @ ainv.conj().T
+        out[k] = 0.5 * (f + f.conj().T)
+    return out
 
 
 def spectral_eig_range(model: ModelSpec, u_grid, omega_grid) -> EigRange:
@@ -716,8 +784,7 @@ def spectral_eig_range(model: ModelSpec, u_grid, omega_grid) -> EigRange:
         raise InputError("spectral_eig_range: grids must be nonempty")
     lo, hi = math.inf, -math.inf
     for u in u_grid:
-        fs = np.stack([local_spectral_density(model, u, w) for w in omega_grid])
-        vals = np.linalg.eigvalsh(fs)
+        vals = np.linalg.eigvalsh(local_spectral_densities(model, u, omega_grid))
         lo = min(lo, float(vals[:, 0].min()))
         hi = max(hi, float(vals[:, -1].max()))
     return EigRange(lo, hi)
@@ -754,10 +821,8 @@ def _validate_for_simulation(model: ModelSpec) -> None:
         raise ModelError(f"{type(model).__name__}: recursion does not "
                          f"contract (radius {rho:.4f})")
     if isinstance(model, TvARCH):
-        for u in np.linspace(0.0, 1.0, _DEFAULT_U_GRID):
-            a = model.a_values(u)
-            if a[0] < 0 or np.any(a[1:] < 0):
-                raise ModelError("TvARCH: coefficients must be nonnegative")
+        if np.any(model.a_values(np.linspace(0.0, 1.0, _DEFAULT_U_GRID)) < 0):
+            raise ModelError("TvARCH: coefficients must be nonnegative")
 
 
 def _burn_in(model: ModelSpec) -> int:
@@ -776,13 +841,14 @@ def _run_from_innovations(model: ModelSpec, n: int, start: int,
     Recursions start from zero state at ``start``.
     """
     reps, steps, _ = eps.shape
+    ts = np.arange(start, start + steps)
+    us = ts / n
     if isinstance(model, TvVMA):
         j_max = model.order
         p = model.p
         out = np.zeros((reps, steps, p))
-        stacks = [model.psi_stack_array((start + i) / n, n) for i in range(steps)]
+        stacks = model.psi_stacks_array(ts, n)
         for i in range(steps):
-            t = start + i
             jj = min(j_max, i)
             # X_t = sum_j Psi_{t,j} eps_{t-j}
             e = eps[:, i - jj:i + 1][:, ::-1]          # lags 0..jj
@@ -791,11 +857,9 @@ def _run_from_innovations(model: ModelSpec, n: int, start: int,
     if isinstance(model, TvVAR):
         p, d = model.p, model.order
         out = np.zeros((reps, steps, p))
-        for i in range(steps):
-            t = start + i
-            u = t / n
-            phi = model.phi_stack(u)
-            chol = _psd_sqrt(model.sigma_at(u))
+        phis, sigmas = model.phi_stacks(us), model.sigma_stacks(us)
+        for i, (phi, sigma) in enumerate(zip(phis, sigmas)):
+            chol = _psd_sqrt(sigma)
             acc = eps[:, i] @ chol.T
             for j in range(1, min(d, i) + 1):
                 acc = acc + out[:, i - j] @ phi[j - 1].T
@@ -804,8 +868,7 @@ def _run_from_innovations(model: ModelSpec, n: int, start: int,
     if isinstance(model, TvARCH):
         d = model.order
         out = np.zeros((reps, steps, 1))
-        for i in range(steps):
-            a = model.a_values((start + i) / n)
+        for i, a in enumerate(model.a_values(us)):
             var = np.full(reps, a[0])
             for j in range(1, min(d, i) + 1):
                 var = var + a[j] * out[:, i - j, 0] ** 2
@@ -815,10 +878,11 @@ def _run_from_innovations(model: ModelSpec, n: int, start: int,
         p = model.p
         out = np.zeros((reps, steps, p))
         state = np.zeros((reps, p))
+        a_scale = model.a_scale.at(us)[:, 0, 0]
+        b_scale = model.b_scale.at(us)[:, 0, 0]
         for i in range(steps):
-            u = (start + i) / n
-            scale = float(model.a_scale(u)[0, 0]) + model.a_noise * eps[:, i, 0]
-            drive = float(model.b_scale(u)[0, 0]) * eps[:, i, 1:]
+            scale = float(a_scale[i]) + model.a_noise * eps[:, i, 0]
+            drive = float(b_scale[i]) * eps[:, i, 1:]
             state = scale[:, None] * (state @ model.a_matrix.T) + drive
             out[:, i] = state
         return out

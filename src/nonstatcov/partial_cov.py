@@ -18,7 +18,7 @@ import scipy.linalg
 
 from .errors import ConditioningError, InputError, ModelError
 from .inverse_analysis import _kappa_or_raise
-from .models import (ModelSpec, cov_pad, cov_window, local_spectral_density,
+from .models import (ModelSpec, cov_pad, cov_window, local_spectral_densities,
                      stationary_window)
 from .operator_core import BlockWindow, SPD_RTOL, zeta
 from .reports import GapReport, envelope_constant
@@ -324,8 +324,8 @@ def partial_spectral_coherence(model: ModelSpec, u: float, a: int, b: int,
     """
     omega_grid = np.atleast_1d(np.asarray(omega_grid, dtype=float))
     out = np.empty(omega_grid.shape, dtype=complex)
-    for i, w in enumerate(omega_grid):
-        f = local_spectral_density(model, u, w)
+    fs = local_spectral_densities(model, u, omega_grid)
+    for i, (w, f) in enumerate(zip(omega_grid, fs)):
         vals = np.linalg.eigvalsh(f)
         if vals[0] <= SPD_RTOL * max(vals[-1], 1e-300):
             raise ModelError(f"partial_spectral_coherence: f singular at "

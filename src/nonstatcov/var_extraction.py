@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConditioningError, DomainError, NonstatcovError
 from .inverse_analysis import _invert_flat_symmetric, _kappa_or_raise, one_sided_inverse
-from .models import (ModelSpec, cov_window, local_spectral_density,
+from .models import (ModelSpec, cov_window, local_spectral_densities,
                      stationary_window)
 from .operator_core import BlockWindow, zeta
 from .reports import GapReport, envelope_constant
@@ -279,8 +279,8 @@ def kolmogorov_gap(model: ModelSpec, n: int, t_index: int,
     omegas = np.linspace(0.0, 2.0 * math.pi, quad_points, endpoint=False)
     u = t_index / n
     acc = 0.0
-    for w in omegas:
-        vals = np.linalg.eigvalsh(local_spectral_density(model, u, w))
+    for f in local_spectral_densities(model, u, omegas):
+        vals = np.linalg.eigvalsh(f)
         if vals[0] <= 0:
             raise ConditioningError("kolmogorov_gap: spectral density not SPD")
         acc += float(np.sum(np.log(vals)))

@@ -111,6 +111,19 @@ class TestRunExperiment:
         assert a.table_csv() == b.table_csv()
         assert a.verdicts_json() == b.verdicts_json()
 
+    def test_verify_all_tables_independent_of_threads(self):
+        # the checks share one model instance, validated once across threads
+        cfg = {"experiment": "verify-all", "seed": 7,
+               "model": {"reference": "tvvma_kappa4_p2"},
+               "grid": {"checks": ["inverse_decay", "eigenvalue_sandwich",
+                                   "ar1_analytic"]}}
+        serial = run_experiment(load_config(cfg), threads=1)
+        threaded = run_experiment(load_config(cfg), threads=2)
+        assert [v.name for v in serial.verdicts][:3] == [
+            "inverse_decay", "ar1_analytic", "eigenvalue_sandwich"]
+        assert serial.table_csv() == threaded.table_csv()
+        assert serial.verdicts_json() == threaded.verdicts_json()
+
     def test_simulate_deterministic(self):
         cfg = load_config(minimal_config("simulate", t_lo=0, t_hi=40))
         report = run_experiment(cfg)
@@ -163,6 +176,14 @@ class TestCli:
         code = cli.main(["decay", "--config", "decay_white_noise",
                          "--out", str(tmp_path)])
         assert code == 0
+
+    def test_threads_env_var_not_an_integer(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("NONSTATCOV_THREADS", "abc")
+        code = cli.main(["decay", "--config", "decay_white_noise",
+                         "--out", str(tmp_path)])
+        assert code == 2
+        assert "config error: NONSTATCOV_THREADS" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "decay_table.csv")
 
     def test_coherence_rows_carry_curves(self):
         cfg = load_config({"experiment": "coherence", "seed": 5,

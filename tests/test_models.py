@@ -1,12 +1,17 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nonstatcov as nc
 from nonstatcov.errors import (DomainError, ModelError, UnsupportedFamilyError)
 from nonstatcov.reference import (ar1_model, reference_sre, reference_tvarch,
-                                  reference_tvvma, white_noise_model)
+                                  reference_tvvar3, reference_tvvma,
+                                  white_noise_model)
 
 
 def scalar_ar1(phi=0.5, sigma2=1.0):
@@ -46,6 +51,213 @@ class TestCoefficientFn:
         assert fn(0.25)[0, 0] == pytest.approx(0.5)
         assert fn(0.5)[0, 0] == pytest.approx(1.0)
         assert fn.lipschitz_constant() == pytest.approx(2.0)
+
+
+def scalar_reference(fn, u):
+    """One-point evaluation as the package did it before grids: the oracle
+    that ``CoefficientFn.at`` must match bit for bit."""
+    u = float(u)
+    u = 0.0 if u < 0.0 else (1.0 if u > 1.0 else u)
+    p = fn.payload
+    if fn.form == "constant":
+        return np.atleast_2d(p["value"]).copy()
+    if fn.form == "affine":
+        return np.atleast_2d(p["base"]) + u * np.atleast_2d(p["slope"])
+    if fn.form == "sinusoidal":
+        freq = p.get("frequency", 1.0)
+        phase = p.get("phase", 0.0)
+        return (np.atleast_2d(p["base"])
+                + math.sin(2.0 * math.pi * (freq * u + phase))
+                * np.atleast_2d(p["amplitude"]))
+    knots = p["knots"]
+    values = p["values"]
+    i = int(np.clip(np.searchsorted(knots, u, side="right") - 1, 0, len(knots) - 2))
+    w = (u - knots[i]) / (knots[i + 1] - knots[i])
+    return (1.0 - w) * values[i] + w * values[i + 1]
+
+
+_entries = st.floats(-5.0, 5.0, allow_nan=False)
+
+
+def _matrix(p):
+    return st.lists(_entries, min_size=p * p, max_size=p * p).map(
+        lambda v: np.array(v).reshape(p, p))
+
+
+@st.composite
+def coefficient_fns(draw):
+    p = draw(st.integers(1, 3))
+    form = draw(st.sampled_from(["constant", "affine", "sinusoidal", "piecewise"]))
+    if form == "constant":
+        return nc.constant_fn(draw(_matrix(p)))
+    if form == "affine":
+        return nc.affine_fn(draw(_matrix(p)), draw(_matrix(p)))
+    if form == "sinusoidal":
+        return nc.sinusoidal_fn(draw(_matrix(p)), draw(_matrix(p)),
+                                frequency=draw(st.floats(-8.0, 8.0)),
+                                phase=draw(st.floats(-1.0, 1.0)))
+    knots = sorted(draw(st.sets(st.floats(0.0, 1.0), min_size=2, max_size=6)))
+    values = np.stack([draw(_matrix(p)) for _ in knots])
+    return nc.CoefficientFn("piecewise", {"knots": np.array(knots), "values": values})
+
+
+class TestGridEvaluation:
+    @settings(max_examples=200, deadline=None)
+    @given(fn=coefficient_fns(),
+           us=st.lists(st.one_of(st.floats(-2.0, 3.0), st.sampled_from(
+               [-0.0, 0.0, 1.0, -1e-300, 1.0 + 1e-15])), max_size=12))
+    def test_at_matches_scalar_path_bitwise(self, fn, us):
+        if fn.form == "piecewise":
+            us = us + list(fn.payload["knots"])    # exact knots, the last included
+        got = fn.at(np.array(us, dtype=float))
+        p = fn.dim
+        want = np.stack([scalar_reference(fn, u) for u in us]) if us \
+            else np.zeros((0, p, p))
+        assert got.shape == (len(us), p, p)
+        assert np.array_equal(got, want)
+        for u, row in zip(us, want):
+            assert np.array_equal(fn(u), row)
+
+    def test_at_rejects_non_vector_input(self):
+        with pytest.raises(nc.InputError):
+            nc.constant_fn([[1.0]]).at(np.zeros((2, 2)))
+
+    def test_payload_is_read_only_and_at_returns_fresh_arrays(self):
+        base = np.eye(2)
+        fn = nc.affine_fn(base, 0.5 * np.eye(2))
+        base[0, 0] = 7.0                          # the caller's array stays theirs
+        assert fn(0.0)[0, 0] == 1.0
+        with pytest.raises(ValueError):
+            fn.payload["base"][0, 0] = 3.0
+        const = nc.constant_fn([[2.0]])
+        with pytest.raises(ValueError):
+            const.payload["value"][0, 0] = 3.0
+        out = const.at([0.1, 0.9])
+        assert out.flags.writeable
+        assert not np.shares_memory(out, const.payload["value"])
+        out[:] = 0.0
+        assert const(0.5)[0, 0] == 2.0
+
+    def test_psi_stacks_array_matches_per_time_stack(self):
+        model = reference_tvvma()
+        n = 137
+        ts = np.arange(-20, 160)
+        want = np.stack([model.psi_stack_array(t / n, n) for t in ts])
+        assert np.array_equal(model.psi_stacks_array(ts, n), want)
+        plain = reference_tvvma(with_correction=False)
+        assert np.array_equal(plain.psi_stacks(ts / n),
+                              np.stack([plain.psi_stack(t / n) for t in ts]))
+
+    def test_var_and_arch_stacks_match_per_point(self):
+        us = np.linspace(-0.2, 1.2, 29)
+        var = reference_tvvar3()
+        assert np.array_equal(var.phi_stacks(us), np.stack([var.phi_stack(u) for u in us]))
+        assert np.array_equal(var.sigma_stacks(us), np.stack([var.sigma_at(u) for u in us]))
+        arch = reference_tvarch(3)
+        assert np.array_equal(arch.a_values(us), np.stack([arch.a_values(u) for u in us]))
+
+    @pytest.mark.parametrize("model", [reference_tvvma(), reference_tvvar3()],
+                             ids=["tvvma", "tvvar"])
+    def test_spectral_eig_range_matches_pointwise_densities(self, model):
+        # the densities written out per (u, omega), as before the grids
+        us = np.linspace(0.0, 1.0, 5)
+        omegas = np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)
+        lo, hi = math.inf, -math.inf
+        for u in us:
+            fs = []
+            for w in omegas:
+                z = np.exp(1j * float(w))
+                if isinstance(model, nc.TvVMA):
+                    stack = model.psi_stack(u)
+                    tr = np.einsum("j,jab->ab", z ** np.arange(stack.shape[0]), stack)
+                    f = tr @ tr.conj().T
+                else:
+                    a = np.eye(model.p) - np.einsum(
+                        "j,jab->ab", z ** np.arange(1, model.order + 1),
+                        model.phi_stack(u))
+                    ainv = np.linalg.inv(a)
+                    f = ainv @ model.sigma_at(u) @ ainv.conj().T
+                fs.append(0.5 * (f + f.conj().T))
+            assert np.array_equal(nc.local_spectral_densities(model, u, omegas),
+                                  np.stack(fs))
+            vals = np.linalg.eigvalsh(np.stack(fs))
+            lo, hi = min(lo, float(vals[:, 0].min())), max(hi, float(vals[:, -1].max()))
+        got = nc.spectral_eig_range(model, us, omegas)
+        assert (got.lambda_min, got.lambda_max) == (lo, hi)
+
+
+class TestValidationMemo:
+    @staticmethod
+    def counting_svd(monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return svd(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        return calls
+
+    def test_second_call_does_no_work(self, monkeypatch):
+        calls = self.counting_svd(monkeypatch)
+        model = reference_tvvma()
+        first = nc.validate_model(model)
+        assert calls
+        calls.clear()
+        assert nc.validate_model(model) == first
+        assert not calls
+        nc.validate_model(reference_tvvma())      # a new instance is checked anew
+        assert calls
+
+    def test_failures_raise_on_every_call(self, monkeypatch):
+        calls = self.counting_svd(monkeypatch)
+        bad = nc.TvVMA(p=1, psis=(nc.constant_fn([[0.0]]),))
+        for _ in range(2):
+            calls.clear()
+            with pytest.raises(ModelError):
+                nc.validate_model(bad)
+            assert calls
+        with pytest.raises(ModelError):
+            nc.cov_window(bad, 100, 0, 5)
+
+    def test_custom_grids_bypass_the_memo(self, monkeypatch):
+        calls = self.counting_svd(monkeypatch)
+        model = reference_tvvma()
+        default = nc.validate_model(model)
+        calls.clear()
+        coarse = nc.validate_model(model, u_grid=[0.0])
+        assert calls
+        calls.clear()
+        nc.validate_model(model, omega_points=16)
+        assert calls
+        calls.clear()
+        assert coarse != default
+        assert nc.validate_model(model) == default
+        assert not calls
+
+    def test_concurrent_first_calls_agree(self):
+        want = nc.validate_model(reference_tvvma())
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                model = reference_tvvma()
+                with ThreadPoolExecutor(max_workers=8) as pool:
+                    futures = [pool.submit(nc.validate_model, model)
+                               for _ in range(16)]
+                    results = [f.result(timeout=60) for f in futures]
+                assert all(r == want for r in results)
+                assert nc.validate_model(model) == want
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_returned_dict_is_a_copy(self):
+        model = reference_tvvma()
+        info = nc.validate_model(model)
+        want = dict(info)
+        info["family"] = "changed"
+        info["extra"] = 1.0
+        assert nc.validate_model(model) == want
 
 
 class TestValidation:
