@@ -12,11 +12,10 @@ from .errors import (ConditioningError, ConfigError, DegenerateFitError,
                      DivergenceError, DomainError, FitError, InputError,
                      ModelError, NonstatcovError, UnsupportedFamilyError)
 from .operator_core import (BandedBlockWindow, BlockWindow, EigRange,
-                            band_truncate, banded_error_bound,
-                            block_norms, block_partition_inverse,
+                            band_truncate, banded_error_bound, block_norms,
                             block_row_norm_bound, decay_weights, demko_bound,
-                            gu, schur_complement, spectral_norm,
-                            sym_eig_range, zeta)
+                            gu, schur_complement, spd_factor, spd_inverse,
+                            spectral_norm, sym_eig_range, zeta)
 from .reports import DecayProfile, GapReport, envelope_constant
 from .models import (SRE, AssumptionFit, CoefficientFn, ModelSpec,
                      PhysicalDepEstimate, SamplePath, TvARCH, TvVAR, TvVMA,

@@ -166,6 +166,30 @@ def _grid_int(grid: dict, key: str, default=None) -> int:
     return int(val)
 
 
+def _grid_float(grid: dict, key: str, default=None) -> float | None:
+    """A finite number from the grid; ``default`` (possibly None) if absent."""
+    val = grid.get(key, default)
+    if val is None:
+        return None
+    if isinstance(val, bool) or not isinstance(val, (int, float, np.integer,
+                                                     np.floating)) \
+            or not math.isfinite(val):
+        raise ConfigError(f"grid field {key!r} must be a finite number",
+                          path=f"/grid/{key}")
+    return float(val)
+
+
+def _grid_int_list(grid: dict, key: str, default, min_len: int = 1) -> tuple[int, ...]:
+    """A list of at least ``min_len`` integers from the grid."""
+    val = grid.get(key, default)
+    if not isinstance(val, (list, tuple)) or len(val) < min_len or not all(
+            isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+            for v in val):
+        raise ConfigError(f"grid field {key!r} must be a list of integers "
+                          f"(at least {min_len})", path=f"/grid/{key}")
+    return tuple(int(v) for v in val)
+
+
 def _run_simulate(config: ExperimentConfig, threads: int):
     grid = config.grid
     n = _grid_int(grid, "N", 200)
@@ -190,7 +214,7 @@ def _run_decay(config: ExperimentConfig, threads: int):
     lag_norms = w.lag_max_norms()
     try:
         fit = md.assumption_fit(config.model, n, t_lo, t_hi,
-                                kappa=grid.get("kappa"))
+                                kappa=_grid_float(grid, "kappa"))
     except md.FitError:
         fit = None
     rows = []
@@ -244,18 +268,18 @@ def _run_var(config: ExperimentConfig, threads: int):
     grid = config.grid
     n = _grid_int(grid, "N", 200)
     t_index = _grid_int(grid, "t", n // 2)
-    orders = grid.get("orders", [1, 2, 4, 8])
-    kappa = grid.get("kappa", getattr(config.model, "kappa", None))
+    orders = _grid_int_list(grid, "orders", (1, 2, 4, 8))
+    kappa = _grid_float(grid, "kappa", getattr(config.model, "kappa", None))
     rows = []
     sigmas = {}
     for d in orders:
-        coeffs = vx.var_coeffs_finite(config.model, n, t_index, int(d))
-        sigmas[int(d)] = coeffs.sigma
+        coeffs = vx.var_coeffs_finite(config.model, n, t_index, d)
+        sigmas[d] = coeffs.sigma
         for j, phi in enumerate(coeffs.phis, start=1):
             shape = float(oc.zeta(j)) ** ((kappa - 1.0) if kappa else 1.0)
-            rows.append(vf.table_row("phi_norm", int(d), j,
+            rows.append(vf.table_row("phi_norm", d, j,
                                 float(np.linalg.norm(phi, 2)), shape, n=n))
-        rows.append(vf.table_row("sigma_logdet", int(d), 0,
+        rows.append(vf.table_row("sigma_logdet", d, 0,
                             float(np.linalg.slogdet(coeffs.sigma)[1]), n=n))
     ordered = sorted(sigmas)
     worst = 0.0
@@ -275,7 +299,8 @@ def _run_baxter(config: ExperimentConfig, threads: int):
     grid = config.grid
     res = vf.check_baxter(config.model, n=_grid_int(grid, "N", 200),
                           t_index=_grid_int(grid, "t", 100),
-                          orders=tuple(grid.get("orders", (5, 10, 20, 40))))
+                          orders=_grid_int_list(grid, "orders", (5, 10, 20, 40),
+                                                min_len=2))
     return res.rows, [
         Verdict("baxter_sums_decreasing", bool(res.details["decreasing"]),
                 {"sums": res.details["sums"]}),
@@ -295,7 +320,7 @@ def _companion(config: ExperimentConfig, key: str, default_builder):
 
 def _run_smoothness(config: ExperimentConfig, threads: int):
     grid = config.grid
-    ns = tuple(grid.get("Ns", (100, 200, 400)))
+    ns = _grid_int_list(grid, "Ns", (100, 200, 400), min_len=2)
     var_model = _companion(config, "var_model", reference_tvvar3)
     res = vf.check_smoothness(config.model, var_model, ns=ns)
     return res.rows, [Verdict(res.name, res.passed, res.details)]
@@ -316,7 +341,7 @@ def _run_partial(config: ExperimentConfig, threads: int):
         b = _grid_int(grid, "b", 1)
         t = _grid_int(grid, "t", n // 2)
         rep = pc.partial_smoothness_gap(model, n, a, b, t - 2, t + 2,
-                                        kappa=grid.get("kappa", 4.0))
+                                        kappa=_grid_float(grid, "kappa", 4.0))
         for (ti, tj), meas, env in zip(rep.pair_gaps.indices,
                                        rep.pair_gaps.measured,
                                        rep.pair_gaps.bound):
@@ -335,8 +360,8 @@ def _run_coherence(config: ExperimentConfig, threads: int):
         raise ConfigError("coherence requires a model with p >= 2",
                           path="/model")
     res = vf.check_coherence(var_model=model,
-                             ns=tuple(grid.get("Ns", (200, 400))),
-                             u=float(grid.get("u", 0.3)),
+                             ns=_grid_int_list(grid, "Ns", (200, 400), min_len=2),
+                             u=_grid_float(grid, "u", 0.3),
                              a=_grid_int(grid, "a", 0),
                              b=_grid_int(grid, "b", 1),
                              max_lag=_grid_int(grid, "max_lag", 40),
@@ -349,7 +374,7 @@ def _run_physical(config: ExperimentConfig, threads: int):
     n = _grid_int(grid, "N", 200)
     t_index = _grid_int(grid, "t", 100)
     reps = _grid_int(grid, "reps", 5000)
-    js = tuple(int(j) for j in grid.get("js", range(1, 9)))
+    js = _grid_int_list(grid, "js", tuple(range(1, 9)))
     model = config.model
     if isinstance(model, SRE):
         res = vf.check_physical_dependence(model, n=n, t_index=t_index,
@@ -371,6 +396,11 @@ def _run_verify_all(config: ExperimentConfig, threads: int):
     var_model = _companion(config, "var_model", reference_tvvar3)
     sre_model = _companion(config, "sre_model", reference_sre)
     names = config.grid.get("checks")
+    known = [name for name, _, _ in vf.ALL_CHECKS]
+    if names is not None and (not isinstance(names, list)
+                              or not all(n in known for n in names)):
+        raise ConfigError(f"grid field 'checks' must be a list of check names "
+                          f"from {known}", path="/grid/checks")
     results = vf.run_all(model=config.model, var_model=var_model,
                          sre_model=sre_model, threads=threads, names=names)
     rows = []

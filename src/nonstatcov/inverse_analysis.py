@@ -13,16 +13,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .errors import (ConditioningError, DegenerateFitError, DivergenceError,
                      DomainError, InputError)
 from .models import (ModelSpec, cov_pad, cov_window, stationary_cov_derivative,
                      stationary_window)
 from .operator_core import (BlockWindow, EigRange, SPD_RTOL, band_truncate,
-                            gu, spectral_norm, zeta)
+                            gu, spd_inverse, symmetric_product, zeta)
 from .reports import DecayProfile, GapReport, envelope_constant, fit_decay_profile
-
-_RESIDUAL_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -56,22 +55,6 @@ class NeumannResult:
     roundoff: float
 
 
-def _invert_flat_symmetric(flat: np.ndarray, what: str) -> tuple[np.ndarray, EigRange, float]:
-    vals = np.linalg.eigvalsh(flat)
-    rng = EigRange(float(vals[0]), float(vals[-1]))
-    if not rng.is_spd():
-        raise ConditioningError(
-            f"{what}: window is numerically singular "
-            f"(lambda_min={rng.lambda_min:.3e}, lambda_max={rng.lambda_max:.3e})")
-    inv = np.linalg.inv(flat)
-    inv = 0.5 * (inv + inv.T)
-    residual = float(np.linalg.norm(flat @ inv - np.eye(flat.shape[0]), np.inf))
-    if residual > _RESIDUAL_TOL:
-        raise ConditioningError(f"{what}: inversion residual {residual:.3e} "
-                                f"exceeds {_RESIDUAL_TOL:g}")
-    return inv, rng, residual
-
-
 def finite_section_inverse(c: BlockWindow, pad: int) -> InverseWindow:
     """Invert a symmetric SPD window and discard ``pad`` times on each side.
 
@@ -87,7 +70,7 @@ def finite_section_inverse(c: BlockWindow, pad: int) -> InverseWindow:
         raise DomainError("finite_section_inverse: pad must be >= 0")
     if c.length - 2 * pad < 1:
         raise InputError("finite_section_inverse: pad leaves no interior")
-    inv, rng, residual = _invert_flat_symmetric(c.flatten(), "finite_section_inverse")
+    inv, rng, residual = spd_inverse(c.flatten(), "finite_section_inverse: window")
     full = BlockWindow.from_flat(inv, c.p, t_lo=c.t_lo, symmetrize=True)
     interior = full.subwindow(c.t_lo + pad, c.t_hi - pad)
     return InverseWindow(base=interior, source_pad=pad, conditioning=rng,
@@ -102,13 +85,25 @@ def model_inverse_window(model: ModelSpec, n: int, t_lo: int, t_hi: int,
     return finite_section_inverse(c, pad)
 
 
+def _flush_tiny(a: np.ndarray) -> np.ndarray:
+    """Zero the entries below ``1e-150`` of the largest, in place.
+
+    Away from the diagonal, banded inverses decay geometrically far below
+    that level; products of such entries underflow to subnormal numbers,
+    which slow a dense product several times.  The change is far below the
+    rounding error of the matrix.
+    """
+    a[np.abs(a) < 1e-150 * np.abs(a).max(initial=0.0)] = 0.0
+    return a
+
+
 def neumann_inverse(c: BlockWindow, m: int, terms: int) -> NeumannResult:
     """Approximate ``C^{-1}`` by a Neumann series around the banded truncation.
 
-    Writes ``C = B_M + E`` and sums ``sum_{s<=terms} (-B_M^{-1} E)^s B_M^{-1}``.
-    The certificate bounds the dropped tail by the geometric series
-    ``||B_M^{-1}|| q^{terms+1} / (1 - q)`` with ``q = ||B_M^{-1} E||_2``
-    computed on the window.
+    Writes ``C = B_M + E`` and sums ``sum_{s<=terms} (-B_M^{-1} E)^s B_M^{-1}``
+    by Horner's rule, one product per term.  The certificate bounds the
+    dropped tail by the geometric series ``||B_M^{-1}|| q^{terms+1} / (1 - q)``
+    with ``q = ||B_M^{-1} E||_2`` computed on the window.
 
     Raises:
         DivergenceError: if the banded truncation is singular or ``q >= 1``
@@ -120,36 +115,54 @@ def neumann_inverse(c: BlockWindow, m: int, terms: int) -> NeumannResult:
         raise DomainError("neumann_inverse: terms must be >= 0")
     banded = band_truncate(c, m).base
     bf = banded.flatten()
-    vals = np.linalg.eigvalsh(bf)
-    amax = float(np.max(np.abs(vals)))
-    amin = float(np.min(np.abs(vals)))
-    if amin <= SPD_RTOL * max(amax, 1e-300):
-        raise DivergenceError(
-            f"neumann_inverse: banded truncation at bandwidth {m} is singular",
-            contraction_norm=math.inf)
-    b_inv = np.linalg.inv(bf)
-    b_inv = 0.5 * (b_inv + b_inv.T)
+    try:
+        b_inv, rng, _ = spd_inverse(bf, f"neumann_inverse: banded truncation "
+                                        f"at bandwidth {m}",
+                                    bandwidth=(m + 1) * c.p - 1)
+        amin, amax = rng.lambda_min, rng.lambda_max
+    except ConditioningError:
+        # Banding can destroy positive definiteness while B_M stays
+        # invertible and the series still contracts; such a truncation (or
+        # an SPD one too ill-conditioned for the Cholesky residual check)
+        # is inverted by LU, guarded by its smallest |eigenvalue|.
+        vals = np.abs(np.linalg.eigvalsh(bf))
+        amin, amax = float(vals.min()), float(vals.max())
+        if amin <= SPD_RTOL * max(amax, 1e-300):
+            raise DivergenceError(
+                f"neumann_inverse: banded truncation at bandwidth {m} is singular",
+                contraction_norm=math.inf) from None
+        b_inv = np.linalg.inv(bf)
+        b_inv = 0.5 * (b_inv + b_inv.T)
     b_inv_norm = 1.0 / amin
     err = c.flatten() - bf
-    prod = b_inv @ err
-    q = spectral_norm(prod)
+    _flush_tiny(b_inv)
+    prod = _flush_tiny(b_inv @ err)
+    n = bf.shape[0]
+    # ||P||_2 = sqrt(lambda_max(P^T P)); syrk fills the upper triangle of
+    # P^T P, computed as (P^T)(P^T)^T on the Fortran-ordered view P^T
+    gram = scipy.linalg.blas.dsyrk(1.0, prod.T)
+    q = math.sqrt(max(0.0, float(scipy.linalg.eigvalsh(
+        gram, lower=False, subset_by_index=[n - 1, n - 1])[0])))
     if q >= 1.0:
         raise DivergenceError(
             f"neumann_inverse: series does not contract, ||B^-1 (C - B)|| = {q:.4f}",
             contraction_norm=q)
-    acc = np.eye(bf.shape[0])
-    power = np.eye(bf.shape[0])
+    # Horner: X <- B^-1 - P X, from X = B^-1, gives sum_{s<=terms} (-P)^s B^-1.
+    # Every partial sum is symmetric, hence so is P X = B^-1 - X_next.
+    approx_flat = b_inv
     for _ in range(terms):
-        power = -prod @ power
-        acc += power
-    approx_flat = acc @ b_inv
+        step = symmetric_product(prod, approx_flat)
+        np.subtract(b_inv, step, out=step)
+        approx_flat = step
     approx = BlockWindow.from_flat(approx_flat, c.p, t_lo=c.t_lo, symmetrize=True)
     tail = b_inv_norm * q ** (terms + 1) / (1.0 - q)
     # ||C^-1|| <= ||B^-1||/(1-q), so a conservative allowance for the
     # rounding of the series products and of any dense reference inverse is
     inv_bound = b_inv_norm / (1.0 - q)
-    c_norm = float(np.max(np.abs(vals))) + spectral_norm(err)
-    roundoff = bf.shape[0] * np.finfo(float).eps * inv_bound \
+    # E is exactly symmetric, so its spectral norm is its largest |eigenvalue|
+    e_norm = float(np.max(np.abs(scipy.linalg.eigvalsh(err))))
+    c_norm = amax + e_norm
+    roundoff = n * np.finfo(float).eps * inv_bound \
         * (1.0 + c_norm * inv_bound)
     return NeumannResult(approx=approx, certificate=tail + roundoff,
                          contraction_norm=q, banded_inverse_norm=b_inv_norm,
@@ -197,7 +210,7 @@ def one_sided_inverse(model: ModelSpec, n: int, t_end: int, depth: int) -> Inver
     if depth < 50:
         raise DomainError("one_sided_inverse: depth must be >= 50")
     c = cov_window(model, n, t_end - depth, t_end)
-    inv, rng, residual = _invert_flat_symmetric(c.flatten(), "one_sided_inverse")
+    inv, rng, residual = spd_inverse(c.flatten(), "one_sided_inverse: window")
     base = BlockWindow.from_flat(inv, c.p, t_lo=c.t_lo, symmetrize=True)
     return InverseWindow(base=base, source_pad=0, conditioning=rng,
                          residual=residual)
@@ -213,7 +226,7 @@ def stationary_inverse_sequence(model: ModelSpec, u: float, max_lag: int,
     pad = cov_pad(model) if pad is None else pad
     half = max_lag + pad
     w = stationary_window(model, u, -half, half)
-    inv, _, _ = _invert_flat_symmetric(w.flatten(), "stationary_inverse_sequence")
+    inv, _, _ = spd_inverse(w.flatten(), "stationary_inverse_sequence: window")
     full = BlockWindow.from_flat(inv, w.p, t_lo=-half, symmetrize=True)
     return np.stack([full.block(0, -r) for r in range(max_lag + 1)])
 
@@ -299,7 +312,7 @@ def inverse_derivative_gap(model: ModelSpec, u: float, max_lag: int,
     pad = cov_pad(model) if pad is None else pad
     half = max_lag + pad
     w = stationary_window(model, u, -half, half)
-    inv, _, _ = _invert_flat_symmetric(w.flatten(), "inverse_derivative_gap")
+    inv, _, _ = spd_inverse(w.flatten(), "inverse_derivative_gap: window")
     dseq = stationary_cov_derivative(model, u, 2 * half)
     p = w.p
     length = 2 * half + 1

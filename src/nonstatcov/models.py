@@ -25,11 +25,10 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (DomainError, FitError, InputError, ModelError,
                      UnsupportedFamilyError)
-from .operator_core import BlockWindow, EigRange, block_norms, gu
+from .operator_core import BlockWindow, EigRange, block_norms, gu, spd_inverse
 from .reports import (DecayProfile, GapReport, envelope_constant,
                       fit_decay_profile)
 
@@ -536,20 +535,34 @@ def _vma_cov_window(model: TvVMA, n: int, t_lo: int, t_hi: int) -> BlockWindow:
 
 
 def _var_precision_flat(model: TvVAR, n: int, t_lo: int, t_hi: int) -> np.ndarray:
-    """Flattened section of the exactly banded precision operator."""
+    """Flattened section of the exactly banded precision ``B^T S^-1 B``.
+
+    Block row ``i`` of the lower-triangular ``B`` holds ``I`` at lag 0 and
+    ``-Phi_j(t_i/n)`` at lag ``j <= d``; ``S`` is block diagonal.  Block
+    ``(i - j, i - k)`` of the product collects ``B_ij^T S_i^-1 B_ik`` over
+    the ``d + 1`` nonzero blocks of each row, so every block beyond
+    bandwidth ``d`` stays exactly zero.  Each term is added to its block and
+    its transpose to the mirrored block, so the result is exactly symmetric.
+    """
     length = t_hi - t_lo + 1
     p, d = model.p, model.order
     us = np.arange(t_lo, t_hi + 1) / n
-    big = np.eye(length * p)
-    for i, phi in enumerate(model.phi_stacks(us)):
-        for j in range(1, d + 1):
-            if i - j < 0:
-                break
-            big[i * p:(i + 1) * p, (i - j) * p:(i - j + 1) * p] = -phi[j - 1]
     si = np.linalg.inv(model.sigma_stacks(us))
-    sinv = scipy.linalg.block_diag(*(0.5 * (si + si.transpose(0, 2, 1))))
-    prec = big.T @ sinv @ big
-    return 0.5 * (prec + prec.T)
+    si = 0.5 * (si + si.transpose(0, 2, 1))
+    rows = np.empty((length, d + 1, p, p))     # rows[i, j]: block of B at (i, i - j)
+    rows[:, 0] = np.eye(p)
+    rows[:, 1:] = -model.phi_stacks(us)
+    prec = np.zeros((length, p, length, p))
+    for j in range(d + 1):
+        for k in range(j, d + 1):
+            i = np.arange(k, length)
+            term = np.einsum("iab,iac,icd->ibd", rows[k:, j], si[k:], rows[k:, k])
+            if j == k:
+                prec[i - j, :, i - j, :] += 0.5 * (term + term.transpose(0, 2, 1))
+            else:
+                prec[i - j, :, i - k, :] += term
+                prec[i - k, :, i - j, :] += term.transpose(0, 2, 1)
+    return prec.reshape(length * p, length * p)
 
 
 def cov_pad(model: ModelSpec) -> int:
@@ -588,8 +601,8 @@ def cov_window(model: ModelSpec, n: int, t_lo: int, t_hi: int,
     if isinstance(model, TvVAR):
         pad = cov_pad(model) if pad is None else pad
         prec = _var_precision_flat(model, n, t_lo - pad, t_hi + pad)
-        cov = np.linalg.inv(prec)
-        cov = 0.5 * (cov + cov.T)
+        cov, _, _ = spd_inverse(prec, "cov_window: TvVAR precision",
+                                bandwidth=(model.order + 1) * model.p - 1)
         full = BlockWindow.from_flat(cov, model.p, t_lo=t_lo - pad, symmetrize=True)
         return full.subwindow(t_lo, t_hi)
     if isinstance(model, TvARCH):

@@ -1,4 +1,5 @@
-"""Block-matrix containers, norms, banding and Schur complements.
+"""Block-matrix containers, norms, banding, Schur complements and the SPD
+kernel that every symmetric inversion goes through.
 
 Everything in this package manipulates finite sections of doubly infinite
 block matrices.  A section is stored as a :class:`BlockWindow`: an
@@ -21,6 +22,9 @@ from .errors import ConditioningError, DomainError, InputError
 #: Relative eigenvalue threshold below which a symmetric matrix is treated
 #: as singular (guards Schur complements and inverses against blowup).
 SPD_RTOL = 1e-12
+
+#: Largest accepted residual ``||C X - I||_inf`` of a computed SPD inverse.
+SPD_RESIDUAL_TOL = 1e-8
 
 
 def gu(j) -> np.ndarray | float:
@@ -254,7 +258,7 @@ def banded_error_bound(k: float, kappa: float, m: int) -> float:
     return 2.0 * k / (kappa - 1.0) * float(m - 1) ** (-kappa + 1.0)
 
 
-def demko_bound(a: float, b: float, m: int, lag: int) -> float:
+def demko_bound(a: float, b: float, m: int, lag) -> float | np.ndarray:
     """Geometric bound on off-diagonal inverse blocks of an SPD banded operator.
 
     For an SPD operator with bandwidth ``m`` and spectrum in ``[a, b]``,
@@ -268,6 +272,8 @@ def demko_bound(a: float, b: float, m: int, lag: int) -> float:
     best-approximation error exponent ``ceil(l/m)``.  The diagonal
     (``lag = 0``) is not covered; there ``1/a`` is the sharp bound.
 
+    ``lag`` may be an integer array; the bound is then returned per lag.
+
     Raises:
         DomainError: if ``a <= 0``, ``b < a`` or ``m < 1``.
     """
@@ -280,24 +286,127 @@ def demko_bound(a: float, b: float, m: int, lag: int) -> float:
     r = b / a
     sr = math.sqrt(r)
     rho = (sr - 1.0) / (sr + 1.0)
-    return (1.0 + sr) ** 2 / b * rho ** (-(-abs(lag) // m))
+    bound = (1.0 + sr) ** 2 / b * rho ** (-(-np.abs(np.asarray(lag)) // m))
+    return float(bound) if bound.ndim == 0 else bound
 
 
-def _check_spd_flat(flat: np.ndarray, what: str) -> EigRange:
-    vals = scipy.linalg.eigvalsh(flat)
-    rng = EigRange(float(vals[0]), float(vals[-1]))
+def _eig_extremes(flat: np.ndarray, bandwidth: int | None) -> EigRange:
+    if bandwidth is None:
+        vals = np.linalg.eigvalsh(flat)
+        return EigRange(float(vals[0]), float(vals[-1]))
+    # lower band storage; LAPACK dsbevx then costs O(n * bandwidth^2)
+    n = flat.shape[0]
+    w = min(bandwidth, n - 1)
+    band = np.zeros((w + 1, n))
+    for k in range(w + 1):
+        band[k, :n - k] = np.diagonal(flat, -k)
+    lo, hi = (scipy.linalg.eigvals_banded(band, lower=True, select="i",
+                                          select_range=(i, i))[0]
+              for i in (0, n - 1))
+    return EigRange(float(lo), float(hi))
+
+
+def spd_factor(flat: np.ndarray, what: str,
+               bandwidth: int | None = None) -> tuple[np.ndarray, EigRange]:
+    """Guarded Cholesky factor of a symmetric matrix.
+
+    This is the one SPD path of the package: every symmetric inversion and
+    Schur step goes through it.  The extremal eigenvalues are computed
+    first and the matrix is rejected unless
+    ``lambda_min > SPD_RTOL * lambda_max``; then ``flat = L L^T`` is
+    factored.  Returns the lower factor ``L`` (upper triangle zero) and the
+    eigenvalue range.  ``what`` names the matrix in error messages.
+
+    A matrix that is exactly zero beyond ``bandwidth`` diagonals (counted
+    in rows, not blocks) may say so: its extremal eigenvalues then come
+    from the band alone, in O(n * bandwidth^2) instead of O(n^3).
+
+    Raises:
+        ConditioningError: if the matrix is numerically singular or
+            indefinite, or the factorisation breaks down.
+    """
+    rng = _eig_extremes(flat, bandwidth)
     if not rng.is_spd():
         raise ConditioningError(
-            f"{what}: numerically singular (lambda_min={rng.lambda_min:.3e}, "
-            f"lambda_max={rng.lambda_max:.3e})")
-    return rng
+            f"{what} is numerically singular "
+            f"(lambda_min={rng.lambda_min:.3e}, lambda_max={rng.lambda_max:.3e})")
+    factor, info = scipy.linalg.lapack.dpotrf(flat, lower=1, clean=1)
+    if info:
+        raise ConditioningError(f"{what}: Cholesky factorisation failed "
+                                f"(LAPACK info={info})")
+    return factor, rng
 
 
-def schur_complement(a: np.ndarray, b: np.ndarray, e: BlockWindow) -> np.ndarray:
-    """``A - B E^{-1} B^T`` with ``E`` a symmetric SPD window.
+#: Rows per block in the blocked triangle kernels below.
+_ROW_BLOCK = 256
+
+
+def _mirror_lower(a: np.ndarray) -> None:
+    """Copy the lower triangle of a square array onto its upper one, in place.
+
+    Works in row blocks, so no temporary of the full size is made.
+    """
+    n = a.shape[0]
+    for i in range(0, n, _ROW_BLOCK):
+        j = min(i + _ROW_BLOCK, n)
+        diag = a[i:j, i:j]
+        upper = np.triu_indices(j - i, 1)
+        diag[upper] = diag.T[upper]
+        a[i:j, j:] = a[j:, i:j].T
+
+
+def symmetric_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` for square factors whose product is known to be symmetric.
+
+    Only the lower triangle is multiplied out, in row blocks (a little over
+    half the flops of the full product), and then mirrored, so the result
+    is exactly symmetric.
+    """
+    n = a.shape[0]
+    out = np.empty((n, n))
+    for i in range(0, n, _ROW_BLOCK):
+        j = min(i + _ROW_BLOCK, n)
+        np.matmul(a[i:j], b[:, :j], out=out[i:j, :j])
+    _mirror_lower(out)
+    return out
+
+
+def spd_inverse(flat: np.ndarray, what: str,
+                bandwidth: int | None = None) -> tuple[np.ndarray, EigRange, float]:
+    """Inverse of a symmetric SPD matrix through :func:`spd_factor`.
+
+    Inverts the Cholesky factor in place (``dpotri``), mirrors the result
+    so it is exactly symmetric, and checks the residual
+    ``||flat @ inv - I||_inf``.  Returns ``(inv, eig_range, residual)``;
+    ``inv`` is C-contiguous.  ``bandwidth`` is as in :func:`spd_factor`.
+
+    Raises:
+        ConditioningError: as :func:`spd_factor`, or if the residual
+            exceeds ``SPD_RESIDUAL_TOL``.
+    """
+    factor, rng = spd_factor(flat, what, bandwidth)
+    inv, info = scipy.linalg.lapack.dpotri(factor, lower=1, overwrite_c=1)
+    if info:
+        raise ConditioningError(f"{what}: inversion of the Cholesky factor "
+                                f"failed (LAPACK info={info})")
+    _mirror_lower(inv)
+    check = flat @ inv
+    check.flat[::check.shape[0] + 1] -= 1.0
+    residual = float(np.abs(check, out=check).sum(axis=1).max())
+    if residual > SPD_RESIDUAL_TOL:
+        raise ConditioningError(f"{what}: inversion residual {residual:.3e} "
+                                f"exceeds {SPD_RESIDUAL_TOL:g}")
+    return inv.T, rng, residual
+
+
+def schur_complement(a: np.ndarray, b: np.ndarray, e: BlockWindow | np.ndarray,
+                     what: str = "schur_complement: E") -> np.ndarray:
+    """``A - B E^{-1} B^T`` with ``E`` a symmetric SPD window or matrix.
 
     The result is the covariance of the ``A`` coordinates after projecting
     out the coordinates carried by ``E``.  Symmetric whenever ``A`` is.
+    ``E`` may be given flattened, as an exactly symmetric matrix; ``what``
+    names it in error messages.
 
     Raises:
         ConditioningError: if ``E`` is numerically singular.
@@ -305,30 +414,19 @@ def schur_complement(a: np.ndarray, b: np.ndarray, e: BlockWindow) -> np.ndarray
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    if not e.symmetric:
-        raise InputError("schur_complement: E must be symmetric")
-    ef = e.flatten()
+    if isinstance(e, BlockWindow):
+        if not e.symmetric:
+            raise InputError("schur_complement: E must be symmetric")
+        ef = e.flatten()
+    else:
+        ef = np.asarray(e, dtype=float)
+        if ef.ndim != 2 or not np.array_equal(ef, ef.T):
+            raise InputError("schur_complement: E must be symmetric")
     if b.shape != (a.shape[0], ef.shape[0]) or a.shape[0] != a.shape[1]:
         raise InputError(f"schur_complement: non-conformable shapes {a.shape}, "
                          f"{b.shape}, {ef.shape}")
-    _check_spd_flat(ef, "schur_complement")
-    c, low = scipy.linalg.cho_factor(ef)
-    result = a - b @ scipy.linalg.cho_solve((c, low), b.T)
+    factor, _ = spd_factor(ef, what)
+    result = a - b @ scipy.linalg.cho_solve((factor, True), b.T)
     if np.array_equal(a, a.T):
         result = 0.5 * (result + result.T)
     return result
-
-
-def block_partition_inverse(a, b, c, d) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Four blocks of ``[[A, B], [C, D]]^{-1}`` via the partitioned-inverse identity.
-
-    Returns ``(Atil, -Atil B D^-1, -D^-1 C Atil, D^-1 + D^-1 C Atil B D^-1)``
-    with ``Atil = (A - B D^-1 C)^{-1}``.
-    """
-    a, b, c, d = (np.asarray(x, dtype=float) for x in (a, b, c, d))
-    d_inv = np.linalg.inv(d)
-    atil = np.linalg.inv(a - b @ d_inv @ c)
-    top_right = -atil @ b @ d_inv
-    bottom_left = -d_inv @ c @ atil
-    bottom_right = d_inv + d_inv @ c @ atil @ b @ d_inv
-    return atil, top_right, bottom_left, bottom_right

@@ -14,13 +14,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConditioningError, InputError, ModelError
 from .inverse_analysis import _kappa_or_raise
 from .models import (ModelSpec, cov_pad, cov_window, local_spectral_densities,
                      stationary_window)
-from .operator_core import BlockWindow, SPD_RTOL, zeta
+from .operator_core import BlockWindow, SPD_RTOL, schur_complement, zeta
 from .reports import GapReport, envelope_constant
 
 
@@ -107,15 +106,8 @@ def _schur_on_rows(flat: np.ndarray, keep: np.ndarray,
     css = flat[np.ix_(keep, keep)]
     if drop.size == 0:
         return 0.5 * (css + css.T)
-    csr = flat[np.ix_(keep, drop)]
-    crr = flat[np.ix_(drop, drop)]
-    vals = np.linalg.eigvalsh(crr)
-    if vals[0] <= SPD_RTOL * max(vals[-1], 1e-300):
-        raise ConditioningError("partial covariance: conditioning block is "
-                                "numerically singular")
-    cf = scipy.linalg.cho_factor(crr)
-    out = css - csr @ scipy.linalg.cho_solve(cf, csr.T)
-    return 0.5 * (out + out.T)
+    return schur_complement(css, flat[np.ix_(keep, drop)], flat[np.ix_(drop, drop)],
+                            what="partial covariance: conditioning block")
 
 
 def partial_cov_pair(c: BlockWindow, a: int, b: int, pad: int = 0) -> PartialPair:

@@ -17,10 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConditioningError, DomainError, NonstatcovError
-from .inverse_analysis import _invert_flat_symmetric, _kappa_or_raise, one_sided_inverse
+from .inverse_analysis import _kappa_or_raise, one_sided_inverse
 from .models import (ModelSpec, cov_window, local_spectral_densities,
                      stationary_window)
-from .operator_core import BlockWindow, zeta
+from .operator_core import BlockWindow, spd_inverse, zeta
 from .reports import GapReport, envelope_constant
 
 _DUAL_PATH_TOL = 1e-8
@@ -51,7 +51,7 @@ class VarCoefficients:
 
 def _bottom_row_coeffs(window: BlockWindow, t_end: int, order: int,
                        t_index: int | None) -> VarCoefficients:
-    inv, _, _ = _invert_flat_symmetric(window.flatten(), "var coefficients")
+    inv, _, _ = spd_inverse(window.flatten(), "var coefficients: window")
     d_win = BlockWindow.from_flat(inv, window.p, t_lo=window.t_lo, symmetrize=True)
     dtt = d_win.block(t_end, t_end)
     sigma = np.linalg.inv(dtt)

@@ -116,11 +116,13 @@ class TestRunExperiment:
         cfg = {"experiment": "verify-all", "seed": 7,
                "model": {"reference": "tvvma_kappa4_p2"},
                "grid": {"checks": ["inverse_decay", "eigenvalue_sandwich",
-                                   "ar1_analytic"]}}
+                                   "ar1_analytic", "neumann_certificates",
+                                   "partial_oracle"]}}
         serial = run_experiment(load_config(cfg), threads=1)
         threaded = run_experiment(load_config(cfg), threads=2)
-        assert [v.name for v in serial.verdicts][:3] == [
-            "inverse_decay", "ar1_analytic", "eigenvalue_sandwich"]
+        assert [v.name for v in serial.verdicts][:5] == [
+            "inverse_decay", "neumann_certificates", "ar1_analytic",
+            "partial_oracle", "eigenvalue_sandwich"]
         assert serial.table_csv() == threaded.table_csv()
         assert serial.verdicts_json() == threaded.verdicts_json()
 
@@ -158,6 +160,25 @@ class TestCli:
         bad.write_text("{\"experiment\": \"decay\"}")
         code = cli.main(["decay", "--config", str(bad), "--out", str(tmp_path)])
         assert code == 2
+
+    @pytest.mark.parametrize("experiment,reference,grid,field", [
+        ("baxter", "tvvma_kappa4_p2", {"orders": ["x"]}, "orders"),
+        ("baxter", "tvvma_kappa4_p2", {"orders": [5]}, "orders"),
+        ("coherence", "tvvar1_p3", {"u": "0.3x"}, "u"),
+        ("smoothness", "tvvma_kappa4_p2", {"Ns": 200}, "Ns"),
+        ("physical", "sre_p2", {"js": [1, 2.5]}, "js"),
+        ("var", "tvvma_kappa4_p2", {"kappa": "four"}, "kappa"),
+        ("verify-all", "tvvma_kappa4_p2", {"checks": ["inverse_decy"]}, "checks"),
+        ("verify-all", "tvvma_kappa4_p2", {"checks": "inverse_decay"}, "checks"),
+    ])
+    def test_malformed_grid_field_exit_two(self, tmp_path, capsys, experiment,
+                                           reference, grid, field):
+        cfg = tmp_path / "bad_grid.json"
+        cfg.write_text(json.dumps({"seed": 1, "model": {"reference": reference},
+                                   "grid": grid}))
+        code = cli.main([experiment, "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == 2
+        assert f"/grid/{field}" in capsys.readouterr().err
 
     def test_numeric_error_exit_three(self, tmp_path):
         cfg = tmp_path / "singular.json"

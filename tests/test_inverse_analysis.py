@@ -80,6 +80,75 @@ class TestNeumannInverse:
         q, nb = res.contraction_norm, res.banded_inverse_norm
         assert res.tail == pytest.approx(nb * q / (1 - q))
 
+    def test_contraction_norm_matches_dense_svd(self):
+        model = reference_tvvma()
+        c = nc.cov_window(model, 200, 10, 89)
+        for m in (4, 8, 12):
+            res = nc.neumann_inverse(c, m, 2)
+            bf = nc.band_truncate(c, m).base.flatten()
+            ref = np.linalg.norm(np.linalg.solve(bf, c.flatten() - bf), 2)
+            assert res.contraction_norm == pytest.approx(ref, rel=1e-12)
+
+    def test_horner_sum_matches_power_sum(self):
+        model = reference_tvvma()
+        c = nc.cov_window(model, 200, -20, 49)
+        m = 6
+        bf = nc.band_truncate(c, m).base.flatten()
+        b_inv = np.linalg.inv(bf)
+        prod = b_inv @ (c.flatten() - bf)
+        for terms in (0, 1, 5, 12):
+            power, total = b_inv, b_inv.copy()
+            for _ in range(terms):
+                power = -prod @ power
+                total += power
+            res = nc.neumann_inverse(c, m, terms)
+            scale = np.abs(total).max()
+            assert np.abs(res.approx.flatten() - total).max() <= 1e-13 * scale
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_certificate_dominates_on_random_windows(self, seed):
+        from nonstatcov.verification import random_spd_banded
+        rng = np.random.default_rng(900 + seed)
+        p = int(rng.integers(1, 4))
+        length = int(rng.integers(12, 40))
+        m = int(rng.integers(1, 4))
+        banded, _, _ = random_spd_banded(rng, p, m, length)
+        dim = length * p
+        lag = np.abs(np.subtract.outer(np.arange(length), np.arange(length)))
+        outside = np.kron((lag > m).astype(float), np.ones((p, p)))
+        raw = rng.standard_normal((dim, dim))
+        tail = 0.5 * (raw + raw.T) * outside
+        # scale the out-of-band part so that q lands in (0.05, 0.6)
+        scale = rng.uniform(0.05, 0.6) / np.linalg.norm(np.linalg.solve(banded, tail), 2)
+        w = nc.BlockWindow.from_flat(banded + scale * tail, p, symmetrize=True)
+        dense = np.linalg.inv(w.flatten())
+        for terms in (0, 3, 8):
+            res = nc.neumann_inverse(w, m, terms)
+            err = np.linalg.norm(res.approx.flatten() - dense, 2)
+            assert err <= res.certificate
+
+    def test_indefinite_truncation_takes_lu_branch(self):
+        # q < 1 keeps the inertia of B_M, so an indefinite truncation belongs
+        # to an indefinite (symmetric) window
+        rng = np.random.default_rng(12)
+        length, m = 30, 2
+        lag = np.abs(np.subtract.outer(np.arange(length), np.arange(length)))
+        raw = rng.standard_normal((length, length))
+        sym = 0.5 * (raw + raw.T)
+        signs = np.where(np.arange(length) % 3 == 0, -1.0, 1.0)
+        banded = 0.2 * sym * (lag <= m) + np.diag(signs * rng.uniform(3.0, 4.0, length))
+        tail = 0.02 * sym * (lag > m)
+        w = nc.BlockWindow.from_flat(banded + tail, p=1, symmetrize=True)
+        assert np.linalg.eigvalsh(nc.band_truncate(w, m).base.flatten())[0] < 0
+        with pytest.raises(ConditioningError):
+            nc.spd_factor(nc.band_truncate(w, m).base.flatten(), "B_M")
+        dense = np.linalg.inv(w.flatten())
+        for terms in (0, 2, 6):
+            res = nc.neumann_inverse(w, m, terms)
+            assert 0.0 < res.contraction_norm < 1.0
+            err = np.linalg.norm(res.approx.flatten() - dense, 2)
+            assert err <= res.certificate
+
     def test_divergence_reports_product_norm(self):
         flat = np.array([[1.0, 1.2], [1.2, 1.0]])
         w = nc.BlockWindow.from_flat(flat, p=1, symmetrize=True)

@@ -339,6 +339,54 @@ class TestCovBlock:
                     assert norms[t, tau] <= 1e-9
 
 
+
+def dense_var_precision(model, n, t_lo, t_hi):
+    """``B^T blockdiag(S^-1) B`` formed densely, the reference assembly."""
+    import scipy.linalg
+    length, p = t_hi - t_lo + 1, model.p
+    us = np.arange(t_lo, t_hi + 1) / n
+    big = np.eye(length * p)
+    for i, phi in enumerate(model.phi_stacks(us)):
+        for j in range(1, min(model.order, i) + 1):
+            big[i * p:(i + 1) * p, (i - j) * p:(i - j + 1) * p] = -phi[j - 1]
+    si = np.linalg.inv(model.sigma_stacks(us))
+    sinv = scipy.linalg.block_diag(*(0.5 * (si + si.transpose(0, 2, 1))))
+    return big.T @ sinv @ big
+
+
+class TestVarPrecision:
+    def var2_model(self):
+        return nc.TvVAR(p=2, phis=(
+            nc.affine_fn([[0.3, 0.1], [-0.05, 0.2]], [[0.1, 0.0], [0.05, -0.1]]),
+            nc.sinusoidal_fn([[0.1, 0.0], [0.02, 0.1]], [[0.05, 0.02], [0.0, 0.05]],
+                             frequency=1.0, phase=0.1)),
+            sigma=nc.affine_fn([[1.0, 0.2], [0.2, 0.8]], [[0.3, 0.0], [0.0, 0.2]]))
+
+    @pytest.mark.parametrize("name", ["tvvar1_p3", "var2", "ar1"])
+    def test_blockwise_assembly_matches_dense_reference(self, name):
+        from nonstatcov.models import _var_precision_flat
+        model = {"tvvar1_p3": nc.get_reference_model("tvvar1_p3"),
+                 "var2": self.var2_model(), "ar1": scalar_ar1()}[name]
+        got = _var_precision_flat(model, 150, -20, 40)
+        ref = dense_var_precision(model, 150, -20, 40)
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+        assert np.array_equal(got, got.T)
+        length, p = 61, model.p
+        lags = np.abs(np.subtract.outer(np.arange(length), np.arange(length)))
+        block = np.ones((p, p), dtype=bool)
+        assert np.all(got[np.kron(lags > model.order, block)] == 0.0)
+        assert np.any(got[np.kron(lags == model.order, block)] != 0.0)
+
+    def test_cov_window_inverts_the_precision(self):
+        from nonstatcov.models import _var_precision_flat, cov_pad
+        model = self.var2_model()
+        pad = cov_pad(model)
+        w = nc.cov_window(model, 150, 10, 40)
+        prec = _var_precision_flat(model, 150, 10 - pad, 40 + pad)
+        ref = np.linalg.inv(prec)[pad * 2:(pad + 31) * 2, pad * 2:(pad + 31) * 2]
+        assert np.allclose(w.flatten(), ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+
+
 class TestStationaryCov:
     def test_decay_beyond_support(self):
         model = reference_tvvma()

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nonstatcov as nc
 from nonstatcov import operator_core as oc
@@ -184,6 +186,14 @@ class TestDemkoBound:
                     if t != tau:
                         assert norms[t, tau] <= nc.demko_bound(a, b, bw, t - tau) * (1 + 1e-12)
 
+    def test_array_lags_match_scalar_calls(self):
+        lags = np.arange(-30, 31)
+        for a, b, m in [(1.0, 4.0, 1), (0.3, 7.5, 2), (2.0, 2.0, 4), (0.05, 40.0, 3)]:
+            vec = nc.demko_bound(a, b, m, lags)
+            assert vec.shape == lags.shape
+            scalar = [nc.demko_bound(a, b, m, int(lag)) for lag in lags]
+            assert np.allclose(vec, scalar, rtol=4 * np.finfo(float).eps, atol=0.0)
+
 
 class TestSchurComplement:
     def test_zero_coupling_returns_a(self):
@@ -215,19 +225,105 @@ class TestSchurComplement:
             nc.schur_complement(np.eye(2), np.zeros((2, 3)), e)
 
 
-class TestBlockPartitionInverse:
-    def test_assembled_blocks_match_dense_inverse(self):
-        rng = np.random.default_rng(5)
-        for trial in range(20):
-            na = int(rng.integers(1, 5))
-            nd = int(rng.integers(1, 5))
-            dim = na + nd
-            raw = rng.standard_normal((dim, dim))
-            full = raw @ raw.T + dim * np.eye(dim)
-            parts = nc.block_partition_inverse(full[:na, :na], full[:na, na:],
-                                               full[na:, :na], full[na:, na:])
-            assembled = np.block([[parts[0], parts[1]], [parts[2], parts[3]]])
-            assert np.allclose(assembled, np.linalg.inv(full), atol=1e-9)
+def spd_with_condition(seed, n, cond):
+    """Exactly symmetric SPD matrix with condition number ``cond``."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    vals = np.geomspace(1.0, cond, n) * 10.0 ** rng.uniform(-3, 3)
+    mat = (q * vals) @ q.T
+    return 0.5 * (mat + mat.T)
+
+
+class TestSpdKernel:
+    def test_factor_reproduces_matrix(self):
+        mat = spd_with_condition(3, 12, 1e3)
+        factor, rng = nc.spd_factor(mat, "test matrix")
+        assert np.array_equal(factor, np.tril(factor))
+        assert np.allclose(factor @ factor.T, mat, rtol=0, atol=1e-12 * rng.lambda_max)
+        assert rng.condition == pytest.approx(1e3, rel=1e-6)
+
+    @pytest.mark.parametrize("n,bandwidth", [(1, 0), (7, 0), (40, 3), (60, 11), (9, 20)])
+    def test_banded_guard_matches_dense(self, n, bandwidth):
+        rng = np.random.default_rng(n + bandwidth)
+        raw = rng.standard_normal((n, n))
+        lag = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+        sym = 0.5 * (raw + raw.T) * (lag <= bandwidth)
+        mat = sym + (np.abs(np.linalg.eigvalsh(sym)[0]) + 0.5) * np.eye(n)
+        factor_b, rng_b = nc.spd_factor(mat, "banded", bandwidth=bandwidth)
+        factor_d, rng_d = nc.spd_factor(mat, "dense")
+        assert np.array_equal(factor_b, factor_d)
+        scale = rng_d.lambda_max
+        assert abs(rng_b.lambda_min - rng_d.lambda_min) <= 1e-13 * scale
+        assert abs(rng_b.lambda_max - rng_d.lambda_max) <= 1e-13 * scale
+
+    def test_singular_raises(self):
+        mat = np.diag([2.0, 1.0, 0.0])
+        with pytest.raises(ConditioningError, match="test matrix is numerically singular"):
+            nc.spd_factor(mat, "test matrix")
+        with pytest.raises(ConditioningError):
+            nc.spd_inverse(mat, "test matrix")
+        with pytest.raises(ConditioningError, match="numerically singular"):
+            nc.spd_inverse(mat, "test matrix", bandwidth=0)
+
+    def test_indefinite_raises(self):
+        rng = np.random.default_rng(8)
+        q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+        mat = (q * np.array([-0.5, 1.0, 2.0, 3.0, 4.0, 5.0])) @ q.T
+        with pytest.raises(ConditioningError, match="lambda_min=-5"):
+            nc.spd_factor(0.5 * (mat + mat.T), "test matrix")
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30),
+           log_cond=st.floats(0.0, 8.0))
+    def test_inverse_matches_lu_and_residual_is_checked(self, seed, n, log_cond):
+        cond = 10.0 ** log_cond if n > 1 else 1.0
+        mat = spd_with_condition(seed, n, cond)
+        try:
+            inv, rng, residual = nc.spd_inverse(mat, "test matrix")
+        except ConditioningError as err:
+            # near cond 1e8 the 1e-8 residual guard may refuse an inverse
+            assert cond > 1e6 and "residual" in str(err)
+            return
+        assert np.array_equal(inv, inv.T)
+        assert inv.flags.c_contiguous
+        assert residual <= oc.SPD_RESIDUAL_TOL
+        # recomputed in another summation order, the residual moves at roundoff level
+        assert np.linalg.norm(mat @ inv - np.eye(n), np.inf) <= 2 * oc.SPD_RESIDUAL_TOL
+        ref = np.linalg.inv(mat)
+        # two backward-stable inverses agree to about n * eps * cond
+        tol = 1e-12 + 4 * n * np.finfo(float).eps * cond
+        assert np.linalg.norm(inv - ref, 2) <= tol * np.linalg.norm(ref, 2)
+
+    @pytest.mark.parametrize("n", [1, 20, 256, 300, 600])
+    def test_symmetric_product_matches_full_product(self, n):
+        rng = np.random.default_rng(n)
+        raw = rng.standard_normal((n, n))
+        s = 0.5 * (raw + raw.T)
+        a, b = s, s @ s + np.eye(n)          # commuting symmetric factors
+        out = oc.symmetric_product(a, b)
+        ref = a @ b
+        assert np.array_equal(out, out.T)
+        assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_schur_on_rows_agrees_with_schur_complement(self):
+        from nonstatcov.partial_cov import _schur_on_rows
+        rng = np.random.default_rng(31)
+        raw = rng.standard_normal((15, 15))
+        flat = raw @ raw.T + np.eye(15)
+        flat = 0.5 * (flat + flat.T)
+        keep = np.array([0, 3, 6, 9, 12, 1, 4, 7, 10, 13])
+        drop = np.array([2, 5, 8, 11, 14])
+        out = _schur_on_rows(flat, keep, drop)
+        e = nc.BlockWindow.from_flat(flat[np.ix_(drop, drop)], p=1, symmetrize=True)
+        ref = nc.schur_complement(flat[np.ix_(keep, keep)], flat[np.ix_(keep, drop)], e)
+        assert np.array_equal(out, ref)
+        oracle = np.linalg.inv(np.linalg.inv(flat)[np.ix_(keep, keep)])
+        assert np.allclose(out, oracle, atol=1e-10)
+
+    def test_schur_complement_rejects_nonsymmetric_flat_e(self):
+        e = np.array([[2.0, 0.1], [0.0, 2.0]])
+        with pytest.raises(InputError):
+            nc.schur_complement(np.eye(1), np.ones((1, 2)), e)
 
 
 class TestBlockWindow:
