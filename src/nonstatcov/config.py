@@ -14,7 +14,7 @@ from typing import Any
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, InputError
 from .models import (SRE, CoefficientFn, ModelSpec, TvARCH, TvVAR, TvVMA)
 from .reference import REFERENCE_BUILDERS, get_reference_model
 
@@ -65,7 +65,11 @@ def coefficient_fn_from_json(obj: Any, path: str) -> CoefficientFn:
     ks = np.asarray(knots, dtype=float)
     _expect(bool(np.all(np.diff(ks) > 0)), "knots must be strictly increasing",
             f"{path}/knots")
-    vals = np.stack([_matrix(v, f"{path}/values/{i}") for i, v in enumerate(values)])
+    mats = [_matrix(v, f"{path}/values/{i}") for i, v in enumerate(values)]
+    for i, m in enumerate(mats):
+        _expect(m.shape == mats[0].shape, "piecewise values must share one shape",
+                f"{path}/values/{i}")
+    vals = np.stack(mats)
     return CoefficientFn("piecewise", {"knots": ks, "values": vals})
 
 
@@ -87,6 +91,20 @@ def coefficient_fn_to_json(fn: CoefficientFn) -> dict:
 
 
 def model_from_json(obj: Any, path: str = "/model") -> ModelSpec:
+    """Build a model from its JSON form.
+
+    Raises:
+        ConfigError: at the offending field, or at ``path`` when the parts
+            do not fit together (such as coefficient matrices of different
+            sizes) and the model constructor refuses them.
+    """
+    try:
+        return _model_from_json(obj, path)
+    except InputError as exc:
+        raise ConfigError(str(exc), path=path) from None
+
+
+def _model_from_json(obj: Any, path: str) -> ModelSpec:
     _expect(isinstance(obj, dict), "model must be an object", path)
     if "reference" in obj:
         name = obj["reference"]

@@ -190,7 +190,7 @@ def _grid_int_list(grid: dict, key: str, default, min_len: int = 1) -> tuple[int
     return tuple(int(v) for v in val)
 
 
-def _run_simulate(config: ExperimentConfig, threads: int):
+def _run_simulate(config: ExperimentConfig):
     grid = config.grid
     n = _grid_int(grid, "N", 200)
     t_lo = _grid_int(grid, "t_lo", 0)
@@ -205,7 +205,7 @@ def _run_simulate(config: ExperimentConfig, threads: int):
     return rows, [Verdict("deterministic_replay", deterministic, {})]
 
 
-def _run_decay(config: ExperimentConfig, threads: int):
+def _run_decay(config: ExperimentConfig):
     grid = config.grid
     n = _grid_int(grid, "N", 200)
     t_lo = _grid_int(grid, "t_lo", 60)
@@ -247,7 +247,7 @@ def _run_decay(config: ExperimentConfig, threads: int):
     return rows, verdicts
 
 
-def _run_invert(config: ExperimentConfig, threads: int):
+def _run_invert(config: ExperimentConfig):
     grid = config.grid
     res = vf.check_inverse_decay(config.model,
                                  n=_grid_int(grid, "N", 200),
@@ -256,7 +256,7 @@ def _run_invert(config: ExperimentConfig, threads: int):
     return res.rows, [Verdict(res.name, res.passed, res.details)]
 
 
-def _run_neumann(config: ExperimentConfig, threads: int):
+def _run_neumann(config: ExperimentConfig):
     grid = config.grid
     res = vf.check_neumann_certificates(config.model, seed=config.seed,
                                         count=_grid_int(grid, "count", 50),
@@ -264,7 +264,7 @@ def _run_neumann(config: ExperimentConfig, threads: int):
     return res.rows, [Verdict(res.name, res.passed, res.details)]
 
 
-def _run_var(config: ExperimentConfig, threads: int):
+def _run_var(config: ExperimentConfig):
     grid = config.grid
     n = _grid_int(grid, "N", 200)
     t_index = _grid_int(grid, "t", n // 2)
@@ -295,7 +295,7 @@ def _run_var(config: ExperimentConfig, threads: int):
     return rows, verdicts
 
 
-def _run_baxter(config: ExperimentConfig, threads: int):
+def _run_baxter(config: ExperimentConfig):
     grid = config.grid
     res = vf.check_baxter(config.model, n=_grid_int(grid, "N", 200),
                           t_index=_grid_int(grid, "t", 100),
@@ -318,7 +318,7 @@ def _companion(config: ExperimentConfig, key: str, default_builder):
     return default_builder()
 
 
-def _run_smoothness(config: ExperimentConfig, threads: int):
+def _run_smoothness(config: ExperimentConfig):
     grid = config.grid
     ns = _grid_int_list(grid, "Ns", (100, 200, 400), min_len=2)
     var_model = _companion(config, "var_model", reference_tvvar3)
@@ -326,7 +326,7 @@ def _run_smoothness(config: ExperimentConfig, threads: int):
     return res.rows, [Verdict(res.name, res.passed, res.details)]
 
 
-def _run_partial(config: ExperimentConfig, threads: int):
+def _run_partial(config: ExperimentConfig):
     grid = config.grid
     res = vf.check_partial_oracle(seed=config.seed,
                                   count=_grid_int(grid, "count", 100),
@@ -353,7 +353,7 @@ def _run_partial(config: ExperimentConfig, threads: int):
     return rows, verdicts
 
 
-def _run_coherence(config: ExperimentConfig, threads: int):
+def _run_coherence(config: ExperimentConfig):
     grid = config.grid
     model = config.model
     if getattr(model, "p", 1) < 2:
@@ -369,7 +369,7 @@ def _run_coherence(config: ExperimentConfig, threads: int):
     return res.rows, [Verdict(res.name, res.passed, res.details)]
 
 
-def _run_physical(config: ExperimentConfig, threads: int):
+def _run_physical(config: ExperimentConfig):
     grid = config.grid
     n = _grid_int(grid, "N", 200)
     t_index = _grid_int(grid, "t", 100)
@@ -446,5 +446,7 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> Report:
     if runner is None:
         raise ConfigError(f"unknown experiment {config.experiment!r}",
                           path="/experiment")
-    rows, verdicts = runner(config, threads)
+    # only the verify-all battery has independent parts to run in threads
+    rows, verdicts = (runner(config, threads) if runner is _run_verify_all
+                      else runner(config))
     return _finalize(config.experiment, config, rows, verdicts)

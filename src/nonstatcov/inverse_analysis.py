@@ -71,8 +71,9 @@ def finite_section_inverse(c: BlockWindow, pad: int) -> InverseWindow:
     if c.length - 2 * pad < 1:
         raise InputError("finite_section_inverse: pad leaves no interior")
     inv, rng, residual = spd_inverse(c.flatten(), "finite_section_inverse: window")
-    full = BlockWindow.from_flat(inv, c.p, t_lo=c.t_lo, symmetrize=True)
-    interior = full.subwindow(c.t_lo + pad, c.t_hi - pad)
+    lo, hi = pad * c.p, (c.length - pad) * c.p
+    interior = BlockWindow.from_flat(inv[lo:hi, lo:hi], c.p, t_lo=c.t_lo + pad,
+                                     symmetrize=True)
     return InverseWindow(base=interior, source_pad=pad, conditioning=rng,
                          residual=residual)
 

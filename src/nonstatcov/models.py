@@ -75,6 +75,11 @@ class CoefficientFn:
         shape = self.matrix_shape  # validates
         if shape[0] != shape[1]:
             raise InputError("CoefficientFn: payload matrices must be square")
+        mats = [payload[k] for k in ("value", "base", "slope", "amplitude")
+                if k in payload]
+        mats += list(payload.get("values", ()))
+        if any(np.atleast_2d(m).shape != shape for m in mats):
+            raise InputError("CoefficientFn: payload matrices differ in shape")
 
     @property
     def matrix_shape(self) -> tuple[int, int]:
@@ -516,22 +521,45 @@ def _check_invariants(model: ModelSpec, u_grid, omega_points: int) -> dict:
 # covariances of the observed array
 # ---------------------------------------------------------------------------
 
+def _lag_products(left: np.ndarray, right: np.ndarray, max_lag: int, step: int):
+    """Lag convolutions of two coefficient stacks, one batched matmul per lag.
+
+    ``left`` and ``right`` have shape ``(T, K, p, q)``: ``left[t, j]`` is the
+    lag-``j`` coefficient at time ``t``.  Yields ``(r, prod)`` for
+    ``r = 0 .. min(max_lag, K - 1)``, where
+    ``prod[t] = sum_j left[t, j] @ right[t + step*r, j + r].T`` for the
+    ``T - step*r`` times ``t`` that keep ``t + step*r`` inside the stack
+    (``step`` is 1 for a window of the array, 0 for frozen-time sequences).
+
+    Each stack is copied once into the layout ``(T, p, K, q)``; there the sum
+    over ``(j, b)`` of every lag is a contiguous run of each row, so both
+    operands of the ``(T', p, (K-r) q) @ (T', (K-r) q, p)`` product are views.
+    """
+    rows_l = np.ascontiguousarray(np.swapaxes(left, 1, 2))
+    rows_r = rows_l if right is left else np.ascontiguousarray(np.swapaxes(right, 1, 2))
+    times, p, k, q = rows_l.shape
+    for r in range(min(max_lag, k - 1) + 1):
+        m = times - step * r
+        a = rows_l[:m, :, :k - r].reshape(m, p, (k - r) * q)
+        b = rows_r[step * r:, :, r:].reshape(m, rows_r.shape[1], (k - r) * q)
+        yield r, a @ b.transpose(0, 2, 1)
+
+
 def _vma_cov_window(model: TvVMA, n: int, t_lo: int, t_hi: int) -> BlockWindow:
     length = t_hi - t_lo + 1
-    j_max = model.order
     stacks = model.psi_stacks_array(np.arange(t_lo, t_hi + 1), n)  # (L, J+1, p, p)
     blocks = np.zeros((length, length, model.p, model.p))
-    for delta in range(length):
-        if delta > j_max:
-            break
-        left = stacks[:length - delta, :j_max + 1 - delta]
-        right = stacks[delta:, delta:]
-        vals = np.einsum("tjab,tjcb->tac", left, right)
+    # C_{t,t+delta} = sum_j Psi_{t,j} Psi_{t+delta,j+delta}^T
+    for delta, vals in _lag_products(stacks, stacks, length - 1, step=1):
         idx = np.arange(length - delta)
+        if delta == 0:
+            # sum_j Psi Psi^T is symmetric; the mirror makes it exactly so
+            # (a no-op when the product already is)
+            vals = 0.5 * (vals + vals.transpose(0, 2, 1))
         blocks[idx, idx + delta] = vals
         if delta:
             blocks[idx + delta, idx] = vals.transpose(0, 2, 1)
-    return BlockWindow(t_lo=t_lo, p=model.p, blocks=blocks, symmetric=True)
+    return BlockWindow._adopt(t_lo, model.p, blocks, symmetric=True)
 
 
 def _var_precision_flat(model: TvVAR, n: int, t_lo: int, t_hi: int) -> np.ndarray:
@@ -603,8 +631,9 @@ def cov_window(model: ModelSpec, n: int, t_lo: int, t_hi: int,
         prec = _var_precision_flat(model, n, t_lo - pad, t_hi + pad)
         cov, _, _ = spd_inverse(prec, "cov_window: TvVAR precision",
                                 bandwidth=(model.order + 1) * model.p - 1)
-        full = BlockWindow.from_flat(cov, model.p, t_lo=t_lo - pad, symmetrize=True)
-        return full.subwindow(t_lo, t_hi)
+        lo, hi = pad * model.p, (pad + t_hi - t_lo + 1) * model.p
+        return BlockWindow.from_flat(cov[lo:hi, lo:hi], model.p, t_lo=t_lo,
+                                     symmetrize=True)
     if isinstance(model, TvARCH):
         length = t_hi - t_lo + 1
         m = _arch_mean_square(model, n, t_lo, t_hi)
@@ -671,14 +700,37 @@ def _var_ma_expansion(model: TvVAR, u: float, tol: float = _COV_TAIL_TOL) -> np.
     return psis[:keep + 1]
 
 
-def _stationary_psi_stack(model: ModelSpec, u: float) -> np.ndarray:
-    """Stack of MA coefficients of the frozen process at ``u``."""
+def _stationary_psi_stacks(model: ModelSpec, us: np.ndarray) -> np.ndarray:
+    """MA coefficients of the frozen process at each ``u``, shape
+    ``(len(us), K, p, p)``; TvVAR expansions are zero-padded to the longest."""
     if isinstance(model, TvVMA):
-        return model.psi_stack(u)
+        return model.psi_stacks(us)
     if isinstance(model, TvVAR):
-        return _var_ma_expansion(model, u)
+        expansions = [_var_ma_expansion(model, u) for u in us]
+        out = np.zeros((len(us), max(e.shape[0] for e in expansions),
+                        model.p, model.p))
+        for row, e in zip(out, expansions):
+            row[:e.shape[0]] = e
+        return out
     raise UnsupportedFamilyError(
         f"{type(model).__name__} has no moving-average representation here")
+
+
+def _stationary_cov_sequences(model: ModelSpec, us, max_lag: int) -> np.ndarray:
+    """``C_r(u)`` for every ``u`` of ``us`` and ``r = 0..max_lag``, shape
+    ``(len(us), max_lag+1, p, p)``."""
+    us = np.atleast_1d(np.asarray(us, dtype=float))
+    if isinstance(model, TvARCH):
+        a = model.a_values(us)
+        out = np.zeros((us.size, max_lag + 1, 1, 1))
+        out[:, 0, 0, 0] = a[:, 0] / (1.0 - np.sum(a[:, 1:], axis=1))
+        return out
+    psis = _stationary_psi_stacks(model, us)
+    out = np.zeros((us.size, max_lag + 1) + psis.shape[2:])
+    # C_r = sum_j Psi_{j+r} Psi_j^T, the transpose of the lag product
+    for r, prod in _lag_products(psis, psis, max_lag, step=0):
+        out[:, r] = prod.transpose(0, 2, 1)
+    return out
 
 
 def stationary_cov_sequence(model: ModelSpec, u: float, max_lag: int) -> np.ndarray:
@@ -686,19 +738,7 @@ def stationary_cov_sequence(model: ModelSpec, u: float, max_lag: int) -> np.ndar
 
     Negative lags follow from ``C_{-r}(u) = C_r(u)^T``.
     """
-    if isinstance(model, TvARCH):
-        a = model.a_values(u)
-        c0 = a[0] / (1.0 - float(np.sum(a[1:])))
-        out = np.zeros((max_lag + 1, 1, 1))
-        out[0, 0, 0] = c0
-        return out
-    psis = _stationary_psi_stack(model, u)
-    k = psis.shape[0]
-    p = psis.shape[1]
-    out = np.zeros((max_lag + 1, p, p))
-    for r in range(min(max_lag, k - 1) + 1):
-        out[r] = np.einsum("jab,jcb->ac", psis[r:], psis[:k - r])
-    return out
+    return _stationary_cov_sequences(model, [u], max_lag)[0]
 
 
 def stationary_cov(model: ModelSpec, u: float, r: int) -> np.ndarray:
@@ -728,13 +768,15 @@ def stationary_cov_derivative(model: ModelSpec, u: float, max_lag: int) -> np.nd
     if not isinstance(model, TvVMA):
         raise UnsupportedFamilyError("analytic covariance derivative is only "
                                      "available for moving-average models")
-    psis = model.psi_stack(u)
-    dpsis = model.psi_stack_derivative(u)
-    k = psis.shape[0]
+    psis = model.psi_stack(u)[None]
+    dpsis = model.psi_stack_derivative(u)[None]
+    # [Psi_j | Psi'_j] [Psi'_{j+r} | Psi_{j+r}]^T = Psi_j Psi'_{j+r}^T + Psi'_j Psi_{j+r}^T,
+    # the transpose of the lag-r term of the product rule
+    left = np.concatenate([psis, dpsis], axis=3)
+    right = np.concatenate([dpsis, psis], axis=3)
     out = np.zeros((max_lag + 1, model.p, model.p))
-    for r in range(min(max_lag, k - 1) + 1):
-        out[r] = (np.einsum("jab,jcb->ac", dpsis[r:], psis[:k - r])
-                  + np.einsum("jab,jcb->ac", psis[r:], dpsis[:k - r]))
+    for r, prod in _lag_products(left, right, max_lag, step=0):
+        out[r] = prod[0].T
     return out
 
 
@@ -757,8 +799,12 @@ def local_spectral_density(model: ModelSpec, u: float, omega: float) -> np.ndarr
 def local_spectral_densities(model: ModelSpec, u: float, omega_grid) -> np.ndarray:
     """``f(omega; u)`` at every ``omega`` of a grid, shape ``(len, p, p)``.
 
-    The coefficients at ``u`` are evaluated once for the whole grid; see
-    :func:`local_spectral_density`.
+    The coefficients at ``u`` are evaluated once and the whole grid is
+    computed by stacked kernels; see :func:`local_spectral_density`.
+
+    Raises:
+        ModelError: naming the first ``omega`` of the grid, in grid order, at
+            which a TvVAR transfer function is singular.
     """
     omegas = np.atleast_1d(np.asarray(omega_grid, dtype=float))
     if isinstance(model, TvARCH):
@@ -768,25 +814,24 @@ def local_spectral_densities(model: ModelSpec, u: float, omega_grid) -> np.ndarr
         stack = model.psi_stack(u)
         lags = np.arange(stack.shape[0])
     elif isinstance(model, TvVAR):
-        phi, sigma = model.phi_stack(u), model.sigma_at(u)
+        stack, sigma = model.phi_stack(u), model.sigma_at(u)
         lags = np.arange(1, model.order + 1)
     else:
         raise UnsupportedFamilyError("no spectral density for this family")
-    out = np.empty((omegas.size, model.p, model.p), dtype=complex)
-    for k, omega in enumerate(omegas):
-        z = np.exp(1j * float(omega))
-        if isinstance(model, TvVMA):
-            transfer = np.einsum("j,jab->ab", z ** lags, stack)
-            f = transfer @ transfer.conj().T
-        else:
-            a = np.eye(model.p) - np.einsum("j,jab->ab", z ** lags, phi)
-            svals = np.linalg.svd(a, compute_uv=False)
-            if svals[-1] < 1e-10 * max(svals[0], 1.0):
-                raise ModelError(f"TvVAR: transfer singular at u={u}, omega={omega}")
-            ainv = np.linalg.inv(a)
-            f = ainv @ sigma @ ainv.conj().T
-        out[k] = 0.5 * (f + f.conj().T)
-    return out
+    powers = np.exp(1j * omegas)[:, None] ** lags                    # (K, J)
+    transfer = np.einsum("wj,jab->wab", powers, stack)
+    if isinstance(model, TvVMA):
+        f = transfer @ transfer.conj().transpose(0, 2, 1)
+    else:
+        a = np.eye(model.p) - transfer
+        svals = np.linalg.svd(a, compute_uv=False)
+        singular = svals[:, -1] < 1e-10 * np.maximum(svals[:, 0], 1.0)
+        if singular.any():
+            omega = omegas[np.argmax(singular)]
+            raise ModelError(f"TvVAR: transfer singular at u={u}, omega={omega}")
+        ainv = np.linalg.inv(a)
+        f = ainv @ sigma @ ainv.conj().transpose(0, 2, 1)
+    return 0.5 * (f + f.conj().transpose(0, 2, 1))
 
 
 def spectral_eig_range(model: ModelSpec, u_grid, omega_grid) -> EigRange:
@@ -1027,25 +1072,17 @@ def assumption_fit(model: ModelSpec, n: int, t_lo: int, t_hi: int,
                          residuals=fitted.residuals, band_limited=fitted.band_limited)
 
     # per-pair smoothness gaps against the stationary approximation
-    seqs = {}
-    indices, measured, envelope = [], [], []
-    for ti in range(length):
-        t = t_lo + ti
-        if t not in seqs:
-            seqs[t] = stationary_cov_sequence(model, t / n, length - 1)
-        seq = seqs[t]
-        for tj in range(length):
-            tau = t_lo + tj
-            r = t - tau
-            target = seq[r] if r >= 0 else seq[-r].T
-            diff = float(np.linalg.norm(w.blocks[ti, tj] - target, 2))
-            g = float(gu(r))
-            env = g ** (-(kappa_used - 1.0)) * min(1.0 / n, 2.0 / g)
-            indices.append((t, tau))
-            measured.append(diff)
-            envelope.append(env)
-    gaps = GapReport(indices=indices, measured=np.asarray(measured),
-                     bound=np.asarray(envelope),
+    times = np.arange(t_lo, t_hi + 1)
+    seqs = _stationary_cov_sequences(model, times / n, length - 1)   # (L, L, p, p)
+    lag = times[:, None] - times[None, :]                             # t - tau
+    target = seqs[np.arange(length)[:, None], np.abs(lag)]
+    upper = lag < 0                                   # C_{-r}(u) = C_r(u)^T
+    target[upper] = target[upper].transpose(0, 2, 1)
+    measured = block_norms(w.blocks - target).ravel()
+    g = gu(lag).ravel()
+    envelope = g ** (-(kappa_used - 1.0)) * np.minimum(1.0 / n, 2.0 / g)
+    indices = [(int(t), int(tau)) for t in times for tau in times]
+    gaps = GapReport(indices=indices, measured=measured, bound=envelope,
                      constant_estimate=envelope_constant(measured, envelope))
     return AssumptionFit(decay=decay, smoothness_constant=gaps.constant_estimate,
                          kappa_used=float(kappa_used), gaps=gaps,

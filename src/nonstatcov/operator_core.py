@@ -161,30 +161,53 @@ class BlockWindow:
         return self.blocks.transpose(0, 2, 1, 3).reshape(length * p, length * p)
 
     @classmethod
+    def _adopt(cls, t_lo: int, p: int, blocks: np.ndarray,
+               symmetric: bool) -> "BlockWindow":
+        """Wrap a fresh ``(L, L, p, p)`` array built inside this package,
+        without the constructor's copy and symmetry comparison.
+
+        The caller guarantees the shape and, when ``symmetric`` is set, exact
+        symmetry (by construction, as a mirror or a slice of a symmetric
+        matrix); finiteness is still checked.  The array is made read-only
+        and must not be written afterwards.
+        """
+        if not np.all(np.isfinite(blocks)):
+            raise InputError("BlockWindow: non-finite entries")
+        blocks.flags.writeable = False
+        window = object.__new__(cls)
+        for name, value in (("t_lo", t_lo), ("p", p), ("blocks", blocks),
+                            ("symmetric", symmetric)):
+            object.__setattr__(window, name, value)
+        return window
+
+    @classmethod
     def from_flat(cls, flat: np.ndarray, p: int, t_lo: int = 0,
                   symmetrize: bool = False) -> "BlockWindow":
         """Rebuild a window from a flattened matrix.
 
         With ``symmetrize=True`` the matrix is replaced by ``(M + M^T)/2``
-        first, so the result carries the exact-symmetry flag.
+        first (which leaves an exactly symmetric matrix unchanged), so the
+        result carries the exact-symmetry flag.
         """
         flat = np.asarray(flat, dtype=float)
         n = flat.shape[0]
         if flat.shape != (n, n) or n % p:
             raise InputError(f"from_flat: shape {flat.shape} incompatible with p={p}")
-        if symmetrize:
+        if n == 0:
+            raise InputError("BlockWindow: window length must be >= 1")
+        if symmetrize and not np.array_equal(flat, flat.T):
             flat = 0.5 * (flat + flat.T)
         length = n // p
-        blocks = flat.reshape(length, p, length, p).transpose(0, 2, 1, 3)
-        return cls(t_lo=t_lo, p=p, blocks=blocks, symmetric=symmetrize)
+        blocks = flat.reshape(length, p, length, p).transpose(0, 2, 1, 3).copy()
+        return cls._adopt(t_lo, p, blocks, symmetrize)
 
     def subwindow(self, t_lo: int, t_hi: int) -> "BlockWindow":
         """Restriction to absolute times ``[t_lo, t_hi]``."""
         if not (self.t_lo <= t_lo <= t_hi <= self.t_hi):
             raise InputError("subwindow: requested range outside stored window")
         i, j = t_lo - self.t_lo, t_hi - self.t_lo + 1
-        return BlockWindow(t_lo=t_lo, p=self.p, blocks=self.blocks[i:j, i:j],
-                           symmetric=self.symmetric)
+        return BlockWindow._adopt(t_lo, self.p, self.blocks[i:j, i:j].copy(),
+                                  self.symmetric)
 
     def norms(self) -> np.ndarray:
         """Spectral norm of every block, shape ``(L, L)``."""

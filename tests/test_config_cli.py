@@ -180,6 +180,28 @@ class TestCli:
         assert code == 2
         assert f"/grid/{field}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("coefficients,message", [
+        ([{"form": "constant", "value": np.eye(3).tolist()},
+          {"form": "constant", "value": np.eye(2).tolist()}],
+         "/model: TvVMA: coefficient dimension mismatch"),
+        ([{"form": "affine", "base": np.eye(2).tolist(),
+           "slope": np.eye(3).tolist()}],
+         "/model: CoefficientFn: payload matrices differ in shape"),
+        ([{"form": "piecewise", "knots": [0.0, 1.0],
+           "values": [np.eye(2).tolist(), [[1.0]]]}],
+         "/model/coefficients/0/values/1: piecewise values must share one shape"),
+    ])
+    def test_mismatched_matrix_sizes_exit_two(self, tmp_path, capsys,
+                                              coefficients, message):
+        cfg = tmp_path / "mismatch.json"
+        cfg.write_text(json.dumps({
+            "seed": 1,
+            "model": {"family": "tv_vma", "p": 2, "coefficients": coefficients},
+            "grid": {"N": 100, "t_lo": 10, "t_hi": 60}}))
+        code = cli.main(["decay", "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+
     def test_numeric_error_exit_three(self, tmp_path):
         cfg = tmp_path / "singular.json"
         cfg.write_text(json.dumps({

@@ -39,6 +39,13 @@ class TestFiniteSectionInverse:
         inv = nc.model_inverse_window(model, 200, 0, 59)
         assert inv.residual <= 1e-8
 
+    def test_interior_is_the_exact_slice_of_the_inverse(self):
+        c = nc.cov_window(reference_tvvma(), 200, 0, 59)
+        inv, _, _ = nc.spd_inverse(c.flatten(), "window")
+        got = nc.finite_section_inverse(c, 10).base
+        assert got.symmetric and (got.t_lo, got.length) == (10, 40)
+        assert np.array_equal(got.flatten(), inv[20:100, 20:100])
+
     def test_requires_symmetric(self):
         blocks = np.random.default_rng(0).standard_normal((4, 4, 1, 1))
         w = nc.BlockWindow(t_lo=0, p=1, blocks=blocks)

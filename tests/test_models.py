@@ -44,6 +44,13 @@ class TestCoefficientFn:
             fd = (fn(u + h)[0, 0] - fn(u - h)[0, 0]) / (2 * h)
             assert fn.derivative(u)[0, 0] == pytest.approx(fd, abs=1e-6)
 
+    def test_payload_matrices_must_share_one_shape(self):
+        with pytest.raises(nc.InputError):
+            nc.affine_fn(np.eye(2), np.eye(3))
+        with pytest.raises(nc.InputError):
+            nc.sinusoidal_fn(np.eye(2), [[0.1]])
+        assert nc.affine_fn(np.eye(2), np.zeros((2, 2))).dim == 2
+
     def test_piecewise_interpolation(self):
         fn = nc.CoefficientFn("piecewise", {
             "knots": np.array([0.0, 0.5, 1.0]),
@@ -85,8 +92,8 @@ def _matrix(p):
 
 
 @st.composite
-def coefficient_fns(draw):
-    p = draw(st.integers(1, 3))
+def coefficient_fns(draw, p=None):
+    p = draw(st.integers(1, 3)) if p is None else p
     form = draw(st.sampled_from(["constant", "affine", "sinusoidal", "piecewise"]))
     if form == "constant":
         return nc.constant_fn(draw(_matrix(p)))
@@ -99,6 +106,22 @@ def coefficient_fns(draw):
     knots = sorted(draw(st.sets(st.floats(0.0, 1.0), min_size=2, max_size=6)))
     values = np.stack([draw(_matrix(p)) for _ in knots])
     return nc.CoefficientFn("piecewise", {"knots": np.array(knots), "values": values})
+
+
+def pointwise_density(model, u, w):
+    """``f(w; u)`` at one frequency, as the package computed it before the
+    omega grids were batched."""
+    z = np.exp(1j * float(w))
+    if isinstance(model, nc.TvVMA):
+        stack = model.psi_stack(u)
+        tr = np.einsum("j,jab->ab", z ** np.arange(stack.shape[0]), stack)
+        f = tr @ tr.conj().T
+    else:
+        a = np.eye(model.p) - np.einsum(
+            "j,jab->ab", z ** np.arange(1, model.order + 1), model.phi_stack(u))
+        ainv = np.linalg.inv(a)
+        f = ainv @ model.sigma_at(u) @ ainv.conj().T
+    return 0.5 * (f + f.conj().T)
 
 
 class TestGridEvaluation:
@@ -164,26 +187,165 @@ class TestGridEvaluation:
         omegas = np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)
         lo, hi = math.inf, -math.inf
         for u in us:
-            fs = []
-            for w in omegas:
-                z = np.exp(1j * float(w))
-                if isinstance(model, nc.TvVMA):
-                    stack = model.psi_stack(u)
-                    tr = np.einsum("j,jab->ab", z ** np.arange(stack.shape[0]), stack)
-                    f = tr @ tr.conj().T
-                else:
-                    a = np.eye(model.p) - np.einsum(
-                        "j,jab->ab", z ** np.arange(1, model.order + 1),
-                        model.phi_stack(u))
-                    ainv = np.linalg.inv(a)
-                    f = ainv @ model.sigma_at(u) @ ainv.conj().T
-                fs.append(0.5 * (f + f.conj().T))
+            fs = [pointwise_density(model, u, w) for w in omegas]
             assert np.array_equal(nc.local_spectral_densities(model, u, omegas),
                                   np.stack(fs))
             vals = np.linalg.eigvalsh(np.stack(fs))
             lo, hi = min(lo, float(vals[:, 0].min())), max(hi, float(vals[:, -1].max()))
         got = nc.spectral_eig_range(model, us, omegas)
         assert (got.lambda_min, got.lambda_max) == (lo, hi)
+
+
+@st.composite
+def tvvma_models(draw):
+    p = draw(st.integers(1, 3))
+    order = draw(st.integers(0, 8))
+    psis = tuple(draw(coefficient_fns(p)) for _ in range(order + 1))
+    corr = None
+    if draw(st.booleans()):
+        corr = tuple(draw(coefficient_fns(p)) for _ in range(order + 1))
+    return nc.TvVMA(p=p, psis=psis, n_correction=corr)
+
+
+@st.composite
+def small_tvvar_models(draw):
+    # entries below 0.3/(p d) keep ||sum_j Phi_j|| < 1, so I - sum z^j Phi_j
+    # stays well conditioned on the unit circle
+    p = draw(st.integers(1, 3))
+    order = draw(st.integers(1, 3))
+    scale = 0.3 / (p * order)
+    phis = tuple(nc.affine_fn(scale * draw(_unit_matrix(p)),
+                              scale * draw(_unit_matrix(p)))
+                 for _ in range(order))
+    root = draw(_unit_matrix(p))
+    return nc.TvVAR(p=p, phis=phis, sigma=nc.constant_fn(root @ root.T + np.eye(p)))
+
+
+def _unit_matrix(p):
+    return st.lists(st.floats(-1.0, 1.0), min_size=p * p, max_size=p * p).map(
+        lambda v: np.array(v).reshape(p, p))
+
+
+def einsum_lag_sum(left, right):
+    """``sum_j left[..., j] right[..., j]^T`` with the error scale of that sum,
+    ``sum_j |left_j| |right_j|^T`` (a dot product of k terms is accurate to
+    about k*eps times it)."""
+    return (np.einsum("...jab,...jcb->...ac", left, right),
+            np.einsum("...jab,...jcb->...ac", np.abs(left), np.abs(right)))
+
+
+def assert_close_to_scale(got, want, scale):
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 1e-13 * scale)
+
+
+class TestStackedKernels:
+    """The batched lag convolutions and omega grids against the einsum and
+    per-omega formulas they replaced, to 1e-13 of each sum's scale."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(model=tvvma_models(), n=st.integers(1, 400), t_lo=st.integers(-50, 400),
+           length=st.integers(1, 14))
+    def test_vma_window_matches_per_lag_einsum(self, model, n, t_lo, length):
+        t_hi = t_lo + length - 1
+        stacks = model.psi_stacks_array(np.arange(t_lo, t_hi + 1), n)
+        want = np.zeros((length, length, model.p, model.p))
+        scale = np.zeros_like(want)
+        for delta in range(min(length - 1, model.order) + 1):
+            vals, mag = einsum_lag_sum(stacks[:length - delta, :model.order + 1 - delta],
+                                       stacks[delta:, delta:])
+            idx = np.arange(length - delta)
+            want[idx, idx + delta], scale[idx, idx + delta] = vals, mag
+            want[idx + delta, idx] = vals.transpose(0, 2, 1)
+            scale[idx + delta, idx] = mag.transpose(0, 2, 1)
+        # random filters may vanish on the unit circle, which cov_window's
+        # validation refuses; the convolution itself is defined for any filter
+        w = nc.models._vma_cov_window(model, n, t_lo, t_hi)
+        assert_close_to_scale(w.blocks, want, scale)
+        assert w.symmetric
+        assert np.array_equal(w.blocks, w.blocks.transpose(1, 0, 3, 2))
+        assert not w.blocks.flags.writeable
+
+    def test_reference_window_keeps_exact_symmetry(self):
+        w = nc.cov_window(reference_tvvma(), 200, -30, 170)
+        assert w.symmetric
+        assert np.array_equal(w.blocks, w.blocks.transpose(1, 0, 3, 2))
+        assert np.array_equal(w.flatten(), w.flatten().T)
+
+    @settings(max_examples=60, deadline=None)
+    @given(model=tvvma_models(), u=st.floats(-0.2, 1.2), max_lag=st.integers(0, 12))
+    def test_stationary_sequence_and_derivative_match_einsum(self, model, u, max_lag):
+        psis, dpsis = model.psi_stack(u), model.psi_stack_derivative(u)
+        k, p = psis.shape[0], model.p
+        seq, seq_scale = np.zeros((2, max_lag + 1, p, p))
+        der, der_scale = np.zeros((2, max_lag + 1, p, p))
+        for r in range(min(max_lag, k - 1) + 1):
+            seq[r], seq_scale[r] = einsum_lag_sum(psis[r:], psis[:k - r])
+            a, a_mag = einsum_lag_sum(dpsis[r:], psis[:k - r])
+            b, b_mag = einsum_lag_sum(psis[r:], dpsis[:k - r])
+            der[r], der_scale[r] = a + b, a_mag + b_mag
+        assert_close_to_scale(nc.stationary_cov_sequence(model, u, max_lag), seq,
+                              seq_scale)
+        assert_close_to_scale(nc.models.stationary_cov_derivative(model, u, max_lag),
+                              der, der_scale)
+
+    @settings(max_examples=30, deadline=None)
+    @given(model=small_tvvar_models(), u=st.floats(0.0, 1.0),
+           max_lag=st.integers(0, 40))
+    def test_var_stationary_sequence_matches_einsum(self, model, u, max_lag):
+        from nonstatcov.models import _var_ma_expansion
+        psis = _var_ma_expansion(model, u)
+        k = psis.shape[0]
+        want, scale = np.zeros((2, max_lag + 1, model.p, model.p))
+        for r in range(min(max_lag, k - 1) + 1):
+            want[r], scale[r] = einsum_lag_sum(psis[r:], psis[:k - r])
+        assert_close_to_scale(nc.stationary_cov_sequence(model, u, max_lag), want,
+                              scale)
+
+    @settings(max_examples=40, deadline=None)
+    @given(model=st.one_of(tvvma_models(), small_tvvar_models()),
+           u=st.floats(-0.2, 1.2),
+           omegas=st.lists(st.floats(-10.0, 10.0), max_size=20))
+    def test_spectral_grid_matches_per_omega_formula(self, model, u, omegas):
+        got = nc.local_spectral_densities(model, u, omegas)
+        assert got.shape == (len(omegas), model.p, model.p)
+        for w, f in zip(omegas, got):
+            want = pointwise_density(model, u, w)
+            assert np.all(np.abs(f - want) <= 1e-13 * np.abs(want).max())
+            assert np.array_equal(f, f.conj().T)
+
+    def test_singular_transfer_names_first_singular_omega(self):
+        # 1 - Phi z = 1 + z vanishes at z = -1: omega = pi (mod 2 pi)
+        model = nc.TvVAR(p=1, phis=(nc.constant_fn([[-1.0]]),),
+                         sigma=nc.constant_fn([[1.0]]))
+        grid = [0.5, 3.0 * math.pi, 2.0, math.pi]
+        with pytest.raises(ModelError) as err:
+            nc.local_spectral_densities(model, 0.25, grid)
+        assert str(err.value) == \
+            f"TvVAR: transfer singular at u=0.25, omega={3.0 * math.pi}"
+        with pytest.raises(ModelError, match=f"omega={math.pi}$"):
+            nc.local_spectral_density(model, 0.25, math.pi)
+        assert nc.local_spectral_densities(model, 0.25, [0.5, 2.0]).shape == (2, 1, 1)
+
+    def test_assumption_fit_gaps_match_pair_loop(self):
+        model, n, t_lo, t_hi = reference_tvvma(), 100, 30, 70
+        fit = nc.assumption_fit(model, n, t_lo, t_hi)
+        w = nc.cov_window(model, n, t_lo, t_hi)
+        indices, measured, bound = [], [], []
+        for t in range(t_lo, t_hi + 1):
+            seq = nc.stationary_cov_sequence(model, t / n, t_hi - t_lo)
+            for tau in range(t_lo, t_hi + 1):
+                r = t - tau
+                target = seq[r] if r >= 0 else seq[-r].T
+                indices.append((t, tau))
+                measured.append(np.linalg.norm(w.block(t, tau) - target, 2))
+                g = float(nc.gu(r))
+                bound.append(g ** (-(fit.kappa_used - 1.0)) * min(1.0 / n, 2.0 / g))
+        assert fit.gaps.indices == indices
+        assert np.array_equal(fit.gaps.bound, bound)
+        scale = np.abs(w.blocks).max()
+        assert np.all(np.abs(fit.gaps.measured - measured) <= 1e-13 * scale)
+        assert fit.max_gap == pytest.approx(max(measured), rel=1e-12)
 
 
 class TestValidationMemo:

@@ -334,6 +334,27 @@ class TestBlockWindow:
         back = nc.BlockWindow.from_flat(w.flatten(), p=3, t_lo=-2)
         assert np.array_equal(back.blocks, blocks)
 
+    def test_from_flat_symmetrize_and_subwindow(self):
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal((12, 12))
+        sym = a + a.T
+        w = nc.BlockWindow.from_flat(sym, p=2, t_lo=3, symmetrize=True)
+        assert w.symmetric and np.array_equal(w.flatten(), sym)
+        averaged = nc.BlockWindow.from_flat(a, p=2, symmetrize=True)
+        assert averaged.symmetric
+        assert np.array_equal(averaged.flatten(), 0.5 * (a + a.T))
+        sub = w.subwindow(4, 7)
+        assert sub.symmetric and (sub.t_lo, sub.length) == (4, 4)
+        assert np.array_equal(sub.blocks, w.blocks[1:5, 1:5])
+        assert not sub.blocks.flags.writeable
+        assert not np.shares_memory(sub.blocks, w.blocks)
+        bad = sym.copy()
+        bad[0, 1] = bad[1, 0] = np.inf
+        with pytest.raises(InputError):
+            nc.BlockWindow.from_flat(bad, p=2, symmetrize=True)
+        with pytest.raises(InputError):
+            nc.BlockWindow.from_flat(np.zeros((0, 0)), p=2)
+
     def test_symmetric_flag_validated(self):
         blocks = np.random.default_rng(1).standard_normal((3, 3, 2, 2))
         with pytest.raises(InputError):
