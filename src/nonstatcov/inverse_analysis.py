@@ -19,18 +19,23 @@ from .errors import (ConditioningError, DegenerateFitError, DivergenceError,
                      DomainError, InputError)
 from .models import (ModelSpec, cov_pad, cov_window, stationary_cov_derivative,
                      stationary_window)
-from .operator_core import (BlockWindow, EigRange, SPD_RTOL, band_truncate,
-                            gu, spd_inverse, symmetric_product, zeta)
+from .operator_core import (BlockWindow, SPD_RTOL, band_truncate, gu,
+                            spd_inverse, sym_eig_range, symmetric_product, zeta)
 from .reports import DecayProfile, GapReport, envelope_constant, fit_decay_profile
 
 
 @dataclass(frozen=True)
 class InverseWindow:
-    """Interior section of the inverse of a (padded) covariance window."""
+    """Interior section of the inverse of a (padded) covariance window.
+
+    ``condition_bound`` is the certified upper bound on the spectral
+    condition number of the inverted window that :func:`spd_inverse`
+    returns; ``residual`` is its inversion residual.
+    """
 
     base: BlockWindow
     source_pad: int
-    conditioning: EigRange
+    condition_bound: float
     residual: float
 
     def block(self, t: int, tau: int) -> np.ndarray:
@@ -70,11 +75,11 @@ def finite_section_inverse(c: BlockWindow, pad: int) -> InverseWindow:
         raise DomainError("finite_section_inverse: pad must be >= 0")
     if c.length - 2 * pad < 1:
         raise InputError("finite_section_inverse: pad leaves no interior")
-    inv, rng, residual = spd_inverse(c.flatten(), "finite_section_inverse: window")
+    inv, bound, residual = spd_inverse(c.flatten(), "finite_section_inverse: window")
     lo, hi = pad * c.p, (c.length - pad) * c.p
     interior = BlockWindow.from_flat(inv[lo:hi, lo:hi], c.p, t_lo=c.t_lo + pad,
                                      symmetrize=True)
-    return InverseWindow(base=interior, source_pad=pad, conditioning=rng,
+    return InverseWindow(base=interior, source_pad=pad, condition_bound=bound,
                          residual=residual)
 
 
@@ -116,11 +121,10 @@ def neumann_inverse(c: BlockWindow, m: int, terms: int) -> NeumannResult:
         raise DomainError("neumann_inverse: terms must be >= 0")
     banded = band_truncate(c, m).base
     bf = banded.flatten()
+    bandwidth = (m + 1) * c.p - 1
     try:
-        b_inv, rng, _ = spd_inverse(bf, f"neumann_inverse: banded truncation "
-                                        f"at bandwidth {m}",
-                                    bandwidth=(m + 1) * c.p - 1)
-        amin, amax = rng.lambda_min, rng.lambda_max
+        b_inv, _, _ = spd_inverse(bf, f"neumann_inverse: banded truncation "
+                                      f"at bandwidth {m}", bandwidth=bandwidth)
     except ConditioningError:
         # Banding can destroy positive definiteness while B_M stays
         # invertible and the series still contracts; such a truncation (or
@@ -134,6 +138,10 @@ def neumann_inverse(c: BlockWindow, m: int, terms: int) -> NeumannResult:
                 contraction_norm=math.inf) from None
         b_inv = np.linalg.inv(bf)
         b_inv = 0.5 * (b_inv + b_inv.T)
+    else:
+        # the certificate reads the exact extremes of B_M
+        rng = sym_eig_range(bf, bandwidth)
+        amin, amax = rng.lambda_min, rng.lambda_max
     b_inv_norm = 1.0 / amin
     err = c.flatten() - bf
     _flush_tiny(b_inv)
@@ -211,9 +219,9 @@ def one_sided_inverse(model: ModelSpec, n: int, t_end: int, depth: int) -> Inver
     if depth < 50:
         raise DomainError("one_sided_inverse: depth must be >= 50")
     c = cov_window(model, n, t_end - depth, t_end)
-    inv, rng, residual = spd_inverse(c.flatten(), "one_sided_inverse: window")
+    inv, bound, residual = spd_inverse(c.flatten(), "one_sided_inverse: window")
     base = BlockWindow.from_flat(inv, c.p, t_lo=c.t_lo, symmetrize=True)
-    return InverseWindow(base=base, source_pad=0, conditioning=rng,
+    return InverseWindow(base=base, source_pad=0, condition_bound=bound,
                          residual=residual)
 
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import (DomainError, FitError, InputError, ModelError,
                      UnsupportedFamilyError)
-from .operator_core import BlockWindow, EigRange, block_norms, gu, spd_inverse
+from .operator_core import BlockWindow, EigRange, block_norms, gu, spd_inverse_section
 from .reports import (DecayProfile, GapReport, envelope_constant,
                       fit_decay_profile)
 
@@ -56,7 +56,8 @@ class CoefficientFn:
     * ``constant``: ``value``
     * ``affine``: ``base + slope * u``
     * ``sinusoidal``: ``base + amplitude * sin(2*pi*(frequency*u + phase))``
-    * ``piecewise``: linear interpolation of ``values`` over ``knots``
+    * ``piecewise``: linear interpolation of ``values`` over ``knots``,
+      held at the end values outside ``[knots[0], knots[-1]]``
 
     All payload matrices must share one square shape.  Evaluation clamps
     ``u`` into ``[0, 1]``.  Payload arrays are read-only copies, so a
@@ -118,14 +119,17 @@ class CoefficientFn:
         knots = p["knots"]
         values = p["values"].reshape(len(knots), *self.matrix_shape)
         i = np.clip(np.searchsorted(knots, u, side="right") - 1, 0, len(knots) - 2)
-        w = ((u - knots[i]) / (knots[i + 1] - knots[i]))[:, None, None]
+        # the end values hold outside [knots[0], knots[-1]], as in np.interp
+        width = knots[i + 1] - knots[i]
+        w = (np.clip(u - knots[i], 0.0, width) / width)[:, None, None]
         return (1.0 - w) * values[i] + w * values[i + 1]
 
     def __call__(self, u: float) -> np.ndarray:
         return self.at(np.array([float(u)]))[0]
 
     def derivative(self, u: float) -> np.ndarray:
-        """d/du at an interior point of [0, 1] (zero outside)."""
+        """d/du at an interior point of [0, 1] (zero outside, and zero
+        outside the knots of a ``piecewise`` form)."""
         uf = float(u)
         if uf < 0.0 or uf > 1.0:
             return np.zeros(self.matrix_shape)
@@ -142,6 +146,8 @@ class CoefficientFn:
                     * np.atleast_2d(p["amplitude"]))
         knots = p["knots"]
         values = p["values"]
+        if uf < knots[0] or uf > knots[-1]:
+            return np.zeros(self.matrix_shape)
         i = int(np.clip(np.searchsorted(knots, uf, side="right") - 1, 0, len(knots) - 2))
         return (values[i + 1] - values[i]) / (knots[i + 1] - knots[i])
 
@@ -629,11 +635,10 @@ def cov_window(model: ModelSpec, n: int, t_lo: int, t_hi: int,
     if isinstance(model, TvVAR):
         pad = cov_pad(model) if pad is None else pad
         prec = _var_precision_flat(model, n, t_lo - pad, t_hi + pad)
-        cov, _, _ = spd_inverse(prec, "cov_window: TvVAR precision",
-                                bandwidth=(model.order + 1) * model.p - 1)
         lo, hi = pad * model.p, (pad + t_hi - t_lo + 1) * model.p
-        return BlockWindow.from_flat(cov[lo:hi, lo:hi], model.p, t_lo=t_lo,
-                                     symmetrize=True)
+        cov, _, _ = spd_inverse_section(prec, (model.order + 1) * model.p - 1,
+                                        lo, hi, "cov_window: TvVAR precision")
+        return BlockWindow.from_flat(cov, model.p, t_lo=t_lo, symmetrize=True)
     if isinstance(model, TvARCH):
         length = t_hi - t_lo + 1
         m = _arch_mean_square(model, n, t_lo, t_hi)

@@ -1,5 +1,5 @@
 """Block-matrix containers, norms, banding, Schur complements and the SPD
-kernel that every symmetric inversion goes through.
+kernels that every symmetric inversion goes through.
 
 Everything in this package manipulates finite sections of doubly infinite
 block matrices.  A section is stored as a :class:`BlockWindow`: an
@@ -25,6 +25,12 @@ SPD_RTOL = 1e-12
 
 #: Largest accepted residual ``||C X - I||_inf`` of a computed SPD inverse.
 SPD_RESIDUAL_TOL = 1e-8
+
+#: Factor by which the certified condition bound of :func:`spd_inverse` must
+#: clear ``1/SPD_RTOL`` to stand in for the exact eigenvalue guard.  It covers
+#: the ``n * eps`` backward error of a Cholesky factorisation that succeeded
+#: (so the matrix cannot be indefinite) and the rounding of the bound itself.
+_BOUND_MARGIN = 1e3
 
 
 def gu(j) -> np.ndarray | float:
@@ -241,16 +247,46 @@ class BandedBlockWindow:
             raise InputError("BandedBlockWindow: nonzero block outside the band")
 
 
-def sym_eig_range(w: BlockWindow) -> EigRange:
-    """Extremal eigenvalues of the flattened symmetric window.
+def _lower_band(flat: np.ndarray, bandwidth: int) -> np.ndarray:
+    """LAPACK lower band storage: row ``k`` holds diagonal ``-k`` of ``flat``."""
+    n = flat.shape[0]
+    band = np.zeros((bandwidth + 1, n))
+    for k in range(bandwidth + 1):
+        band[k, :n - k] = np.diagonal(flat, -k)
+    return band
+
+
+def sym_eig_range(w: BlockWindow | np.ndarray,
+                  bandwidth: int | None = None) -> EigRange:
+    """Extremal eigenvalues of a symmetric window or of a symmetric matrix.
+
+    A window must be flagged symmetric and is flattened; a matrix is taken
+    as given (only its lower triangle is read).  A matrix that is exactly
+    zero beyond ``bandwidth`` diagonals (counted in rows, not blocks) may
+    say so: its extremes then come from the band alone (LAPACK ``dsbevx``,
+    whose band reduction costs O(n^2 * bandwidth) instead of O(n^3)).
 
     Raises:
-        InputError: if the window is not flagged symmetric.
+        InputError: if a window is not flagged symmetric.
     """
-    if not w.symmetric:
-        raise InputError("sym_eig_range: window must be symmetric")
-    vals = scipy.linalg.eigvalsh(w.flatten())
-    return EigRange(float(vals[0]), float(vals[-1]))
+    if isinstance(w, BlockWindow):
+        if not w.symmetric:
+            raise InputError("sym_eig_range: window must be symmetric")
+        w = w.flatten()
+    n = w.shape[0]
+    if bandwidth is None:
+        vals = scipy.linalg.eigvalsh(w)
+        return EigRange(float(vals[0]), float(vals[-1]))
+    band = _lower_band(w, min(bandwidth, n - 1))
+    try:
+        lo, hi = (scipy.linalg.eigvals_banded(band, lower=True, select="i",
+                                              select_range=(i, i))[0]
+                  for i in (0, n - 1))
+    except np.linalg.LinAlgError:
+        # the bisection in dsbevx can fail to converge on a tight cluster
+        # of eigenvalues (a nearly scalar matrix); the dense solver then decides
+        return sym_eig_range(w)
+    return EigRange(float(lo), float(hi))
 
 
 def band_truncate(w: BlockWindow, m: int) -> BandedBlockWindow:
@@ -313,46 +349,31 @@ def demko_bound(a: float, b: float, m: int, lag) -> float | np.ndarray:
     return float(bound) if bound.ndim == 0 else bound
 
 
-def _eig_extremes(flat: np.ndarray, bandwidth: int | None) -> EigRange:
-    if bandwidth is None:
-        vals = np.linalg.eigvalsh(flat)
-        return EigRange(float(vals[0]), float(vals[-1]))
-    # lower band storage; LAPACK dsbevx then costs O(n * bandwidth^2)
-    n = flat.shape[0]
-    w = min(bandwidth, n - 1)
-    band = np.zeros((w + 1, n))
-    for k in range(w + 1):
-        band[k, :n - k] = np.diagonal(flat, -k)
-    lo, hi = (scipy.linalg.eigvals_banded(band, lower=True, select="i",
-                                          select_range=(i, i))[0]
-              for i in (0, n - 1))
-    return EigRange(float(lo), float(hi))
+def _exact_guard(flat: np.ndarray, what: str, bandwidth: int | None) -> EigRange:
+    """The exact guard: raise unless ``lambda_min > SPD_RTOL * lambda_max``."""
+    rng = sym_eig_range(flat, bandwidth)
+    if not rng.is_spd():
+        raise ConditioningError(
+            f"{what} is numerically singular "
+            f"(lambda_min={rng.lambda_min:.3e}, lambda_max={rng.lambda_max:.3e})")
+    return rng
 
 
 def spd_factor(flat: np.ndarray, what: str,
                bandwidth: int | None = None) -> tuple[np.ndarray, EigRange]:
     """Guarded Cholesky factor of a symmetric matrix.
 
-    This is the one SPD path of the package: every symmetric inversion and
-    Schur step goes through it.  The extremal eigenvalues are computed
-    first and the matrix is rejected unless
-    ``lambda_min > SPD_RTOL * lambda_max``; then ``flat = L L^T`` is
+    The extremal eigenvalues are computed first and the matrix is rejected
+    unless ``lambda_min > SPD_RTOL * lambda_max``; then ``flat = L L^T`` is
     factored.  Returns the lower factor ``L`` (upper triangle zero) and the
-    eigenvalue range.  ``what`` names the matrix in error messages.
-
-    A matrix that is exactly zero beyond ``bandwidth`` diagonals (counted
-    in rows, not blocks) may say so: its extremal eigenvalues then come
-    from the band alone, in O(n * bandwidth^2) instead of O(n^3).
+    eigenvalue range.  ``what`` names the matrix in error messages and
+    ``bandwidth`` is as in :func:`sym_eig_range`.
 
     Raises:
         ConditioningError: if the matrix is numerically singular or
             indefinite, or the factorisation breaks down.
     """
-    rng = _eig_extremes(flat, bandwidth)
-    if not rng.is_spd():
-        raise ConditioningError(
-            f"{what} is numerically singular "
-            f"(lambda_min={rng.lambda_min:.3e}, lambda_max={rng.lambda_max:.3e})")
+    rng = _exact_guard(flat, what, bandwidth)
     factor, info = scipy.linalg.lapack.dpotrf(flat, lower=1, clean=1)
     if info:
         raise ConditioningError(f"{what}: Cholesky factorisation failed "
@@ -362,6 +383,10 @@ def spd_factor(flat: np.ndarray, what: str,
 
 #: Rows per block in the blocked triangle kernels below.
 _ROW_BLOCK = 256
+
+#: Rows per block of a banded residual product: each block multiplies only
+#: ``2 * bandwidth`` more columns than rows, so smaller blocks waste less.
+_BAND_ROW_BLOCK = 64
 
 
 def _mirror_lower(a: np.ndarray) -> None:
@@ -394,32 +419,127 @@ def symmetric_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def spd_inverse(flat: np.ndarray, what: str,
-                bandwidth: int | None = None) -> tuple[np.ndarray, EigRange, float]:
-    """Inverse of a symmetric SPD matrix through :func:`spd_factor`.
+def _inverse_residual(flat: np.ndarray, cols: np.ndarray, first: int,
+                      bandwidth: int | None) -> float:
+    """``||flat @ cols - I[:, first:first + k]||_inf`` for the ``k`` columns
+    ``cols`` of an inverse.
 
-    Inverts the Cholesky factor in place (``dpotri``), mirrors the result
-    so it is exactly symmetric, and checks the residual
-    ``||flat @ inv - I||_inf``.  Returns ``(inv, eig_range, residual)``;
-    ``inv`` is C-contiguous.  ``bandwidth`` is as in :func:`spd_factor`.
+    Works in row blocks; a matrix that is exactly zero beyond ``bandwidth``
+    diagonals multiplies only the rows of ``cols`` inside its band.
+    """
+    n, k = cols.shape
+    step, reach = (_ROW_BLOCK, n) if bandwidth is None else (_BAND_ROW_BLOCK, bandwidth)
+    worst = 0.0
+    for i in range(0, n, step):
+        j = min(i + step, n)
+        lo, hi = max(0, i - reach), min(n, j + reach)
+        check = flat[i:j, lo:hi] @ cols[lo:hi]
+        rows = np.arange(max(i, first), min(j, first + k))
+        check[rows - i, rows - first] -= 1.0
+        worst = max(worst, float(np.abs(check, out=check).sum(axis=1).max()))
+    return worst
+
+
+def _row_sum_norm(a: np.ndarray) -> float:
+    """``||a||_inf``, the largest absolute row sum, in row blocks."""
+    return max(float(np.abs(a[i:i + _ROW_BLOCK]).sum(axis=1).max())
+               for i in range(0, a.shape[0], _ROW_BLOCK))
+
+
+def spd_inverse(flat: np.ndarray, what: str,
+                bandwidth: int | None = None) -> tuple[np.ndarray, float, float]:
+    """Inverse of a symmetric SPD matrix, certified without an eigensolve.
+
+    This is the one dense SPD inverse of the package.  It factors
+    ``flat = L L^T`` (``dpotrf``), inverts the factor in place (``dpotri``),
+    mirrors the result so it is exactly symmetric and computes the residual
+    ``r = ||flat @ inv - I||_inf``.  For symmetric matrices
+    ``||.||_2 <= ||.||_inf``, and ``inv (I + R)^-1`` is the exact inverse, so
+
+        ``kappa_2(flat) <= ||flat||_inf ||inv||_inf / (1 - r)``,
+
+    an O(n^2) certified bound.  The inverse is accepted on it when
+    ``r <= SPD_RESIDUAL_TOL`` and the bound clears ``1/SPD_RTOL`` by the
+    factor ``_BOUND_MARGIN``.  Otherwise (a failed factorisation, a large
+    residual, a bound that does not clear) the exact extremal eigenvalues
+    decide as :func:`spd_factor` does, and the refusals keep their order:
+    "numerically singular" first, then the LAPACK failures or the residual.
+
+    Returns ``(inv, condition_bound, residual)``; ``inv`` is C-contiguous.
+    ``bandwidth`` is as in :func:`sym_eig_range`; it also restricts the
+    residual product to the band.
 
     Raises:
-        ConditioningError: as :func:`spd_factor`, or if the residual
-            exceeds ``SPD_RESIDUAL_TOL``.
+        ConditioningError: if the matrix is numerically singular or
+            indefinite, a LAPACK step fails, or the residual exceeds
+            ``SPD_RESIDUAL_TOL``.
     """
-    factor, rng = spd_factor(flat, what, bandwidth)
+    factor, info = scipy.linalg.lapack.dpotrf(flat, lower=1, clean=1)
+    if info:
+        _exact_guard(flat, what, bandwidth)
+        raise ConditioningError(f"{what}: Cholesky factorisation failed "
+                                f"(LAPACK info={info})")
     inv, info = scipy.linalg.lapack.dpotri(factor, lower=1, overwrite_c=1)
     if info:
+        _exact_guard(flat, what, bandwidth)
         raise ConditioningError(f"{what}: inversion of the Cholesky factor "
                                 f"failed (LAPACK info={info})")
     _mirror_lower(inv)
-    check = flat @ inv
-    check.flat[::check.shape[0] + 1] -= 1.0
-    residual = float(np.abs(check, out=check).sum(axis=1).max())
-    if residual > SPD_RESIDUAL_TOL:
+    inv = inv.T
+    residual = _inverse_residual(flat, inv, 0, bandwidth)
+    bound = math.inf
+    if residual < 1.0:
+        bound = _row_sum_norm(flat) * _row_sum_norm(inv) / (1.0 - residual)
+    if not (residual <= SPD_RESIDUAL_TOL and bound * _BOUND_MARGIN < 1.0 / SPD_RTOL):
+        _exact_guard(flat, what, bandwidth)
+        if not residual <= SPD_RESIDUAL_TOL:
+            raise ConditioningError(f"{what}: inversion residual {residual:.3e} "
+                                    f"exceeds {SPD_RESIDUAL_TOL:g}")
+    return inv, bound, residual
+
+
+def spd_inverse_section(flat: np.ndarray, bandwidth: int, lo: int, hi: int,
+                        what: str) -> tuple[np.ndarray, EigRange, float]:
+    """Rows and columns ``lo:hi`` of the inverse of an exactly banded SPD matrix.
+
+    ``flat`` is exactly zero beyond ``bandwidth`` diagonals.  The guard is
+    the exact extremal eigenvalues of the band, as in :func:`spd_factor`;
+    the matrix is then factored in band storage (``dpbtrf``) and solved
+    (``dpbtrs``) only for the identity columns ``lo:hi``, in
+    O(n * bandwidth * (hi - lo)) instead of the O(n^3) of a full inverse.
+    One triangle of the section is mirrored onto the other, so it is
+    exactly symmetric, and the residual of exactly those columns,
+    ``||flat @ X - I[:, lo:hi]||_inf``, is checked with a banded product.
+    Returns ``(section, eig_range, residual)``.
+
+    Raises:
+        ConditioningError: if the matrix is numerically singular or
+            indefinite, the factorisation or the solve fails, or the
+            residual exceeds ``SPD_RESIDUAL_TOL``.
+    """
+    n = flat.shape[0]
+    rng = _exact_guard(flat, what, bandwidth)
+    factor, info = scipy.linalg.lapack.dpbtrf(_lower_band(flat, min(bandwidth, n - 1)),
+                                              lower=1)
+    if info:
+        raise ConditioningError(f"{what}: Cholesky factorisation failed "
+                                f"(LAPACK info={info})")
+    k = hi - lo
+    rhs = np.zeros((n, k), order="F")
+    rhs[np.arange(lo, hi), np.arange(k)] = 1.0
+    cols, info = scipy.linalg.lapack.dpbtrs(factor, rhs, lower=1, overwrite_b=1)
+    if info:
+        raise ConditioningError(f"{what}: banded Cholesky solve failed "
+                                f"(LAPACK info={info})")
+    # cols is Fortran-ordered, so the transposed section is a row-major view;
+    # mirroring it makes the section itself exactly symmetric
+    section = cols[lo:hi].T
+    _mirror_lower(section)
+    residual = _inverse_residual(flat, cols, lo, bandwidth)
+    if not residual <= SPD_RESIDUAL_TOL:
         raise ConditioningError(f"{what}: inversion residual {residual:.3e} "
                                 f"exceeds {SPD_RESIDUAL_TOL:g}")
-    return inv.T, rng, residual
+    return section, rng, residual
 
 
 def schur_complement(a: np.ndarray, b: np.ndarray, e: BlockWindow | np.ndarray,

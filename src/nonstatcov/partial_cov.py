@@ -10,7 +10,6 @@ Component indices are 0-based throughout.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -315,17 +314,14 @@ def partial_spectral_coherence(model: ModelSpec, u: float, a: int, b: int,
         ModelError: if the spectral density is singular on the grid.
     """
     omega_grid = np.atleast_1d(np.asarray(omega_grid, dtype=float))
-    out = np.empty(omega_grid.shape, dtype=complex)
     fs = local_spectral_densities(model, u, omega_grid)
-    for i, (w, f) in enumerate(zip(omega_grid, fs)):
-        vals = np.linalg.eigvalsh(f)
-        if vals[0] <= SPD_RTOL * max(vals[-1], 1e-300):
-            raise ModelError(f"partial_spectral_coherence: f singular at "
-                             f"omega={w:.4f}")
-        gamma = np.linalg.inv(f)
-        denom = math.sqrt(gamma[a, a].real * gamma[b, b].real)
-        out[i] = -gamma[a, b] / denom
-    return out
+    vals = np.linalg.eigvalsh(fs)
+    singular = vals[:, 0] <= SPD_RTOL * np.maximum(vals[:, -1], 1e-300)
+    if np.any(singular):
+        raise ModelError(f"partial_spectral_coherence: f singular at "
+                         f"omega={omega_grid[np.argmax(singular)]:.4f}")
+    gamma = np.linalg.inv(fs)
+    return -gamma[:, a, b] / np.sqrt(gamma[:, a, a].real * gamma[:, b, b].real)
 
 
 @dataclass(frozen=True)

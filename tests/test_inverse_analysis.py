@@ -191,14 +191,14 @@ class TestInverseDecayFit:
     def test_degenerate_fit_error(self):
         w = nc.BlockWindow.from_flat(np.zeros((24, 24)), p=1, symmetrize=True)
         inv = nc.InverseWindow(base=w, source_pad=0,
-                               conditioning=nc.EigRange(1.0, 1.0), residual=0.0)
+                               condition_bound=1.0, residual=0.0)
         with pytest.raises(DegenerateFitError):
             nc.inverse_decay_fit(inv, 4.0)
 
     def test_short_interior_rejected(self):
         w = nc.BlockWindow.from_flat(np.eye(10), p=1, symmetrize=True)
         inv = nc.InverseWindow(base=w, source_pad=0,
-                               conditioning=nc.EigRange(1.0, 1.0), residual=0.0)
+                               condition_bound=1.0, residual=0.0)
         with pytest.raises(InputError):
             nc.inverse_decay_fit(inv, 4.0)
 

@@ -4,7 +4,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nonstatcov as nc
@@ -36,6 +36,20 @@ class TestCoefficientFn:
         assert fn(-3.0)[0, 0] == pytest.approx(1.0)
         assert fn(7.0)[0, 0] == pytest.approx(3.0)
         assert fn.lipschitz_constant() == pytest.approx(2.0)
+
+    def test_piecewise_holds_end_values_outside_the_knots(self):
+        got = INNER_KNOTS.at(np.array([-1.0, 0.0, 0.1, 0.35, 0.6, 1.0, 2.0]))[:, 0, 0]
+        assert got.tolist() == [0.0, 0.0, 0.0, INNER_KNOTS(0.35)[0, 0], 0.3, 0.3, 0.3]
+        assert INNER_KNOTS(0.35)[0, 0] == pytest.approx(0.15)
+        assert TINY_KNOTS.at(np.array([0.0, 0.5, 1.0]))[:, 0, 0].tolist() == [0.5, -0.25, -0.25]
+        for u in (0.0, 0.1, 0.6, 1.0):
+            assert np.array_equal(INNER_KNOTS.derivative(u), np.zeros((1, 1)))
+        assert INNER_KNOTS.derivative(0.35)[0, 0] == pytest.approx(1.0)
+        # the held form is 1-Lipschitz: its slope is 1 between the knots, 0 outside
+        us = np.linspace(-0.5, 1.5, 401)
+        vals = INNER_KNOTS.at(us)[:, 0, 0]
+        assert np.all(np.abs(np.diff(vals)) <= INNER_KNOTS.lipschitz_constant()
+                      * np.diff(us) + 1e-15)
 
     def test_sinusoidal_derivative(self):
         fn = nc.sinusoidal_fn([[0.0]], [[1.0]])
@@ -79,7 +93,8 @@ def scalar_reference(fn, u):
     knots = p["knots"]
     values = p["values"]
     i = int(np.clip(np.searchsorted(knots, u, side="right") - 1, 0, len(knots) - 2))
-    w = (u - knots[i]) / (knots[i + 1] - knots[i])
+    width = knots[i + 1] - knots[i]
+    w = min(max(u - knots[i], 0.0), width) / width
     return (1.0 - w) * values[i] + w * values[i + 1]
 
 
@@ -124,11 +139,22 @@ def pointwise_density(model, u, w):
     return 0.5 * (f + f.conj().T)
 
 
+#: A piecewise function whose knots do not reach 0 and 1 (it used to be
+#: extrapolated linearly to -0.2 and 0.8 there), and one whose last segment
+#: is 4.3e-269 wide (extrapolated to about 2e268 at u = 1).
+INNER_KNOTS = nc.CoefficientFn("piecewise", {
+    "knots": np.array([0.2, 0.5]), "values": np.array([[[0.0]], [[0.3]]])})
+TINY_KNOTS = nc.CoefficientFn("piecewise", {
+    "knots": np.array([0.0, 4.3e-269]), "values": np.array([[[0.5]], [[-0.25]]])})
+
+
 class TestGridEvaluation:
     @settings(max_examples=200, deadline=None)
     @given(fn=coefficient_fns(),
            us=st.lists(st.one_of(st.floats(-2.0, 3.0), st.sampled_from(
                [-0.0, 0.0, 1.0, -1e-300, 1.0 + 1e-15])), max_size=12))
+    @example(fn=INNER_KNOTS, us=[0.0, 0.1, 0.35, 0.7, 1.0])
+    @example(fn=TINY_KNOTS, us=[0.0, 1e-300, 0.5, 1.0])
     def test_at_matches_scalar_path_bitwise(self, fn, us):
         if fn.form == "piecewise":
             us = us + list(fn.payload["knots"])    # exact knots, the last included
@@ -246,6 +272,8 @@ class TestStackedKernels:
     @settings(max_examples=60, deadline=None)
     @given(model=tvvma_models(), n=st.integers(1, 400), t_lo=st.integers(-50, 400),
            length=st.integers(1, 14))
+    @example(model=nc.TvVMA(p=1, psis=(TINY_KNOTS, INNER_KNOTS)), n=7, t_lo=-2,
+             length=12)
     def test_vma_window_matches_per_lag_einsum(self, model, n, t_lo, length):
         t_hi = t_lo + length - 1
         stacks = model.psi_stacks_array(np.arange(t_lo, t_hi + 1), n)
@@ -547,6 +575,25 @@ class TestVarPrecision:
         prec = _var_precision_flat(model, 150, 10 - pad, 40 + pad)
         ref = np.linalg.inv(prec)[pad * 2:(pad + 31) * 2, pad * 2:(pad + 31) * 2]
         assert np.allclose(w.flatten(), ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+
+    @settings(max_examples=40, deadline=None)
+    @given(model=st.one_of(small_tvvar_models(), st.sampled_from(
+               [nc.get_reference_model("tvvar1_p3"), scalar_ar1()])),
+           n=st.integers(20, 600), t_lo=st.integers(-100, 300),
+           length=st.integers(1, 60))
+    def test_banded_window_matches_dense_spd_inverse(self, model, n, t_lo, length):
+        """The banded column solve against the full dense inverse of the
+        padded precision, to 1e-13 relative, and exactly symmetric."""
+        from nonstatcov.models import _var_precision_flat, cov_pad
+        pad, p = cov_pad(model), model.p
+        t_hi = t_lo + length - 1
+        w = nc.cov_window(model, n, t_lo, t_hi)
+        inv, _, _ = nc.spd_inverse(_var_precision_flat(model, n, t_lo - pad, t_hi + pad),
+                                   "dense")
+        ref = inv[pad * p:(pad + length) * p, pad * p:(pad + length) * p]
+        got = w.flatten()
+        assert w.symmetric and np.array_equal(got, got.T)
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 class TestStationaryCov:

@@ -1,7 +1,9 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nonstatcov as nc
@@ -234,6 +236,31 @@ def spd_with_condition(seed, n, cond):
     return 0.5 * (mat + mat.T)
 
 
+def exact_guard_inverse(mat, what, bandwidth=None):
+    """``spd_inverse`` as it decided before the certified bound: the exact
+    extremal eigenvalues first, then Cholesky, inversion and residual.
+    Returns ``(inv, residual)``."""
+    rng = oc.sym_eig_range(mat, bandwidth)
+    if not rng.is_spd():
+        raise ConditioningError(
+            f"{what} is numerically singular "
+            f"(lambda_min={rng.lambda_min:.3e}, lambda_max={rng.lambda_max:.3e})")
+    factor, info = scipy.linalg.lapack.dpotrf(mat, lower=1, clean=1)
+    if info:
+        raise ConditioningError(f"{what}: Cholesky factorisation failed "
+                                f"(LAPACK info={info})")
+    inv, info = scipy.linalg.lapack.dpotri(factor, lower=1, overwrite_c=1)
+    if info:
+        raise ConditioningError(f"{what}: inversion of the Cholesky factor "
+                                f"failed (LAPACK info={info})")
+    inv = np.tril(inv) + np.tril(inv, -1).T
+    residual = oc._inverse_residual(mat, inv, 0, bandwidth)
+    if residual > oc.SPD_RESIDUAL_TOL:
+        raise ConditioningError(f"{what}: inversion residual {residual:.3e} "
+                                f"exceeds {oc.SPD_RESIDUAL_TOL:g}")
+    return inv, residual
+
+
 class TestSpdKernel:
     def test_factor_reproduces_matrix(self):
         mat = spd_with_condition(3, 12, 1e3)
@@ -255,6 +282,21 @@ class TestSpdKernel:
         scale = rng_d.lambda_max
         assert abs(rng_b.lambda_min - rng_d.lambda_min) <= 1e-13 * scale
         assert abs(rng_b.lambda_max - rng_d.lambda_max) <= 1e-13 * scale
+
+    def test_banded_extremes_survive_a_tight_eigenvalue_cluster(self):
+        # a rotated multiple of the identity: dsbevx's bisection reports
+        # no convergence on it, and the extremes come from the dense solver
+        mat = spd_with_condition(1004, 27, 1.0)
+        failed = []
+        for i in (0, 26):
+            try:
+                scipy.linalg.eigvals_banded(oc._lower_band(mat, 26), lower=True,
+                                            select="i", select_range=(i, i))
+            except np.linalg.LinAlgError:
+                failed.append(i)
+        assert failed
+        assert oc.sym_eig_range(mat, 26) == oc.sym_eig_range(mat)
+        nc.spd_factor(mat, "m", bandwidth=26)
 
     def test_singular_raises(self):
         mat = np.diag([2.0, 1.0, 0.0])
@@ -279,7 +321,7 @@ class TestSpdKernel:
         cond = 10.0 ** log_cond if n > 1 else 1.0
         mat = spd_with_condition(seed, n, cond)
         try:
-            inv, rng, residual = nc.spd_inverse(mat, "test matrix")
+            inv, _, residual = nc.spd_inverse(mat, "test matrix")
         except ConditioningError as err:
             # near cond 1e8 the 1e-8 residual guard may refuse an inverse
             assert cond > 1e6 and "residual" in str(err)
@@ -293,6 +335,129 @@ class TestSpdKernel:
         # two backward-stable inverses agree to about n * eps * cond
         tol = 1e-12 + 4 * n * np.finfo(float).eps * cond
         assert np.linalg.norm(inv - ref, 2) <= tol * np.linalg.norm(ref, 2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30),
+           log_cond=st.floats(0.0, 14.0), flip=st.booleans(),
+           banded=st.booleans())
+    @example(seed=5, n=20, log_cond=12.0, flip=False, banded=False)
+    @example(seed=6, n=30, log_cond=11.999, flip=False, banded=True)
+    @example(seed=7, n=25, log_cond=12.001, flip=False, banded=False)
+    @example(seed=0, n=20, log_cond=8.0, flip=False, banded=False)
+    @example(seed=1, n=8, log_cond=8.5, flip=False, banded=True)
+    @example(seed=0, n=30, log_cond=6.9, flip=False, banded=False)
+    @example(seed=3, n=12, log_cond=2.0, flip=True, banded=False)
+    @example(seed=1004, n=27, log_cond=0.0, flip=False, banded=True)
+    def test_certified_bound_decides_as_the_exact_guard(self, seed, n, log_cond,
+                                                        flip, banded):
+        """Accepts and refuses exactly as the exact-eigenvalue guard does,
+        with the same exception and message (``flip`` makes the matrix
+        indefinite; ``banded`` passes a bandwidth of ``n - 1``)."""
+        mat = spd_with_condition(seed, n, 10.0 ** log_cond if n > 1 else 1.0)
+        if flip:
+            vals, vecs = np.linalg.eigh(mat)
+            vals[0] = -vals[0]
+            mat = (vecs * vals) @ vecs.T
+            mat = 0.5 * (mat + mat.T)
+        bandwidth = n - 1 if banded else None
+        try:
+            want = exact_guard_inverse(mat, "test matrix", bandwidth)
+        except ConditioningError as err:
+            want = str(err)
+        try:
+            got = nc.spd_inverse(mat, "test matrix", bandwidth=bandwidth)
+        except ConditioningError as err:
+            got = str(err)
+        if isinstance(want, str) or isinstance(got, str):
+            assert got == want
+            return
+        inv, bound, residual = got
+        assert np.array_equal(inv, want[0]) and residual == want[1]
+        rng = oc.sym_eig_range(mat)
+        # the bound is certified: it is never below the condition number,
+        # which eigvalsh gives to about n * eps * cond relative
+        eps = np.finfo(float).eps
+        assert bound >= rng.condition * (1.0 - 1e-12 - 4 * n * eps * rng.condition)
+
+    @pytest.mark.parametrize("cond,accepted", [(1e6, True), (1e10, True), (1e13, False)])
+    def test_exact_inverses_beyond_the_bound_go_to_the_exact_guard(self, cond, accepted):
+        # diagonal matrices invert to rounding (residual <= eps), so only
+        # the eigenvalue guard can refuse them; from 1e9 on the bound no
+        # longer clears and the exact extremes decide
+        mat = np.diag([2.0, 2.0 / cond, 1.0])
+        for bandwidth in (None, 0):
+            if accepted:
+                inv, bound, residual = nc.spd_inverse(mat, "m", bandwidth=bandwidth)
+                assert residual <= np.finfo(float).eps
+                assert bound == pytest.approx(cond, rel=1e-12)
+                assert np.allclose(inv, np.diag(1.0 / np.diag(mat)), rtol=1e-15, atol=0)
+            else:
+                with pytest.raises(ConditioningError, match="m is numerically singular"):
+                    nc.spd_inverse(mat, "m", bandwidth=bandwidth)
+
+    def test_lapack_failures_are_reported_only_after_the_guard(self, monkeypatch):
+        def failing(a, **kwargs):
+            return a, 2
+        monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", failing)
+        with pytest.raises(ConditioningError, match=r"^m: Cholesky factorisation "
+                                                    r"failed \(LAPACK info=2\)$"):
+            nc.spd_inverse(spd_with_condition(2, 6, 10.0), "m")
+        with pytest.raises(ConditioningError, match="m is numerically singular"):
+            nc.spd_inverse(np.diag([2.0, 1.0, 0.0]), "m")
+
+    @pytest.mark.parametrize("n,bandwidth,first,k", [
+        (1, 0, 0, 1), (50, 0, 0, 50), (90, 4, 10, 70), (200, 9, 0, 200),
+        (300, 17, 37, 200), (130, 200, 5, 60)])
+    def test_banded_residual_matches_dense(self, n, bandwidth, first, k):
+        rng = np.random.default_rng(n + bandwidth + first)
+        lag = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+        raw = rng.standard_normal((n, n))
+        mat = 0.5 * (raw + raw.T) * (lag <= bandwidth) + 3.0 * np.eye(n)
+        cols = np.linalg.inv(mat)[:, first:first + k] \
+            + 1e-6 * rng.standard_normal((n, k))
+        check = mat @ cols
+        check[np.arange(first, first + k), np.arange(k)] -= 1.0
+        dense = np.abs(check).sum(axis=1).max()
+        scale = np.abs(mat).sum(axis=1).max() * np.abs(cols).sum(axis=0).max()
+        for bw in (bandwidth, None):
+            got = oc._inverse_residual(mat, cols, first, bw)
+            assert abs(got - dense) <= 4 * n * np.finfo(float).eps * scale
+
+    @pytest.mark.parametrize("n,bandwidth,lo,hi", [
+        (1, 0, 0, 1), (30, 0, 5, 25), (60, 5, 0, 60), (120, 8, 30, 90), (45, 50, 10, 11)])
+    def test_banded_section_matches_dense_inverse(self, n, bandwidth, lo, hi):
+        rng = np.random.default_rng(7 * n + bandwidth)
+        lag = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+        raw = rng.standard_normal((n, n))
+        sym = 0.5 * (raw + raw.T) * (lag <= bandwidth)
+        mat = sym + (np.abs(np.linalg.eigvalsh(sym)[0]) + 0.5) * np.eye(n)
+        section, rng_b, residual = oc.spd_inverse_section(mat, bandwidth, lo, hi, "m")
+        inv, _, _ = nc.spd_inverse(mat, "m")
+        ref = inv[lo:hi, lo:hi]
+        assert np.array_equal(section, section.T)
+        assert np.abs(section - ref).max() <= 1e-13 * np.abs(ref).max()
+        assert residual <= oc.SPD_RESIDUAL_TOL
+        assert (rng_b.lambda_min, rng_b.lambda_max) == astuple(
+            oc.sym_eig_range(mat, bandwidth))
+
+    def test_banded_section_refusals(self, monkeypatch):
+        with pytest.raises(ConditioningError, match=r"^m is numerically singular "
+                                                    r"\(lambda_min=0\.000e\+00"):
+            oc.spd_inverse_section(np.diag([2.0, 1.0, 0.0]), 0, 0, 2, "m")
+        rng = np.random.default_rng(8)
+        q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+        mat = (q * np.array([-0.5, 1.0, 2.0, 3.0, 4.0, 5.0])) @ q.T
+        with pytest.raises(ConditioningError, match=r"lambda_min=-5\.000e-01"):
+            oc.spd_inverse_section(0.5 * (mat + mat.T), 5, 1, 4, "m")
+
+        def failing(ab, **kwargs):
+            return ab, 3
+        monkeypatch.setattr(scipy.linalg.lapack, "dpbtrf", failing)
+        with pytest.raises(ConditioningError, match=r"^m: Cholesky factorisation "
+                                                    r"failed \(LAPACK info=3\)$"):
+            oc.spd_inverse_section(np.diag([2.0, 1.0, 3.0]), 0, 0, 2, "m")
+        with pytest.raises(ConditioningError, match="m is numerically singular"):
+            oc.spd_inverse_section(np.diag([2.0, 1.0, 0.0]), 0, 0, 2, "m")
 
     @pytest.mark.parametrize("n", [1, 20, 256, 300, 600])
     def test_symmetric_product_matches_full_product(self, n):

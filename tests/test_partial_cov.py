@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import nonstatcov as nc
-from nonstatcov.errors import ConditioningError, InputError
+from nonstatcov.errors import ConditioningError, InputError, ModelError
 from nonstatcov.verification import regression_residual_oracle
 
 
@@ -201,6 +201,26 @@ class TestPartialSmoothness:
 
 
 class TestCoherence:
+    def test_batched_grid_matches_per_omega_loop_bitwise(self):
+        model = nc.get_reference_model("tvvar1_p3")
+        omegas = np.linspace(-1.0, 2 * math.pi, 257)
+        fs = nc.local_spectral_densities(model, 0.37, omegas)
+        want = np.empty(omegas.shape, dtype=complex)
+        for i, f in enumerate(fs):
+            gamma = np.linalg.inv(f)
+            want[i] = -gamma[0, 2] / math.sqrt(gamma[0, 0].real * gamma[2, 2].real)
+        got = nc.partial_spectral_coherence(model, 0.37, 0, 2, omegas)
+        assert np.array_equal(got, want)
+
+    def test_singular_density_names_the_first_omega_in_grid_order(self):
+        # component 0 has transfer 1 + e^{i omega}, which vanishes at odd
+        # multiples of pi; 3*pi comes first on this grid
+        model = nc.TvVMA(p=2, psis=(nc.constant_fn(np.eye(2)),
+                                    nc.constant_fn(np.diag([1.0, 0.0]))))
+        omegas = np.array([0.5, 3.0 * math.pi, 1.0, math.pi])
+        with pytest.raises(ModelError, match=r"f singular at omega=9\.4248$"):
+            nc.partial_spectral_coherence(model, 0.5, 0, 1, omegas)
+
     def test_independent_components_zero(self):
         model = independent_pair_model()
         omegas = np.linspace(0, 2 * math.pi, 17, endpoint=False)

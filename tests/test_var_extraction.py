@@ -189,6 +189,15 @@ class TestVarSmoothness:
 
 
 class TestKolmogorov:
+    def test_batched_log_integral_matches_per_omega_loop_bitwise(self):
+        model = nc.get_reference_model("tvvar1_p3")
+        rep = nc.kolmogorov_gap(model, 200, 90)
+        omegas = np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False)
+        acc = 0.0
+        for f in nc.local_spectral_densities(model, 90 / 200, omegas):
+            acc += float(np.sum(np.log(np.linalg.eigvalsh(f))))
+        assert rep.rhs == acc / 4096
+
     def test_white_noise_zero_both_sides(self):
         model = white_noise_model(2)
         rep = nc.kolmogorov_gap(model, 100, 30)
