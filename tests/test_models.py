@@ -146,6 +146,12 @@ INNER_KNOTS = nc.CoefficientFn("piecewise", {
     "knots": np.array([0.2, 0.5]), "values": np.array([[[0.0]], [[0.3]]])})
 TINY_KNOTS = nc.CoefficientFn("piecewise", {
     "knots": np.array([0.0, 4.3e-269]), "values": np.array([[[0.5]], [[-0.25]]])})
+#: Slopes of -2**1023, whose product with 2 overflows to -inf, and of
+#: 1/5e-324 = inf, whose product with the zero value at u = 0 is nan.
+STEEP_KNOTS = nc.CoefficientFn("piecewise", {
+    "knots": np.array([0.0, 2.0 ** -1022]), "values": np.array([[[2.0]], [[0.0]]])})
+INFINITE_SLOPE = nc.CoefficientFn("piecewise", {
+    "knots": np.array([0.0, 5e-324]), "values": np.array([[[0.0]], [[1.0]]])})
 
 
 class TestGridEvaluation:
@@ -261,8 +267,12 @@ def einsum_lag_sum(left, right):
 
 
 def assert_close_to_scale(got, want, scale):
+    """Each entry within 1e-13 of its scale, or identical to the reference:
+    a slope past the float range makes both sides the same inf (or, times a
+    zero entry, both nan), where ``got - want`` is nan and the bound fails."""
     assert got.shape == want.shape
-    assert np.all(np.abs(got - want) <= 1e-13 * scale)
+    same = (got == want) | (np.isnan(got) & np.isnan(want))
+    assert np.all(same | (np.abs(got - want) <= 1e-13 * scale))
 
 
 class TestStackedKernels:
@@ -302,6 +312,8 @@ class TestStackedKernels:
 
     @settings(max_examples=60, deadline=None)
     @given(model=tvvma_models(), u=st.floats(-0.2, 1.2), max_lag=st.integers(0, 12))
+    @example(model=nc.TvVMA(p=1, psis=(STEEP_KNOTS,)), u=0.0, max_lag=0)
+    @example(model=nc.TvVMA(p=1, psis=(INFINITE_SLOPE, TINY_KNOTS)), u=0.0, max_lag=1)
     def test_stationary_sequence_and_derivative_match_einsum(self, model, u, max_lag):
         psis, dpsis = model.psi_stack(u), model.psi_stack_derivative(u)
         k, p = psis.shape[0], model.p
