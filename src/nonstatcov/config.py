@@ -70,6 +70,12 @@ def coefficient_fn_from_json(obj: Any, path: str) -> CoefficientFn:
         _expect(m.shape == mats[0].shape, "piecewise values must share one shape",
                 f"{path}/values/{i}")
     vals = np.stack(mats)
+    # a knot gap near the float minimum makes a slope, and so the derivative
+    # and the Lipschitz constant, overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        slopes = np.diff(vals, axis=0) / np.diff(ks)[:, None, None]
+    _expect(bool(np.all(np.isfinite(slopes))),
+            "piecewise segment slopes must be finite", f"{path}/knots")
     return CoefficientFn("piecewise", {"knots": ks, "values": vals})
 
 

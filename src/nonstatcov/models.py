@@ -636,8 +636,8 @@ def cov_window(model: ModelSpec, n: int, t_lo: int, t_hi: int,
         pad = cov_pad(model) if pad is None else pad
         prec = _var_precision_flat(model, n, t_lo - pad, t_hi + pad)
         lo, hi = pad * model.p, (pad + t_hi - t_lo + 1) * model.p
-        cov, _, _ = spd_inverse_section(prec, (model.order + 1) * model.p - 1,
-                                        lo, hi, "cov_window: TvVAR precision")
+        cov = spd_inverse_section(prec, (model.order + 1) * model.p - 1, lo, hi,
+                                  "cov_window: TvVAR precision")
         return BlockWindow.from_flat(cov, model.p, t_lo=t_lo, symmetrize=True)
     if isinstance(model, TvARCH):
         length = t_hi - t_lo + 1
@@ -735,13 +735,23 @@ def _stationary_cov_sequences(model: ModelSpec, us, max_lag: int) -> np.ndarray:
     # C_r = sum_j Psi_{j+r} Psi_j^T, the transpose of the lag product
     for r, prod in _lag_products(psis, psis, max_lag, step=0):
         out[:, r] = prod.transpose(0, 2, 1)
+    _require_finite(out, "stationary_cov_sequence")
     return out
+
+
+def _require_finite(out: np.ndarray, what: str) -> None:
+    """Refuse a sum that overflowed, as a non-finite window is refused."""
+    if not np.all(np.isfinite(out)):
+        raise InputError(f"{what}: non-finite entries")
 
 
 def stationary_cov_sequence(model: ModelSpec, u: float, max_lag: int) -> np.ndarray:
     """``C_r(u)`` for ``r = 0..max_lag``, shape ``(max_lag+1, p, p)``.
 
     Negative lags follow from ``C_{-r}(u) = C_r(u)^T``.
+
+    Raises:
+        InputError: if a lag sum overflows.
     """
     return _stationary_cov_sequences(model, [u], max_lag)[0]
 
@@ -769,7 +779,13 @@ def stationary_window(model: ModelSpec, u: float, t_lo: int, t_hi: int) -> Block
 
 
 def stationary_cov_derivative(model: ModelSpec, u: float, max_lag: int) -> np.ndarray:
-    """``d C_r(u)/du`` for ``r = 0..max_lag`` (moving-average models only)."""
+    """``d C_r(u)/du`` for ``r = 0..max_lag`` (moving-average models only).
+
+    Raises:
+        InputError: if a lag sum overflows, as with a ``piecewise`` slope
+            near the float range.
+        UnsupportedFamilyError: for other families.
+    """
     if not isinstance(model, TvVMA):
         raise UnsupportedFamilyError("analytic covariance derivative is only "
                                      "available for moving-average models")
@@ -782,6 +798,7 @@ def stationary_cov_derivative(model: ModelSpec, u: float, max_lag: int) -> np.nd
     out = np.zeros((max_lag + 1, model.p, model.p))
     for r, prod in _lag_products(left, right, max_lag, step=0):
         out[r] = prod[0].T
+    _require_finite(out, "stationary_cov_derivative")
     return out
 
 

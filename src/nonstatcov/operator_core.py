@@ -499,7 +499,7 @@ def spd_inverse(flat: np.ndarray, what: str,
 
 
 def spd_inverse_section(flat: np.ndarray, bandwidth: int, lo: int, hi: int,
-                        what: str) -> tuple[np.ndarray, EigRange, float]:
+                        what: str) -> np.ndarray:
     """Rows and columns ``lo:hi`` of the inverse of an exactly banded SPD matrix.
 
     ``flat`` is exactly zero beyond ``bandwidth`` diagonals.  The guard is
@@ -510,7 +510,6 @@ def spd_inverse_section(flat: np.ndarray, bandwidth: int, lo: int, hi: int,
     One triangle of the section is mirrored onto the other, so it is
     exactly symmetric, and the residual of exactly those columns,
     ``||flat @ X - I[:, lo:hi]||_inf``, is checked with a banded product.
-    Returns ``(section, eig_range, residual)``.
 
     Raises:
         ConditioningError: if the matrix is numerically singular or
@@ -518,7 +517,7 @@ def spd_inverse_section(flat: np.ndarray, bandwidth: int, lo: int, hi: int,
             residual exceeds ``SPD_RESIDUAL_TOL``.
     """
     n = flat.shape[0]
-    rng = _exact_guard(flat, what, bandwidth)
+    _exact_guard(flat, what, bandwidth)
     factor, info = scipy.linalg.lapack.dpbtrf(_lower_band(flat, min(bandwidth, n - 1)),
                                               lower=1)
     if info:
@@ -539,7 +538,7 @@ def spd_inverse_section(flat: np.ndarray, bandwidth: int, lo: int, hi: int,
     if not residual <= SPD_RESIDUAL_TOL:
         raise ConditioningError(f"{what}: inversion residual {residual:.3e} "
                                 f"exceeds {SPD_RESIDUAL_TOL:g}")
-    return section, rng, residual
+    return section
 
 
 def schur_complement(a: np.ndarray, b: np.ndarray, e: BlockWindow | np.ndarray,

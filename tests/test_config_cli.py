@@ -190,6 +190,9 @@ class TestCli:
         ([{"form": "piecewise", "knots": [0.0, 1.0],
            "values": [np.eye(2).tolist(), [[1.0]]]}],
          "/model/coefficients/0/values/1: piecewise values must share one shape"),
+        ([{"form": "piecewise", "knots": [0.0, 5e-324],
+           "values": [np.zeros((2, 2)).tolist(), np.eye(2).tolist()]}],
+         "/model/coefficients/0/knots: piecewise segment slopes must be finite"),
     ])
     def test_mismatched_matrix_sizes_exit_two(self, tmp_path, capsys,
                                               coefficients, message):

@@ -1,4 +1,3 @@
-from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -283,20 +282,20 @@ class TestSpdKernel:
         assert abs(rng_b.lambda_min - rng_d.lambda_min) <= 1e-13 * scale
         assert abs(rng_b.lambda_max - rng_d.lambda_max) <= 1e-13 * scale
 
-    def test_banded_extremes_survive_a_tight_eigenvalue_cluster(self):
-        # a rotated multiple of the identity: dsbevx's bisection reports
-        # no convergence on it, and the extremes come from the dense solver
+    def test_banded_extremes_fall_back_to_the_dense_solver(self, monkeypatch):
+        # a rotated multiple of the identity: some LAPACK builds report no
+        # convergence of dsbevx's bisection on it
         mat = spd_with_condition(1004, 27, 1.0)
-        failed = []
-        for i in (0, 26):
-            try:
-                scipy.linalg.eigvals_banded(oc._lower_band(mat, 26), lower=True,
-                                            select="i", select_range=(i, i))
-            except np.linalg.LinAlgError:
-                failed.append(i)
-        assert failed
-        assert oc.sym_eig_range(mat, 26) == oc.sym_eig_range(mat)
+        dense = oc.sym_eig_range(mat)
+        banded = oc.sym_eig_range(mat, 26)
+        assert abs(banded.lambda_min - dense.lambda_min) <= 1e-13 * dense.lambda_max
+        assert abs(banded.lambda_max - dense.lambda_max) <= 1e-13 * dense.lambda_max
         nc.spd_factor(mat, "m", bandwidth=26)
+
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("no convergence")
+        monkeypatch.setattr(scipy.linalg, "eigvals_banded", failing)
+        assert oc.sym_eig_range(mat, 26) == dense
 
     def test_singular_raises(self):
         mat = np.diag([2.0, 1.0, 0.0])
@@ -431,14 +430,11 @@ class TestSpdKernel:
         raw = rng.standard_normal((n, n))
         sym = 0.5 * (raw + raw.T) * (lag <= bandwidth)
         mat = sym + (np.abs(np.linalg.eigvalsh(sym)[0]) + 0.5) * np.eye(n)
-        section, rng_b, residual = oc.spd_inverse_section(mat, bandwidth, lo, hi, "m")
+        section = oc.spd_inverse_section(mat, bandwidth, lo, hi, "m")
         inv, _, _ = nc.spd_inverse(mat, "m")
         ref = inv[lo:hi, lo:hi]
         assert np.array_equal(section, section.T)
         assert np.abs(section - ref).max() <= 1e-13 * np.abs(ref).max()
-        assert residual <= oc.SPD_RESIDUAL_TOL
-        assert (rng_b.lambda_min, rng_b.lambda_max) == astuple(
-            oc.sym_eig_range(mat, bandwidth))
 
     def test_banded_section_refusals(self, monkeypatch):
         with pytest.raises(ConditioningError, match=r"^m is numerically singular "
