@@ -39,13 +39,12 @@ from .var_extraction import (BaxterReport, KolmogorovGap, VarCoefficients,
                              stationary_var_coeffs_infinite,
                              var_coeffs_finite, var_coeffs_infinite,
                              var_smoothness_gap)
-from .partial_cov import (CoherenceGapReport, GroupedWindow, PartialPair,
+from .partial_cov import (CoherenceGapReport, PartialPair,
                           PartialSmoothnessReport, StationaryPartialPair,
                           coherence_consistency_gap, partial_cov_pair,
                           partial_smoothness_gap, partial_spectral_coherence,
-                          regroup_by_component, self_partial_cov,
-                          stationary_partial_pair, stationary_self_partial,
-                          ungroup)
+                          self_partial_cov, stationary_partial_pair,
+                          stationary_self_partial)
 from .reference import REFERENCE_BUILDERS, get_reference_model
 
 __version__ = "0.1.0"

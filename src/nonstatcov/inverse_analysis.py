@@ -13,13 +13,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (ConditioningError, DegenerateFitError, DivergenceError,
                      DomainError, InputError)
 from .models import (ModelSpec, cov_pad, cov_window, stationary_cov_derivative,
                      stationary_window)
-from .operator_core import (BlockWindow, SPD_RTOL, band_truncate, gu,
+from .operator_core import (BlockWindow, SPD_RTOL, gu, krylov_norm,
                             spd_inverse, sym_eig_range, symmetric_product, zeta)
 from .reports import DecayProfile, GapReport, envelope_constant, fit_decay_profile
 
@@ -107,9 +106,11 @@ def neumann_inverse(c: BlockWindow, m: int, terms: int) -> NeumannResult:
     """Approximate ``C^{-1}`` by a Neumann series around the banded truncation.
 
     Writes ``C = B_M + E`` and sums ``sum_{s<=terms} (-B_M^{-1} E)^s B_M^{-1}``
-    by Horner's rule, one product per term.  The certificate bounds the
-    dropped tail by the geometric series ``||B_M^{-1}|| q^{terms+1} / (1 - q)``
-    with ``q = ||B_M^{-1} E||_2`` computed on the window.
+    by Horner's rule, one product per term, and stops early once an iterate
+    repeats.  The certificate bounds the dropped tail by the geometric series
+    ``||B_M^{-1}|| q^{terms+1} / (1 - q)`` with ``q = ||B_M^{-1} E||_2``
+    computed on the window; ``q`` and ``||E||_2`` come from
+    :func:`krylov_norm`, the extremes of ``B_M`` from its band.
 
     Raises:
         DivergenceError: if the banded truncation is singular or ``q >= 1``
@@ -119,8 +120,14 @@ def neumann_inverse(c: BlockWindow, m: int, terms: int) -> NeumannResult:
         raise InputError("neumann_inverse: window must be symmetric")
     if terms < 0:
         raise DomainError("neumann_inverse: terms must be >= 0")
-    banded = band_truncate(c, m).base
-    bf = banded.flatten()
+    flat = c.flatten()
+    block_of = np.arange(flat.shape[0]) // c.p
+    outside = np.abs(block_of[:, None] - block_of[None, :]) > m
+    # B_M and E = C - B_M split by the block-lag mask (inside the band
+    # x - x == +0.0, so E is exactly what the subtraction would give)
+    bf = np.where(outside, 0.0, flat)
+    err = np.where(outside, flat, 0.0)
+    del flat, outside
     bandwidth = (m + 1) * c.p - 1
     try:
         b_inv, _, _ = spd_inverse(bf, f"neumann_inverse: banded truncation "
@@ -143,25 +150,24 @@ def neumann_inverse(c: BlockWindow, m: int, terms: int) -> NeumannResult:
         rng = sym_eig_range(bf, bandwidth)
         amin, amax = rng.lambda_min, rng.lambda_max
     b_inv_norm = 1.0 / amin
-    err = c.flatten() - bf
     _flush_tiny(b_inv)
     prod = _flush_tiny(b_inv @ err)
     n = bf.shape[0]
-    # ||P||_2 = sqrt(lambda_max(P^T P)); syrk fills the upper triangle of
-    # P^T P, computed as (P^T)(P^T)^T on the Fortran-ordered view P^T
-    gram = scipy.linalg.blas.dsyrk(1.0, prod.T)
-    q = math.sqrt(max(0.0, float(scipy.linalg.eigvalsh(
-        gram, lower=False, subset_by_index=[n - 1, n - 1])[0])))
+    del bf
+    q = krylov_norm(prod)
     if q >= 1.0:
         raise DivergenceError(
             f"neumann_inverse: series does not contract, ||B^-1 (C - B)|| = {q:.4f}",
             contraction_norm=q)
     # Horner: X <- B^-1 - P X, from X = B^-1, gives sum_{s<=terms} (-P)^s B^-1.
-    # Every partial sum is symmetric, hence so is P X = B^-1 - X_next.
+    # Every partial sum is symmetric, hence so is P X = B^-1 - X_next.  Once
+    # an iterate repeats its predecessor bit for bit, so does every later one.
     approx_flat = b_inv
     for _ in range(terms):
         step = symmetric_product(prod, approx_flat)
         np.subtract(b_inv, step, out=step)
+        if np.array_equal(step, approx_flat):
+            break
         approx_flat = step
     approx = BlockWindow.from_flat(approx_flat, c.p, t_lo=c.t_lo, symmetrize=True)
     tail = b_inv_norm * q ** (terms + 1) / (1.0 - q)
@@ -169,8 +175,7 @@ def neumann_inverse(c: BlockWindow, m: int, terms: int) -> NeumannResult:
     # rounding of the series products and of any dense reference inverse is
     inv_bound = b_inv_norm / (1.0 - q)
     # E is exactly symmetric, so its spectral norm is its largest |eigenvalue|
-    e_norm = float(np.max(np.abs(scipy.linalg.eigvalsh(err))))
-    c_norm = amax + e_norm
+    c_norm = amax + krylov_norm(err, symmetric=True)
     roundoff = n * np.finfo(float).eps * inv_bound \
         * (1.0 + c_norm * inv_bound)
     return NeumannResult(approx=approx, certificate=tail + roundoff,

@@ -256,6 +256,12 @@ def _lower_band(flat: np.ndarray, bandwidth: int) -> np.ndarray:
     return band
 
 
+#: Narrowest band whose two extremes :func:`sym_eig_range` takes from one
+#: all-eigenvalue call instead of two index-selected ones (measured on one
+#: core: the two cost the same near 11 diagonals at n = 400 and n = 1500).
+_ONE_REDUCTION_MIN_BANDWIDTH = 12
+
+
 def sym_eig_range(w: BlockWindow | np.ndarray,
                   bandwidth: int | None = None) -> EigRange:
     """Extremal eigenvalues of a symmetric window or of a symmetric matrix.
@@ -263,8 +269,9 @@ def sym_eig_range(w: BlockWindow | np.ndarray,
     A window must be flagged symmetric and is flattened; a matrix is taken
     as given (only its lower triangle is read).  A matrix that is exactly
     zero beyond ``bandwidth`` diagonals (counted in rows, not blocks) may
-    say so: its extremes then come from the band alone (LAPACK ``dsbevx``,
-    whose band reduction costs O(n^2 * bandwidth) instead of O(n^3)).
+    say so: its extremes then come from the band alone (LAPACK ``dsbevd`` or,
+    on a band narrower than ``_ONE_REDUCTION_MIN_BANDWIDTH``, two ``dsbevx``
+    bisections; a band reduction costs O(n^2 * bandwidth) instead of O(n^3)).
 
     Raises:
         InputError: if a window is not flagged symmetric.
@@ -277,16 +284,101 @@ def sym_eig_range(w: BlockWindow | np.ndarray,
     if bandwidth is None:
         vals = scipy.linalg.eigvalsh(w)
         return EigRange(float(vals[0]), float(vals[-1]))
-    band = _lower_band(w, min(bandwidth, n - 1))
+    bandwidth = min(bandwidth, n - 1)
+    band = _lower_band(w, bandwidth)
     try:
-        lo, hi = (scipy.linalg.eigvals_banded(band, lower=True, select="i",
-                                              select_range=(i, i))[0]
-                  for i in (0, n - 1))
+        if bandwidth >= _ONE_REDUCTION_MIN_BANDWIDTH:
+            # all eigenvalues (dsbevd) from one band reduction
+            vals = scipy.linalg.eigvals_banded(band, lower=True)
+            lo, hi = vals[0], vals[-1]
+        else:
+            # two bisections (dsbevx) repeat the O(n^2 * bandwidth)
+            # reduction, but on a narrow band that is cheaper than the
+            # O(n^2) root finding of all eigenvalues
+            lo, hi = (scipy.linalg.eigvals_banded(band, lower=True, select="i",
+                                                  select_range=(i, i))[0]
+                      for i in (0, n - 1))
     except np.linalg.LinAlgError:
-        # the bisection in dsbevx can fail to converge on a tight cluster
-        # of eigenvalues (a nearly scalar matrix); the dense solver then decides
+        # the band eigensolver can fail to converge on a tight cluster of
+        # eigenvalues (a nearly scalar matrix); the dense solver then decides
         return sym_eig_range(w)
     return EigRange(float(lo), float(hi))
+
+
+#: Below this order :func:`krylov_norm` uses the dense solver.  Timed with
+#: one BLAS thread on the matrices ``neumann_inverse`` hands it, the dense
+#: solve is faster below about 180 rows (so the 100-180 row ``verify_all``
+#: windows stay dense), the two tie at 180-200 rows, and Lanczos is
+#: 1.3-2x faster at 220-300 rows and 1.5-4x at 720-1200.
+_KRYLOV_MIN_N = 200
+
+#: Seed of the Krylov start vector, so that repeated calls agree bit for bit.
+_KRYLOV_SEED = 20220
+
+#: Restart cycles ARPACK may take before the dense solver decides instead.
+#: Converging calls take a few; ARPACK's default of ``10 n`` would let a
+#: call that cannot converge cost far more than the dense solve.
+_KRYLOV_MAXITER = 200
+
+
+def krylov_norm(a: np.ndarray, symmetric: bool = False) -> float:
+    """Spectral norm ``||a||_2`` of a square matrix, from ``_KRYLOV_MIN_N``
+    rows up without a dense tridiagonal reduction.
+
+    Runs Lanczos (ARPACK ``eigsh``, ``k=1``, ``tol=0``, so converged to
+    machine precision) on ``v -> a^T (a v)`` for the top eigenvalue of
+    ``a^T a``, or, when the caller knows ``a`` is exactly ``symmetric``, on
+    ``v -> a v`` for its largest ``|eigenvalue|``; O(n^2) per product.  The
+    start vector is seeded and random, never ``ones``: the top eigenvector
+    of a persymmetric (Toeplitz) window can be antisymmetric and hence
+    orthogonal to ``ones``.  The products are scaled by a power of two so
+    that ARPACK's relative stopping test sees values near one.  Matrices
+    below ``_KRYLOV_MIN_N`` rows, and any ARPACK failure, go to the dense
+    ``eigvalsh``.  An exactly zero matrix gives ``0.0``.
+
+    Raises:
+        InputError: if ``a`` is not a finite square matrix.
+    """
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise InputError(f"krylov_norm: expected a square matrix, got {a.shape}")
+    hi, lo = float(a.max(initial=0.0)), float(a.min(initial=0.0))
+    if not (math.isfinite(hi) and math.isfinite(lo)):
+        raise InputError("krylov_norm: non-finite entries")
+    top = max(hi, -lo)
+    if top == 0.0:
+        return 0.0
+    n = a.shape[0]
+    if n >= _KRYLOV_MIN_N:
+        # imported here: a module-level import slows the package import
+        import scipy.sparse.linalg as spla
+        exponent = math.frexp(top)[1]
+        scale = math.ldexp(1.0, -exponent)
+
+        def matvec(v):
+            av = a @ v * scale
+            return av if symmetric else a.T @ av * scale
+
+        op = spla.LinearOperator((n, n), matvec=matvec, dtype=float)
+        rng = np.random.default_rng(_KRYLOV_SEED)
+        try:
+            # a^T a is positive semidefinite: its largest eigenvalue is the top
+            val = spla.eigsh(op, k=1, which="LM" if symmetric else "LA", tol=0,
+                             v0=rng.standard_normal(n), maxiter=_KRYLOV_MAXITER,
+                             rng=rng, return_eigenvectors=False)[0]
+        except (spla.ArpackNoConvergence, spla.ArpackError):
+            pass
+        else:
+            if symmetric:
+                return abs(math.ldexp(float(val), exponent))
+            return math.sqrt(max(0.0, math.ldexp(float(val), 2 * exponent)))
+    if symmetric:
+        return float(np.max(np.abs(scipy.linalg.eigvalsh(a))))
+    # syrk fills the upper triangle of a^T a, computed as (a^T)(a^T)^T on
+    # the Fortran-ordered view a^T; one selected eigenvalue is its top
+    gram = scipy.linalg.blas.dsyrk(1.0, a.T)
+    return math.sqrt(max(0.0, float(scipy.linalg.eigvalsh(
+        gram, lower=False, subset_by_index=[n - 1, n - 1])[0])))
 
 
 def band_truncate(w: BlockWindow, m: int) -> BandedBlockWindow:

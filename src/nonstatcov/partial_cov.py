@@ -1,5 +1,5 @@
-"""Component-grouped windows, Schur-complement partial covariances, and
-local partial spectral coherence.
+"""Schur-complement partial covariances and local partial spectral
+coherence.
 
 The partial covariance of components ``(a, b)`` conditions on every lag of
 every other component.  On a finite window the conditioning set is the
@@ -20,48 +20,6 @@ from .models import (ModelSpec, cov_pad, cov_window, local_spectral_densities,
                      stationary_window)
 from .operator_core import BlockWindow, SPD_RTOL, schur_complement, zeta
 from .reports import GapReport, envelope_constant
-
-
-@dataclass(frozen=True)
-class GroupedWindow:
-    """Component-major regrouping of a :class:`BlockWindow`.
-
-    ``lag_matrices[a, b]`` is the ``L x L`` matrix of covariances between
-    component ``a`` at every time and component ``b`` at every time.
-    """
-
-    t_lo: int
-    p: int
-    lag_matrices: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.lag_matrices, dtype=float)
-        if m.ndim != 4 or m.shape[0] != self.p or m.shape[1] != self.p \
-                or m.shape[2] != m.shape[3]:
-            raise InputError(f"GroupedWindow: bad array shape {m.shape}")
-        m = m.copy()
-        m.flags.writeable = False
-        object.__setattr__(self, "lag_matrices", m)
-
-    @property
-    def length(self) -> int:
-        return self.lag_matrices.shape[2]
-
-    def entry(self, a: int, b: int, t: int, tau: int) -> float:
-        return float(self.lag_matrices[a, b, t - self.t_lo, tau - self.t_lo])
-
-
-def regroup_by_component(c: BlockWindow) -> GroupedWindow:
-    """Permute a block window into component-major form; lossless."""
-    return GroupedWindow(t_lo=c.t_lo, p=c.p,
-                         lag_matrices=c.blocks.transpose(2, 3, 0, 1))
-
-
-def ungroup(g: GroupedWindow, symmetric: bool = False) -> BlockWindow:
-    """Inverse of :func:`regroup_by_component`; exact round trip."""
-    return BlockWindow(t_lo=g.t_lo, p=g.p,
-                       blocks=g.lag_matrices.transpose(2, 3, 0, 1),
-                       symmetric=symmetric)
 
 
 @dataclass(frozen=True)

@@ -112,6 +112,29 @@ class TestNeumannInverse:
             scale = np.abs(total).max()
             assert np.abs(res.approx.flatten() - total).max() <= 1e-13 * scale
 
+    def test_horner_stops_at_a_fixed_point_with_the_full_loop_bits(self, monkeypatch):
+        from nonstatcov import inverse_analysis as ia
+        from nonstatcov import operator_core as oc
+        c = nc.cov_window(reference_tvvma(), 200, 30, 109)
+        m, terms = 12, 40
+        # the full-terms loop, on B_M and E taken through band_truncate
+        bf = nc.band_truncate(c, m).base.flatten()
+        b_inv, _, _ = nc.spd_inverse(bf, "B_M", bandwidth=(m + 1) * c.p - 1)
+        ia._flush_tiny(b_inv)
+        prod = ia._flush_tiny(b_inv @ (c.flatten() - bf))
+        full = b_inv
+        for _ in range(terms):
+            full = b_inv - oc.symmetric_product(prod, full)
+        products = []
+
+        def counting(a, b):
+            products.append(a.shape)
+            return oc.symmetric_product(a, b)
+        monkeypatch.setattr(ia, "symmetric_product", counting)
+        res = nc.neumann_inverse(c, m, terms)
+        assert 0 < len(products) < terms
+        assert np.array_equal(res.approx.flatten(), full)
+
     @pytest.mark.parametrize("seed", range(6))
     def test_certificate_dominates_on_random_windows(self, seed):
         from nonstatcov.verification import random_spd_banded

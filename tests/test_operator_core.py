@@ -1,4 +1,9 @@
 
+import contextlib
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -84,6 +89,125 @@ class TestSymEigRange:
         w = nc.BlockWindow(t_lo=0, p=1, blocks=blocks)
         with pytest.raises(InputError):
             nc.sym_eig_range(w)
+
+
+def symmetric_with_spectrum(seed, vals):
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((len(vals),) * 2))
+    mat = (q * np.asarray(vals, dtype=float)) @ q.T
+    return 0.5 * (mat + mat.T)
+
+
+@contextlib.contextmanager
+def forced_lanczos():
+    """Context in which :func:`krylov_norm` runs Lanczos from two rows up."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oc, "_KRYLOV_MIN_N", 2)
+        yield
+
+
+class TestKrylovNorm:
+    """``krylov_norm`` against the SVD norm, to 1e-12 relative, on the dense
+    path (the default below ``_KRYLOV_MIN_N`` rows) and on Lanczos (forced
+    down to two rows)."""
+
+    @staticmethod
+    def assert_matches_svd(mat, symmetric):
+        ref = np.linalg.norm(mat, 2)
+        assert abs(oc.krylov_norm(mat, symmetric) - ref) <= 1e-12 * ref
+        with forced_lanczos():
+            assert abs(oc.krylov_norm(mat, symmetric) - ref) <= 1e-12 * ref
+
+    @settings(max_examples=120, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 90),
+           log_scale=st.floats(-100.0, 100.0), symmetric=st.booleans(),
+           band=st.integers(0, 90))
+    def test_matches_svd_on_random_matrices(self, seed, n, log_scale, symmetric, band):
+        rng = np.random.default_rng(seed)
+        raw = rng.standard_normal((n, n))
+        lag = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+        mat = 10.0 ** log_scale * (0.5 * (raw + raw.T) if symmetric else raw) * (lag <= band)
+        self.assert_matches_svd(mat, symmetric)
+
+    def test_persymmetric_toeplitz_window(self):
+        # negatively correlated lags at an even order: the top eigenvector is
+        # antisymmetric, so orthogonal to ones, and a Krylov space started
+        # from ones never sees it
+        n = 64
+        mat = scipy.linalg.toeplitz(np.concatenate([[2.0], -0.3 ** np.arange(n - 1)]))
+        top = np.linalg.eigh(mat)[1][:, -1]
+        assert np.allclose(top, -top[::-1], atol=1e-10)
+        for symmetric in (True, False):
+            self.assert_matches_svd(mat, symmetric)
+
+    def test_opposite_extremes(self):
+        # lambda_max = -lambda_min up to 1e-14
+        vals = np.linspace(-1.0, 1.0 - 1e-14, 60)
+        mat = symmetric_with_spectrum(3, vals)
+        for sign in (1.0, -1.0):
+            for symmetric in (True, False):
+                self.assert_matches_svd(sign * mat, symmetric)
+
+    def test_repeated_top_eigenvalue(self):
+        vals = np.concatenate([np.linspace(-0.5, 1.5, 47), [2.0, 2.0, 2.0]])
+        mat = symmetric_with_spectrum(4, vals)
+        for symmetric in (True, False):
+            self.assert_matches_svd(mat, symmetric)
+            with forced_lanczos():
+                assert oc.krylov_norm(mat, symmetric) == pytest.approx(2.0, rel=1e-13)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 40, 250])
+    def test_zero_matrix(self, n):
+        for symmetric in (True, False):
+            assert oc.krylov_norm(np.zeros((n, n)), symmetric) == 0.0
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_tiny_orders(self, n):
+        mat = symmetric_with_spectrum(n, [-3.0, 0.5, 2.0][:n])
+        for symmetric in (True, False):
+            self.assert_matches_svd(mat, symmetric)
+
+    def test_lanczos_from_the_threshold_up(self, monkeypatch):
+        import scipy.sparse.linalg as spla
+        calls = []
+        eigsh = spla.eigsh
+
+        def spy(*args, **kwargs):
+            calls.append(args[0].shape[0])
+            return eigsh(*args, **kwargs)
+        monkeypatch.setattr(spla, "eigsh", spy)
+        for n in (oc._KRYLOV_MIN_N - 1, oc._KRYLOV_MIN_N):
+            raw = np.random.default_rng(n).standard_normal((n, n))
+            assert oc.krylov_norm(raw) == pytest.approx(np.linalg.norm(raw, 2), rel=1e-12)
+        assert calls == [oc._KRYLOV_MIN_N]
+
+    @pytest.mark.parametrize("error", ["no_convergence", "arpack_error"])
+    def test_arpack_failure_falls_back_to_dense(self, monkeypatch, error):
+        import scipy.sparse.linalg as spla
+
+        def failing(*args, **kwargs):
+            if error == "no_convergence":
+                raise spla.ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((0, 0)))
+            raise spla.ArpackError(-9999)
+        mat = symmetric_with_spectrum(5, np.linspace(-2.0, 1.0, 50))
+        dense = {sym: oc.krylov_norm(mat, sym) for sym in (True, False)}
+        monkeypatch.setattr(spla, "eigsh", failing)
+        monkeypatch.setattr(oc, "_KRYLOV_MIN_N", 2)
+        for symmetric in (True, False):
+            assert oc.krylov_norm(mat, symmetric) == dense[symmetric]
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(InputError):
+            oc.krylov_norm(np.ones((3, 4)))
+        with pytest.raises(InputError):
+            oc.krylov_norm(np.diag([1.0, np.nan]))
+
+    def test_package_import_leaves_arpack_unloaded(self):
+        code = ("import sys, nonstatcov; "
+                "sys.exit(1 if 'scipy.sparse.linalg' in sys.modules else 0)")
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 class TestBandTruncate:
@@ -268,7 +392,8 @@ class TestSpdKernel:
         assert np.allclose(factor @ factor.T, mat, rtol=0, atol=1e-12 * rng.lambda_max)
         assert rng.condition == pytest.approx(1e3, rel=1e-6)
 
-    @pytest.mark.parametrize("n,bandwidth", [(1, 0), (7, 0), (40, 3), (60, 11), (9, 20)])
+    @pytest.mark.parametrize("n,bandwidth", [(1, 0), (7, 0), (40, 3), (60, 11), (9, 20),
+                                             (80, 12), (150, 25)])
     def test_banded_guard_matches_dense(self, n, bandwidth):
         rng = np.random.default_rng(n + bandwidth)
         raw = rng.standard_normal((n, n))

@@ -25,28 +25,6 @@ def independent_pair_model():
                     sigma=nc.constant_fn(sigma))
 
 
-class TestRegrouping:
-    def test_p1_identity(self):
-        w = seeded_spd_window(1, p=1, length=6)
-        g = nc.regroup_by_component(w)
-        assert np.array_equal(g.lag_matrices[0, 0], w.blocks[:, :, 0, 0])
-
-    def test_round_trip_exact(self):
-        w = seeded_spd_window(2)
-        g = nc.regroup_by_component(w)
-        back = nc.ungroup(g, symmetric=True)
-        assert np.array_equal(back.blocks, w.blocks)
-
-    def test_index_law(self):
-        w = seeded_spd_window(3)
-        g = nc.regroup_by_component(w)
-        rng = np.random.default_rng(0)
-        for _ in range(40):
-            a, b = rng.integers(0, 3, size=2)
-            t, tau = rng.integers(0, w.length, size=2)
-            assert g.entry(a, b, t, tau) == w.blocks[t, tau][a, b]
-
-
 class TestPartialCovPair:
     def test_p2_returns_raw_pair(self):
         w = seeded_spd_window(4, p=2, length=8)
