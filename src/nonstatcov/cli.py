@@ -101,8 +101,7 @@ def main(argv=None) -> int:
     except NonstatcovError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC_ERROR
-    out_dir = args.out or config.output_dir
-    paths = write_report(report, out_dir)
+    paths = write_report(report, args.out)
     for verdict in report.verdicts:
         status = "PASS" if verdict.passed else "FAIL"
         print(f"[{status}] {verdict.name}")

@@ -204,7 +204,6 @@ class ExperimentConfig:
     model: ModelSpec
     grid: dict
     companions: dict = field(default_factory=dict)
-    output_dir: str | None = None
     raw: dict = field(default_factory=dict)
 
     @property
@@ -260,11 +259,6 @@ def load_config(obj_or_path, default_experiment: str | None = None) -> Experimen
     companions = {}
     for key, val in obj.get("companions", {}).items():
         companions[key] = model_from_json(val, f"/companions/{key}")
-    out_dir = obj.get("output_dir")
-    if out_dir is not None:
-        _expect(isinstance(out_dir, str), "output_dir must be a string",
-                "/output_dir")
     return ExperimentConfig(experiment=experiment, seed=obj["seed"],
                             model=model, grid=dict(grid),
-                            companions=companions, output_dir=out_dir,
-                            raw=obj)
+                            companions=companions, raw=obj)

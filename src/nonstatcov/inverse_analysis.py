@@ -18,8 +18,9 @@ from .errors import (ConditioningError, DegenerateFitError, DivergenceError,
                      DomainError, InputError)
 from .models import (ModelSpec, cov_pad, cov_window, stationary_cov_derivative,
                      stationary_window)
-from .operator_core import (BlockWindow, SPD_RTOL, gu, krylov_norm,
-                            spd_inverse, sym_eig_range, symmetric_product, zeta)
+from .operator_core import (BlockWindow, SPD_RTOL, block_toeplitz, block_view,
+                            gu, krylov_norm, outside_band, spd_inverse,
+                            sym_eig_range, symmetric_product, zeta)
 from .reports import DecayProfile, GapReport, envelope_constant, fit_decay_profile
 
 
@@ -98,7 +99,8 @@ def _flush_tiny(a: np.ndarray) -> np.ndarray:
     which slow a dense product several times.  The change is far below the
     rounding error of the matrix.
     """
-    a[np.abs(a) < 1e-150 * np.abs(a).max(initial=0.0)] = 0.0
+    scale = max(a.max(initial=0.0), -a.min(initial=0.0))
+    a[np.abs(a) < 1e-150 * scale] = 0.0
     return a
 
 
@@ -121,13 +123,12 @@ def neumann_inverse(c: BlockWindow, m: int, terms: int) -> NeumannResult:
     if terms < 0:
         raise DomainError("neumann_inverse: terms must be >= 0")
     flat = c.flatten()
-    block_of = np.arange(flat.shape[0]) // c.p
-    outside = np.abs(block_of[:, None] - block_of[None, :]) > m
+    outside = outside_band(c.length, c.p, m)
     # B_M and E = C - B_M split by the block-lag mask (inside the band
     # x - x == +0.0, so E is exactly what the subtraction would give)
     bf = np.where(outside, 0.0, flat)
     err = np.where(outside, flat, 0.0)
-    del flat, outside
+    del outside
     bandwidth = (m + 1) * c.p - 1
     try:
         b_inv, _, _ = spd_inverse(bf, f"neumann_inverse: banded truncation "
@@ -230,6 +231,12 @@ def one_sided_inverse(model: ModelSpec, n: int, t_end: int, depth: int) -> Inver
                          residual=residual)
 
 
+def _centre_row(flat: np.ndarray, p: int, half: int, max_lag: int) -> np.ndarray:
+    """Blocks ``(0, -r)``, ``r = 0..max_lag``, of a flat window over
+    ``[-half, half]``, shape ``(max_lag + 1, p, p)``."""
+    return block_view(flat, p)[half, half - np.arange(max_lag + 1)]
+
+
 def stationary_inverse_sequence(model: ModelSpec, u: float, max_lag: int,
                                 pad: int | None = None) -> np.ndarray:
     """``D_r(u)`` for ``r = 0..max_lag`` from a long Toeplitz section.
@@ -241,8 +248,7 @@ def stationary_inverse_sequence(model: ModelSpec, u: float, max_lag: int,
     half = max_lag + pad
     w = stationary_window(model, u, -half, half)
     inv, _, _ = spd_inverse(w.flatten(), "stationary_inverse_sequence: window")
-    full = BlockWindow.from_flat(inv, w.p, t_lo=-half, symmetrize=True)
-    return np.stack([full.block(0, -r) for r in range(max_lag + 1)])
+    return _centre_row(inv, w.p, half, max_lag)
 
 
 def _kappa_or_raise(model: ModelSpec, kappa: float | None) -> float:
@@ -328,18 +334,9 @@ def inverse_derivative_gap(model: ModelSpec, u: float, max_lag: int,
     w = stationary_window(model, u, -half, half)
     inv, _, _ = spd_inverse(w.flatten(), "inverse_derivative_gap: window")
     dseq = stationary_cov_derivative(model, u, 2 * half)
-    p = w.p
-    length = 2 * half + 1
-    cprime = np.zeros((length * p, length * p))
-    for i in range(length):
-        for j in range(length):
-            r = i - j
-            blk = dseq[r] if r >= 0 else dseq[-r].T
-            cprime[i * p:(i + 1) * p, j * p:(j + 1) * p] = blk
-    assembled_flat = -inv @ cprime @ inv
-    full = BlockWindow.from_flat(0.5 * (assembled_flat + assembled_flat.T),
-                                 p, t_lo=-half, symmetrize=True)
-    assembled = np.stack([full.block(0, -r) for r in range(max_lag + 1)])
+    assembled_flat = -inv @ block_toeplitz(dseq, 2 * half + 1) @ inv
+    assembled = _centre_row(0.5 * (assembled_flat + assembled_flat.T), w.p,
+                            half, max_lag)
 
     seq_u = stationary_inverse_sequence(model, u, max_lag, pad=pad)
     seq_uh = stationary_inverse_sequence(model, u + h, max_lag, pad=pad)

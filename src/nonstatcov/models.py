@@ -28,7 +28,8 @@ import numpy as np
 
 from .errors import (DomainError, FitError, InputError, ModelError,
                      UnsupportedFamilyError)
-from .operator_core import BlockWindow, EigRange, block_norms, gu, spd_inverse_section
+from .operator_core import (BlockWindow, EigRange, block_norms, block_toeplitz,
+                            block_view, gu, spd_inverse_section)
 from .reports import (DecayProfile, GapReport, envelope_constant,
                       fit_decay_profile)
 
@@ -552,9 +553,10 @@ def _lag_products(left: np.ndarray, right: np.ndarray, max_lag: int, step: int):
 
 
 def _vma_cov_window(model: TvVMA, n: int, t_lo: int, t_hi: int) -> BlockWindow:
-    length = t_hi - t_lo + 1
+    length, p = t_hi - t_lo + 1, model.p
     stacks = model.psi_stacks_array(np.arange(t_lo, t_hi + 1), n)  # (L, J+1, p, p)
-    blocks = np.zeros((length, length, model.p, model.p))
+    flat = np.zeros((length * p, length * p))
+    blocks = block_view(flat, p)
     # C_{t,t+delta} = sum_j Psi_{t,j} Psi_{t+delta,j+delta}^T
     for delta, vals in _lag_products(stacks, stacks, length - 1, step=1):
         idx = np.arange(length - delta)
@@ -565,7 +567,7 @@ def _vma_cov_window(model: TvVMA, n: int, t_lo: int, t_hi: int) -> BlockWindow:
         blocks[idx, idx + delta] = vals
         if delta:
             blocks[idx + delta, idx] = vals.transpose(0, 2, 1)
-    return BlockWindow._adopt(t_lo, model.p, blocks, symmetric=True)
+    return BlockWindow.from_flat(flat, p, t_lo=t_lo, symmetrize=True)
 
 
 def _var_precision_flat(model: TvVAR, n: int, t_lo: int, t_hi: int) -> np.ndarray:
@@ -640,11 +642,8 @@ def cov_window(model: ModelSpec, n: int, t_lo: int, t_hi: int,
                                   "cov_window: TvVAR precision")
         return BlockWindow.from_flat(cov, model.p, t_lo=t_lo, symmetrize=True)
     if isinstance(model, TvARCH):
-        length = t_hi - t_lo + 1
         m = _arch_mean_square(model, n, t_lo, t_hi)
-        blocks = np.zeros((length, length, 1, 1))
-        blocks[np.arange(length), np.arange(length), 0, 0] = m
-        return BlockWindow(t_lo=t_lo, p=1, blocks=blocks, symmetric=True)
+        return BlockWindow.from_flat(np.diag(m), 1, t_lo=t_lo, symmetrize=True)
     raise UnsupportedFamilyError(
         "cov_window: stochastic recurrence models have no closed-form "
         "covariance; use simulate_path / physical_dep_estimate")
@@ -767,15 +766,9 @@ def stationary_window(model: ModelSpec, u: float, t_lo: int, t_hi: int) -> Block
     """Block Toeplitz section of the frozen-process covariance at ``u``."""
     length = t_hi - t_lo + 1
     seq = stationary_cov_sequence(model, u, length - 1)
-    p = seq.shape[1]
-    blocks = np.zeros((length, length, p, p))
-    for r in range(length):
-        vals = seq[r]
-        idx = np.arange(length - r)
-        blocks[idx + r, idx] = vals          # C_{t,tau} = C_{t-tau}(u), t-tau = r
-        if r:
-            blocks[idx, idx + r] = vals.T
-    return BlockWindow(t_lo=t_lo, p=p, blocks=blocks, symmetric=True)
+    # C_{t,tau} = C_{t-tau}(u)
+    return BlockWindow.from_flat(block_toeplitz(seq, length), seq.shape[1],
+                                 t_lo=t_lo, symmetrize=True)
 
 
 def stationary_cov_derivative(model: ModelSpec, u: float, max_lag: int) -> np.ndarray:

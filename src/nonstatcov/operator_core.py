@@ -2,11 +2,12 @@
 kernels that every symmetric inversion goes through.
 
 Everything in this package manipulates finite sections of doubly infinite
-block matrices.  A section is stored as a :class:`BlockWindow`: an
-``(L, L, p, p)`` array of real ``p x p`` blocks indexed by a pair of absolute
-integer times.  Sections flatten to ``(L*p, L*p)`` matrices in time-major
-order (block row ``t`` occupies rows ``(t - t_lo)*p .. (t - t_lo + 1)*p - 1``)
-and all eigensolves and inversions operate on that flattening.
+block matrices.  A section is a :class:`BlockWindow` of real ``p x p``
+blocks indexed by a pair of absolute integer times.  It is stored as one
+flat ``(L*p, L*p)`` matrix in time-major order (block row ``t`` occupies
+rows ``(t - t_lo)*p .. (t - t_lo + 1)*p - 1``), the form every eigensolve
+and inversion reads: ``flatten()`` returns it without a copy, and
+``blocks`` is an ``(L, L, p, p)`` view of it (:func:`block_view`).
 """
 
 from __future__ import annotations
@@ -111,15 +112,56 @@ class EigRange:
         return self.lambda_max / self.lambda_min
 
 
+def block_view(flat: np.ndarray, p: int) -> np.ndarray:
+    """``(L, L, p, p)`` view of a time-major ``(L*p, L*p)`` matrix:
+    ``view[i, j]`` is the ``p x p`` block in block row ``i``, block column ``j``.
+
+    Writing to the view writes to ``flat``.
+    """
+    length = flat.shape[0] // p
+    return flat.reshape(length, p, length, p).transpose(0, 2, 1, 3)
+
+
+def outside_band(length: int, p: int, m: int) -> np.ndarray:
+    """Mask of the entries of a flat ``(L*p, L*p)`` window whose blocks lie
+    more than ``m`` block lags off the diagonal."""
+    block_of = np.arange(length * p) // p
+    return np.abs(block_of[:, None] - block_of[None, :]) > m
+
+
+def block_toeplitz(seq: np.ndarray, length: int) -> np.ndarray:
+    """Flat ``(L*p, L*p)`` block Toeplitz matrix of a lag sequence.
+
+    Block ``(t, tau)`` is ``seq[t - tau]`` on and below the diagonal and
+    ``seq[tau - t].T`` above it; ``seq`` has shape ``(>= L, p, p)``.
+    """
+    p = seq.shape[1]
+    flat = np.zeros((length * p, length * p))
+    blocks = block_view(flat, p)
+    for r in range(length):
+        idx = np.arange(length - r)
+        blocks[idx + r, idx] = seq[r]
+        if r:
+            blocks[idx, idx + r] = seq[r].T
+    return flat
+
+
 @dataclass(frozen=True)
 class BlockWindow:
     """A finite section of an infinite block matrix.
 
+    The window stores one read-only, C-contiguous ``(L*p, L*p)`` matrix in
+    time-major order; :meth:`flatten` returns it without a copy.  The
+    constructor takes the ``(L, L, p, p)`` block array, copies it (never
+    keeping the caller's array) and checks its shape, finiteness and, when
+    ``symmetric`` is set, exact symmetry.
+
     Attributes:
         t_lo: first absolute time index of the window.
         p: block dimension.
-        blocks: array of shape ``(L, L, p, p)``; ``blocks[i, j]`` is the
-            block at absolute times ``(t_lo + i, t_lo + j)``.
+        blocks: read-only ``(L, L, p, p)`` view of the stored matrix;
+            ``blocks[i, j]`` is the block at absolute times
+            ``(t_lo + i, t_lo + j)``.
         symmetric: whether ``blocks[i, j] == blocks[j, i].T`` exactly.
             Validated at construction.
     """
@@ -133,15 +175,19 @@ class BlockWindow:
         b = np.asarray(self.blocks, dtype=float)
         if b.ndim != 4 or b.shape[0] != b.shape[1] or b.shape[2:] != (self.p, self.p):
             raise InputError(f"BlockWindow: bad block array shape {b.shape}")
-        if b.shape[0] < 1:
-            raise InputError("BlockWindow: window length must be >= 1")
-        if not np.all(np.isfinite(b)):
+        if b.size == 0:
+            raise InputError("BlockWindow: window must hold at least one block")
+        n = b.shape[0] * self.p
+        # the one copy, in time-major order; a block view of a flat matrix
+        # (as from_flat passes) is copied without reordering
+        flat = np.array(b.transpose(0, 2, 1, 3), order="C").reshape(n, n)
+        if not np.all(np.isfinite(flat)):
             raise InputError("BlockWindow: non-finite entries")
-        if self.symmetric and not np.array_equal(b, b.transpose(1, 0, 3, 2)):
+        if self.symmetric and not np.array_equal(flat, flat.T):
             raise InputError("BlockWindow: symmetric flag set but blocks[t,tau] != blocks[tau,t]^T")
-        b = b.copy()
-        b.flags.writeable = False
-        object.__setattr__(self, "blocks", b)
+        flat.flags.writeable = False
+        object.__setattr__(self, "_flat", flat)
+        object.__setattr__(self, "blocks", block_view(flat, self.p))
 
     @property
     def length(self) -> int:
@@ -162,34 +208,13 @@ class BlockWindow:
         return self.blocks[t - self.t_lo, tau - self.t_lo]
 
     def flatten(self) -> np.ndarray:
-        """Dense ``(L*p, L*p)`` matrix in time-major order."""
-        length, p = self.length, self.p
-        return self.blocks.transpose(0, 2, 1, 3).reshape(length * p, length * p)
-
-    @classmethod
-    def _adopt(cls, t_lo: int, p: int, blocks: np.ndarray,
-               symmetric: bool) -> "BlockWindow":
-        """Wrap a fresh ``(L, L, p, p)`` array built inside this package,
-        without the constructor's copy and symmetry comparison.
-
-        The caller guarantees the shape and, when ``symmetric`` is set, exact
-        symmetry (by construction, as a mirror or a slice of a symmetric
-        matrix); finiteness is still checked.  The array is made read-only
-        and must not be written afterwards.
-        """
-        if not np.all(np.isfinite(blocks)):
-            raise InputError("BlockWindow: non-finite entries")
-        blocks.flags.writeable = False
-        window = object.__new__(cls)
-        for name, value in (("t_lo", t_lo), ("p", p), ("blocks", blocks),
-                            ("symmetric", symmetric)):
-            object.__setattr__(window, name, value)
-        return window
+        """The stored read-only ``(L*p, L*p)`` matrix in time-major order."""
+        return self._flat
 
     @classmethod
     def from_flat(cls, flat: np.ndarray, p: int, t_lo: int = 0,
                   symmetrize: bool = False) -> "BlockWindow":
-        """Rebuild a window from a flattened matrix.
+        """Window over a copy of a flat time-major matrix.
 
         With ``symmetrize=True`` the matrix is replaced by ``(M + M^T)/2``
         first (which leaves an exactly symmetric matrix unchanged), so the
@@ -199,21 +224,9 @@ class BlockWindow:
         n = flat.shape[0]
         if flat.shape != (n, n) or n % p:
             raise InputError(f"from_flat: shape {flat.shape} incompatible with p={p}")
-        if n == 0:
-            raise InputError("BlockWindow: window length must be >= 1")
         if symmetrize and not np.array_equal(flat, flat.T):
             flat = 0.5 * (flat + flat.T)
-        length = n // p
-        blocks = flat.reshape(length, p, length, p).transpose(0, 2, 1, 3).copy()
-        return cls._adopt(t_lo, p, blocks, symmetrize)
-
-    def subwindow(self, t_lo: int, t_hi: int) -> "BlockWindow":
-        """Restriction to absolute times ``[t_lo, t_hi]``."""
-        if not (self.t_lo <= t_lo <= t_hi <= self.t_hi):
-            raise InputError("subwindow: requested range outside stored window")
-        i, j = t_lo - self.t_lo, t_hi - self.t_lo + 1
-        return BlockWindow._adopt(t_lo, self.p, self.blocks[i:j, i:j].copy(),
-                                  self.symmetric)
+        return cls(t_lo=t_lo, p=p, blocks=block_view(flat, p), symmetric=symmetrize)
 
     def norms(self) -> np.ndarray:
         """Spectral norm of every block, shape ``(L, L)``."""
@@ -241,9 +254,8 @@ class BandedBlockWindow:
     def __post_init__(self):
         if self.bandwidth < 0:
             raise DomainError("BandedBlockWindow: bandwidth must be >= 0")
-        lags = np.abs(np.subtract.outer(self.base.times, self.base.times))
-        outside = self.base.blocks[lags > self.bandwidth]
-        if outside.size and np.any(outside != 0.0):
+        mask = outside_band(self.base.length, self.base.p, self.bandwidth)
+        if np.any(self.base.flatten()[mask]):
             raise InputError("BandedBlockWindow: nonzero block outside the band")
 
 
@@ -385,9 +397,8 @@ def band_truncate(w: BlockWindow, m: int) -> BandedBlockWindow:
     """Zero every block with ``|t - tau| > m``; the input is unchanged."""
     if m < 0:
         raise DomainError("band_truncate: bandwidth must be >= 0")
-    lags = np.abs(np.subtract.outer(w.times, w.times))
-    blocks = np.where((lags <= m)[:, :, None, None], w.blocks, 0.0)
-    base = BlockWindow(t_lo=w.t_lo, p=w.p, blocks=blocks, symmetric=w.symmetric)
+    flat = np.where(outside_band(w.length, w.p, m), 0.0, w.flatten())
+    base = BlockWindow.from_flat(flat, w.p, t_lo=w.t_lo, symmetrize=w.symmetric)
     return BandedBlockWindow(base=base, bandwidth=m)
 
 

@@ -20,7 +20,7 @@ from .errors import ConditioningError, DomainError, NonstatcovError
 from .inverse_analysis import _kappa_or_raise, one_sided_inverse
 from .models import (ModelSpec, cov_window, local_spectral_densities,
                      stationary_window)
-from .operator_core import BlockWindow, spd_inverse, zeta
+from .operator_core import BlockWindow, block_view, spd_inverse, zeta
 from .reports import GapReport, envelope_constant
 
 _DUAL_PATH_TOL = 1e-8
@@ -52,11 +52,10 @@ class VarCoefficients:
 def _bottom_row_coeffs(window: BlockWindow, t_end: int, order: int,
                        t_index: int | None) -> VarCoefficients:
     inv, _, _ = spd_inverse(window.flatten(), "var coefficients: window")
-    d_win = BlockWindow.from_flat(inv, window.p, t_lo=window.t_lo, symmetrize=True)
-    dtt = d_win.block(t_end, t_end)
-    sigma = np.linalg.inv(dtt)
-    phis = tuple(-sigma @ d_win.block(t_end, t_end - j)
-                 for j in range(1, order + 1))
+    d = block_view(inv, window.p)
+    i = t_end - window.t_lo
+    sigma = np.linalg.inv(d[i, i])
+    phis = tuple(-sigma @ d[i, i - j] for j in range(1, order + 1))
     return VarCoefficients(t_index=t_index, order=order, phis=phis,
                            sigma=0.5 * (sigma + sigma.T))
 

@@ -155,6 +155,17 @@ class TestCli:
         assert code == 0
         assert os.path.exists(tmp_path / "decay_table.csv")
 
+    def test_output_dir_key_ignored_for_out(self, tmp_path):
+        with open(cli.resolve_config_path("decay_white_noise")) as fh:
+            cfg = json.load(fh)
+        cfg["output_dir"] = str(tmp_path / "ignored")
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert cli.main(["decay", "--config", str(path), "--out", str(out)]) == 0
+        assert os.path.exists(out / "decay_table.csv")
+        assert not os.path.exists(tmp_path / "ignored")
+
     def test_config_error_exit_two(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{\"experiment\": \"decay\"}")

@@ -253,6 +253,44 @@ class TestOneSidedInverse:
             nc.one_sided_inverse(reference_tvvma(), 100, 0, 30)
 
 
+class TestCentreRowReads:
+    """The frozen inverse lags read block row 0 of the flat inverse; they
+    must equal the blocks ``(0, -r)`` of the window rebuilt from it."""
+
+    @pytest.mark.parametrize("name", ["tvvma_kappa4_p2", "tvvar1_p3"])
+    def test_stationary_inverse_sequence_reads_centre_row(self, name):
+        model = nc.get_reference_model(name)
+        max_lag, pad = 6, 12
+        half = max_lag + pad
+        w = nc.stationary_window(model, 0.3, -half, half)
+        inv, _, _ = nc.spd_inverse(w.flatten(), "window")
+        full = nc.BlockWindow.from_flat(inv, w.p, t_lo=-half, symmetrize=True)
+        want = np.stack([full.block(0, -r) for r in range(max_lag + 1)])
+        got = nc.stationary_inverse_sequence(model, 0.3, max_lag, pad=pad)
+        assert np.array_equal(got, want)
+
+    def test_derivative_sandwich_reads_centre_row(self):
+        model = reference_tvvma()
+        max_lag, pad, u = 5, 10, 0.4
+        half = max_lag + pad
+        w = nc.stationary_window(model, u, -half, half)
+        inv, _, _ = nc.spd_inverse(w.flatten(), "window")
+        dseq = nc.models.stationary_cov_derivative(model, u, 2 * half)
+        p, length = w.p, 2 * half + 1
+        cprime = np.zeros((length * p, length * p))
+        for i in range(length):
+            for j in range(length):
+                r = i - j
+                cprime[i * p:(i + 1) * p, j * p:(j + 1) * p] = \
+                    dseq[r] if r >= 0 else dseq[-r].T
+        a = -inv @ cprime @ inv
+        full = nc.BlockWindow.from_flat(0.5 * (a + a.T), p, t_lo=-half,
+                                        symmetrize=True)
+        want = np.stack([full.block(0, -r) for r in range(max_lag + 1)])
+        _, assembled, _ = nc.inverse_derivative_gap(model, u, max_lag, pad=pad)
+        assert np.array_equal(assembled, want)
+
+
 class TestInverseSmoothness:
     def test_frozen_model_gap_vanishes(self):
         frozen = nc.TvVAR(p=2,

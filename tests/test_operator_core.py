@@ -629,17 +629,51 @@ class TestBlockWindow:
         averaged = nc.BlockWindow.from_flat(a, p=2, symmetrize=True)
         assert averaged.symmetric
         assert np.array_equal(averaged.flatten(), 0.5 * (a + a.T))
-        sub = w.subwindow(4, 7)
-        assert sub.symmetric and (sub.t_lo, sub.length) == (4, 4)
-        assert np.array_equal(sub.blocks, w.blocks[1:5, 1:5])
-        assert not sub.blocks.flags.writeable
-        assert not np.shares_memory(sub.blocks, w.blocks)
         bad = sym.copy()
         bad[0, 1] = bad[1, 0] = np.inf
         with pytest.raises(InputError):
             nc.BlockWindow.from_flat(bad, p=2, symmetrize=True)
         with pytest.raises(InputError):
             nc.BlockWindow.from_flat(np.zeros((0, 0)), p=2)
+
+    def test_stores_one_read_only_flat_matrix(self):
+        rng = np.random.default_rng(17)
+        w = nc.BlockWindow(t_lo=1, p=3, blocks=rng.standard_normal((4, 4, 3, 3)))
+        flat = w.flatten()
+        assert flat is w.flatten()
+        assert flat.flags.c_contiguous and not flat.flags.writeable
+        assert np.shares_memory(w.blocks, flat)
+        assert not w.blocks.flags.writeable
+        assert np.shares_memory(w.block(2, 4), flat)
+        with pytest.raises(ValueError):
+            flat[0, 0] = 1.0
+
+    def test_constructors_copy_the_callers_array(self):
+        rng = np.random.default_rng(19)
+        blocks = rng.standard_normal((3, 3, 2, 2))
+        flat = rng.standard_normal((6, 6))
+        from_blocks = nc.BlockWindow(t_lo=0, p=2, blocks=blocks)
+        from_flat = nc.BlockWindow.from_flat(flat, p=2)
+        want_blocks, want_flat = blocks.copy(), flat.copy()
+        blocks[1, 2] += 1.0
+        flat[3, 4] += 1.0
+        assert np.array_equal(from_blocks.blocks, want_blocks)
+        assert np.array_equal(from_flat.flatten(), want_flat)
+        assert not np.shares_memory(from_blocks.flatten(), blocks)
+        assert not np.shares_memory(from_flat.flatten(), flat)
+
+    @settings(max_examples=40, deadline=None)
+    @given(length=st.integers(1, 9), p=st.integers(1, 4),
+           seed=st.integers(0, 2**32 - 1))
+    def test_block_toeplitz_matches_block_loop(self, length, p, seed):
+        seq = np.random.default_rng(seed).standard_normal((length + 2, p, p))
+        want = np.zeros((length * p, length * p))
+        for i in range(length):
+            for j in range(length):
+                r = i - j
+                want[i * p:(i + 1) * p, j * p:(j + 1) * p] = \
+                    seq[r] if r >= 0 else seq[-r].T
+        assert np.array_equal(oc.block_toeplitz(seq, length), want)
 
     def test_symmetric_flag_validated(self):
         blocks = np.random.default_rng(1).standard_normal((3, 3, 2, 2))
