@@ -156,12 +156,23 @@ def write_report(report: Report, out_dir: str) -> dict:
 # runners
 # ---------------------------------------------------------------------------
 
-def _grid_int(grid: dict, key: str, default=None) -> int:
+#: Smallest accepted value of an integer grid field (of each entry, for a
+#: list); a value below it would reach the numerics.
+_GRID_MINIMUM = {"N": 1, "Ns": 1, "orders": 0}
+
+
+def _grid_int(grid: dict, key: str, default=None, minimum: int | None = None) -> int:
+    """An integer from the grid, at least ``minimum`` (by default the field's
+    entry in ``_GRID_MINIMUM``, if any)."""
     val = grid.get(key, default)
     if val is None:
         raise ConfigError(f"missing grid field {key!r}", path=f"/grid/{key}")
     if not isinstance(val, (int, np.integer)):
         raise ConfigError(f"grid field {key!r} must be an integer",
+                          path=f"/grid/{key}")
+    minimum = _GRID_MINIMUM.get(key) if minimum is None else minimum
+    if minimum is not None and val < minimum:
+        raise ConfigError(f"grid field {key!r} must be >= {minimum}, got {val}",
                           path=f"/grid/{key}")
     return int(val)
 
@@ -187,6 +198,10 @@ def _grid_int_list(grid: dict, key: str, default, min_len: int = 1) -> tuple[int
             for v in val):
         raise ConfigError(f"grid field {key!r} must be a list of integers "
                           f"(at least {min_len})", path=f"/grid/{key}")
+    minimum = _GRID_MINIMUM.get(key)
+    if minimum is not None and any(v < minimum for v in val):
+        raise ConfigError(f"grid field {key!r} entries must be >= {minimum}",
+                          path=f"/grid/{key}")
     return tuple(int(v) for v in val)
 
 
@@ -194,7 +209,7 @@ def _run_simulate(config: ExperimentConfig):
     grid = config.grid
     n = _grid_int(grid, "N", 200)
     t_lo = _grid_int(grid, "t_lo", 0)
-    t_hi = _grid_int(grid, "t_hi", t_lo + n - 1)
+    t_hi = _grid_int(grid, "t_hi", t_lo + n - 1, minimum=t_lo)
     path = md.simulate_path(config.model, n, t_lo, t_hi, config.seed)
     again = md.simulate_path(config.model, n, t_lo, t_hi, config.seed)
     rows = []
@@ -209,7 +224,7 @@ def _run_decay(config: ExperimentConfig):
     grid = config.grid
     n = _grid_int(grid, "N", 200)
     t_lo = _grid_int(grid, "t_lo", 60)
-    t_hi = _grid_int(grid, "t_hi", 140)
+    t_hi = _grid_int(grid, "t_hi", 140, minimum=t_lo)
     w = md.cov_window(config.model, n, t_lo, t_hi)
     lag_norms = w.lag_max_norms()
     try:
@@ -275,10 +290,9 @@ def _run_var(config: ExperimentConfig):
     for d in orders:
         coeffs = vx.var_coeffs_finite(config.model, n, t_index, d)
         sigmas[d] = coeffs.sigma
-        for j, phi in enumerate(coeffs.phis, start=1):
+        for j, phi_norm in enumerate(coeffs.phi_norms(), start=1):
             shape = float(oc.zeta(j)) ** ((kappa - 1.0) if kappa else 1.0)
-            rows.append(vf.table_row("phi_norm", d, j,
-                                float(np.linalg.norm(phi, 2)), shape, n=n))
+            rows.append(vf.table_row("phi_norm", d, j, float(phi_norm), shape, n=n))
         rows.append(vf.table_row("sigma_logdet", d, 0,
                             float(np.linalg.slogdet(coeffs.sigma)[1]), n=n))
     ordered = sorted(sigmas)

@@ -18,8 +18,8 @@ from .errors import (ConditioningError, DegenerateFitError, DivergenceError,
                      DomainError, InputError)
 from .models import (ModelSpec, cov_pad, cov_window, stationary_cov_derivative,
                      stationary_window)
-from .operator_core import (BlockWindow, SPD_RTOL, block_toeplitz, block_view,
-                            gu, krylov_norm, outside_band, spd_inverse,
+from .operator_core import (BlockWindow, SPD_RTOL, block_norms, block_toeplitz,
+                            block_view, gu, krylov_norm, outside_band, spd_inverse,
                             sym_eig_range, symmetric_product, zeta)
 from .reports import DecayProfile, GapReport, envelope_constant, fit_decay_profile
 
@@ -251,6 +251,13 @@ def stationary_inverse_sequence(model: ModelSpec, u: float, max_lag: int,
     return _centre_row(inv, w.p, half, max_lag)
 
 
+def _two_sided(seq: np.ndarray) -> np.ndarray:
+    """Lags ``r = -R..R`` of a one-sided sequence ``seq[r]``, ``r = 0..R``, of a
+    symmetric operator: ``out[R + r]`` is ``seq[r]`` for ``r >= 0`` and
+    ``seq[-r]^T`` below."""
+    return np.concatenate([seq[:0:-1].swapaxes(-1, -2), seq])
+
+
 def _kappa_or_raise(model: ModelSpec, kappa: float | None) -> float:
     if kappa is not None:
         return float(kappa)
@@ -273,28 +280,19 @@ def inverse_smoothness_gap(model: ModelSpec, n: int, t_lo: int, t_hi: int,
     kappa = _kappa_or_raise(model, kappa)
     dn = model_inverse_window(model, n, t_lo, t_hi, pad=pad)
     length = dn.base.length
-    max_lag = length - 1
-    sequences = {}
-    indices, measured, bound, alt = [], [], [], []
-    for ti in range(length):
-        t = t_lo + ti
-        if t not in sequences:
-            sequences[t] = stationary_inverse_sequence(model, t / n, max_lag, pad=pad)
-        seq = sequences[t]
-        for tj in range(length):
-            tau = t_lo + tj
-            r = t - tau
-            target = seq[r] if r >= 0 else seq[-r].T
-            gap = float(np.linalg.norm(dn.base.blocks[ti, tj] - target, 2))
-            zr = float(zeta(r))
-            gr = float(gu(r))
-            indices.append((t, tau))
-            measured.append(gap)
-            bound.append(zr ** (kappa - 2.0) * min(1.0 / n, 2.0 * zr))
-            alt.append(zr ** (kappa - 2.0) * min(1.0 / n, 2.0 / gr))
-    measured = np.asarray(measured)
-    bound = np.asarray(bound)
-    alt = np.asarray(alt)
+    times = np.arange(t_lo, t_lo + length)
+    # one frozen sequence per row time t, each two-sided over r = t - tau
+    seqs = np.stack([_two_sided(stationary_inverse_sequence(model, t / n, length - 1,
+                                                           pad=pad))
+                     for t in times])
+    lag = times[:, None] - times[None, :]
+    target = seqs[np.arange(length)[:, None], lag + length - 1]
+    measured = block_norms(dn.base.blocks - target).ravel()
+    zr = zeta(lag).ravel()
+    shape = zr ** (kappa - 2.0)
+    bound = shape * np.minimum(1.0 / n, 2.0 * zr)
+    alt = shape * np.minimum(1.0 / n, 2.0 / gu(lag).ravel())
+    indices = [(int(t), int(tau)) for t in times for tau in times]
     return GapReport(indices=indices, measured=measured, bound=bound,
                      constant_estimate=envelope_constant(measured, bound),
                      alt_bound=alt, alt_constant=envelope_constant(measured, alt))
@@ -307,16 +305,10 @@ def inverse_lipschitz_gap(model: ModelSpec, u: float, v: float, max_lag: int,
     kappa = _kappa_or_raise(model, kappa)
     seq_u = stationary_inverse_sequence(model, u, max_lag, pad=pad)
     seq_v = stationary_inverse_sequence(model, v, max_lag, pad=pad)
-    indices, measured, bound = [], [], []
-    for r in range(-max_lag, max_lag + 1):
-        du = seq_u[r] if r >= 0 else seq_u[-r].T
-        dv = seq_v[r] if r >= 0 else seq_v[-r].T
-        indices.append(r)
-        measured.append(float(np.linalg.norm(du - dv, 2)))
-        bound.append(abs(u - v) * float(zeta(r)) ** (kappa - 1.0))
-    measured = np.asarray(measured)
-    bound = np.asarray(bound)
-    return GapReport(indices=indices, measured=measured, bound=bound,
+    lags = np.arange(-max_lag, max_lag + 1)
+    measured = block_norms(_two_sided(seq_u) - _two_sided(seq_v))
+    bound = abs(u - v) * zeta(lags) ** (kappa - 1.0)
+    return GapReport(indices=lags.tolist(), measured=measured, bound=bound,
                      constant_estimate=envelope_constant(measured, bound))
 
 

@@ -1028,13 +1028,9 @@ def physical_dep_estimate(model: ModelSpec, n: int, t: int, j: int,
     n_batches = 10
     sizes = np.full(n_batches, reps // n_batches)
     sizes[:reps % n_batches] += 1
-    bounds = np.concatenate([[0], np.cumsum(sizes)])
-    batch_norms = []
-    for b in range(n_batches):
-        d = diff[bounds[b]:bounds[b + 1]]
-        batch_norms.append(np.linalg.norm(d.T @ d / len(d), 2))
-    batch_norms = np.asarray(batch_norms)
-    value = float(np.linalg.norm(diff.T @ diff / reps, 2))
+    batches = np.split(diff, np.cumsum(sizes)[:-1])
+    batch_norms = block_norms(np.stack([d.T @ d / len(d) for d in batches]))
+    value = float(block_norms(diff.T @ diff / reps))
     stderr = float(batch_norms.std(ddof=1) / math.sqrt(n_batches))
     return PhysicalDepEstimate(value=value, stderr=stderr, reps=reps)
 

@@ -18,7 +18,8 @@ from .errors import ConditioningError, InputError, ModelError
 from .inverse_analysis import _kappa_or_raise
 from .models import (ModelSpec, cov_pad, cov_window, local_spectral_densities,
                      stationary_window)
-from .operator_core import BlockWindow, SPD_RTOL, schur_complement, zeta
+from .operator_core import (BlockWindow, SPD_RTOL, block_norms, schur_complement,
+                            zeta)
 from .reports import GapReport, envelope_constant
 
 
@@ -214,30 +215,22 @@ def partial_smoothness_gap(model: ModelSpec, n: int, a: int, b: int,
     length = pair.length
     max_lag = length - 1
 
-    frozen_pairs, frozen_selfs = {}, {}
-    idx, meas_pair, meas_self, bound = [], [], [], []
-    for ti in range(length):
-        t = t_lo + ti
-        if t not in frozen_pairs:
-            frozen_pairs[t] = stationary_partial_pair(model, t / n, a, b,
-                                                      max_lag, pad=pad)
-            frozen_selfs[t] = stationary_self_partial(model, t / n, a,
-                                                      max_lag, pad=pad)
-        for tj in range(length):
-            tau = t_lo + tj
-            r = t - tau
-            dp = float(np.linalg.norm(
-                pair.deltas[ti, tj] - frozen_pairs[t].delta(r), 2))
-            ds = abs(float(self_a[ti, tj]) - float(frozen_selfs[t][r + max_lag]))
-            zr = float(zeta(r))
-            idx.append((t, tau))
-            meas_pair.append(dp)
-            meas_self.append(ds)
-            bound.append(zr ** (kappa - 2.0) * min(1.0 / n, zr))
-    bound = np.asarray(bound)
-    pair_gaps = GapReport(indices=idx, measured=np.asarray(meas_pair), bound=bound,
+    # frozen lags of the row time t of each pair, indexed by r = t - tau
+    times = np.arange(t_lo, t_lo + length)
+    frozen_pairs = np.stack([stationary_partial_pair(model, t / n, a, b, max_lag,
+                                                     pad=pad).deltas for t in times])
+    frozen_selfs = np.stack([stationary_self_partial(model, t / n, a, max_lag, pad=pad)
+                             for t in times])
+    rows = np.arange(length)[:, None]
+    lag = times[:, None] - times[None, :]
+    meas_pair = block_norms(pair.deltas - frozen_pairs[rows, lag + max_lag]).ravel()
+    meas_self = np.abs(self_a - frozen_selfs[rows, lag + max_lag]).ravel()
+    zr = zeta(lag).ravel()
+    bound = zr ** (kappa - 2.0) * np.minimum(1.0 / n, zr)
+    idx = [(int(t), int(tau)) for t in times for tau in times]
+    pair_gaps = GapReport(indices=idx, measured=meas_pair, bound=bound,
                           constant_estimate=envelope_constant(meas_pair, bound))
-    self_gaps = GapReport(indices=idx, measured=np.asarray(meas_self), bound=bound,
+    self_gaps = GapReport(indices=idx, measured=meas_self, bound=bound,
                           constant_estimate=envelope_constant(meas_self, bound))
 
     if u_pair is None:
@@ -248,10 +241,8 @@ def partial_smoothness_gap(model: ModelSpec, n: int, a: int, b: int,
     su = stationary_self_partial(model, u, a, max_lag, pad=pad)
     sv = stationary_self_partial(model, v, a, max_lag, pad=pad)
     lags = list(range(-max_lag, max_lag + 1))
-    lip_bound = np.array([abs(u - v) * float(zeta(r)) ** (kappa - 1.0)
-                          for r in lags])
-    pair_lip = np.array([float(np.linalg.norm(pu.delta(r) - pv.delta(r), 2))
-                         for r in lags])
+    lip_bound = abs(u - v) * zeta(np.asarray(lags)) ** (kappa - 1.0)
+    pair_lip = block_norms(pu.deltas - pv.deltas)
     self_lip = np.abs(su - sv)
     pair_lipschitz = GapReport(indices=lags, measured=pair_lip, bound=lip_bound,
                                constant_estimate=envelope_constant(pair_lip, lip_bound))
@@ -322,7 +313,7 @@ def coherence_consistency_gap(model: ModelSpec, n: int, t_index: int,
     center = max_lag
     lags = np.arange(-max_lag, max_lag + 1)
     rho = np.stack([pair.deltas[center, center + r] for r in lags])
-    tail = float(np.linalg.norm(rho[0], 2) + np.linalg.norm(rho[-1], 2))
+    tail = float(block_norms(rho[[0, -1]]).sum())
 
     phases = np.exp(1j * np.outer(omega_grid, lags))
     num = phases @ rho[:, 0, 1]
@@ -353,10 +344,8 @@ def _default_fourier_lag(model: ModelSpec, n: int, t_index: int, a: int,
     c = cov_window(model, n, t_index - cap - pad, t_index + cap + pad)
     pair = partial_cov_pair(c, a, b, pad=pad)
     center = cap
-    scale = float(np.linalg.norm(pair.deltas[center, center], 2))
-    for r in range(1, cap + 1):
-        hi = np.linalg.norm(pair.deltas[center, center + r], 2)
-        lo = np.linalg.norm(pair.deltas[center, center - r], 2)
-        if max(hi, lo) < 1e-8 * max(scale, 1e-300):
-            return r
-    return cap
+    norms = block_norms(pair.deltas[center])
+    # the larger norm at lags +r and -r, for r = 1..cap
+    tails = np.maximum(norms[center + 1:], norms[:center][::-1])
+    small = np.flatnonzero(tails < 1e-8 * max(float(norms[center]), 1e-300))
+    return int(small[0]) + 1 if small.size else cap

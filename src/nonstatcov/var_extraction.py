@@ -20,7 +20,7 @@ from .errors import ConditioningError, DomainError, NonstatcovError
 from .inverse_analysis import _kappa_or_raise, one_sided_inverse
 from .models import (ModelSpec, cov_window, local_spectral_densities,
                      stationary_window)
-from .operator_core import BlockWindow, block_view, spd_inverse, zeta
+from .operator_core import BlockWindow, block_norms, block_view, spd_inverse, zeta
 from .reports import GapReport, envelope_constant
 
 _DUAL_PATH_TOL = 1e-8
@@ -45,8 +45,13 @@ class VarCoefficients:
         object.__setattr__(self, "phis", tuple(np.asarray(p, dtype=float)
                                                for p in self.phis))
 
+    @property
+    def phi_stack(self) -> np.ndarray:
+        """The coefficients as one ``(order, p, p)`` array."""
+        return np.array(self.phis).reshape(self.order, *self.sigma.shape)
+
     def phi_norms(self) -> np.ndarray:
-        return np.array([np.linalg.norm(p, 2) for p in self.phis])
+        return block_norms(self.phi_stack)
 
 
 def _bottom_row_coeffs(window: BlockWindow, t_end: int, order: int,
@@ -82,11 +87,9 @@ def _normal_equation_coeffs(window: BlockWindow, t_end: int, order: int,
 
 
 def _check_dual_path(a: VarCoefficients, b: VarCoefficients) -> None:
-    scale = 1.0 + max(np.linalg.norm(a.sigma, 2),
-                      max(a.phi_norms(), default=0.0))
-    worst = np.linalg.norm(a.sigma - b.sigma, 2)
-    for pa, pb in zip(a.phis, b.phis):
-        worst = max(worst, np.linalg.norm(pa - pb, 2))
+    scale = 1.0 + block_norms(np.concatenate([a.sigma[None], a.phi_stack])).max()
+    worst = block_norms(np.concatenate([(a.sigma - b.sigma)[None],
+                                        a.phi_stack - b.phi_stack])).max()
     if worst > _DUAL_PATH_TOL * scale:
         raise NonstatcovError(
             f"var_coeffs_finite: inverse-row and normal-equation paths "
@@ -193,15 +196,10 @@ def baxter_gaps(model: ModelSpec, n: int, t_index: int, order: int,
     finite = var_coeffs_finite(model, n, t_index, order)
     infinite = var_coeffs_infinite(model, n, t_index, ref_order)
     zd = float(zeta(order)) ** (kappa - 1.5)
-    indices, measured, bound = [], [], []
-    for j in range(1, order + 1):
-        gap = float(np.linalg.norm(finite.phis[j - 1] - infinite.phis[j - 1], 2))
-        indices.append(j)
-        measured.append(gap)
-        bound.append(zd * float(zeta(order - j)) ** (kappa - 1.5))
-    measured = np.asarray(measured)
-    bound = np.asarray(bound)
-    per_lag = GapReport(indices=indices, measured=measured, bound=bound,
+    lags = np.arange(1, order + 1)
+    measured = block_norms(finite.phi_stack - infinite.phi_stack[:order])
+    bound = zd * zeta(order - lags) ** (kappa - 1.5)
+    per_lag = GapReport(indices=lags.tolist(), measured=measured, bound=bound,
                         constant_estimate=envelope_constant(measured, bound))
     total = float(measured.sum())
     summed = GapReport(indices=[order], measured=np.array([total]),
@@ -235,17 +233,12 @@ def var_smoothness_gap(model: ModelSpec, n: int, t_index: int, order: int,
     array_fit = var_coeffs_infinite(model, n, t_index, order, depth=depth)
     frozen_fit = stationary_var_coeffs_infinite(model, t_index / n, order,
                                                 depth=depth)
-    sigma_gap = float(np.linalg.norm(array_fit.sigma - frozen_fit.sigma, 2))
-    indices, measured, bound = [], [], []
-    for j in range(1, order + 1):
-        gap = float(np.linalg.norm(array_fit.phis[j - 1] - frozen_fit.phis[j - 1], 2))
-        zj = float(zeta(j))
-        indices.append(j)
-        measured.append(gap)
-        bound.append(zj ** (kappa - 2.0) * min(2.0 * zj, 1.0 / n))
-    measured = np.asarray(measured)
-    bound = np.asarray(bound)
-    phi_gaps = GapReport(indices=indices, measured=measured, bound=bound,
+    sigma_gap = float(block_norms(array_fit.sigma - frozen_fit.sigma))
+    lags = np.arange(1, order + 1)
+    measured = block_norms(array_fit.phi_stack - frozen_fit.phi_stack)
+    zj = zeta(lags)
+    bound = zj ** (kappa - 2.0) * np.minimum(2.0 * zj, 1.0 / n)
+    phi_gaps = GapReport(indices=lags.tolist(), measured=measured, bound=bound,
                          constant_estimate=envelope_constant(measured, bound))
     return VarSmoothnessReport(t_index=t_index, n=n, sigma_gap=sigma_gap,
                                sigma_constant=sigma_gap * n, phi_gaps=phi_gaps)

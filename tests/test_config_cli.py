@@ -191,6 +191,23 @@ class TestCli:
         assert code == 2
         assert f"/grid/{field}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("experiment,grid,field", [
+        ("var", {"orders": [-1]}, "orders"),
+        ("baxter", {"orders": [-5, 10]}, "orders"),
+        ("var", {"N": -5}, "N"),
+        ("smoothness", {"Ns": [-100, 200]}, "Ns"),
+        ("decay", {"t_lo": 50, "t_hi": 40}, "t_hi"),
+    ])
+    def test_out_of_range_grid_field_exit_two(self, tmp_path, capsys, experiment,
+                                              grid, field):
+        cfg = tmp_path / "out_of_range.json"
+        cfg.write_text(json.dumps({"seed": 1,
+                                   "model": {"reference": "tvvma_kappa4_p2"},
+                                   "grid": grid}))
+        code = cli.main([experiment, "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == 2
+        assert f"config error: /grid/{field}:" in capsys.readouterr().err
+
     @pytest.mark.parametrize("coefficients,message", [
         ([{"form": "constant", "value": np.eye(3).tolist()},
           {"form": "constant", "value": np.eye(2).tolist()}],

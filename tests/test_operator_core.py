@@ -61,6 +61,75 @@ class TestSpectralNorm:
             nc.spectral_norm(np.array([[1.0, np.nan], [0.0, 1.0]]))
 
 
+def _svd_tolerance(want, p):
+    """Tolerance of ``block_norms`` against the SVD oracle: ``4 p`` ulps of the
+    norm (the kernel and LAPACK each round O(p) times), plus four units of the
+    smallest subnormal for norms that are themselves subnormal."""
+    return 4 * p * np.finfo(float).eps * want + 4 * 2.0**-1074
+
+
+class TestBlockNorms:
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), p=st.sampled_from([1, 2, 3, 4]),
+           kind=st.sampled_from(["random", "zero", "rank_one", "rotation"]),
+           exponent=st.integers(-1074, 1000), spread=st.integers(0, 60))
+    @example(seed=0, p=2, kind="random", exponent=-1074, spread=0)
+    @example(seed=1, p=3, kind="rotation", exponent=1000, spread=0)
+    @example(seed=2, p=4, kind="rank_one", exponent=-1060, spread=20)
+    def test_matches_svd(self, seed, p, kind, exponent, spread):
+        # entries are standard normal (or a zero, rank-one or orthogonal
+        # block, the last with sigma_1 = sigma_2) times 2**(exponent - k),
+        # k in [0, spread] per entry, so from subnormal up to about 2**1002
+        rng = np.random.default_rng(seed)
+        base = rng.standard_normal((6, p, p))
+        if kind == "zero":
+            base[:] = 0.0
+        elif kind == "rank_one":
+            base = rng.standard_normal((6, p, 1)) * rng.standard_normal((6, 1, p))
+        elif kind == "rotation":
+            base = np.linalg.qr(base)[0] * rng.uniform(0.5, 2.0, (6, 1, 1))
+        blocks = np.ldexp(base, exponent - rng.integers(0, spread + 1, base.shape))
+        want = np.linalg.svd(blocks, compute_uv=False)[..., 0]
+        got = oc.block_norms(blocks)
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= _svd_tolerance(want, p))
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), exponent=st.integers(-1074, 1000))
+    def test_two_by_two_transpose_bit_identical(self, seed, exponent):
+        blocks = np.ldexp(np.random.default_rng(seed).standard_normal((50, 2, 2)),
+                          exponent)
+        assert np.array_equal(oc.block_norms(blocks),
+                              oc.block_norms(blocks.swapaxes(-1, -2)))
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_nonfinite(self, p, bad):
+        blocks = np.ones((3, p, p))
+        blocks[1, p - 1, 0] = bad
+        with pytest.raises(InputError):
+            oc.block_norms(blocks)
+
+    @pytest.mark.parametrize("block,want", [
+        ([[1e308, 0.0], [0.0, -1e308]], 1e308),
+        ([[1e308, 1e308], [-1e308, 1e308]], np.sqrt(2.0) * 1e308),
+        ([[-1e308, 1e308], [1e308, 1e308]], np.sqrt(2.0) * 1e308),
+        ([[1e308, 0.0, 0.0], [0.0, -1e308, 0.0], [0.0, 0.0, 0.5e308]], 1e308),
+        ([[0.5e308, 0.5e308, 0.0], [0.5e308, 0.5e308, 0.0], [0.0, 0.0, 1.0]], 1e308),
+    ])
+    def test_no_overflow_near_largest_double(self, block, want):
+        block = np.array(block)
+        with np.errstate(over="raise"):
+            got = oc.block_norms(block)
+        assert np.isfinite(got)
+        assert abs(got - want) <= _svd_tolerance(want, block.shape[0])
+
+    def test_single_block_and_empty_batch(self):
+        assert oc.block_norms(np.diag([3.0, -5.0])) == 5.0
+        for p in (1, 2, 3):
+            assert oc.block_norms(np.zeros((0, p, p))).shape == (0,)
+
+
 class TestSymEigRange:
     def test_identity_window(self):
         w = nc.BlockWindow.from_flat(np.eye(8), p=2, symmetrize=True)
@@ -697,6 +766,34 @@ class TestBlockWindow:
             expected = max(norms[t, tau] for t in range(5) for tau in range(5)
                            if abs(t - tau) == lag)
             assert w.lag_max_norms()[lag] == pytest.approx(expected)
+
+    @settings(max_examples=60, deadline=None)
+    @given(length=st.integers(1, 30), p=st.integers(1, 3),
+           seed=st.integers(0, 2**32 - 1))
+    def test_lag_max_norms_match_diagonal_loop(self, length, p, seed):
+        blocks = np.random.default_rng(seed).standard_normal((length, length, p, p))
+        w = nc.BlockWindow(t_lo=0, p=p, blocks=blocks)
+        norms = w.norms()
+        want = [max(np.diagonal(norms, lag).max(), np.diagonal(norms, -lag).max())
+                for lag in range(length)]
+        assert np.array_equal(w.lag_max_norms(), want)
+
+    def test_from_flat_compares_once(self, monkeypatch):
+        rng = np.random.default_rng(23)
+        a = rng.standard_normal((12, 12))
+        calls = []
+        real = np.array_equal
+
+        def counting(x, y, *args, **kwargs):
+            calls.append(x.shape)
+            return real(x, y, *args, **kwargs)
+
+        monkeypatch.setattr(oc.np, "array_equal", counting)
+        for flat in (a + a.T, a):
+            calls.clear()
+            w = nc.BlockWindow.from_flat(flat, p=3, symmetrize=True)
+            assert w.symmetric and real(w.flatten(), w.flatten().T)
+            assert len(calls) == 1
 
 
 class TestBandedBlockWindow:
