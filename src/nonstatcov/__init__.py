@@ -43,8 +43,7 @@ from .partial_cov import (CoherenceGapReport, PartialPair,
                           PartialSmoothnessReport, StationaryPartialPair,
                           coherence_consistency_gap, partial_cov_pair,
                           partial_smoothness_gap, partial_spectral_coherence,
-                          self_partial_cov, stationary_partial_pair,
-                          stationary_self_partial)
+                          self_partial_cov, stationary_partial_pair)
 from .reference import REFERENCE_BUILDERS, get_reference_model
 
 __version__ = "0.1.0"

@@ -158,7 +158,7 @@ def write_report(report: Report, out_dir: str) -> dict:
 
 #: Smallest accepted value of an integer grid field (of each entry, for a
 #: list); a value below it would reach the numerics.
-_GRID_MINIMUM = {"N": 1, "Ns": 1, "orders": 0}
+_GRID_MINIMUM = {"N": 1, "Ns": 1, "orders": 0, "count": 1, "length": 1, "p": 2}
 
 
 def _grid_int(grid: dict, key: str, default=None, minimum: int | None = None) -> int:
@@ -188,6 +188,22 @@ def _grid_float(grid: dict, key: str, default=None) -> float | None:
         raise ConfigError(f"grid field {key!r} must be a finite number",
                           path=f"/grid/{key}")
     return float(val)
+
+
+def _grid_pair(grid: dict, p: int) -> tuple[int, int]:
+    """Distinct components ``a`` and ``b`` (default 0 and 1) of a
+    ``p``-dimensional model."""
+    pair = []
+    for key, default in (("a", 0), ("b", 1)):
+        val = _grid_int(grid, key, default, minimum=0)
+        if val >= p:
+            raise ConfigError(f"grid field {key!r} must be < p = {p}, got {val}",
+                              path=f"/grid/{key}")
+        pair.append(val)
+    if pair[0] == pair[1]:
+        raise ConfigError(f"grid field 'b' must differ from 'a', got {pair[1]}",
+                          path="/grid/b")
+    return pair[0], pair[1]
 
 
 def _grid_int_list(grid: dict, key: str, default, min_len: int = 1) -> tuple[int, ...]:
@@ -351,8 +367,7 @@ def _run_partial(config: ExperimentConfig):
     model = config.model
     if getattr(model, "p", 1) >= 2 and not isinstance(model, (SRE, TvARCH)):
         n = _grid_int(grid, "N", 200)
-        a = _grid_int(grid, "a", 0)
-        b = _grid_int(grid, "b", 1)
+        a, b = _grid_pair(grid, model.p)
         t = _grid_int(grid, "t", n // 2)
         rep = pc.partial_smoothness_gap(model, n, a, b, t - 2, t + 2,
                                         kappa=_grid_float(grid, "kappa", 4.0))
@@ -373,11 +388,10 @@ def _run_coherence(config: ExperimentConfig):
     if getattr(model, "p", 1) < 2:
         raise ConfigError("coherence requires a model with p >= 2",
                           path="/model")
+    a, b = _grid_pair(grid, model.p)
     res = vf.check_coherence(var_model=model,
                              ns=_grid_int_list(grid, "Ns", (200, 400), min_len=2),
-                             u=_grid_float(grid, "u", 0.3),
-                             a=_grid_int(grid, "a", 0),
-                             b=_grid_int(grid, "b", 1),
+                             u=_grid_float(grid, "u", 0.3), a=a, b=b,
                              max_lag=_grid_int(grid, "max_lag", 40),
                              omega_points=_grid_int(grid, "omega_points", 65))
     return res.rows, [Verdict(res.name, res.passed, res.details)]

@@ -169,13 +169,12 @@ def block_toeplitz(seq: np.ndarray, length: int) -> np.ndarray:
     ``seq[tau - t].T`` above it; ``seq`` has shape ``(>= L, p, p)``.
     """
     p = seq.shape[1]
-    flat = np.zeros((length * p, length * p))
-    blocks = block_view(flat, p)
-    for r in range(length):
-        idx = np.arange(length - r)
-        blocks[idx + r, idx] = seq[r]
-        if r:
-            blocks[idx, idx + r] = seq[r].T
+    # the lags from L-1 down to -(L-1); sliding window i holds the lags L-1-i
+    # down to -i, which are the blocks of block row t = L-1-i in column order
+    lags = np.concatenate([seq[length - 1::-1], seq[1:length].transpose(0, 2, 1)])
+    windows = np.lib.stride_tricks.sliding_window_view(lags, length, axis=0)
+    flat = np.empty((length * p, length * p))
+    block_view(flat, p)[...] = windows[::-1].transpose(0, 3, 1, 2)
     return flat
 
 

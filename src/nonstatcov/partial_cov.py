@@ -53,8 +53,10 @@ class PartialPair:
         return self.deltas[t - self.t_lo, tau - self.t_lo]
 
 
-def _component_rows(length: int, p: int, component: int) -> np.ndarray:
-    return np.arange(length) * p + component
+def _component_rows(length: int, p: int, components) -> np.ndarray:
+    """Rows of ``components`` in a time-major window, component by component."""
+    return (np.asarray(components, dtype=int)[:, None]
+            + np.arange(length) * p).ravel()
 
 
 def _schur_on_rows(flat: np.ndarray, keep: np.ndarray,
@@ -68,6 +70,35 @@ def _schur_on_rows(flat: np.ndarray, keep: np.ndarray,
                             what="partial covariance: conditioning block")
 
 
+def _partial_schur(c: BlockWindow, components: tuple[int, ...], pad: int,
+                   what: str) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Partial covariance of ``components`` given every other component.
+
+    Returns the ``(k, L', k, L')`` array, ``k = len(components)`` and ``L'``
+    the interior length after ``pad`` times are cut on each side, whose
+    entry ``[i, t, j, tau]`` pairs ``components[i]`` at interior time ``t``
+    with ``components[j]`` at ``tau``; and the conditioning components.
+    ``what`` names the caller in error messages.
+    """
+    p, length = c.p, c.length
+    if not all(0 <= x < p for x in components) or \
+            len(set(components)) < len(components):
+        label = ", ".join(str(x) for x in components)
+        label = f"pair ({label})" if len(components) == 2 else label
+        raise InputError(f"{what}: bad component {label} for p={p}")
+    if not c.symmetric:
+        raise InputError(f"{what}: window must be symmetric")
+    if length - 2 * pad < 1:
+        raise InputError(f"{what}: pad leaves no interior")
+    others = tuple(sorted(set(range(p)) - set(components)))
+    schur = _schur_on_rows(c.flatten(), _component_rows(length, p, components),
+                           _component_rows(length, p, others))
+    k = len(components)
+    interior = slice(pad, length - pad)
+    return (schur.reshape(k, length, k, length)[:, interior, :, interior],
+            others)
+
+
 def partial_cov_pair(c: BlockWindow, a: int, b: int, pad: int = 0) -> PartialPair:
     """Partial covariance of components ``(a, b)`` given all the others.
 
@@ -78,30 +109,9 @@ def partial_cov_pair(c: BlockWindow, a: int, b: int, pad: int = 0) -> PartialPai
     Raises:
         ConditioningError: singular conditioning block.
     """
-    p, length = c.p, c.length
-    if not (0 <= a < p and 0 <= b < p) or a == b:
-        raise InputError(f"partial_cov_pair: bad component pair ({a}, {b}) "
-                         f"for p={p}")
-    if not c.symmetric:
-        raise InputError("partial_cov_pair: window must be symmetric")
-    if length - 2 * pad < 1:
-        raise InputError("partial_cov_pair: pad leaves no interior")
-    flat = c.flatten()
-    rows_a = _component_rows(length, p, a)
-    rows_b = _component_rows(length, p, b)
-    keep = np.concatenate([rows_a, rows_b])
-    others = tuple(sorted(set(range(p)) - {a, b}))
-    drop = np.concatenate([_component_rows(length, p, o) for o in others]) \
-        if others else np.array([], dtype=int)
-    delta_flat = _schur_on_rows(flat, keep, drop)
-    deltas = np.empty((length, length, 2, 2))
-    deltas[:, :, 0, 0] = delta_flat[:length, :length]
-    deltas[:, :, 0, 1] = delta_flat[:length, length:]
-    deltas[:, :, 1, 0] = delta_flat[length:, :length]
-    deltas[:, :, 1, 1] = delta_flat[length:, length:]
-    if pad:
-        deltas = deltas[pad:length - pad, pad:length - pad]
-    return PartialPair(a=a, b=b, t_lo=c.t_lo + pad, deltas=deltas,
+    schur, others = _partial_schur(c, (a, b), pad, "partial_cov_pair")
+    return PartialPair(a=a, b=b, t_lo=c.t_lo + pad,
+                       deltas=schur.transpose(1, 3, 0, 2),
                        conditioning_set=others)
 
 
@@ -112,22 +122,7 @@ def self_partial_cov(c: BlockWindow, a: int, pad: int = 0) -> np.ndarray:
     ``cov[residual a at t, residual a at tau]``; with ``p = 1`` this is the
     raw autocovariance.
     """
-    p, length = c.p, c.length
-    if not 0 <= a < p:
-        raise InputError(f"self_partial_cov: bad component {a} for p={p}")
-    if not c.symmetric:
-        raise InputError("self_partial_cov: window must be symmetric")
-    if length - 2 * pad < 1:
-        raise InputError("self_partial_cov: pad leaves no interior")
-    flat = c.flatten()
-    keep = _component_rows(length, p, a)
-    others = tuple(sorted(set(range(p)) - {a}))
-    drop = np.concatenate([_component_rows(length, p, o) for o in others]) \
-        if others else np.array([], dtype=int)
-    rho = _schur_on_rows(flat, keep, drop)
-    if pad:
-        rho = rho[pad:length - pad, pad:length - pad]
-    return rho
+    return _partial_schur(c, (a,), pad, "self_partial_cov")[0][0, :, 0]
 
 
 @dataclass(frozen=True)
@@ -157,33 +152,17 @@ def stationary_partial_pair(model: ModelSpec, u: float, a: int, b: int,
     """
     pad = cov_pad(model) if pad is None else pad
     half = max_lag + pad
-    w = stationary_window(model, u, -half, half)
-    pair = partial_cov_pair(w, a, b, pad=pad)
-    center = max_lag
-    # lag convention r = t - tau: Delta_r sits at times (center + r, center)
-    deltas = np.stack([pair.deltas[center + r, center]
-                       for r in range(-max_lag, max_lag + 1)])
+    d = partial_cov_pair(stationary_window(model, u, -half, half), a, b,
+                         pad=pad).deltas
+    # lag convention r = t - tau: Delta_r sits at times (max_lag + r, max_lag);
+    # the drift compares each with the same lag moved back by 1, 2 or 3 times
     drift = 0.0
-    for shift in (1, 2, 3):
-        if center - shift < 0:
-            break
-        for r in range(-max_lag + shift, max_lag - shift + 1):
-            ref = deltas[r + max_lag]
-            moved = pair.deltas[center + r - shift, center - shift]
-            drift = max(drift, float(np.abs(moved - ref).max()))
+    for shift in range(1, min(3, max_lag) + 1):
+        moved = d[:2 * (max_lag - shift) + 1, max_lag - shift]
+        ref = d[shift:2 * max_lag - shift + 1, max_lag]
+        drift = max(drift, float(np.abs(moved - ref).max()))
     return StationaryPartialPair(a=a, b=b, u=u, max_lag=max_lag,
-                                 deltas=deltas, toeplitz_drift=drift)
-
-
-def stationary_self_partial(model: ModelSpec, u: float, a: int,
-                            max_lag: int, pad: int | None = None) -> np.ndarray:
-    """Lag sequence of the frozen self partial covariance of component ``a``."""
-    pad = cov_pad(model) if pad is None else pad
-    half = max_lag + pad
-    w = stationary_window(model, u, -half, half)
-    rho = self_partial_cov(w, a, pad=pad)
-    center = max_lag
-    return np.array([rho[center + r, center] for r in range(-max_lag, max_lag + 1)])
+                                 deltas=d[:, max_lag].copy(), toeplitz_drift=drift)
 
 
 @dataclass(frozen=True)
@@ -215,12 +194,22 @@ def partial_smoothness_gap(model: ModelSpec, n: int, a: int, b: int,
     length = pair.length
     max_lag = length - 1
 
-    # frozen lags of the row time t of each pair, indexed by r = t - tau
+    if u_pair is None:
+        u_pair = (t_lo / n, t_hi / n)
+    u, v = u_pair
+    # one frozen window per distinct rescaled time; the centre column of its
+    # pair and self partials holds the lags r = t - tau = -max_lag..max_lag
     times = np.arange(t_lo, t_lo + length)
-    frozen_pairs = np.stack([stationary_partial_pair(model, t / n, a, b, max_lag,
-                                                     pad=pad).deltas for t in times])
-    frozen_selfs = np.stack([stationary_self_partial(model, t / n, a, max_lag, pad=pad)
-                             for t in times])
+    row_us = times / n
+    half = max_lag + pad
+    frozen = {}
+    for s in [*row_us, u, v]:
+        if s not in frozen:
+            w = stationary_window(model, s, -half, half)
+            frozen[s] = (partial_cov_pair(w, a, b, pad=pad).deltas[:, max_lag].copy(),
+                         self_partial_cov(w, a, pad=pad)[:, max_lag].copy())
+    frozen_pairs = np.stack([frozen[s][0] for s in row_us])
+    frozen_selfs = np.stack([frozen[s][1] for s in row_us])
     rows = np.arange(length)[:, None]
     lag = times[:, None] - times[None, :]
     meas_pair = block_norms(pair.deltas - frozen_pairs[rows, lag + max_lag]).ravel()
@@ -233,16 +222,10 @@ def partial_smoothness_gap(model: ModelSpec, n: int, a: int, b: int,
     self_gaps = GapReport(indices=idx, measured=meas_self, bound=bound,
                           constant_estimate=envelope_constant(meas_self, bound))
 
-    if u_pair is None:
-        u_pair = (t_lo / n, t_hi / n)
-    u, v = u_pair
-    pu = stationary_partial_pair(model, u, a, b, max_lag, pad=pad)
-    pv = stationary_partial_pair(model, v, a, b, max_lag, pad=pad)
-    su = stationary_self_partial(model, u, a, max_lag, pad=pad)
-    sv = stationary_self_partial(model, v, a, max_lag, pad=pad)
+    (pu, su), (pv, sv) = frozen[u], frozen[v]
     lags = list(range(-max_lag, max_lag + 1))
     lip_bound = abs(u - v) * zeta(np.asarray(lags)) ** (kappa - 1.0)
-    pair_lip = block_norms(pu.deltas - pv.deltas)
+    pair_lip = block_norms(pu - pv)
     self_lip = np.abs(su - sv)
     pair_lipschitz = GapReport(indices=lags, measured=pair_lip, bound=lip_bound,
                                constant_estimate=envelope_constant(pair_lip, lip_bound))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConditioningError, DomainError, NonstatcovError
-from .inverse_analysis import _kappa_or_raise, one_sided_inverse
+from .inverse_analysis import _kappa_or_raise
 from .models import (ModelSpec, cov_window, local_spectral_densities,
                      stationary_window)
 from .operator_core import BlockWindow, block_norms, block_view, spd_inverse, zeta
@@ -109,13 +109,8 @@ def var_coeffs_infinite(model: ModelSpec, n: int, t_index: int, order: int,
     depth = order + 100 if depth is None else depth
     if depth < order + 50:
         raise DomainError("var_coeffs_infinite: depth must be >= order + 50")
-    inv = one_sided_inverse(model, n, t_index, depth)
-    dtt = inv.block(t_index, t_index)
-    sigma = np.linalg.inv(dtt)
-    phis = tuple(-sigma @ inv.block(t_index, t_index - j)
-                 for j in range(1, order + 1))
-    return VarCoefficients(t_index=t_index, order=order, phis=phis,
-                           sigma=0.5 * (sigma + sigma.T))
+    window = cov_window(model, n, t_index - depth, t_index)
+    return _bottom_row_coeffs(window, t_index, order, t_index)
 
 
 def var_coeffs_finite(model: ModelSpec, n: int, t_index: int, order: int) -> VarCoefficients:

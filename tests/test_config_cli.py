@@ -197,6 +197,14 @@ class TestCli:
         ("var", {"N": -5}, "N"),
         ("smoothness", {"Ns": [-100, 200]}, "Ns"),
         ("decay", {"t_lo": 50, "t_hi": 40}, "t_hi"),
+        ("partial", {"p": 1}, "p"),
+        ("partial", {"length": 0}, "length"),
+        ("partial", {"count": 0}, "count"),
+        ("partial", {"a": -1}, "a"),
+        ("partial", {"a": 1, "b": 1}, "b"),
+        ("partial", {"b": 2}, "b"),
+        ("coherence", {"a": 0, "b": 0}, "b"),
+        ("coherence", {"b": 2}, "b"),
     ])
     def test_out_of_range_grid_field_exit_two(self, tmp_path, capsys, experiment,
                                               grid, field):

@@ -83,11 +83,18 @@ def test_partial_smoothness_gap_matches_pair_loop(name, a, b):
     self_a = nc.self_partial_cov(c, a, pad=nc.cov_pad(model))
     length = pair.length
     max_lag = length - 1
+    pad = nc.cov_pad(model)
+    half = max_lag + pad
+
+    def frozen_self_lags(u):
+        w = nc.stationary_window(model, u, -half, half)
+        return nc.self_partial_cov(w, a, pad)[:, max_lag]
+
     idx, meas_pair, meas_self, bound = [], [], [], []
     for ti in range(length):
         t = t_lo + ti
         frozen_pair = nc.stationary_partial_pair(model, t / n, a, b, max_lag)
-        frozen_self = nc.stationary_self_partial(model, t / n, a, max_lag)
+        frozen_self = frozen_self_lags(t / n)
         for tj in range(length):
             tau = t_lo + tj
             r = t - tau
@@ -103,8 +110,8 @@ def test_partial_smoothness_gap_matches_pair_loop(name, a, b):
     assert (u, v) == (t_lo / n, t_hi / n)
     pu = nc.stationary_partial_pair(model, u, a, b, max_lag)
     pv = nc.stationary_partial_pair(model, v, a, b, max_lag)
-    su = nc.stationary_self_partial(model, u, a, max_lag)
-    sv = nc.stationary_self_partial(model, v, a, max_lag)
+    su = frozen_self_lags(u)
+    sv = frozen_self_lags(v)
     lags = list(range(-max_lag, max_lag + 1))
     lip_bound = [abs(u - v) * float(zeta(r)) ** (kappa - 1.0) for r in lags]
     pair_lip = [np.linalg.norm(pu.delta(r) - pv.delta(r), 2) for r in lags]

@@ -158,8 +158,51 @@ class TestStationaryPartial:
         rep = nc.stationary_partial_pair(model, 0.25, 0, 2, max_lag=6)
         assert rep.toeplitz_drift <= 1e-8
 
+    @pytest.mark.parametrize("name,u,a,b,max_lag", [
+        ("tvvar1_p3", 0.25, 0, 2, 6), ("tvvar1_p3", 0.6, 2, 1, 0),
+        ("tvvar1_p3", 0.6, 1, 2, 1), ("tvvma_kappa4_p2", 0.5, 0, 1, 2),
+        ("tvvma_kappa4_p2", 0.35, 1, 0, 9)])
+    def test_lags_and_drift_match_lag_loop(self, name, u, a, b, max_lag):
+        # the per-lag list and the double loop over shifts and lags, as the
+        # oracle; a maximum of absolute differences does not depend on order
+        model = nc.get_reference_model(name)
+        pad = nc.cov_pad(model)
+        half = max_lag + pad
+        pair = nc.partial_cov_pair(nc.stationary_window(model, u, -half, half),
+                                   a, b, pad=pad)
+        center = max_lag
+        deltas = np.stack([pair.deltas[center + r, center]
+                           for r in range(-max_lag, max_lag + 1)])
+        drift = 0.0
+        for shift in (1, 2, 3):
+            if center - shift < 0:
+                break
+            for r in range(-max_lag + shift, max_lag - shift + 1):
+                ref = deltas[r + max_lag]
+                moved = pair.deltas[center + r - shift, center - shift]
+                drift = max(drift, float(np.abs(moved - ref).max()))
+        rep = nc.stationary_partial_pair(model, u, a, b, max_lag)
+        assert np.array_equal(rep.deltas, deltas)
+        assert rep.toeplitz_drift == drift
+
 
 class TestPartialSmoothness:
+    @pytest.mark.parametrize("u_pair,extra", [(None, 0), ((0.3013, 0.7021), 2)])
+    def test_one_frozen_window_per_rescaled_time(self, monkeypatch, u_pair, extra):
+        from nonstatcov import partial_cov
+        built = []
+
+        def counting_window(model, u, t_lo, t_hi):
+            built.append(u)
+            return nc.stationary_window(model, u, t_lo, t_hi)
+
+        monkeypatch.setattr(partial_cov, "stationary_window", counting_window)
+        model = nc.get_reference_model("tvvar1_p3")
+        t_lo, t_hi = 98, 102
+        nc.partial_smoothness_gap(model, 200, 0, 1, t_lo, t_hi, kappa=4.0,
+                                  u_pair=u_pair)
+        assert len(built) == len(set(built)) == (t_hi - t_lo + 1) + extra
+
     def test_frozen_model_gaps_vanish(self):
         model = independent_pair_model()
         rep = nc.partial_smoothness_gap(model, 100, 0, 1, 48, 52, kappa=4.0)
