@@ -213,24 +213,6 @@ def inverse_decay_fit(d: InverseWindow, kappa_ref: float) -> DecayProfile:
                         band_limited=fitted.band_limited)
 
 
-def one_sided_inverse(model: ModelSpec, n: int, t_end: int, depth: int) -> InverseWindow:
-    """Inverse of the covariance section over ``[t_end - depth, t_end]``.
-
-    Truncates the semi-infinite past at ``depth``; the bottom-row blocks
-    (time ``t_end``) converge geometrically as ``depth`` grows.
-
-    Raises:
-        DomainError: if ``depth < 50``.
-    """
-    if depth < 50:
-        raise DomainError("one_sided_inverse: depth must be >= 50")
-    c = cov_window(model, n, t_end - depth, t_end)
-    inv, bound, residual = spd_inverse(c.flatten(), "one_sided_inverse: window")
-    base = BlockWindow.from_flat(inv, c.p, t_lo=c.t_lo, symmetrize=True)
-    return InverseWindow(base=base, source_pad=0, condition_bound=bound,
-                         residual=residual)
-
-
 def _centre_row(flat: np.ndarray, p: int, half: int, max_lag: int) -> np.ndarray:
     """Blocks ``(0, -r)``, ``r = 0..max_lag``, of a flat window over
     ``[-half, half]``, shape ``(max_lag + 1, p, p)``."""

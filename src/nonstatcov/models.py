@@ -649,12 +649,6 @@ def cov_window(model: ModelSpec, n: int, t_lo: int, t_hi: int,
         "covariance; use simulate_path / physical_dep_estimate")
 
 
-def cov_block(model: ModelSpec, n: int, t: int, tau: int) -> np.ndarray:
-    """Single covariance block ``C_{t,tau}``; see :func:`cov_window`."""
-    lo, hi = min(t, tau), max(t, tau)
-    return cov_window(model, n, lo, hi).block(t, tau).copy()
-
-
 def _arch_mean_square(model: TvARCH, n: int, t_lo: int, t_hi: int) -> np.ndarray:
     d = model.order
     burn = 10 * effective_memory(model) + d

@@ -28,10 +28,11 @@ SPD_RTOL = 1e-12
 #: Largest accepted residual ``||C X - I||_inf`` of a computed SPD inverse.
 SPD_RESIDUAL_TOL = 1e-8
 
-#: Factor by which the certified condition bound of :func:`spd_inverse` must
-#: clear ``1/SPD_RTOL`` to stand in for the exact eigenvalue guard.  It covers
-#: the ``n * eps`` backward error of a Cholesky factorisation that succeeded
-#: (so the matrix cannot be indefinite) and the rounding of the bound itself.
+#: Factor by which the certified condition bound of :func:`spd_inverse`, and
+#: the certified eigenvalue ratio of :func:`_certified_cholesky`, must clear
+#: ``SPD_RTOL`` to stand in for the exact eigenvalue guard.  It covers the
+#: ``n * eps`` backward error of a Cholesky factorisation that succeeded (so
+#: the matrix cannot be indefinite) and the rounding of the bound itself.
 _BOUND_MARGIN = 1e3
 
 
@@ -49,12 +50,6 @@ def zeta(j) -> np.ndarray | float:
     """
     g = gu(j)
     return np.maximum(1.0, np.log(g)) / g
-
-
-def decay_weights(j: int) -> tuple[float, float]:
-    """Return the pair ``(gu(j), zeta(j))`` for a single integer lag."""
-    g = float(gu(j))
-    return g, float(np.maximum(1.0, np.log(g)) / g)
 
 
 def spectral_norm(a: np.ndarray) -> float:
@@ -113,15 +108,6 @@ def block_norms(blocks: np.ndarray) -> np.ndarray:
         gram = np.matmul(scaled.swapaxes(-1, -2), scaled)
         norms = np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[..., -1], 0.0))
     return np.ldexp(norms, exponent)
-
-
-def block_row_norm_bound(blocks) -> float:
-    """l2 aggregate ``sqrt(sum_l ||A_l||_2^2)`` of a sequence of blocks.
-
-    Upper-bounds the operator norm of the stacked block row ``[A_1 A_2 ...]``.
-    """
-    norms = block_norms(np.asarray(blocks, dtype=float))
-    return float(np.sqrt(np.sum(norms**2)))
 
 
 @dataclass(frozen=True)
@@ -444,24 +430,6 @@ def band_truncate(w: BlockWindow, m: int) -> BandedBlockWindow:
     return BandedBlockWindow(base=base, bandwidth=m)
 
 
-def banded_error_bound(k: float, kappa: float, m: int) -> float:
-    """Certified spectral-norm error of banding a polynomially decaying window.
-
-    For any symmetric operator whose off-diagonal blocks satisfy
-    ``||C_{t,tau}|| <= k * gu(t - tau)**(-kappa)``, zeroing everything beyond
-    bandwidth ``m`` changes the operator norm by at most
-    ``2*k/(kappa - 1) * (m - 1)**(-kappa + 1)``.
-
-    Raises:
-        DomainError: if ``kappa <= 1`` or ``m < 2``.
-    """
-    if kappa <= 1:
-        raise DomainError("banded_error_bound: requires kappa > 1")
-    if m < 2:
-        raise DomainError("banded_error_bound: requires m >= 2")
-    return 2.0 * k / (kappa - 1.0) * float(m - 1) ** (-kappa + 1.0)
-
-
 def demko_bound(a: float, b: float, m: int, lag) -> float | np.ndarray:
     """Geometric bound on off-diagonal inverse blocks of an SPD banded operator.
 
@@ -504,26 +472,80 @@ def _exact_guard(flat: np.ndarray, what: str, bandwidth: int | None) -> EigRange
     return rng
 
 
-def spd_factor(flat: np.ndarray, what: str,
-               bandwidth: int | None = None) -> tuple[np.ndarray, EigRange]:
-    """Guarded Cholesky factor of a symmetric matrix.
+#: Unit roundoff and smallest positive (subnormal) double.
+_UNIT_ROUNDOFF = 2.0**-53
+_ETA = 2.0**-1074
 
-    The extremal eigenvalues are computed first and the matrix is rejected
-    unless ``lambda_min > SPD_RTOL * lambda_max``; then ``flat = L L^T`` is
-    factored.  Returns the lower factor ``L`` (upper triangle zero) and the
-    eigenvalue range.  ``what`` names the matrix in error messages and
-    ``bandwidth`` is as in :func:`sym_eig_range`.
+
+def _certified_cholesky(flat: np.ndarray, what: str,
+                        bandwidth: int | None = None) -> np.ndarray:
+    """Cholesky factor of a symmetric matrix ``E`` that passes the exact
+    guard, with exact eigenvalues computed only on refusal.
+
+    Without ``bandwidth`` it returns the dense lower factor of ``dpotrf``
+    (upper triangle zero).  With one, ``flat`` is exactly zero beyond
+    ``bandwidth`` diagonals and it returns ``dpbtrf``'s lower factor in
+    LAPACK band storage.
+
+    A factor is accepted on Rump's shifted-Cholesky test (S. M. Rump,
+    "Verification of positive definiteness", BIT 46, 2006): ``E - sI`` is
+    factored too, with ``g = gamma_{n+1}`` and
+
+        ``s = _BOUND_MARGIN * SPD_RTOL * ||E||_inf + 2 g/(1 - g) tr(E)``
+
+    plus the rounding of forming ``E - sI`` and, for gradual underflow,
+    ``n + 1`` times Rump's entrywise allowance.  If that
+    succeeds, ``L L^T = fl(E - sI) + dA`` with ``|dA| <= g |L| |L^T|``
+    (Higham, Accuracy and Stability, Thm 10.3), so
+    ``||dA||_2 <= g ||L||_F^2 <= g/(1 - g) tr(fl(E - sI))`` and
+    ``lambda_min(E) > _BOUND_MARGIN * SPD_RTOL * ||E||_inf``, which is at
+    least ``_BOUND_MARGIN * SPD_RTOL * lambda_max(E)``.  The margin covers
+    the rounding of the shift and of computed eigenvalues, so the exact
+    guard accepts every matrix the test accepts.  When either factorisation
+    fails, :func:`_exact_guard` decides: a matrix it refuses raises its
+    "numerically singular" error, and a failure of the factor of ``E``
+    itself raises next.
 
     Raises:
         ConditioningError: if the matrix is numerically singular or
-            indefinite, or the factorisation breaks down.
+            indefinite, or its factorisation breaks down.
     """
-    rng = _exact_guard(flat, what, bandwidth)
-    factor, info = scipy.linalg.lapack.dpotrf(flat, lower=1, clean=1)
+    n = flat.shape[0]
+    if bandwidth is None:
+        stored, diagonal = flat, np.diag_indices(n)
+        norm = _row_sum_norm(flat)
+    else:
+        stored, diagonal = _lower_band(flat, min(bandwidth, n - 1)), 0
+        # row i of |E| sums column i of the band (E[i:, i]) and the
+        # band's diagonals at column i - k (E[i, :i])
+        absolute = np.abs(stored)
+        sums = absolute.sum(axis=0)
+        for k in range(1, absolute.shape[0]):
+            sums[k:] += absolute[k, :n - k]
+        norm = float(sums.max())
+
+    def factorise(a, overwrite=0):
+        if bandwidth is None:
+            return scipy.linalg.lapack.dpotrf(a, lower=1, clean=1, overwrite_a=overwrite)
+        return scipy.linalg.lapack.dpbtrf(a, lower=1, overwrite_ab=overwrite)
+
+    factor, info = factorise(stored)
     if info:
+        _exact_guard(flat, what, bandwidth)
         raise ConditioningError(f"{what}: Cholesky factorisation failed "
                                 f"(LAPACK info={info})")
-    return factor, rng
+    # the factor succeeded, so every diagonal entry is positive
+    diag = stored[diagonal]
+    gamma = (n + 1) * _UNIT_ROUNDOFF / (1.0 - (n + 1) * _UNIT_ROUNDOFF)
+    top = float(diag.max())
+    shift = (_BOUND_MARGIN * SPD_RTOL * norm + 2.0 * gamma / (1.0 - gamma) * float(diag.sum())
+             + 2.0 * _UNIT_ROUNDOFF * top + 4.0 * (n + 1) * (2.0 * (n + 1) + top) * _ETA)
+    # the one temporary: LAPACK factors this Fortran-ordered copy in place
+    shifted = np.array(stored, order="F")
+    shifted[diagonal] -= shift
+    if factorise(shifted, overwrite=1)[1]:
+        _exact_guard(flat, what, bandwidth)
+    return factor
 
 
 #: Rows per block in the blocked triangle kernels below.
@@ -607,7 +629,7 @@ def spd_inverse(flat: np.ndarray, what: str,
     ``r <= SPD_RESIDUAL_TOL`` and the bound clears ``1/SPD_RTOL`` by the
     factor ``_BOUND_MARGIN``.  Otherwise (a failed factorisation, a large
     residual, a bound that does not clear) the exact extremal eigenvalues
-    decide as :func:`spd_factor` does, and the refusals keep their order:
+    decide as :func:`_exact_guard` does, and the refusals keep their order:
     "numerically singular" first, then the LAPACK failures or the residual.
 
     Returns ``(inv, condition_bound, residual)``; ``inv`` is C-contiguous.
@@ -647,10 +669,9 @@ def spd_inverse_section(flat: np.ndarray, bandwidth: int, lo: int, hi: int,
                         what: str) -> np.ndarray:
     """Rows and columns ``lo:hi`` of the inverse of an exactly banded SPD matrix.
 
-    ``flat`` is exactly zero beyond ``bandwidth`` diagonals.  The guard is
-    the exact extremal eigenvalues of the band, as in :func:`spd_factor`;
-    the matrix is then factored in band storage (``dpbtrf``) and solved
-    (``dpbtrs``) only for the identity columns ``lo:hi``, in
+    ``flat`` is exactly zero beyond ``bandwidth`` diagonals.  It is
+    factored in band storage by :func:`_certified_cholesky` (``dpbtrf``) and
+    solved (``dpbtrs``) only for the identity columns ``lo:hi``, in
     O(n * bandwidth * (hi - lo)) instead of the O(n^3) of a full inverse.
     One triangle of the section is mirrored onto the other, so it is
     exactly symmetric, and the residual of exactly those columns,
@@ -662,12 +683,7 @@ def spd_inverse_section(flat: np.ndarray, bandwidth: int, lo: int, hi: int,
             residual exceeds ``SPD_RESIDUAL_TOL``.
     """
     n = flat.shape[0]
-    _exact_guard(flat, what, bandwidth)
-    factor, info = scipy.linalg.lapack.dpbtrf(_lower_band(flat, min(bandwidth, n - 1)),
-                                              lower=1)
-    if info:
-        raise ConditioningError(f"{what}: Cholesky factorisation failed "
-                                f"(LAPACK info={info})")
+    factor = _certified_cholesky(flat, what, bandwidth)
     k = hi - lo
     rhs = np.zeros((n, k), order="F")
     rhs[np.arange(lo, hi), np.arange(k)] = 1.0
@@ -712,7 +728,7 @@ def schur_complement(a: np.ndarray, b: np.ndarray, e: BlockWindow | np.ndarray,
     if b.shape != (a.shape[0], ef.shape[0]) or a.shape[0] != a.shape[1]:
         raise InputError(f"schur_complement: non-conformable shapes {a.shape}, "
                          f"{b.shape}, {ef.shape}")
-    factor, _ = spd_factor(ef, what)
+    factor = _certified_cholesky(ef, what)
     result = a - b @ scipy.linalg.cho_solve((factor, True), b.T)
     if np.array_equal(a, a.T):
         result = 0.5 * (result + result.T)

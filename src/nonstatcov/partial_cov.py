@@ -62,10 +62,10 @@ def _component_rows(length: int, p: int, components) -> np.ndarray:
 def _schur_on_rows(flat: np.ndarray, keep: np.ndarray,
                    drop: np.ndarray) -> np.ndarray:
     """Schur complement of the ``keep`` rows with the ``drop`` rows
-    projected out; returns a symmetrized matrix."""
+    projected out; symmetric, as ``flat`` is."""
     css = flat[np.ix_(keep, keep)]
     if drop.size == 0:
-        return 0.5 * (css + css.T)
+        return css
     return schur_complement(css, flat[np.ix_(keep, drop)], flat[np.ix_(drop, drop)],
                             what="partial covariance: conditioning block")
 

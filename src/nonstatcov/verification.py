@@ -416,7 +416,9 @@ def _shifted_dots(x: np.ndarray, reach: int) -> np.ndarray:
 def check_lemma_utilities(seed: int = 99, trials: int = 200,
                           grid_half: int = 10**6) -> CheckResult:
     rng = np.random.default_rng(seed)
-    worst_cs = -math.inf
+    # (C_yx, V_x, V_y) of every trial, grouped by (px, py) so that each
+    # group's norms come from one stacked block_norms call per matrix kind
+    groups = {}
     for _ in range(trials):
         px = int(rng.integers(1, 5))
         py = int(rng.integers(1, 5))
@@ -425,12 +427,12 @@ def check_lemma_utilities(seed: int = 99, trials: int = 200,
         y = x @ rng.standard_normal((px, py)) + rng.standard_normal((nsamp, py))
         x -= x.mean(0)
         y -= y.mean(0)
-        cxy = y.T @ x / nsamp
-        vx_ = x.T @ x / nsamp
-        vy = y.T @ y / nsamp
-        excess = np.linalg.norm(cxy, 2) ** 2 \
-            - np.linalg.norm(vx_, 2) * np.linalg.norm(vy, 2)
-        worst_cs = max(worst_cs, float(excess))
+        groups.setdefault((px, py), []).append(
+            (y.T @ x / nsamp, x.T @ x / nsamp, y.T @ y / nsamp))
+    worst_cs = -math.inf
+    for group in groups.values():
+        cxy, vx_, vy = (oc.block_norms(np.stack(kind)) for kind in zip(*group))
+        worst_cs = max(worst_cs, float(np.max(cxy**2 - vx_ * vy)))
     cs_ok = worst_cs <= 1e-12
 
     ext = np.arange(-grid_half - 50, grid_half + 51, dtype=float)

@@ -1,5 +1,9 @@
+import importlib
+import importlib.util
 import json
 import os
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -289,3 +293,17 @@ class TestCli:
         names = {v["name"]: v["passed"] for v in v1["verdicts"]}
         assert names["baxter_sums_decreasing"]
         assert not names["baxter_slope_window"]
+
+
+def test_benchmark_traced_functions_exist(monkeypatch):
+    """The traced benchmark pass rebinds the functions ``bench/spans.py``
+    lists by name; each must still exist in the package."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = [(module, name) for module, name, _ in spans.TRACED_FUNCTIONS
+               if not callable(getattr(importlib.import_module(f"nonstatcov.{module}"),
+                                       name, None))]
+    assert spans.TRACED_FUNCTIONS and missing == []

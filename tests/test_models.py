@@ -501,26 +501,27 @@ class TestValidation:
 class TestCovBlock:
     def test_white_noise(self):
         model = white_noise_model(2)
-        assert np.array_equal(nc.cov_block(model, 100, 5, 5), np.eye(2))
-        assert np.all(nc.cov_block(model, 100, 5, 8) == 0.0)
+        assert np.array_equal(nc.cov_window(model, 100, 5, 5).block(5, 5).copy(), np.eye(2))
+        assert np.all(nc.cov_window(model, 100, 5, 8).block(5, 8).copy() == 0.0)
 
     def test_symmetry_exact(self):
         model = reference_tvvma()
         for (t, tau) in [(3, 7), (10, 4), (0, 0)]:
-            a = nc.cov_block(model, 100, t, tau)
-            b = nc.cov_block(model, 100, tau, t)
+            lo, hi = min(t, tau), max(t, tau)
+            a = nc.cov_window(model, 100, lo, hi).block(t, tau).copy()
+            b = nc.cov_window(model, 100, lo, hi).block(tau, t).copy()
             assert np.array_equal(a, b.T)
 
     def test_constant_ar1_interior(self):
         model = scalar_ar1()
         c0 = 1.0 / (1 - 0.25)
         for r in range(0, 6):
-            got = nc.cov_block(model, 50, 20, 20 + r)[0, 0]
+            got = nc.cov_window(model, 50, 20, 20 + r).block(20, 20 + r).copy()[0, 0]
             assert got == pytest.approx(0.5**r * c0, abs=1e-10)
 
     def test_sre_unsupported(self):
         with pytest.raises(UnsupportedFamilyError):
-            nc.cov_block(reference_sre(), 100, 0, 0)
+            nc.cov_window(reference_sre(), 100, 0, 0).block(0, 0).copy()
 
     def test_arch_is_white_with_recursion_variance(self):
         model = reference_tvarch()
@@ -539,7 +540,7 @@ class TestCovBlock:
             prods = sims[:, i, 0] * sims[:, j, 0]
             mc = prods.mean()
             se = prods.std(ddof=1) / math.sqrt(reps)
-            exact = nc.cov_block(model, n, t + i, t + j)[0, 0]
+            exact = nc.cov_window(model, n, t, t + j).block(t + i, t + j).copy()[0, 0]
             assert abs(mc - exact) <= 3 * se
 
     def test_var_cov_window_matches_banded_precision_identity(self):
@@ -716,7 +717,7 @@ class TestSimulation:
         sims = nc.simulate_ensemble(model, n, t, t, reps=reps, seed=31)
         prods = sims[:, 0, 0] ** 2
         se = prods.std(ddof=1) / math.sqrt(reps)
-        exact = nc.cov_block(model, n, t, t)[0, 0]
+        exact = nc.cov_window(model, n, t, t).block(t, t).copy()[0, 0]
         assert abs(prods.mean() - exact) <= 3 * se
 
     def test_simulator_consistency_small_lags(self):
@@ -729,7 +730,8 @@ class TestSimulation:
             for j in range(6):
                 prods = sims[:, i, 0] * sims[:, j, 0]
                 se = prods.std(ddof=1) / math.sqrt(reps)
-                exact = nc.cov_block(model, n, t0 + i, t0 + j)[0, 0]
+                lo, hi = t0 + min(i, j), t0 + max(i, j)
+                exact = nc.cov_window(model, n, lo, hi).block(t0 + i, t0 + j).copy()[0, 0]
                 assert abs(prods.mean() - exact) <= 3 * se
 
     def test_positive_definiteness_of_assembled_windows(self):
@@ -810,5 +812,5 @@ class TestArchRecursion:
         sims = nc.simulate_ensemble(model, n, t, t, reps=reps, seed=63)
         prods = sims[:, 0, 0] ** 2
         se = prods.std(ddof=1) / math.sqrt(reps)
-        exact = nc.cov_block(model, n, t, t)[0, 0]
+        exact = nc.cov_window(model, n, t, t).block(t, t).copy()[0, 0]
         assert abs(prods.mean() - exact) <= 4 * se

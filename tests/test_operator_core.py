@@ -24,14 +24,14 @@ def toeplitz_ar1_window(phi, sigma2, length):
 
 class TestDecayWeights:
     def test_values_at_zero(self):
-        assert nc.decay_weights(0) == (1.0, 1.0)
+        assert (nc.gu(0), nc.zeta(0)) == (1.0, 1.0)
 
     def test_log_clamp_at_two(self):
         # log 2 < 1 so the numerator clamps
-        assert nc.decay_weights(2) == (2.0, 0.5)
+        assert (nc.gu(2), nc.zeta(2)) == (2.0, 0.5)
 
     def test_value_at_ten(self):
-        g, z = nc.decay_weights(10)
+        g, z = nc.gu(10), nc.zeta(10)
         assert g == 10.0
         assert z == pytest.approx(0.23025850929940458, abs=1e-16)
 
@@ -319,34 +319,6 @@ class TestBandTruncate:
             nc.band_truncate(self._seeded_window(), -1)
 
 
-class TestBandedErrorBound:
-    def test_direct_formula(self):
-        assert nc.banded_error_bound(1.0, 2.0, 3) == pytest.approx(1.0)
-        assert nc.banded_error_bound(1.0, 3.0, 11) == pytest.approx(0.01)
-
-    def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            nc.banded_error_bound(1.0, 1.0, 3)
-        with pytest.raises(DomainError):
-            nc.banded_error_bound(1.0, 2.0, 1)
-
-    def test_certifies_truncation_of_decaying_window(self):
-        rng = np.random.default_rng(19)
-        length, kappa, k = 40, 3.0, 0.8
-        blocks = np.zeros((length, length, 1, 1))
-        for t in range(length):
-            for tau in range(t, length):
-                lag = tau - t
-                scale = k * float(oc.gu(lag)) ** (-kappa)
-                val = scale * rng.uniform(-1, 1) if lag else k + rng.uniform(0, 1)
-                blocks[t, tau, 0, 0] = val
-                blocks[tau, t, 0, 0] = val
-        w = nc.BlockWindow(t_lo=0, p=1, blocks=blocks, symmetric=True)
-        for m in (3, 6, 10):
-            err = nc.spectral_norm(w.flatten() - nc.band_truncate(w, m).base.flatten())
-            assert err <= nc.banded_error_bound(k, kappa, m) + 1e-12
-
-
 class TestDemkoBound:
     def test_zero_for_equal_endpoints(self):
         assert nc.demko_bound(2.0, 2.0, 1, 3) == 0.0
@@ -428,15 +400,75 @@ def spd_with_condition(seed, n, cond):
     return 0.5 * (mat + mat.T)
 
 
-def exact_guard_inverse(mat, what, bandwidth=None):
-    """``spd_inverse`` as it decided before the certified bound: the exact
-    extremal eigenvalues first, then Cholesky, inversion and residual.
-    Returns ``(inv, residual)``."""
+def banded_with_condition(seed, n, bandwidth, cond, indefinite=False):
+    """Symmetric matrix, exactly zero beyond ``bandwidth`` diagonals, with a
+    shifted spectrum: ``lambda_max / lambda_min`` is about ``cond`` (for
+    ``cond`` near 1, about ``1.001``), or with ``indefinite`` the smallest
+    eigenvalue is about ``-lambda_max / cond``."""
+    rng = np.random.default_rng(seed)
+    lag = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+    raw = rng.standard_normal((n, n)) * (lag <= bandwidth)
+    sym = (raw + raw.T) * 10.0 ** rng.uniform(-3, 3)
+    vals = scipy.linalg.eigvalsh(sym)
+    spread = vals[-1] - vals[0] if vals[-1] > vals[0] else abs(vals[0]) + 1.0
+    low = spread / max(cond - 1.0, 1e-3)
+    return sym + ((-low if indefinite else low) - vals[0]) * np.eye(n)
+
+
+def exact_guard(mat, what, bandwidth=None):
+    """The exact eigenvalue guard, written out: raise unless
+    ``lambda_min > SPD_RTOL * lambda_max``."""
     rng = oc.sym_eig_range(mat, bandwidth)
     if not rng.is_spd():
         raise ConditioningError(
             f"{what} is numerically singular "
             f"(lambda_min={rng.lambda_min:.3e}, lambda_max={rng.lambda_max:.3e})")
+
+
+def exact_guard_schur(a, b, e, what):
+    """``schur_complement`` as it decided before the certified factor: the
+    exact guard first, then Cholesky and the solve."""
+    exact_guard(e, what)
+    factor, info = scipy.linalg.lapack.dpotrf(e, lower=1, clean=1)
+    if info:
+        raise ConditioningError(f"{what}: Cholesky factorisation failed "
+                                f"(LAPACK info={info})")
+    result = a - b @ scipy.linalg.cho_solve((factor, True), b.T)
+    return 0.5 * (result + result.T) if np.array_equal(a, a.T) else result
+
+
+def exact_guard_section(mat, bandwidth, lo, hi, what):
+    """``spd_inverse_section`` as it decided before the certified factor:
+    the exact guard from the band first, then the banded factor, the solve
+    of the columns ``lo:hi``, the mirror and the residual."""
+    n = mat.shape[0]
+    exact_guard(mat, what, bandwidth)
+    band = oc._lower_band(mat, min(bandwidth, n - 1))
+    factor, info = scipy.linalg.lapack.dpbtrf(band, lower=1)
+    if info:
+        raise ConditioningError(f"{what}: Cholesky factorisation failed "
+                                f"(LAPACK info={info})")
+    rhs = np.zeros((n, hi - lo), order="F")
+    rhs[np.arange(lo, hi), np.arange(hi - lo)] = 1.0
+    cols, info = scipy.linalg.lapack.dpbtrs(factor, rhs, lower=1)
+    if info:
+        raise ConditioningError(f"{what}: banded Cholesky solve failed "
+                                f"(LAPACK info={info})")
+    # mirrored in place, so the residual reads the mirrored columns
+    section = cols[lo:hi].T
+    section[...] = np.tril(section) + np.tril(section, -1).T
+    residual = oc._inverse_residual(mat, cols, lo, bandwidth)
+    if not residual <= oc.SPD_RESIDUAL_TOL:
+        raise ConditioningError(f"{what}: inversion residual {residual:.3e} "
+                                f"exceeds {oc.SPD_RESIDUAL_TOL:g}")
+    return section
+
+
+def exact_guard_inverse(mat, what, bandwidth=None):
+    """``spd_inverse`` as it decided before the certified bound: the exact
+    extremal eigenvalues first, then Cholesky, inversion and residual.
+    Returns ``(inv, residual)``."""
+    exact_guard(mat, what, bandwidth)
     factor, info = scipy.linalg.lapack.dpotrf(mat, lower=1, clean=1)
     if info:
         raise ConditioningError(f"{what}: Cholesky factorisation failed "
@@ -456,7 +488,8 @@ def exact_guard_inverse(mat, what, bandwidth=None):
 class TestSpdKernel:
     def test_factor_reproduces_matrix(self):
         mat = spd_with_condition(3, 12, 1e3)
-        factor, rng = nc.spd_factor(mat, "test matrix")
+        factor = oc._certified_cholesky(mat, "test matrix")
+        rng = oc.sym_eig_range(mat)
         assert np.array_equal(factor, np.tril(factor))
         assert np.allclose(factor @ factor.T, mat, rtol=0, atol=1e-12 * rng.lambda_max)
         assert rng.condition == pytest.approx(1e3, rel=1e-6)
@@ -469,9 +502,8 @@ class TestSpdKernel:
         lag = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
         sym = 0.5 * (raw + raw.T) * (lag <= bandwidth)
         mat = sym + (np.abs(np.linalg.eigvalsh(sym)[0]) + 0.5) * np.eye(n)
-        factor_b, rng_b = nc.spd_factor(mat, "banded", bandwidth=bandwidth)
-        factor_d, rng_d = nc.spd_factor(mat, "dense")
-        assert np.array_equal(factor_b, factor_d)
+        rng_b = oc.sym_eig_range(mat, bandwidth)
+        rng_d = oc.sym_eig_range(mat)
         scale = rng_d.lambda_max
         assert abs(rng_b.lambda_min - rng_d.lambda_min) <= 1e-13 * scale
         assert abs(rng_b.lambda_max - rng_d.lambda_max) <= 1e-13 * scale
@@ -484,7 +516,7 @@ class TestSpdKernel:
         banded = oc.sym_eig_range(mat, 26)
         assert abs(banded.lambda_min - dense.lambda_min) <= 1e-13 * dense.lambda_max
         assert abs(banded.lambda_max - dense.lambda_max) <= 1e-13 * dense.lambda_max
-        nc.spd_factor(mat, "m", bandwidth=26)
+        oc._exact_guard(mat, "m", 26)
 
         def failing(*args, **kwargs):
             raise np.linalg.LinAlgError("no convergence")
@@ -494,7 +526,7 @@ class TestSpdKernel:
     def test_singular_raises(self):
         mat = np.diag([2.0, 1.0, 0.0])
         with pytest.raises(ConditioningError, match="test matrix is numerically singular"):
-            nc.spd_factor(mat, "test matrix")
+            nc.schur_complement(np.eye(1), np.ones((1, 3)), mat, what="test matrix")
         with pytest.raises(ConditioningError):
             nc.spd_inverse(mat, "test matrix")
         with pytest.raises(ConditioningError, match="numerically singular"):
@@ -505,7 +537,8 @@ class TestSpdKernel:
         q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
         mat = (q * np.array([-0.5, 1.0, 2.0, 3.0, 4.0, 5.0])) @ q.T
         with pytest.raises(ConditioningError, match="lambda_min=-5"):
-            nc.spd_factor(0.5 * (mat + mat.T), "test matrix")
+            nc.schur_complement(np.eye(2), np.ones((2, 6)), 0.5 * (mat + mat.T),
+                                what="test matrix")
 
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30),
@@ -571,6 +604,74 @@ class TestSpdKernel:
         # which eigvalsh gives to about n * eps * cond relative
         eps = np.finfo(float).eps
         assert bound >= rng.condition * (1.0 - 1e-12 - 4 * n * eps * rng.condition)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30),
+           bandwidth=st.integers(0, 30), log_cond=st.floats(0.0, 14.0),
+           indefinite=st.booleans())
+    @example(seed=2, n=20, bandwidth=3, log_cond=11.0, indefinite=False)
+    @example(seed=3, n=25, bandwidth=30, log_cond=12.001, indefinite=False)
+    @example(seed=4, n=30, bandwidth=1, log_cond=11.999, indefinite=False)
+    @example(seed=5, n=12, bandwidth=4, log_cond=2.0, indefinite=True)
+    @example(seed=6, n=1, bandwidth=0, log_cond=0.0, indefinite=False)
+    def test_certified_cholesky_decides_as_the_exact_guard(self, seed, n, bandwidth,
+                                                           log_cond, indefinite):
+        """``schur_complement`` (dense factor) and ``spd_inverse_section``
+        (band factor) return the bits of the exact-guard-first oracles, or
+        raise their error with the same message."""
+        mat = banded_with_condition(seed, n, bandwidth, 10.0 ** log_cond, indefinite)
+        rng = np.random.default_rng(seed)
+        a, b = 3.0 * np.eye(2), rng.standard_normal((2, n))
+        lo, hi = n // 3, n - n // 3
+        for run, oracle in (
+                (lambda: nc.schur_complement(a, b, mat, what="E"),
+                 lambda: exact_guard_schur(a, b, mat, "E")),
+                (lambda: oc.spd_inverse_section(mat, bandwidth, lo, hi, "E"),
+                 lambda: exact_guard_section(mat, bandwidth, lo, hi, "E"))):
+            try:
+                want = oracle()
+            except ConditioningError as err:
+                want = str(err)
+            try:
+                got = run()
+            except ConditioningError as err:
+                got = str(err)
+            if isinstance(want, str) or isinstance(got, str):
+                assert got == want
+            else:
+                assert np.array_equal(got, want)
+
+    def test_refused_certificate_leaves_the_decision_to_the_exact_guard(self, monkeypatch):
+        # at condition 1e11 the certificate (lambda_min above 1e-9 lambda_max)
+        # refuses and the exact guard (above 1e-12 lambda_max) accepts
+        guards = []
+        real = oc._exact_guard
+
+        def counting(*args):
+            guards.append(args[1])
+            return real(*args)
+        monkeypatch.setattr(oc, "_exact_guard", counting)
+        e = spd_with_condition(9, 12, 1e11)
+        a, b = np.eye(2), np.ones((2, 12))
+        assert np.array_equal(nc.schur_complement(a, b, e, what="E"),
+                              exact_guard_schur(a, b, e, "E"))
+        banded = np.diag(np.geomspace(1.0, 1e-11, 12))
+        assert np.array_equal(oc.spd_inverse_section(banded, 0, 2, 9, "B"),
+                              exact_guard_section(banded, 0, 2, 9, "B"))
+        assert guards == ["E", "B"]
+
+    def test_accepted_factorisations_make_no_eigensolve(self, monkeypatch):
+        calls = []
+        real = oc.sym_eig_range
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(oc, "sym_eig_range", counting)
+        c = nc.cov_window(nc.get_reference_model("tvvar1_p3"), 200, 40, 99)
+        assert calls == []
+        nc.partial_cov_pair(c, 0, 2, pad=10)
+        assert calls == []
 
     @pytest.mark.parametrize("cond,accepted", [(1e6, True), (1e10, True), (1e13, False)])
     def test_exact_inverses_beyond_the_bound_go_to_the_exact_guard(self, cond, accepted):
@@ -809,7 +910,7 @@ class TestBandedBlockWindow:
 
 class TestRowAggregationBounds:
     def test_stacked_row_norm_bound(self):
-        # operator norm of [A_1 ... A_k] never exceeds the l2 aggregate
+        # operator norm of [A_1 ... A_k] never exceeds sqrt(sum_l ||A_l||_2^2)
         rng = np.random.default_rng(31)
         for _ in range(50):
             p = int(rng.integers(1, 5))
@@ -817,7 +918,7 @@ class TestRowAggregationBounds:
             stack = rng.standard_normal((k, p, p))
             row = np.concatenate(list(stack), axis=1)
             actual = np.linalg.svd(row, compute_uv=False)[0]
-            assert actual <= nc.block_row_norm_bound(stack) + 1e-12
+            assert actual <= np.sqrt(np.sum(nc.block_norms(stack) ** 2)) + 1e-12
 
     def test_symmetric_row_sum_bound(self):
         rng = np.random.default_rng(37)

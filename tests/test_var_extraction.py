@@ -77,7 +77,7 @@ class TestVarCoeffsFinite:
         model = reference_tvvma()
         coeffs = nc.var_coeffs_finite(model, 200, 70, 0)
         assert coeffs.phis == ()
-        assert np.allclose(coeffs.sigma, nc.cov_block(model, 200, 70, 70))
+        assert np.allclose(coeffs.sigma, nc.cov_window(model, 200, 70, 70).block(70, 70).copy())
 
     def test_innovation_variance_nesting(self):
         model = reference_tvvma()
