@@ -95,9 +95,6 @@ def main(argv=None) -> int:
         return EXIT_CONFIG_ERROR
     try:
         report = run_experiment(config, threads=max(1, threads))
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
     except NonstatcovError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC_ERROR

@@ -9,18 +9,60 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError, InputError
 from .models import (SRE, CoefficientFn, ModelSpec, TvARCH, TvVAR, TvVMA)
 from .reference import REFERENCE_BUILDERS, get_reference_model
+from .verification import ALL_CHECKS
 
-EXPERIMENT_KINDS = ("simulate", "decay", "invert", "neumann", "var", "baxter",
-                    "smoothness", "partial", "coherence", "physical",
-                    "verify-all")
+
+class GridField(NamedTuple):
+    """A grid field: ``kind`` is ``"int"`` (not a bool), ``"number"`` (finite),
+    ``"ints"`` (a list of at least ``min_len`` integers) or ``"checks"``
+    (``verify-all`` check names); ``least`` bounds the value or each entry.
+    A callable default is worked out from the fields before it; a ``None``
+    default (also given as ``null``) is left for the runner to fill."""
+
+    kind: str
+    default: Any = None
+    least: int | None = None
+    min_len: int = 1
+
+
+_N = GridField("int", 200, 1)
+_HALF_N = GridField("int", lambda grid: grid["N"] // 2)
+
+#: experiment -> field -> GridField, in the order the fields are checked.
+#: Each least value is the smallest one the numerics accept.
+GRID_FIELDS: dict[str, dict[str, GridField]] = {
+    "simulate": {"N": _N, "t_lo": GridField("int", 0),
+                 "t_hi": GridField("int", lambda grid: grid["t_lo"] + grid["N"] - 1)},
+    "decay": {"N": _N, "t_lo": GridField("int", 60), "t_hi": GridField("int", 140),
+              "kappa": GridField("number")},
+    "invert": {"N": _N, "window": GridField("int", 240, 20), "pad": GridField("int", 60, 0)},
+    "neumann": {"count": GridField("int", 50, 1), "N": _N},
+    "var": {"N": _N, "t": _HALF_N, "orders": GridField("ints", (1, 2, 4, 8), 0),
+            "kappa": GridField("number")},
+    "baxter": {"N": _N, "t": GridField("int", 100),
+               "orders": GridField("ints", (5, 10, 20, 40), 1, 2)},
+    "smoothness": {"Ns": GridField("ints", (100, 200, 400), 1, 2)},
+    "partial": {"count": GridField("int", 100, 1), "p": GridField("int", 3, 2),
+                "length": GridField("int", 20, 1), "N": _N, "a": GridField("int", 0, 0),
+                "b": GridField("int", 1, 0), "t": _HALF_N, "kappa": GridField("number", 4.0)},
+    "coherence": {"a": GridField("int", 0, 0), "b": GridField("int", 1, 0),
+                  "Ns": GridField("ints", (200, 400), 1, 2), "u": GridField("number", 0.3),
+                  "max_lag": GridField("int", 40, 0), "omega_points": GridField("int", 65, 1)},
+    "physical": {"N": _N, "t": GridField("int", 100), "reps": GridField("int", 5000, 100),
+                 "js": GridField("ints", tuple(range(1, 9)), 0)},
+    "verify-all": {"checks": GridField("checks")},
+}
+
+EXPERIMENT_KINDS = tuple(GRID_FIELDS)
 
 
 def _expect(cond: bool, message: str, path: str) -> None:
@@ -197,7 +239,8 @@ def model_to_json(model: ModelSpec) -> dict:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated experiment description."""
+    """Validated experiment description; ``grid`` holds every field of the
+    experiment's ``GRID_FIELDS`` entry, checked, with the defaults filled in."""
 
     experiment: str
     seed: int
@@ -256,9 +299,76 @@ def load_config(obj_or_path, default_experiment: str | None = None) -> Experimen
     model = model_from_json(obj["model"], "/model")
     grid = obj.get("grid", {})
     _expect(isinstance(grid, dict), "grid must be an object", "/grid")
+    grid = _checked_grid(experiment, grid, model)
     companions = {}
     for key, val in obj.get("companions", {}).items():
         companions[key] = model_from_json(val, f"/companions/{key}")
     return ExperimentConfig(experiment=experiment, seed=obj["seed"],
-                            model=model, grid=dict(grid),
+                            model=model, grid=grid,
                             companions=companions, raw=obj)
+
+
+def _is_int(val: Any) -> bool:
+    return isinstance(val, (int, np.integer)) and not isinstance(val, bool)
+
+
+def _grid_value(key: str, spec: GridField, val: Any):
+    """``val`` as the field's kind, or ConfigError at ``/grid/<key>``."""
+    path = f"/grid/{key}"
+    if val is None and spec.default is None:
+        return None
+    if spec.kind == "int":
+        _expect(_is_int(val), f"grid field {key!r} must be an integer", path)
+        _expect(spec.least is None or val >= spec.least,
+                f"grid field {key!r} must be >= {spec.least}, got {val}", path)
+        return int(val)
+    if spec.kind == "number":
+        # the bound refuses NaN, infinities and integers beyond float range
+        _expect(isinstance(val, (int, float, np.integer, np.floating))
+                and not isinstance(val, bool) and abs(val) <= sys.float_info.max,
+                f"grid field {key!r} must be a finite number", path)
+        return float(val)
+    if spec.kind == "ints":
+        _expect(isinstance(val, (list, tuple)) and len(val) >= spec.min_len
+                and all(_is_int(v) for v in val),
+                f"grid field {key!r} must be a list of integers "
+                f"(at least {spec.min_len})", path)
+        _expect(all(v >= spec.least for v in val),
+                f"grid field {key!r} entries must be >= {spec.least}", path)
+        return tuple(int(v) for v in val)
+    known = [name for name, _, _ in ALL_CHECKS]
+    _expect(isinstance(val, list) and all(n in known for n in val),
+            f"grid field {key!r} must be a list of check names from {known}", path)
+    return list(val)
+
+
+def _checked_grid(experiment: str, raw: dict, model: ModelSpec) -> dict:
+    """Every field of the experiment's ``GRID_FIELDS`` entry, checked, with
+    the defaults filled in; unknown fields are refused."""
+    fields = GRID_FIELDS[experiment]
+    for key in raw:
+        _expect(key in fields, f"unknown grid field {key!r}; {experiment} "
+                f"takes {list(fields)}", f"/grid/{key}")
+    grid: dict = {}
+    for key, spec in fields.items():
+        default = spec.default(grid) if callable(spec.default) else spec.default
+        grid[key] = _grid_value(key, spec, raw.get(key, default))
+    if "t_hi" in grid:
+        _expect(grid["t_hi"] >= grid["t_lo"], f"grid field 't_hi' must be >= "
+                f"{grid['t_lo']}, got {grid['t_hi']}", "/grid/t_hi")
+    p = getattr(model, "p", 1)
+    if experiment == "coherence":
+        _expect(p >= 2, "coherence requires a model with p >= 2", "/model")
+    if "a" in grid and p >= 2:
+        for key in ("a", "b"):
+            _expect(grid[key] < p, f"grid field {key!r} must be < p = {p}, "
+                    f"got {grid[key]}", f"/grid/{key}")
+        _expect(grid["a"] != grid["b"], f"grid field 'b' must differ from 'a', "
+                f"got {grid['b']}", "/grid/b")
+    if experiment == "baxter":
+        _expect(list(grid["orders"]) == sorted(set(grid["orders"])),
+                "grid field 'orders' must be strictly increasing", "/grid/orders")
+    if experiment == "physical" and isinstance(model, SRE):
+        _expect(len(set(grid["js"])) >= 2, "grid field 'js' needs at least two "
+                "distinct entries to fit a slope on an SRE model", "/grid/js")
+    return grid

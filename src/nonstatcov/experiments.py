@@ -156,76 +156,8 @@ def write_report(report: Report, out_dir: str) -> dict:
 # runners
 # ---------------------------------------------------------------------------
 
-#: Smallest accepted value of an integer grid field (of each entry, for a
-#: list); a value below it would reach the numerics.
-_GRID_MINIMUM = {"N": 1, "Ns": 1, "orders": 0, "count": 1, "length": 1, "p": 2}
-
-
-def _grid_int(grid: dict, key: str, default=None, minimum: int | None = None) -> int:
-    """An integer from the grid, at least ``minimum`` (by default the field's
-    entry in ``_GRID_MINIMUM``, if any)."""
-    val = grid.get(key, default)
-    if val is None:
-        raise ConfigError(f"missing grid field {key!r}", path=f"/grid/{key}")
-    if not isinstance(val, (int, np.integer)):
-        raise ConfigError(f"grid field {key!r} must be an integer",
-                          path=f"/grid/{key}")
-    minimum = _GRID_MINIMUM.get(key) if minimum is None else minimum
-    if minimum is not None and val < minimum:
-        raise ConfigError(f"grid field {key!r} must be >= {minimum}, got {val}",
-                          path=f"/grid/{key}")
-    return int(val)
-
-
-def _grid_float(grid: dict, key: str, default=None) -> float | None:
-    """A finite number from the grid; ``default`` (possibly None) if absent."""
-    val = grid.get(key, default)
-    if val is None:
-        return None
-    if isinstance(val, bool) or not isinstance(val, (int, float, np.integer,
-                                                     np.floating)) \
-            or not math.isfinite(val):
-        raise ConfigError(f"grid field {key!r} must be a finite number",
-                          path=f"/grid/{key}")
-    return float(val)
-
-
-def _grid_pair(grid: dict, p: int) -> tuple[int, int]:
-    """Distinct components ``a`` and ``b`` (default 0 and 1) of a
-    ``p``-dimensional model."""
-    pair = []
-    for key, default in (("a", 0), ("b", 1)):
-        val = _grid_int(grid, key, default, minimum=0)
-        if val >= p:
-            raise ConfigError(f"grid field {key!r} must be < p = {p}, got {val}",
-                              path=f"/grid/{key}")
-        pair.append(val)
-    if pair[0] == pair[1]:
-        raise ConfigError(f"grid field 'b' must differ from 'a', got {pair[1]}",
-                          path="/grid/b")
-    return pair[0], pair[1]
-
-
-def _grid_int_list(grid: dict, key: str, default, min_len: int = 1) -> tuple[int, ...]:
-    """A list of at least ``min_len`` integers from the grid."""
-    val = grid.get(key, default)
-    if not isinstance(val, (list, tuple)) or len(val) < min_len or not all(
-            isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-            for v in val):
-        raise ConfigError(f"grid field {key!r} must be a list of integers "
-                          f"(at least {min_len})", path=f"/grid/{key}")
-    minimum = _GRID_MINIMUM.get(key)
-    if minimum is not None and any(v < minimum for v in val):
-        raise ConfigError(f"grid field {key!r} entries must be >= {minimum}",
-                          path=f"/grid/{key}")
-    return tuple(int(v) for v in val)
-
-
 def _run_simulate(config: ExperimentConfig):
-    grid = config.grid
-    n = _grid_int(grid, "N", 200)
-    t_lo = _grid_int(grid, "t_lo", 0)
-    t_hi = _grid_int(grid, "t_hi", t_lo + n - 1, minimum=t_lo)
+    n, t_lo, t_hi = config.grid["N"], config.grid["t_lo"], config.grid["t_hi"]
     path = md.simulate_path(config.model, n, t_lo, t_hi, config.seed)
     again = md.simulate_path(config.model, n, t_lo, t_hi, config.seed)
     rows = []
@@ -238,14 +170,11 @@ def _run_simulate(config: ExperimentConfig):
 
 def _run_decay(config: ExperimentConfig):
     grid = config.grid
-    n = _grid_int(grid, "N", 200)
-    t_lo = _grid_int(grid, "t_lo", 60)
-    t_hi = _grid_int(grid, "t_hi", 140, minimum=t_lo)
+    n, t_lo, t_hi = grid["N"], grid["t_lo"], grid["t_hi"]
     w = md.cov_window(config.model, n, t_lo, t_hi)
     lag_norms = w.lag_max_norms()
     try:
-        fit = md.assumption_fit(config.model, n, t_lo, t_hi,
-                                kappa=_grid_float(grid, "kappa"))
+        fit = md.assumption_fit(config.model, n, t_lo, t_hi, kappa=grid["kappa"])
     except md.FitError:
         fit = None
     rows = []
@@ -279,28 +208,23 @@ def _run_decay(config: ExperimentConfig):
 
 
 def _run_invert(config: ExperimentConfig):
-    grid = config.grid
-    res = vf.check_inverse_decay(config.model,
-                                 n=_grid_int(grid, "N", 200),
-                                 window=_grid_int(grid, "window", 240),
-                                 pad=_grid_int(grid, "pad", 60))
+    n, window, pad = config.grid["N"], config.grid["window"], config.grid["pad"]
+    res = vf.check_inverse_decay(config.model, n=n, window=window, pad=pad)
     return res.rows, [Verdict(res.name, res.passed, res.details)]
 
 
 def _run_neumann(config: ExperimentConfig):
-    grid = config.grid
     res = vf.check_neumann_certificates(config.model, seed=config.seed,
-                                        count=_grid_int(grid, "count", 50),
-                                        n=_grid_int(grid, "N", 200))
+                                        count=config.grid["count"], n=config.grid["N"])
     return res.rows, [Verdict(res.name, res.passed, res.details)]
 
 
 def _run_var(config: ExperimentConfig):
     grid = config.grid
-    n = _grid_int(grid, "N", 200)
-    t_index = _grid_int(grid, "t", n // 2)
-    orders = _grid_int_list(grid, "orders", (1, 2, 4, 8))
-    kappa = _grid_float(grid, "kappa", getattr(config.model, "kappa", None))
+    n, t_index, orders = grid["N"], grid["t"], grid["orders"]
+    kappa = grid["kappa"]
+    if kappa is None:
+        kappa = getattr(config.model, "kappa", None)
     rows = []
     sigmas = {}
     for d in orders:
@@ -326,11 +250,8 @@ def _run_var(config: ExperimentConfig):
 
 
 def _run_baxter(config: ExperimentConfig):
-    grid = config.grid
-    res = vf.check_baxter(config.model, n=_grid_int(grid, "N", 200),
-                          t_index=_grid_int(grid, "t", 100),
-                          orders=_grid_int_list(grid, "orders", (5, 10, 20, 40),
-                                                min_len=2))
+    res = vf.check_baxter(config.model, n=config.grid["N"], t_index=config.grid["t"],
+                          orders=config.grid["orders"])
     return res.rows, [
         Verdict("baxter_sums_decreasing", bool(res.details["decreasing"]),
                 {"sums": res.details["sums"]}),
@@ -349,28 +270,22 @@ def _companion(config: ExperimentConfig, key: str, default_builder):
 
 
 def _run_smoothness(config: ExperimentConfig):
-    grid = config.grid
-    ns = _grid_int_list(grid, "Ns", (100, 200, 400), min_len=2)
     var_model = _companion(config, "var_model", reference_tvvar3)
-    res = vf.check_smoothness(config.model, var_model, ns=ns)
+    res = vf.check_smoothness(config.model, var_model, ns=config.grid["Ns"])
     return res.rows, [Verdict(res.name, res.passed, res.details)]
 
 
 def _run_partial(config: ExperimentConfig):
     grid = config.grid
-    res = vf.check_partial_oracle(seed=config.seed,
-                                  count=_grid_int(grid, "count", 100),
-                                  p=_grid_int(grid, "p", 3),
-                                  length=_grid_int(grid, "length", 20))
+    res = vf.check_partial_oracle(seed=config.seed, count=grid["count"],
+                                  p=grid["p"], length=grid["length"])
     rows = list(res.rows)
     verdicts = [Verdict(res.name, res.passed, res.details)]
     model = config.model
     if getattr(model, "p", 1) >= 2 and not isinstance(model, (SRE, TvARCH)):
-        n = _grid_int(grid, "N", 200)
-        a, b = _grid_pair(grid, model.p)
-        t = _grid_int(grid, "t", n // 2)
+        n, a, b, t = grid["N"], grid["a"], grid["b"], grid["t"]
         rep = pc.partial_smoothness_gap(model, n, a, b, t - 2, t + 2,
-                                        kappa=_grid_float(grid, "kappa", 4.0))
+                                        kappa=grid["kappa"])
         for (ti, tj), meas, env in zip(rep.pair_gaps.indices,
                                        rep.pair_gaps.measured,
                                        rep.pair_gaps.bound):
@@ -384,25 +299,15 @@ def _run_partial(config: ExperimentConfig):
 
 def _run_coherence(config: ExperimentConfig):
     grid = config.grid
-    model = config.model
-    if getattr(model, "p", 1) < 2:
-        raise ConfigError("coherence requires a model with p >= 2",
-                          path="/model")
-    a, b = _grid_pair(grid, model.p)
-    res = vf.check_coherence(var_model=model,
-                             ns=_grid_int_list(grid, "Ns", (200, 400), min_len=2),
-                             u=_grid_float(grid, "u", 0.3), a=a, b=b,
-                             max_lag=_grid_int(grid, "max_lag", 40),
-                             omega_points=_grid_int(grid, "omega_points", 65))
+    res = vf.check_coherence(var_model=config.model, ns=grid["Ns"], u=grid["u"],
+                             a=grid["a"], b=grid["b"], max_lag=grid["max_lag"],
+                             omega_points=grid["omega_points"])
     return res.rows, [Verdict(res.name, res.passed, res.details)]
 
 
 def _run_physical(config: ExperimentConfig):
     grid = config.grid
-    n = _grid_int(grid, "N", 200)
-    t_index = _grid_int(grid, "t", 100)
-    reps = _grid_int(grid, "reps", 5000)
-    js = _grid_int_list(grid, "js", tuple(range(1, 9)))
+    n, t_index, reps, js = grid["N"], grid["t"], grid["reps"], grid["js"]
     model = config.model
     if isinstance(model, SRE):
         res = vf.check_physical_dependence(model, n=n, t_index=t_index,
@@ -423,14 +328,9 @@ def _run_physical(config: ExperimentConfig):
 def _run_verify_all(config: ExperimentConfig, threads: int):
     var_model = _companion(config, "var_model", reference_tvvar3)
     sre_model = _companion(config, "sre_model", reference_sre)
-    names = config.grid.get("checks")
-    known = [name for name, _, _ in vf.ALL_CHECKS]
-    if names is not None and (not isinstance(names, list)
-                              or not all(n in known for n in names)):
-        raise ConfigError(f"grid field 'checks' must be a list of check names "
-                          f"from {known}", path="/grid/checks")
     results = vf.run_all(model=config.model, var_model=var_model,
-                         sre_model=sre_model, threads=threads, names=names)
+                         sre_model=sre_model, threads=threads,
+                         names=config.grid["checks"])
     rows = []
     verdicts = []
     for res in results:

@@ -34,7 +34,8 @@ from .reports import (DecayProfile, GapReport, envelope_constant,
                       fit_decay_profile)
 
 _COV_TAIL_TOL = 1e-12      # relative truncation tolerance of MA tails
-_DEFAULT_U_GRID = 33       # points used when validating invariants on [0, 1]
+_VALIDATION_US = np.linspace(0.0, 1.0, 33)   # where invariants are checked
+_VALIDATION_US.flags.writeable = False
 
 
 def _clamp_u(us) -> np.ndarray:
@@ -344,13 +345,11 @@ class SRE:
         if self.a_scale.dim != 1 or self.b_scale.dim != 1:
             raise InputError("SRE: scale functions must be scalar")
 
-    def contraction_bound(self, u_grid=None) -> float:
+    def contraction_bound(self) -> float:
         """sup over u of ``||E[A A^T]||_2``; must be below one."""
-        if u_grid is None:
-            u_grid = np.linspace(0.0, 1.0, _DEFAULT_U_GRID)
         m2 = float(np.linalg.norm(self.a_matrix @ self.a_matrix.T, 2))
         vals = [(float(a) ** 2 + self.a_noise**2) * m2
-                for a in self.a_scale.at(u_grid)[:, 0, 0]]
+                for a in self.a_scale.at(_VALIDATION_US)[:, 0, 0]]
         return max(vals)
 
 
@@ -394,23 +393,21 @@ def _companion_radius(phi_stack: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(comp)))) if comp.size else 0.0
 
 
-def stability_radius(model: ModelSpec, u_grid=None) -> float:
+def stability_radius(model: ModelSpec) -> float:
     """Worst-case one-step contraction factor of the recursion over ``u``.
 
     TvVAR: companion spectral radius.  TvARCH: sup of the coefficient sum.
     SRE: sqrt of the second-moment contraction bound.  TvVMA has no
     recursion and returns 0.
     """
-    if u_grid is None:
-        u_grid = np.linspace(0.0, 1.0, _DEFAULT_U_GRID)
     if isinstance(model, TvVMA):
         return 0.0
     if isinstance(model, TvVAR):
-        return max(_companion_radius(phi) for phi in model.phi_stacks(u_grid))
+        return max(_companion_radius(phi) for phi in model.phi_stacks(_VALIDATION_US))
     if isinstance(model, TvARCH):
-        return max(float(np.sum(a[1:])) for a in model.a_values(u_grid))
+        return max(float(np.sum(a[1:])) for a in model.a_values(_VALIDATION_US))
     if isinstance(model, SRE):
-        return math.sqrt(model.contraction_bound(u_grid))
+        return math.sqrt(model.contraction_bound())
     raise UnsupportedFamilyError(f"unknown family {type(model).__name__}")
 
 
@@ -430,42 +427,38 @@ def effective_memory(model: ModelSpec) -> int:
 _VALIDATED_ATTR = "_validated_info"
 
 
-def validate_model(model: ModelSpec, u_grid=None, omega_points: int = 128) -> dict:
+def validate_model(model: ModelSpec) -> dict:
     """Check the family invariants; raises ModelError on violation.
 
     Returns a dict of measured margins (stability radius, filter minimum,
-    eigenvalue floors) for reporting.  With the default grids the check
-    runs once per model instance: models are immutable, so a passing result
-    is kept on the instance and later calls return a copy of it.  Failures
-    are not kept and raise again on every call.
+    eigenvalue floors) for reporting.  The check runs once per model
+    instance: models are immutable, so a passing result is kept on the
+    instance and later calls return a copy of it.  Failures are not kept
+    and raise again on every call.
     """
-    if u_grid is not None or omega_points != 128:
-        return _check_invariants(model, u_grid, omega_points)
     info = getattr(model, _VALIDATED_ATTR, None)
     if info is None:
-        info = _check_invariants(model, None, omega_points)
+        info = _check_invariants(model)
         # Concurrent first calls may both compute; the results are equal.
         object.__setattr__(model, _VALIDATED_ATTR, info)
     return dict(info)
 
 
-def _check_invariants(model: ModelSpec, u_grid, omega_points: int) -> dict:
-    if u_grid is None:
-        u_grid = np.linspace(0.0, 1.0, _DEFAULT_U_GRID)
+def _check_invariants(model: ModelSpec) -> dict:
     info: dict = {"family": type(model).__name__}
+    omegas = np.linspace(0.0, 2.0 * math.pi, 128, endpoint=False)
 
     if isinstance(model, TvVAR):
-        radius = stability_radius(model, u_grid)
+        radius = stability_radius(model)
         info["stability_radius"] = radius
         if radius >= 1.0 / 1.02:
             raise ModelError(f"TvVAR: companion radius {radius:.4f} leaves no "
                              "stability margin")
-        omegas = np.linspace(0.0, 2.0 * math.pi, omega_points, endpoint=False)
         z = (1.0 + 0.02) * np.exp(1j * omegas)
         margin = math.inf
         powers = z[:, None] ** np.arange(1, model.order + 1)[None, :]
-        for u, phi, sigma in zip(u_grid, model.phi_stacks(u_grid),
-                                 model.sigma_stacks(u_grid)):
+        for u, phi, sigma in zip(_VALIDATION_US, model.phi_stacks(_VALIDATION_US),
+                                 model.sigma_stacks(_VALIDATION_US)):
             a = np.eye(model.p) - np.einsum("wj,jab->wab", powers, phi)
             margin = min(margin, float(np.linalg.svd(a, compute_uv=False)[..., -1].min()))
             svals = np.linalg.eigvalsh(sigma)
@@ -478,11 +471,10 @@ def _check_invariants(model: ModelSpec, u_grid, omega_points: int) -> dict:
         return info
 
     if isinstance(model, TvVMA):
-        omegas = np.linspace(0.0, 2.0 * math.pi, omega_points, endpoint=False)
         phases = np.exp(1j * omegas[:, None] * np.arange(model.order + 1)[None, :])
         filt_min = math.inf
         env_const = 0.0
-        for stack in model.psi_stacks(u_grid):
+        for stack in model.psi_stacks(_VALIDATION_US):
             transfer = np.einsum("wj,jab->wab", phases, stack)
             filt_min = min(filt_min, float(
                 np.linalg.svd(transfer, compute_uv=False)[..., -1].min()))
@@ -499,7 +491,7 @@ def _check_invariants(model: ModelSpec, u_grid, omega_points: int) -> dict:
         return info
 
     if isinstance(model, TvARCH):
-        rows = model.a_values(u_grid)
+        rows = model.a_values(_VALIDATION_US)
         a0_min = min(float(a[0]) for a in rows)
         info["a0_min"] = a0_min
         if a0_min <= 0:
@@ -515,7 +507,7 @@ def _check_invariants(model: ModelSpec, u_grid, omega_points: int) -> dict:
         return info
 
     if isinstance(model, SRE):
-        rho = model.contraction_bound(u_grid)
+        rho = model.contraction_bound()
         info["second_moment_bound"] = rho
         if rho >= 1.0:
             raise ModelError(f"SRE: ||E[A A^T]|| bound {rho:.4f} >= 1")
@@ -888,7 +880,7 @@ def _validate_for_simulation(model: ModelSpec) -> None:
         raise ModelError(f"{type(model).__name__}: recursion does not "
                          f"contract (radius {rho:.4f})")
     if isinstance(model, TvARCH):
-        if np.any(model.a_values(np.linspace(0.0, 1.0, _DEFAULT_U_GRID)) < 0):
+        if np.any(model.a_values(_VALIDATION_US) < 0):
             raise ModelError("TvARCH: coefficients must be nonnegative")
 
 

@@ -61,8 +61,7 @@ def _bottom_row_coeffs(window: BlockWindow, t_end: int, order: int,
     i = t_end - window.t_lo
     sigma = np.linalg.inv(d[i, i])
     phis = tuple(-sigma @ d[i, i - j] for j in range(1, order + 1))
-    return VarCoefficients(t_index=t_index, order=order, phis=phis,
-                           sigma=0.5 * (sigma + sigma.T))
+    return VarCoefficients(t_index=t_index, order=order, phis=phis, sigma=sigma)
 
 
 def _normal_equation_coeffs(window: BlockWindow, t_end: int, order: int,
@@ -82,8 +81,7 @@ def _normal_equation_coeffs(window: BlockWindow, t_end: int, order: int,
                                 "covariance") from exc
     sigma = window.block(t_end, t_end) - phi_stack @ cross.T
     phis = tuple(phi_stack[:, (j - 1) * p:j * p] for j in range(1, order + 1))
-    return VarCoefficients(t_index=t_index, order=order, phis=phis,
-                           sigma=0.5 * (sigma + sigma.T))
+    return VarCoefficients(t_index=t_index, order=order, phis=phis, sigma=sigma)
 
 
 def _check_dual_path(a: VarCoefficients, b: VarCoefficients) -> None:
@@ -96,6 +94,27 @@ def _check_dual_path(a: VarCoefficients, b: VarCoefficients) -> None:
             f"disagree by {worst:.3e}")
 
 
+def _finite_projection(name: str, window_of, t_end: int, order: int,
+                       t_index: int | None) -> VarCoefficients:
+    """Projection on the ``order`` lags before ``t_end``, by both paths."""
+    if order < 0:
+        raise DomainError(f"{name}: order must be >= 0")
+    window = window_of(t_end - order, t_end)
+    if order == 0:
+        return VarCoefficients(t_index=t_index, order=0, phis=(),
+                               sigma=window.block(t_end, t_end).copy())
+    a = _bottom_row_coeffs(window, t_end, order, t_index)
+    _check_dual_path(a, _normal_equation_coeffs(window, t_end, order, t_index))
+    return a
+
+
+def _past_depth(name: str, order: int, depth: int | None) -> int:
+    depth = order + 100 if depth is None else depth
+    if depth < order + 50:
+        raise DomainError(f"{name}: depth must be >= order + 50")
+    return depth
+
+
 def var_coeffs_infinite(model: ModelSpec, n: int, t_index: int, order: int,
                         depth: int | None = None) -> VarCoefficients:
     """Leading coefficients of the infinite-past projection at ``t_index``.
@@ -106,9 +125,7 @@ def var_coeffs_infinite(model: ModelSpec, n: int, t_index: int, order: int,
     Raises:
         DomainError: if ``depth < order + 50``.
     """
-    depth = order + 100 if depth is None else depth
-    if depth < order + 50:
-        raise DomainError("var_coeffs_infinite: depth must be >= order + 50")
+    depth = _past_depth("var_coeffs_infinite", order, depth)
     window = cov_window(model, n, t_index - depth, t_index)
     return _bottom_row_coeffs(window, t_index, order, t_index)
 
@@ -122,39 +139,22 @@ def var_coeffs_finite(model: ModelSpec, n: int, t_index: int, order: int) -> Var
 
     With ``order = 0`` the projection is empty and ``sigma = C_{T,T}``.
     """
-    if order < 0:
-        raise DomainError("var_coeffs_finite: order must be >= 0")
-    window = cov_window(model, n, t_index - order, t_index)
-    if order == 0:
-        return VarCoefficients(t_index=t_index, order=0, phis=(),
-                               sigma=window.block(t_index, t_index).copy())
-    a = _bottom_row_coeffs(window, t_index, order, t_index)
-    b = _normal_equation_coeffs(window, t_index, order, t_index)
-    _check_dual_path(a, b)
-    return a
+    return _finite_projection("var_coeffs_finite",
+                              lambda lo, hi: cov_window(model, n, lo, hi),
+                              t_index, order, t_index)
 
 
 def stationary_var_coeffs(model: ModelSpec, u: float, order: int) -> VarCoefficients:
     """Finite-order projection coefficients of the frozen process at ``u``."""
-    if order < 0:
-        raise DomainError("stationary_var_coeffs: order must be >= 0")
-    window = stationary_window(model, u, -order, 0)
-    if order == 0:
-        return VarCoefficients(t_index=None, order=0, phis=(),
-                               sigma=window.block(0, 0).copy())
-    a = _bottom_row_coeffs(window, 0, order, None)
-    b = _normal_equation_coeffs(window, 0, order, None)
-    _check_dual_path(a, b)
-    return a
+    return _finite_projection("stationary_var_coeffs",
+                              lambda lo, hi: stationary_window(model, u, lo, hi),
+                              0, order, None)
 
 
 def stationary_var_coeffs_infinite(model: ModelSpec, u: float, order: int,
                                    depth: int | None = None) -> VarCoefficients:
     """Leading infinite-past coefficients of the frozen process at ``u``."""
-    depth = order + 100 if depth is None else depth
-    if depth < order + 50:
-        raise DomainError("stationary_var_coeffs_infinite: depth must be "
-                          ">= order + 50")
+    depth = _past_depth("stationary_var_coeffs_infinite", order, depth)
     window = stationary_window(model, u, -depth, 0)
     return _bottom_row_coeffs(window, 0, order, None)
 

@@ -5,12 +5,17 @@ import os
 import sys
 from pathlib import Path
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import nonstatcov as nc
 from nonstatcov import cli
-from nonstatcov.config import (coefficient_fn_to_json, load_config,
+from nonstatcov.config import (EXPERIMENT_KINDS, GRID_FIELDS,
+                               coefficient_fn_to_json, load_config,
                                model_from_json, model_to_json)
 from nonstatcov.errors import ConfigError
 from nonstatcov.experiments import run_experiment, write_report
@@ -91,6 +96,77 @@ class TestConfigValidation:
         del cfg["experiment"]
         loaded = load_config(cfg, default_experiment="decay")
         assert loaded.experiment == "decay"
+
+    def test_empty_grid_fills_the_former_runner_defaults(self):
+        want = {
+            "simulate": {"N": 200, "t_lo": 0, "t_hi": 199},
+            "decay": {"N": 200, "t_lo": 60, "t_hi": 140, "kappa": None},
+            "invert": {"N": 200, "window": 240, "pad": 60},
+            "neumann": {"count": 50, "N": 200},
+            "var": {"N": 200, "t": 100, "orders": (1, 2, 4, 8), "kappa": None},
+            "baxter": {"N": 200, "t": 100, "orders": (5, 10, 20, 40)},
+            "smoothness": {"Ns": (100, 200, 400)},
+            "partial": {"count": 100, "p": 3, "length": 20, "N": 200,
+                        "a": 0, "b": 1, "t": 100, "kappa": 4.0},
+            "coherence": {"a": 0, "b": 1, "Ns": (200, 400), "u": 0.3,
+                          "max_lag": 40, "omega_points": 65},
+            "physical": {"N": 200, "t": 100, "reps": 5000,
+                         "js": (1, 2, 3, 4, 5, 6, 7, 8)},
+            "verify-all": {"checks": None},
+        }
+        assert tuple(want) == EXPERIMENT_KINDS
+        for experiment, grid in want.items():
+            loaded = load_config({"experiment": experiment, "seed": 1,
+                                  "model": {"reference": "tvvma_kappa4_p2"},
+                                  "grid": {}})
+            assert loaded.grid == grid, experiment
+        # callable defaults follow the fields given before them
+        for experiment, given_grid, filled in (
+                ("simulate", {"N": 50, "t_lo": -5}, {"t_hi": 44}),
+                ("var", {"N": 51}, {"t": 25}),
+                ("partial", {"N": 7}, {"t": 3})):
+            grid = load_config({"experiment": experiment, "seed": 1,
+                                "model": {"reference": "tvvma_kappa4_p2"},
+                                "grid": given_grid}).grid
+            assert {k: grid[k] for k in filled} == filled
+
+    @settings(max_examples=300, deadline=None)
+    @example(experiment="coherence", reference="tvvar1_p3", grid={"u": 10**400})
+    @given(experiment=st.sampled_from(EXPERIMENT_KINDS),
+           reference=st.sampled_from(["tvvma_kappa4_p2", "tvvar1_p3",
+                                      "ar1_phi05", "sre_p2"]),
+           grid=st.dictionaries(
+               st.one_of(st.sampled_from(sorted({k for fields in GRID_FIELDS.values()
+                                                 for k in fields})),
+                         st.text(max_size=3)),
+               st.one_of(st.sampled_from([10**400, -10**400, [], [5, 5], [0]]),
+                         st.integers(-10**400, 10**400), st.integers(-3, 300),
+                         st.booleans(), st.none(), st.text(max_size=3),
+                         st.floats(allow_nan=True, allow_infinity=True),
+                         st.lists(st.one_of(st.integers(-3, 60), st.booleans(),
+                                            st.floats(), st.text(max_size=3),
+                                            st.sampled_from(["inverse_decay",
+                                                             "ar1_analytic"])),
+                                  max_size=4)),
+               max_size=6))
+    def test_generated_grids_load_or_name_a_grid_field(self, experiment,
+                                                       reference, grid):
+        cfg = {"experiment": experiment, "seed": 1,
+               "model": {"reference": reference}, "grid": grid}
+        try:
+            loaded = load_config(cfg)
+        except ConfigError as exc:
+            p = nc.get_reference_model(reference).p
+            if exc.path == "/model":
+                assert experiment == "coherence" and p < 2
+            else:
+                assert exc.path.startswith("/grid/")
+                assert exc.path[len("/grid/"):] in set(grid) | set(
+                    GRID_FIELDS[experiment])
+                assert str(exc).startswith(f"{exc.path}: ")
+        else:
+            assert list(loaded.grid) == list(GRID_FIELDS[experiment])
+            assert set(grid) <= set(loaded.grid)
 
 
 class TestRunExperiment:
@@ -185,6 +261,10 @@ class TestCli:
         ("var", "tvvma_kappa4_p2", {"kappa": "four"}, "kappa"),
         ("verify-all", "tvvma_kappa4_p2", {"checks": ["inverse_decy"]}, "checks"),
         ("verify-all", "tvvma_kappa4_p2", {"checks": "inverse_decay"}, "checks"),
+        ("decay", "tvvma_kappa4_p2", {"n": 100}, "n"),
+        ("decay", "tvvma_kappa4_p2", {"N": True}, "N"),
+        ("physical", "sre_p2", {"js": [1]}, "js"),
+        ("physical", "sre_p2", {"js": [2, 2]}, "js"),
     ])
     def test_malformed_grid_field_exit_two(self, tmp_path, capsys, experiment,
                                            reference, grid, field):
@@ -193,7 +273,7 @@ class TestCli:
                                    "grid": grid}))
         code = cli.main([experiment, "--config", str(cfg), "--out", str(tmp_path)])
         assert code == 2
-        assert f"/grid/{field}" in capsys.readouterr().err
+        assert f"config error: /grid/{field}:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("experiment,grid,field", [
         ("var", {"orders": [-1]}, "orders"),
@@ -209,6 +289,14 @@ class TestCli:
         ("partial", {"b": 2}, "b"),
         ("coherence", {"a": 0, "b": 0}, "b"),
         ("coherence", {"b": 2}, "b"),
+        ("coherence", {"omega_points": 0}, "omega_points"),
+        ("invert", {"pad": -1}, "pad"),
+        ("invert", {"window": 19}, "window"),
+        ("coherence", {"max_lag": -1}, "max_lag"),
+        ("physical", {"reps": 99}, "reps"),
+        ("physical", {"js": [-1, 2]}, "js"),
+        ("baxter", {"orders": [0, 0]}, "orders"),
+        ("baxter", {"orders": [5, 5]}, "orders"),
     ])
     def test_out_of_range_grid_field_exit_two(self, tmp_path, capsys, experiment,
                                               grid, field):
@@ -307,3 +395,56 @@ def test_benchmark_traced_functions_exist(monkeypatch):
                if not callable(getattr(importlib.import_module(f"nonstatcov.{module}"),
                                        name, None))]
     assert spans.TRACED_FUNCTIONS and missing == []
+
+
+def _readme_grid_tables() -> dict:
+    """experiment -> field -> (default cell, range cell) from the README."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    section = text.split("#### Grid fields\n", 1)[1].split("\n#", 1)[0]
+    tables, current = {}, None
+    for line in section.splitlines():
+        label = re.fullmatch(r"\*\*`([a-z-]+)`\*\*", line)
+        row = re.fullmatch(r"\| `(\w+)` \| (.+) \| (.+) \|", line)
+        if label:
+            current = tables.setdefault(label.group(1), {})
+        elif row:
+            current[row.group(1)] = (row.group(2), row.group(3))
+    return tables
+
+
+def _range_text(spec) -> str:
+    least = "" if spec.least is None else f" ≥ {spec.least}"
+    if spec.kind == "int":
+        return f"integer{least}"
+    if spec.kind == "number":
+        return "finite number"
+    if spec.kind == "ints":
+        if spec.min_len == 1:
+            return f"non-empty list of integers{least}"
+        return f"list of at least {spec.min_len} integers{least}"
+    return "list of check names"
+
+
+def test_readme_grid_tables_match_grid_fields():
+    """README's per-experiment grid tables list exactly the fields of
+    ``GRID_FIELDS``, with the same defaults and ranges."""
+    tables = _readme_grid_tables()
+    assert list(tables) == list(GRID_FIELDS)
+    for experiment, fields in GRID_FIELDS.items():
+        assert list(tables[experiment]) == list(fields), experiment
+        defaults = {}
+        for key, spec in fields.items():
+            default_cell, range_cell = tables[experiment][key]
+            code = re.fullmatch(r"`([^`]+)`", default_cell)
+            if spec.default is None:
+                assert code is None, (experiment, key)
+            elif callable(spec.default):
+                expr = eval(code.group(1), {"__builtins__": {}}, dict(defaults))
+                assert expr == spec.default(defaults), (experiment, key)
+            else:
+                assert json.loads(code.group(1)) == json.loads(
+                    json.dumps(spec.default)), (experiment, key)
+            defaults[key] = spec.default(defaults) if callable(spec.default) \
+                else spec.default
+            assert range_cell.split("; ")[0] == _range_text(spec), (experiment, key)

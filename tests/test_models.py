@@ -434,21 +434,6 @@ class TestValidationMemo:
         with pytest.raises(ModelError):
             nc.cov_window(bad, 100, 0, 5)
 
-    def test_custom_grids_bypass_the_memo(self, monkeypatch):
-        calls = self.counting_svd(monkeypatch)
-        model = reference_tvvma()
-        default = nc.validate_model(model)
-        calls.clear()
-        coarse = nc.validate_model(model, u_grid=[0.0])
-        assert calls
-        calls.clear()
-        nc.validate_model(model, omega_points=16)
-        assert calls
-        calls.clear()
-        assert coarse != default
-        assert nc.validate_model(model) == default
-        assert not calls
-
     def test_concurrent_first_calls_agree(self):
         want = nc.validate_model(reference_tvvma())
         interval = sys.getswitchinterval()
