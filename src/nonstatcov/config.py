@@ -342,6 +342,16 @@ def _grid_value(key: str, spec: GridField, val: Any):
     return list(val)
 
 
+#: The ``partial`` fields read only by the model's partial-covariance gaps.
+PARTIAL_GAP_FIELDS = ("N", "a", "b", "t", "kappa")
+
+
+def partial_gaps_apply(model: ModelSpec) -> bool:
+    """Whether ``partial`` measures the model's partial-covariance gaps:
+    only TvVMA and TvVAR models with ``p >= 2`` have them."""
+    return isinstance(model, (TvVMA, TvVAR)) and model.p >= 2
+
+
 def _checked_grid(experiment: str, raw: dict, model: ModelSpec) -> dict:
     """Every field of the experiment's ``GRID_FIELDS`` entry, checked, with
     the defaults filled in; unknown fields are refused."""
@@ -357,6 +367,12 @@ def _checked_grid(experiment: str, raw: dict, model: ModelSpec) -> dict:
         _expect(grid["t_hi"] >= grid["t_lo"], f"grid field 't_hi' must be >= "
                 f"{grid['t_lo']}, got {grid['t_hi']}", "/grid/t_hi")
     p = getattr(model, "p", 1)
+    if experiment == "partial" and not partial_gaps_apply(model):
+        for key in PARTIAL_GAP_FIELDS:
+            _expect(key not in raw, f"grid field {key!r} applies only to the "
+                    "partial-covariance gaps, which need a TvVMA or TvVAR model "
+                    f"with p >= 2; {type(model).__name__} with p = {p} runs the "
+                    "random oracle alone", f"/grid/{key}")
     if experiment == "coherence":
         _expect(p >= 2, "coherence requires a model with p >= 2", "/model")
     if "a" in grid and p >= 2:

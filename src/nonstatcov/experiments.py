@@ -25,9 +25,9 @@ from . import operator_core as oc
 from . import partial_cov as pc
 from . import var_extraction as vx
 from . import verification as vf
-from .config import ExperimentConfig, load_config
+from .config import ExperimentConfig, load_config, partial_gaps_apply
 from .errors import ConfigError, InputError
-from .models import SRE, TvARCH, TvVMA
+from .models import SRE, TvVMA
 from .reference import reference_sre, reference_tvvar3
 
 COLUMNS = ("experiment", "model_hash", "N", "kind", "i", "j",
@@ -282,7 +282,7 @@ def _run_partial(config: ExperimentConfig):
     rows = list(res.rows)
     verdicts = [Verdict(res.name, res.passed, res.details)]
     model = config.model
-    if getattr(model, "p", 1) >= 2 and not isinstance(model, (SRE, TvARCH)):
+    if partial_gaps_apply(model):
         n, a, b, t = grid["N"], grid["a"], grid["b"], grid["t"]
         rep = pc.partial_smoothness_gap(model, n, a, b, t - 2, t + 2,
                                         kappa=grid["kappa"])

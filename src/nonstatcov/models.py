@@ -49,6 +49,87 @@ def _readonly_copy(v) -> np.ndarray:
     return a
 
 
+class CoefficientFamily:
+    """A tuple of square coefficient functions of one shape, evaluated
+    together.
+
+    The payloads are stacked by form once, at construction, and :meth:`at`
+    evaluates every function of a form in one array expression, with the
+    operations of the one-function formulas in the same order, so each value
+    has the same bits as its function alone.
+    """
+
+    def __init__(self, fns):
+        self.size = len(fns)
+        self.shape = fns[0].matrix_shape
+        if any(fn.matrix_shape != self.shape for fn in fns):
+            raise InputError("CoefficientFamily: functions differ in shape")
+        self._groups = []          # (form, indices, stacked payload)
+        for form in ("constant", "affine", "sinusoidal", "piecewise"):
+            idx = [k for k, fn in enumerate(fns) if fn.form == form]
+            if idx:
+                payloads = [fns[k].payload for k in idx]
+                self._groups.append((form, np.array(idx), self._stack(form, payloads)))
+
+    def _stack(self, form: str, payloads: list) -> dict:
+        def mats(key):
+            return np.stack([np.atleast_2d(p[key]) for p in payloads])
+        if form == "constant":
+            return {"value": mats("value")}
+        if form == "affine":
+            return {"base": mats("base"), "slope": mats("slope")}
+        if form == "sinusoidal":
+            def scalars(key, default):
+                return np.array([float(p.get(key, default)) for p in payloads])
+            return {"base": mats("base"), "amplitude": mats("amplitude"),
+                    "frequency": scalars("frequency", 1.0), "phase": scalars("phase", 0.0)}
+        # knots padded with +inf, which no clamped time reaches; values with 0
+        counts = np.array([len(p["knots"]) for p in payloads])
+        knots = np.full((len(payloads), counts.max()), np.inf)
+        values = np.zeros((len(payloads), counts.max()) + self.shape)
+        for row, vals, p, m in zip(knots, values, payloads, counts):
+            row[:m] = p["knots"]
+            vals[:m] = np.reshape(p["values"], (m,) + self.shape)
+        return {"knots": knots, "last": counts - 2, "values": values}
+
+    def at(self, us) -> np.ndarray:
+        """Values at every point of the 1-d array ``us``, shape
+        ``(len(us), size, p, p)``, as a fresh array; ``u`` is clamped into
+        ``[0, 1]``."""
+        u = _clamp_u(us)
+        if u.ndim != 1:
+            raise InputError("CoefficientFn.at: expects a 1-d array of times")
+        parts = [(idx, self._evaluate(form, g, u)) for form, idx, g in self._groups]
+        if len(parts) == 1:
+            return parts[0][1]
+        out = np.empty((u.size, self.size) + self.shape)
+        for idx, vals in parts:
+            out[:, idx] = vals
+        return out
+
+    @staticmethod
+    def _evaluate(form: str, g: dict, u: np.ndarray) -> np.ndarray:
+        if form == "constant":
+            return np.repeat(g["value"][None], u.size, axis=0)
+        if form == "affine":
+            return g["base"] + u[:, None, None, None] * g["slope"]
+        if form == "sinusoidal":
+            s = np.sin(2.0 * math.pi * (g["frequency"] * u[:, None] + g["phase"]))
+            return g["base"] + s[:, :, None, None] * g["amplitude"]
+        knots = g["knots"]
+        # the segment of u in each function: the number of knots not above
+        # u, less one, as searchsorted(knots, u, side="right") - 1 counts it
+        # (a nan u counts every knot, as searchsorted sorts nan last)
+        i = np.sum(~(knots > u[:, None, None]), axis=2) - 1
+        i = np.clip(i, 0, g["last"])
+        k = np.arange(knots.shape[0])
+        lo, hi = knots[k, i], knots[k, i + 1]
+        # the end values hold outside [knots[0], knots[-1]], as in np.interp
+        width = hi - lo
+        w = (np.clip(u[:, None] - lo, 0.0, width) / width)[:, :, None, None]
+        return (1.0 - w) * g["values"][k, i] + w * g["values"][k, i + 1]
+
+
 @dataclass(frozen=True, eq=False)
 class CoefficientFn:
     """A matrix-valued function of rescaled time.
@@ -83,6 +164,7 @@ class CoefficientFn:
         mats += list(payload.get("values", ()))
         if any(np.atleast_2d(m).shape != shape for m in mats):
             raise InputError("CoefficientFn: payload matrices differ in shape")
+        object.__setattr__(self, "_family", CoefficientFamily((self,)))
 
     @property
     def matrix_shape(self) -> tuple[int, int]:
@@ -101,30 +183,10 @@ class CoefficientFn:
     def at(self, us) -> np.ndarray:
         """Values at every point of the 1-d array ``us``, shape ``(len(us), p, p)``.
 
-        The result is always a fresh array, never a view of the payload.
+        The one-function case of :class:`CoefficientFamily`; the result is
+        always a fresh array, never a view of the payload.
         """
-        u = _clamp_u(us)
-        if u.ndim != 1:
-            raise InputError("CoefficientFn.at: expects a 1-d array of times")
-        p = self.payload
-        if self.form == "constant":
-            return np.repeat(np.atleast_2d(p["value"])[None], u.size, axis=0)
-        if self.form == "affine":
-            return (np.atleast_2d(p["base"])
-                    + u[:, None, None] * np.atleast_2d(p["slope"]))
-        if self.form == "sinusoidal":
-            freq = p.get("frequency", 1.0)
-            phase = p.get("phase", 0.0)
-            s = np.sin(2.0 * math.pi * (freq * u + phase))
-            return (np.atleast_2d(p["base"])
-                    + s[:, None, None] * np.atleast_2d(p["amplitude"]))
-        knots = p["knots"]
-        values = p["values"].reshape(len(knots), *self.matrix_shape)
-        i = np.clip(np.searchsorted(knots, u, side="right") - 1, 0, len(knots) - 2)
-        # the end values hold outside [knots[0], knots[-1]], as in np.interp
-        width = knots[i + 1] - knots[i]
-        w = (np.clip(u - knots[i], 0.0, width) / width)[:, None, None]
-        return (1.0 - w) * values[i] + w * values[i + 1]
+        return self._family.at(us)[:, 0]
 
     def __call__(self, u: float) -> np.ndarray:
         return self.at(np.array([float(u)]))[0]
@@ -217,7 +279,12 @@ class TvVMA:
             corr = tuple(self.n_correction)
             if len(corr) != len(self.psis):
                 raise InputError("TvVMA: n_correction length must match psis")
+            if any(fn.dim != self.p for fn in corr):
+                raise InputError("TvVMA: n_correction dimension mismatch")
             object.__setattr__(self, "n_correction", corr)
+        object.__setattr__(self, "_psi_family", CoefficientFamily(self.psis))
+        object.__setattr__(self, "_correction_family", None if self.n_correction is None
+                           else CoefficientFamily(self.n_correction))
 
     @property
     def order(self) -> int:
@@ -225,7 +292,7 @@ class TvVMA:
 
     def psi_stacks(self, us) -> np.ndarray:
         """Smooth coefficients at each ``u``, shape ``(len(us), order+1, p, p)``."""
-        return np.stack([fn.at(us) for fn in self.psis], axis=1)
+        return self._psi_family.at(us)
 
     def psi_stacks_array(self, ts, n: int) -> np.ndarray:
         """Array coefficients at the integer times ``ts``, including the 1/N
@@ -234,8 +301,8 @@ class TvVMA:
 
     def _array_stacks(self, us, n: int) -> np.ndarray:
         out = self.psi_stacks(us)
-        if self.n_correction is not None:
-            out = out + np.stack([fn.at(us) for fn in self.n_correction], axis=1) / n
+        if self._correction_family is not None:
+            out = out + self._correction_family.at(us) / n
         return out
 
     def psi_stack(self, u: float) -> np.ndarray:
@@ -267,6 +334,7 @@ class TvVAR:
                 raise InputError("TvVAR: coefficient dimension mismatch")
         if self.sigma.dim != self.p:
             raise InputError("TvVAR: sigma dimension mismatch")
+        object.__setattr__(self, "_phi_family", CoefficientFamily(self.phis))
 
     @property
     def order(self) -> int:
@@ -274,7 +342,7 @@ class TvVAR:
 
     def phi_stacks(self, us) -> np.ndarray:
         """Lag coefficients at each ``u``, shape ``(len(us), order, p, p)``."""
-        return np.stack([fn.at(us) for fn in self.phis], axis=1)
+        return self._phi_family.at(us)
 
     def sigma_stacks(self, us) -> np.ndarray:
         """Symmetrised innovation variances at each ``u``, ``(len(us), p, p)``."""
@@ -301,6 +369,7 @@ class TvARCH:
         for fn in self.coeffs:
             if fn.dim != 1:
                 raise InputError("TvARCH: coefficients must be scalar")
+        object.__setattr__(self, "_coeff_family", CoefficientFamily(self.coeffs))
 
     @property
     def p(self) -> int:
@@ -314,8 +383,7 @@ class TvARCH:
         """Coefficients ``(a_0, ..., a_d)`` at ``u``; for a 1-d array of
         times, one row per time, shape ``(len(u), order+1)``."""
         us = np.asarray(u, dtype=float)
-        rows = np.stack([fn.at(np.atleast_1d(us))[:, 0, 0] for fn in self.coeffs],
-                        axis=1)
+        rows = self._coeff_family.at(np.atleast_1d(us))[:, :, 0, 0]
         return rows if us.ndim else rows[0]
 
 
@@ -393,13 +461,25 @@ def _companion_radius(phi_stack: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(comp)))) if comp.size else 0.0
 
 
+_RADIUS_ATTR = "_stability_radius"
+
+
 def stability_radius(model: ModelSpec) -> float:
     """Worst-case one-step contraction factor of the recursion over ``u``.
 
     TvVAR: companion spectral radius.  TvARCH: sup of the coefficient sum.
     SRE: sqrt of the second-moment contraction bound.  TvVMA has no
-    recursion and returns 0.
+    recursion and returns 0.  Like :func:`validate_model`, the radius is
+    computed once per model instance and kept on it; failures are not kept.
     """
+    radius = getattr(model, _RADIUS_ATTR, None)
+    if radius is None:
+        radius = _stability_radius(model)
+        object.__setattr__(model, _RADIUS_ATTR, radius)
+    return radius
+
+
+def _stability_radius(model: ModelSpec) -> float:
     if isinstance(model, TvVMA):
         return 0.0
     if isinstance(model, TvVAR):
@@ -808,42 +888,107 @@ def local_spectral_densities(model: ModelSpec, u: float, omega_grid) -> np.ndarr
             which a TvVAR transfer function is singular.
     """
     omegas = np.atleast_1d(np.asarray(omega_grid, dtype=float))
+    coeffs = _frozen_coefficients(model, [u])
+    return _densities(model, u, omegas, _transfer_powers(model, omegas),
+                      [c[0] for c in coeffs])
+
+
+def _frozen_coefficients(model: ModelSpec, us) -> tuple:
+    """What the density kernel reads, for every ``u`` of ``us``: ``C_0(u)``
+    (TvARCH), the MA stack (TvVMA), or the lag stack and the innovation
+    variance (TvVAR)."""
     if isinstance(model, TvARCH):
-        f0 = stationary_cov(model, u, 0).astype(complex)
-        return np.repeat(f0[None], omegas.size, axis=0)
+        return (_stationary_cov_sequences(model, us, 0)[:, 0],)
     if isinstance(model, TvVMA):
-        stack = model.psi_stack(u)
-        lags = np.arange(stack.shape[0])
+        return (model.psi_stacks(us),)
+    if isinstance(model, TvVAR):
+        return model.phi_stacks(us), model.sigma_stacks(us)
+    raise UnsupportedFamilyError("no spectral density for this family")
+
+
+def _transfer_powers(model: ModelSpec, omegas: np.ndarray):
+    """``e^{i j omega}`` for every ``omega`` and every lag ``j`` of the
+    transfer function, shape ``(len(omegas), J)``; None for TvARCH."""
+    if isinstance(model, TvVMA):
+        lags = np.arange(model.order + 1)
     elif isinstance(model, TvVAR):
-        stack, sigma = model.phi_stack(u), model.sigma_at(u)
         lags = np.arange(1, model.order + 1)
     else:
-        raise UnsupportedFamilyError("no spectral density for this family")
-    powers = np.exp(1j * omegas)[:, None] ** lags                    # (K, J)
-    transfer = np.einsum("wj,jab->wab", powers, stack)
+        return None
+    return np.exp(1j * omegas)[:, None] ** lags
+
+
+def _densities(model: ModelSpec, u: float, omegas: np.ndarray, powers,
+               coeffs) -> np.ndarray:
+    """``f(omega; u)`` over the grid from the coefficients ``coeffs`` at
+    ``u`` (one entry of :func:`_frozen_coefficients` each)."""
+    if isinstance(model, TvARCH):
+        return np.repeat(coeffs[0].astype(complex)[None], omegas.size, axis=0)
+    transfer = np.einsum("wj,jab->wab", powers, coeffs[0])
     if isinstance(model, TvVMA):
         f = transfer @ transfer.conj().transpose(0, 2, 1)
     else:
-        a = np.eye(model.p) - transfer
-        svals = np.linalg.svd(a, compute_uv=False)
-        singular = svals[:, -1] < 1e-10 * np.maximum(svals[:, 0], 1.0)
-        if singular.any():
-            omega = omegas[np.argmax(singular)]
-            raise ModelError(f"TvVAR: transfer singular at u={u}, omega={omega}")
-        ainv = np.linalg.inv(a)
-        f = ainv @ sigma @ ainv.conj().transpose(0, 2, 1)
+        ainv = _transfer_inverse(np.eye(model.p) - transfer, u, omegas)
+        f = ainv @ coeffs[1] @ ainv.conj().transpose(0, 2, 1)
     return 0.5 * (f + f.conj().transpose(0, 2, 1))
 
 
+_TRANSFER_RTOL = 1e-10     # singular: sigma_min < _TRANSFER_RTOL * max(sigma_max, 1)
+
+
+def _transfer_inverse(a: np.ndarray, u: float, omegas: np.ndarray) -> np.ndarray:
+    """Inverses of the TvVAR transfer matrices ``A(omega)``, shape ``(W, p, p)``.
+
+    A matrix is refused when ``sigma_min < 1e-10 * max(sigma_max, 1)``.  The
+    batched inverse ``X``, which the density needs anyway, is accepted
+    without a singular value decomposition when at every ``omega``
+    ``||AX - I||_F <= 1/2`` and ``2 ||X||_F max(||A||_F, 1) < 1e10``: then
+    ``A^-1 = X (I + R)^-1`` with ``||R||_2 <= 1/2`` gives
+    ``sigma_min >= 1/(2 ||X||_F)``, and ``sigma_max <= ||A||_F``, so the
+    refusal test passes.  The residual of an accepted ``X`` is about
+    ``eps * kappa <= 1e-5``, so ``sigma_min`` is about ``1/||X||_2``, twice
+    the bound: a computed SVD, accurate to ``eps * sigma_max``, passes too.
+    Otherwise, or when ``inv`` fails, the batched SVD decides.
+
+    Raises:
+        ModelError: naming the first singular ``omega`` in grid order.
+    """
+    try:
+        ainv = np.linalg.inv(a)
+    except np.linalg.LinAlgError:
+        ainv = None
+    if ainv is not None:
+        with np.errstate(all="ignore"):
+            resid = np.linalg.norm(a @ ainv - np.eye(a.shape[-1]), axis=(1, 2))
+            bound = 2.0 * np.linalg.norm(ainv, axis=(1, 2)) \
+                * np.maximum(np.linalg.norm(a, axis=(1, 2)), 1.0)
+        if np.all(resid <= 0.5) and np.all(bound < 1.0 / _TRANSFER_RTOL):
+            return ainv
+    svals = np.linalg.svd(a, compute_uv=False)
+    singular = svals[:, -1] < _TRANSFER_RTOL * np.maximum(svals[:, 0], 1.0)
+    if singular.any():
+        omega = omegas[np.argmax(singular)]
+        raise ModelError(f"TvVAR: transfer singular at u={u}, omega={omega}")
+    # a failed inv that the SVD passes raises its own error again
+    return np.linalg.inv(a) if ainv is None else ainv
+
+
 def spectral_eig_range(model: ModelSpec, u_grid, omega_grid) -> EigRange:
-    """Extremal eigenvalues of ``f(omega; u)`` over the given grids."""
+    """Extremal eigenvalues of ``f(omega; u)`` over the given grids.
+
+    The coefficients are evaluated once for the whole ``u`` grid; the
+    densities at each ``u`` are those of :func:`local_spectral_densities`.
+    """
     u_grid = np.atleast_1d(np.asarray(u_grid, dtype=float))
     omega_grid = np.atleast_1d(np.asarray(omega_grid, dtype=float))
     if u_grid.size == 0 or omega_grid.size == 0:
         raise InputError("spectral_eig_range: grids must be nonempty")
+    coeffs = _frozen_coefficients(model, u_grid)
+    powers = _transfer_powers(model, omega_grid)
     lo, hi = math.inf, -math.inf
-    for u in u_grid:
-        vals = np.linalg.eigvalsh(local_spectral_densities(model, u, omega_grid))
+    for i, u in enumerate(u_grid):
+        vals = np.linalg.eigvalsh(_densities(model, u, omega_grid, powers,
+                                             [c[i] for c in coeffs]))
         lo = min(lo, float(vals[:, 0].min()))
         hi = max(hi, float(vals[:, -1].max()))
     return EigRange(lo, hi)
@@ -907,11 +1052,14 @@ def _run_from_innovations(model: ModelSpec, n: int, start: int,
         p = model.p
         out = np.zeros((reps, steps, p))
         stacks = model.psi_stacks_array(ts, n)
+        # X_t = sum_j Psi_{t,j} eps_{t-j}: one GEMM per step of the innovations
+        # at t-jj..t, read as rows of length (jj+1)p, against the transposed
+        # coefficients in reverse lag order, w[i, m] = Psi_{t_i, j_max-m}^T
+        w = np.ascontiguousarray(stacks[:, ::-1].transpose(0, 1, 3, 2))
         for i in range(steps):
             jj = min(j_max, i)
-            # X_t = sum_j Psi_{t,j} eps_{t-j}
-            e = eps[:, i - jj:i + 1][:, ::-1]          # lags 0..jj
-            out[:, i] = np.einsum("jab,rjb->ra", stacks[i][:jj + 1], e)
+            out[:, i] = (eps[:, i - jj:i + 1].reshape(reps, -1)
+                         @ w[i, j_max - jj:].reshape(-1, p))
         return out
     if isinstance(model, TvVAR):
         p, d = model.p, model.order

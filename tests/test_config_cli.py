@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import nonstatcov as nc
 from nonstatcov import cli
-from nonstatcov.config import (EXPERIMENT_KINDS, GRID_FIELDS,
+from nonstatcov.config import (EXPERIMENT_KINDS, GRID_FIELDS, PARTIAL_GAP_FIELDS,
                                coefficient_fn_to_json, load_config,
                                model_from_json, model_to_json)
 from nonstatcov.errors import ConfigError
@@ -307,6 +307,28 @@ class TestCli:
         code = cli.main([experiment, "--config", str(cfg), "--out", str(tmp_path)])
         assert code == 2
         assert f"config error: /grid/{field}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("reference,grid,field", [
+        ("sre_p2", {"t": 5, "count": 2}, "t"),
+        ("sre_p2", {"t": 5000, "kappa": -3.0, "N": 7, "count": 2}, "N"),
+        ("tvarch_order2", {"count": 2, "a": 0}, "a"),
+        ("ar1_phi05", {"count": 2, "b": 1}, "b"),
+    ])
+    def test_partial_gap_fields_refused_without_gaps(self, tmp_path, capsys,
+                                                     reference, grid, field):
+        # the gaps need a TvVMA or TvVAR model with p >= 2; elsewhere `partial`
+        # runs the random oracle alone and would ignore these fields
+        cfg = tmp_path / "no_gaps.json"
+        cfg.write_text(json.dumps({"seed": 1, "model": {"reference": reference},
+                                   "grid": grid}))
+        code = cli.main(["partial", "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == 2
+        assert f"config error: /grid/{field}: grid field {field!r} applies only" \
+            in capsys.readouterr().err
+        oracle_only = {k: v for k, v in grid.items() if k not in PARTIAL_GAP_FIELDS}
+        assert load_config({"experiment": "partial", "seed": 1,
+                            "model": {"reference": reference},
+                            "grid": oracle_only}).grid["count"] == 2
 
     @pytest.mark.parametrize("coefficients,message", [
         ([{"form": "constant", "value": np.eye(3).tolist()},

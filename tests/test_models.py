@@ -8,7 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nonstatcov as nc
+from nonstatcov import models
 from nonstatcov.errors import (DomainError, ModelError, UnsupportedFamilyError)
+from nonstatcov.models import CoefficientFamily, _transfer_inverse
 from nonstatcov.reference import (ar1_model, reference_sre, reference_tvarch,
                                   reference_tvvar3, reference_tvvma,
                                   white_noise_model)
@@ -230,6 +232,43 @@ class TestGridEvaluation:
 
 
 @st.composite
+def coefficient_families(draw):
+    p = draw(st.integers(1, 3))
+    return tuple(draw(st.lists(coefficient_fns(p=p), min_size=1, max_size=6)))
+
+
+class TestCoefficientFamily:
+    @settings(max_examples=200, deadline=None)
+    @given(fns=coefficient_families(),
+           us=st.lists(st.one_of(st.floats(-2.0, 3.0), st.sampled_from(
+               [-0.0, 0.0, 1.0, -1e-300, 1.0 + 1e-15])), max_size=12))
+    @example(fns=(INNER_KNOTS, TINY_KNOTS, nc.constant_fn([[2.0]]),
+                  nc.affine_fn([[1.0]], [[-3.0]]), INFINITE_SLOPE,
+                  nc.sinusoidal_fn([[0.5]], [[0.25]], frequency=3.0, phase=0.1)),
+             us=[-1.0, 0.0, 1e-300, 0.2, 0.35, 0.5, 1.0, 2.5])
+    def test_family_matches_each_function_bitwise(self, fns, us):
+        # every knot of every piecewise member, so each segment end is hit exactly
+        us = us + [k for fn in fns if fn.form == "piecewise" for k in fn.payload["knots"]]
+        got = CoefficientFamily(fns).at(np.array(us, dtype=float))
+        p = fns[0].dim
+        want = np.array([[scalar_reference(fn, u) for fn in fns] for u in us]) \
+            if us else np.zeros((0, len(fns), p, p))
+        assert got.shape == (len(us), len(fns), p, p)
+        assert np.array_equal(got, want)
+        model = nc.TvVMA(p=p, psis=fns, n_correction=fns[::-1])
+        n = 7
+        assert np.array_equal(model.psi_stacks(us), want)
+        assert np.array_equal(model._array_stacks(us, n), want + want[:, ::-1] / n)
+
+    def test_functions_of_different_shapes_are_refused(self):
+        with pytest.raises(nc.InputError):
+            CoefficientFamily((nc.constant_fn(np.eye(2)), nc.constant_fn([[1.0]])))
+        with pytest.raises(nc.InputError, match="n_correction dimension"):
+            nc.TvVMA(p=2, psis=(nc.constant_fn(np.eye(2)),),
+                     n_correction=(nc.constant_fn([[1.0]]),))
+
+
+@st.composite
 def tvvma_models(draw):
     p = draw(st.integers(1, 3))
     order = draw(st.integers(0, 8))
@@ -366,6 +405,45 @@ class TestStackedKernels:
             assert np.all(np.abs(f - want) <= 1e-13 * np.abs(want).max())
             assert np.array_equal(f, f.conj().T)
 
+    @staticmethod
+    def transfer_with_sigma_min(rng, p, sigma_max, sigma_min):
+        def unitary():
+            q, _ = np.linalg.qr(rng.standard_normal((p, p))
+                                + 1j * rng.standard_normal((p, p)))
+            return q
+        s = np.geomspace(sigma_max, sigma_min, p)
+        return (unitary() * s) @ unitary()
+
+    @pytest.mark.parametrize("factor", [0.5, 1.0, 2.0, 1e6])
+    @pytest.mark.parametrize("sigma_max", [0.25, 3.0])
+    def test_transfer_guard_decides_as_the_svd(self, monkeypatch, factor, sigma_max):
+        # sigma_min at a multiple of the refusal threshold 1e-10 max(sigma_max, 1)
+        rng = np.random.default_rng(int(factor * 7 + sigma_max * 13))
+        sigma_min = factor * 1e-10 * max(sigma_max, 1.0)
+        good = [self.transfer_with_sigma_min(rng, 3, sigma_max, 0.5 * sigma_max)
+                for _ in range(3)]
+        a = np.stack(good[:2] + [self.transfer_with_sigma_min(rng, 3, sigma_max,
+                                                              sigma_min)] + good[2:])
+        omegas = np.array([0.1, 0.2, 0.3, 0.4])
+        svals = np.linalg.svd(a, compute_uv=False)
+        refuse = svals[:, -1] < 1e-10 * np.maximum(svals[:, 0], 1.0)
+        assert not refuse[[0, 1, 3]].any()
+        calls = TestValidationMemo.counting_svd(monkeypatch)
+        if refuse[2]:
+            with pytest.raises(ModelError, match=r"at u=0.5, omega=0.3$"):
+                _transfer_inverse(a, 0.5, omegas)
+        else:
+            assert np.array_equal(_transfer_inverse(a, 0.5, omegas), np.linalg.inv(a))
+        # the screen on the inverse accepts far from the threshold and leaves
+        # the decision to the SVD up to it (it proves sigma_min >= 1/(2||X||_F),
+        # half the computed minimum, so at twice the threshold it may do either)
+        if factor != 1.0:
+            assert refuse[2] == (factor < 1.0)
+        if factor <= 1.0:
+            assert calls
+        if factor > 2.0:
+            assert not calls
+
     def test_singular_transfer_names_first_singular_omega(self):
         # 1 - Phi z = 1 + z vanishes at z = -1: omega = pi (mod 2 pi)
         model = nc.TvVAR(p=1, phis=(nc.constant_fn([[-1.0]]),),
@@ -457,6 +535,36 @@ class TestValidationMemo:
         info["family"] = "changed"
         info["extra"] = 1.0
         assert nc.validate_model(model) == want
+
+    @pytest.mark.parametrize("build", [reference_tvvar3, reference_tvarch, reference_sre],
+                             ids=["tvvar", "tvarch", "sre"])
+    def test_stability_radius_is_kept(self, monkeypatch, build):
+        model = build()
+        first = nc.stability_radius(model)
+        nc.cov_pad(model)
+        nc.simulate_ensemble(model, 100, 0, 5, reps=4, seed=1)
+        eigvals, radii = [], []
+        eig, radius = np.linalg.eigvals, models._stability_radius
+        monkeypatch.setattr(np.linalg, "eigvals",
+                            lambda *a, **k: eigvals.append(1) or eig(*a, **k))
+        monkeypatch.setattr(models, "_stability_radius",
+                            lambda *a: radii.append(1) or radius(*a))
+        nc.cov_pad(model)
+        nc.simulate_ensemble(model, 100, 0, 5, reps=4, seed=1)
+        assert nc.stability_radius(model) == first
+        assert not eigvals and not radii
+
+    def test_stability_radius_failures_are_not_kept(self, monkeypatch):
+        model = reference_tvvar3()
+        radius = models._stability_radius
+
+        def refuse(m):
+            raise ModelError("refused")
+        monkeypatch.setattr(models, "_stability_radius", refuse)
+        with pytest.raises(ModelError, match="refused"):
+            nc.stability_radius(model)
+        monkeypatch.setattr(models, "_stability_radius", radius)
+        assert nc.stability_radius(model) == radius(model)
 
 
 class TestValidation:
@@ -718,6 +826,21 @@ class TestSimulation:
                 lo, hi = t0 + min(i, j), t0 + max(i, j)
                 exact = nc.cov_window(model, n, lo, hi).block(t0 + i, t0 + j).copy()[0, 0]
                 assert abs(prods.mean() - exact) <= 3 * se
+
+    def test_vma_paths_match_the_lag_sum(self):
+        # X_t = sum_j Psi_{t,j} eps_{t-j}, written out per lag; the simulator
+        # takes it as one product per step, so only the last bits may move
+        model, n, t_lo, t_hi, reps = reference_tvvma(), 90, -3, 70, 50
+        got = nc.simulate_ensemble(model, n, t_lo, t_hi, reps=reps, seed=5)
+        start = t_lo - model.order
+        eps = np.random.default_rng(5).standard_normal(
+            (reps, t_hi - start + 1, model.p))
+        stacks = model.psi_stacks_array(np.arange(start, t_hi + 1), n)
+        want = np.zeros_like(eps)
+        for i in range(eps.shape[1]):
+            for j in range(min(model.order, i) + 1):
+                want[:, i] += eps[:, i - j] @ stacks[i, j].T
+        assert_close_to_scale(got, want[:, model.order:], np.abs(want).max())
 
     def test_positive_definiteness_of_assembled_windows(self):
         for name in ("tvvma_kappa4_p2", "tvvar1_p3"):
