@@ -21,7 +21,8 @@ from .models import (ModelSpec, cov_pad, cov_window, stationary_cov_derivative,
 from .operator_core import (BlockWindow, SPD_RTOL, block_norms, block_toeplitz,
                             block_view, gu, krylov_norm, outside_band, spd_inverse,
                             sym_eig_range, symmetric_product, zeta)
-from .reports import DecayProfile, GapReport, envelope_constant, fit_decay_profile
+from .reports import (DecayProfile, GapReport, envelope_constant, fit_decay_profile,
+                      pair_gaps, two_sided)
 
 
 @dataclass(frozen=True)
@@ -233,13 +234,6 @@ def stationary_inverse_sequence(model: ModelSpec, u: float, max_lag: int,
     return _centre_row(inv, w.p, half, max_lag)
 
 
-def _two_sided(seq: np.ndarray) -> np.ndarray:
-    """Lags ``r = -R..R`` of a one-sided sequence ``seq[r]``, ``r = 0..R``, of a
-    symmetric operator: ``out[R + r]`` is ``seq[r]`` for ``r >= 0`` and
-    ``seq[-r]^T`` below."""
-    return np.concatenate([seq[:0:-1].swapaxes(-1, -2), seq])
-
-
 def _kappa_or_raise(model: ModelSpec, kappa: float | None) -> float:
     if kappa is not None:
         return float(kappa)
@@ -251,7 +245,6 @@ def _kappa_or_raise(model: ModelSpec, kappa: float | None) -> float:
 
 
 def inverse_smoothness_gap(model: ModelSpec, n: int, t_lo: int, t_hi: int,
-                           pad: int | None = None,
                            kappa: float | None = None) -> GapReport:
     """Gap between the array inverse and its frozen-time approximation.
 
@@ -260,38 +253,28 @@ def inverse_smoothness_gap(model: ModelSpec, n: int, t_lo: int, t_hi: int,
     The variant with ``min(1/N, 2/gu(t-tau))`` is reported as ``alt_bound``.
     """
     kappa = _kappa_or_raise(model, kappa)
-    dn = model_inverse_window(model, n, t_lo, t_hi, pad=pad)
+    dn = model_inverse_window(model, n, t_lo, t_hi)
     length = dn.base.length
     times = np.arange(t_lo, t_lo + length)
-    # one frozen sequence per row time t, each two-sided over r = t - tau
-    seqs = np.stack([_two_sided(stationary_inverse_sequence(model, t / n, length - 1,
-                                                           pad=pad))
-                     for t in times])
-    lag = times[:, None] - times[None, :]
-    target = seqs[np.arange(length)[:, None], lag + length - 1]
-    measured = block_norms(dn.base.blocks - target).ravel()
-    zr = zeta(lag).ravel()
-    shape = zr ** (kappa - 2.0)
-    bound = shape * np.minimum(1.0 / n, 2.0 * zr)
-    alt = shape * np.minimum(1.0 / n, 2.0 / gu(lag).ravel())
-    indices = [(int(t), int(tau)) for t in times for tau in times]
-    return GapReport(indices=indices, measured=measured, bound=bound,
-                     constant_estimate=envelope_constant(measured, bound),
-                     alt_bound=alt, alt_constant=envelope_constant(measured, alt))
+    # one frozen sequence per row time t, two-sided over r = t - tau
+    frozen = two_sided(np.stack([stationary_inverse_sequence(model, t / n, length - 1)
+                                 for t in times]))
+    return pair_gaps(
+        times, dn.base.blocks, frozen,
+        lambda r: zeta(r) ** (kappa - 2.0) * np.minimum(1.0 / n, 2.0 * zeta(r)),
+        lambda r: zeta(r) ** (kappa - 2.0) * np.minimum(1.0 / n, 2.0 / gu(r)))
 
 
 def inverse_lipschitz_gap(model: ModelSpec, u: float, v: float, max_lag: int,
-                          pad: int | None = None,
                           kappa: float | None = None) -> GapReport:
     """Lipschitz gap ``||D_r(u) - D_r(v)||`` against ``|u-v| zeta(r)^(kappa-1)``."""
     kappa = _kappa_or_raise(model, kappa)
-    seq_u = stationary_inverse_sequence(model, u, max_lag, pad=pad)
-    seq_v = stationary_inverse_sequence(model, v, max_lag, pad=pad)
+    seq_u = stationary_inverse_sequence(model, u, max_lag)
+    seq_v = stationary_inverse_sequence(model, v, max_lag)
     lags = np.arange(-max_lag, max_lag + 1)
-    measured = block_norms(_two_sided(seq_u) - _two_sided(seq_v))
-    bound = abs(u - v) * zeta(lags) ** (kappa - 1.0)
-    return GapReport(indices=lags.tolist(), measured=measured, bound=bound,
-                     constant_estimate=envelope_constant(measured, bound))
+    return GapReport(indices=lags.tolist(),
+                     measured=block_norms(two_sided(seq_u) - two_sided(seq_v)),
+                     bound=abs(u - v) * zeta(lags) ** (kappa - 1.0))
 
 
 def inverse_derivative_gap(model: ModelSpec, u: float, max_lag: int,

@@ -31,7 +31,7 @@ from .errors import (DomainError, FitError, InputError, ModelError,
 from .operator_core import (BlockWindow, EigRange, block_norms, block_toeplitz,
                             block_view, gu, spd_inverse_section)
 from .reports import (DecayProfile, GapReport, envelope_constant,
-                      fit_decay_profile)
+                      fit_decay_profile, pair_gaps, two_sided)
 
 _COV_TAIL_TOL = 1e-12      # relative truncation tolerance of MA tails
 _VALIDATION_US = np.linspace(0.0, 1.0, 33)   # where invariants are checked
@@ -1100,16 +1100,10 @@ def simulate_path(model: ModelSpec, n: int, t_lo: int, t_hi: int,
                   seed: int) -> SamplePath:
     """Simulate ``X_{t,N}`` for ``t_lo <= t <= t_hi`` with Gaussian innovations.
 
-    Recursive families are burnt in over at least ten effective memory
-    lengths; the result is bitwise reproducible for a fixed seed.
+    The one-replication case of :func:`simulate_ensemble`; bitwise
+    reproducible for a fixed seed.
     """
-    _validate_for_simulation(model)
-    burn = _burn_in(model)
-    start = t_lo - burn
-    steps = t_hi - start + 1
-    rng = np.random.default_rng(seed)
-    eps = rng.standard_normal((1, steps, _innovation_width(model)))
-    path = _run_from_innovations(model, n, start, eps)[0, burn:]
+    path = simulate_ensemble(model, n, t_lo, t_hi, reps=1, seed=seed)[0]
     return SamplePath(data=path, t_lo=t_lo, n=n, seed=seed)
 
 
@@ -1117,8 +1111,8 @@ def simulate_ensemble(model: ModelSpec, n: int, t_lo: int, t_hi: int,
                       reps: int, seed: int) -> np.ndarray:
     """Independent replications of a path, shape ``(reps, length, p)``.
 
-    Used by Monte Carlo oracles; shares the burn-in policy of
-    :func:`simulate_path`.
+    Recursive families are burnt in over at least ten effective memory
+    lengths; the result is bitwise reproducible for a fixed seed.
     """
     _validate_for_simulation(model)
     burn = _burn_in(model)
@@ -1218,17 +1212,10 @@ def assumption_fit(model: ModelSpec, n: int, t_lo: int, t_hi: int,
 
     # per-pair smoothness gaps against the stationary approximation
     times = np.arange(t_lo, t_hi + 1)
-    seqs = _stationary_cov_sequences(model, times / n, length - 1)   # (L, L, p, p)
-    lag = times[:, None] - times[None, :]                             # t - tau
-    target = seqs[np.arange(length)[:, None], np.abs(lag)]
-    upper = lag < 0                                   # C_{-r}(u) = C_r(u)^T
-    target[upper] = target[upper].transpose(0, 2, 1)
-    measured = block_norms(w.blocks - target).ravel()
-    g = gu(lag).ravel()
-    envelope = g ** (-(kappa_used - 1.0)) * np.minimum(1.0 / n, 2.0 / g)
-    indices = [(int(t), int(tau)) for t in times for tau in times]
-    gaps = GapReport(indices=indices, measured=measured, bound=envelope,
-                     constant_estimate=envelope_constant(measured, envelope))
+    frozen = two_sided(_stationary_cov_sequences(model, times / n, length - 1))
+    gaps = pair_gaps(times, w.blocks, frozen,
+                     lambda r: gu(r) ** (-(kappa_used - 1.0))
+                     * np.minimum(1.0 / n, 2.0 / gu(r)))
     return AssumptionFit(decay=decay, smoothness_constant=gaps.constant_estimate,
                          kappa_used=float(kappa_used), gaps=gaps,
-                         max_gap=float(np.max(measured)))
+                         max_gap=float(np.max(gaps.measured)))

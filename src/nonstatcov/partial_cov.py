@@ -20,7 +20,7 @@ from .models import (ModelSpec, cov_pad, cov_window, local_spectral_densities,
                      stationary_window)
 from .operator_core import (BlockWindow, SPD_RTOL, block_norms, schur_complement,
                             zeta)
-from .reports import GapReport, envelope_constant
+from .reports import GapReport, pair_gaps
 
 
 @dataclass(frozen=True)
@@ -143,14 +143,14 @@ class StationaryPartialPair:
 
 
 def stationary_partial_pair(model: ModelSpec, u: float, a: int, b: int,
-                            max_lag: int, pad: int | None = None) -> StationaryPartialPair:
+                            max_lag: int) -> StationaryPartialPair:
     """Partial covariance lags of the frozen process from a long section.
 
     ``toeplitz_drift`` records how far the interior of the windowed Schur
     complement is from exactly Toeplitz; it should sit at the pad
     truncation level (<= 1e-8 for the bundled models).
     """
-    pad = cov_pad(model) if pad is None else pad
+    pad = cov_pad(model)
     half = max_lag + pad
     d = partial_cov_pair(stationary_window(model, u, -half, half), a, b,
                          pad=pad).deltas
@@ -177,8 +177,7 @@ class PartialSmoothnessReport:
 
 
 def partial_smoothness_gap(model: ModelSpec, n: int, a: int, b: int,
-                           t_lo: int, t_hi: int, pad: int | None = None,
-                           kappa: float | None = None,
+                           t_lo: int, t_hi: int, kappa: float | None = None,
                            u_pair: tuple[float, float] | None = None) -> PartialSmoothnessReport:
     """Partial-covariance smoothness gaps over an interior window.
 
@@ -187,10 +186,11 @@ def partial_smoothness_gap(model: ModelSpec, n: int, a: int, b: int,
     between two rescaled times against ``|u-v| * zeta(r)^(kappa-1)``.
     """
     kappa = _kappa_or_raise(model, kappa)
-    pad = cov_pad(model) if pad is None else pad
+    pad = cov_pad(model)
     c = cov_window(model, n, t_lo - pad, t_hi + pad)
     pair = partial_cov_pair(c, a, b, pad=pad)
-    self_a = self_partial_cov(c, a, pad=pad)
+    # the self partials as 1 x 1 blocks, whose block norm is |x|
+    self_a = self_partial_cov(c, a, pad=pad)[:, :, None, None]
     length = pair.length
     max_lag = length - 1
 
@@ -207,34 +207,26 @@ def partial_smoothness_gap(model: ModelSpec, n: int, a: int, b: int,
         if s not in frozen:
             w = stationary_window(model, s, -half, half)
             frozen[s] = (partial_cov_pair(w, a, b, pad=pad).deltas[:, max_lag].copy(),
-                         self_partial_cov(w, a, pad=pad)[:, max_lag].copy())
-    frozen_pairs = np.stack([frozen[s][0] for s in row_us])
-    frozen_selfs = np.stack([frozen[s][1] for s in row_us])
-    rows = np.arange(length)[:, None]
-    lag = times[:, None] - times[None, :]
-    meas_pair = block_norms(pair.deltas - frozen_pairs[rows, lag + max_lag]).ravel()
-    meas_self = np.abs(self_a - frozen_selfs[rows, lag + max_lag]).ravel()
-    zr = zeta(lag).ravel()
-    bound = zr ** (kappa - 2.0) * np.minimum(1.0 / n, zr)
-    idx = [(int(t), int(tau)) for t in times for tau in times]
-    pair_gaps = GapReport(indices=idx, measured=meas_pair, bound=bound,
-                          constant_estimate=envelope_constant(meas_pair, bound))
-    self_gaps = GapReport(indices=idx, measured=meas_self, bound=bound,
-                          constant_estimate=envelope_constant(meas_self, bound))
+                         self_partial_cov(w, a, pad=pad)[:, max_lag, None, None].copy())
+
+    def envelope(r):
+        return zeta(r) ** (kappa - 2.0) * np.minimum(1.0 / n, zeta(r))
+
+    pair_gap = pair_gaps(times, pair.deltas,
+                         np.stack([frozen[s][0] for s in row_us]), envelope)
+    self_gap = pair_gaps(times, self_a,
+                         np.stack([frozen[s][1] for s in row_us]), envelope)
 
     (pu, su), (pv, sv) = frozen[u], frozen[v]
     lags = list(range(-max_lag, max_lag + 1))
     lip_bound = abs(u - v) * zeta(np.asarray(lags)) ** (kappa - 1.0)
-    pair_lip = block_norms(pu - pv)
-    self_lip = np.abs(su - sv)
-    pair_lipschitz = GapReport(indices=lags, measured=pair_lip, bound=lip_bound,
-                               constant_estimate=envelope_constant(pair_lip, lip_bound))
-    self_lipschitz = GapReport(indices=lags, measured=self_lip, bound=lip_bound,
-                               constant_estimate=envelope_constant(self_lip, lip_bound))
-    return PartialSmoothnessReport(pair_gaps=pair_gaps, self_gaps=self_gaps,
-                                   pair_lipschitz=pair_lipschitz,
-                                   self_lipschitz=self_lipschitz,
-                                   u_pair=(u, v))
+    return PartialSmoothnessReport(
+        pair_gaps=pair_gap, self_gaps=self_gap,
+        pair_lipschitz=GapReport(indices=lags, measured=block_norms(pu - pv),
+                                 bound=lip_bound),
+        self_lipschitz=GapReport(indices=lags, measured=block_norms(su - sv),
+                                 bound=lip_bound),
+        u_pair=(u, v))
 
 
 def partial_spectral_coherence(model: ModelSpec, u: float, a: int, b: int,
@@ -274,8 +266,7 @@ class CoherenceGapReport:
 
 def coherence_consistency_gap(model: ModelSpec, n: int, t_index: int,
                               a: int, b: int, omega_grid,
-                              max_lag: int | None = None,
-                              pad: int | None = None) -> CoherenceGapReport:
+                              max_lag: int | None = None) -> CoherenceGapReport:
     """Assemble the local partial coherence from nonstationary partial
     covariances and compare with the frozen-coherence closed form.
 
@@ -288,7 +279,7 @@ def coherence_consistency_gap(model: ModelSpec, n: int, t_index: int,
         ConditioningError: a denominator sum within 1e-8 of zero.
     """
     omega_grid = np.atleast_1d(np.asarray(omega_grid, dtype=float))
-    pad = cov_pad(model) if pad is None else pad
+    pad = cov_pad(model)
     if max_lag is None:
         max_lag = _default_fourier_lag(model, n, t_index, a, b, pad)
     c = cov_window(model, n, t_index - max_lag - pad, t_index + max_lag + pad)
@@ -314,8 +305,7 @@ def coherence_consistency_gap(model: ModelSpec, n: int, t_index: int,
                                                 omega_grid))
     gap = np.abs(assembled - frozen)
     bound = np.full(omega_grid.shape, 1.0 / n + tail)
-    gaps = GapReport(indices=list(omega_grid), measured=gap, bound=bound,
-                     constant_estimate=envelope_constant(gap, bound))
+    gaps = GapReport(indices=list(omega_grid), measured=gap, bound=bound)
     return CoherenceGapReport(omega_grid=omega_grid, assembled=assembled,
                               frozen=frozen, gaps=gaps,
                               imag_residue=imag_residue, truncation_tail=tail)

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InputError
+from .operator_core import block_norms
 
 
 @dataclass(frozen=True)
@@ -36,17 +37,18 @@ class GapReport:
     """Per-index measured discrepancies paired with a theoretical envelope.
 
     ``bound`` holds the envelope *shape* evaluated at the same indices (no
-    leading constant); ``constant_estimate`` is the smallest multiplier
-    making ``measured <= constant * bound`` everywhere.  Some operations
-    also report an alternative envelope variant in ``alt_bound``.
+    leading constant); ``constant_estimate`` is derived from them: the
+    smallest multiplier making ``measured <= constant * bound`` everywhere.
+    Some operations also report an alternative envelope variant in
+    ``alt_bound``, with its constant in ``alt_constant``.
     """
 
     indices: list
     measured: np.ndarray
     bound: np.ndarray
-    constant_estimate: float
     alt_bound: np.ndarray | None = None
-    alt_constant: float | None = None
+    constant_estimate: float = field(init=False)
+    alt_constant: float | None = field(init=False)
 
     def __post_init__(self):
         measured = np.asarray(self.measured, dtype=float)
@@ -57,10 +59,40 @@ class GapReport:
             raise InputError("GapReport: measured and bound must be nonnegative")
         object.__setattr__(self, "measured", measured)
         object.__setattr__(self, "bound", bound)
+        object.__setattr__(self, "constant_estimate", envelope_constant(measured, bound))
+        object.__setattr__(self, "alt_constant", None if self.alt_bound is None
+                           else envelope_constant(measured, self.alt_bound))
 
     @property
     def max_measured(self) -> float:
         return float(self.measured.max(initial=0.0))
+
+
+def two_sided(seq: np.ndarray) -> np.ndarray:
+    """Lags ``r = -R..R`` of one-sided sequences ``seq[..., r, :, :]``,
+    ``r = 0..R``, of a symmetric operator: ``out[..., R + r, :, :]`` is
+    ``seq[..., r, :, :]`` for ``r >= 0`` and ``seq[..., -r, :, :]^T`` below."""
+    return np.concatenate([seq[..., :0:-1, :, :].swapaxes(-1, -2), seq], axis=-3)
+
+
+def pair_gaps(times: np.ndarray, array: np.ndarray, frozen: np.ndarray,
+              envelope, alt_envelope=None) -> GapReport:
+    """Array values against their frozen-time approximations over a window.
+
+    ``array[i, j]`` is the block at ``(times[i], times[j])``; ``frozen[i]``
+    holds the two-sided frozen lags at the rescaled time of ``times[i]``,
+    lag ``r = -(L-1)..L-1`` at index ``r + L - 1``.  Each pair ``(t, tau)``
+    is measured as ``||array[t, tau] - frozen[t][t - tau]||`` against
+    ``envelope(t - tau)`` (and ``alt_envelope``), in row-major order.
+    """
+    length = len(times)
+    lag = times[:, None] - times[None, :]
+    target = frozen[np.arange(length)[:, None], lag + length - 1]
+    lag = lag.ravel()
+    return GapReport(indices=[(int(t), int(tau)) for t in times for tau in times],
+                     measured=block_norms(array - target).ravel(),
+                     bound=envelope(lag),
+                     alt_bound=None if alt_envelope is None else alt_envelope(lag))
 
 
 def envelope_constant(measured: np.ndarray, shape: np.ndarray) -> float:

@@ -21,9 +21,10 @@ from .inverse_analysis import _kappa_or_raise
 from .models import (ModelSpec, cov_window, local_spectral_densities,
                      stationary_window)
 from .operator_core import BlockWindow, block_norms, block_view, spd_inverse, zeta
-from .reports import GapReport, envelope_constant
+from .reports import GapReport
 
 _DUAL_PATH_TOL = 1e-8
+_KOLMOGOROV_POINTS = 4096     # quadrature nodes of the spectral log-integral
 
 
 @dataclass(frozen=True)
@@ -194,12 +195,9 @@ def baxter_gaps(model: ModelSpec, n: int, t_index: int, order: int,
     lags = np.arange(1, order + 1)
     measured = block_norms(finite.phi_stack - infinite.phi_stack[:order])
     bound = zd * zeta(order - lags) ** (kappa - 1.5)
-    per_lag = GapReport(indices=lags.tolist(), measured=measured, bound=bound,
-                        constant_estimate=envelope_constant(measured, bound))
-    total = float(measured.sum())
-    summed = GapReport(indices=[order], measured=np.array([total]),
-                       bound=np.array([zd]),
-                       constant_estimate=envelope_constant([total], [zd]))
+    per_lag = GapReport(indices=lags.tolist(), measured=measured, bound=bound)
+    summed = GapReport(indices=[order], measured=np.array([float(measured.sum())]),
+                       bound=np.array([zd]))
     return BaxterReport(order=order, per_lag=per_lag, summed=summed,
                         kappa_used=kappa)
 
@@ -216,7 +214,6 @@ class VarSmoothnessReport:
 
 
 def var_smoothness_gap(model: ModelSpec, n: int, t_index: int, order: int,
-                       depth: int | None = None,
                        kappa: float | None = None) -> VarSmoothnessReport:
     """Distance from the array projection to the frozen-time projection.
 
@@ -224,17 +221,14 @@ def var_smoothness_gap(model: ModelSpec, n: int, t_index: int, order: int,
     per-lag coefficient gaps with ``zeta(j)^(kappa-2) * min(2*zeta(j), 1/N)``.
     """
     kappa = _kappa_or_raise(model, kappa)
-    depth = order + 100 if depth is None else depth
-    array_fit = var_coeffs_infinite(model, n, t_index, order, depth=depth)
-    frozen_fit = stationary_var_coeffs_infinite(model, t_index / n, order,
-                                                depth=depth)
+    array_fit = var_coeffs_infinite(model, n, t_index, order)
+    frozen_fit = stationary_var_coeffs_infinite(model, t_index / n, order)
     sigma_gap = float(block_norms(array_fit.sigma - frozen_fit.sigma))
     lags = np.arange(1, order + 1)
     measured = block_norms(array_fit.phi_stack - frozen_fit.phi_stack)
     zj = zeta(lags)
     bound = zj ** (kappa - 2.0) * np.minimum(2.0 * zj, 1.0 / n)
-    phi_gaps = GapReport(indices=lags.tolist(), measured=measured, bound=bound,
-                         constant_estimate=envelope_constant(measured, bound))
+    phi_gaps = GapReport(indices=lags.tolist(), measured=measured, bound=bound)
     return VarSmoothnessReport(t_index=t_index, n=n, sigma_gap=sigma_gap,
                                sigma_constant=sigma_gap * n, phi_gaps=phi_gaps)
 
@@ -249,8 +243,7 @@ class KolmogorovGap:
 
 
 def kolmogorov_gap(model: ModelSpec, n: int, t_index: int,
-                   depth: int | None = None,
-                   quad_points: int = 4096) -> KolmogorovGap:
+                   depth: int | None = None) -> KolmogorovGap:
     """Innovation log-determinant against the spectral log-integral.
 
     Implements the classical identity
@@ -263,11 +256,11 @@ def kolmogorov_gap(model: ModelSpec, n: int, t_index: int,
     sign, logdet = np.linalg.slogdet(coeffs.sigma)
     if sign <= 0:
         raise ConditioningError("kolmogorov_gap: innovation variance not SPD")
-    omegas = np.linspace(0.0, 2.0 * math.pi, quad_points, endpoint=False)
+    omegas = np.linspace(0.0, 2.0 * math.pi, _KOLMOGOROV_POINTS, endpoint=False)
     u = t_index / n
     vals = np.linalg.eigvalsh(local_spectral_densities(model, u, omegas))
     if np.any(vals[:, 0] <= 0):
         raise ConditioningError("kolmogorov_gap: spectral density not SPD")
     # cumsum adds the per-omega log-determinants one by one, in grid order
-    rhs = float(np.cumsum(np.log(vals).sum(axis=1))[-1]) / quad_points
+    rhs = float(np.cumsum(np.log(vals).sum(axis=1))[-1]) / _KOLMOGOROV_POINTS
     return KolmogorovGap(lhs=float(logdet), rhs=rhs, gap=abs(float(logdet) - rhs))

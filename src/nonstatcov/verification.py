@@ -29,19 +29,6 @@ class CheckResult:
     details: dict
     rows: list = field(default_factory=list)
 
-    def summary(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        keys = ", ".join(f"{k}={_fmt(v)}" for k, v in self.details.items())
-        return f"[{status}] {self.name}: {keys}"
-
-
-def _fmt(v) -> str:
-    if isinstance(v, bool):
-        return str(v)
-    if isinstance(v, float):
-        return f"{v:.6g}"
-    return str(v)
-
 
 def table_row(kind: str, i, j, measured, envelope=0.0, constant=0.0, n=0) -> dict:
     return {"N": n, "kind": kind, "i": i, "j": j, "measured": float(measured),

@@ -8,8 +8,11 @@ in the README); the companion monotonicity clause passes and is tested
 separately.
 """
 
+import importlib.util
 import json
+import sys
 import time
+from pathlib import Path
 
 from nonstatcov import cli
 from nonstatcov import verification as vf
@@ -117,7 +120,20 @@ def test_criterion_11_norm_inequalities():
     assert res.details["worst_convolution_ratio"] <= 1.0
 
 
-def test_criterion_12_verify_all_determinism(tmp_path):
+def _bench_workloads(monkeypatch):
+    """``bench/workloads.py``, loaded with ``bench/`` on the path so its
+    ``import oracles`` resolves."""
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(bench))
+    spec = importlib.util.spec_from_file_location("bench_workloads",
+                                                  bench / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
+def test_criterion_12_verify_all_determinism(tmp_path, monkeypatch):
     start = time.monotonic()
     outs = [tmp_path / "run1", tmp_path / "run2"]
     codes = [cli.main(["verify-all", "--config", "verify_all_tvvma",
@@ -139,3 +155,7 @@ def test_criterion_12_verify_all_determinism(tmp_path):
     assert not by_name["baxter_gaps"]
     failing = [k for k, v in by_name.items() if not v]
     assert failing == ["baxter_gaps"]
+    # the table matches the benchmark's golden table cell by cell
+    workloads = _bench_workloads(monkeypatch)
+    assert workloads.table_mismatches(tables[0].decode("utf-8"),
+                                      workloads._golden()["rows"]) == []

@@ -13,7 +13,7 @@ import pytest
 
 import nonstatcov as nc
 from nonstatcov.operator_core import gu, zeta
-from nonstatcov.reports import envelope_constant
+from nonstatcov.reports import GapReport, envelope_constant
 
 EPS = np.finfo(float).eps
 
@@ -156,3 +156,26 @@ def test_var_smoothness_gap_matches_lag_loop(name):
     assert_ulps(rep.sigma_gap, sigma_gap, 4 * model.p)
     assert_ulps(rep.sigma_constant, sigma_gap * n, 4 * model.p + 1)
     assert_report(rep.phi_gaps, indices, measured, bound, model.p)
+
+
+def test_gap_report_derives_its_constants():
+    measured, bound = np.array([0.5, 2.0, 0.0]), np.array([1.0, 4.0, 0.0])
+    rep = GapReport(indices=[0, 1, 2], measured=measured, bound=bound)
+    assert rep.constant_estimate == envelope_constant(measured, bound) == 0.5
+    assert rep.alt_bound is None and rep.alt_constant is None
+    alt = np.array([0.25, 1.0, 1.0])
+    rep = GapReport(indices=[0, 1, 2], measured=measured, bound=bound, alt_bound=alt)
+    assert rep.alt_constant == envelope_constant(measured, alt) == 2.0
+
+
+def test_gap_report_constant_is_inf_where_the_bound_vanishes():
+    rep = GapReport(indices=[0, 1], measured=[1e-3, 1.0], bound=[0.0, 1.0])
+    assert rep.constant_estimate == np.inf
+
+
+def test_gap_report_refuses_a_handed_in_constant():
+    with pytest.raises(TypeError):
+        GapReport(indices=[0], measured=[1.0], bound=[1.0], constant_estimate=1.0)
+    with pytest.raises(TypeError):
+        GapReport(indices=[0], measured=[1.0], bound=[1.0], alt_bound=[1.0],
+                  alt_constant=1.0)
