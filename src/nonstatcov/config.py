@@ -1,8 +1,9 @@
 """JSON experiment configuration: schema validation and model (de)serialization.
 
 Matrices are row-major nested arrays; coefficient functions are tagged
-unions keyed on ``form``.  Validation errors carry a JSON-pointer-style
-path to the offending field.
+unions keyed on ``form`` and models on ``family``.  ``GRID_FIELDS``,
+``MODEL_FAMILIES`` and ``models.COEFFICIENT_FORMS`` are the schema.
+Validation errors carry a JSON-pointer-style path to the offending field.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from typing import Any, NamedTuple
 import numpy as np
 
 from .errors import ConfigError, InputError
-from .models import (SRE, CoefficientFn, ModelSpec, TvARCH, TvVAR, TvVMA)
+from .models import (COEFFICIENT_FORMS, SRE, CoefficientFn, ModelSpec, TvARCH,
+                     TvVAR, TvVMA)
 from .reference import REFERENCE_BUILDERS, get_reference_model
 from .verification import ALL_CHECKS
 
@@ -65,43 +67,96 @@ GRID_FIELDS: dict[str, dict[str, GridField]] = {
 EXPERIMENT_KINDS = tuple(GRID_FIELDS)
 
 
+class ModelField(NamedTuple):
+    """The constructor argument ``attr`` and its ``kind``: ``"dim"`` (integer
+    >= 1), ``"number"``, ``"matrix"``, ``"fn"`` (a coefficient function) or
+    ``"fns"`` (a non-empty list of them).  A ``REQUIRED`` field must be given;
+    one whose default is ``None`` may be ``null`` and is then not written."""
+
+    attr: str
+    kind: str
+    default: Any = None
+
+
+REQUIRED = object()
+_P = ModelField("p", "dim", REQUIRED)
+
+#: family -> (model class, JSON key -> ModelField), the keys in the order
+#: they are read and written.
+MODEL_FAMILIES: dict[str, tuple[type, dict[str, ModelField]]] = {
+    "tv_vma": (TvVMA, {"p": _P, "coefficients": ModelField("psis", "fns", REQUIRED),
+                       "kappa": ModelField("kappa", "number"),
+                       "n_correction": ModelField("n_correction", "fns")}),
+    "tv_var": (TvVAR, {"p": _P, "coefficients": ModelField("phis", "fns", REQUIRED),
+                       "innovation_variance": ModelField("sigma", "fn", REQUIRED)}),
+    "tv_arch": (TvARCH, {"coefficients": ModelField("coeffs", "fns", REQUIRED)}),
+    "sre": (SRE, {"p": _P, "a_scale": ModelField("a_scale", "fn", REQUIRED),
+                  "a_noise": ModelField("a_noise", "number", 0.0),
+                  "a_matrix": ModelField("a_matrix", "matrix", REQUIRED),
+                  "b_scale": ModelField("b_scale", "fn", REQUIRED)}),
+}
+
+#: experiment -> companion model its runner reads -> default reference model.
+COMPANIONS = {"smoothness": {"var_model": "tvvar1_p3"},
+              "verify-all": {"var_model": "tvvar1_p3", "sre_model": "sre_p2"}}
+
+
 def _expect(cond: bool, message: str, path: str) -> None:
     if not cond:
         raise ConfigError(message, path=path)
 
 
+def _is_int(val: Any) -> bool:
+    return isinstance(val, (int, np.integer)) and not isinstance(val, bool)
+
+
+def _is_number(val: Any) -> bool:
+    """A finite number, not a bool; the bound refuses NaN, infinities and
+    integers beyond float range."""
+    return (isinstance(val, (int, float, np.integer, np.floating))
+            and not isinstance(val, bool) and abs(val) <= sys.float_info.max)
+
+
+def _number(val: Any, what: str, path: str) -> float:
+    _expect(_is_number(val), f"{what} must be a finite number", path)
+    return float(val)
+
+
+def _known_fields(obj: dict, known, owner: str, path: str) -> None:
+    for key in obj:
+        _expect(key in known, f"unknown field {key!r}; {owner} takes {list(known)}",
+                f"{path}/{key}")
+
+
 def _matrix(obj: Any, path: str) -> np.ndarray:
     try:
-        arr = np.asarray(obj, dtype=float)
-    except (TypeError, ValueError):
+        arr = np.asarray(obj, dtype=object)
+    except ValueError:              # ragged nesting
         raise ConfigError("expected a numeric matrix", path=path) from None
     _expect(arr.ndim == 2 and arr.shape[0] == arr.shape[1],
             f"expected a square matrix, got shape {arr.shape}", path)
-    _expect(bool(np.all(np.isfinite(arr))), "matrix has non-finite entries", path)
-    return arr
+    _expect(all(_is_number(x) for x in arr.flat),
+            "matrix entries must be finite numbers", path)
+    return arr.astype(float)
 
 
 def coefficient_fn_from_json(obj: Any, path: str) -> CoefficientFn:
     _expect(isinstance(obj, dict), "coefficient function must be an object", path)
     form = obj.get("form")
-    _expect(form in ("constant", "affine", "sinusoidal", "piecewise"),
+    _expect(isinstance(form, str) and form in COEFFICIENT_FORMS,
             f"unknown coefficient form {form!r}", f"{path}/form")
-    if form == "constant":
-        return CoefficientFn("constant", {"value": _matrix(obj.get("value"), f"{path}/value")})
-    if form == "affine":
-        return CoefficientFn("affine", {
-            "base": _matrix(obj.get("base"), f"{path}/base"),
-            "slope": _matrix(obj.get("slope"), f"{path}/slope")})
-    if form == "sinusoidal":
-        return CoefficientFn("sinusoidal", {
-            "base": _matrix(obj.get("base"), f"{path}/base"),
-            "amplitude": _matrix(obj.get("amplitude"), f"{path}/amplitude"),
-            "frequency": float(obj.get("frequency", 1.0)),
-            "phase": float(obj.get("phase", 0.0))})
+    spec = COEFFICIENT_FORMS[form]
+    _known_fields(obj, ("form", *spec.arrays, *spec.scalars), f"the {form} form", path)
+    if form != "piecewise":
+        payload = {key: _matrix(obj.get(key), f"{path}/{key}") for key in spec.arrays}
+        for key, default in spec.scalars.items():
+            payload[key] = _number(obj.get(key, default), key, f"{path}/{key}")
+        return CoefficientFn(form, payload)
     knots = obj.get("knots")
     values = obj.get("values")
-    _expect(isinstance(knots, list) and len(knots) >= 2,
-            "piecewise form needs >= 2 knots", f"{path}/knots")
+    _expect(isinstance(knots, list) and len(knots) >= 2
+            and all(_is_number(k) for k in knots),
+            "piecewise form needs >= 2 knots, each a finite number", f"{path}/knots")
     _expect(isinstance(values, list) and len(values) == len(knots),
             "piecewise values must match knots", f"{path}/values")
     ks = np.asarray(knots, dtype=float)
@@ -122,20 +177,8 @@ def coefficient_fn_from_json(obj: Any, path: str) -> CoefficientFn:
 
 
 def coefficient_fn_to_json(fn: CoefficientFn) -> dict:
-    p = fn.payload
-    if fn.form == "constant":
-        return {"form": "constant", "value": np.atleast_2d(p["value"]).tolist()}
-    if fn.form == "affine":
-        return {"form": "affine", "base": np.atleast_2d(p["base"]).tolist(),
-                "slope": np.atleast_2d(p["slope"]).tolist()}
-    if fn.form == "sinusoidal":
-        return {"form": "sinusoidal",
-                "base": np.atleast_2d(p["base"]).tolist(),
-                "amplitude": np.atleast_2d(p["amplitude"]).tolist(),
-                "frequency": float(p.get("frequency", 1.0)),
-                "phase": float(p.get("phase", 0.0))}
-    return {"form": "piecewise", "knots": np.asarray(p["knots"]).tolist(),
-            "values": np.asarray(p["values"]).tolist()}
+    return {"form": fn.form, **{key: val.tolist() if isinstance(val, np.ndarray) else val
+                                for key, val in fn.payload.items()}}
 
 
 def model_from_json(obj: Any, path: str = "/model") -> ModelSpec:
@@ -146,101 +189,65 @@ def model_from_json(obj: Any, path: str = "/model") -> ModelSpec:
             do not fit together (such as coefficient matrices of different
             sizes) and the model constructor refuses them.
     """
+    _expect(isinstance(obj, dict), "model must be an object", path)
+    if "reference" in obj:
+        _known_fields(obj, ("reference",), "a reference model", path)
+        name = obj["reference"]
+        _expect(isinstance(name, str) and name in REFERENCE_BUILDERS,
+                f"unknown reference model {name!r}", f"{path}/reference")
+        return get_reference_model(name)
+    family = obj.get("family")
+    _expect(isinstance(family, str) and family in MODEL_FAMILIES,
+            f"unknown family {family!r}", f"{path}/family")
+    cls, fields = MODEL_FAMILIES[family]
+    _known_fields(obj, ("family", *fields), f"the {family} family", path)
     try:
-        return _model_from_json(obj, path)
+        return cls(**{fld.attr: _model_value(key, fld, obj.get(key, fld.default),
+                                             f"{path}/{key}")
+                      for key, fld in fields.items()})
     except InputError as exc:
         raise ConfigError(str(exc), path=path) from None
 
 
-def _model_from_json(obj: Any, path: str) -> ModelSpec:
-    _expect(isinstance(obj, dict), "model must be an object", path)
-    if "reference" in obj:
-        name = obj["reference"]
-        _expect(name in REFERENCE_BUILDERS,
-                f"unknown reference model {name!r}", f"{path}/reference")
-        return get_reference_model(name)
-    family = obj.get("family")
-    _expect(family in ("tv_vma", "tv_var", "tv_arch", "sre"),
-            f"unknown family {family!r}", f"{path}/family")
-    if family == "tv_vma":
-        p = obj.get("p")
-        _expect(isinstance(p, int) and p >= 1, "p must be a positive integer",
-                f"{path}/p")
-        coeffs = obj.get("coefficients")
-        _expect(isinstance(coeffs, list) and coeffs,
-                "tv_vma needs a nonempty coefficient list", f"{path}/coefficients")
-        psis = tuple(coefficient_fn_from_json(c, f"{path}/coefficients/{i}")
-                     for i, c in enumerate(coeffs))
-        corr = obj.get("n_correction")
-        n_corr = None
-        if corr is not None:
-            _expect(isinstance(corr, list) and len(corr) == len(coeffs),
-                    "n_correction must match coefficients", f"{path}/n_correction")
-            n_corr = tuple(coefficient_fn_from_json(c, f"{path}/n_correction/{i}")
-                           for i, c in enumerate(corr))
-        kappa = obj.get("kappa")
-        return TvVMA(p=p, psis=psis, kappa=None if kappa is None else float(kappa),
-                     n_correction=n_corr)
-    if family == "tv_var":
-        p = obj.get("p")
-        _expect(isinstance(p, int) and p >= 1, "p must be a positive integer",
-                f"{path}/p")
-        coeffs = obj.get("coefficients")
-        _expect(isinstance(coeffs, list) and coeffs,
-                "tv_var needs a nonempty coefficient list", f"{path}/coefficients")
-        phis = tuple(coefficient_fn_from_json(c, f"{path}/coefficients/{i}")
-                     for i, c in enumerate(coeffs))
-        _expect("innovation_variance" in obj, "tv_var needs innovation_variance",
-                f"{path}/innovation_variance")
-        sigma = coefficient_fn_from_json(obj["innovation_variance"],
-                                         f"{path}/innovation_variance")
-        return TvVAR(p=p, phis=phis, sigma=sigma)
-    if family == "tv_arch":
-        coeffs = obj.get("coefficients")
-        _expect(isinstance(coeffs, list) and coeffs,
-                "tv_arch needs a nonempty coefficient list", f"{path}/coefficients")
-        return TvARCH(coeffs=tuple(
-            coefficient_fn_from_json(c, f"{path}/coefficients/{i}")
-            for i, c in enumerate(coeffs)))
-    p = obj.get("p")
-    _expect(isinstance(p, int) and p >= 1, "p must be a positive integer", f"{path}/p")
-    for key in ("a_scale", "a_matrix", "b_scale"):
-        _expect(key in obj, f"sre needs {key}", f"{path}/{key}")
-    return SRE(p=p,
-               a_scale=coefficient_fn_from_json(obj["a_scale"], f"{path}/a_scale"),
-               a_noise=float(obj.get("a_noise", 0.0)),
-               a_matrix=_matrix(obj["a_matrix"], f"{path}/a_matrix"),
-               b_scale=coefficient_fn_from_json(obj["b_scale"], f"{path}/b_scale"))
+def _model_value(key: str, fld: ModelField, val: Any, path: str):
+    _expect(val is not REQUIRED, f"{key} is required", path)
+    if val is None and fld.default is None:
+        return None
+    if fld.kind == "dim":
+        _expect(_is_int(val) and val >= 1, f"{key} must be a positive integer", path)
+        return int(val)
+    if fld.kind == "number":
+        return _number(val, key, path)
+    if fld.kind == "matrix":
+        return _matrix(val, path)
+    if fld.kind == "fn":
+        return coefficient_fn_from_json(val, path)
+    _expect(isinstance(val, list) and val,
+            f"{key} must be a non-empty list of coefficient functions", path)
+    return tuple(coefficient_fn_from_json(c, f"{path}/{i}") for i, c in enumerate(val))
 
 
 def model_to_json(model: ModelSpec) -> dict:
-    if isinstance(model, TvVMA):
-        out = {"family": "tv_vma", "p": model.p,
-               "coefficients": [coefficient_fn_to_json(f) for f in model.psis]}
-        if model.kappa is not None:
-            out["kappa"] = model.kappa
-        if model.n_correction is not None:
-            out["n_correction"] = [coefficient_fn_to_json(f)
-                                   for f in model.n_correction]
-        return out
-    if isinstance(model, TvVAR):
-        return {"family": "tv_var", "p": model.p,
-                "coefficients": [coefficient_fn_to_json(f) for f in model.phis],
-                "innovation_variance": coefficient_fn_to_json(model.sigma)}
-    if isinstance(model, TvARCH):
-        return {"family": "tv_arch",
-                "coefficients": [coefficient_fn_to_json(f) for f in model.coeffs]}
-    return {"family": "sre", "p": model.p,
-            "a_scale": coefficient_fn_to_json(model.a_scale),
-            "a_noise": model.a_noise,
-            "a_matrix": model.a_matrix.tolist(),
-            "b_scale": coefficient_fn_to_json(model.b_scale)}
+    family, fields = next((family, fields) for family, (cls, fields)
+                          in MODEL_FAMILIES.items() if isinstance(model, cls))
+    out = {"family": family}
+    for key, fld in fields.items():
+        val = getattr(model, fld.attr)
+        if val is not None:
+            out[key] = _WRITERS[fld.kind](val)
+    return out
+
+
+_WRITERS = {"dim": int, "number": lambda x: x, "matrix": np.ndarray.tolist,
+            "fn": coefficient_fn_to_json,
+            "fns": lambda fns: [coefficient_fn_to_json(f) for f in fns]}
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Validated experiment description; ``grid`` holds every field of the
-    experiment's ``GRID_FIELDS`` entry, checked, with the defaults filled in."""
+    experiment's ``GRID_FIELDS`` entry, checked, with the defaults filled in,
+    and ``companions`` every model of its ``COMPANIONS`` entry."""
 
     experiment: str
     seed: int
@@ -293,23 +300,25 @@ def load_config(obj_or_path, default_experiment: str | None = None) -> Experimen
                 f"{default_experiment!r} subcommand", "/experiment")
     _expect(experiment in EXPERIMENT_KINDS,
             f"experiment must be one of {EXPERIMENT_KINDS}", "/experiment")
-    _expect(isinstance(obj.get("seed"), int), "seed is mandatory and integer",
-            "/seed")
+    _expect(_is_int(obj.get("seed")) and obj["seed"] >= 0,
+            "seed is mandatory and a non-negative integer", "/seed")
     _expect("model" in obj, "model is mandatory", "/model")
     model = model_from_json(obj["model"], "/model")
     grid = obj.get("grid", {})
     _expect(isinstance(grid, dict), "grid must be an object", "/grid")
     grid = _checked_grid(experiment, grid, model)
-    companions = {}
-    for key, val in obj.get("companions", {}).items():
-        companions[key] = model_from_json(val, f"/companions/{key}")
+    raw_companions = obj.get("companions", {})
+    _expect(isinstance(raw_companions, dict), "companions must be an object",
+            "/companions")
+    defaults = COMPANIONS.get(experiment, {})
+    _known_fields(raw_companions, defaults, f"the {experiment} companions object",
+                  "/companions")
+    companions = {key: model_from_json(raw_companions.get(key, {"reference": name}),
+                                       f"/companions/{key}")
+                  for key, name in defaults.items()}
     return ExperimentConfig(experiment=experiment, seed=obj["seed"],
                             model=model, grid=grid,
                             companions=companions, raw=obj)
-
-
-def _is_int(val: Any) -> bool:
-    return isinstance(val, (int, np.integer)) and not isinstance(val, bool)
 
 
 def _grid_value(key: str, spec: GridField, val: Any):
@@ -323,11 +332,7 @@ def _grid_value(key: str, spec: GridField, val: Any):
                 f"grid field {key!r} must be >= {spec.least}, got {val}", path)
         return int(val)
     if spec.kind == "number":
-        # the bound refuses NaN, infinities and integers beyond float range
-        _expect(isinstance(val, (int, float, np.integer, np.floating))
-                and not isinstance(val, bool) and abs(val) <= sys.float_info.max,
-                f"grid field {key!r} must be a finite number", path)
-        return float(val)
+        return _number(val, f"grid field {key!r}", path)
     if spec.kind == "ints":
         _expect(isinstance(val, (list, tuple)) and len(val) >= spec.min_len
                 and all(_is_int(v) for v in val),
@@ -356,9 +361,7 @@ def _checked_grid(experiment: str, raw: dict, model: ModelSpec) -> dict:
     """Every field of the experiment's ``GRID_FIELDS`` entry, checked, with
     the defaults filled in; unknown fields are refused."""
     fields = GRID_FIELDS[experiment]
-    for key in raw:
-        _expect(key in fields, f"unknown grid field {key!r}; {experiment} "
-                f"takes {list(fields)}", f"/grid/{key}")
+    _known_fields(raw, fields, f"the {experiment} grid", "/grid")
     grid: dict = {}
     for key, spec in fields.items():
         default = spec.default(grid) if callable(spec.default) else spec.default

@@ -28,7 +28,6 @@ from . import verification as vf
 from .config import ExperimentConfig, load_config, partial_gaps_apply
 from .errors import ConfigError, InputError
 from .models import SRE, TvVMA
-from .reference import reference_sre, reference_tvvar3
 
 COLUMNS = ("experiment", "model_hash", "N", "kind", "i", "j",
            "measured", "envelope", "constant")
@@ -263,15 +262,9 @@ def _run_baxter(config: ExperimentConfig):
     ]
 
 
-def _companion(config: ExperimentConfig, key: str, default_builder):
-    if key in config.companions:
-        return config.companions[key]
-    return default_builder()
-
-
 def _run_smoothness(config: ExperimentConfig):
-    var_model = _companion(config, "var_model", reference_tvvar3)
-    res = vf.check_smoothness(config.model, var_model, ns=config.grid["Ns"])
+    res = vf.check_smoothness(config.model, config.companions["var_model"],
+                              ns=config.grid["Ns"])
     return res.rows, [Verdict(res.name, res.passed, res.details)]
 
 
@@ -326,11 +319,8 @@ def _run_physical(config: ExperimentConfig):
 
 
 def _run_verify_all(config: ExperimentConfig, threads: int):
-    var_model = _companion(config, "var_model", reference_tvvar3)
-    sre_model = _companion(config, "sre_model", reference_sre)
-    results = vf.run_all(model=config.model, var_model=var_model,
-                         sre_model=sre_model, threads=threads,
-                         names=config.grid["checks"])
+    results = vf.run_all(model=config.model, threads=threads,
+                         names=config.grid["checks"], **config.companions)
     rows = []
     verdicts = []
     for res in results:

@@ -295,7 +295,7 @@ def inverse_derivative_gap(model: ModelSpec, u: float, max_lag: int,
     assembled = _centre_row(0.5 * (assembled_flat + assembled_flat.T), w.p,
                             half, max_lag)
 
-    seq_u = stationary_inverse_sequence(model, u, max_lag, pad=pad)
+    seq_u = _centre_row(inv, w.p, half, max_lag)
     seq_uh = stationary_inverse_sequence(model, u + h, max_lag, pad=pad)
     fd = (seq_uh - seq_u) / h
     scale = max(float(np.abs(assembled).max()), 1e-300)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -49,6 +49,22 @@ def _readonly_copy(v) -> np.ndarray:
     return a
 
 
+class CoefficientForm(NamedTuple):
+    """Payload keys: required ``arrays`` and finite ``scalars`` with defaults."""
+
+    arrays: tuple[str, ...]
+    scalars: dict = {}
+
+
+#: form -> payload keys; the one statement of what each form's payload holds.
+COEFFICIENT_FORMS = {
+    "constant": CoefficientForm(("value",)),
+    "affine": CoefficientForm(("base", "slope")),
+    "sinusoidal": CoefficientForm(("base", "amplitude"), {"frequency": 1.0, "phase": 0.0}),
+    "piecewise": CoefficientForm(("knots", "values")),
+}
+
+
 class CoefficientFamily:
     """A tuple of square coefficient functions of one shape, evaluated
     together.
@@ -65,31 +81,22 @@ class CoefficientFamily:
         if any(fn.matrix_shape != self.shape for fn in fns):
             raise InputError("CoefficientFamily: functions differ in shape")
         self._groups = []          # (form, indices, stacked payload)
-        for form in ("constant", "affine", "sinusoidal", "piecewise"):
+        for form in COEFFICIENT_FORMS:
             idx = [k for k, fn in enumerate(fns) if fn.form == form]
             if idx:
                 payloads = [fns[k].payload for k in idx]
                 self._groups.append((form, np.array(idx), self._stack(form, payloads)))
 
     def _stack(self, form: str, payloads: list) -> dict:
-        def mats(key):
-            return np.stack([np.atleast_2d(p[key]) for p in payloads])
-        if form == "constant":
-            return {"value": mats("value")}
-        if form == "affine":
-            return {"base": mats("base"), "slope": mats("slope")}
-        if form == "sinusoidal":
-            def scalars(key, default):
-                return np.array([float(p.get(key, default)) for p in payloads])
-            return {"base": mats("base"), "amplitude": mats("amplitude"),
-                    "frequency": scalars("frequency", 1.0), "phase": scalars("phase", 0.0)}
+        if form != "piecewise":
+            return {key: np.array([p[key] for p in payloads]) for key in payloads[0]}
         # knots padded with +inf, which no clamped time reaches; values with 0
         counts = np.array([len(p["knots"]) for p in payloads])
         knots = np.full((len(payloads), counts.max()), np.inf)
         values = np.zeros((len(payloads), counts.max()) + self.shape)
         for row, vals, p, m in zip(knots, values, payloads, counts):
             row[:m] = p["knots"]
-            vals[:m] = np.reshape(p["values"], (m,) + self.shape)
+            vals[:m] = p["values"]
         return {"knots": knots, "last": counts - 2, "values": values}
 
     def at(self, us) -> np.ndarray:
@@ -142,7 +149,9 @@ class CoefficientFn:
     * ``piecewise``: linear interpolation of ``values`` over ``knots``,
       held at the end values outside ``[knots[0], knots[-1]]``
 
-    All payload matrices must share one square shape.  Evaluation clamps
+    ``COEFFICIENT_FORMS`` lists each form's payload keys; the scalar keys
+    default when left out.  All payload matrices must share one square
+    shape (a scalar is a ``1 x 1`` matrix).  Evaluation clamps
     ``u`` into ``[0, 1]``.  Payload arrays are read-only copies, so a
     function (and a model built from it) cannot change after construction.
     """
@@ -151,30 +160,32 @@ class CoefficientFn:
     payload: dict
 
     def __post_init__(self):
-        if self.form not in ("constant", "affine", "sinusoidal", "piecewise"):
-            raise InputError(f"CoefficientFn: unknown form {self.form!r}")
-        payload = {k: (_readonly_copy(v) if not np.isscalar(v) else float(v))
-                   for k, v in self.payload.items()}
+        spec = COEFFICIENT_FORMS.get(self.form) if isinstance(self.form, str) else None
+        if spec is None or set(spec.arrays) - set(self.payload) \
+                or set(self.payload) - {*spec.arrays, *spec.scalars}:
+            raise InputError(f"CoefficientFn: form {self.form!r} with payload keys "
+                             f"{list(self.payload)} is not in COEFFICIENT_FORMS")
+        piecewise = self.form == "piecewise"
+        payload = {key: _readonly_copy(self.payload[key] if piecewise
+                                       else np.atleast_2d(self.payload[key]))
+                   for key in spec.arrays}
+        payload.update((key, float(self.payload.get(key, default)))
+                       for key, default in spec.scalars.items())
+        if not all(math.isfinite(payload[key]) for key in spec.scalars):
+            raise InputError("CoefficientFn: scalar payload entries must be finite")
         object.__setattr__(self, "payload", payload)
-        shape = self.matrix_shape  # validates
-        if shape[0] != shape[1]:
+        shape = self.matrix_shape
+        if len(shape) != 2 or shape[0] != shape[1]:
             raise InputError("CoefficientFn: payload matrices must be square")
-        mats = [payload[k] for k in ("value", "base", "slope", "amplitude")
-                if k in payload]
-        mats += list(payload.get("values", ()))
-        if any(np.atleast_2d(m).shape != shape for m in mats):
+        if not piecewise and any(payload[key].shape != shape for key in spec.arrays):
             raise InputError("CoefficientFn: payload matrices differ in shape")
         object.__setattr__(self, "_family", CoefficientFamily((self,)))
 
     @property
-    def matrix_shape(self) -> tuple[int, int]:
-        if self.form == "constant":
-            return np.atleast_2d(self.payload["value"]).shape
-        if self.form == "affine":
-            return np.atleast_2d(self.payload["base"]).shape
-        if self.form == "sinusoidal":
-            return np.atleast_2d(self.payload["base"]).shape
-        return np.atleast_2d(self.payload["values"][0]).shape
+    def matrix_shape(self) -> tuple[int, ...]:
+        if self.form == "piecewise":
+            return self.payload["values"].shape[1:]
+        return self.payload[COEFFICIENT_FORMS[self.form].arrays[0]].shape
 
     @property
     def dim(self) -> int:
@@ -195,19 +206,16 @@ class CoefficientFn:
         """d/du at an interior point of [0, 1] (zero outside, and zero
         outside the knots of a ``piecewise`` form)."""
         uf = float(u)
-        if uf < 0.0 or uf > 1.0:
+        if uf < 0.0 or uf > 1.0 or self.form == "constant":
             return np.zeros(self.matrix_shape)
         p = self.payload
-        if self.form == "constant":
-            return np.zeros(self.matrix_shape)
         if self.form == "affine":
-            return np.atleast_2d(p["slope"]).copy()
+            return p["slope"].copy()
         if self.form == "sinusoidal":
-            freq = p.get("frequency", 1.0)
-            phase = p.get("phase", 0.0)
+            freq = p["frequency"]
             return (2.0 * math.pi * freq
-                    * math.cos(2.0 * math.pi * (freq * uf + phase))
-                    * np.atleast_2d(p["amplitude"]))
+                    * math.cos(2.0 * math.pi * (freq * uf + p["phase"]))
+                    * p["amplitude"])
         knots = p["knots"]
         values = p["values"]
         if uf < knots[0] or uf > knots[-1]:
@@ -221,11 +229,10 @@ class CoefficientFn:
         if self.form == "constant":
             return 0.0
         if self.form == "affine":
-            return float(np.linalg.norm(np.atleast_2d(p["slope"]), 2))
+            return float(np.linalg.norm(p["slope"], 2))
         if self.form == "sinusoidal":
-            freq = p.get("frequency", 1.0)
-            return float(2.0 * math.pi * abs(freq)
-                         * np.linalg.norm(np.atleast_2d(p["amplitude"]), 2))
+            return float(2.0 * math.pi * abs(p["frequency"])
+                         * np.linalg.norm(p["amplitude"], 2))
         knots = p["knots"]
         values = p["values"]
         slopes = [np.linalg.norm(values[i + 1] - values[i], 2) / (knots[i + 1] - knots[i])
@@ -234,19 +241,16 @@ class CoefficientFn:
 
 
 def constant_fn(value) -> CoefficientFn:
-    return CoefficientFn("constant", {"value": np.atleast_2d(value)})
+    return CoefficientFn("constant", {"value": value})
 
 
 def affine_fn(base, slope) -> CoefficientFn:
-    return CoefficientFn("affine", {"base": np.atleast_2d(base),
-                                    "slope": np.atleast_2d(slope)})
+    return CoefficientFn("affine", {"base": base, "slope": slope})
 
 
 def sinusoidal_fn(base, amplitude, frequency=1.0, phase=0.0) -> CoefficientFn:
-    return CoefficientFn("sinusoidal", {"base": np.atleast_2d(base),
-                                        "amplitude": np.atleast_2d(amplitude),
-                                        "frequency": float(frequency),
-                                        "phase": float(phase)})
+    return CoefficientFn("sinusoidal", {"base": base, "amplitude": amplitude,
+                                        "frequency": frequency, "phase": phase})
 
 
 # ---------------------------------------------------------------------------
@@ -404,11 +408,9 @@ class SRE:
     b_scale: CoefficientFn
 
     def __post_init__(self):
-        a = np.asarray(self.a_matrix, dtype=float)
+        a = _readonly_copy(self.a_matrix)
         if a.shape != (self.p, self.p):
             raise InputError("SRE: a_matrix must be p x p")
-        a = a.copy()
-        a.flags.writeable = False
         object.__setattr__(self, "a_matrix", a)
         if self.a_scale.dim != 1 or self.b_scale.dim != 1:
             raise InputError("SRE: scale functions must be scalar")

@@ -1,6 +1,7 @@
 import importlib
 import importlib.util
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -14,11 +15,23 @@ from hypothesis import strategies as st
 
 import nonstatcov as nc
 from nonstatcov import cli
-from nonstatcov.config import (EXPERIMENT_KINDS, GRID_FIELDS, PARTIAL_GAP_FIELDS,
-                               coefficient_fn_to_json, load_config,
-                               model_from_json, model_to_json)
+from nonstatcov.config import (EXPERIMENT_KINDS, GRID_FIELDS, MODEL_FAMILIES,
+                               PARTIAL_GAP_FIELDS, REQUIRED, coefficient_fn_to_json,
+                               config_digest, load_config, model_from_json,
+                               model_to_json)
 from nonstatcov.errors import ConfigError
 from nonstatcov.experiments import run_experiment, write_report
+from nonstatcov.models import COEFFICIENT_FORMS
+
+
+_VMA = {"family": "tv_vma", "p": 1, "coefficients": [{"form": "constant",
+                                                      "value": [[1.0]]}]}
+_SRE = {"family": "sre", "p": 1, "a_scale": {"form": "constant", "value": [[0.3]]},
+        "a_matrix": [[1.0]], "b_scale": {"form": "constant", "value": [[1.0]]}}
+
+
+def _sinusoidal(**fields):
+    return {"form": "sinusoidal", "base": [[0.3]], "amplitude": [[0.1]], **fields}
 
 
 def minimal_config(experiment="decay", **grid):
@@ -28,13 +41,24 @@ def minimal_config(experiment="decay", **grid):
             "model": {"reference": "tvvma_kappa4_p2"}, "grid": base_grid}
 
 
+#: ``model_hash`` of every reference model; the hash is in every table row.
+REFERENCE_MODEL_HASHES = {
+    "ar1_phi05": "30df0d9751eb", "sre_p2": "2324e4a7dab4",
+    "tvarch_order2": "e3533b22015d", "tvvar1_p3": "7143253d5fab",
+    "tvvma_kappa4_p1": "1fa120c5d01d", "tvvma_kappa4_p2": "13f591520d52",
+    "tvvma_plain_p2": "c1843c09a973", "white_noise_p2": "228eac979853",
+}
+
+
 class TestModelSerialization:
-    @pytest.mark.parametrize("name", ["tvvma_kappa4_p2", "tvvar1_p3",
+    @pytest.mark.parametrize("name", ["tvvma_kappa4_p2", "white_noise_p2", "tvvar1_p3",
                                       "sre_p2", "tvarch_order2"])
     def test_round_trip(self, name):
+        # every family, a tv_vma with and without its optional fields
         model = nc.get_reference_model(name)
         back = model_from_json(model_to_json(model))
         assert type(back) is type(model)
+        assert model_to_json(back) == model_to_json(model)
         u_grid = [0.0, 0.3, 0.77]
         if isinstance(model, nc.TvVMA):
             for u in u_grid:
@@ -56,11 +80,22 @@ class TestModelSerialization:
                nc.CoefficientFn("piecewise", {
                    "knots": np.array([0.0, 0.4, 1.0]),
                    "values": np.array([[[1.0]], [[2.0]], [[0.5]]])})]
+        assert [fn.form for fn in fns] == list(COEFFICIENT_FORMS)
         for fn in fns:
             back = model_from_json({"family": "tv_vma", "p": fn.dim,
                                     "coefficients": [coefficient_fn_to_json(fn)]})
-            for u in (0.0, 0.2, 0.9, 1.0):
-                assert np.allclose(back.psis[0](u), fn(u))
+            assert coefficient_fn_to_json(back.psis[0]) == coefficient_fn_to_json(fn)
+            us = np.array([0.0, 0.2, 0.9, 1.0])
+            assert np.array_equal(back.psis[0].at(us), fn.at(us))
+
+    def test_reference_model_hashes_are_pinned(self):
+        assert set(REFERENCE_MODEL_HASHES) == set(nc.REFERENCE_BUILDERS)
+        for name, want in REFERENCE_MODEL_HASHES.items():
+            model = nc.get_reference_model(name)
+            assert config_digest(model_to_json(model))[:12] == want, name
+            loaded = load_config({"experiment": "decay", "seed": 1,
+                                  "model": {"reference": name}})
+            assert loaded.model_hash == want, name
 
 
 class TestConfigValidation:
@@ -167,6 +202,62 @@ class TestConfigValidation:
         else:
             assert list(loaded.grid) == list(GRID_FIELDS[experiment])
             assert set(grid) <= set(loaded.grid)
+
+
+#: The grid test's junk values, plus matrices that are not numeric or square.
+_JUNK = st.one_of(st.sampled_from([10**400, -10**400, [], [5, 5], [0], [[[0.5, 1.0]]],
+                                   [[1.0], [2.0, 3.0]], [["a"]], [[True]], {}]),
+                  st.integers(-3, 3), st.booleans(), st.none(), st.text(max_size=3),
+                  st.floats(allow_nan=True, allow_infinity=True))
+
+
+@st.composite
+def _tagged_objects(draw, tag, table, fields_of):
+    """An object whose ``tag`` is mostly a key of ``table``, with most of the
+    fields that key takes, mostly well formed for a p = 1 model, and maybe an
+    unknown field; everything else is junk."""
+    name = draw(st.sampled_from(list(table))) if draw(st.integers(0, 9)) else draw(_JUNK)
+    fields = fields_of(table[name]) if isinstance(name, str) and name in table else ()
+    obj = {key: draw(_FITTING[kind] if draw(st.integers(0, 9)) else _JUNK)
+           for key, kind in fields if draw(st.integers(0, 9))}
+    if not draw(st.integers(0, 9)):
+        obj[draw(st.text(max_size=3))] = draw(_JUNK)
+    obj[tag] = name
+    return obj
+
+
+_COEFFICIENT_OBJECTS = _tagged_objects("form", COEFFICIENT_FORMS, lambda spec: [
+    *((key, key if key in ("knots", "values") else "matrix") for key in spec.arrays),
+    *((key, "number") for key in spec.scalars)])
+#: field kind -> a value of that kind for a p = 1 model
+_FITTING = {"dim": st.just(1), "number": st.floats(-2.0, 2.0),
+            "matrix": st.sampled_from([[[0.5]], [[0.2]]]), "knots": st.just([0.0, 1.0]),
+            "values": st.just([[[0.5]], [[0.2]]]), "fn": _COEFFICIENT_OBJECTS,
+            "fns": st.lists(_COEFFICIENT_OBJECTS, min_size=1, max_size=3)}
+_MODEL_OBJECTS = st.one_of(
+    _tagged_objects("family", MODEL_FAMILIES,
+                    lambda spec: [(key, fld.kind) for key, fld in spec[1].items()]),
+    st.fixed_dictionaries({"reference": st.one_of(
+        st.sampled_from(sorted(nc.REFERENCE_BUILDERS)), _JUNK)}),
+    _JUNK)
+
+
+class TestGeneratedModels:
+    @settings(max_examples=300, deadline=None)
+    @example(model={"family": "tv_arch", "coefficients": [
+        {"form": "piecewise", "knots": [0.0, 1.0], "values": [[[0.5]], [[0.2]]]},
+        {"form": "sinusoidal", "base": [[0.2]], "amplitude": [[0.1]], "phase": 0.5}]})
+    @given(model=_MODEL_OBJECTS)
+    def test_generated_models_load_or_name_a_model_field(self, model):
+        try:
+            loaded = load_config({"experiment": "decay", "seed": 1, "model": model})
+        except ConfigError as exc:
+            assert exc.path.startswith("/model")
+            assert str(exc).startswith(f"{exc.path}: ")
+        else:
+            if "family" in model:
+                assert model_to_json(loaded.model) == model_to_json(
+                    model_from_json(model_to_json(loaded.model)))
 
 
 class TestRunExperiment:
@@ -355,6 +446,65 @@ class TestCli:
         assert code == 2
         assert f"config error: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("experiment,model,field", [
+        ("decay", {**_VMA, "kappa": "x"}, "/model/kappa"),
+        ("decay", {**_VMA, "kappa": math.nan}, "/model/kappa"),
+        ("decay", {**_VMA, "coefficients": [_sinusoidal(frequency="abc")]},
+         "/model/coefficients/0/frequency"),
+        ("decay", {**_VMA, "coefficients": [_sinusoidal(frequency=math.nan)]},
+         "/model/coefficients/0/frequency"),
+        ("decay", {**_VMA, "coefficients": [_sinusoidal(frequncy=3)]},
+         "/model/coefficients/0/frequncy"),
+        ("decay", {**_VMA, "coefficients": [{"form": "piecewise", "knots": ["a", "b"],
+                                            "values": [[[1.0]], [[2.0]]]}]},
+         "/model/coefficients/0/knots"),
+        ("decay", {"reference": []}, "/model/reference"),
+        ("decay", {"reference": "ar1_phi05", "p": 1}, "/model/p"),
+        ("decay", {**_VMA, "p": True}, "/model/p"),
+        ("decay", {**_VMA, "p": 2, "coefficients": [{"form": "constant",
+                                                     "value": [[1, True], [0, 1]]}]},
+         "/model/coefficients/0/value"),
+        ("physical", {**_SRE, "a_noise": "x"}, "/model/a_noise"),
+        ("physical", {**_SRE, "a_noise": math.nan}, "/model/a_noise"),
+        ("physical", {**_SRE, "a_matrix": [[10**400]]}, "/model/a_matrix"),
+    ])
+    def test_malformed_model_field_exit_two(self, tmp_path, capsys, experiment,
+                                            model, field):
+        cfg = tmp_path / "bad_model.json"
+        cfg.write_text(json.dumps({"seed": 1, "model": model}))
+        code = cli.main([experiment, "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == 2
+        assert f"config error: {field}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("experiment,extra,field", [
+        ("decay", {"seed": True}, "/seed"),
+        ("simulate", {"seed": -1}, "/seed"),
+        ("verify-all", {"companions": []}, "/companions"),
+        ("verify-all", {"companions": {"bogus": {"reference": "sre_p2"}}},
+         "/companions/bogus"),
+        ("decay", {"companions": {"var_model": {"reference": "tvvar1_p3"}}},
+         "/companions/var_model"),
+        ("smoothness", {"companions": {"var_model": {"reference": "tvvar1_p3", "p": 3}}},
+         "/companions/var_model/p"),
+    ])
+    def test_malformed_seed_or_companion_exit_two(self, tmp_path, capsys, experiment,
+                                                  extra, field):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"seed": 1, "model": {"reference": "tvvma_kappa4_p2"},
+                                   **extra}))
+        code = cli.main([experiment, "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == 2
+        assert f"config error: {field}:" in capsys.readouterr().err
+
+    def test_companions_default_to_the_reference_models(self):
+        loaded = load_config({"experiment": "verify-all", "seed": 1,
+                              "model": {"reference": "tvvma_kappa4_p2"},
+                              "companions": {"sre_model": {"reference": "sre_p2"}}})
+        assert {key: model_to_json(m) for key, m in loaded.companions.items()} == {
+            "var_model": model_to_json(nc.get_reference_model("tvvar1_p3")),
+            "sre_model": model_to_json(nc.get_reference_model("sre_p2"))}
+        assert load_config(minimal_config()).companions == {}
+
     def test_numeric_error_exit_three(self, tmp_path):
         cfg = tmp_path / "singular.json"
         cfg.write_text(json.dumps({
@@ -419,14 +569,14 @@ def test_benchmark_traced_functions_exist(monkeypatch):
     assert spans.TRACED_FUNCTIONS and missing == []
 
 
-def _readme_grid_tables() -> dict:
-    """experiment -> field -> (default cell, range cell) from the README."""
+def _readme_tables(heading: str) -> dict:
+    """label -> field -> (default cell, range cell) from a README section."""
     readme = Path(__file__).resolve().parents[1] / "README.md"
     text = readme.read_text(encoding="utf-8")
-    section = text.split("#### Grid fields\n", 1)[1].split("\n#", 1)[0]
+    section = text.split(f"#### {heading}\n", 1)[1].split("\n#", 1)[0]
     tables, current = {}, None
     for line in section.splitlines():
-        label = re.fullmatch(r"\*\*`([a-z-]+)`\*\*", line)
+        label = re.fullmatch(r"\*\*`([a-z_-]+)`\*\*", line)
         row = re.fullmatch(r"\| `(\w+)` \| (.+) \| (.+) \|", line)
         if label:
             current = tables.setdefault(label.group(1), {})
@@ -451,7 +601,7 @@ def _range_text(spec) -> str:
 def test_readme_grid_tables_match_grid_fields():
     """README's per-experiment grid tables list exactly the fields of
     ``GRID_FIELDS``, with the same defaults and ranges."""
-    tables = _readme_grid_tables()
+    tables = _readme_tables("Grid fields")
     assert list(tables) == list(GRID_FIELDS)
     for experiment, fields in GRID_FIELDS.items():
         assert list(tables[experiment]) == list(fields), experiment
@@ -470,3 +620,33 @@ def test_readme_grid_tables_match_grid_fields():
             defaults[key] = spec.default(defaults) if callable(spec.default) \
                 else spec.default
             assert range_cell.split("; ")[0] == _range_text(spec), (experiment, key)
+
+
+_MODEL_RANGES = {"dim": "integer ≥ 1", "number": "finite number", "matrix": "square matrix",
+                 "fn": "coefficient function",
+                 "fns": "non-empty list of coefficient functions"}
+
+
+def test_readme_model_tables_match_model_families_and_forms():
+    """README's per-family and per-form tables list exactly the fields of
+    ``MODEL_FAMILIES`` and ``COEFFICIENT_FORMS``, with the same defaults and
+    ranges."""
+    tables = _readme_tables("Model fields")
+    want = {family: {key: (fld.default, _MODEL_RANGES[fld.kind])
+                     for key, fld in fields.items()}
+            for family, (_, fields) in MODEL_FAMILIES.items()}
+    for form, spec in COEFFICIENT_FORMS.items():
+        want[form] = {key: (REQUIRED, "square matrix") for key in spec.arrays}
+        want[form].update((key, (default, "finite number"))
+                          for key, default in spec.scalars.items())
+    want["piecewise"] = {"knots": (REQUIRED, "list of at least 2 finite numbers"),
+                         "values": (REQUIRED, "list of square matrices")}
+    assert list(tables) == list(want)
+    for label, fields in want.items():
+        assert list(tables[label]) == list(fields), label
+        for key, (default, range_text) in fields.items():
+            default_cell, range_cell = tables[label][key]
+            cell = ("required" if default is REQUIRED else "none" if default is None
+                    else f"`{json.dumps(default)}`")
+            assert default_cell == cell, (label, key)
+            assert range_cell.split("; ")[0] == range_text, (label, key)

@@ -67,6 +67,18 @@ class TestCoefficientFn:
             nc.sinusoidal_fn(np.eye(2), [[0.1]])
         assert nc.affine_fn(np.eye(2), np.zeros((2, 2))).dim == 2
 
+    def test_payload_keys_and_scalars_follow_the_form_table(self):
+        sinusoidal = {"base": [[1.0]], "amplitude": [[0.1]]}
+        for form, payload in (("affine", {"base": [[1.0]]}),
+                              ("sinusoidal", {**sinusoidal, "frequncy": 2.0}),
+                              ("sinusoidal", {**sinusoidal, "phase": math.nan}),
+                              ("sinusoidal", {**sinusoidal, "frequency": math.inf}),
+                              ("spline", {"value": [[1.0]]})):
+            with pytest.raises(nc.InputError):
+                nc.CoefficientFn(form, payload)
+        fn = nc.CoefficientFn("sinusoidal", {"base": 1.0, "amplitude": [[0.1]]})
+        assert (fn.payload["frequency"], fn.payload["phase"], fn.dim) == (1.0, 0.0, 1)
+
     def test_piecewise_interpolation(self):
         fn = nc.CoefficientFn("piecewise", {
             "knots": np.array([0.0, 0.5, 1.0]),
