@@ -6,7 +6,12 @@ class NonstatcovError(Exception):
 
 
 class InputError(NonstatcovError, ValueError):
-    """Malformed numerical input (non-finite entries, shape mismatch, ...)."""
+    """Malformed numerical input (non-finite entries, shape mismatch, ...);
+    ``key`` names the offending payload key, where there is one."""
+
+    def __init__(self, message: str, key: str | None = None):
+        super().__init__(message)
+        self.key = key
 
 
 class DomainError(NonstatcovError, ValueError):

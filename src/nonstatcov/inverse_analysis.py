@@ -4,7 +4,9 @@ empirical decay/smoothness measurements on inverse covariance windows.
 Finite sections approximate the bi-infinite inverse only away from the
 window edges, so every model-facing operation here inverts a padded window
 and reports the interior.  The default pad follows the covariance assembly
-pad of :func:`nonstatcov.models.cov_pad`.
+pad of :func:`nonstatcov.models.cov_pad`.  The frozen-time inverse lags of
+the gap measurements need no window: they are one FFT of the inverse
+spectral density (:func:`_frozen_inverse_lags`).
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ import numpy as np
 
 from .errors import (ConditioningError, DegenerateFitError, DivergenceError,
                      DomainError, InputError)
-from .models import (ModelSpec, cov_pad, cov_window, stationary_cov_derivative,
-                     stationary_window)
+from .models import (ModelSpec, _inverse_spectrum, _transfer_order, cov_pad,
+                     cov_window, stationary_cov_derivative, stationary_window)
 from .operator_core import (BlockWindow, SPD_RTOL, block_norms, block_toeplitz,
                             block_view, gu, krylov_norm, outside_band, spd_inverse,
                             sym_eig_range, symmetric_product, zeta)
@@ -234,6 +236,62 @@ def stationary_inverse_sequence(model: ModelSpec, u: float, max_lag: int,
     return _centre_row(inv, w.p, half, max_lag)
 
 
+#: The FFT grid of :func:`_frozen_inverse_lags` is accepted once its mid-band
+#: lags fall below this fraction of the largest lag-0 entry.
+_ALIAS_RTOL = 1e-14
+#: Largest grid :func:`_frozen_inverse_lags` doubles to.
+_MAX_GRID = 2**16
+
+
+def _wiener_lags(model: ModelSpec, us: np.ndarray, m: int):
+    """The ``m`` aliased lags ``sum_j D_{r + jm}(u)``, ``r = 0..m-1``, at
+    every ``u`` (shape ``(len(us), m, p, p)``), the mask of the ``u`` whose
+    symbol passed the screen of ``_inverse_spectrum``, and the mask of
+    those whose mid-band lags ``m/4 <= r <= 3m/4`` stay within
+    ``_ALIAS_RTOL`` of the largest entry of ``D_0``."""
+    g, screened = _inverse_spectrum(model, us, m)
+    # D_r = m^-1 sum_k f(omega_k)^-1 e^{-i r omega_k}: the inverse real FFT
+    # of the conjugate, whose Hermitian extension covers k > m/2
+    lags = np.fft.irfft(g.conj(), n=m, axis=1)
+    mid = np.abs(lags[:, m // 4:3 * m // 4 + 1]).max(axis=(1, 2, 3))
+    clean = screened & (mid <= _ALIAS_RTOL * np.abs(lags[:, 0]).max(axis=(1, 2)))
+    return lags, screened, clean
+
+
+def _frozen_inverse_lags(model: ModelSpec, us, max_lag: int) -> np.ndarray:
+    """``D_r(u)`` for ``r = 0..max_lag`` at every ``u`` of ``us``, shape
+    ``(len(us), max_lag + 1, p, p)``, by one FFT of the inverse symbol.
+
+    The bi-infinite Toeplitz inverse has the symbol ``f(.; u)^-1``, so
+    ``D_r(u) = (2 pi)^-1 int f(omega; u)^-1 e^{-i r omega} d omega``; on the
+    grid ``omega_k = 2 pi k / M`` the sum ``M^-1 sum_k f(omega_k; u)^-1
+    e^{-i r omega_k}`` gives the aliased lags ``sum_j D_{r + jM}``
+    (:func:`_wiener_lags`).  ``M`` is the least power of two
+    ``>= 8 (J + max_lag + 1)``, ``J`` the transfer order, doubled (up to
+    ``2**16``) until at every ``u`` the largest entry of the mid-band lags
+    ``M/4 <= r <= 3M/4``, which estimate the aliasing of the lags up to
+    ``max_lag``, is at most ``1e-14`` of the largest entry of ``D_0``.  No
+    pad and no dense inverse.
+
+    A ``u`` whose symbol the screen refuses, or whose lags still alias at
+    ``2**16``, is left to the dense :func:`stationary_inverse_sequence`,
+    which decides with its own refusals.
+
+    Raises:
+        UnsupportedFamilyError: for SRE models.
+    """
+    us = np.atleast_1d(np.asarray(us, dtype=float))
+    m = 1 << (8 * (_transfer_order(model) + max_lag + 1) - 1).bit_length()
+    lags, screened, clean = _wiener_lags(model, us, m)
+    while np.any(screened & ~clean) and m < _MAX_GRID:
+        m *= 2
+        lags, screened, clean = _wiener_lags(model, us, m)
+    out = lags[:, :max_lag + 1]
+    for i in np.flatnonzero(~clean):
+        out[i] = stationary_inverse_sequence(model, us[i], max_lag)
+    return out
+
+
 def _kappa_or_raise(model: ModelSpec, kappa: float | None) -> float:
     if kappa is not None:
         return float(kappa)
@@ -257,8 +315,7 @@ def inverse_smoothness_gap(model: ModelSpec, n: int, t_lo: int, t_hi: int,
     length = dn.base.length
     times = np.arange(t_lo, t_lo + length)
     # one frozen sequence per row time t, two-sided over r = t - tau
-    frozen = two_sided(np.stack([stationary_inverse_sequence(model, t / n, length - 1)
-                                 for t in times]))
+    frozen = two_sided(_frozen_inverse_lags(model, times / n, length - 1))
     return pair_gaps(
         times, dn.base.blocks, frozen,
         lambda r: zeta(r) ** (kappa - 2.0) * np.minimum(1.0 / n, 2.0 * zeta(r)),
@@ -269,11 +326,10 @@ def inverse_lipschitz_gap(model: ModelSpec, u: float, v: float, max_lag: int,
                           kappa: float | None = None) -> GapReport:
     """Lipschitz gap ``||D_r(u) - D_r(v)||`` against ``|u-v| zeta(r)^(kappa-1)``."""
     kappa = _kappa_or_raise(model, kappa)
-    seq_u = stationary_inverse_sequence(model, u, max_lag)
-    seq_v = stationary_inverse_sequence(model, v, max_lag)
+    seq_u, seq_v = two_sided(_frozen_inverse_lags(model, [u, v], max_lag))
     lags = np.arange(-max_lag, max_lag + 1)
     return GapReport(indices=lags.tolist(),
-                     measured=block_norms(two_sided(seq_u) - two_sided(seq_v)),
+                     measured=block_norms(seq_u - seq_v),
                      bound=abs(u - v) * zeta(lags) ** (kappa - 1.0))
 
 

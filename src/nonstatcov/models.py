@@ -26,10 +26,11 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
-from .errors import (DomainError, FitError, InputError, ModelError,
-                     UnsupportedFamilyError)
-from .operator_core import (BlockWindow, EigRange, block_norms, block_toeplitz,
-                            block_view, gu, spd_inverse_section)
+from .errors import (ConditioningError, DomainError, FitError, InputError,
+                     ModelError, UnsupportedFamilyError)
+from .operator_core import (_BOUND_MARGIN, SPD_RTOL, BlockWindow, EigRange,
+                            block_norms, block_toeplitz, block_view, gu,
+                            spd_inverse_section)
 from .reports import (DecayProfile, GapReport, envelope_constant,
                       fit_decay_profile, pair_gaps, two_sided)
 
@@ -137,6 +138,25 @@ class CoefficientFamily:
         return (1.0 - w) * g["values"][k, i] + w * g["values"][k, i + 1]
 
 
+def _check_piecewise(knots: np.ndarray, values: np.ndarray) -> None:
+    """Refuse a ``piecewise`` payload that does not define a bounded,
+    Lipschitz function, naming the payload key at fault."""
+    if knots.ndim != 1 or knots.size < 2 or not np.all(np.isfinite(knots)):
+        raise InputError("piecewise form needs >= 2 knots, each a finite number",
+                         key="knots")
+    if values.ndim == 0 or values.shape[0] != knots.size:
+        raise InputError("piecewise values must match knots", key="values")
+    if not np.all(np.diff(knots) > 0):
+        raise InputError("piecewise knots must be strictly increasing", key="knots")
+    # a knot gap near the float minimum makes a slope, and so the derivative
+    # and the Lipschitz constant, overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        slopes = np.diff(values, axis=0) \
+            / np.diff(knots).reshape((-1,) + (1,) * (values.ndim - 1))
+    if not np.all(np.isfinite(slopes)):
+        raise InputError("piecewise segment slopes must be finite", key="knots")
+
+
 @dataclass(frozen=True, eq=False)
 class CoefficientFn:
     """A matrix-valued function of rescaled time.
@@ -174,6 +194,8 @@ class CoefficientFn:
         if not all(math.isfinite(payload[key]) for key in spec.scalars):
             raise InputError("CoefficientFn: scalar payload entries must be finite")
         object.__setattr__(self, "payload", payload)
+        if piecewise:
+            _check_piecewise(payload["knots"], payload["values"])
         shape = self.matrix_shape
         if len(shape) != 2 or shape[0] != shape[1]:
             raise InputError("CoefficientFn: payload matrices must be square")
@@ -772,6 +794,11 @@ def _var_ma_expansion(model: TvVAR, u: float, tol: float = _COV_TAIL_TOL) -> np.
     return psis[:keep + 1]
 
 
+def _no_ma_representation(model: ModelSpec) -> UnsupportedFamilyError:
+    return UnsupportedFamilyError(
+        f"{type(model).__name__} has no moving-average representation here")
+
+
 def _stationary_psi_stacks(model: ModelSpec, us: np.ndarray) -> np.ndarray:
     """MA coefficients of the frozen process at each ``u``, shape
     ``(len(us), K, p, p)``; TvVAR expansions are zero-padded to the longest."""
@@ -784,8 +811,7 @@ def _stationary_psi_stacks(model: ModelSpec, us: np.ndarray) -> np.ndarray:
         for row, e in zip(out, expansions):
             row[:e.shape[0]] = e
         return out
-    raise UnsupportedFamilyError(
-        f"{type(model).__name__} has no moving-average representation here")
+    raise _no_ma_representation(model)
 
 
 def _stationary_cov_sequences(model: ModelSpec, us, max_lag: int) -> np.ndarray:
@@ -938,39 +964,64 @@ def _densities(model: ModelSpec, u: float, omegas: np.ndarray, powers,
 _TRANSFER_RTOL = 1e-10     # singular: sigma_min < _TRANSFER_RTOL * max(sigma_max, 1)
 
 
-def _transfer_inverse(a: np.ndarray, u: float, omegas: np.ndarray) -> np.ndarray:
-    """Inverses of the TvVAR transfer matrices ``A(omega)``, shape ``(W, p, p)``.
+def _screened_inverse(a: np.ndarray):
+    """Batched inverse ``X`` of the matrices ``a`` (``(..., p, p)``) and the
+    mask of those on which ``||aX - I||_F <= 1/2``, so that
+    ``a^-1 = X (I + R)^-1`` with ``||R||_2 <= 1/2`` and
+    ``sigma_min(a) >= 1/(2 ||X||_F)``.  ``X`` is None when ``inv`` fails."""
+    try:
+        ainv = np.linalg.inv(a)
+    except np.linalg.LinAlgError:
+        return None, np.zeros(a.shape[:-2], dtype=bool)
+    with np.errstate(all="ignore"):
+        resid = np.linalg.norm(a @ ainv - np.eye(a.shape[-1]), axis=(-2, -1))
+    return ainv, resid <= 0.5
 
-    A matrix is refused when ``sigma_min < 1e-10 * max(sigma_max, 1)``.  The
-    batched inverse ``X``, which the density needs anyway, is accepted
-    without a singular value decomposition when at every ``omega``
-    ``||AX - I||_F <= 1/2`` and ``2 ||X||_F max(||A||_F, 1) < 1e10``: then
-    ``A^-1 = X (I + R)^-1`` with ``||R||_2 <= 1/2`` gives
-    ``sigma_min >= 1/(2 ||X||_F)``, and ``sigma_max <= ||A||_F``, so the
-    refusal test passes.  The residual of an accepted ``X`` is about
-    ``eps * kappa <= 1e-5``, so ``sigma_min`` is about ``1/||X||_2``, twice
-    the bound: a computed SVD, accurate to ``eps * sigma_max``, passes too.
-    Otherwise, or when ``inv`` fails, the batched SVD decides.
+
+def _transfer_guard(a: np.ndarray, u: float, omegas: np.ndarray,
+                    screened: np.ndarray) -> None:
+    """The singular-transfer refusal, decided by a batched SVD at the
+    ``omega`` that a certified screen did not accept.
+
+    A transfer matrix is singular when ``sigma_min < 1e-10 * max(sigma_max, 1)``;
+    ``screened`` marks the matrices that a screen has shown are not.
 
     Raises:
         ModelError: naming the first singular ``omega`` in grid order.
     """
-    try:
-        ainv = np.linalg.inv(a)
-    except np.linalg.LinAlgError:
-        ainv = None
-    if ainv is not None:
-        with np.errstate(all="ignore"):
-            resid = np.linalg.norm(a @ ainv - np.eye(a.shape[-1]), axis=(1, 2))
-            bound = 2.0 * np.linalg.norm(ainv, axis=(1, 2)) \
-                * np.maximum(np.linalg.norm(a, axis=(1, 2)), 1.0)
-        if np.all(resid <= 0.5) and np.all(bound < 1.0 / _TRANSFER_RTOL):
-            return ainv
-    svals = np.linalg.svd(a, compute_uv=False)
+    rest = np.flatnonzero(~screened)
+    if rest.size == 0:
+        return
+    svals = np.linalg.svd(a[rest], compute_uv=False)
     singular = svals[:, -1] < _TRANSFER_RTOL * np.maximum(svals[:, 0], 1.0)
     if singular.any():
-        omega = omegas[np.argmax(singular)]
+        omega = omegas[rest[np.argmax(singular)]]
         raise ModelError(f"TvVAR: transfer singular at u={u}, omega={omega}")
+
+
+def _transfer_inverse(a: np.ndarray, u: float, omegas: np.ndarray) -> np.ndarray:
+    """Inverses of the TvVAR transfer matrices ``A(omega)``, shape ``(W, p, p)``.
+
+    The batched inverse ``X``, which the density needs anyway, passes the
+    singular-transfer screen at an ``omega`` where ``||AX - I||_F <= 1/2``
+    and ``2 ||X||_F max(||A||_F, 1) < 1e10``: then
+    ``sigma_min >= 1/(2 ||X||_F)`` (:func:`_screened_inverse`) and
+    ``sigma_max <= ||A||_F``, so the refusal test passes.  The residual of
+    an accepted ``X`` is about ``eps * kappa <= 1e-5``, so ``sigma_min`` is
+    about ``1/||X||_2``, twice the bound: a computed SVD, accurate to
+    ``eps * sigma_max``, passes too.  :func:`_transfer_guard` decides at
+    the other ``omega``.
+
+    Raises:
+        ModelError: naming the first singular ``omega`` in grid order.
+    """
+    ainv, screened = _screened_inverse(a)
+    if ainv is not None:
+        with np.errstate(all="ignore"):
+            bound = 2.0 * np.linalg.norm(ainv, axis=(1, 2)) \
+                * np.maximum(np.linalg.norm(a, axis=(1, 2)), 1.0)
+        screened &= bound < 1.0 / _TRANSFER_RTOL
+    _transfer_guard(a, u, omegas, screened)
     # a failed inv that the SVD passes raises its own error again
     return np.linalg.inv(a) if ainv is None else ainv
 
@@ -994,6 +1045,192 @@ def spectral_eig_range(model: ModelSpec, u_grid, omega_grid) -> EigRange:
         lo = min(lo, float(vals[:, 0].min()))
         hi = max(hi, float(vals[:, -1].max()))
     return EigRange(lo, hi)
+
+
+# ---------------------------------------------------------------------------
+# the frozen spectrum on the FFT grid
+# ---------------------------------------------------------------------------
+#
+# On the grid omega_k = 2 pi k / m the transfer function is one FFT of its
+# lag stack, exactly, and for real coefficients f(omega_{m-k}) is the
+# complex conjugate of f(omega_k), so the half grid k = 0..m/2 carries it.
+
+def _transfer_order(model: ModelSpec) -> int:
+    """Highest lag ``J`` of the frozen transfer function: the MA order of a
+    TvVMA, the AR order of a TvVAR, 0 for TvARCH.
+
+    Raises:
+        UnsupportedFamilyError: for SRE models.
+    """
+    if isinstance(model, (TvVMA, TvVAR)):
+        return model.order
+    if isinstance(model, TvARCH):
+        return 0
+    raise _no_ma_representation(model)
+
+
+def _half_grid(m: int) -> np.ndarray:
+    """``omega_k = 2 pi k / m`` for ``k = 0..m//2``."""
+    return 2.0 * math.pi * np.arange(m // 2 + 1) / m
+
+
+def _grid_transfer(lags: np.ndarray, m: int) -> np.ndarray:
+    """``sum_j lags[:, j] e^{i j omega_k}`` on :func:`_half_grid`, shape
+    ``(U, m//2 + 1, p, p)`` for a ``(U, J + 1, p, p)`` stack.
+
+    The lags are folded modulo ``m`` first, which is exact on the grid
+    (``rfft(x, n=m)`` would truncate a stack longer than ``m``).
+    """
+    count, k = lags.shape[:2]
+    if k > m:
+        folded = np.zeros((count, -(-k // m) * m) + lags.shape[2:])
+        folded[:, :k] = lags
+        lags = folded.reshape((count, -1, m) + lags.shape[2:]).sum(axis=1)
+    return np.fft.rfft(lags, n=m, axis=1).conj()
+
+
+def _var_transfer_lags(phis: np.ndarray) -> np.ndarray:
+    """Lag stack ``I, -Phi_1, .., -Phi_d`` of ``A(omega)``, for every ``u``."""
+    count, d, p, _ = phis.shape
+    lags = np.empty((count, d + 1, p, p))
+    lags[:, 0] = np.eye(p)
+    lags[:, 1:] = -phis
+    return lags
+
+
+def _frobenius(a: np.ndarray) -> np.ndarray:
+    return np.linalg.norm(a, axis=(-2, -1))
+
+
+def _log_det_bounds(a: np.ndarray):
+    """``log |det a|``, ``||a||_F`` and ``log(|det a| / ||a||_F^(p-1))`` of
+    a stack of ``p x p`` matrices.  The last is a lower bound on
+    ``log sigma_min``: ``|det a|`` is the product of the singular values,
+    each at most ``sigma_max <= ||a||_F``."""
+    logdet = np.linalg.slogdet(a)[1]
+    fro = _frobenius(a)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return logdet, fro, logdet - (a.shape[-1] - 1) * np.log(fro)
+
+
+def _transfer_log_abs_det(a: np.ndarray, u: float, omegas: np.ndarray) -> np.ndarray:
+    """``log |det A(omega)|`` of TvVAR transfer matrices ``(W, p, p)``, with
+    the singular-transfer refusal of :func:`_transfer_inverse`.
+
+    The screen accepts where the bound ``|det A| / ||A||_F^(p-1)`` on
+    ``sigma_min`` (:func:`_log_det_bounds`) clears the threshold
+    ``1e-10 * max(||A||_F, 1)``, which bounds the refusal's from above,
+    twice over, the margin of :func:`_transfer_inverse`: an accepted matrix
+    has a condition number below about ``5e9``, so the computed determinant
+    is correct to a relative ``1e-5`` and a computed SVD passes too.
+    :func:`_transfer_guard` decides at the other ``omega``.
+
+    Raises:
+        ModelError: naming the first singular ``omega`` in grid order.
+    """
+    logdet, fro, lower = _log_det_bounds(a)
+    with np.errstate(invalid="ignore"):
+        screened = lower >= np.log(2.0 * _TRANSFER_RTOL * np.maximum(fro, 1.0))
+    _transfer_guard(a, u, omegas, screened)
+    return logdet
+
+
+def _log_det_integral(model: ModelSpec, u: float, m: int, what: str) -> float:
+    """``(2 pi)^-1 int_0^{2 pi} log det f(omega; u) d omega`` as the mean of
+    ``log det f`` over the ``m``-point grid ``omega_k = 2 pi k / m``.
+
+    TvVAR: ``log det f = log det Sigma(u) - 2 log |det A(omega)|``, with the
+    transfer refused as by :func:`local_spectral_densities`; TvVMA and TvARCH:
+    one batched Cholesky factor of ``f``.  No eigensolve and no inverse.
+
+    Raises:
+        ModelError: naming the first ``omega`` of the grid at which a TvVAR
+            transfer function is singular.
+        ConditioningError: ``"{what}: spectral density not SPD"`` when a
+            Cholesky factor of ``Sigma(u)`` or of ``f`` fails.
+        UnsupportedFamilyError: for SRE models.
+    """
+    omegas = _half_grid(m)
+    if isinstance(model, TvVAR):
+        a = _grid_transfer(_var_transfer_lags(model.phi_stacks([u])), m)[0]
+        log_abs = _transfer_log_abs_det(a, u, omegas)
+        f, shift = model.sigma_stacks([u]), -2.0 * log_abs
+    elif isinstance(model, TvVMA):
+        t = _grid_transfer(model.psi_stacks([u]), m)[0]
+        f, shift = t @ t.conj().transpose(0, 2, 1), 0.0
+    elif isinstance(model, TvARCH):
+        f, shift = _stationary_cov_sequences(model, [u], 0)[:, 0], 0.0
+    else:
+        raise UnsupportedFamilyError("no spectral density for this family")
+    try:
+        chol = np.linalg.cholesky(f)
+    except np.linalg.LinAlgError:
+        raise ConditioningError(f"{what}: spectral density not SPD") from None
+    log_f = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2).real).sum(axis=1) + shift
+    log_f = np.broadcast_to(log_f, omegas.shape)
+    # the interior of the half grid stands for both omega_k and omega_{m-k}
+    weights = np.full(omegas.size, 2.0)
+    weights[[0, -1]] = 1.0
+    return float(weights @ log_f) / m
+
+
+def _inverse_spectrum(model: ModelSpec, us, m: int):
+    """``f(omega_k; u)^-1`` on :func:`_half_grid` for every ``u`` of ``us``,
+    shape ``(len(us), m//2 + 1, p, p)``, and the mask of the ``u`` whose
+    symbol passed the screen below (zero where it did not).
+
+    TvVMA: ``f^-1 = T^-* T^-1``, from the batched inverse ``X`` of the
+    transfer ``T``.  TvVAR: ``f^-1 = A^* Sigma^-1 A``, no inverse of ``A``.
+    TvARCH: ``1 / C_0(u)``.
+
+    A ``u`` passes when its factorisations succeed, a TvVAR's companion
+    radius is below one (the frozen process is causal), and the bound
+    ``max_k lambda_max(f) * max_k lambda_max(f^-1)`` on the condition of
+    every Toeplitz section of the symbol clears ``1/SPD_RTOL`` by the factor
+    ``1e3``, as :func:`~nonstatcov.operator_core.spd_inverse` asks of a
+    section.  The bounds: ``||T||_F^2`` and ``4 ||X||_F^2`` (where
+    ``||TX - I||_F <= 1/2``); ``tr Sigma * ||A||_F^(2(p-1)) / |det A|^2``
+    and ``tr(A^* Sigma^-1 A)``; ``C_0`` and ``1/C_0``.
+
+    Raises:
+        UnsupportedFamilyError: for SRE models.
+    """
+    us = np.atleast_1d(np.asarray(us, dtype=float))
+    if isinstance(model, TvARCH):
+        c0 = _stationary_cov_sequences(model, us, 0)[:, 0, 0, 0]
+        ok = c0 > 0.0
+        with np.errstate(divide="ignore"):
+            inv_c0 = np.where(ok, 1.0 / c0, 0.0)
+        ub_f, ub_g = c0[:, None], inv_c0[:, None]
+        g = np.broadcast_to(inv_c0[:, None, None, None],
+                            (us.size, m // 2 + 1, 1, 1)).astype(complex)
+    elif isinstance(model, TvVMA):
+        t = _grid_transfer(model.psi_stacks(us), m)
+        x, screened = _screened_inverse(t)
+        if x is None:
+            return np.zeros(t.shape, dtype=complex), np.zeros(us.size, dtype=bool)
+        ok = screened.all(axis=1)
+        g = x.conj().swapaxes(-2, -1) @ x
+        ub_f, ub_g = _frobenius(t) ** 2, 4.0 * _frobenius(x) ** 2
+    elif isinstance(model, TvVAR):
+        phis, sigmas = model.phi_stacks(us), model.sigma_stacks(us)
+        ok = np.array([_companion_radius(phi) < 1.0 for phi in phis]) \
+            & (np.linalg.eigvalsh(sigmas)[:, 0] > 0.0)
+        sigmas = np.where(ok[:, None, None], sigmas, np.eye(model.p))
+        a = _grid_transfer(_var_transfer_lags(phis), m)
+        g = a.conj().swapaxes(-2, -1) @ np.linalg.inv(sigmas)[:, None] @ a
+        with np.errstate(all="ignore"):
+            # lambda_max(f) <= tr Sigma / sigma_min(A)^2
+            ub_f = np.trace(sigmas, axis1=1, axis2=2)[:, None] \
+                * np.exp(-2.0 * _log_det_bounds(a)[2])
+        ub_g = np.trace(g, axis1=2, axis2=3).real
+    else:
+        raise _no_ma_representation(model)
+    with np.errstate(all="ignore"):
+        bound = ub_f.max(axis=1) * ub_g.max(axis=1)
+    ok &= bound * _BOUND_MARGIN < 1.0 / SPD_RTOL
+    g = np.where(ok[:, None, None, None], g, 0.0)
+    return g, ok
 
 
 # ---------------------------------------------------------------------------

@@ -11,15 +11,13 @@ equations on every call.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConditioningError, DomainError, NonstatcovError
 from .inverse_analysis import _kappa_or_raise
-from .models import (ModelSpec, cov_window, local_spectral_densities,
-                     stationary_window)
+from .models import ModelSpec, _log_det_integral, cov_window, stationary_window
 from .operator_core import BlockWindow, block_norms, block_view, spd_inverse, zeta
 from .reports import GapReport
 
@@ -249,18 +247,16 @@ def kolmogorov_gap(model: ModelSpec, n: int, t_index: int,
     Implements the classical identity
     ``log det Sigma = (2 pi)^{-1} int_0^{2 pi} log det f(omega; u) d omega``
     for the frozen process, evaluated against the array innovation variance
-    at ``t_index``; the gap is O(1/N).
+    at ``t_index``; the gap is O(1/N).  The integral is the mean of
+    ``log det f`` over 4096 equispaced frequencies, from the transfer
+    function on that grid (one FFT): for a TvVAR
+    ``log det Sigma(u) - 2 log |det A(omega)|``, otherwise the Cholesky
+    factors of ``f``.
     """
     depth = 150 if depth is None else depth
     coeffs = var_coeffs_infinite(model, n, t_index, order=1, depth=depth)
     sign, logdet = np.linalg.slogdet(coeffs.sigma)
     if sign <= 0:
         raise ConditioningError("kolmogorov_gap: innovation variance not SPD")
-    omegas = np.linspace(0.0, 2.0 * math.pi, _KOLMOGOROV_POINTS, endpoint=False)
-    u = t_index / n
-    vals = np.linalg.eigvalsh(local_spectral_densities(model, u, omegas))
-    if np.any(vals[:, 0] <= 0):
-        raise ConditioningError("kolmogorov_gap: spectral density not SPD")
-    # cumsum adds the per-omega log-determinants one by one, in grid order
-    rhs = float(np.cumsum(np.log(vals).sum(axis=1))[-1]) / _KOLMOGOROV_POINTS
+    rhs = _log_det_integral(model, t_index / n, _KOLMOGOROV_POINTS, "kolmogorov_gap")
     return KolmogorovGap(lhs=float(logdet), rhs=rhs, gap=abs(float(logdet) - rhs))

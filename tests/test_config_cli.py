@@ -434,6 +434,13 @@ class TestCli:
         ([{"form": "piecewise", "knots": [0.0, 5e-324],
            "values": [np.zeros((2, 2)).tolist(), np.eye(2).tolist()]}],
          "/model/coefficients/0/knots: piecewise segment slopes must be finite"),
+        # the constructor's checks, mapped to the key it names
+        ([{"form": "piecewise", "knots": [0.8, 0.2],
+           "values": [np.eye(2).tolist(), np.zeros((2, 2)).tolist()]}],
+         "/model/coefficients/0/knots: piecewise knots must be strictly increasing"),
+        ([{"form": "piecewise", "knots": [0.0, 0.5, 1.0],
+           "values": [np.eye(2).tolist(), np.zeros((2, 2)).tolist()]}],
+         "/model/coefficients/0/values: piecewise values must match knots"),
     ])
     def test_mismatched_matrix_sizes_exit_two(self, tmp_path, capsys,
                                               coefficients, message):

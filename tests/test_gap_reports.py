@@ -5,13 +5,16 @@ Each oracle takes every block norm from an SVD (``np.linalg.norm(., 2)``)
 and every envelope from scalar Python arithmetic.  Indices must be equal.
 Measured values may differ from the oracle by the tolerance of
 ``block_norms`` against the SVD, ``4 p`` ulps; envelopes and constants by
-4 ulps (array and scalar ``log`` / ``pow`` may round differently).
+4 ulps (array and scalar ``log`` / ``pow`` may round differently).  The
+frozen inverse lags come from the FFT kernel the reports read;
+``test_inverse_analysis`` compares that kernel with the dense path.
 """
 
 import numpy as np
 import pytest
 
 import nonstatcov as nc
+from nonstatcov.inverse_analysis import _frozen_inverse_lags
 from nonstatcov.operator_core import gu, zeta
 from nonstatcov.reports import GapReport, envelope_constant
 
@@ -38,10 +41,12 @@ def test_inverse_smoothness_gap_matches_pair_loop(name):
     rep = nc.inverse_smoothness_gap(model, n, t_lo, t_hi, kappa=kappa)
     dn = nc.model_inverse_window(model, n, t_lo, t_hi)
     length = dn.base.length
+    # the frozen lags of every row time, from the one kernel the gap reads
+    frozen = _frozen_inverse_lags(model, np.arange(t_lo, t_lo + length) / n, length - 1)
     indices, measured, bound, alt = [], [], [], []
     for ti in range(length):
         t = t_lo + ti
-        seq = nc.stationary_inverse_sequence(model, t / n, length - 1)
+        seq = frozen[ti]
         for tj in range(length):
             tau = t_lo + tj
             r = t - tau
@@ -61,8 +66,7 @@ def test_inverse_lipschitz_gap_matches_lag_loop(name):
     model = nc.get_reference_model(name)
     u, v, max_lag, kappa = 0.35, 0.6, 8, 4.0
     rep = nc.inverse_lipschitz_gap(model, u, v, max_lag, kappa=kappa)
-    seq_u = nc.stationary_inverse_sequence(model, u, max_lag)
-    seq_v = nc.stationary_inverse_sequence(model, v, max_lag)
+    seq_u, seq_v = _frozen_inverse_lags(model, [u, v], max_lag)
     indices, measured, bound = [], [], []
     for r in range(-max_lag, max_lag + 1):
         du = seq_u[r] if r >= 0 else seq_u[-r].T

@@ -5,8 +5,11 @@ import pytest
 
 import nonstatcov as nc
 from nonstatcov.errors import (ConditioningError, DegenerateFitError,
-                               DivergenceError, InputError)
-from nonstatcov.reference import ar1_model, reference_tvvma
+                               DivergenceError, InputError, ModelError,
+                               UnsupportedFamilyError)
+from nonstatcov.inverse_analysis import _frozen_inverse_lags, _wiener_lags
+from nonstatcov.models import _grid_transfer, _half_grid, _inverse_spectrum
+from nonstatcov.reference import ar1_model, reference_sre, reference_tvvma
 
 
 class TestFiniteSectionInverse:
@@ -261,6 +264,87 @@ class TestCentreRowReads:
         want = np.stack([full.block(0, -r) for r in range(max_lag + 1)])
         _, assembled, _ = nc.inverse_derivative_gap(model, u, max_lag, pad=pad)
         assert np.array_equal(assembled, want)
+
+
+def start_grid(model, max_lag):
+    """The kernel's first grid: the least power of two >= 8 (J + max_lag + 1)."""
+    want = 8 * (nc.models._transfer_order(model) + max_lag + 1)
+    return 1 << (want - 1).bit_length()
+
+
+class TestFrozenInverseKernel:
+    """The FFT frozen inverse against the dense Toeplitz section it replaced
+    and against itself on a finer grid."""
+
+    US = np.array([0.0, 0.3, 0.62, 1.0])
+
+    @pytest.mark.parametrize("name", ["tvvma_kappa4_p2", "tvvar1_p3", "tvarch_order2"])
+    def test_matches_dense_section_and_twice_the_grid(self, name):
+        model = nc.get_reference_model(name)
+        max_lag = 12
+        got = _frozen_inverse_lags(model, self.US, max_lag)
+        want = np.stack([nc.stationary_inverse_sequence(model, u, max_lag)
+                         for u in self.US])
+        scale = np.abs(want).max()
+        assert np.abs(got - want).max() <= 1e-13 * scale
+        m = start_grid(model, max_lag)
+        lags, screened, clean = _wiener_lags(model, self.US, m)
+        assert screened.all() and clean.all()      # no doubling was needed
+        assert np.array_equal(got, lags[:, :max_lag + 1])
+        finer = _wiener_lags(model, self.US, 2 * m)[0][:, :max_lag + 1]
+        assert np.abs(got - finer).max() <= 1e-13 * scale
+
+    def test_long_memory_vma_matches_padded_dense_section(self):
+        # kappa = 3 truncates at J = 289; the default pad of 50 leaves the
+        # dense section about 1e-11 off here, so it gets a pad of 300
+        model = reference_tvvma(kappa=3.0)
+        assert model.order == 289
+        got = _frozen_inverse_lags(model, [0.3], 20)[0]
+        want = nc.stationary_inverse_sequence(model, 0.3, 20, pad=300)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_inverse_spectrum_matches_inverted_densities(self):
+        for name in ("tvvma_kappa4_p2", "tvvar1_p3", "tvarch_order2"):
+            model = nc.get_reference_model(name)
+            g, ok = _inverse_spectrum(model, [0.3], 64)
+            want = np.linalg.inv(nc.local_spectral_densities(model, 0.3, _half_grid(64)))
+            assert ok.all()
+            assert np.abs(g[0] - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_transfer_folds_a_stack_longer_than_the_grid(self):
+        rng = np.random.default_rng(3)
+        lags = rng.standard_normal((2, 150, 2, 2))
+        omegas = _half_grid(64)
+        powers = np.exp(1j * omegas[:, None] * np.arange(150))
+        want = np.einsum("wj,ujab->uwab", powers, lags)
+        assert np.abs(_grid_transfer(lags, 64) - want).max() <= 1e-12
+
+    def test_sre_keeps_its_unsupported_family_error(self):
+        model = reference_sre()
+        with pytest.raises(UnsupportedFamilyError) as fft:
+            _frozen_inverse_lags(model, [0.5], 4)
+        with pytest.raises(UnsupportedFamilyError) as dense:
+            nc.stationary_inverse_sequence(model, 0.5, 4)
+        assert str(fft.value) == str(dense.value)
+        with pytest.raises(UnsupportedFamilyError):
+            nc.inverse_lipschitz_gap(model, 0.4, 0.6, 4, kappa=4.0)
+
+    def test_unstable_frozen_var_keeps_the_dense_refusal(self):
+        model = nc.TvVAR(p=1, phis=(nc.constant_fn([[1.5]]),),
+                         sigma=nc.constant_fn([[1.0]]))
+        with pytest.raises(ModelError) as fft:
+            _frozen_inverse_lags(model, [0.5], 4)
+        with pytest.raises(ModelError) as dense:
+            nc.stationary_inverse_sequence(model, 0.5, 4)
+        assert str(fft.value) == str(dense.value)
+
+    def test_screened_out_symbol_is_left_to_the_dense_section(self):
+        # 1 + z vanishes at omega = pi: the symbol has no bounded inverse,
+        # so the screen refuses and the dense section decides
+        model = nc.TvVMA(p=1, psis=(nc.constant_fn([[1.0]]), nc.constant_fn([[1.0]])))
+        assert not _inverse_spectrum(model, [0.5], 64)[1].any()
+        assert np.array_equal(_frozen_inverse_lags(model, [0.5], 5)[0],
+                              nc.stationary_inverse_sequence(model, 0.5, 5))
 
 
 class TestInverseSmoothness:

@@ -4,13 +4,15 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 import nonstatcov as nc
 from nonstatcov import models
-from nonstatcov.errors import (DomainError, ModelError, UnsupportedFamilyError)
-from nonstatcov.models import CoefficientFamily, _transfer_inverse
+from nonstatcov.errors import (ConditioningError, DomainError, ModelError,
+                               UnsupportedFamilyError)
+from nonstatcov.models import (CoefficientFamily, _log_det_integral,
+                               _transfer_inverse, _transfer_log_abs_det)
 from nonstatcov.reference import (ar1_model, reference_sre, reference_tvarch,
                                   reference_tvvar3, reference_tvvma,
                                   white_noise_model)
@@ -79,6 +81,25 @@ class TestCoefficientFn:
         fn = nc.CoefficientFn("sinusoidal", {"base": 1.0, "amplitude": [[0.1]]})
         assert (fn.payload["frequency"], fn.payload["phase"], fn.dim) == (1.0, 0.0, 1)
 
+    @pytest.mark.parametrize("payload,key,message", [
+        ({"knots": [0.8, 0.2], "values": [[[1.0]], [[0.0]]]}, "knots",
+         "piecewise knots must be strictly increasing"),
+        ({"knots": [0.0, 0.5, 1.0], "values": [[[1.0]], [[0.0]]]}, "values",
+         "piecewise values must match knots"),
+        ({"knots": [0.0, 5e-324], "values": [[[0.0]], [[1.0]]]}, "knots",
+         "piecewise segment slopes must be finite"),
+        ({"knots": [0.0, math.inf], "values": [[[0.0]], [[1.0]]]}, "knots",
+         "piecewise form needs >= 2 knots, each a finite number"),
+    ], ids=["unordered-knots", "three-knots-two-values", "infinite-slope",
+            "infinite-knot"])
+    def test_piecewise_payload_is_checked(self, payload, key, message):
+        # knots [0.8, 0.2] used to be accepted and to evaluate to 0 at
+        # u = 0, 0.5 and 1; three knots with two values ended in a bare
+        # ValueError from the family stack
+        with pytest.raises(nc.InputError) as err:
+            nc.CoefficientFn("piecewise", payload)
+        assert (str(err.value), err.value.key) == (message, key)
+
     def test_piecewise_interpolation(self):
         fn = nc.CoefficientFn("piecewise", {
             "knots": np.array([0.0, 0.5, 1.0]),
@@ -134,7 +155,10 @@ def coefficient_fns(draw, p=None):
                                 phase=draw(st.floats(-1.0, 1.0)))
     knots = sorted(draw(st.sets(st.floats(0.0, 1.0), min_size=2, max_size=6)))
     values = np.stack([draw(_matrix(p)) for _ in knots])
-    return nc.CoefficientFn("piecewise", {"knots": np.array(knots), "values": values})
+    try:
+        return nc.CoefficientFn("piecewise", {"knots": np.array(knots), "values": values})
+    except nc.InputError:
+        reject()        # a knot gap so narrow that a segment slope is infinite
 
 
 def pointwise_density(model, u, w):
@@ -160,13 +184,11 @@ INNER_KNOTS = nc.CoefficientFn("piecewise", {
     "knots": np.array([0.2, 0.5]), "values": np.array([[[0.0]], [[0.3]]])})
 TINY_KNOTS = nc.CoefficientFn("piecewise", {
     "knots": np.array([0.0, 4.3e-269]), "values": np.array([[[0.5]], [[-0.25]]])})
-#: Slopes of -2**1023, whose product with 2 overflows to -inf, and of
-#: 1/5e-324 = inf, whose product with the zero value at u = 0 is nan: the
-#: covariance derivative refuses both.
+#: A slope of -2**1023, whose product with 2 overflows to -inf: the
+#: covariance derivative refuses it.  (A slope of 1/5e-324 = inf is refused
+#: when the function is built.)
 STEEP_KNOTS = nc.CoefficientFn("piecewise", {
     "knots": np.array([0.0, 2.0 ** -1022]), "values": np.array([[[2.0]], [[0.0]]])})
-INFINITE_SLOPE = nc.CoefficientFn("piecewise", {
-    "knots": np.array([0.0, 5e-324]), "values": np.array([[[0.0]], [[1.0]]])})
 
 
 class TestGridEvaluation:
@@ -255,7 +277,7 @@ class TestCoefficientFamily:
            us=st.lists(st.one_of(st.floats(-2.0, 3.0), st.sampled_from(
                [-0.0, 0.0, 1.0, -1e-300, 1.0 + 1e-15])), max_size=12))
     @example(fns=(INNER_KNOTS, TINY_KNOTS, nc.constant_fn([[2.0]]),
-                  nc.affine_fn([[1.0]], [[-3.0]]), INFINITE_SLOPE,
+                  nc.affine_fn([[1.0]], [[-3.0]]), STEEP_KNOTS,
                   nc.sinusoidal_fn([[0.5]], [[0.25]], frequency=3.0, phase=0.1)),
              us=[-1.0, 0.0, 1e-300, 0.2, 0.35, 0.5, 1.0, 2.5])
     def test_family_matches_each_function_bitwise(self, fns, us):
@@ -361,7 +383,7 @@ class TestStackedKernels:
     @settings(max_examples=60, deadline=None)
     @given(model=tvvma_models(), u=st.floats(-0.2, 1.2), max_lag=st.integers(0, 12))
     @example(model=nc.TvVMA(p=1, psis=(STEEP_KNOTS,)), u=0.0, max_lag=0)
-    @example(model=nc.TvVMA(p=1, psis=(INFINITE_SLOPE, TINY_KNOTS)), u=0.0, max_lag=1)
+    @example(model=nc.TvVMA(p=1, psis=(STEEP_KNOTS, TINY_KNOTS)), u=0.0, max_lag=1)
     def test_stationary_sequence_and_derivative_match_einsum(self, model, u, max_lag):
         psis, dpsis = model.psi_stack(u), model.psi_stack_derivative(u)
         k, p = psis.shape[0], model.p
@@ -384,8 +406,7 @@ class TestStackedKernels:
         else:
             assert_close_to_scale(got, der, der_scale)
 
-    @pytest.mark.parametrize("psis", [(STEEP_KNOTS,), (INFINITE_SLOPE, TINY_KNOTS)],
-                             ids=["overflowing-product", "infinite-slope"])
+    @pytest.mark.parametrize("psis", [(STEEP_KNOTS,)], ids=["overflowing-product"])
     def test_overflowing_derivative_is_refused(self, psis):
         model = nc.TvVMA(p=1, psis=psis)
         with pytest.raises(nc.InputError,
@@ -426,20 +447,29 @@ class TestStackedKernels:
         s = np.geomspace(sigma_max, sigma_min, p)
         return (unitary() * s) @ unitary()
 
-    @pytest.mark.parametrize("factor", [0.5, 1.0, 2.0, 1e6])
-    @pytest.mark.parametrize("sigma_max", [0.25, 3.0])
-    def test_transfer_guard_decides_as_the_svd(self, monkeypatch, factor, sigma_max):
-        # sigma_min at a multiple of the refusal threshold 1e-10 max(sigma_max, 1)
-        rng = np.random.default_rng(int(factor * 7 + sigma_max * 13))
+    @classmethod
+    def threshold_case(cls, seed, factor, sigma_max):
+        """Four 3 x 3 transfer matrices, the third with sigma_min at
+        ``factor`` times the refusal threshold 1e-10 max(sigma_max, 1), and
+        the SVD's refusal of each."""
+        rng = np.random.default_rng(seed)
         sigma_min = factor * 1e-10 * max(sigma_max, 1.0)
-        good = [self.transfer_with_sigma_min(rng, 3, sigma_max, 0.5 * sigma_max)
+        good = [cls.transfer_with_sigma_min(rng, 3, sigma_max, 0.5 * sigma_max)
                 for _ in range(3)]
-        a = np.stack(good[:2] + [self.transfer_with_sigma_min(rng, 3, sigma_max,
-                                                              sigma_min)] + good[2:])
-        omegas = np.array([0.1, 0.2, 0.3, 0.4])
+        a = np.stack(good[:2] + [cls.transfer_with_sigma_min(rng, 3, sigma_max,
+                                                             sigma_min)] + good[2:])
         svals = np.linalg.svd(a, compute_uv=False)
         refuse = svals[:, -1] < 1e-10 * np.maximum(svals[:, 0], 1.0)
         assert not refuse[[0, 1, 3]].any()
+        if factor != 1.0:
+            assert refuse[2] == (factor < 1.0)
+        return a, refuse
+
+    @pytest.mark.parametrize("factor", [0.5, 1.0, 2.0, 1e6])
+    @pytest.mark.parametrize("sigma_max", [0.25, 3.0])
+    def test_transfer_guard_decides_as_the_svd(self, monkeypatch, factor, sigma_max):
+        a, refuse = self.threshold_case(int(factor * 7 + sigma_max * 13), factor, sigma_max)
+        omegas = np.array([0.1, 0.2, 0.3, 0.4])
         calls = TestValidationMemo.counting_svd(monkeypatch)
         if refuse[2]:
             with pytest.raises(ModelError, match=r"at u=0.5, omega=0.3$"):
@@ -449,8 +479,6 @@ class TestStackedKernels:
         # the screen on the inverse accepts far from the threshold and leaves
         # the decision to the SVD up to it (it proves sigma_min >= 1/(2||X||_F),
         # half the computed minimum, so at twice the threshold it may do either)
-        if factor != 1.0:
-            assert refuse[2] == (factor < 1.0)
         if factor <= 1.0:
             assert calls
         if factor > 2.0:
@@ -468,6 +496,50 @@ class TestStackedKernels:
         with pytest.raises(ModelError, match=f"omega={math.pi}$"):
             nc.local_spectral_density(model, 0.25, math.pi)
         assert nc.local_spectral_densities(model, 0.25, [0.5, 2.0]).shape == (2, 1, 1)
+
+    @pytest.mark.parametrize("factor", [0.5, 1.0, 2.0, 1e6])
+    @pytest.mark.parametrize("sigma_max", [0.25, 3.0])
+    def test_log_det_screen_decides_as_the_svd(self, monkeypatch, factor, sigma_max):
+        # the log-determinant path's screen, sigma_min >= |det A| / ||A||_F^(p-1)
+        # with the factor-2 margin, against the SVD refusal
+        a, refuse = self.threshold_case(int(factor * 11 + sigma_max * 5), factor, sigma_max)
+        omegas = np.array([0.1, 0.2, 0.3, 0.4])
+        calls = TestValidationMemo.counting_svd(monkeypatch)
+        if refuse[2]:
+            with pytest.raises(ModelError, match=r"at u=0.5, omega=0.3$"):
+                _transfer_log_abs_det(a, 0.5, omegas)
+        else:
+            got = _transfer_log_abs_det(a, 0.5, omegas)
+            assert np.array_equal(got, np.linalg.slogdet(a)[1])
+        # the bound is at most sigma_min, so the screen refuses up to twice
+        # the threshold and the SVD decides; far above it the SVD never runs
+        if factor <= 2.0:
+            assert calls
+        if factor > 2.0:
+            assert not calls
+
+    def test_log_det_path_names_the_first_singular_omega(self):
+        # 1 + z + z^2 + z^3 = (1 + z)(1 + z^2) vanishes at omega = pi/2, pi
+        # and 3 pi/2: both paths name pi/2, the first in grid order
+        model = nc.TvVAR(p=1, phis=tuple(nc.constant_fn([[-1.0]]) for _ in range(3)),
+                         sigma=nc.constant_fn([[1.0]]))
+        omegas = np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False)
+        with pytest.raises(ModelError) as dense:
+            nc.local_spectral_densities(model, 0.25, omegas)
+        with pytest.raises(ModelError) as fft:
+            _log_det_integral(model, 0.25, 4096, "kolmogorov_gap")
+        assert str(fft.value) == str(dense.value) == \
+            f"TvVAR: transfer singular at u=0.25, omega={math.pi / 2}"
+
+    @pytest.mark.parametrize("model", [
+        nc.TvVAR(p=1, phis=(nc.constant_fn([[0.5]]),), sigma=nc.constant_fn([[-1.0]])),
+        nc.TvVMA(p=1, psis=(nc.constant_fn([[1.0]]), nc.constant_fn([[1.0]]))),
+        nc.TvARCH(coeffs=(nc.constant_fn([[-0.5]]), nc.constant_fn([[0.2]]))),
+    ], ids=["var-sigma", "vma-zero-at-pi", "arch-intercept"])
+    def test_log_det_path_refuses_a_density_that_is_not_spd(self, model):
+        with pytest.raises(ConditioningError,
+                           match="^kolmogorov_gap: spectral density not SPD$"):
+            _log_det_integral(model, 0.5, 4096, "kolmogorov_gap")
 
     def test_assumption_fit_gaps_match_pair_loop(self):
         model, n, t_lo, t_hi = reference_tvvma(), 100, 30, 70
