@@ -20,9 +20,9 @@ from .errors import (ConditioningError, DegenerateFitError, DivergenceError,
                      DomainError, InputError)
 from .models import (ModelSpec, _inverse_spectrum, _transfer_order, cov_pad,
                      cov_window, stationary_cov_derivative, stationary_window)
-from .operator_core import (BlockWindow, SPD_RTOL, block_norms, block_toeplitz,
-                            block_view, gu, krylov_norm, outside_band, spd_inverse,
-                            sym_eig_range, symmetric_product, zeta)
+from .operator_core import (_ROW_BLOCK, BlockWindow, SPD_RTOL, block_norms,
+                            block_toeplitz, block_view, gu, krylov_norm, outside_band,
+                            spd_inverse, sym_eig_range, symmetric_product, zeta)
 from .reports import (DecayProfile, GapReport, envelope_constant, fit_decay_profile,
                       pair_gaps, two_sided)
 
@@ -70,12 +70,14 @@ def finite_section_inverse(c: BlockWindow, pad: int) -> InverseWindow:
     approximates the bi-infinite inverse away from the original edges.
 
     Raises:
+        InputError: a non-symmetric window, a ``bool`` or non-integer
+            ``pad``, or a pad that leaves no interior.
+        DomainError: a negative ``pad``.
         ConditioningError: singular window or residual above 1e-8.
     """
     if not c.symmetric:
         raise InputError("finite_section_inverse: window must be symmetric")
-    if pad < 0:
-        raise DomainError("finite_section_inverse: pad must be >= 0")
+    _check_count(pad, "pad", "finite_section_inverse")
     if c.length - 2 * pad < 1:
         raise InputError("finite_section_inverse: pad leaves no interior")
     inv, bound, residual = spd_inverse(c.flatten(), "finite_section_inverse: window")
@@ -94,37 +96,102 @@ def model_inverse_window(model: ModelSpec, n: int, t_lo: int, t_hi: int,
     return finite_section_inverse(c, pad)
 
 
+def _check_count(value, name: str, what: str) -> None:
+    """Refuse a ``bool`` or non-integer count with :class:`InputError` and a
+    negative one with :class:`DomainError`."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InputError(f"{what}: {name} must be an integer, got {value!r}")
+    if value < 0:
+        raise DomainError(f"{what}: {name} must be >= 0")
+
+
 def _flush_tiny(a: np.ndarray) -> np.ndarray:
     """Zero the entries below ``1e-150`` of the largest, in place.
 
     Away from the diagonal, banded inverses decay geometrically far below
     that level; products of such entries underflow to subnormal numbers,
     which slow a dense product several times.  The change is far below the
-    rounding error of the matrix.
+    rounding error of the matrix.  Works in row blocks with boolean masks,
+    so no float temporary is made.
     """
-    scale = max(a.max(initial=0.0), -a.min(initial=0.0))
-    a[np.abs(a) < 1e-150 * scale] = 0.0
+    floor = 1e-150 * max(a.max(initial=0.0), -a.min(initial=0.0))
+    for i in range(0, a.shape[0], _ROW_BLOCK):
+        rows = a[i:i + _ROW_BLOCK]
+        tiny = rows < floor
+        tiny &= rows > -floor
+        rows[tiny] = 0.0
     return a
+
+
+def _split_length(terms: int) -> int:
+    """The inner length ``b`` of the split Neumann sum: the divisor of
+    ``terms >= 1`` with the fewest products ``(b - 1) + terms / b``; ties go
+    to the smaller ``b``, whose plain products are the dearer kind."""
+    return min((b for b in range(1, terms + 1) if terms % b == 0),
+               key=lambda b: b - 1 + terms // b)
+
+
+def _neumann_sum(r: np.ndarray, operands: list, terms: int) -> np.ndarray:
+    """``sum_{s<=terms} x^s R`` for ``R = r`` and ``x = operands.pop()``.
+
+    Takes ``x`` out of ``operands``, so that it holds the only reference
+    and frees it once the powers are built.  With ``terms = g * b`` (``b``
+    from :func:`_split_length`) the sum is ``R + (1 + y + ... + y^{g-1}) Q``
+    with ``y = x^b``, ``A = x + ... + x^b`` and ``Q = A R``: ``b - 1`` plain
+    products for the powers, one :func:`symmetric_product` for ``Q`` and
+    ``g - 1`` for Horner's rule ``H <- Q + y H`` from ``H = Q``.  Every
+    product is a polynomial in ``x`` times ``R``, hence exactly symmetric.
+    At most five n x n arrays are alive at once, ``r`` included, and every
+    product operand goes through :func:`_flush_tiny`.
+    """
+    x = operands.pop()
+    if terms == 0:
+        return r
+    b = _split_length(terms)
+    acc = power = x
+    for _ in range(b - 1):
+        power = _flush_tiny(x @ power)
+        acc = acc + power if acc is x else np.add(acc, power, out=acc)
+    del x
+    if b > 1:
+        _flush_tiny(acc)
+    q = symmetric_product(acc, r)
+    del acc
+    h = q
+    for _ in range(terms // b - 1):
+        h = symmetric_product(power, _flush_tiny(h))
+        np.add(h, q, out=h)
+    del q, power
+    return np.add(h, r, out=h)
 
 
 def neumann_inverse(c: BlockWindow, m: int, terms: int) -> NeumannResult:
     """Approximate ``C^{-1}`` by a Neumann series around the banded truncation.
 
     Writes ``C = B_M + E`` and sums ``sum_{s<=terms} (-B_M^{-1} E)^s B_M^{-1}``
-    by Horner's rule, one product per term, and stops early once an iterate
-    repeats.  The certificate bounds the dropped tail by the geometric series
+    as a split sum (Paterson and Stockmeyer's baby steps and giant steps,
+    :func:`_neumann_sum`): ``(b - 1) + terms / b`` products for the divisor
+    ``b`` of ``terms`` that makes them fewest, 4 for 6 terms and 6 for 12,
+    where Horner's rule takes one per term; a prime count falls back to
+    Horner.  It holds no more n x n arrays at once than Horner's rule:
+    ``||E||_2`` is taken before the series and ``E`` dropped.  The
+    certificate bounds the dropped tail by the geometric series
     ``||B_M^{-1}|| q^{terms+1} / (1 - q)`` with ``q = ||B_M^{-1} E||_2``
     computed on the window; ``q`` and ``||E||_2`` come from
-    :func:`krylov_norm`, the extremes of ``B_M`` from its band.
+    :func:`krylov_norm`, the extremes of ``B_M`` from its band.  None of
+    them depends on how the series is summed.
 
     Raises:
+        InputError: if the window is not symmetric or ``m`` or ``terms`` is
+            not an integer.
+        DomainError: if ``m`` or ``terms`` is negative.
         DivergenceError: if the banded truncation is singular or ``q >= 1``
             (the offending product norm is attached).
     """
     if not c.symmetric:
         raise InputError("neumann_inverse: window must be symmetric")
-    if terms < 0:
-        raise DomainError("neumann_inverse: terms must be >= 0")
+    _check_count(m, "m", "neumann_inverse")
+    _check_count(terms, "terms", "neumann_inverse")
     flat = c.flatten()
     outside = outside_band(c.length, c.p, m)
     # B_M and E = C - B_M split by the block-lag mask (inside the band
@@ -158,28 +225,22 @@ def neumann_inverse(c: BlockWindow, m: int, terms: int) -> NeumannResult:
     prod = _flush_tiny(b_inv @ err)
     n = bf.shape[0]
     del bf
+    # E is exactly symmetric, so its spectral norm is its largest |eigenvalue|
+    c_norm = amax + krylov_norm(err, symmetric=True)
+    del err
     q = krylov_norm(prod)
     if q >= 1.0:
         raise DivergenceError(
             f"neumann_inverse: series does not contract, ||B^-1 (C - B)|| = {q:.4f}",
             contraction_norm=q)
-    # Horner: X <- B^-1 - P X, from X = B^-1, gives sum_{s<=terms} (-P)^s B^-1.
-    # Every partial sum is symmetric, hence so is P X = B^-1 - X_next.  Once
-    # an iterate repeats its predecessor bit for bit, so does every later one.
-    approx_flat = b_inv
-    for _ in range(terms):
-        step = symmetric_product(prod, approx_flat)
-        np.subtract(b_inv, step, out=step)
-        if np.array_equal(step, approx_flat):
-            break
-        approx_flat = step
+    operands = [np.negative(prod, out=prod)]
+    del prod
+    approx_flat = _neumann_sum(b_inv, operands, terms)
     approx = BlockWindow.from_flat(approx_flat, c.p, t_lo=c.t_lo, symmetrize=True)
     tail = b_inv_norm * q ** (terms + 1) / (1.0 - q)
     # ||C^-1|| <= ||B^-1||/(1-q), so a conservative allowance for the
     # rounding of the series products and of any dense reference inverse is
     inv_bound = b_inv_norm / (1.0 - q)
-    # E is exactly symmetric, so its spectral norm is its largest |eigenvalue|
-    c_norm = amax + krylov_norm(err, symmetric=True)
     roundoff = n * np.finfo(float).eps * inv_bound \
         * (1.0 + c_norm * inv_bound)
     return NeumannResult(approx=approx, certificate=tail + roundoff,

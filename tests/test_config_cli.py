@@ -290,12 +290,13 @@ class TestRunExperiment:
                                    "ar1_analytic", "neumann_certificates",
                                    "partial_oracle"]}}
         serial = run_experiment(load_config(cfg), threads=1)
-        threaded = run_experiment(load_config(cfg), threads=2)
         assert [v.name for v in serial.verdicts][:5] == [
             "inverse_decay", "neumann_certificates", "ar1_analytic",
             "partial_oracle", "eigenvalue_sandwich"]
-        assert serial.table_csv() == threaded.table_csv()
-        assert serial.verdicts_json() == threaded.verdicts_json()
+        for threads in (2, 3):
+            threaded = run_experiment(load_config(cfg), threads=threads)
+            assert serial.table_csv() == threaded.table_csv()
+            assert serial.verdicts_json() == threaded.verdicts_json()
 
     def test_simulate_deterministic(self):
         cfg = load_config(minimal_config("simulate", t_lo=0, t_hi=40))

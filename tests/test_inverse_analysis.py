@@ -5,8 +5,8 @@ import pytest
 
 import nonstatcov as nc
 from nonstatcov.errors import (ConditioningError, DegenerateFitError,
-                               DivergenceError, InputError, ModelError,
-                               UnsupportedFamilyError)
+                               DivergenceError, DomainError, InputError,
+                               ModelError, UnsupportedFamilyError)
 from nonstatcov.inverse_analysis import _frozen_inverse_lags, _wiener_lags
 from nonstatcov.models import _grid_transfer, _half_grid, _inverse_spectrum
 from nonstatcov.reference import ar1_model, reference_sre, reference_tvvma
@@ -61,6 +61,21 @@ class TestFiniteSectionInverse:
             nc.finite_section_inverse(w, 0)
 
 
+def _indefinite_window() -> nc.BlockWindow:
+    """A symmetric window whose bandwidth-2 truncation is indefinite while
+    its Neumann series contracts (q < 1 keeps the inertia of B_M, so the
+    window is indefinite too): the LU branch of ``neumann_inverse``."""
+    rng = np.random.default_rng(12)
+    length, m = 30, 2
+    lag = np.abs(np.subtract.outer(np.arange(length), np.arange(length)))
+    raw = rng.standard_normal((length, length))
+    sym = 0.5 * (raw + raw.T)
+    signs = np.where(np.arange(length) % 3 == 0, -1.0, 1.0)
+    banded = 0.2 * sym * (lag <= m) + np.diag(signs * rng.uniform(3.0, 4.0, length))
+    tail = 0.02 * sym * (lag > m)
+    return nc.BlockWindow.from_flat(banded + tail, p=1, symmetrize=True)
+
+
 class TestNeumannInverse:
     def test_exact_for_already_banded(self):
         rng = np.random.default_rng(4)
@@ -99,44 +114,87 @@ class TestNeumannInverse:
             ref = np.linalg.norm(np.linalg.solve(bf, c.flatten() - bf), 2)
             assert res.contraction_norm == pytest.approx(ref, rel=1e-12)
 
-    def test_horner_sum_matches_power_sum(self):
-        model = reference_tvvma()
-        c = nc.cov_window(model, 200, -20, 49)
-        m = 6
-        bf = nc.band_truncate(c, m).base.flatten()
-        b_inv = np.linalg.inv(bf)
-        prod = b_inv @ (c.flatten() - bf)
-        for terms in (0, 1, 5, 12):
+    def test_split_sum_matches_power_sum(self):
+        # the SPD branch and the LU branch (an indefinite truncation)
+        cases = [(nc.cov_window(reference_tvvma(), 200, -20, 49), 6),
+                 (_indefinite_window(), 2)]
+        for c, m in cases:
+            bf = nc.band_truncate(c, m).base.flatten()
+            b_inv = np.linalg.inv(bf)
+            prod = b_inv @ (c.flatten() - bf)
             power, total = b_inv, b_inv.copy()
-            for _ in range(terms):
-                power = -prod @ power
-                total += power
-            res = nc.neumann_inverse(c, m, terms)
-            scale = np.abs(total).max()
-            assert np.abs(res.approx.flatten() - total).max() <= 1e-13 * scale
+            for terms in range(42):
+                if terms:
+                    power = -prod @ power
+                    total += power
+                res = nc.neumann_inverse(c, m, terms)
+                scale = np.abs(total).max()
+                assert np.abs(res.approx.flatten() - total).max() <= 1e-13 * scale
+                assert res.approx.symmetric
 
-    def test_horner_stops_at_a_fixed_point_with_the_full_loop_bits(self, monkeypatch):
+    def test_split_sum_product_count(self, monkeypatch):
         from nonstatcov import inverse_analysis as ia
         from nonstatcov import operator_core as oc
+        # b - 1 plain products for the powers and r = terms / b symmetric ones
+        assert {t: ia._split_length(t) for t in (1, 6, 7, 12, 20)} == {
+            1: 1, 6: 2, 7: 1, 12: 3, 20: 4}
+        for terms, products in [(6, 4), (12, 6), (20, 8), (7, 7)]:
+            b = ia._split_length(terms)
+            assert (b - 1) + terms // b == products
+        for terms in range(1, 42):
+            b = ia._split_length(terms)
+            assert (b - 1) + terms // b == min(
+                d - 1 + terms // d for d in range(1, terms + 1) if terms % d == 0)
         c = nc.cov_window(reference_tvvma(), 200, 30, 109)
-        m, terms = 12, 40
-        # the full-terms loop, on B_M and E taken through band_truncate
-        bf = nc.band_truncate(c, m).base.flatten()
-        b_inv, _, _ = nc.spd_inverse(bf, "B_M", bandwidth=(m + 1) * c.p - 1)
-        ia._flush_tiny(b_inv)
-        prod = ia._flush_tiny(b_inv @ (c.flatten() - bf))
-        full = b_inv
-        for _ in range(terms):
-            full = b_inv - oc.symmetric_product(prod, full)
         products = []
 
         def counting(a, b):
             products.append(a.shape)
             return oc.symmetric_product(a, b)
         monkeypatch.setattr(ia, "symmetric_product", counting)
-        res = nc.neumann_inverse(c, m, terms)
-        assert 0 < len(products) < terms
-        assert np.array_equal(res.approx.flatten(), full)
+        for terms in (0, 1, 6, 7, 12, 20):
+            products.clear()
+            nc.neumann_inverse(c, 12, terms)
+            assert len(products) == (terms // ia._split_length(terms) if terms else 0)
+
+    @pytest.mark.parametrize("lu", [False, True])
+    def test_certificate_fields_independent_of_the_series(self, lu):
+        from nonstatcov.operator_core import _KRYLOV_MIN_N, krylov_norm
+        # B_M^-1, P = B_M^-1 E, q and ||E|| taken the way the Horner kernel
+        # took them: one full-size mask per flush, ||E|| after the series
+        def flush(a):
+            scale = max(a.max(initial=0.0), -a.min(initial=0.0))
+            a[np.abs(a) < 1e-150 * scale] = 0.0
+            return a
+        if lu:
+            c, m = _indefinite_window(), 2
+        else:
+            c, m = nc.cov_window(reference_tvvma(), 200, 0, 109), 8
+        bf = nc.band_truncate(c, m).base.flatten()
+        n = bf.shape[0]
+        if lu:
+            vals = np.abs(np.linalg.eigvalsh(bf))
+            amin, amax = float(vals.min()), float(vals.max())
+            b_inv = np.linalg.inv(bf)
+            b_inv = 0.5 * (b_inv + b_inv.T)
+        else:
+            assert n >= _KRYLOV_MIN_N
+            bandwidth = (m + 1) * c.p - 1
+            b_inv, _, _ = nc.spd_inverse(bf, "B_M", bandwidth=bandwidth)
+            rng = nc.sym_eig_range(bf, bandwidth)
+            amin, amax = rng.lambda_min, rng.lambda_max
+        flush(b_inv)
+        err = c.flatten() - bf
+        q = krylov_norm(flush(b_inv @ err))
+        inv_bound = (1.0 / amin) / (1.0 - q)
+        c_norm = amax + krylov_norm(err, symmetric=True)
+        roundoff = n * np.finfo(float).eps * inv_bound * (1.0 + c_norm * inv_bound)
+        for terms in (0, 5, 6, 12):
+            res = nc.neumann_inverse(c, m, terms)
+            tail = (1.0 / amin) * q ** (terms + 1) / (1.0 - q)
+            assert (res.contraction_norm, res.banded_inverse_norm) == (q, 1.0 / amin)
+            assert (res.tail, res.roundoff, res.certificate) == (
+                tail, roundoff, tail + roundoff)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_certificate_dominates_on_random_windows(self, seed):
@@ -161,21 +219,11 @@ class TestNeumannInverse:
             assert err <= res.certificate
 
     def test_indefinite_truncation_takes_lu_branch(self):
-        # q < 1 keeps the inertia of B_M, so an indefinite truncation belongs
-        # to an indefinite (symmetric) window
-        rng = np.random.default_rng(12)
-        length, m = 30, 2
-        lag = np.abs(np.subtract.outer(np.arange(length), np.arange(length)))
-        raw = rng.standard_normal((length, length))
-        sym = 0.5 * (raw + raw.T)
-        signs = np.where(np.arange(length) % 3 == 0, -1.0, 1.0)
-        banded = 0.2 * sym * (lag <= m) + np.diag(signs * rng.uniform(3.0, 4.0, length))
-        tail = 0.02 * sym * (lag > m)
-        w = nc.BlockWindow.from_flat(banded + tail, p=1, symmetrize=True)
+        w, m = _indefinite_window(), 2
         assert np.linalg.eigvalsh(nc.band_truncate(w, m).base.flatten())[0] < 0
         assert not nc.sym_eig_range(nc.band_truncate(w, m).base.flatten()).is_spd()
         dense = np.linalg.inv(w.flatten())
-        for terms in (0, 2, 6):
+        for terms in (0, 2, 6, 12):
             res = nc.neumann_inverse(w, m, terms)
             assert 0.0 < res.contraction_norm < 1.0
             err = np.linalg.norm(res.approx.flatten() - dense, 2)
@@ -187,6 +235,26 @@ class TestNeumannInverse:
         with pytest.raises(DivergenceError) as err:
             nc.neumann_inverse(w, 0, 5)
         assert err.value.contraction_norm >= 1.0
+
+    def test_count_arguments_are_checked(self):
+        c = nc.cov_window(reference_tvvma(), 200, 0, 29)
+        for m in (-1, -5):
+            with pytest.raises(DomainError, match="m must be >= 0"):
+                nc.neumann_inverse(c, m, 2)
+        for m, terms in [(2.5, 2), (True, 2), (3.0, 2), ("3", 2), (None, 2),
+                         (3, 2.5), (3, True), (3, False), (3, np.float64(2.0))]:
+            with pytest.raises(InputError, match="must be an integer"):
+                nc.neumann_inverse(c, m, terms)
+        for pad in (2.5, True, 3.0):
+            with pytest.raises(InputError, match="pad must be an integer"):
+                nc.finite_section_inverse(c, pad)
+        with pytest.raises(DomainError, match="pad must be >= 0"):
+            nc.finite_section_inverse(c, -1)
+        # numpy integers are integers
+        ref = nc.neumann_inverse(c, 3, 2)
+        got = nc.neumann_inverse(c, np.int64(3), np.int32(2))
+        assert np.array_equal(got.approx.flatten(), ref.approx.flatten())
+        assert nc.finite_section_inverse(c, np.int64(2)).source_pad == 2
 
 
 class TestInverseDecayFit:
