@@ -1,4 +1,7 @@
-"""Exception hierarchy shared by all nonstatcov modules."""
+"""Exception hierarchy shared by all nonstatcov modules, and the one rule
+for integer arguments."""
+
+import numbers
 
 
 class NonstatcovError(Exception):
@@ -55,3 +58,16 @@ class ConfigError(NonstatcovError):
     def __init__(self, message: str, path: str = ""):
         super().__init__(f"{path or '/'}: {message}")
         self.path = path
+
+
+def check_count(value, name: str, what: str, signed: bool = False) -> None:
+    """Refuse a ``bool`` or non-integer ``value`` with :class:`InputError`
+    and, unless ``signed``, a negative one with :class:`DomainError`.
+
+    Counts (pads, orders, term numbers) are unsigned; absolute times are
+    ``signed``.  Any integral type, numpy integers included, is accepted.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InputError(f"{what}: {name} must be an integer, got {value!r}")
+    if not signed and value < 0:
+        raise DomainError(f"{what}: {name} must be >= 0")

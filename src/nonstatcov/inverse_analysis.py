@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (ConditioningError, DegenerateFitError, DivergenceError,
-                     DomainError, InputError)
+                     InputError, check_count)
 from .models import (ModelSpec, _inverse_spectrum, _transfer_order, cov_pad,
                      cov_window, stationary_cov_derivative, stationary_window)
 from .operator_core import (_ROW_BLOCK, BlockWindow, SPD_RTOL, block_norms,
@@ -77,7 +77,7 @@ def finite_section_inverse(c: BlockWindow, pad: int) -> InverseWindow:
     """
     if not c.symmetric:
         raise InputError("finite_section_inverse: window must be symmetric")
-    _check_count(pad, "pad", "finite_section_inverse")
+    check_count(pad, "pad", "finite_section_inverse")
     if c.length - 2 * pad < 1:
         raise InputError("finite_section_inverse: pad leaves no interior")
     inv, bound, residual = spd_inverse(c.flatten(), "finite_section_inverse: window")
@@ -90,19 +90,17 @@ def finite_section_inverse(c: BlockWindow, pad: int) -> InverseWindow:
 
 def model_inverse_window(model: ModelSpec, n: int, t_lo: int, t_hi: int,
                          pad: int | None = None) -> InverseWindow:
-    """Interior inverse-covariance section of a model over ``[t_lo, t_hi]``."""
-    pad = cov_pad(model) if pad is None else pad
+    """Interior inverse-covariance section of a model over ``[t_lo, t_hi]``.
+
+    Raises:
+        InputError: a ``bool`` or non-integer ``pad``, ``t_lo`` or ``t_hi``.
+        DomainError: a negative ``pad``.
+    """
+    if pad is None:
+        pad = cov_pad(model)
+    check_count(pad, "pad", "model_inverse_window")
     c = cov_window(model, n, t_lo - pad, t_hi + pad)
     return finite_section_inverse(c, pad)
-
-
-def _check_count(value, name: str, what: str) -> None:
-    """Refuse a ``bool`` or non-integer count with :class:`InputError` and a
-    negative one with :class:`DomainError`."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise InputError(f"{what}: {name} must be an integer, got {value!r}")
-    if value < 0:
-        raise DomainError(f"{what}: {name} must be >= 0")
 
 
 def _flush_tiny(a: np.ndarray) -> np.ndarray:
@@ -190,8 +188,8 @@ def neumann_inverse(c: BlockWindow, m: int, terms: int) -> NeumannResult:
     """
     if not c.symmetric:
         raise InputError("neumann_inverse: window must be symmetric")
-    _check_count(m, "m", "neumann_inverse")
-    _check_count(terms, "terms", "neumann_inverse")
+    check_count(m, "m", "neumann_inverse")
+    check_count(terms, "terms", "neumann_inverse")
     flat = c.flatten()
     outside = outside_band(c.length, c.p, m)
     # B_M and E = C - B_M split by the block-lag mask (inside the band

@@ -5,9 +5,9 @@ Four families are implemented:
 * :class:`TvVMA` -- time-varying vector moving average with coefficient
   functions of rescaled time; covariances are exact truncated convolution
   sums.
-* :class:`TvVAR` -- time-varying vector autoregression; covariance windows
-  are obtained by assembling the exactly banded precision operator on a
-  padded window, inverting, and discarding the pad.
+* :class:`TvVAR` -- time-varying vector autoregression; a covariance window
+  is the covariance of the recursion started from zero a pad before it,
+  carried forward in companion form.
 * :class:`TvARCH` -- univariate time-varying ARCH; the observed process is
   white with a smoothly varying variance.
 * :class:`SRE` -- random-coefficient stochastic recurrence model; no closed
@@ -27,10 +27,9 @@ from typing import NamedTuple, Union
 import numpy as np
 
 from .errors import (ConditioningError, DomainError, FitError, InputError,
-                     ModelError, UnsupportedFamilyError)
+                     ModelError, UnsupportedFamilyError, check_count)
 from .operator_core import (_BOUND_MARGIN, SPD_RTOL, BlockWindow, EigRange,
-                            block_norms, block_toeplitz, block_view, gu,
-                            spd_inverse_section)
+                            _mirror_lower, block_norms, block_toeplitz, block_view, gu)
 from .reports import (DecayProfile, GapReport, envelope_constant,
                       fit_decay_profile, pair_gaps, two_sided)
 
@@ -666,35 +665,44 @@ def _vma_cov_window(model: TvVMA, n: int, t_lo: int, t_hi: int) -> BlockWindow:
     return BlockWindow.from_flat(flat, p, t_lo=t_lo, symmetrize=True)
 
 
-def _var_precision_flat(model: TvVAR, n: int, t_lo: int, t_hi: int) -> np.ndarray:
-    """Flattened section of the exactly banded precision ``B^T S^-1 B``.
+def _var_cov_window(model: TvVAR, n: int, t_lo: int, t_hi: int, pad: int) -> np.ndarray:
+    """Flat covariance window of the recursion started from zero at
+    ``t_lo - pad``, exactly symmetric.
 
-    Block row ``i`` of the lower-triangular ``B`` holds ``I`` at lag 0 and
-    ``-Phi_j(t_i/n)`` at lag ``j <= d``; ``S`` is block diagonal.  Block
-    ``(i - j, i - k)`` of the product collects ``B_ij^T S_i^-1 B_ik`` over
-    the ``d + 1`` nonzero blocks of each row, so every block beyond
-    bandwidth ``d`` stays exactly zero.  Each term is added to its block and
-    its transpose to the mirrored block, so the result is exactly symmetric.
+    In companion form ``Y_t = (X_t, ..., X_{t-d+1}) = A_t Y_{t-1} + e_t``,
+    with ``e_t = (eps_t, 0, ..., 0)``.  Over the pad only
+    ``V_t = Cov(Y_t) = A_t V_{t-1} A_t^T + diag(Sigma_t, 0)`` is carried;
+    over the window also ``K = Cov(Y_t, X_s)`` for ``t_lo <= s <= t``:
+    ``e_t`` is independent of the past, so the columns ``s < t`` become
+    ``A_t K`` and the new column is ``V_t[:, :p]``.  Block row ``t`` of the
+    window is ``K[:p]``; the lower triangle is filled and mirrored once.
     """
-    length = t_hi - t_lo + 1
-    p, d = model.p, model.order
-    us = np.arange(t_lo, t_hi + 1) / n
-    si = np.linalg.inv(model.sigma_stacks(us))
-    si = 0.5 * (si + si.transpose(0, 2, 1))
-    rows = np.empty((length, d + 1, p, p))     # rows[i, j]: block of B at (i, i - j)
-    rows[:, 0] = np.eye(p)
-    rows[:, 1:] = -model.phi_stacks(us)
-    prec = np.zeros((length, p, length, p))
-    for j in range(d + 1):
-        for k in range(j, d + 1):
-            i = np.arange(k, length)
-            term = np.einsum("iab,iac,icd->ibd", rows[k:, j], si[k:], rows[k:, k])
-            if j == k:
-                prec[i - j, :, i - j, :] += 0.5 * (term + term.transpose(0, 2, 1))
-            else:
-                prec[i - j, :, i - k, :] += term
-                prec[i - k, :, i - j, :] += term.transpose(0, 2, 1)
-    return prec.reshape(length * p, length * p)
+    length, p, d = t_hi - t_lo + 1, model.p, model.order
+    us = np.arange(t_lo - pad, t_hi + 1) / n
+    sigma = model.sigma_stacks(us)
+    try:
+        np.linalg.cholesky(sigma)
+    except np.linalg.LinAlgError:
+        raise ConditioningError(
+            f"cov_window: TvVAR innovation variance not SPD at some u in "
+            f"[{us[0]:.4f}, {us[-1]:.4f}]") from None
+    comp = np.zeros((us.size, d * p, d * p))
+    comp[:, :p] = model.phi_stacks(us).transpose(0, 2, 1, 3).reshape(us.size, p, d * p)
+    comp[:, p:, :-p] = np.eye((d - 1) * p)
+    v = np.zeros((d * p, d * p))
+    k = np.empty((d * p, length * p))
+    flat = np.zeros((length * p, length * p))
+    for i, (a, s) in enumerate(zip(comp, sigma)):
+        v = a @ v @ a.T
+        v[:p, :p] += s
+        col = (i - pad) * p
+        if col >= 0:
+            k[:, :col] = a @ k[:, :col]
+            k[:, col:col + p] = v[:, :p]
+            flat[col:col + p, :col + p] = k[:p, :col + p]
+    _mirror_lower(flat)
+    _require_finite(flat, "cov_window")
+    return flat
 
 
 def cov_pad(model: ModelSpec) -> int:
@@ -716,15 +724,27 @@ def cov_window(model: ModelSpec, n: int, t_lo: int, t_hi: int,
                pad: int | None = None) -> BlockWindow:
     """Covariance section ``(C_{t,tau}; t_lo <= t, tau <= t_hi)``.
 
-    Exact up to the MA truncation tolerance (TvVMA) or the geometric pad
-    truncation of the banded-precision inversion (TvVAR).
+    Exact up to the MA truncation tolerance (TvVMA).  A TvVAR window is the
+    exact covariance of the recursion started from zero ``pad`` steps
+    before ``t_lo`` (default :func:`cov_pad`); the start's effect dies
+    geometrically, and no pad follows the window.  ``pad`` is read only for
+    a TvVAR.
 
     Raises:
+        InputError: a ``bool`` or non-integer ``t_lo``, ``t_hi`` or ``pad``,
+            an empty window, or non-finite entries.
+        DomainError: ``n < 1`` or a negative ``pad``.
+        ConditioningError: a TvVAR innovation variance that is not SPD at a
+            time the recursion uses.
         ModelError: if the family invariants fail.
         UnsupportedFamilyError: for SRE models (Monte Carlo only).
     """
     if n < 1:
         raise DomainError("cov_window: requires n >= 1")
+    check_count(t_lo, "t_lo", "cov_window", signed=True)
+    check_count(t_hi, "t_hi", "cov_window", signed=True)
+    if pad is not None:
+        check_count(pad, "pad", "cov_window")
     if t_hi < t_lo:
         raise InputError("cov_window: empty window")
     validate_model(model)
@@ -732,11 +752,8 @@ def cov_window(model: ModelSpec, n: int, t_lo: int, t_hi: int,
         return _vma_cov_window(model, n, t_lo, t_hi)
     if isinstance(model, TvVAR):
         pad = cov_pad(model) if pad is None else pad
-        prec = _var_precision_flat(model, n, t_lo - pad, t_hi + pad)
-        lo, hi = pad * model.p, (pad + t_hi - t_lo + 1) * model.p
-        cov = spd_inverse_section(prec, (model.order + 1) * model.p - 1, lo, hi,
-                                  "cov_window: TvVAR precision")
-        return BlockWindow.from_flat(cov, model.p, t_lo=t_lo, symmetrize=True)
+        return BlockWindow.from_flat(_var_cov_window(model, n, t_lo, t_hi, pad),
+                                     model.p, t_lo=t_lo, symmetrize=True)
     if isinstance(model, TvARCH):
         m = _arch_mean_square(model, n, t_lo, t_hi)
         return BlockWindow.from_flat(np.diag(m), 1, t_lo=t_lo, symmetrize=True)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import ConditioningError, DomainError, InputError
+from .errors import ConditioningError, DomainError, InputError, check_count
 
 #: Relative eigenvalue threshold below which a symmetric matrix is treated
 #: as singular (guards Schur complements and inverses against blowup).
@@ -422,9 +422,13 @@ def krylov_norm(a: np.ndarray, symmetric: bool = False) -> float:
 
 
 def band_truncate(w: BlockWindow, m: int) -> BandedBlockWindow:
-    """Zero every block with ``|t - tau| > m``; the input is unchanged."""
-    if m < 0:
-        raise DomainError("band_truncate: bandwidth must be >= 0")
+    """Zero every block with ``|t - tau| > m``; the input is unchanged.
+
+    Raises:
+        InputError: a ``bool`` or non-integer ``m``.
+        DomainError: a negative ``m``.
+    """
+    check_count(m, "m", "band_truncate")
     flat = np.where(outside_band(w.length, w.p, m), 0.0, w.flatten())
     base = BlockWindow.from_flat(flat, w.p, t_lo=w.t_lo, symmetrize=w.symmetric)
     return BandedBlockWindow(base=base, bandwidth=m)
@@ -477,15 +481,10 @@ _UNIT_ROUNDOFF = 2.0**-53
 _ETA = 2.0**-1074
 
 
-def _certified_cholesky(flat: np.ndarray, what: str,
-                        bandwidth: int | None = None) -> np.ndarray:
-    """Cholesky factor of a symmetric matrix ``E`` that passes the exact
-    guard, with exact eigenvalues computed only on refusal.
-
-    Without ``bandwidth`` it returns the dense lower factor of ``dpotrf``
-    (upper triangle zero).  With one, ``flat`` is exactly zero beyond
-    ``bandwidth`` diagonals and it returns ``dpbtrf``'s lower factor in
-    LAPACK band storage.
+def _certified_cholesky(flat: np.ndarray, what: str) -> np.ndarray:
+    """Dense lower Cholesky factor (``dpotrf``, upper triangle zero) of a
+    symmetric matrix ``E`` that passes the exact guard, with exact
+    eigenvalues computed only on refusal.
 
     A factor is accepted on Rump's shifted-Cholesky test (S. M. Rump,
     "Verification of positive definiteness", BIT 46, 2006): ``E - sI`` is
@@ -511,40 +510,23 @@ def _certified_cholesky(flat: np.ndarray, what: str,
             indefinite, or its factorisation breaks down.
     """
     n = flat.shape[0]
-    if bandwidth is None:
-        stored, diagonal = flat, np.diag_indices(n)
-        norm = _row_sum_norm(flat)
-    else:
-        stored, diagonal = _lower_band(flat, min(bandwidth, n - 1)), 0
-        # row i of |E| sums column i of the band (E[i:, i]) and the
-        # band's diagonals at column i - k (E[i, :i])
-        absolute = np.abs(stored)
-        sums = absolute.sum(axis=0)
-        for k in range(1, absolute.shape[0]):
-            sums[k:] += absolute[k, :n - k]
-        norm = float(sums.max())
-
-    def factorise(a, overwrite=0):
-        if bandwidth is None:
-            return scipy.linalg.lapack.dpotrf(a, lower=1, clean=1, overwrite_a=overwrite)
-        return scipy.linalg.lapack.dpbtrf(a, lower=1, overwrite_ab=overwrite)
-
-    factor, info = factorise(stored)
+    factor, info = scipy.linalg.lapack.dpotrf(flat, lower=1, clean=1)
     if info:
-        _exact_guard(flat, what, bandwidth)
+        _exact_guard(flat, what, None)
         raise ConditioningError(f"{what}: Cholesky factorisation failed "
                                 f"(LAPACK info={info})")
     # the factor succeeded, so every diagonal entry is positive
-    diag = stored[diagonal]
+    diag = np.diagonal(flat)
     gamma = (n + 1) * _UNIT_ROUNDOFF / (1.0 - (n + 1) * _UNIT_ROUNDOFF)
     top = float(diag.max())
-    shift = (_BOUND_MARGIN * SPD_RTOL * norm + 2.0 * gamma / (1.0 - gamma) * float(diag.sum())
+    shift = (_BOUND_MARGIN * SPD_RTOL * _row_sum_norm(flat)
+             + 2.0 * gamma / (1.0 - gamma) * float(diag.sum())
              + 2.0 * _UNIT_ROUNDOFF * top + 4.0 * (n + 1) * (2.0 * (n + 1) + top) * _ETA)
     # the one temporary: LAPACK factors this Fortran-ordered copy in place
-    shifted = np.array(stored, order="F")
-    shifted[diagonal] -= shift
-    if factorise(shifted, overwrite=1)[1]:
-        _exact_guard(flat, what, bandwidth)
+    shifted = np.array(flat, order="F")
+    shifted[np.diag_indices(n)] -= shift
+    if scipy.linalg.lapack.dpotrf(shifted, lower=1, clean=1, overwrite_a=1)[1]:
+        _exact_guard(flat, what, None)
     return factor
 
 
@@ -663,43 +645,6 @@ def spd_inverse(flat: np.ndarray, what: str,
             raise ConditioningError(f"{what}: inversion residual {residual:.3e} "
                                     f"exceeds {SPD_RESIDUAL_TOL:g}")
     return inv, bound, residual
-
-
-def spd_inverse_section(flat: np.ndarray, bandwidth: int, lo: int, hi: int,
-                        what: str) -> np.ndarray:
-    """Rows and columns ``lo:hi`` of the inverse of an exactly banded SPD matrix.
-
-    ``flat`` is exactly zero beyond ``bandwidth`` diagonals.  It is
-    factored in band storage by :func:`_certified_cholesky` (``dpbtrf``) and
-    solved (``dpbtrs``) only for the identity columns ``lo:hi``, in
-    O(n * bandwidth * (hi - lo)) instead of the O(n^3) of a full inverse.
-    One triangle of the section is mirrored onto the other, so it is
-    exactly symmetric, and the residual of exactly those columns,
-    ``||flat @ X - I[:, lo:hi]||_inf``, is checked with a banded product.
-
-    Raises:
-        ConditioningError: if the matrix is numerically singular or
-            indefinite, the factorisation or the solve fails, or the
-            residual exceeds ``SPD_RESIDUAL_TOL``.
-    """
-    n = flat.shape[0]
-    factor = _certified_cholesky(flat, what, bandwidth)
-    k = hi - lo
-    rhs = np.zeros((n, k), order="F")
-    rhs[np.arange(lo, hi), np.arange(k)] = 1.0
-    cols, info = scipy.linalg.lapack.dpbtrs(factor, rhs, lower=1, overwrite_b=1)
-    if info:
-        raise ConditioningError(f"{what}: banded Cholesky solve failed "
-                                f"(LAPACK info={info})")
-    # cols is Fortran-ordered, so the transposed section is a row-major view;
-    # mirroring it makes the section itself exactly symmetric
-    section = cols[lo:hi].T
-    _mirror_lower(section)
-    residual = _inverse_residual(flat, cols, lo, bandwidth)
-    if not residual <= SPD_RESIDUAL_TOL:
-        raise ConditioningError(f"{what}: inversion residual {residual:.3e} "
-                                f"exceeds {SPD_RESIDUAL_TOL:g}")
-    return section
 
 
 def schur_complement(a: np.ndarray, b: np.ndarray, e: BlockWindow | np.ndarray,

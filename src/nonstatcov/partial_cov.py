@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConditioningError, InputError, ModelError
+from .errors import ConditioningError, InputError, ModelError, check_count
 from .inverse_analysis import _kappa_or_raise
 from .models import (ModelSpec, cov_pad, cov_window, local_spectral_densities,
                      stationary_window)
@@ -88,6 +88,7 @@ def _partial_schur(c: BlockWindow, components: tuple[int, ...], pad: int,
         raise InputError(f"{what}: bad component {label} for p={p}")
     if not c.symmetric:
         raise InputError(f"{what}: window must be symmetric")
+    check_count(pad, "pad", what)
     if length - 2 * pad < 1:
         raise InputError(f"{what}: pad leaves no interior")
     others = tuple(sorted(set(range(p)) - set(components)))
@@ -107,6 +108,9 @@ def partial_cov_pair(c: BlockWindow, a: int, b: int, pad: int = 0) -> PartialPai
     side of the window.
 
     Raises:
+        InputError: a bad component, a non-symmetric window, a ``bool`` or
+            non-integer ``pad``, or a pad that leaves no interior.
+        DomainError: a negative ``pad``.
         ConditioningError: singular conditioning block.
     """
     schur, others = _partial_schur(c, (a, b), pad, "partial_cov_pair")

@@ -283,16 +283,19 @@ class TestRunExperiment:
         assert a.verdicts_json() == b.verdicts_json()
 
     def test_verify_all_tables_independent_of_threads(self):
-        # the checks share one model instance, validated once across threads
+        # the checks share one model instance, validated once across threads;
+        # the last two read TvVAR covariance windows
         cfg = {"experiment": "verify-all", "seed": 7,
                "model": {"reference": "tvvma_kappa4_p2"},
                "grid": {"checks": ["inverse_decay", "eigenvalue_sandwich",
                                    "ar1_analytic", "neumann_certificates",
-                                   "partial_oracle"]}}
+                                   "partial_oracle", "coherence_consistency",
+                                   "smoothness_transfer"]}}
         serial = run_experiment(load_config(cfg), threads=1)
-        assert [v.name for v in serial.verdicts][:5] == [
+        assert [v.name for v in serial.verdicts][:7] == [
             "inverse_decay", "neumann_certificates", "ar1_analytic",
-            "partial_oracle", "eigenvalue_sandwich"]
+            "smoothness_transfer", "partial_oracle", "coherence_consistency",
+            "eigenvalue_sandwich"]
         for threads in (2, 3):
             threaded = run_experiment(load_config(cfg), threads=threads)
             assert serial.table_csv() == threaded.table_csv()

@@ -256,6 +256,17 @@ class TestNeumannInverse:
         assert np.array_equal(got.approx.flatten(), ref.approx.flatten())
         assert nc.finite_section_inverse(c, np.int64(2)).source_pad == 2
 
+    def test_model_inverse_window_pad_follows_the_count_rule(self):
+        model = nc.get_reference_model("tvvar1_p3")
+        for pad in (2.5, True, 3.0):
+            with pytest.raises(InputError, match="model_inverse_window: pad must be"):
+                nc.model_inverse_window(model, 200, 0, 10, pad=pad)
+        with pytest.raises(DomainError, match="model_inverse_window: pad must be >= 0"):
+            nc.model_inverse_window(model, 200, 0, 10, pad=-1)
+        with pytest.raises(InputError, match="t_lo must be an integer"):
+            nc.model_inverse_window(model, 200, 0.5, 10, pad=3)
+        assert nc.model_inverse_window(model, 200, 0, 10, pad=np.int64(3)).source_pad == 3
+
 
 class TestInverseDecayFit:
     def test_band_limited_flag_for_var(self):

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 import nonstatcov as nc
 from nonstatcov import models
-from nonstatcov.errors import (ConditioningError, DomainError, ModelError,
-                               UnsupportedFamilyError)
+from nonstatcov.errors import (ConditioningError, DomainError, InputError,
+                               ModelError, UnsupportedFamilyError)
 from nonstatcov.models import (CoefficientFamily, _log_det_integral,
                                _transfer_inverse, _transfer_log_abs_det)
 from nonstatcov.reference import (ar1_model, reference_sre, reference_tvarch,
@@ -746,20 +746,60 @@ def dense_var_precision(model, n, t_lo, t_hi):
     return big.T @ sinv @ big
 
 
-class TestVarPrecision:
-    def var2_model(self):
-        return nc.TvVAR(p=2, phis=(
-            nc.affine_fn([[0.3, 0.1], [-0.05, 0.2]], [[0.1, 0.0], [0.05, -0.1]]),
-            nc.sinusoidal_fn([[0.1, 0.0], [0.02, 0.1]], [[0.05, 0.02], [0.0, 0.05]],
-                             frequency=1.0, phase=0.1)),
-            sigma=nc.affine_fn([[1.0, 0.2], [0.2, 0.8]], [[0.3, 0.0], [0.0, 0.2]]))
+def var_precision_flat(model, n, t_lo, t_hi):
+    """Flattened section of the exactly banded precision ``B^T S^-1 B``, the
+    independent oracle of the TvVAR covariance window.
 
+    Block row ``i`` of the lower-triangular ``B`` holds ``I`` at lag 0 and
+    ``-Phi_j(t_i/n)`` at lag ``j <= d``; ``S`` is block diagonal.  Block
+    ``(i - j, i - k)`` of the product collects ``B_ij^T S_i^-1 B_ik`` over
+    the ``d + 1`` nonzero blocks of each row, so every block beyond
+    bandwidth ``d`` stays exactly zero.  Each term is added to its block and
+    its transpose to the mirrored block, so the result is exactly symmetric.
+    Its inverse is ``B^-1 S B^-T``, the covariance of the recursion started
+    from zero at ``t_lo``.
+    """
+    length = t_hi - t_lo + 1
+    p, d = model.p, model.order
+    us = np.arange(t_lo, t_hi + 1) / n
+    si = np.linalg.inv(model.sigma_stacks(us))
+    si = 0.5 * (si + si.transpose(0, 2, 1))
+    rows = np.empty((length, d + 1, p, p))     # rows[i, j]: block of B at (i, i - j)
+    rows[:, 0] = np.eye(p)
+    rows[:, 1:] = -model.phi_stacks(us)
+    prec = np.zeros((length, p, length, p))
+    for j in range(d + 1):
+        for k in range(j, d + 1):
+            i = np.arange(k, length)
+            term = np.einsum("iab,iac,icd->ibd", rows[k:, j], si[k:], rows[k:, k])
+            if j == k:
+                prec[i - j, :, i - j, :] += 0.5 * (term + term.transpose(0, 2, 1))
+            else:
+                prec[i - j, :, i - k, :] += term
+                prec[i - k, :, i - j, :] += term.transpose(0, 2, 1)
+    return prec.reshape(length * p, length * p)
+
+
+def var2_model():
+    return nc.TvVAR(p=2, phis=(
+        nc.affine_fn([[0.3, 0.1], [-0.05, 0.2]], [[0.1, 0.0], [0.05, -0.1]]),
+        nc.sinusoidal_fn([[0.1, 0.0], [0.02, 0.1]], [[0.05, 0.02], [0.0, 0.05]],
+                         frequency=1.0, phase=0.1)),
+        sigma=nc.affine_fn([[1.0, 0.2], [0.2, 0.8]], [[0.3, 0.0], [0.0, 0.2]]))
+
+
+def scalar_var2():
+    return nc.TvVAR(p=1, phis=(nc.affine_fn([[0.4]], [[0.2]]),
+                               nc.sinusoidal_fn([[-0.2]], [[0.1]])),
+                    sigma=nc.affine_fn([[1.0]], [[0.5]]))
+
+
+class TestVarPrecision:
     @pytest.mark.parametrize("name", ["tvvar1_p3", "var2", "ar1"])
     def test_blockwise_assembly_matches_dense_reference(self, name):
-        from nonstatcov.models import _var_precision_flat
         model = {"tvvar1_p3": nc.get_reference_model("tvvar1_p3"),
-                 "var2": self.var2_model(), "ar1": scalar_ar1()}[name]
-        got = _var_precision_flat(model, 150, -20, 40)
+                 "var2": var2_model(), "ar1": scalar_ar1()}[name]
+        got = var_precision_flat(model, 150, -20, 40)
         ref = dense_var_precision(model, 150, -20, 40)
         assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
         assert np.array_equal(got, got.T)
@@ -770,32 +810,102 @@ class TestVarPrecision:
         assert np.any(got[np.kron(lags == model.order, block)] != 0.0)
 
     def test_cov_window_inverts_the_precision(self):
-        from nonstatcov.models import _var_precision_flat, cov_pad
-        model = self.var2_model()
-        pad = cov_pad(model)
+        model = var2_model()
+        pad = nc.cov_pad(model)
         w = nc.cov_window(model, 150, 10, 40)
-        prec = _var_precision_flat(model, 150, 10 - pad, 40 + pad)
+        prec = var_precision_flat(model, 150, 10 - pad, 40 + pad)
         ref = np.linalg.inv(prec)[pad * 2:(pad + 31) * 2, pad * 2:(pad + 31) * 2]
         assert np.allclose(w.flatten(), ref, rtol=0, atol=1e-12 * np.abs(ref).max())
 
     @settings(max_examples=40, deadline=None)
     @given(model=st.one_of(small_tvvar_models(), st.sampled_from(
-               [nc.get_reference_model("tvvar1_p3"), scalar_ar1()])),
+               [nc.get_reference_model("tvvar1_p3"), scalar_ar1(), var2_model(),
+                scalar_var2()])),
            n=st.integers(20, 600), t_lo=st.integers(-100, 300),
-           length=st.integers(1, 60))
-    def test_banded_window_matches_dense_spd_inverse(self, model, n, t_lo, length):
-        """The banded column solve against the full dense inverse of the
-        padded precision, to 1e-13 relative, and exactly symmetric."""
-        from nonstatcov.models import _var_precision_flat, cov_pad
-        pad, p = cov_pad(model), model.p
+           length=st.integers(1, 60), pad=st.one_of(st.none(), st.integers(0, 80)))
+    @example(model=scalar_var2(), n=100, t_lo=10, length=1, pad=0)
+    @example(model=var2_model(), n=100, t_lo=-5, length=1, pad=0)
+    @example(model=scalar_var2(), n=100, t_lo=10, length=30, pad=0)
+    @example(model=var2_model(), n=37, t_lo=3, length=45, pad=None)
+    def test_banded_window_matches_dense_spd_inverse(self, model, n, t_lo, length,
+                                                     pad):
+        """The recursion against the full dense inverse of the oracle's
+        precision, padded by ``pad`` on both sides, to 1e-13 relative, and
+        exactly symmetric."""
+        p = model.p
         t_hi = t_lo + length - 1
-        w = nc.cov_window(model, n, t_lo, t_hi)
-        inv, _, _ = nc.spd_inverse(_var_precision_flat(model, n, t_lo - pad, t_hi + pad),
+        w = nc.cov_window(model, n, t_lo, t_hi, pad=pad)
+        pad = nc.cov_pad(model) if pad is None else pad
+        inv, _, _ = nc.spd_inverse(var_precision_flat(model, n, t_lo - pad, t_hi + pad),
                                    "dense")
         ref = inv[pad * p:(pad + length) * p, pad * p:(pad + length) * p]
         got = w.flatten()
         assert w.symmetric and np.array_equal(got, got.T)
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("model,pad", [
+        (nc.get_reference_model("tvvar1_p3"), 0), (nc.get_reference_model("tvvar1_p3"), 50),
+        (var2_model(), 7), (scalar_var2(), 0), (scalar_ar1(), 20)])
+    def test_trailing_pad_adds_nothing(self, model, pad):
+        """``B`` is unit block lower-triangular, so the leading rows of the
+        padded precision's inverse are the inverse of its leading block: a
+        pad after the window changes nothing but rounding."""
+        n, t_lo, t_hi, p = 120, 30, 69, model.p
+        both, _, _ = nc.spd_inverse(
+            var_precision_flat(model, n, t_lo - pad, t_hi + 40), "both")
+        leading, _, _ = nc.spd_inverse(
+            var_precision_flat(model, n, t_lo - pad, t_hi), "leading")
+        rows = slice(pad * p, (pad + t_hi - t_lo + 1) * p)
+        ref = leading[rows, rows]
+        assert np.abs(both[rows, rows] - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_sigma_indefinite_between_validation_points_is_refused(self):
+        """``Sigma(u) = 1 + 2 sin(64 pi u)`` is 1 on every validation point
+        ``k/32`` and negative between them: validation passes, and the
+        window refuses with a ConditioningError, never a bare LinAlgError
+        or a window."""
+        for p in (1, 2):
+            model = nc.TvVAR(p=p, phis=(nc.constant_fn(0.3 * np.eye(p)),),
+                             sigma=nc.sinusoidal_fn(np.eye(p), 2.0 * np.eye(p),
+                                                    frequency=32.0))
+            nc.validate_model(model)
+            with pytest.raises(ConditioningError, match="innovation variance not SPD"):
+                nc.cov_window(model, 200, 40, 60)
+            with pytest.raises(ConditioningError):
+                nc.model_inverse_window(model, 200, 40, 60)
+
+
+    def test_overflowing_window_is_refused(self):
+        # Sigma / (1 - 0.81) is beyond the float range
+        model = nc.TvVAR(p=1, phis=(nc.constant_fn([[0.9]]),),
+                         sigma=nc.constant_fn([[8e307]]))
+        with np.errstate(over="ignore"), \
+                pytest.raises(InputError, match="^cov_window: non-finite entries$"):
+            nc.cov_window(model, 200, 0, 5)
+
+
+class TestCovWindowArguments:
+    def test_times_must_be_integers(self):
+        model = nc.get_reference_model("tvvar1_p3")
+        for t_lo, t_hi in [(0.5, 10), (0, 10.0), (True, 10), (0, np.float64(3))]:
+            with pytest.raises(InputError, match="t_lo|t_hi"):
+                nc.cov_window(model, 200, t_lo, t_hi)
+        with pytest.raises(InputError, match="t_lo must be an integer"):
+            nc.cov_window(reference_tvvma(), 200, 0.5, 10)
+        # negative and numpy times are times
+        ref = nc.cov_window(model, 200, -5, 4).flatten()
+        got = nc.cov_window(model, 200, np.int64(-5), np.int32(4)).flatten()
+        assert np.array_equal(got, ref)
+
+    def test_pad_follows_the_count_rule(self):
+        model = nc.get_reference_model("tvvar1_p3")
+        for pad in (2.5, True, 3.0):
+            with pytest.raises(InputError, match="pad must be an integer"):
+                nc.cov_window(model, 200, 0, 10, pad=pad)
+        with pytest.raises(DomainError, match="pad must be >= 0"):
+            nc.cov_window(model, 200, 0, 10, pad=-1)
+        assert np.array_equal(nc.cov_window(model, 200, 0, 10, pad=np.int64(4)).flatten(),
+                              nc.cov_window(model, 200, 0, 10, pad=4).flatten())
 
 
 class TestStationaryCov:

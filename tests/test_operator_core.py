@@ -318,6 +318,13 @@ class TestBandTruncate:
         with pytest.raises(DomainError):
             nc.band_truncate(self._seeded_window(), -1)
 
+    def test_bandwidth_follows_the_count_rule(self):
+        w = self._seeded_window()
+        for m in (2.5, True, 2.0):
+            with pytest.raises(InputError, match="m must be an integer"):
+                nc.band_truncate(w, m)
+        assert nc.band_truncate(w, np.int64(2)).bandwidth == 2
+
 
 class TestDemkoBound:
     def test_zero_for_equal_endpoints(self):
@@ -435,33 +442,6 @@ def exact_guard_schur(a, b, e, what):
                                 f"(LAPACK info={info})")
     result = a - b @ scipy.linalg.cho_solve((factor, True), b.T)
     return 0.5 * (result + result.T) if np.array_equal(a, a.T) else result
-
-
-def exact_guard_section(mat, bandwidth, lo, hi, what):
-    """``spd_inverse_section`` as it decided before the certified factor:
-    the exact guard from the band first, then the banded factor, the solve
-    of the columns ``lo:hi``, the mirror and the residual."""
-    n = mat.shape[0]
-    exact_guard(mat, what, bandwidth)
-    band = oc._lower_band(mat, min(bandwidth, n - 1))
-    factor, info = scipy.linalg.lapack.dpbtrf(band, lower=1)
-    if info:
-        raise ConditioningError(f"{what}: Cholesky factorisation failed "
-                                f"(LAPACK info={info})")
-    rhs = np.zeros((n, hi - lo), order="F")
-    rhs[np.arange(lo, hi), np.arange(hi - lo)] = 1.0
-    cols, info = scipy.linalg.lapack.dpbtrs(factor, rhs, lower=1)
-    if info:
-        raise ConditioningError(f"{what}: banded Cholesky solve failed "
-                                f"(LAPACK info={info})")
-    # mirrored in place, so the residual reads the mirrored columns
-    section = cols[lo:hi].T
-    section[...] = np.tril(section) + np.tril(section, -1).T
-    residual = oc._inverse_residual(mat, cols, lo, bandwidth)
-    if not residual <= oc.SPD_RESIDUAL_TOL:
-        raise ConditioningError(f"{what}: inversion residual {residual:.3e} "
-                                f"exceeds {oc.SPD_RESIDUAL_TOL:g}")
-    return section
 
 
 def exact_guard_inverse(mat, what, bandwidth=None):
@@ -616,30 +596,23 @@ class TestSpdKernel:
     @example(seed=6, n=1, bandwidth=0, log_cond=0.0, indefinite=False)
     def test_certified_cholesky_decides_as_the_exact_guard(self, seed, n, bandwidth,
                                                            log_cond, indefinite):
-        """``schur_complement`` (dense factor) and ``spd_inverse_section``
-        (band factor) return the bits of the exact-guard-first oracles, or
-        raise their error with the same message."""
+        """``schur_complement`` returns the bits of the exact-guard-first
+        oracle, or raises its error with the same message."""
         mat = banded_with_condition(seed, n, bandwidth, 10.0 ** log_cond, indefinite)
         rng = np.random.default_rng(seed)
         a, b = 3.0 * np.eye(2), rng.standard_normal((2, n))
-        lo, hi = n // 3, n - n // 3
-        for run, oracle in (
-                (lambda: nc.schur_complement(a, b, mat, what="E"),
-                 lambda: exact_guard_schur(a, b, mat, "E")),
-                (lambda: oc.spd_inverse_section(mat, bandwidth, lo, hi, "E"),
-                 lambda: exact_guard_section(mat, bandwidth, lo, hi, "E"))):
-            try:
-                want = oracle()
-            except ConditioningError as err:
-                want = str(err)
-            try:
-                got = run()
-            except ConditioningError as err:
-                got = str(err)
-            if isinstance(want, str) or isinstance(got, str):
-                assert got == want
-            else:
-                assert np.array_equal(got, want)
+        try:
+            want = exact_guard_schur(a, b, mat, "E")
+        except ConditioningError as err:
+            want = str(err)
+        try:
+            got = nc.schur_complement(a, b, mat, what="E")
+        except ConditioningError as err:
+            got = str(err)
+        if isinstance(want, str) or isinstance(got, str):
+            assert got == want
+        else:
+            assert np.array_equal(got, want)
 
     def test_refused_certificate_leaves_the_decision_to_the_exact_guard(self, monkeypatch):
         # at condition 1e11 the certificate (lambda_min above 1e-9 lambda_max)
@@ -655,10 +628,7 @@ class TestSpdKernel:
         a, b = np.eye(2), np.ones((2, 12))
         assert np.array_equal(nc.schur_complement(a, b, e, what="E"),
                               exact_guard_schur(a, b, e, "E"))
-        banded = np.diag(np.geomspace(1.0, 1e-11, 12))
-        assert np.array_equal(oc.spd_inverse_section(banded, 0, 2, 9, "B"),
-                              exact_guard_section(banded, 0, 2, 9, "B"))
-        assert guards == ["E", "B"]
+        assert guards == ["E"]
 
     def test_accepted_factorisations_make_no_eigensolve(self, monkeypatch):
         calls = []
@@ -716,39 +686,6 @@ class TestSpdKernel:
         for bw in (bandwidth, None):
             got = oc._inverse_residual(mat, cols, first, bw)
             assert abs(got - dense) <= 4 * n * np.finfo(float).eps * scale
-
-    @pytest.mark.parametrize("n,bandwidth,lo,hi", [
-        (1, 0, 0, 1), (30, 0, 5, 25), (60, 5, 0, 60), (120, 8, 30, 90), (45, 50, 10, 11)])
-    def test_banded_section_matches_dense_inverse(self, n, bandwidth, lo, hi):
-        rng = np.random.default_rng(7 * n + bandwidth)
-        lag = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
-        raw = rng.standard_normal((n, n))
-        sym = 0.5 * (raw + raw.T) * (lag <= bandwidth)
-        mat = sym + (np.abs(np.linalg.eigvalsh(sym)[0]) + 0.5) * np.eye(n)
-        section = oc.spd_inverse_section(mat, bandwidth, lo, hi, "m")
-        inv, _, _ = nc.spd_inverse(mat, "m")
-        ref = inv[lo:hi, lo:hi]
-        assert np.array_equal(section, section.T)
-        assert np.abs(section - ref).max() <= 1e-13 * np.abs(ref).max()
-
-    def test_banded_section_refusals(self, monkeypatch):
-        with pytest.raises(ConditioningError, match=r"^m is numerically singular "
-                                                    r"\(lambda_min=0\.000e\+00"):
-            oc.spd_inverse_section(np.diag([2.0, 1.0, 0.0]), 0, 0, 2, "m")
-        rng = np.random.default_rng(8)
-        q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
-        mat = (q * np.array([-0.5, 1.0, 2.0, 3.0, 4.0, 5.0])) @ q.T
-        with pytest.raises(ConditioningError, match=r"lambda_min=-5\.000e-01"):
-            oc.spd_inverse_section(0.5 * (mat + mat.T), 5, 1, 4, "m")
-
-        def failing(ab, **kwargs):
-            return ab, 3
-        monkeypatch.setattr(scipy.linalg.lapack, "dpbtrf", failing)
-        with pytest.raises(ConditioningError, match=r"^m: Cholesky factorisation "
-                                                    r"failed \(LAPACK info=3\)$"):
-            oc.spd_inverse_section(np.diag([2.0, 1.0, 3.0]), 0, 0, 2, "m")
-        with pytest.raises(ConditioningError, match="m is numerically singular"):
-            oc.spd_inverse_section(np.diag([2.0, 1.0, 0.0]), 0, 0, 2, "m")
 
     @pytest.mark.parametrize("n", [1, 20, 256, 300, 600])
     def test_symmetric_product_matches_full_product(self, n):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import nonstatcov as nc
-from nonstatcov.errors import ConditioningError, InputError, ModelError
+from nonstatcov.errors import ConditioningError, DomainError, InputError, ModelError
+from nonstatcov.reference import reference_tvvma
 from nonstatcov.verification import regression_residual_oracle
 
 
@@ -26,6 +27,18 @@ def independent_pair_model():
 
 
 class TestPartialCovPair:
+    def test_pad_follows_the_count_rule(self):
+        c = nc.cov_window(reference_tvvma(), 200, 0, 29)
+        for pad in (2.5, True, 3.0):
+            with pytest.raises(InputError, match="pad must be an integer"):
+                nc.partial_cov_pair(c, 0, 1, pad=pad)
+            with pytest.raises(InputError, match="pad must be an integer"):
+                nc.self_partial_cov(c, 0, pad=pad)
+        with pytest.raises(DomainError, match="pad must be >= 0"):
+            nc.partial_cov_pair(c, 0, 1, pad=-1)
+        got = nc.partial_cov_pair(c, 0, 1, pad=np.int64(3)).deltas
+        assert np.array_equal(got, nc.partial_cov_pair(c, 0, 1, pad=3).deltas)
+
     def test_p2_returns_raw_pair(self):
         w = seeded_spd_window(4, p=2, length=8)
         pair = nc.partial_cov_pair(w, 0, 1)
