@@ -295,26 +295,65 @@ def stationary_inverse_sequence(model: ModelSpec, u: float, max_lag: int,
     return _centre_row(inv, w.p, half, max_lag)
 
 
-#: The FFT grid of :func:`_frozen_inverse_lags` is accepted once its mid-band
-#: lags fall below this fraction of the largest lag-0 entry.
+#: The FFT grid of :func:`_fft_lags` is accepted once its mid-band lags fall
+#: below this fraction of the largest lag-0 entry.
 _ALIAS_RTOL = 1e-14
-#: Largest grid :func:`_frozen_inverse_lags` doubles to.
+#: Largest grid :func:`_fft_lags` doubles to.
 _MAX_GRID = 2**16
 
 
-def _wiener_lags(model: ModelSpec, us: np.ndarray, m: int):
-    """The ``m`` aliased lags ``sum_j D_{r + jm}(u)``, ``r = 0..m-1``, at
-    every ``u`` (shape ``(len(us), m, p, p)``), the mask of the ``u`` whose
-    symbol passed the screen of ``_inverse_spectrum``, and the mask of
-    those whose mid-band lags ``m/4 <= r <= 3m/4`` stay within
-    ``_ALIAS_RTOL`` of the largest entry of ``D_0``."""
+def _wiener_lags(model: ModelSpec, us: np.ndarray, m: int, symbol=None):
+    """The ``m`` aliased lags ``sum_j D_{r + jm}(u)``, ``r = 0..m-1``, of the
+    symbol ``f^-1`` or, when given, of ``symbol(f^-1)`` at every ``u``
+    (shape ``(len(us), m) + trailing``), the mask of the ``u`` whose symbol
+    passed the screen of ``_inverse_spectrum``, and the mask of those whose
+    mid-band lags ``m/4 <= r <= 3m/4`` stay within ``_ALIAS_RTOL`` of the
+    largest entry of ``D_0``.
+
+    ``symbol`` maps the ``(len(us), m//2 + 1, p, p)`` stack of ``f^-1`` on
+    the half grid to a stack of the same two leading axes."""
     g, screened = _inverse_spectrum(model, us, m)
-    # D_r = m^-1 sum_k f(omega_k)^-1 e^{-i r omega_k}: the inverse real FFT
-    # of the conjugate, whose Hermitian extension covers k > m/2
+    if symbol is not None:
+        g = symbol(g)
+    # D_r = m^-1 sum_k g(omega_k) e^{-i r omega_k}: the inverse real FFT of
+    # the conjugate, whose Hermitian extension covers k > m/2
     lags = np.fft.irfft(g.conj(), n=m, axis=1)
-    mid = np.abs(lags[:, m // 4:3 * m // 4 + 1]).max(axis=(1, 2, 3))
-    clean = screened & (mid <= _ALIAS_RTOL * np.abs(lags[:, 0]).max(axis=(1, 2)))
+    mid = np.abs(lags[:, m // 4:3 * m // 4 + 1]).reshape(us.size, -1).max(axis=1)
+    lag0 = np.abs(lags[:, 0]).reshape(us.size, -1).max(axis=1)
+    clean = screened & (mid <= _ALIAS_RTOL * lag0)
     return lags, screened, clean
+
+
+def _fft_lags(model: ModelSpec, us, max_lag: int, dense, symbol=None) -> np.ndarray:
+    """Lags ``r = 0..max_lag`` of a frozen symbol built from ``f(.; u)^-1``
+    at every ``u`` of ``us``, shape ``(len(us), max_lag + 1) + trailing``,
+    by one inverse FFT on the grid ``omega_k = 2 pi k / M``
+    (:func:`_wiener_lags`, which also says what ``symbol`` is).
+
+    The sum gives the aliased lags ``sum_j D_{r + jM}``.  ``M`` is the least
+    power of two ``>= 8 (J + max_lag + 1)``, ``J`` the transfer order,
+    doubled (up to ``2**16``) until at every ``u`` the largest entry of the
+    mid-band lags ``M/4 <= r <= 3M/4``, which estimate the aliasing of the
+    lags up to ``max_lag``, is at most ``1e-14`` of the largest entry of
+    ``D_0``.  No pad and no dense inverse.
+
+    A ``u`` whose symbol the screen of ``_inverse_spectrum`` refuses, or
+    whose lags still alias at ``2**16``, is left to ``dense(u)``, the dense
+    path, which returns its lags or decides with its own refusals.
+
+    Raises:
+        UnsupportedFamilyError: for SRE models.
+    """
+    us = np.atleast_1d(np.asarray(us, dtype=float))
+    m = 1 << (8 * (_transfer_order(model) + max_lag + 1) - 1).bit_length()
+    lags, screened, clean = _wiener_lags(model, us, m, symbol)
+    while np.any(screened & ~clean) and m < _MAX_GRID:
+        m *= 2
+        lags, screened, clean = _wiener_lags(model, us, m, symbol)
+    out = lags[:, :max_lag + 1]
+    for i in np.flatnonzero(~clean):
+        out[i] = dense(us[i])
+    return out
 
 
 def _frozen_inverse_lags(model: ModelSpec, us, max_lag: int) -> np.ndarray:
@@ -322,33 +361,15 @@ def _frozen_inverse_lags(model: ModelSpec, us, max_lag: int) -> np.ndarray:
     ``(len(us), max_lag + 1, p, p)``, by one FFT of the inverse symbol.
 
     The bi-infinite Toeplitz inverse has the symbol ``f(.; u)^-1``, so
-    ``D_r(u) = (2 pi)^-1 int f(omega; u)^-1 e^{-i r omega} d omega``; on the
-    grid ``omega_k = 2 pi k / M`` the sum ``M^-1 sum_k f(omega_k; u)^-1
-    e^{-i r omega_k}`` gives the aliased lags ``sum_j D_{r + jM}``
-    (:func:`_wiener_lags`).  ``M`` is the least power of two
-    ``>= 8 (J + max_lag + 1)``, ``J`` the transfer order, doubled (up to
-    ``2**16``) until at every ``u`` the largest entry of the mid-band lags
-    ``M/4 <= r <= 3M/4``, which estimate the aliasing of the lags up to
-    ``max_lag``, is at most ``1e-14`` of the largest entry of ``D_0``.  No
-    pad and no dense inverse.
-
-    A ``u`` whose symbol the screen refuses, or whose lags still alias at
-    ``2**16``, is left to the dense :func:`stationary_inverse_sequence`,
-    which decides with its own refusals.
+    ``D_r(u) = (2 pi)^-1 int f(omega; u)^-1 e^{-i r omega} d omega``; the
+    grid and its doubling are those of :func:`_fft_lags`.  A ``u`` the FFT
+    path leaves is taken by the dense :func:`stationary_inverse_sequence`.
 
     Raises:
         UnsupportedFamilyError: for SRE models.
     """
-    us = np.atleast_1d(np.asarray(us, dtype=float))
-    m = 1 << (8 * (_transfer_order(model) + max_lag + 1) - 1).bit_length()
-    lags, screened, clean = _wiener_lags(model, us, m)
-    while np.any(screened & ~clean) and m < _MAX_GRID:
-        m *= 2
-        lags, screened, clean = _wiener_lags(model, us, m)
-    out = lags[:, :max_lag + 1]
-    for i in np.flatnonzero(~clean):
-        out[i] = stationary_inverse_sequence(model, us[i], max_lag)
-    return out
+    return _fft_lags(model, us, max_lag,
+                     lambda u: stationary_inverse_sequence(model, u, max_lag))
 
 
 def _kappa_or_raise(model: ModelSpec, kappa: float | None) -> float:

@@ -1292,36 +1292,51 @@ def _burn_in(model: ModelSpec) -> int:
     return 10 * effective_memory(model) + order
 
 
+def _memory(model: ModelSpec) -> int:
+    """How many earlier steps one step of :func:`_run_from_innovations`
+    reads: innovations for a TvVMA, outputs for the recursive families."""
+    return 1 if isinstance(model, SRE) else model.order
+
+
 def _run_from_innovations(model: ModelSpec, n: int, start: int,
-                          eps: np.ndarray) -> np.ndarray:
+                          eps: np.ndarray, prior: np.ndarray | None = None) -> np.ndarray:
     """Drive the recursion with a given innovation array.
 
     ``eps`` has shape ``(reps, T, width)`` for innovations at times
     ``start .. start + T - 1``; returns the paths ``(reps, T, p)``.
     Recursions start from zero state at ``start``.
+
+    With ``prior``, the outputs of an earlier run at the first
+    ``h = prior.shape[1]`` times, the recursion resumes that run: those
+    outputs are copied, and the steps from ``start + h`` on read them as
+    history (a TvVMA reads the innovations ``eps[:, :h]`` instead).  The
+    steps are bit for bit those of the earlier run when ``h`` is
+    :func:`_memory`, or when the earlier run started at ``start``.
     """
     reps, steps, _ = eps.shape
-    ts = np.arange(start, start + steps)
+    first = 0 if prior is None else prior.shape[1]
+    ts = np.arange(start + first, start + steps)
     us = ts / n
+    out = np.zeros((reps, steps, model.p))
+    if first:
+        out[:, :first] = prior
     if isinstance(model, TvVMA):
         j_max = model.order
         p = model.p
-        out = np.zeros((reps, steps, p))
         stacks = model.psi_stacks_array(ts, n)
         # X_t = sum_j Psi_{t,j} eps_{t-j}: one GEMM per step of the innovations
         # at t-jj..t, read as rows of length (jj+1)p, against the transposed
         # coefficients in reverse lag order, w[i, m] = Psi_{t_i, j_max-m}^T
         w = np.ascontiguousarray(stacks[:, ::-1].transpose(0, 1, 3, 2))
-        for i in range(steps):
+        for i in range(first, steps):
             jj = min(j_max, i)
             out[:, i] = (eps[:, i - jj:i + 1].reshape(reps, -1)
-                         @ w[i, j_max - jj:].reshape(-1, p))
+                         @ w[i - first, j_max - jj:].reshape(-1, p))
         return out
     if isinstance(model, TvVAR):
-        p, d = model.p, model.order
-        out = np.zeros((reps, steps, p))
+        d = model.order
         phis, sigmas = model.phi_stacks(us), model.sigma_stacks(us)
-        for i, (phi, sigma) in enumerate(zip(phis, sigmas)):
+        for i, phi, sigma in zip(range(first, steps), phis, sigmas):
             chol = _psd_sqrt(sigma)
             acc = eps[:, i] @ chol.T
             for j in range(1, min(d, i) + 1):
@@ -1330,22 +1345,19 @@ def _run_from_innovations(model: ModelSpec, n: int, start: int,
         return out
     if isinstance(model, TvARCH):
         d = model.order
-        out = np.zeros((reps, steps, 1))
-        for i, a in enumerate(model.a_values(us)):
+        for i, a in zip(range(first, steps), model.a_values(us)):
             var = np.full(reps, a[0])
             for j in range(1, min(d, i) + 1):
                 var = var + a[j] * out[:, i - j, 0] ** 2
             out[:, i, 0] = np.sqrt(var) * eps[:, i, 0]
         return out
     if isinstance(model, SRE):
-        p = model.p
-        out = np.zeros((reps, steps, p))
-        state = np.zeros((reps, p))
+        state = out[:, first - 1].copy() if first else np.zeros((reps, model.p))
         a_scale = model.a_scale.at(us)[:, 0, 0]
         b_scale = model.b_scale.at(us)[:, 0, 0]
-        for i in range(steps):
-            scale = float(a_scale[i]) + model.a_noise * eps[:, i, 0]
-            drive = float(b_scale[i]) * eps[:, i, 1:]
+        for i in range(first, steps):
+            scale = float(a_scale[i - first]) + model.a_noise * eps[:, i, 0]
+            drive = float(b_scale[i - first]) * eps[:, i, 1:]
             state = scale[:, None] * (state @ model.a_matrix.T) + drive
             out[:, i] = state
         return out
@@ -1404,9 +1416,15 @@ def physical_dep_estimate(model: ModelSpec, n: int, t: int, j: int,
     eps = rng.standard_normal((reps, steps, width))
     swap = rng.standard_normal((reps, width))
     base = _run_from_innovations(model, n, start, eps)
-    eps_c = eps.copy()
-    eps_c[:, steps - 1 - j] = swap
-    coupled = _run_from_innovations(model, n, start, eps_c)
+    # the coupled path equals the base path before the swap at step k, so
+    # it resumes there from the base path's last h outputs, with a copy of
+    # the innovations from k - h on
+    k = steps - 1 - j
+    h = min(k, _memory(model))
+    eps_c = eps[:, k - h:].copy()
+    eps_c[:, h] = swap
+    coupled = _run_from_innovations(model, n, start + k - h, eps_c,
+                                    prior=base[:, k - h:k])
     diff = base[:, -1] - coupled[:, -1]
 
     n_batches = 10

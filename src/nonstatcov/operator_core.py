@@ -538,6 +538,12 @@ _ROW_BLOCK = 256
 _BAND_ROW_BLOCK = 64
 
 
+#: The strict upper triangle of one diagonal tile of :func:`_mirror_lower`;
+#: a smaller tile reads its leading corner.
+_TILE_UPPER = np.triu(np.ones((_ROW_BLOCK, _ROW_BLOCK), dtype=bool), 1)
+_TILE_UPPER.flags.writeable = False
+
+
 def _mirror_lower(a: np.ndarray) -> None:
     """Copy the lower triangle of a square array onto its upper one, in place.
 
@@ -547,8 +553,7 @@ def _mirror_lower(a: np.ndarray) -> None:
     for i in range(0, n, _ROW_BLOCK):
         j = min(i + _ROW_BLOCK, n)
         diag = a[i:j, i:j]
-        upper = np.triu_indices(j - i, 1)
-        diag[upper] = diag.T[upper]
+        np.copyto(diag, diag.T, where=_TILE_UPPER[:j - i, :j - i])
         a[i:j, j:] = a[j:, i:j].T
 
 

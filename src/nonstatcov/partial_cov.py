@@ -15,12 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConditioningError, InputError, ModelError, check_count
-from .inverse_analysis import _kappa_or_raise
+from .inverse_analysis import _fft_lags, _kappa_or_raise
 from .models import (ModelSpec, cov_pad, cov_window, local_spectral_densities,
                      stationary_window)
 from .operator_core import (BlockWindow, SPD_RTOL, block_norms, schur_complement,
                             zeta)
-from .reports import GapReport, pair_gaps
+from .reports import GapReport, pair_gaps, two_sided
 
 
 @dataclass(frozen=True)
@@ -70,6 +70,14 @@ def _schur_on_rows(flat: np.ndarray, keep: np.ndarray,
                             what="partial covariance: conditioning block")
 
 
+def _check_components(components: tuple[int, ...], p: int, what: str) -> None:
+    if not all(0 <= x < p for x in components) or \
+            len(set(components)) < len(components):
+        label = ", ".join(str(x) for x in components)
+        label = f"pair ({label})" if len(components) == 2 else label
+        raise InputError(f"{what}: bad component {label} for p={p}")
+
+
 def _partial_schur(c: BlockWindow, components: tuple[int, ...], pad: int,
                    what: str) -> tuple[np.ndarray, tuple[int, ...]]:
     """Partial covariance of ``components`` given every other component.
@@ -81,11 +89,7 @@ def _partial_schur(c: BlockWindow, components: tuple[int, ...], pad: int,
     ``what`` names the caller in error messages.
     """
     p, length = c.p, c.length
-    if not all(0 <= x < p for x in components) or \
-            len(set(components)) < len(components):
-        label = ", ".join(str(x) for x in components)
-        label = f"pair ({label})" if len(components) == 2 else label
-        raise InputError(f"{what}: bad component {label} for p={p}")
+    _check_components(components, p, what)
     if not c.symmetric:
         raise InputError(f"{what}: window must be symmetric")
     check_count(pad, "pad", what)
@@ -169,6 +173,66 @@ def stationary_partial_pair(model: ModelSpec, u: float, a: int, b: int,
                                  deltas=d[:, max_lag].copy(), toeplitz_drift=drift)
 
 
+def _partial_symbol(a: int, b: int):
+    """The frozen partial spectral densities of ``(a, b)`` and of ``a`` from
+    a stack ``g`` of ``f^-1``, packed along one last axis of 5: the four
+    entries of ``inv(g[[a, b], [a, b]])`` (Dahlhaus, Metrika 51, 2000) in
+    row-major order, then ``1 / g[a, a]``.
+
+    The 2 x 2 inverse is the closed form ``[[g_bb, -g_ab], [-g_ba, g_aa]] /
+    det`` from the diagonal and one off-diagonal entry, so it is exactly
+    Hermitian.  Where the screen zeroed ``g`` the densities are zero too;
+    those ``u`` go to the dense path."""
+    def symbol(g: np.ndarray) -> np.ndarray:
+        gaa, gbb, gab = g[..., a, a].real, g[..., b, b].real, g[..., a, b]
+        det = gaa * gbb - (gab.real ** 2 + gab.imag ** 2)
+        ok = det > 0.0
+        inv_det = np.divide(1.0, det, out=np.zeros_like(det), where=ok)
+        inv_aa = np.divide(1.0, gaa, out=np.zeros_like(gaa), where=ok)
+        return np.stack([gbb * inv_det, -gab * inv_det, -gab.conj() * inv_det,
+                         gaa * inv_det, inv_aa], axis=-1)
+    return symbol
+
+
+def _dense_partial_lags(model: ModelSpec, u: float, a: int, b: int,
+                        max_lag: int) -> np.ndarray:
+    """The dense path of :func:`_frozen_partial_lags` at one ``u``: the
+    lags ``r = 0..max_lag`` of the centre column of the pair and self
+    partials of one padded frozen window, packed as the FFT path packs them."""
+    pad = cov_pad(model)
+    half = max_lag + pad
+    w = stationary_window(model, u, -half, half)
+    pair = partial_cov_pair(w, a, b, pad=pad).deltas[max_lag:, max_lag]
+    self_a = self_partial_cov(w, a, pad=pad)[max_lag:, max_lag]
+    return np.concatenate([pair.reshape(-1, 4), self_a[:, None]], axis=1)
+
+
+def _frozen_partial_lags(model: ModelSpec, us, a: int, b: int,
+                         max_lag: int) -> tuple[np.ndarray, np.ndarray]:
+    """Frozen partial covariance lags at every ``u`` of ``us``, by one FFT
+    of the partial spectral densities (:func:`_partial_symbol`) on the grid
+    of :func:`~nonstatcov.inverse_analysis._fft_lags`.
+
+    Returns the two-sided lags ``r = t - tau = -max_lag..max_lag`` (index
+    ``r + max_lag``; negative lags are the transposes of positive ones) of
+    the pair ``(a, b)`` given the other components, shape
+    ``(len(us), 2 max_lag + 1, 2, 2)``, and of ``a`` given all the others,
+    shape ``(len(us), 2 max_lag + 1, 1, 1)``.  A ``u`` the FFT path leaves
+    goes to :func:`_dense_partial_lags`, which decides with its own refusals.
+
+    Raises:
+        InputError: a bad component pair.
+        UnsupportedFamilyError: for SRE models.
+    """
+    _check_components((a, b), model.p, "partial_smoothness_gap")
+    lags = _fft_lags(model, us, max_lag,
+                     lambda u: _dense_partial_lags(model, u, a, b, max_lag),
+                     _partial_symbol(a, b))
+    lead = lags.shape[:2]
+    return (two_sided(lags[..., :4].reshape(lead + (2, 2))),
+            two_sided(lags[..., 4:].reshape(lead + (1, 1))))
+
+
 @dataclass(frozen=True)
 class PartialSmoothnessReport:
     """Array-versus-frozen and Lipschitz gaps of the partial covariances."""
@@ -184,6 +248,15 @@ def partial_smoothness_gap(model: ModelSpec, n: int, a: int, b: int,
                            t_lo: int, t_hi: int, kappa: float | None = None,
                            u_pair: tuple[float, float] | None = None) -> PartialSmoothnessReport:
     """Partial-covariance smoothness gaps over an interior window.
+
+    The array partials come from one padded covariance window: the pair
+    ``(a, b)`` given the other components and ``a`` given all the others,
+    each one Schur step.  Their frozen-time counterparts at every row time
+    ``t/n`` and at the Lipschitz times ``u_pair`` (by default the first and
+    last row times) come in one batch from the FFT of the frozen partial
+    spectral densities (:func:`_frozen_partial_lags`), with no window; a
+    time the FFT path leaves is taken from one dense frozen window, as
+    :func:`stationary_partial_pair` does.
 
     Pair and self gaps are measured against
     ``zeta(t-tau)^(kappa-2) * min(1/N, zeta(t-tau))``; the Lipschitz gaps
@@ -201,27 +274,17 @@ def partial_smoothness_gap(model: ModelSpec, n: int, a: int, b: int,
     if u_pair is None:
         u_pair = (t_lo / n, t_hi / n)
     u, v = u_pair
-    # one frozen window per distinct rescaled time; the centre column of its
-    # pair and self partials holds the lags r = t - tau = -max_lag..max_lag
     times = np.arange(t_lo, t_lo + length)
-    row_us = times / n
-    half = max_lag + pad
-    frozen = {}
-    for s in [*row_us, u, v]:
-        if s not in frozen:
-            w = stationary_window(model, s, -half, half)
-            frozen[s] = (partial_cov_pair(w, a, b, pad=pad).deltas[:, max_lag].copy(),
-                         self_partial_cov(w, a, pad=pad)[:, max_lag, None, None].copy())
+    frozen_pair, frozen_self = _frozen_partial_lags(model, [*times / n, u, v],
+                                                    a, b, max_lag)
 
     def envelope(r):
         return zeta(r) ** (kappa - 2.0) * np.minimum(1.0 / n, zeta(r))
 
-    pair_gap = pair_gaps(times, pair.deltas,
-                         np.stack([frozen[s][0] for s in row_us]), envelope)
-    self_gap = pair_gaps(times, self_a,
-                         np.stack([frozen[s][1] for s in row_us]), envelope)
+    pair_gap = pair_gaps(times, pair.deltas, frozen_pair[:length], envelope)
+    self_gap = pair_gaps(times, self_a, frozen_self[:length], envelope)
 
-    (pu, su), (pv, sv) = frozen[u], frozen[v]
+    (pu, pv), (su, sv) = frozen_pair[length:], frozen_self[length:]
     lags = list(range(-max_lag, max_lag + 1))
     lip_bound = abs(u - v) * zeta(np.asarray(lags)) ** (kappa - 1.0)
     return PartialSmoothnessReport(

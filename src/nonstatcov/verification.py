@@ -423,11 +423,19 @@ def check_lemma_utilities(seed: int = 99, trials: int = 200,
     cs_ok = worst_cs <= 1e-12
 
     ext = np.arange(-grid_half - 50, grid_half + 51, dtype=float)
+    # each weight is evaluated once for all three powers, and one weight of
+    # the grid's length is held at a time
+    sums = {}
+    for weight, sign in ((oc.gu, -1), (oc.zeta, 1)):
+        values = np.asarray(weight(ext))
+        for power in (2, 3, 4):
+            sums[weight, power] = _shifted_dots(values ** (sign * power), 50)
+        del values
     worst_conv = 0.0
     for power in (2, 3, 4):
         tail = 2.0 * (grid_half - 50.0) ** (1 - 2 * power) / (2 * power - 1)
-        sums_gu = _shifted_dots(np.asarray(oc.gu(ext)) ** (-power), 50) + tail
-        sums_z = _shifted_dots(np.asarray(oc.zeta(ext)) ** power, 50) + tail
+        sums_gu = sums[oc.gu, power] + tail
+        sums_z = sums[oc.zeta, power] + tail
         for y in range(-50, 51):
             s_gu, s_z = float(sums_gu[50 + y]), float(sums_z[50 + y])
             r1 = s_gu / ((math.pi**2 + 3) * float(oc.gu(abs(y) - 1)) ** (-power))

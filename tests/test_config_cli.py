@@ -284,18 +284,20 @@ class TestRunExperiment:
 
     def test_verify_all_tables_independent_of_threads(self):
         # the checks share one model instance, validated once across threads;
-        # the last two read TvVAR covariance windows
+        # coherence_consistency and smoothness_transfer read TvVAR covariance
+        # windows, physical_dependence simulates the SRE companion
         cfg = {"experiment": "verify-all", "seed": 7,
                "model": {"reference": "tvvma_kappa4_p2"},
                "grid": {"checks": ["inverse_decay", "eigenvalue_sandwich",
                                    "ar1_analytic", "neumann_certificates",
                                    "partial_oracle", "coherence_consistency",
-                                   "smoothness_transfer"]}}
+                                   "smoothness_transfer", "physical_dependence",
+                                   "lemma_utilities"]}}
         serial = run_experiment(load_config(cfg), threads=1)
-        assert [v.name for v in serial.verdicts][:7] == [
+        assert [v.name for v in serial.verdicts][:9] == [
             "inverse_decay", "neumann_certificates", "ar1_analytic",
             "smoothness_transfer", "partial_oracle", "coherence_consistency",
-            "eigenvalue_sandwich"]
+            "eigenvalue_sandwich", "physical_dependence", "lemma_utilities"]
         for threads in (2, 3):
             threaded = run_experiment(load_config(cfg), threads=threads)
             assert serial.table_csv() == threaded.table_csv()

@@ -6,8 +6,9 @@ and every envelope from scalar Python arithmetic.  Indices must be equal.
 Measured values may differ from the oracle by the tolerance of
 ``block_norms`` against the SVD, ``4 p`` ulps; envelopes and constants by
 4 ulps (array and scalar ``log`` / ``pow`` may round differently).  The
-frozen inverse lags come from the FFT kernel the reports read;
-``test_inverse_analysis`` compares that kernel with the dense path.
+frozen inverse and partial lags come from the FFT kernels the reports read;
+``test_inverse_analysis`` and ``test_partial_cov`` compare those kernels with
+the dense paths.
 """
 
 import numpy as np
@@ -16,6 +17,7 @@ import pytest
 import nonstatcov as nc
 from nonstatcov.inverse_analysis import _frozen_inverse_lags
 from nonstatcov.operator_core import gu, zeta
+from nonstatcov.partial_cov import _frozen_partial_lags
 from nonstatcov.reports import GapReport, envelope_constant
 
 EPS = np.finfo(float).eps
@@ -87,38 +89,34 @@ def test_partial_smoothness_gap_matches_pair_loop(name, a, b):
     self_a = nc.self_partial_cov(c, a, pad=nc.cov_pad(model))
     length = pair.length
     max_lag = length - 1
-    pad = nc.cov_pad(model)
-    half = max_lag + pad
-
-    def frozen_self_lags(u):
-        w = nc.stationary_window(model, u, -half, half)
-        return nc.self_partial_cov(w, a, pad)[:, max_lag]
+    u, v = rep.u_pair
+    assert (u, v) == (t_lo / n, t_hi / n)
+    # the frozen pair and self lags of every row time and of u, v, from the
+    # one kernel the gap reads
+    us = [t / n for t in range(t_lo, t_lo + length)] + [u, v]
+    frozen_pair, frozen_self = _frozen_partial_lags(model, us, a, b, max_lag)
 
     idx, meas_pair, meas_self, bound = [], [], [], []
     for ti in range(length):
         t = t_lo + ti
-        frozen_pair = nc.stationary_partial_pair(model, t / n, a, b, max_lag)
-        frozen_self = frozen_self_lags(t / n)
         for tj in range(length):
             tau = t_lo + tj
             r = t - tau
             zr = float(zeta(r))
             idx.append((t, tau))
-            meas_pair.append(np.linalg.norm(pair.deltas[ti, tj] - frozen_pair.delta(r), 2))
-            meas_self.append(abs(float(self_a[ti, tj]) - float(frozen_self[r + max_lag])))
+            meas_pair.append(np.linalg.norm(pair.deltas[ti, tj]
+                                            - frozen_pair[ti, r + max_lag], 2))
+            meas_self.append(abs(float(self_a[ti, tj])
+                                 - float(frozen_self[ti, r + max_lag, 0, 0])))
             bound.append(zr ** (kappa - 2.0) * min(1.0 / n, zr))
     assert_report(rep.pair_gaps, idx, meas_pair, bound, 2)
     assert_report(rep.self_gaps, idx, meas_self, bound, 1)
 
-    u, v = rep.u_pair
-    assert (u, v) == (t_lo / n, t_hi / n)
-    pu = nc.stationary_partial_pair(model, u, a, b, max_lag)
-    pv = nc.stationary_partial_pair(model, v, a, b, max_lag)
-    su = frozen_self_lags(u)
-    sv = frozen_self_lags(v)
+    pu, pv = frozen_pair[length:]
+    su, sv = frozen_self[length:, :, 0, 0]
     lags = list(range(-max_lag, max_lag + 1))
     lip_bound = [abs(u - v) * float(zeta(r)) ** (kappa - 1.0) for r in lags]
-    pair_lip = [np.linalg.norm(pu.delta(r) - pv.delta(r), 2) for r in lags]
+    pair_lip = [np.linalg.norm(pu[r + max_lag] - pv[r + max_lag], 2) for r in lags]
     assert_report(rep.pair_lipschitz, lags, pair_lip, lip_bound, 2)
     assert_report(rep.self_lipschitz, lags, np.abs(su - sv), lip_bound, 1)
 

@@ -1061,6 +1061,42 @@ class TestPhysicalDependence:
         with pytest.raises(DomainError):
             nc.physical_dep_estimate(reference_sre(), 100, 10, 1, reps=10, seed=1)
 
+    @staticmethod
+    def full_rerun_estimate(model, n, t, j, reps, seed):
+        """The estimate with the coupled path rerun from the first step."""
+        burn = models._burn_in(model)
+        start = t - j - burn
+        steps = t - start + 1
+        rng = np.random.default_rng(seed)
+        width = models._innovation_width(model)
+        eps = rng.standard_normal((reps, steps, width))
+        swap = rng.standard_normal((reps, width))
+        base = models._run_from_innovations(model, n, start, eps)
+        eps_c = eps.copy()
+        eps_c[:, steps - 1 - j] = swap
+        coupled = models._run_from_innovations(model, n, start, eps_c)
+        diff = base[:, -1] - coupled[:, -1]
+        batches = np.split(diff, np.cumsum(np.full(9, reps // 10)))
+        batch_norms = nc.block_norms(np.stack([d.T @ d / len(d) for d in batches]))
+        return (float(nc.block_norms(diff.T @ diff / reps)),
+                float(batch_norms.std(ddof=1) / math.sqrt(10)))
+
+    @pytest.mark.parametrize("name", ["tvvma_kappa4_p2", "var2", "tvarch_order2", "sre_p2"])
+    def test_resumed_coupled_path_is_bitwise_the_full_rerun(self, name):
+        if name == "var2":
+            model = nc.TvVAR(p=2, phis=(nc.sinusoidal_fn([[0.4, 0.1], [0.0, 0.3]],
+                                                         0.05 * np.eye(2)),
+                                        nc.constant_fn([[0.2, 0.0], [0.1, -0.1]])),
+                             sigma=nc.constant_fn([[1.0, 0.3], [0.3, 0.8]]))
+        else:
+            model = nc.get_reference_model(name)
+        order = models._memory(model)
+        # j = burn + 3 swaps an innovation older than the whole burn-in
+        for j in sorted({0, 1, order, models._burn_in(model) + 3}):
+            est = nc.physical_dep_estimate(model, 200, 60, j, reps=100, seed=17 + j)
+            assert (est.value, est.stderr) == \
+                self.full_rerun_estimate(model, 200, 60, j, 100, 17 + j)
+
     def test_sre_geometric_decay(self):
         model = reference_sre()
         vals = [nc.physical_dep_estimate(model, 200, 80, j, reps=2000, seed=40 + j).value

@@ -698,6 +698,15 @@ class TestSpdKernel:
         assert np.array_equal(out, out.T)
         assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
 
+    @pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 600])
+    def test_mirror_lower_copies_the_lower_triangle_exactly(self, n):
+        # the diagonal tiles of every size read one cached 256 x 256 mask
+        a = np.random.default_rng(n).standard_normal((n, n))
+        want = np.tril(a) + np.tril(a, -1).T
+        oc._mirror_lower(a)
+        assert np.array_equal(a, want)
+        assert not oc._TILE_UPPER.flags.writeable
+
     def test_schur_on_rows_agrees_with_schur_complement(self):
         from nonstatcov.partial_cov import _schur_on_rows
         rng = np.random.default_rng(31)

@@ -1,11 +1,16 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 import nonstatcov as nc
-from nonstatcov.errors import ConditioningError, DomainError, InputError, ModelError
-from nonstatcov.reference import reference_tvvma
+from nonstatcov.errors import (ConditioningError, DomainError, InputError, ModelError,
+                               UnsupportedFamilyError)
+from nonstatcov.inverse_analysis import _wiener_lags
+from nonstatcov.models import _inverse_spectrum
+from nonstatcov.partial_cov import _frozen_partial_lags, _partial_symbol
+from nonstatcov.reference import reference_sre, reference_tvvma
 from nonstatcov.verification import regression_residual_oracle
 
 
@@ -199,22 +204,131 @@ class TestStationaryPartial:
         assert rep.toeplitz_drift == drift
 
 
+def order2_var_p3():
+    """p = 3 second-order autoregression with time-varying coupling."""
+    phi1 = np.array([[0.30, 0.10, 0.05], [0.05, 0.25, 0.10], [0.10, 0.00, 0.20]])
+    phi2 = np.array([[0.15, 0.00, 0.05], [0.05, -0.10, 0.00], [0.00, 0.05, 0.10]])
+    sigma = np.array([[1.0, 0.3, 0.1], [0.3, 1.2, 0.2], [0.1, 0.2, 0.9]])
+    return nc.TvVAR(p=3, phis=(nc.sinusoidal_fn(phi1, 0.05 * np.eye(3)),
+                               nc.constant_fn(phi2)),
+                    sigma=nc.constant_fn(sigma))
+
+
+def dense_partial_lags(model, us, a, b, max_lag):
+    """The two-sided frozen pair and self lags from the dense second path:
+    ``stationary_partial_pair`` and the centre column of the self partial
+    of the same padded frozen window."""
+    pad = nc.cov_pad(model)
+    half = max_lag + pad
+    pairs = np.stack([nc.stationary_partial_pair(model, u, a, b, max_lag).deltas
+                      for u in us])
+    selfs = np.stack([nc.self_partial_cov(nc.stationary_window(model, u, -half, half),
+                                          a, pad)[:, max_lag] for u in us])
+    return pairs, selfs[:, :, None, None]
+
+
+class TestFrozenPartialKernel:
+    """The FFT frozen partial lags against the dense frozen windows they
+    replaced and against themselves on a grid twice as fine."""
+
+    US = np.array([0.0, 0.3, 0.62, 1.0])
+
+    def assert_matches_dense(self, model, a, b, max_lag):
+        got = _frozen_partial_lags(model, self.US, a, b, max_lag)
+        want = dense_partial_lags(model, self.US, a, b, max_lag)
+        scale = np.abs(want[0]).max()
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            assert np.abs(g - w).max() <= 1e-13 * scale
+
+    @pytest.mark.parametrize("a,b", list(itertools.permutations(range(3), 2)))
+    def test_matches_dense_path_on_every_pair_of_the_var(self, a, b):
+        self.assert_matches_dense(nc.get_reference_model("tvvar1_p3"), a, b, 6)
+
+    def test_matches_dense_path_on_a_p3_vma(self):
+        self.assert_matches_dense(reference_tvvma(p=3), 0, 2, 6)
+
+    def test_matches_dense_path_on_an_order2_var(self):
+        self.assert_matches_dense(order2_var_p3(), 1, 0, 5)
+
+    @pytest.mark.parametrize("name,a,b", [("tvvar1_p3", 0, 1), ("tvvma_kappa4_p2", 1, 0)])
+    def test_twice_the_grid_agrees(self, name, a, b):
+        model = nc.get_reference_model(name)
+        max_lag = 8
+        symbol = _partial_symbol(a, b)
+        # the grid the kernel settles on, by its own doubling rule
+        m = 1 << (8 * (nc.models._transfer_order(model) + max_lag + 1) - 1).bit_length()
+        while not _wiener_lags(model, self.US, m, symbol)[2].all():
+            m *= 2
+        got = _frozen_partial_lags(model, self.US, a, b, max_lag)
+        lags = _wiener_lags(model, self.US, m, symbol)[0][:, :max_lag + 1]
+        assert np.array_equal(got[0][:, max_lag:].reshape(lags.shape[:2] + (4,)),
+                              lags[..., :4])
+        finer = _wiener_lags(model, self.US, 2 * m, symbol)[0][:, :max_lag + 1]
+        assert np.abs(lags - finer).max() <= 1e-13 * np.abs(lags).max()
+
+    def test_negative_lags_are_transposes(self):
+        pair, self_a = _frozen_partial_lags(nc.get_reference_model("tvvar1_p3"),
+                                            [0.4], 2, 0, 5)
+        assert np.array_equal(pair[0, :5], pair[0, :5:-1].swapaxes(1, 2))
+        assert np.array_equal(self_a[0, :5], self_a[0, :5:-1])
+
+    def test_sre_raises_unsupported_family(self):
+        with pytest.raises(UnsupportedFamilyError):
+            _frozen_partial_lags(reference_sre(), [0.5], 0, 1, 4)
+
+    def test_scalar_model_has_no_pair(self):
+        with pytest.raises(InputError, match="bad component pair"):
+            _frozen_partial_lags(nc.get_reference_model("ar1_phi05"), [0.5], 0, 1, 4)
+
+    def test_unstable_frozen_var_falls_back_to_the_dense_refusal(self):
+        model = nc.TvVAR(p=2, phis=(nc.constant_fn(1.5 * np.eye(2)),),
+                         sigma=nc.constant_fn(np.eye(2)))
+        assert not _inverse_spectrum(model, [0.5], 64)[1].any()
+        with pytest.raises(ModelError) as fft:
+            _frozen_partial_lags(model, [0.5], 0, 1, 4)
+        with pytest.raises(ModelError) as dense:
+            nc.stationary_partial_pair(model, 0.5, 0, 1, 4)
+        assert str(fft.value) == str(dense.value)
+
+    def test_screened_out_symbol_is_left_to_the_dense_window(self):
+        # 1 + z vanishes at omega = pi in both components: the symbol has no
+        # bounded inverse, so the screen refuses and the dense window decides
+        model = nc.TvVMA(p=2, psis=(nc.constant_fn(np.eye(2)),
+                                    nc.constant_fn([[1.0, 0.0], [0.2, 1.0]])))
+        assert not _inverse_spectrum(model, [0.5], 64)[1].any()
+        got = _frozen_partial_lags(model, [0.5], 0, 1, 3)
+        pad = nc.cov_pad(model)
+        w = nc.stationary_window(model, 0.5, -3 - pad, 3 + pad)
+        want = nc.partial_cov_pair(w, 0, 1, pad=pad).deltas[3:, 3]
+        assert np.array_equal(got[0][0, 3:], want)
+
+
 class TestPartialSmoothness:
-    @pytest.mark.parametrize("u_pair,extra", [(None, 0), ((0.3013, 0.7021), 2)])
-    def test_one_frozen_window_per_rescaled_time(self, monkeypatch, u_pair, extra):
-        from nonstatcov import partial_cov
-        built = []
+    @pytest.mark.parametrize("u_pair", [None, (0.3013, 0.7021)])
+    def test_frozen_times_share_one_fft_batch(self, monkeypatch, u_pair):
+        from nonstatcov import inverse_analysis, partial_cov
+        windows, batches = [], []
 
         def counting_window(model, u, t_lo, t_hi):
-            built.append(u)
+            windows.append(u)
             return nc.stationary_window(model, u, t_lo, t_hi)
 
+        def counting_spectrum(model, us, m):
+            batches.append(list(us))
+            return _inverse_spectrum(model, us, m)
+
         monkeypatch.setattr(partial_cov, "stationary_window", counting_window)
+        monkeypatch.setattr(inverse_analysis, "_inverse_spectrum", counting_spectrum)
         model = nc.get_reference_model("tvvar1_p3")
-        t_lo, t_hi = 98, 102
-        nc.partial_smoothness_gap(model, 200, 0, 1, t_lo, t_hi, kappa=4.0,
-                                  u_pair=u_pair)
-        assert len(built) == len(set(built)) == (t_hi - t_lo + 1) + extra
+        n, t_lo, t_hi = 200, 98, 102
+        rep = nc.partial_smoothness_gap(model, n, 0, 1, t_lo, t_hi, kappa=4.0,
+                                        u_pair=u_pair)
+        # the row times and the Lipschitz pair in one batch on each grid the
+        # doubling tries; no frozen window
+        assert windows == []
+        want = [t / n for t in range(t_lo, t_hi + 1)] + list(rep.u_pair)
+        assert batches and all(batch == want for batch in batches)
 
     def test_frozen_model_gaps_vanish(self):
         model = independent_pair_model()
