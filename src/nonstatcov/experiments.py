@@ -4,7 +4,7 @@ Every runner emits rows in one uniform schema
 ``(experiment, model_hash, N, kind, i, j, measured, envelope, constant)``
 and a list of pass/fail verdicts that are pure functions of those rows.
 Reruns with an identical config are byte-identical except for the
-timestamp in ``metadata.json``.
+timestamp and the peak memory in ``metadata.json``.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 import tempfile
 import time
 from dataclasses import dataclass
@@ -28,6 +29,11 @@ from . import verification as vf
 from .config import ExperimentConfig, load_config, partial_gaps_apply
 from .errors import ConfigError, InputError
 from .models import SRE, TvVMA
+
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
 
 COLUMNS = ("experiment", "model_hash", "N", "kind", "i", "j",
            "measured", "envelope", "constant")
@@ -119,6 +125,12 @@ def _finalize(experiment: str, config: ExperimentConfig, rows, verdicts) -> Repo
                                  "spectral density (no 1/2pi in f)",
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
+    if resource is not None:
+        # the process's peak resident memory so far; ru_maxrss counts KiB,
+        # or bytes on macOS
+        scale = 2.0**20 if sys.platform == "darwin" else 2.0**10
+        metadata["peak_rss_mb"] = round(
+            resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / scale, 1)
     return Report(experiment=experiment, metadata=metadata, rows=rows,
                   verdicts=verdicts)
 

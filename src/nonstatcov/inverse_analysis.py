@@ -75,15 +75,27 @@ def finite_section_inverse(c: BlockWindow, pad: int) -> InverseWindow:
         DomainError: a negative ``pad``.
         ConditioningError: singular window or residual above 1e-8.
     """
+    return _interior_inverse([c], pad)
+
+
+def _interior_inverse(held: list, pad: int) -> InverseWindow:
+    """:func:`finite_section_inverse` of the window ``held.pop()``.
+
+    Takes the window out of ``held``, so that a caller that built it for
+    this call alone lets it go before the interior is copied out of the
+    inverse.
+    """
+    c = held.pop()
     if not c.symmetric:
         raise InputError("finite_section_inverse: window must be symmetric")
     check_count(pad, "pad", "finite_section_inverse")
     if c.length - 2 * pad < 1:
         raise InputError("finite_section_inverse: pad leaves no interior")
     inv, bound, residual = spd_inverse(c.flatten(), "finite_section_inverse: window")
-    lo, hi = pad * c.p, (c.length - pad) * c.p
-    interior = BlockWindow.from_flat(inv[lo:hi, lo:hi], c.p, t_lo=c.t_lo + pad,
-                                     symmetrize=True)
+    p, t_lo, length = c.p, c.t_lo, c.length
+    del c
+    lo, hi = pad * p, (length - pad) * p
+    interior = BlockWindow._adopt(inv[lo:hi, lo:hi], p, t_lo=t_lo + pad)
     return InverseWindow(base=interior, source_pad=pad, condition_bound=bound,
                          residual=residual)
 
@@ -92,6 +104,8 @@ def model_inverse_window(model: ModelSpec, n: int, t_lo: int, t_hi: int,
                          pad: int | None = None) -> InverseWindow:
     """Interior inverse-covariance section of a model over ``[t_lo, t_hi]``.
 
+    The padded covariance window is freed before the interior is copied.
+
     Raises:
         InputError: a ``bool`` or non-integer ``pad``, ``t_lo`` or ``t_hi``.
         DomainError: a negative ``pad``.
@@ -99,8 +113,7 @@ def model_inverse_window(model: ModelSpec, n: int, t_lo: int, t_hi: int,
     if pad is None:
         pad = cov_pad(model)
     check_count(pad, "pad", "model_inverse_window")
-    c = cov_window(model, n, t_lo - pad, t_hi + pad)
-    return finite_section_inverse(c, pad)
+    return _interior_inverse([cov_window(model, n, t_lo - pad, t_hi + pad)], pad)
 
 
 def _flush_tiny(a: np.ndarray) -> np.ndarray:
@@ -234,7 +247,7 @@ def neumann_inverse(c: BlockWindow, m: int, terms: int) -> NeumannResult:
     operands = [np.negative(prod, out=prod)]
     del prod
     approx_flat = _neumann_sum(b_inv, operands, terms)
-    approx = BlockWindow.from_flat(approx_flat, c.p, t_lo=c.t_lo, symmetrize=True)
+    approx = BlockWindow._adopt(approx_flat, c.p, t_lo=c.t_lo)
     tail = b_inv_norm * q ** (terms + 1) / (1.0 - q)
     # ||C^-1|| <= ||B^-1||/(1-q), so a conservative allowance for the
     # rounding of the series products and of any dense reference inverse is

@@ -662,7 +662,7 @@ def _vma_cov_window(model: TvVMA, n: int, t_lo: int, t_hi: int) -> BlockWindow:
         blocks[idx, idx + delta] = vals
         if delta:
             blocks[idx + delta, idx] = vals.transpose(0, 2, 1)
-    return BlockWindow.from_flat(flat, p, t_lo=t_lo, symmetrize=True)
+    return BlockWindow._adopt(flat, p, t_lo=t_lo)
 
 
 def _var_cov_window(model: TvVAR, n: int, t_lo: int, t_hi: int, pad: int) -> np.ndarray:
@@ -701,7 +701,6 @@ def _var_cov_window(model: TvVAR, n: int, t_lo: int, t_hi: int, pad: int) -> np.
             k[:, col:col + p] = v[:, :p]
             flat[col:col + p, :col + p] = k[:p, :col + p]
     _mirror_lower(flat)
-    _require_finite(flat, "cov_window")
     return flat
 
 
@@ -752,11 +751,11 @@ def cov_window(model: ModelSpec, n: int, t_lo: int, t_hi: int,
         return _vma_cov_window(model, n, t_lo, t_hi)
     if isinstance(model, TvVAR):
         pad = cov_pad(model) if pad is None else pad
-        return BlockWindow.from_flat(_var_cov_window(model, n, t_lo, t_hi, pad),
-                                     model.p, t_lo=t_lo, symmetrize=True)
+        return BlockWindow._adopt(_var_cov_window(model, n, t_lo, t_hi, pad),
+                                  model.p, t_lo=t_lo, what="cov_window")
     if isinstance(model, TvARCH):
         m = _arch_mean_square(model, n, t_lo, t_hi)
-        return BlockWindow.from_flat(np.diag(m), 1, t_lo=t_lo, symmetrize=True)
+        return BlockWindow._adopt(np.diag(m), 1, t_lo=t_lo)
     raise UnsupportedFamilyError(
         "cov_window: stochastic recurrence models have no closed-form "
         "covariance; use simulate_path / physical_dep_estimate")
@@ -861,8 +860,11 @@ def stationary_cov_sequence(model: ModelSpec, u: float, max_lag: int) -> np.ndar
     Negative lags follow from ``C_{-r}(u) = C_r(u)^T``.
 
     Raises:
-        InputError: if a lag sum overflows.
+        InputError: a ``bool`` or non-integer ``max_lag``, or a lag sum that
+            overflows.
+        DomainError: a negative ``max_lag``.
     """
+    check_count(max_lag, "max_lag", "stationary_cov_sequence")
     return _stationary_cov_sequences(model, [u], max_lag)[0]
 
 
@@ -878,8 +880,7 @@ def stationary_window(model: ModelSpec, u: float, t_lo: int, t_hi: int) -> Block
     length = t_hi - t_lo + 1
     seq = stationary_cov_sequence(model, u, length - 1)
     # C_{t,tau} = C_{t-tau}(u)
-    return BlockWindow.from_flat(block_toeplitz(seq, length), seq.shape[1],
-                                 t_lo=t_lo, symmetrize=True)
+    return BlockWindow._adopt(block_toeplitz(seq, length), seq.shape[1], t_lo=t_lo)
 
 
 def stationary_cov_derivative(model: ModelSpec, u: float, max_lag: int) -> np.ndarray:

@@ -164,6 +164,14 @@ def block_toeplitz(seq: np.ndarray, length: int) -> np.ndarray:
     return flat
 
 
+def _check_flat_shape(flat: np.ndarray, p: int) -> None:
+    n = flat.shape[0] if flat.ndim else 0
+    if flat.shape != (n, n) or n % p:
+        raise InputError(f"from_flat: shape {flat.shape} incompatible with p={p}")
+    if n == 0:
+        raise InputError("BlockWindow: window must hold at least one block")
+
+
 @dataclass(frozen=True)
 class BlockWindow:
     """A finite section of an infinite block matrix.
@@ -238,20 +246,38 @@ class BlockWindow:
         first (which leaves an exactly symmetric matrix unchanged), so the
         result carries the exact-symmetry flag.
         """
+        if symmetrize:
+            return cls._adopt(np.array(flat, dtype=float, order="C"), p, t_lo)
         flat = np.asarray(flat, dtype=float)
-        n = flat.shape[0]
-        if flat.shape != (n, n) or n % p:
-            raise InputError(f"from_flat: shape {flat.shape} incompatible with p={p}")
-        window = cls(t_lo=t_lo, p=p, blocks=block_view(flat, p))
-        if not symmetrize:
-            return window
-        stored = window.flatten()
-        if not np.array_equal(stored, stored.T):
+        _check_flat_shape(flat, p)
+        return cls(t_lo=t_lo, p=p, blocks=block_view(flat, p))
+
+    @classmethod
+    def _adopt(cls, flat: np.ndarray, p: int, t_lo: int = 0,
+               what: str = "BlockWindow") -> "BlockWindow":
+        """``from_flat(flat, p, t_lo, symmetrize=True)`` without the copy.
+
+        The window takes over ``flat``, a fresh array that nothing else
+        writes to, and makes it read-only; only a matrix that is not
+        C-contiguous float is copied (once).  The checks are the same: the
+        shape, one exact-symmetry comparison (a matrix that fails it is
+        replaced by ``(M + M^T)/2``) and finiteness, refused with
+        ``InputError("<what>: non-finite entries")``.
+        """
+        flat = np.ascontiguousarray(flat, dtype=float)
+        _check_flat_shape(flat, p)
+        if not np.array_equal(flat, flat.T):
             # each entry of M + M^T and its mirror add the same two numbers,
-            # so the average is exactly symmetric
-            window = cls(t_lo=t_lo, p=p, blocks=block_view(0.5 * (flat + flat.T), p))
-        # the one comparison above stands in for the constructor's
-        object.__setattr__(window, "symmetric", True)
+            # so the average is exactly symmetric; averaging keeps every
+            # non-finite entry non-finite
+            flat = 0.5 * (flat + flat.T)
+        if not np.all(np.isfinite(flat)):
+            raise InputError(f"{what}: non-finite entries")
+        flat.flags.writeable = False
+        window = object.__new__(cls)
+        for name, value in (("t_lo", t_lo), ("p", p), ("symmetric", True),
+                            ("_flat", flat), ("blocks", block_view(flat, p))):
+            object.__setattr__(window, name, value)
         return window
 
     def norms(self) -> np.ndarray:

@@ -71,6 +71,8 @@ def _schur_on_rows(flat: np.ndarray, keep: np.ndarray,
 
 
 def _check_components(components: tuple[int, ...], p: int, what: str) -> None:
+    for x in components:
+        check_count(x, "component", what, signed=True)
     if not all(0 <= x < p for x in components) or \
             len(set(components)) < len(components):
         label = ", ".join(str(x) for x in components)

@@ -114,15 +114,27 @@ def check_neumann_certificates(model=None, seed: int = 7011,
                                count: int = 50, n: int = 200) -> CheckResult:
     model = reference_tvvma() if model is None else model
     rng = np.random.default_rng(seed)
-    violations = 0
-    worst = 0.0
-    rows = []
-    for i in range(count):
+    draws = []
+    for _ in range(count):
         t0 = int(rng.integers(-40, 160))
         length = int(rng.integers(50, 91))
         bw = int(rng.choice([6, 8, 10, 12]))
         terms = int(rng.choice([3, 6, 10, 20]))
-        c = md.cov_window(model, n, t0, t0 + length - 1)
+        draws.append((t0, length, bw, terms))
+    # every section is cut from one window over their union; for a moving
+    # average an entry depends only on its two times, so the cut equals the
+    # section's own window (a recursive family's is started further back)
+    t_lo = min(t0 for t0, *_ in draws)
+    t_hi = max(t0 + length - 1 for t0, length, *_ in draws)
+    union = md.cov_window(model, n, t_lo, t_hi)
+    full, p = union.flatten(), union.p
+    violations = 0
+    worst = 0.0
+    rows = []
+    for i, (t0, length, bw, terms) in enumerate(draws):
+        lo = (t0 - t_lo) * p
+        c = oc.BlockWindow.from_flat(full[lo:lo + length * p, lo:lo + length * p], p,
+                                     t_lo=t0, symmetrize=True)
         res = ia.neumann_inverse(c, bw, terms)
         dense = np.linalg.inv(c.flatten())
         true_err = float(np.linalg.norm(res.approx.flatten() - dense, 2))
@@ -384,19 +396,28 @@ def check_physical_dependence(sre_model=None, n: int = 200, t_index: int = 100,
 # criterion 11: matrix Cauchy-Schwarz and convolution bounds
 # ---------------------------------------------------------------------------
 
-#: Chunk length of :func:`_shifted_dots`: a chunk of both operands stays in
-#: cache across all the shifts.
+#: Chunk length of :func:`_shifted_dots`: a chunk of the grid and its
+#: powers stays in cache across all the shifts.
 _SHIFT_CHUNK = 4096
 
 
-def _shifted_dots(x: np.ndarray, reach: int) -> np.ndarray:
-    """``s[k] = x[reach:-reach] . x[k:k + len(x) - 2*reach]`` for every
-    ``k = 0..2*reach``, accumulated over cache-sized chunks."""
-    width = x.size - 2 * reach
-    sums = np.zeros(2 * reach + 1)
+def _shifted_dots(weight, exponents, half: int, reach: int) -> np.ndarray:
+    """``s[i, k] = x[reach:-reach] . x[k:k + 2*half + 1]`` for
+    ``x = weight(j)**exponents[i]`` on the integers ``|j| <= half + reach``
+    and every ``k = 0..2*reach``, accumulated over cache-sized chunks.
+
+    Each chunk builds only its own slice of the grid, so the memory does not
+    grow with ``half``; the weight is evaluated once per chunk for all the
+    exponents.
+    """
+    width = 2 * half + 1
+    sums = np.zeros((len(exponents), 2 * reach + 1))
     for lo in range(0, width, _SHIFT_CHUNK):
         hi = min(lo + _SHIFT_CHUNK, width)
-        sums += np.correlate(x[lo:hi + 2 * reach], x[reach + lo:reach + hi], "valid")
+        values = weight(np.arange(lo - half - reach, hi - half + reach, dtype=float))
+        for row, exponent in zip(sums, exponents):
+            x = values ** exponent
+            row += np.correlate(x, x[reach:reach + hi - lo], "valid")
     return sums
 
 
@@ -422,20 +443,14 @@ def check_lemma_utilities(seed: int = 99, trials: int = 200,
         worst_cs = max(worst_cs, float(np.max(cxy**2 - vx_ * vy)))
     cs_ok = worst_cs <= 1e-12
 
-    ext = np.arange(-grid_half - 50, grid_half + 51, dtype=float)
-    # each weight is evaluated once for all three powers, and one weight of
-    # the grid's length is held at a time
-    sums = {}
-    for weight, sign in ((oc.gu, -1), (oc.zeta, 1)):
-        values = np.asarray(weight(ext))
-        for power in (2, 3, 4):
-            sums[weight, power] = _shifted_dots(values ** (sign * power), 50)
-        del values
+    powers = (2, 3, 4)
+    gu_sums = _shifted_dots(oc.gu, [-k for k in powers], grid_half, 50)
+    zeta_sums = _shifted_dots(oc.zeta, powers, grid_half, 50)
     worst_conv = 0.0
-    for power in (2, 3, 4):
+    for power, gu_row, zeta_row in zip(powers, gu_sums, zeta_sums):
         tail = 2.0 * (grid_half - 50.0) ** (1 - 2 * power) / (2 * power - 1)
-        sums_gu = sums[oc.gu, power] + tail
-        sums_z = sums[oc.zeta, power] + tail
+        sums_gu = gu_row + tail
+        sums_z = zeta_row + tail
         for y in range(-50, 51):
             s_gu, s_z = float(sums_gu[50 + y]), float(sums_z[50 + y])
             r1 = s_gu / ((math.pi**2 + 3) * float(oc.gu(abs(y) - 1)) ** (-power))

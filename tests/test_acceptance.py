@@ -12,9 +12,13 @@ import importlib.util
 import json
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
+
 from nonstatcov import cli
+from nonstatcov import operator_core as oc
 from nonstatcov import verification as vf
 
 
@@ -119,6 +123,37 @@ def test_criterion_11_norm_inequalities():
     assert res.details["worst_cs_excess"] <= 1e-12
     assert res.details["worst_convolution_ratio"] <= 1.0
 
+
+
+def test_lemma_grid_streams_the_materialised_sums():
+    # 2 * 3000 + 1 grid points: two full chunks and a partial one
+    half, reach = 3000, 50
+    assert (2 * half + 1) % vf._SHIFT_CHUNK
+    grid = np.arange(-half - reach, half + reach + 1, dtype=float)
+    width = grid.size - 2 * reach
+    for weight, exponents in ((oc.gu, (-2, -3, -4)), (oc.zeta, (2, 3, 4))):
+        got = vf._shifted_dots(weight, exponents, half, reach)
+        values = weight(grid)
+        for row, exponent in zip(got, exponents):
+            x = values ** exponent
+            want = np.zeros(2 * reach + 1)
+            for lo in range(0, width, vf._SHIFT_CHUNK):
+                hi = min(lo + vf._SHIFT_CHUNK, width)
+                want += np.correlate(x[lo:hi + 2 * reach], x[reach + lo:reach + hi],
+                                     "valid")
+            assert np.array_equal(row, want)
+
+
+def test_lemma_check_memory_does_not_grow_with_the_grid():
+    # the 2,000,101-point grid as one array would take 16 MB
+    tracemalloc.start()
+    try:
+        res = vf.check_lemma_utilities()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.passed
+    assert peak < 4 * 2**20
 
 def _bench_workloads(monkeypatch):
     """``bench/workloads.py``, loaded with ``bench/`` on the path so its

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nonstatcov as nc
-from nonstatcov import cli
+from nonstatcov import cli, experiments
 from nonstatcov.config import (EXPERIMENT_KINDS, GRID_FIELDS, MODEL_FAMILIES,
                                PARTIAL_GAP_FIELDS, REQUIRED, coefficient_fn_to_json,
                                config_digest, load_config, model_from_json,
@@ -292,12 +292,14 @@ class TestRunExperiment:
                                    "ar1_analytic", "neumann_certificates",
                                    "partial_oracle", "coherence_consistency",
                                    "smoothness_transfer", "physical_dependence",
-                                   "lemma_utilities"]}}
+                                   "lemma_utilities", "banded_inverse_soundness",
+                                   "baxter_gaps"]}}
         serial = run_experiment(load_config(cfg), threads=1)
-        assert [v.name for v in serial.verdicts][:9] == [
-            "inverse_decay", "neumann_certificates", "ar1_analytic",
-            "smoothness_transfer", "partial_oracle", "coherence_consistency",
-            "eigenvalue_sandwich", "physical_dependence", "lemma_utilities"]
+        assert [v.name for v in serial.verdicts][:11] == [
+            "inverse_decay", "banded_inverse_soundness", "neumann_certificates",
+            "ar1_analytic", "baxter_gaps", "smoothness_transfer", "partial_oracle",
+            "coherence_consistency", "eigenvalue_sandwich", "physical_dependence",
+            "lemma_utilities"]
         for threads in (2, 3):
             threaded = run_experiment(load_config(cfg), threads=threads)
             assert serial.table_csv() == threaded.table_csv()
@@ -318,6 +320,16 @@ class TestRunExperiment:
         meta = json.loads(open(paths["metadata"]).read())
         assert meta["experiment"] == "decay"
         assert "timestamp" in meta
+        # peak memory is observed, never reported as a result
+        assert isinstance(meta["peak_rss_mb"], float) and meta["peak_rss_mb"] > 0
+        assert "peak_rss_mb" not in report.table_csv()
+        assert "peak_rss_mb" not in report.verdicts_json()
+
+    def test_metadata_omits_peak_memory_without_resource(self, monkeypatch):
+        monkeypatch.setattr(experiments, "resource", None)
+        report = run_experiment(load_config(minimal_config()))
+        assert "peak_rss_mb" not in report.metadata
+        assert "timestamp" in report.metadata
 
 
 class TestCli:

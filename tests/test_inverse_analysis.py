@@ -1,9 +1,11 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 import nonstatcov as nc
+from nonstatcov import inverse_analysis as ia
 from nonstatcov.errors import (ConditioningError, DegenerateFitError,
                                DivergenceError, DomainError, InputError,
                                ModelError, UnsupportedFamilyError)
@@ -48,6 +50,39 @@ class TestFiniteSectionInverse:
         got = nc.finite_section_inverse(c, 10).base
         assert got.symmetric and (got.t_lo, got.length) == (10, 40)
         assert np.array_equal(got.flatten(), inv[20:100, 20:100])
+
+    def test_interior_is_read_only_and_leaves_the_window_intact(self):
+        c = nc.cov_window(reference_tvvma(), 200, 0, 59)
+        before = c.flatten().copy()
+        for pad in (0, 10):
+            got = nc.finite_section_inverse(c, pad).base.flatten()
+            assert got.flags.c_contiguous and not got.flags.writeable
+            assert not np.shares_memory(got, c.flatten())
+        assert np.array_equal(c.flatten(), before)
+
+    def test_model_inverse_window_frees_the_padded_window(self, monkeypatch):
+        # the padded window is gone by the time the interior is handed over
+        windows, alive = [], []
+        real_cov, real_adopt = ia.cov_window, nc.BlockWindow._adopt.__func__
+
+        def recording_cov(*args, **kwargs):
+            w = real_cov(*args, **kwargs)
+            windows.append(weakref.ref(w))
+            return w
+
+        def recording_adopt(cls, flat, p, t_lo=0, what="BlockWindow"):
+            if windows:
+                alive.append(windows[0]() is not None)
+            return real_adopt(cls, flat, p, t_lo, what)
+
+        monkeypatch.setattr(ia, "cov_window", recording_cov)
+        monkeypatch.setattr(nc.BlockWindow, "_adopt", classmethod(recording_adopt))
+        got = nc.model_inverse_window(reference_tvvma(), 200, 40, 79, pad=20)
+        assert alive == [False]
+        monkeypatch.undo()
+        want = nc.finite_section_inverse(
+            nc.cov_window(reference_tvvma(), 200, 20, 99), 20).base.flatten()
+        assert np.array_equal(got.base.flatten(), want)
 
     def test_requires_symmetric(self):
         blocks = np.random.default_rng(0).standard_normal((4, 4, 1, 1))
@@ -95,6 +130,14 @@ class TestNeumannInverse:
             res = nc.neumann_inverse(c, m, terms)
             err = np.linalg.norm(res.approx.flatten() - dense, 2)
             assert err <= res.certificate
+
+    def test_approximation_is_symmetric_and_read_only(self):
+        c = nc.cov_window(reference_tvvma(), 200, 30, 79)
+        for terms in (0, 6):
+            approx = nc.neumann_inverse(c, 10, terms).approx
+            flat = approx.flatten()
+            assert approx.symmetric and np.array_equal(flat, flat.T)
+            assert flat.flags.c_contiguous and not flat.flags.writeable
 
     def test_zero_terms_is_banded_inverse(self):
         model = reference_tvvma()

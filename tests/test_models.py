@@ -908,6 +908,72 @@ class TestCovWindowArguments:
                               nc.cov_window(model, 200, 0, 10, pad=4).flatten())
 
 
+    def test_sections_cut_from_a_longer_window_are_bitwise_equal(self):
+        # a moving-average window entry depends only on its two times, so a
+        # section cut from a window over a longer range is the section's own
+        model = reference_tvvma()
+        full = nc.cov_window(model, 200, -36, 234).flatten()
+        for t0, length in ((-36, 50), (0, 77), (144, 91), (100, 60)):
+            lo = (t0 + 36) * model.p
+            cut = full[lo:lo + length * model.p, lo:lo + length * model.p]
+            assert np.array_equal(cut, nc.cov_window(model, 200, t0, t0 + length - 1)
+                                  .flatten())
+
+
+class TestWindowHandOver:
+    """The package's window builders hand their fresh matrix to the window;
+    the result keeps the checks and the storage contract of ``from_flat``."""
+
+    @pytest.mark.parametrize("name", ["tvvma_kappa4_p2", "tvvar1_p3", "tvarch_order2"])
+    def test_cov_window_is_symmetric_read_only_and_owned(self, name):
+        model = nc.get_reference_model(name)
+        w = nc.cov_window(model, 200, 10, 40)
+        flat = w.flatten()
+        assert w.symmetric and np.array_equal(flat, flat.T)
+        assert flat.flags.c_contiguous and not flat.flags.writeable
+        assert np.shares_memory(w.blocks, flat)
+        with pytest.raises(ValueError):
+            flat[0, 0] = 1.0
+        again = nc.cov_window(model, 200, 10, 40).flatten()
+        assert np.array_equal(again, flat) and not np.shares_memory(again, flat)
+
+    def test_stationary_window_is_symmetric_read_only(self):
+        w = nc.stationary_window(reference_tvvma(), 0.3, 0, 30)
+        assert w.symmetric and not w.flatten().flags.writeable
+        assert np.array_equal(w.flatten(), w.flatten().T)
+
+    def test_overflowing_moving_average_window_is_refused(self):
+        model = nc.TvVMA(p=1, psis=(nc.constant_fn([[1e200]]),
+                                    nc.constant_fn([[1e200]])))
+        with np.errstate(over="ignore"), \
+                pytest.raises(InputError, match="^BlockWindow: non-finite entries$"):
+            nc.cov_window(model, 100, 0, 4)
+
+    def test_adopt_averages_and_refuses_as_from_flat(self):
+        rng = np.random.default_rng(29)
+        a = rng.standard_normal((6, 6))
+        w = nc.BlockWindow._adopt(a.copy(), 2, t_lo=4)
+        assert w.symmetric and w.t_lo == 4
+        assert np.array_equal(w.flatten(), nc.BlockWindow.from_flat(
+            a, 2, symmetrize=True).flatten())
+        sym = a + a.T
+        owned = sym.copy()
+        assert nc.BlockWindow._adopt(owned, 3).flatten() is owned
+        for bad in (np.inf, np.nan):
+            m = sym.copy()
+            m[1, 2] = bad
+            with pytest.raises(InputError, match="^cov_window: non-finite entries$"):
+                nc.BlockWindow._adopt(m, 2, what="cov_window")
+        # finite entries whose average overflows
+        m = np.array([[1.0, 1.5e308], [1.5e308, 1.0]])
+        m[1, 0] = 1.7e308
+        with np.errstate(over="ignore"), \
+                pytest.raises(InputError, match="^BlockWindow: non-finite entries$"):
+            nc.BlockWindow._adopt(m, 1)
+        with pytest.raises(InputError, match="incompatible with p=4"):
+            nc.BlockWindow._adopt(sym, 4)
+
+
 class TestStationaryCov:
     def test_decay_beyond_support(self):
         model = reference_tvvma()
@@ -926,6 +992,16 @@ class TestStationaryCov:
             a = nc.stationary_cov(model, 0.6, r)
             b = nc.stationary_cov(model, 0.6, -r)
             assert np.allclose(a, b.T, atol=1e-14)
+
+    def test_max_lag_follows_the_count_rule(self):
+        model = reference_tvvma()
+        for bad in (2.5, True, "3"):
+            with pytest.raises(InputError, match="max_lag must be an integer"):
+                nc.stationary_cov_sequence(model, 0.3, bad)
+        with pytest.raises(DomainError, match="max_lag must be >= 0"):
+            nc.stationary_cov_sequence(model, 0.3, -1)
+        assert np.array_equal(nc.stationary_cov_sequence(model, 0.3, np.int64(4)),
+                              nc.stationary_cov_sequence(model, 0.3, 4))
 
     def test_quadrature_inversion_cross_check(self):
         # C_r(u) = (2 pi)^-1 integral f(w; u) e^{-i r w} dw on a 2^12 grid

@@ -108,6 +108,14 @@ class TestPartialCovPair:
             nc.partial_cov_pair(w, 0, 0)
         with pytest.raises(InputError):
             nc.partial_cov_pair(w, 0, 5)
+        # components follow the integer rule of every count and time
+        for a, b in ((1.5, 2), (0, 2.0), (True, 2), (0, "1")):
+            with pytest.raises(InputError, match="component must be an integer"):
+                nc.partial_cov_pair(w, a, b)
+        with pytest.raises(InputError, match="component must be an integer"):
+            nc.self_partial_cov(w, 0.5)
+        assert np.array_equal(nc.partial_cov_pair(w, np.int64(0), np.int32(2)).deltas,
+                              nc.partial_cov_pair(w, 0, 2).deltas)
 
     def test_singular_conditioning(self):
         length = 6
