@@ -27,9 +27,9 @@ from .models import (SRE, AssumptionFit, CoefficientFn, ModelSpec,
                      validate_model)
 from .inverse_analysis import (InverseWindow, NeumannResult,
                                finite_section_inverse, inverse_decay_fit,
-                               inverse_derivative_gap, inverse_lipschitz_gap,
-                               inverse_smoothness_gap, model_inverse_window,
-                               neumann_inverse, stationary_inverse_sequence)
+                               inverse_lipschitz_gap, inverse_smoothness_gap,
+                               model_inverse_window, neumann_inverse,
+                               stationary_inverse_sequence)
 from .var_extraction import (BaxterReport, KolmogorovGap, VarCoefficients,
                              VarSmoothnessReport, baxter_gaps, kolmogorov_gap,
                              stationary_var_coeffs,

@@ -19,9 +19,9 @@ import numpy as np
 from .errors import (ConditioningError, DegenerateFitError, DivergenceError,
                      InputError, check_count)
 from .models import (ModelSpec, _inverse_spectrum, _transfer_order, cov_pad,
-                     cov_window, stationary_cov_derivative, stationary_window)
+                     cov_window, stationary_window)
 from .operator_core import (_ROW_BLOCK, BlockWindow, SPD_RTOL, block_norms,
-                            block_toeplitz, block_view, gu, krylov_norm, outside_band,
+                            block_view, gu, krylov_norm, outside_band,
                             spd_inverse, sym_eig_range, symmetric_product, zeta)
 from .reports import (DecayProfile, GapReport, envelope_constant, fit_decay_profile,
                       pair_gaps, two_sided)
@@ -424,29 +424,3 @@ def inverse_lipschitz_gap(model: ModelSpec, u: float, v: float, max_lag: int,
     return GapReport(indices=lags.tolist(),
                      measured=block_norms(seq_u - seq_v),
                      bound=abs(u - v) * zeta(lags) ** (kappa - 1.0))
-
-
-def inverse_derivative_gap(model: ModelSpec, u: float, max_lag: int,
-                           h: float = 1e-4, pad: int | None = None):
-    """Forward difference of ``D_r(u)`` against the sandwich derivative.
-
-    The derivative identity assembles ``-D(u) C'(u) D(u)`` on a long
-    Toeplitz section, where ``C'`` is the analytic covariance derivative
-    (moving-average models).  Returns ``(fd, assembled, max_rel_err)`` with
-    per-lag arrays for ``r = 0..max_lag``.
-    """
-    pad = cov_pad(model) if pad is None else pad
-    half = max_lag + pad
-    w = stationary_window(model, u, -half, half)
-    inv, _, _ = spd_inverse(w.flatten(), "inverse_derivative_gap: window")
-    dseq = stationary_cov_derivative(model, u, 2 * half)
-    assembled_flat = -inv @ block_toeplitz(dseq, 2 * half + 1) @ inv
-    assembled = _centre_row(0.5 * (assembled_flat + assembled_flat.T), w.p,
-                            half, max_lag)
-
-    seq_u = _centre_row(inv, w.p, half, max_lag)
-    seq_uh = stationary_inverse_sequence(model, u + h, max_lag, pad=pad)
-    fd = (seq_uh - seq_u) / h
-    scale = max(float(np.abs(assembled).max()), 1e-300)
-    max_rel_err = float(np.abs(fd - assembled).max()) / scale
-    return fd, assembled, max_rel_err

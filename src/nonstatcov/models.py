@@ -7,7 +7,7 @@ Four families are implemented:
   sums.
 * :class:`TvVAR` -- time-varying vector autoregression; a covariance window
   is the covariance of the recursion started from zero a pad before it,
-  carried forward in companion form.
+  carried forward in companion form, which also gives the frozen lags.
 * :class:`TvARCH` -- univariate time-varying ARCH; the observed process is
   white with a smoothly varying variance.
 * :class:`SRE` -- random-coefficient stochastic recurrence model; no closed
@@ -33,7 +33,6 @@ from .operator_core import (_BOUND_MARGIN, SPD_RTOL, BlockWindow, EigRange,
 from .reports import (DecayProfile, GapReport, envelope_constant,
                       fit_decay_profile, pair_gaps, two_sided)
 
-_COV_TAIL_TOL = 1e-12      # relative truncation tolerance of MA tails
 _VALIDATION_US = np.linspace(0.0, 1.0, 33)   # where invariants are checked
 _VALIDATION_US.flags.writeable = False
 
@@ -439,9 +438,8 @@ class SRE:
     def contraction_bound(self) -> float:
         """sup over u of ``||E[A A^T]||_2``; must be below one."""
         m2 = float(np.linalg.norm(self.a_matrix @ self.a_matrix.T, 2))
-        vals = [(float(a) ** 2 + self.a_noise**2) * m2
-                for a in self.a_scale.at(_VALIDATION_US)[:, 0, 0]]
-        return max(vals)
+        a = self.a_scale.at(_VALIDATION_US)[:, 0, 0]
+        return float(((a * a + self.a_noise**2) * m2).max())
 
 
 ModelSpec = Union[TvVMA, TvVAR, TvARCH, SRE]
@@ -474,14 +472,14 @@ class PhysicalDepEstimate:
 # invariants
 # ---------------------------------------------------------------------------
 
-def _companion_radius(phi_stack: np.ndarray) -> float:
-    """Spectral radius of the companion matrix of a VAR coefficient stack."""
-    d, p, _ = phi_stack.shape
-    comp = np.zeros((d * p, d * p))
-    comp[:p, :] = np.concatenate(phi_stack, axis=1)
-    if d > 1:
-        comp[p:, :-p] = np.eye((d - 1) * p)
-    return float(np.max(np.abs(np.linalg.eigvals(comp)))) if comp.size else 0.0
+def _companions(phis: np.ndarray) -> np.ndarray:
+    """Companion matrices ``(U, d p, d p)`` of the lag stacks ``(U, d, p, p)``:
+    ``Phi_1 .. Phi_d`` over a shifted identity."""
+    count, d, p, _ = phis.shape
+    comp = np.zeros((count, d * p, d * p))
+    comp[:, :p] = phis.transpose(0, 2, 1, 3).reshape(count, p, d * p)
+    comp[:, p:, :-p] = np.eye((d - 1) * p)
+    return comp
 
 
 _RADIUS_ATTR = "_stability_radius"
@@ -506,9 +504,10 @@ def _stability_radius(model: ModelSpec) -> float:
     if isinstance(model, TvVMA):
         return 0.0
     if isinstance(model, TvVAR):
-        return max(_companion_radius(phi) for phi in model.phi_stacks(_VALIDATION_US))
+        comps = _companions(model.phi_stacks(_VALIDATION_US))
+        return float(np.abs(np.linalg.eigvals(comps)).max())
     if isinstance(model, TvARCH):
-        return max(float(np.sum(a[1:])) for a in model.a_values(_VALIDATION_US))
+        return float(model.a_values(_VALIDATION_US)[:, 1:].sum(axis=1).max())
     if isinstance(model, SRE):
         return math.sqrt(model.contraction_bound())
     raise UnsupportedFamilyError(f"unknown family {type(model).__name__}")
@@ -548,8 +547,9 @@ def validate_model(model: ModelSpec) -> dict:
 
 
 def _check_invariants(model: ModelSpec) -> dict:
+    # transfers on the half of the grid omega_k = 2 pi k / 128, which holds
+    # the singular values of the whole grid for real coefficients
     info: dict = {"family": type(model).__name__}
-    omegas = np.linspace(0.0, 2.0 * math.pi, 128, endpoint=False)
 
     if isinstance(model, TvVAR):
         radius = stability_radius(model)
@@ -557,16 +557,15 @@ def _check_invariants(model: ModelSpec) -> dict:
         if radius >= 1.0 / 1.02:
             raise ModelError(f"TvVAR: companion radius {radius:.4f} leaves no "
                              "stability margin")
-        z = (1.0 + 0.02) * np.exp(1j * omegas)
-        margin = math.inf
-        powers = z[:, None] ** np.arange(1, model.order + 1)[None, :]
-        for u, phi, sigma in zip(_VALIDATION_US, model.phi_stacks(_VALIDATION_US),
-                                 model.sigma_stacks(_VALIDATION_US)):
-            a = np.eye(model.p) - np.einsum("wj,jab->wab", powers, phi)
-            margin = min(margin, float(np.linalg.svd(a, compute_uv=False)[..., -1].min()))
-            svals = np.linalg.eigvalsh(sigma)
-            if svals[0] <= 0:
-                raise ModelError(f"TvVAR: innovation variance not SPD at u={u:.3f}")
+        not_spd = np.linalg.eigvalsh(model.sigma_stacks(_VALIDATION_US))[:, 0] <= 0
+        if not_spd.any():
+            raise ModelError("TvVAR: innovation variance not SPD at "
+                             f"u={_VALIDATION_US[np.argmax(not_spd)]:.3f}")
+        # A(z) on the circle |z| = 1.02: lag j scaled by 1.02^j
+        scaled = model.phi_stacks(_VALIDATION_US) \
+            * (1.02 ** np.arange(1, model.order + 1))[:, None, None]
+        a = _grid_transfer(_var_transfer_lags(scaled), 128)
+        margin = float(np.linalg.svd(a, compute_uv=False)[..., -1].min())
         info["stability_margin"] = margin
         if margin <= 1e-8:
             raise ModelError("TvVAR: transfer function nearly singular inside "
@@ -574,20 +573,13 @@ def _check_invariants(model: ModelSpec) -> dict:
         return info
 
     if isinstance(model, TvVMA):
-        phases = np.exp(1j * omegas[:, None] * np.arange(model.order + 1)[None, :])
-        filt_min = math.inf
-        env_const = 0.0
-        for stack in model.psi_stacks(_VALIDATION_US):
-            transfer = np.einsum("wj,jab->wab", phases, stack)
-            filt_min = min(filt_min, float(
-                np.linalg.svd(transfer, compute_uv=False)[..., -1].min()))
-            if model.kappa is not None:
-                shape = gu(np.arange(model.order + 1)) ** (-model.kappa)
-                env_const = max(env_const,
-                                envelope_constant(block_norms(stack), shape))
+        stacks = model.psi_stacks(_VALIDATION_US)
+        transfer = _grid_transfer(stacks, 128)
+        filt_min = float(np.linalg.svd(transfer, compute_uv=False)[..., -1].min())
         info["filter_min_singular_value"] = filt_min
         if model.kappa is not None:
-            info["envelope_constant"] = env_const
+            shape = gu(np.arange(model.order + 1)) ** (-model.kappa)
+            info["envelope_constant"] = envelope_constant(block_norms(stacks), shape)
         if filt_min <= 1e-8:
             raise ModelError("TvVMA: moving-average filter vanishes on the "
                              "unit circle")
@@ -595,14 +587,14 @@ def _check_invariants(model: ModelSpec) -> dict:
 
     if isinstance(model, TvARCH):
         rows = model.a_values(_VALIDATION_US)
-        a0_min = min(float(a[0]) for a in rows)
+        a0_min = float(rows[:, 0].min())
         info["a0_min"] = a0_min
         if a0_min <= 0:
             raise ModelError("TvARCH: intercept must be bounded away from zero")
         if np.any(rows[:, 1:] < 0):
             raise ModelError("TvARCH: lag coefficients must be nonnegative")
         # fourth-moment condition with Gaussian innovations: sqrt(E Z^4) = sqrt(3)
-        load = max(math.sqrt(3.0) * float(np.sum(a[1:])) for a in rows)
+        load = float(math.sqrt(3.0) * rows[:, 1:].sum(axis=1).max())
         info["fourth_moment_load"] = load
         if load >= 1.0:
             raise ModelError(f"TvARCH: fourth-moment condition fails "
@@ -644,7 +636,9 @@ def _lag_products(left: np.ndarray, right: np.ndarray, max_lag: int, step: int):
         m = times - step * r
         a = rows_l[:m, :, :k - r].reshape(m, p, (k - r) * q)
         b = rows_r[step * r:, :, r:].reshape(m, rows_r.shape[1], (k - r) * q)
-        yield r, a @ b.transpose(0, 2, 1)
+        with np.errstate(over="ignore", invalid="ignore"):   # callers refuse overflow
+            prod = a @ b.transpose(0, 2, 1)
+        yield r, prod
 
 
 def _vma_cov_window(model: TvVMA, n: int, t_lo: int, t_hi: int) -> BlockWindow:
@@ -686,20 +680,19 @@ def _var_cov_window(model: TvVAR, n: int, t_lo: int, t_hi: int, pad: int) -> np.
         raise ConditioningError(
             f"cov_window: TvVAR innovation variance not SPD at some u in "
             f"[{us[0]:.4f}, {us[-1]:.4f}]") from None
-    comp = np.zeros((us.size, d * p, d * p))
-    comp[:, :p] = model.phi_stacks(us).transpose(0, 2, 1, 3).reshape(us.size, p, d * p)
-    comp[:, p:, :-p] = np.eye((d - 1) * p)
+    comp = _companions(model.phi_stacks(us))
     v = np.zeros((d * p, d * p))
     k = np.empty((d * p, length * p))
     flat = np.zeros((length * p, length * p))
-    for i, (a, s) in enumerate(zip(comp, sigma)):
-        v = a @ v @ a.T
-        v[:p, :p] += s
-        col = (i - pad) * p
-        if col >= 0:
-            k[:, :col] = a @ k[:, :col]
-            k[:, col:col + p] = v[:, :p]
-            flat[col:col + p, :col + p] = k[:p, :col + p]
+    with np.errstate(over="ignore", invalid="ignore"):   # the caller refuses overflow
+        for i, (a, s) in enumerate(zip(comp, sigma)):
+            v = a @ v @ a.T
+            v[:p, :p] += s
+            col = (i - pad) * p
+            if col >= 0:
+                k[:, :col] = a @ k[:, :col]
+                k[:, col:col + p] = v[:, :p]
+                flat[col:col + p, :col + p] = k[:p, :col + p]
     _mirror_lower(flat)
     return flat
 
@@ -783,31 +776,9 @@ def _arch_mean_square(model: TvARCH, n: int, t_lo: int, t_hi: int) -> np.ndarray
 # stationary approximations
 # ---------------------------------------------------------------------------
 
-def _var_ma_expansion(model: TvVAR, u: float, tol: float = _COV_TAIL_TOL) -> np.ndarray:
-    """MA coefficients (including the innovation square root) of the frozen
-    process at ``u``, truncated when the certified tail drops below ``tol``."""
-    phi = model.phi_stack(u)
-    d, p = model.order, model.p
-    radius = _companion_radius(phi)
-    if radius >= 1.0:
-        raise ModelError(f"TvVAR: frozen process unstable at u={u:.4f}")
-    sig = model.sigma_at(u)
-    try:
-        chol = np.linalg.cholesky(sig)
-    except np.linalg.LinAlgError as exc:
-        raise ModelError(f"TvVAR: innovation variance not SPD at u={u:.4f}") from exc
-    rho = min(0.999, radius + 1e-6)
-    k_max = max(3 * d + 20, int(math.log(tol) / math.log(rho)) + 3 * d) if radius > 1e-12 else d + 1
-    psis = np.zeros((k_max + 1, p, p))
-    psis[0] = chol
-    for k in range(1, k_max + 1):
-        acc = np.zeros((p, p))
-        for j in range(1, min(d, k) + 1):
-            acc += phi[j - 1] @ psis[k - j]
-        psis[k] = acc
-    norms = block_norms(psis)
-    keep = int(np.max(np.nonzero(norms > tol * max(norms.max(), 1e-300))[0])) + 1
-    return psis[:keep + 1]
+#: Doublings before the frozen TvVAR covariance is refused: 2^64 terms, so a
+#: radius 1 - 2^-53 leaves rho^(2^64) <= e^-2048, below any polynomial transient
+_DOUBLINGS = 64
 
 
 def _no_ma_representation(model: ModelSpec) -> UnsupportedFamilyError:
@@ -815,19 +786,43 @@ def _no_ma_representation(model: ModelSpec) -> UnsupportedFamilyError:
         f"{type(model).__name__} has no moving-average representation here")
 
 
-def _stationary_psi_stacks(model: ModelSpec, us: np.ndarray) -> np.ndarray:
-    """MA coefficients of the frozen process at each ``u``, shape
-    ``(len(us), K, p, p)``; TvVAR expansions are zero-padded to the longest."""
-    if isinstance(model, TvVMA):
-        return model.psi_stacks(us)
-    if isinstance(model, TvVAR):
-        expansions = [_var_ma_expansion(model, u) for u in us]
-        out = np.zeros((len(us), max(e.shape[0] for e in expansions),
-                        model.p, model.p))
-        for row, e in zip(out, expansions):
-            row[:e.shape[0]] = e
-        return out
-    raise _no_ma_representation(model)
+def _var_frozen_lags(model: TvVAR, us: np.ndarray, max_lag: int) -> np.ndarray:
+    """``C_r(u) = [A^r V]_{:p,:p}`` at every ``u`` of ``us``, with the
+    companion-form covariance ``V = A V A^T + diag(Sigma, 0)`` from Smith's
+    doubling ``V <- V + P V P^T``, ``P <- P^2``, stopped at each ``u`` once
+    ``V`` repeats bit for bit.  A refusal names the first ``u`` that fails,
+    checking the radius before ``Sigma``."""
+    p = model.p
+    comps, sigmas = _companions(model.phi_stacks(us)), model.sigma_stacks(us)
+    unstable = np.abs(np.linalg.eigvals(comps)).max(axis=1) >= 1.0
+    bad = unstable | (np.linalg.eigvalsh(sigmas)[:, 0] <= 0.0)
+    if bad.any():
+        i = int(np.argmax(bad))
+        what = "frozen process unstable" if unstable[i] else "innovation variance not SPD"
+        raise ModelError(f"TvVAR: {what} at u={us[i]:.4f}")
+    v = np.zeros_like(comps)
+    v[:, :p, :p] = sigmas
+    power, active = comps, np.ones(us.size, dtype=bool)
+    # an overflowing sum stops its u and is refused by the caller
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(_DOUBLINGS):
+            nxt = v + power @ v @ power.transpose(0, 2, 1)
+            active &= np.any(nxt != v, axis=(1, 2))
+            v[active] = nxt[active]
+            active &= np.isfinite(nxt).all(axis=(1, 2))
+            if not active.any():
+                break
+            power = power @ power
+        else:
+            raise ModelError("TvVAR: frozen covariance does not settle at "
+                             f"u={us[np.argmax(active)]:.4f}")
+        # V[:, :p] of the exactly symmetric V
+        cols = np.ascontiguousarray(0.5 * (v + v.transpose(0, 2, 1))[:, :, :p])
+        out = np.empty((us.size, max_lag + 1, p, p))
+        for r in range(max_lag + 1):
+            out[:, r] = cols[:, :p]
+            cols = comps @ cols
+    return out
 
 
 def _stationary_cov_sequences(model: ModelSpec, us, max_lag: int) -> np.ndarray:
@@ -839,11 +834,16 @@ def _stationary_cov_sequences(model: ModelSpec, us, max_lag: int) -> np.ndarray:
         out = np.zeros((us.size, max_lag + 1, 1, 1))
         out[:, 0, 0, 0] = a[:, 0] / (1.0 - np.sum(a[:, 1:], axis=1))
         return out
-    psis = _stationary_psi_stacks(model, us)
-    out = np.zeros((us.size, max_lag + 1) + psis.shape[2:])
-    # C_r = sum_j Psi_{j+r} Psi_j^T, the transpose of the lag product
-    for r, prod in _lag_products(psis, psis, max_lag, step=0):
-        out[:, r] = prod.transpose(0, 2, 1)
+    if isinstance(model, TvVAR):
+        out = _var_frozen_lags(model, us, max_lag)
+    elif isinstance(model, TvVMA):
+        psis = model.psi_stacks(us)
+        out = np.zeros((us.size, max_lag + 1, model.p, model.p))
+        # C_r = sum_j Psi_{j+r} Psi_j^T, the transpose of the lag product
+        for r, prod in _lag_products(psis, psis, max_lag, step=0):
+            out[:, r] = prod.transpose(0, 2, 1)
+    else:
+        raise _no_ma_representation(model)
     _require_finite(out, "stationary_cov_sequence")
     return out
 
@@ -863,6 +863,9 @@ def stationary_cov_sequence(model: ModelSpec, u: float, max_lag: int) -> np.ndar
         InputError: a ``bool`` or non-integer ``max_lag``, or a lag sum that
             overflows.
         DomainError: a negative ``max_lag``.
+        ModelError: a TvVAR whose frozen process at ``u`` is unstable, whose
+            innovation variance is not SPD there, or whose covariance
+            doubling does not settle.
     """
     check_count(max_lag, "max_lag", "stationary_cov_sequence")
     return _stationary_cov_sequences(model, [u], max_lag)[0]
@@ -1232,7 +1235,7 @@ def _inverse_spectrum(model: ModelSpec, us, m: int):
         ub_f, ub_g = _frobenius(t) ** 2, 4.0 * _frobenius(x) ** 2
     elif isinstance(model, TvVAR):
         phis, sigmas = model.phi_stacks(us), model.sigma_stacks(us)
-        ok = np.array([_companion_radius(phi) < 1.0 for phi in phis]) \
+        ok = (np.abs(np.linalg.eigvals(_companions(phis))).max(axis=1) < 1.0) \
             & (np.linalg.eigvalsh(sigmas)[:, 0] > 0.0)
         sigmas = np.where(ok[:, None, None], sigmas, np.eye(model.p))
         a = _grid_transfer(_var_transfer_lags(phis), m)

@@ -269,8 +269,9 @@ class BlockWindow:
         if not np.array_equal(flat, flat.T):
             # each entry of M + M^T and its mirror add the same two numbers,
             # so the average is exactly symmetric; averaging keeps every
-            # non-finite entry non-finite
-            flat = 0.5 * (flat + flat.T)
+            # non-finite entry non-finite, and an overflow is refused below
+            with np.errstate(over="ignore", invalid="ignore"):
+                flat = 0.5 * (flat + flat.T)
         if not np.all(np.isfinite(flat)):
             raise InputError(f"{what}: non-finite entries")
         flat.flags.writeable = False

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import DomainError, InputError
 from .models import (SRE, TvARCH, TvVAR, TvVMA, affine_fn, constant_fn,
                      sinusoidal_fn)
 
@@ -17,9 +18,12 @@ def vma_truncation(kappa: float, tail_tol: float = 1e-13) -> int:
 
     The lag-j coefficient envelope ``gu(j)^(-kappa)`` gives a covariance
     tail ``sum_{j>J} j^(-2 kappa) <= J^(1-2 kappa)/(2 kappa - 1)``.
+
+    Raises:
+        DomainError: if ``kappa <= 1``, where the tail does not converge.
     """
     if kappa <= 1:
-        raise ValueError("vma_truncation: requires kappa > 1")
+        raise DomainError("vma_truncation: requires kappa > 1")
     j = 4.0
     while j ** (1.0 - 2.0 * kappa) / (2.0 * kappa - 1.0) > tail_tol:
         j += 1.0
@@ -133,8 +137,13 @@ REFERENCE_BUILDERS = {
 
 
 def get_reference_model(name: str):
+    """A fresh instance of the bundled model ``name``.
+
+    Raises:
+        InputError: if ``name`` is not in :data:`REFERENCE_BUILDERS`.
+    """
     try:
         return REFERENCE_BUILDERS[name]()
     except KeyError:
-        raise KeyError(f"unknown reference model {name!r}; available: "
-                       f"{sorted(REFERENCE_BUILDERS)}") from None
+        raise InputError(f"unknown reference model {name!r}; available: "
+                         f"{sorted(REFERENCE_BUILDERS)}") from None

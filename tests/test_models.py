@@ -340,6 +340,53 @@ def einsum_lag_sum(left, right):
             np.einsum("...jab,...jcb->...ac", np.abs(left), np.abs(right)))
 
 
+def companion(phi):
+    """Companion matrix of one lag stack ``(d, p, p)``, written out block by block."""
+    d, p, _ = phi.shape
+    comp = np.zeros((d * p, d * p))
+    for j in range(d):
+        comp[:p, j * p:(j + 1) * p] = phi[j]
+        if j:
+            comp[j * p:(j + 1) * p, (j - 1) * p:j * p] = np.eye(p)
+    return comp
+
+
+def var_ma_expansion(model, u):
+    """Moving-average coefficients ``Psi_0 = chol Sigma(u)``,
+    ``Psi_k = sum_j Phi_j(u) Psi_{k-j}`` of the frozen process at ``u``,
+    summed until a run of ``d`` of them is exactly zero (then every later
+    one is)."""
+    phi, d = model.phi_stack(u), model.order
+    psis = [np.linalg.cholesky(model.sigma_at(u))]
+    zeros = 0
+    while zeros < d:
+        k = len(psis)
+        psis.append(sum(phi[j - 1] @ psis[k - j] for j in range(1, min(d, k) + 1)))
+        zeros = 0 if psis[-1].any() else zeros + 1
+    return np.stack(psis)
+
+
+def companion_rounding_scale(model, u, max_lag):
+    """``(|A|^r V_abs)_{:p,:p}`` for ``r = 0..max_lag``, with
+    ``V_abs = sum_k |A|^k |diag(Sigma, 0)| |A|^kT``, summed until it repeats
+    (``|A|`` contracts for the models drawn here)."""
+    p = model.p
+    a = np.abs(companion(model.phi_stack(u)))
+    term = np.zeros_like(a)
+    term[:p, :p] = np.abs(model.sigma_at(u))
+    v = term.copy()
+    while True:
+        term = a @ term @ a.T
+        if np.array_equal(v + term, v):
+            break
+        v = v + term
+    out = np.empty((max_lag + 1, p, p))
+    for r in range(max_lag + 1):
+        out[r] = v[:p, :p]
+        v = a @ v
+    return out
+
+
 def assert_close_to_scale(got, want, scale):
     assert got.shape == want.shape
     assert np.all(np.abs(got - want) <= 1e-13 * scale)
@@ -417,14 +464,27 @@ class TestStackedKernels:
     @given(model=small_tvvar_models(), u=st.floats(0.0, 1.0),
            max_lag=st.integers(0, 40))
     def test_var_stationary_sequence_matches_einsum(self, model, u, max_lag):
-        from nonstatcov.models import _var_ma_expansion
-        psis = _var_ma_expansion(model, u)
+        """The companion-form lags against the moving-average sums
+        ``C_r = sum_j Psi_{j+r} Psi_j^T``.
+
+        The package rounds at the scale of its recursion: the doubling adds
+        terms of ``V = sum_k A^k Q A^kT`` and ``C_r = [A^r V]_{:p,:p}`` takes
+        ``r`` products, so each entry is off by at most a few dozen ulps of
+        ``(|A|^r V_abs)_{:p,:p}``, ``V_abs = sum_k |A|^k |Q| |A|^kT`` (every
+        rounded term is bounded by a term of that series).  The oracle rounds
+        at the scale of its sums.  Below the normal range rounding is
+        absolute, at most one subnormal per product.
+        """
+        psis = var_ma_expansion(model, u)
         k = psis.shape[0]
         want, scale = np.zeros((2, max_lag + 1, model.p, model.p))
         for r in range(min(max_lag, k - 1) + 1):
             want[r], scale[r] = einsum_lag_sum(psis[r:], psis[:k - r])
-        assert_close_to_scale(nc.stationary_cov_sequence(model, u, max_lag), want,
-                              scale)
+        scale += companion_rounding_scale(model, u, max_lag)
+        got = nc.stationary_cov_sequence(model, u, max_lag)
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 1e-13 * scale
+                      + psis.size * np.finfo(float).smallest_subnormal)
 
     @settings(max_examples=40, deadline=None)
     @given(model=st.one_of(tvvma_models(), small_tvvar_models()),
@@ -674,6 +734,53 @@ class TestValidation:
         for name in ("tvvma_kappa4_p2", "tvvar1_p3", "sre_p2", "tvarch_order2"):
             nc.validate_model(nc.get_reference_model(name))
 
+    @pytest.mark.parametrize("build", [lambda: reference_tvarch(1), reference_tvarch,
+                                       lambda: reference_tvarch(4), reference_sre],
+                             ids=["tvarch1", "tvarch2", "tvarch4", "sre"])
+    def test_arch_and_sre_margins_match_the_per_u_loops(self, build):
+        # the arithmetic is unchanged, so the values are equal
+        model = build()
+        info = nc.validate_model(model)
+        us = np.linspace(0.0, 1.0, 33)
+        if isinstance(model, nc.SRE):
+            m2 = float(np.linalg.norm(model.a_matrix @ model.a_matrix.T, 2))
+            want = max((float(model.a_scale(u)[0, 0]) ** 2 + model.a_noise ** 2) * m2
+                       for u in us)
+            assert info["second_moment_bound"] == want
+            return
+        rows = [model.a_values(u) for u in us]
+        assert info["a0_min"] == min(float(a[0]) for a in rows)
+        assert info["fourth_moment_load"] == max(math.sqrt(3.0) * float(np.sum(a[1:]))
+                                                 for a in rows)
+        assert nc.stability_radius(model) == max(float(np.sum(a[1:])) for a in rows)
+
+    @pytest.mark.parametrize("name", ["tvvma_kappa4_p2", "tvvma_kappa3", "tvvar1_p3",
+                                      "var2", "var3"])
+    def test_margins_match_the_per_u_transfer_sums(self, monkeypatch, name):
+        """The validation margins, from one grid transfer and one SVD, against
+        the transfer summed lag by lag at each validation ``u`` over the
+        whole 128-point grid, to 1e-12 relative."""
+        builders = {"tvvma_kappa3": lambda: reference_tvvma(kappa=3.0),
+                    "var2": var2_model, "var3": var3_model}
+        model = builders[name]() if name in builders else nc.get_reference_model(name)
+        calls = TestValidationMemo.counting_svd(monkeypatch)
+        info = nc.validate_model(model)
+        assert len(calls) == 1
+        omegas = np.linspace(0.0, 2.0 * math.pi, 128, endpoint=False)
+        if isinstance(model, nc.TvVAR):
+            z = 1.02 * np.exp(1j * omegas)
+            stacks = [np.eye(model.p) - sum(z[:, None, None] ** j * model.phi_stack(u)[j - 1]
+                                            for j in range(1, model.order + 1))
+                      for u in np.linspace(0.0, 1.0, 33)]
+            key = "stability_margin"
+        else:
+            phases = np.exp(1j * np.outer(omegas, np.arange(model.order + 1)))
+            stacks = [np.einsum("wj,jab->wab", phases, model.psi_stack(u))
+                      for u in np.linspace(0.0, 1.0, 33)]
+            key = "filter_min_singular_value"
+        want = min(float(np.linalg.svd(a, compute_uv=False)[:, -1].min()) for a in stacks)
+        assert info[key] == pytest.approx(want, rel=1e-12)
+
 
 class TestCovBlock:
     def test_white_noise(self):
@@ -879,8 +986,7 @@ class TestVarPrecision:
         # Sigma / (1 - 0.81) is beyond the float range
         model = nc.TvVAR(p=1, phis=(nc.constant_fn([[0.9]]),),
                          sigma=nc.constant_fn([[8e307]]))
-        with np.errstate(over="ignore"), \
-                pytest.raises(InputError, match="^cov_window: non-finite entries$"):
+        with pytest.raises(InputError, match="^cov_window: non-finite entries$"):
             nc.cov_window(model, 200, 0, 5)
 
 
@@ -943,11 +1049,16 @@ class TestWindowHandOver:
         assert np.array_equal(w.flatten(), w.flatten().T)
 
     def test_overflowing_moving_average_window_is_refused(self):
+        # the filter 1e200 (1 + z / 2) does not vanish on the unit circle, so
+        # validation passes; (1e200, 1e200) vanishes at omega = pi
         model = nc.TvVMA(p=1, psis=(nc.constant_fn([[1e200]]),
-                                    nc.constant_fn([[1e200]])))
-        with np.errstate(over="ignore"), \
-                pytest.raises(InputError, match="^BlockWindow: non-finite entries$"):
+                                    nc.constant_fn([[0.5e200]])))
+        with pytest.raises(InputError, match="^BlockWindow: non-finite entries$"):
             nc.cov_window(model, 100, 0, 4)
+        vanishing = nc.TvVMA(p=1, psis=(nc.constant_fn([[1e200]]),
+                                        nc.constant_fn([[1e200]])))
+        with pytest.raises(ModelError, match="filter vanishes on the unit circle"):
+            nc.cov_window(vanishing, 100, 0, 4)
 
     def test_adopt_averages_and_refuses_as_from_flat(self):
         rng = np.random.default_rng(29)
@@ -967,8 +1078,7 @@ class TestWindowHandOver:
         # finite entries whose average overflows
         m = np.array([[1.0, 1.5e308], [1.5e308, 1.0]])
         m[1, 0] = 1.7e308
-        with np.errstate(over="ignore"), \
-                pytest.raises(InputError, match="^BlockWindow: non-finite entries$"):
+        with pytest.raises(InputError, match="^BlockWindow: non-finite entries$"):
             nc.BlockWindow._adopt(m, 1)
         with pytest.raises(InputError, match="incompatible with p=4"):
             nc.BlockWindow._adopt(sym, 4)
@@ -1015,6 +1125,95 @@ class TestStationaryCov:
             direct = nc.stationary_cov(model, u, r)
             assert np.allclose(quad.real, direct, atol=1e-8)
             assert np.abs(quad.imag).max() < 1e-10
+
+
+def radius_099_var():
+    """A non-normal first-order model of companion radius 0.99."""
+    return nc.TvVAR(p=2, phis=(nc.constant_fn([[0.99, 0.5], [0.0, 0.9]]),),
+                    sigma=nc.constant_fn([[1.0, 0.3], [0.3, 0.5]]))
+
+
+def var3_model():
+    return nc.TvVAR(p=2, phis=(
+        nc.affine_fn([[0.5, 0.1], [-0.1, 0.3]], [[0.1, 0.0], [0.05, -0.1]]),
+        nc.sinusoidal_fn([[0.1, 0.0], [0.02, 0.2]], [[0.05, 0.02], [0.0, 0.05]]),
+        nc.constant_fn([[-0.2, 0.05], [0.0, 0.15]])),
+        sigma=nc.affine_fn([[1.0, 0.2], [0.2, 0.8]], [[0.3, 0.0], [0.0, 0.2]]))
+
+
+class TestFrozenVarLags:
+    """The frozen TvVAR lags from the doubled companion-form covariance."""
+
+    @pytest.mark.parametrize("name", ["tvvar1_p3", "radius_099", "order_3"])
+    def test_lags_match_scipy_lyapunov_solver(self, name):
+        """``C_r = [A^r V]_{:p,:p}`` with ``V`` from scipy's discrete
+        Lyapunov solver and ``A^r`` from ``matrix_power``.  Both solve a
+        system whose condition is about ``1/(1 - rho^2)``, so they agree to
+        a few ulps of ``max |V|`` times it."""
+        import scipy.linalg
+        model = {"tvvar1_p3": reference_tvvar3(), "radius_099": radius_099_var(),
+                 "order_3": var3_model()}[name]
+        us, max_lag, p = np.linspace(0.0, 1.0, 81), 100, model.p
+        got = models._stationary_cov_sequences(model, us, max_lag)
+        for u, lags in zip(us, got):
+            a = companion(model.phi_stack(u))
+            q = np.zeros_like(a)
+            q[:p, :p] = model.sigma_at(u)
+            v = scipy.linalg.solve_discrete_lyapunov(a, q)
+            want = np.stack([(np.linalg.matrix_power(a, r) @ v)[:p, :p]
+                             for r in range(max_lag + 1)])
+            rho = np.abs(np.linalg.eigvals(a)).max()
+            tol = 16 * np.finfo(float).eps * np.abs(v).max() / (1.0 - rho ** 2)
+            assert np.abs(lags - want).max() <= tol
+        assert np.array_equal(got[:, 0], got[:, 0].transpose(0, 2, 1))
+
+    @pytest.mark.parametrize("build", [reference_tvvar3, radius_099_var, var3_model,
+                                       scalar_ar1], ids=["p3", "r099", "d3", "ar1"])
+    def test_batched_lags_and_radii_equal_the_per_u_values(self, build):
+        model = build()
+        us = np.linspace(-0.1, 1.1, 25)
+        batched = models._stationary_cov_sequences(model, us, 30)
+        comps = models._companions(model.phi_stacks(us))
+        radii = np.abs(np.linalg.eigvals(comps)).max(axis=1)
+        for i, u in enumerate(us):
+            assert np.array_equal(batched[i], nc.stationary_cov_sequence(model, u, 30))
+            assert np.array_equal(comps[i], companion(model.phi_stack(u)))
+            assert radii[i] == np.max(np.abs(np.linalg.eigvals(comps[i])))
+        # the radius of the validation grid, from one batched eigvals
+        assert nc.stability_radius(model) == max(
+            np.max(np.abs(np.linalg.eigvals(companion(model.phi_stack(u)))))
+            for u in np.linspace(0.0, 1.0, 33))
+
+    def test_tiny_coefficients_keep_their_lags(self):
+        # C_r = phi^r / (1 - phi^2); no tail rule may cut them
+        got = nc.stationary_cov_sequence(scalar_ar1(3e-14), 0.5, 3)[:, 0, 0]
+        assert got[0] == 1.0
+        assert got[3] == pytest.approx(2.7e-41, rel=1e-15)
+
+    def test_refusals_name_the_first_offending_u(self):
+        # unstable for u > 0.625, innovation variance not SPD from u = 0.5
+        model = nc.TvVAR(p=1, phis=(nc.affine_fn([[0.5]], [[0.8]]),),
+                         sigma=nc.affine_fn([[1.0]], [[-2.0]]))
+        for us, message in (([0.2, 0.55, 0.7], "innovation variance not SPD at u=0.5500"),
+                            ([0.2, 0.7, 0.55], "frozen process unstable at u=0.7000")):
+            with pytest.raises(ModelError, match=f"^TvVAR: {message}$"):
+                models._stationary_cov_sequences(model, us, 2)
+        with pytest.raises(ModelError, match="^TvVAR: frozen process unstable at u=0.9000$"):
+            nc.stationary_cov_sequence(model, 0.9, 2)
+
+    def test_doubling_cap_refuses(self, monkeypatch):
+        # two doublings sum four terms of the series, which does not settle
+        monkeypatch.setattr(models, "_DOUBLINGS", 2)
+        with pytest.raises(ModelError,
+                           match="^TvVAR: frozen covariance does not settle at u=0.3000$"):
+            nc.stationary_cov_sequence(reference_tvvar3(), 0.3, 2)
+
+    def test_overflow_is_refused(self):
+        # Sigma / (1 - 0.81) is beyond the float range
+        model = nc.TvVAR(p=1, phis=(nc.constant_fn([[0.9]]),),
+                         sigma=nc.constant_fn([[8e307]]))
+        with pytest.raises(InputError, match="^stationary_cov_sequence: non-finite entries$"):
+            nc.stationary_cov_sequence(model, 0.5, 2)
 
 
 class TestSpectralDensity:
@@ -1228,3 +1427,18 @@ class TestArchRecursion:
         se = prods.std(ddof=1) / math.sqrt(reps)
         exact = nc.cov_window(model, n, t, t).block(t, t).copy()[0, 0]
         assert abs(prods.mean() - exact) <= 4 * se
+
+
+class TestReferenceRefusals:
+    """The bundled builders refuse with the package's errors."""
+
+    def test_kappa_at_most_one_is_a_domain_error(self):
+        with pytest.raises(DomainError, match=r"^vma_truncation: requires kappa > 1$") as err:
+            reference_tvvma(kappa=1.0)
+        assert isinstance(err.value, ValueError)
+
+    def test_unknown_name_is_an_input_error(self):
+        with pytest.raises(InputError) as err:
+            nc.get_reference_model("nope")
+        assert str(err.value) == ("unknown reference model 'nope'; available: "
+                                  f"{sorted(nc.REFERENCE_BUILDERS)}")
