@@ -71,3 +71,11 @@ def check_count(value, name: str, what: str, signed: bool = False) -> None:
         raise InputError(f"{what}: {name} must be an integer, got {value!r}")
     if not signed and value < 0:
         raise DomainError(f"{what}: {name} must be >= 0")
+
+
+def check_size(n, what: str) -> None:
+    """Refuse a sample size ``n`` that is a ``bool`` or not an integer with
+    :class:`InputError`, and one below 1 with :class:`DomainError`."""
+    check_count(n, "n", what, signed=True)
+    if n < 1:
+        raise DomainError(f"{what}: requires n >= 1")

@@ -3,12 +3,14 @@
 Every runner emits rows in one uniform schema
 ``(experiment, model_hash, N, kind, i, j, measured, envelope, constant)``
 and a list of pass/fail verdicts that are pure functions of those rows.
-Reruns with an identical config are byte-identical except for the
-timestamp and the peak memory in ``metadata.json``.
+Reruns with an identical config are byte-identical except for
+``metadata.json``: its timestamp, peak memory, BLAS threads and (for
+``verify-all``) per-check wall times.
 """
 
 from __future__ import annotations
 
+import ctypes
 import json
 import math
 import os
@@ -107,7 +109,39 @@ def _check_schema(rows) -> None:
                              f"{sorted(row)}")
 
 
-def _finalize(experiment: str, config: ExperimentConfig, rows, verdicts) -> Report:
+def _blas_threads(maps: str = "/proc/self/maps") -> dict:
+    """Threads of each OpenBLAS library loaded in this process, by file
+    name; empty where ``maps`` cannot be read, and a library that cannot be
+    opened is left out."""
+    try:
+        with open(maps, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except OSError:
+        return {}
+    paths = set()
+    for line in lines:
+        # address, perms, offset, dev, inode and the path, which may hold spaces
+        fields = line.split(maxsplit=5)
+        if len(fields) == 6 and "openblas" in os.path.basename(fields[5]).lower():
+            paths.add(fields[5])
+    threads = {}
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                     "scipy_openblas_get_num_threads", "openblas_get_num_threads"):
+            getter = getattr(lib, name, None)
+            if getter is not None:
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                threads[os.path.basename(path)] = getter()
+                break
+    return threads
+
+
+def _finalize(experiment: str, config: ExperimentConfig, rows, verdicts,
+              timings: dict | None = None) -> Report:
     model_hash = config.model_hash  # serialises the whole model: once per report
     for row in rows:
         row.setdefault("experiment", experiment)
@@ -124,7 +158,10 @@ def _finalize(experiment: str, config: ExperimentConfig, rows, verdicts) -> Repo
         "kolmogorov_convention": "classical log-det identity, unnormalized "
                                  "spectral density (no 1/2pi in f)",
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+        "blas_threads": _blas_threads(),
     }
+    if timings is not None:
+        metadata["timings"] = timings
     if resource is not None:
         # the process's peak resident memory so far; ru_maxrss counts KiB,
         # or bytes on macOS
@@ -331,14 +368,18 @@ def _run_physical(config: ExperimentConfig):
 
 
 def _run_verify_all(config: ExperimentConfig, threads: int):
+    """Rows and verdicts of the battery, and the wall seconds of each check."""
     results = vf.run_all(model=config.model, threads=threads,
                          names=config.grid["checks"], **config.companions)
     rows = []
     verdicts = []
+    timings = {}
     for res in results:
         rows.extend(res.rows)
         verdicts.append(Verdict(res.name, res.passed, res.details))
+        timings[res.name] = round(res.wall_s, 4)
     # byte-level determinism of a table assembly, run twice in process
+    start = time.perf_counter()
     sub = load_config({"experiment": "decay", "seed": config.seed,
                        "model": {"reference": "tvvma_kappa4_p2"},
                        "grid": {"N": 100, "t_lo": 30, "t_hi": 70}})
@@ -347,7 +388,8 @@ def _run_verify_all(config: ExperimentConfig, threads: int):
     same = rep1.table_csv() == rep2.table_csv()
     verdicts.append(Verdict("determinism", same,
                             {"bytes": len(rep1.table_csv())}))
-    return rows, verdicts
+    timings["determinism"] = round(time.perf_counter() - start, 4)
+    return rows, verdicts, timings
 
 
 _RUNNERS = {
@@ -376,7 +418,8 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> Report:
     if runner is None:
         raise ConfigError(f"unknown experiment {config.experiment!r}",
                           path="/experiment")
-    # only the verify-all battery has independent parts to run in threads
-    rows, verdicts = (runner(config, threads) if runner is _run_verify_all
-                      else runner(config))
-    return _finalize(config.experiment, config, rows, verdicts)
+    # only the verify-all battery has independent parts to run in threads,
+    # and only it times its parts
+    if runner is _run_verify_all:
+        return _finalize(config.experiment, config, *runner(config, threads))
+    return _finalize(config.experiment, config, *runner(config))

@@ -17,11 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (ConditioningError, DegenerateFitError, DivergenceError,
-                     InputError, check_count)
+                     InputError, check_count, check_size)
 from .models import (ModelSpec, _inverse_spectrum, _transfer_order, cov_pad,
                      cov_window, stationary_window)
-from .operator_core import (_ROW_BLOCK, BlockWindow, SPD_RTOL, block_norms,
-                            block_view, gu, krylov_norm, outside_band,
+from .operator_core import (_ROW_BLOCK, BlockWindow, SPD_RTOL, _spd_inverse_in_place,
+                            block_norms, block_view, gu, krylov_norm, outside_band,
                             spd_inverse, sym_eig_range, symmetric_product, zeta)
 from .reports import (DecayProfile, GapReport, envelope_constant, fit_decay_profile,
                       pair_gaps, two_sided)
@@ -75,27 +75,41 @@ def finite_section_inverse(c: BlockWindow, pad: int) -> InverseWindow:
         DomainError: a negative ``pad``.
         ConditioningError: singular window or residual above 1e-8.
     """
-    return _interior_inverse([c], pad)
+    return _interior_inverse(c, pad, own=False)
 
 
-def _interior_inverse(held: list, pad: int) -> InverseWindow:
-    """:func:`finite_section_inverse` of the window ``held.pop()``.
+def _interior_inverse(c: BlockWindow, pad: int, own: bool) -> InverseWindow:
+    """:func:`finite_section_inverse` of the window ``c``, inverted in place.
 
-    Takes the window out of ``held``, so that a caller that built it for
-    this call alone lets it go before the interior is copied out of the
-    inverse.
+    With ``own``, the caller built ``c`` for this call alone and hands its
+    matrix over (:meth:`BlockWindow._release`); otherwise a copy is
+    inverted.  The interior is then moved to the front of the same buffer
+    and the rest released, so the inverse and the interior are never held
+    together.
     """
-    c = held.pop()
     if not c.symmetric:
         raise InputError("finite_section_inverse: window must be symmetric")
     check_count(pad, "pad", "finite_section_inverse")
     if c.length - 2 * pad < 1:
         raise InputError("finite_section_inverse: pad leaves no interior")
-    inv, bound, residual = spd_inverse(c.flatten(), "finite_section_inverse: window")
-    p, t_lo, length = c.p, c.t_lo, c.length
+    p, t_lo = c.p, c.t_lo
+    buf = c._release() if own else np.array(c.flatten())
     del c
-    lo, hi = pad * p, (length - pad) * p
-    interior = BlockWindow._adopt(inv[lo:hi, lo:hi], p, t_lo=t_lo + pad)
+    bound, residual = _spd_inverse_in_place(buf, "finite_section_inverse: window")
+    lo, m = pad * p, buf.shape[0] - 2 * pad * p
+    # row blocks in order: a block is read before any later one overwrites it
+    front = buf.reshape(-1)
+    for i in range(0, m, _ROW_BLOCK):
+        j = min(i + _ROW_BLOCK, m)
+        front[i * m:j * m].reshape(j - i, m)[...] = buf[lo + i:lo + j, lo:lo + m]
+    del front
+    try:
+        buf.resize((m, m))
+    except ValueError:
+        # numpy resizes only an array that owns its data and that nothing
+        # else references (a tracer holding this frame's locals does)
+        buf = buf.reshape(-1)[:m * m].reshape(m, m).copy()
+    interior = BlockWindow._adopt(buf, p, t_lo=t_lo + pad)
     return InverseWindow(base=interior, source_pad=pad, condition_bound=bound,
                          residual=residual)
 
@@ -104,16 +118,20 @@ def model_inverse_window(model: ModelSpec, n: int, t_lo: int, t_hi: int,
                          pad: int | None = None) -> InverseWindow:
     """Interior inverse-covariance section of a model over ``[t_lo, t_hi]``.
 
-    The padded covariance window is freed before the interior is copied.
+    The padded covariance window is built for this call alone and inverted
+    in its own buffer: at the peak the call holds that buffer and
+    O(strip * n) temporaries, then only the interior.
 
     Raises:
-        InputError: a ``bool`` or non-integer ``pad``, ``t_lo`` or ``t_hi``.
-        DomainError: a negative ``pad``.
+        InputError: a ``bool`` or non-integer ``n``, ``pad``, ``t_lo`` or
+            ``t_hi``.
+        DomainError: ``n < 1`` or a negative ``pad``.
     """
+    check_size(n, "model_inverse_window")
     if pad is None:
         pad = cov_pad(model)
     check_count(pad, "pad", "model_inverse_window")
-    return _interior_inverse([cov_window(model, n, t_lo - pad, t_hi + pad)], pad)
+    return _interior_inverse(cov_window(model, n, t_lo - pad, t_hi + pad), pad, own=True)
 
 
 def _flush_tiny(a: np.ndarray) -> np.ndarray:
@@ -303,9 +321,11 @@ def stationary_inverse_sequence(model: ModelSpec, u: float, max_lag: int,
     """
     pad = cov_pad(model) if pad is None else pad
     half = max_lag + pad
-    w = stationary_window(model, u, -half, half)
-    inv, _, _ = spd_inverse(w.flatten(), "stationary_inverse_sequence: window")
-    return _centre_row(inv, w.p, half, max_lag)
+    window = stationary_window(model, u, -half, half)
+    p = window.p
+    inv = window._release()
+    _spd_inverse_in_place(inv, "stationary_inverse_sequence: window")
+    return _centre_row(inv, p, half, max_lag)
 
 
 #: The FFT grid of :func:`_fft_lags` is accepted once its mid-band lags fall

@@ -27,7 +27,7 @@ from typing import NamedTuple, Union
 import numpy as np
 
 from .errors import (ConditioningError, DomainError, FitError, InputError,
-                     ModelError, UnsupportedFamilyError, check_count)
+                     ModelError, UnsupportedFamilyError, check_count, check_size)
 from .operator_core import (_BOUND_MARGIN, SPD_RTOL, BlockWindow, EigRange,
                             _mirror_lower, block_norms, block_toeplitz, block_view, gu)
 from .reports import (DecayProfile, GapReport, envelope_constant,
@@ -723,16 +723,15 @@ def cov_window(model: ModelSpec, n: int, t_lo: int, t_hi: int,
     a TvVAR.
 
     Raises:
-        InputError: a ``bool`` or non-integer ``t_lo``, ``t_hi`` or ``pad``,
-            an empty window, or non-finite entries.
+        InputError: a ``bool`` or non-integer ``n``, ``t_lo``, ``t_hi`` or
+            ``pad``, an empty window, or non-finite entries.
         DomainError: ``n < 1`` or a negative ``pad``.
         ConditioningError: a TvVAR innovation variance that is not SPD at a
             time the recursion uses.
         ModelError: if the family invariants fail.
         UnsupportedFamilyError: for SRE models (Monte Carlo only).
     """
-    if n < 1:
-        raise DomainError("cov_window: requires n >= 1")
+    check_size(n, "cov_window")
     check_count(t_lo, "t_lo", "cov_window", signed=True)
     check_count(t_hi, "t_hi", "cov_window", signed=True)
     if pad is not None:

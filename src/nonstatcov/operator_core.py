@@ -68,6 +68,10 @@ def spectral_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(a, 2))
 
 
+#: Blocks per chunk of :func:`block_norms`; its temporaries scale with it.
+_NORM_CHUNK = 1 << 14
+
+
 def block_norms(blocks: np.ndarray) -> np.ndarray:
     """Spectral norms of a batch of blocks, shape ``(..., p, q) -> (...)``.
 
@@ -84,12 +88,27 @@ def block_norms(blocks: np.ndarray) -> np.ndarray:
     - larger: the square root of the top eigenvalue of the Gram matrix
       ``B^T B``, from one batched ``eigvalsh``.
 
-    Agrees with the largest singular value from an SVD to a few ulps.
+    A batch of more than ``_NORM_CHUNK`` blocks goes in chunks of rows of
+    its first axis, so the temporaries stay small; each block is computed
+    alone, so chunking changes no bit.  Agrees with the largest singular
+    value from an SVD to a few ulps.
 
     Raises:
         InputError: if a block holds a non-finite entry.
     """
     blocks = np.asarray(blocks, dtype=float)
+    lead = blocks.shape[:-2]
+    if math.prod(lead) <= _NORM_CHUNK:
+        return _block_norms(blocks)
+    rows = max(1, _NORM_CHUNK // math.prod(lead[1:]))
+    out = np.empty(lead)
+    for i in range(0, lead[0], rows):
+        out[i:i + rows] = _block_norms(blocks[i:i + rows])
+    return out
+
+
+def _block_norms(blocks: np.ndarray) -> np.ndarray:
+    """:func:`block_norms` of one chunk."""
     rows, cols = blocks.shape[-2:]
     # entry by entry over the batch: a reduction over the two short trailing
     # axes costs far more per block
@@ -266,7 +285,7 @@ class BlockWindow:
         """
         flat = np.ascontiguousarray(flat, dtype=float)
         _check_flat_shape(flat, p)
-        if not np.array_equal(flat, flat.T):
+        if not _exactly_symmetric(flat):
             # each entry of M + M^T and its mirror add the same two numbers,
             # so the average is exactly symmetric; averaging keeps every
             # non-finite entry non-finite, and an overflow is refused below
@@ -288,15 +307,23 @@ class BlockWindow:
     def lag_max_norms(self) -> np.ndarray:
         """``m[l] = max over |t - tau| = l of ||blocks[t, tau]||_2``."""
         norms = self.norms()
-        length = self.length
-        # max(norms, norms^T) in the left half of an (L, 2L) zero array whose
-        # buffer runs on by L zeros; read with rows of 2L + 1, row t starts at
-        # column t, so column l of that skewed view is diagonal l (padded
-        # with zeros, which no norm undercuts)
-        buf = np.zeros(length * (2 * length + 1))
-        both = buf[:2 * length * length].reshape(length, 2 * length)
-        np.maximum(norms, norms.T, out=both[:, :length])
-        return buf.reshape(length, 2 * length + 1)[:, :length].max(axis=0)
+        return np.array([max(np.diagonal(norms, lag).max(), np.diagonal(norms, -lag).max())
+                         for lag in range(self.length)])
+
+    def _release(self) -> np.ndarray:
+        """Hand the window's own matrix over, writable, and empty the window.
+
+        For a caller that built this window for one use and overwrites its
+        matrix: the window holds nothing afterwards, so no reader of it can
+        see what the caller writes.  The matrix passed ``_adopt``'s or the
+        constructor's symmetry and finiteness checks when the window was
+        made.
+        """
+        flat = self._flat
+        object.__setattr__(self, "_flat", None)
+        object.__setattr__(self, "blocks", None)
+        flat.flags.writeable = True
+        return flat
 
 
 @dataclass(frozen=True)
@@ -571,6 +598,15 @@ _TILE_UPPER = np.triu(np.ones((_ROW_BLOCK, _ROW_BLOCK), dtype=bool), 1)
 _TILE_UPPER.flags.writeable = False
 
 
+def _exactly_symmetric(a: np.ndarray) -> bool:
+    """Whether the 2-d array ``a`` is square and equal to its transpose,
+    compared in row blocks (a ``nan`` entry equals nothing)."""
+    n = a.shape[0]
+    return a.shape == (n, n) and all(
+        np.array_equal(a[i:i + _ROW_BLOCK], a[:, i:i + _ROW_BLOCK].T)
+        for i in range(0, n, _ROW_BLOCK))
+
+
 def _mirror_lower(a: np.ndarray) -> None:
     """Copy the lower triangle of a square array onto its upper one, in place.
 
@@ -600,40 +636,143 @@ def symmetric_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _inverse_residual(flat: np.ndarray, cols: np.ndarray, first: int,
-                      bandwidth: int | None) -> float:
-    """``||flat @ cols - I[:, first:first + k]||_inf`` for the ``k`` columns
-    ``cols`` of an inverse.
+def _sym_rows(low: np.ndarray, i: int, j: int, diag: np.ndarray | None = None,
+              lo: int = 0, hi: int | None = None) -> np.ndarray:
+    """Rows ``i:j`` and columns ``lo:hi`` (``lo <= i``, ``j <= hi``) of the
+    symmetric matrix held in the lower triangle of ``low``, with the
+    diagonal ``diag`` instead of that of ``low`` when given; a fresh
+    C-contiguous array."""
+    hi = low.shape[0] if hi is None else hi
+    rows = np.empty((j - i, hi - lo))
+    rows[:, :i - lo] = low[i:j, lo:i]
+    rows[:, j - lo:] = low[j:hi, i:j].T
+    tile = rows[:, i - lo:j - lo]
+    tile[...] = low[i:j, i:j]
+    _mirror_lower(tile)
+    if diag is not None:
+        np.fill_diagonal(tile, diag[i:j])
+    return rows
 
-    Works in row blocks; a matrix that is exactly zero beyond ``bandwidth``
-    diagonals multiplies only the rows of ``cols`` inside its band.
+
+def _inverse_residual(c: np.ndarray, c_diag: np.ndarray, x: np.ndarray,
+                      bandwidth: int | None) -> float:
+    """``||C X - I||_inf`` for symmetric ``C`` and ``X`` of order ``n``, read
+    from one triangle each: ``C`` from the strict lower triangle of ``c`` and
+    ``c_diag``, ``X`` from the lower triangle of ``x`` (which may be the
+    Fortran view ``c.T`` of the same buffer).
+
+    Works in strips of rows of ``C X``, one BLAS call each, so the
+    temporaries are O(strip * n).  A dense strip is one ``dsymm``: row
+    ``t`` of ``C X`` is column ``t`` of ``X C``, so ``X`` multiplies
+    columns of ``C`` straight from its triangle.  A matrix that is exactly
+    zero beyond ``bandwidth`` diagonals multiplies only the rows of ``X``
+    inside its band, copied out of the triangle, so its temporaries are
+    O((strip + bandwidth) * n).
     """
-    n, k = cols.shape
-    step, reach = (_ROW_BLOCK, n) if bandwidth is None else (_BAND_ROW_BLOCK, bandwidth)
+    n = c.shape[0]
+    step = _ROW_BLOCK if bandwidth is None else _BAND_ROW_BLOCK
     worst = 0.0
     for i in range(0, n, step):
         j = min(i + step, n)
-        lo, hi = max(0, i - reach), min(n, j + reach)
-        check = flat[i:j, lo:hi] @ cols[lo:hi]
-        rows = np.arange(max(i, first), min(j, first + k))
-        check[rows - i, rows - first] -= 1.0
-        worst = max(worst, float(np.abs(check, out=check).sum(axis=1).max()))
+        idx = np.arange(i, j)
+        if bandwidth is None:
+            check = scipy.linalg.blas.dsymm(1.0, x, _sym_rows(c, i, j, c_diag).T, lower=1)
+            check[idx, idx - i] -= 1.0
+            sums = np.abs(check, out=check).sum(axis=0)
+        else:
+            lo, hi = max(0, i - bandwidth), min(n, j + bandwidth)
+            check = _sym_rows(c, i, j, c_diag, lo, hi) @ _sym_rows(x, lo, hi)
+            check[idx - i, idx] -= 1.0
+            sums = np.abs(check, out=check).sum(axis=1)
+        del check
+        worst = max(worst, float(sums.max()))
     return worst
 
 
-def _row_sum_norm(a: np.ndarray) -> float:
-    """``||a||_inf``, the largest absolute row sum, in row blocks."""
-    return max(float(np.abs(a[i:i + _ROW_BLOCK]).sum(axis=1).max())
-               for i in range(0, a.shape[0], _ROW_BLOCK))
+def _row_sum_norm(a: np.ndarray, lower: bool = False) -> float:
+    """``||a||_inf``, the largest absolute row sum, in row blocks; with
+    ``lower``, that of the symmetric matrix held in the lower triangle of
+    ``a``."""
+    n = a.shape[0]
+    worst = 0.0
+    for i in range(0, n, _ROW_BLOCK):
+        j = min(i + _ROW_BLOCK, n)
+        rows = np.abs(_sym_rows(a, i, j) if lower else a[i:j])
+        worst = max(worst, float(rows.sum(axis=1).max()))
+        del rows
+    return worst
+
+
+def _invert_upper(buf: np.ndarray, diag: np.ndarray, what: str,
+                  bandwidth: int | None) -> None:
+    """Overwrite the upper triangle of ``buf``, an exactly symmetric SPD
+    matrix with the saved diagonal ``diag``, by that of its inverse.
+
+    ``dpotrf`` and ``dpotri`` run in place on ``buf.T``, the Fortran view of
+    the same matrix, and write only its lower triangle; the strict lower
+    triangle of ``buf`` keeps the matrix.  A LAPACK failure puts the matrix
+    back and is reported after :func:`_exact_guard`.
+    """
+    low = buf.T
+    low, info = scipy.linalg.lapack.dpotrf(low, lower=1, clean=0, overwrite_a=1)
+    step = "Cholesky factorisation"
+    if not info:
+        low, info = scipy.linalg.lapack.dpotri(low, lower=1, overwrite_c=1)
+        step = "inversion of the Cholesky factor"
+    if info:
+        _restore(buf, diag)
+        _exact_guard(buf, what, bandwidth)
+        raise ConditioningError(f"{what}: {step} failed (LAPACK info={info})")
+
+
+def _restore(buf: np.ndarray, diag: np.ndarray) -> None:
+    """Put the matrix held in the strict lower triangle of ``buf`` and in
+    ``diag`` back over all of ``buf``, bit for bit."""
+    _mirror_lower(buf)
+    np.fill_diagonal(buf, diag)
+
+
+def _spd_inverse_in_place(buf: np.ndarray, what: str,
+                          bandwidth: int | None = None) -> tuple[float, float]:
+    """:func:`spd_inverse` of ``buf``, a writable, C-contiguous and exactly
+    symmetric matrix that it overwrites with the inverse; returns
+    ``(condition_bound, residual)``.
+
+    The one SPD inverse of the package.  The inverse builds up in the upper
+    triangle of ``buf`` while its strict lower triangle and a saved diagonal
+    keep the matrix (:func:`_invert_upper`), and the residual and
+    ``||inv||_inf`` are read from those triangles, so nothing of the order
+    of the matrix is allocated.  Before the exact guard or a refusal reads
+    it, ``buf`` holds the matrix again, bit for bit; an inverse accepted
+    only by the guard is then computed once more.
+    """
+    diag = np.diagonal(buf).copy()
+    c_norm = _row_sum_norm(buf)
+    _invert_upper(buf, diag, what, bandwidth)
+    residual = _inverse_residual(buf, diag, buf.T, bandwidth)
+    bound = math.inf
+    if residual < 1.0:
+        bound = c_norm * _row_sum_norm(buf.T, lower=True) / (1.0 - residual)
+    if not (residual <= SPD_RESIDUAL_TOL and bound * _BOUND_MARGIN < 1.0 / SPD_RTOL):
+        _restore(buf, diag)
+        _exact_guard(buf, what, bandwidth)
+        if not residual <= SPD_RESIDUAL_TOL:
+            raise ConditioningError(f"{what}: inversion residual {residual:.3e} "
+                                    f"exceeds {SPD_RESIDUAL_TOL:g}")
+        _invert_upper(buf, diag, what, bandwidth)
+    _mirror_lower(buf.T)
+    return bound, residual
 
 
 def spd_inverse(flat: np.ndarray, what: str,
                 bandwidth: int | None = None) -> tuple[np.ndarray, float, float]:
-    """Inverse of a symmetric SPD matrix, certified without an eigensolve.
+    """Inverse of an exactly symmetric SPD matrix, certified without an
+    eigensolve; ``flat`` is left unchanged.
 
-    This is the one dense SPD inverse of the package.  It factors
-    ``flat = L L^T`` (``dpotrf``), inverts the factor in place (``dpotri``),
-    mirrors the result so it is exactly symmetric and computes the residual
+    Every dense SPD inverse of the package is this one: a copy, inverted in
+    place by ``_spd_inverse_in_place``.  It factors ``flat = L L^T``
+    (``dpotrf``), inverts the factor in place (``dpotri``), mirrors the
+    result so it is exactly symmetric and computes the residual
     ``r = ||flat @ inv - I||_inf``.  For symmetric matrices
     ``||.||_2 <= ||.||_inf``, and ``inv (I + R)^-1`` is the exact inverse, so
 
@@ -651,31 +790,16 @@ def spd_inverse(flat: np.ndarray, what: str,
     residual product to the band.
 
     Raises:
+        InputError: if ``flat`` is not a square matrix whose two triangles
+            are exactly equal.
         ConditioningError: if the matrix is numerically singular or
             indefinite, a LAPACK step fails, or the residual exceeds
             ``SPD_RESIDUAL_TOL``.
     """
-    factor, info = scipy.linalg.lapack.dpotrf(flat, lower=1, clean=1)
-    if info:
-        _exact_guard(flat, what, bandwidth)
-        raise ConditioningError(f"{what}: Cholesky factorisation failed "
-                                f"(LAPACK info={info})")
-    inv, info = scipy.linalg.lapack.dpotri(factor, lower=1, overwrite_c=1)
-    if info:
-        _exact_guard(flat, what, bandwidth)
-        raise ConditioningError(f"{what}: inversion of the Cholesky factor "
-                                f"failed (LAPACK info={info})")
-    _mirror_lower(inv)
-    inv = inv.T
-    residual = _inverse_residual(flat, inv, 0, bandwidth)
-    bound = math.inf
-    if residual < 1.0:
-        bound = _row_sum_norm(flat) * _row_sum_norm(inv) / (1.0 - residual)
-    if not (residual <= SPD_RESIDUAL_TOL and bound * _BOUND_MARGIN < 1.0 / SPD_RTOL):
-        _exact_guard(flat, what, bandwidth)
-        if not residual <= SPD_RESIDUAL_TOL:
-            raise ConditioningError(f"{what}: inversion residual {residual:.3e} "
-                                    f"exceeds {SPD_RESIDUAL_TOL:g}")
+    inv = np.array(flat, dtype=float, order="C")
+    if inv.ndim != 2 or not _exactly_symmetric(inv):
+        raise InputError(f"spd_inverse: {what} is not an exactly symmetric matrix")
+    bound, residual = _spd_inverse_in_place(inv, what, bandwidth)
     return inv, bound, residual
 
 

@@ -15,10 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConditioningError, DomainError, NonstatcovError
+from .errors import (ConditioningError, DomainError, NonstatcovError, check_count,
+                     check_size)
 from .inverse_analysis import _kappa_or_raise
 from .models import ModelSpec, _log_det_integral, cov_window, stationary_window
-from .operator_core import BlockWindow, block_norms, block_view, spd_inverse, zeta
+from .operator_core import (BlockWindow, _spd_inverse_in_place, block_norms, block_view,
+                            zeta)
 from .reports import GapReport
 
 _DUAL_PATH_TOL = 1e-8
@@ -54,10 +56,14 @@ class VarCoefficients:
 
 
 def _bottom_row_coeffs(window: BlockWindow, t_end: int, order: int,
-                       t_index: int | None) -> VarCoefficients:
-    inv, _, _ = spd_inverse(window.flatten(), "var coefficients: window")
-    d = block_view(inv, window.p)
-    i = t_end - window.t_lo
+                       t_index: int | None, own: bool) -> VarCoefficients:
+    """Coefficients from the bottom row of the inverse of ``window``,
+    inverted in its own buffer when the caller built it for this call alone
+    (``own``, :meth:`BlockWindow._release`), else in a copy."""
+    p, i = window.p, t_end - window.t_lo
+    inv = window._release() if own else np.array(window.flatten())
+    _spd_inverse_in_place(inv, "var coefficients: window")
+    d = block_view(inv, p)
     sigma = np.linalg.inv(d[i, i])
     phis = tuple(-sigma @ d[i, i - j] for j in range(1, order + 1))
     return VarCoefficients(t_index=t_index, order=order, phis=phis, sigma=sigma)
@@ -96,19 +102,25 @@ def _check_dual_path(a: VarCoefficients, b: VarCoefficients) -> None:
 def _finite_projection(name: str, window_of, t_end: int, order: int,
                        t_index: int | None) -> VarCoefficients:
     """Projection on the ``order`` lags before ``t_end``, by both paths."""
-    if order < 0:
-        raise DomainError(f"{name}: order must be >= 0")
+    check_count(order, "order", name)
     window = window_of(t_end - order, t_end)
     if order == 0:
         return VarCoefficients(t_index=t_index, order=0, phis=(),
                                sigma=window.block(t_end, t_end).copy())
-    a = _bottom_row_coeffs(window, t_end, order, t_index)
+    a = _bottom_row_coeffs(window, t_end, order, t_index, own=False)
     _check_dual_path(a, _normal_equation_coeffs(window, t_end, order, t_index))
     return a
 
 
+def _check_time(name: str, n: int, t_index: int) -> None:
+    check_size(n, name)
+    check_count(t_index, "t_index", name, signed=True)
+
+
 def _past_depth(name: str, order: int, depth: int | None) -> int:
+    check_count(order, "order", name)
     depth = order + 100 if depth is None else depth
+    check_count(depth, "depth", name)
     if depth < order + 50:
         raise DomainError(f"{name}: depth must be >= order + 50")
     return depth
@@ -122,11 +134,14 @@ def var_coeffs_infinite(model: ModelSpec, n: int, t_index: int, order: int,
     ``order + 100``); bottom-row blocks converge geometrically in it.
 
     Raises:
-        DomainError: if ``depth < order + 50``.
+        InputError: a ``bool`` or non-integer ``n``, ``t_index``, ``order``
+            or ``depth``.
+        DomainError: if ``n < 1``, ``order < 0`` or ``depth < order + 50``.
     """
+    _check_time("var_coeffs_infinite", n, t_index)
     depth = _past_depth("var_coeffs_infinite", order, depth)
-    window = cov_window(model, n, t_index - depth, t_index)
-    return _bottom_row_coeffs(window, t_index, order, t_index)
+    return _bottom_row_coeffs(cov_window(model, n, t_index - depth, t_index),
+                              t_index, order, t_index, own=True)
 
 
 def var_coeffs_finite(model: ModelSpec, n: int, t_index: int, order: int) -> VarCoefficients:
@@ -137,7 +152,13 @@ def var_coeffs_finite(model: ModelSpec, n: int, t_index: int, order: int) -> Var
     paths must agree to 1e-8.
 
     With ``order = 0`` the projection is empty and ``sigma = C_{T,T}``.
+
+    Raises:
+        InputError: a ``bool`` or non-integer ``n``, ``t_index`` or
+            ``order``.
+        DomainError: if ``n < 1`` or ``order < 0``.
     """
+    _check_time("var_coeffs_finite", n, t_index)
     return _finite_projection("var_coeffs_finite",
                               lambda lo, hi: cov_window(model, n, lo, hi),
                               t_index, order, t_index)
@@ -154,8 +175,8 @@ def stationary_var_coeffs_infinite(model: ModelSpec, u: float, order: int,
                                    depth: int | None = None) -> VarCoefficients:
     """Leading infinite-past coefficients of the frozen process at ``u``."""
     depth = _past_depth("stationary_var_coeffs_infinite", order, depth)
-    window = stationary_window(model, u, -depth, 0)
-    return _bottom_row_coeffs(window, 0, order, None)
+    return _bottom_row_coeffs(stationary_window(model, u, -depth, 0), 0, order, None,
+                              own=True)
 
 
 @dataclass(frozen=True)
@@ -181,10 +202,13 @@ def baxter_gaps(model: ModelSpec, n: int, t_index: int, order: int,
         DomainError: if ``ref_order < order`` or the decay exponent is too
             small for the envelopes (``kappa <= 3/2``).
     """
+    _check_time("baxter_gaps", n, t_index)
+    check_count(order, "order", "baxter_gaps")
     kappa = _kappa_or_raise(model, kappa)
     if kappa <= 1.5:
         raise DomainError("baxter_gaps: envelopes require kappa > 3/2")
     ref_order = max(order, 40) if ref_order is None else ref_order
+    check_count(ref_order, "ref_order", "baxter_gaps")
     if ref_order < order:
         raise DomainError("baxter_gaps: ref_order must be >= order")
     finite = var_coeffs_finite(model, n, t_index, order)
@@ -218,6 +242,8 @@ def var_smoothness_gap(model: ModelSpec, n: int, t_index: int, order: int,
     The innovation-variance gap is paired with the ``1/N`` envelope, the
     per-lag coefficient gaps with ``zeta(j)^(kappa-2) * min(2*zeta(j), 1/N)``.
     """
+    _check_time("var_smoothness_gap", n, t_index)
+    check_count(order, "order", "var_smoothness_gap")
     kappa = _kappa_or_raise(model, kappa)
     array_fit = var_coeffs_infinite(model, n, t_index, order)
     frozen_fit = stationary_var_coeffs_infinite(model, t_index / n, order)
@@ -253,7 +279,8 @@ def kolmogorov_gap(model: ModelSpec, n: int, t_index: int,
     ``log det Sigma(u) - 2 log |det A(omega)|``, otherwise the Cholesky
     factors of ``f``.
     """
-    depth = 150 if depth is None else depth
+    _check_time("kolmogorov_gap", n, t_index)
+    depth = _past_depth("kolmogorov_gap", 1, 150 if depth is None else depth)
     coeffs = var_coeffs_infinite(model, n, t_index, order=1, depth=depth)
     sign, logdet = np.linalg.slogdet(coeffs.sigma)
     if sign <= 0:

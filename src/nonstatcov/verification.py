@@ -10,6 +10,7 @@ report schema.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,10 +25,14 @@ from .reference import ar1_model, reference_sre, reference_tvvar3, reference_tvv
 
 @dataclass
 class CheckResult:
+    """``wall_s`` is the check's wall time, set by :func:`run_all`; it is
+    not part of the result's value."""
+
     name: str
     passed: bool
     details: dict
     rows: list = field(default_factory=list)
+    wall_s: float = field(default=0.0, compare=False)
 
 
 def table_row(kind: str, i, j, measured, envelope=0.0, constant=0.0, n=0) -> dict:
@@ -481,7 +486,8 @@ ALL_CHECKS = (
 
 def run_all(model=None, var_model=None, sre_model=None, threads: int = 1,
             names=None) -> list[CheckResult]:
-    """Run the verification battery (deterministic, order-preserving)."""
+    """Run the verification battery (deterministic, order-preserving); each
+    result carries its check's wall time in ``wall_s``."""
     kwargs_all = {"model": model, "var_model": var_model, "sre_model": sre_model}
     jobs = []
     for name, fn, wants in ALL_CHECKS:
@@ -492,6 +498,13 @@ def run_all(model=None, var_model=None, sre_model=None, threads: int = 1,
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(fn, **kw) for _, fn, kw in jobs]
+            futures = [pool.submit(_timed, fn, kw) for _, fn, kw in jobs]
             return [f.result() for f in futures]
-    return [fn(**kw) for _, fn, kw in jobs]
+    return [_timed(fn, kw) for _, fn, kw in jobs]
+
+
+def _timed(fn, kwargs: dict) -> CheckResult:
+    start = time.perf_counter()
+    result = fn(**kwargs)
+    result.wall_s = time.perf_counter() - start
+    return result

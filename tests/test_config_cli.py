@@ -4,6 +4,7 @@ import json
 import math
 import os
 import sys
+import time
 from pathlib import Path
 
 import re
@@ -324,6 +325,45 @@ class TestRunExperiment:
         assert isinstance(meta["peak_rss_mb"], float) and meta["peak_rss_mb"] > 0
         assert "peak_rss_mb" not in report.table_csv()
         assert "peak_rss_mb" not in report.verdicts_json()
+
+    def test_verify_all_timings_stay_in_metadata(self, monkeypatch):
+        """Per-check wall times and BLAS threads go to ``metadata.json``
+        only: a clock that jumps by hours leaves the table and verdicts
+        byte-identical."""
+        cfg = load_config({"experiment": "verify-all", "seed": 3,
+                           "model": {"reference": "tvvma_kappa4_p2"},
+                           "grid": {"checks": ["ar1_analytic", "partial_oracle"]}})
+        plain = run_experiment(cfg)
+        ticks = iter(range(10**6))
+        monkeypatch.setattr(time, "perf_counter", lambda: 3600.0 * next(ticks) ** 2)
+        jumped = run_experiment(cfg)
+        assert plain.table_csv() == jumped.table_csv()
+        assert plain.verdicts_json() == jumped.verdicts_json()
+        for report in (plain, jumped):
+            timings = report.metadata["timings"]
+            assert list(timings) == ["ar1_analytic", "partial_oracle", "determinism"]
+            assert all(isinstance(t, float) and t >= 0 for t in timings.values())
+            threads = report.metadata["blas_threads"]
+            assert all(isinstance(k, int) and k >= 1 for k in threads.values())
+        assert plain.metadata["timings"] != jumped.metadata["timings"]
+        assert "timings" not in run_experiment(load_config(minimal_config())).metadata
+
+    def test_blas_threads_skips_what_it_cannot_read(self, tmp_path):
+        """A mapped path with spaces is read whole, and a library that
+        cannot be opened is left out instead of failing the report."""
+        real = experiments._blas_threads()
+        lines = [f"7f00-7f10 r--p 00000000 08:01 12345    {tmp_path}/my dir/libopenblas.so\n",
+                 "7f10-7f20 rw-p 00000000 00:00 0 \n",
+                 "7f20-7f30 r--p 00000000 08:01 77    /usr/lib/libc.so.6\n"]
+        maps = tmp_path / "maps"
+        maps.write_text("".join(lines))
+        assert experiments._blas_threads(str(maps)) == {}
+        assert experiments._blas_threads(str(tmp_path / "missing")) == {}
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            ours = [line for line in fh if "openblas" in line.lower()]
+        if ours:
+            maps.write_text("".join(lines + ours))
+            assert experiments._blas_threads(str(maps)) == real != {}
 
     def test_metadata_omits_peak_memory_without_resource(self, monkeypatch):
         monkeypatch.setattr(experiments, "resource", None)

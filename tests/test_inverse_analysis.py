@@ -1,4 +1,5 @@
 import math
+import sys
 import weakref
 
 import numpy as np
@@ -107,6 +108,24 @@ class TestFiniteSectionInverse:
         want = nc.finite_section_inverse(
             nc.cov_window(reference_tvvma(), 200, 20, 99), 20).base.flatten()
         assert np.array_equal(got.base.flatten(), want)
+
+    def test_interior_under_a_tracer_that_holds_locals(self):
+        # a tracer that reads f_locals holds the frame's buffer, which then
+        # cannot be resized in place; the interior is copied out instead
+        model = reference_tvvma()
+        want = nc.model_inverse_window(model, 200, 10, 49, pad=10)
+
+        def tracer(frame, event, arg):
+            frame.f_locals
+            return tracer
+        previous = sys.gettrace()
+        sys.settrace(tracer)
+        try:
+            got = nc.model_inverse_window(model, 200, 10, 49, pad=10)
+        finally:
+            sys.settrace(previous)
+        assert np.array_equal(got.base.flatten(), want.base.flatten())
+        assert (got.condition_bound, got.residual) == (want.condition_bound, want.residual)
 
     def test_requires_symmetric(self):
         blocks = np.random.default_rng(0).standard_normal((4, 4, 1, 1))

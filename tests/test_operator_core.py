@@ -129,6 +129,21 @@ class TestBlockNorms:
         for p in (1, 2, 3):
             assert oc.block_norms(np.zeros((0, p, p))).shape == (0,)
 
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("shape,chunk", [((130, 130), None), ((23,), 5),
+                                             ((7, 6), 5), ((9, 4, 3), 7)])
+    def test_chunked_equals_unchunked_bit_for_bit(self, monkeypatch, p, shape, chunk):
+        # (130, 130) blocks pass the default chunk; the others a patched one
+        if chunk is not None:
+            monkeypatch.setattr(oc, "_NORM_CHUNK", chunk)
+        assert np.prod(shape) > oc._NORM_CHUNK
+        rng = np.random.default_rng(p + len(shape))
+        blocks = rng.standard_normal(shape + (p, p)) \
+            * 2.0 ** rng.integers(-60, 60, shape + (p, p))
+        got = oc.block_norms(blocks)
+        assert got.shape == shape
+        assert np.array_equal(got, oc._block_norms(blocks))
+
 
 class TestSymEigRange:
     def test_identity_window(self):
@@ -458,7 +473,7 @@ def exact_guard_inverse(mat, what, bandwidth=None):
         raise ConditioningError(f"{what}: inversion of the Cholesky factor "
                                 f"failed (LAPACK info={info})")
     inv = np.tril(inv) + np.tril(inv, -1).T
-    residual = oc._inverse_residual(mat, inv, 0, bandwidth)
+    residual = oc._inverse_residual(mat, np.diagonal(mat), inv, bandwidth)
     if residual > oc.SPD_RESIDUAL_TOL:
         raise ConditioningError(f"{what}: inversion residual {residual:.3e} "
                                 f"exceeds {oc.SPD_RESIDUAL_TOL:g}")
@@ -671,21 +686,43 @@ class TestSpdKernel:
 
     @pytest.mark.parametrize("n,bandwidth,first,k", [
         (1, 0, 0, 1), (50, 0, 0, 50), (90, 4, 10, 70), (200, 9, 0, 200),
-        (300, 17, 37, 200), (130, 200, 5, 60)])
+        (300, 17, 37, 200), (130, 200, 5, 60), (600, 150, 100, 300)])
     def test_banded_residual_matches_dense(self, n, bandwidth, first, k):
+        """``||C X - I||_inf`` read from the triangles, against numpy on the
+        full matrices, for ``X`` the inverse with rows and columns
+        ``first:first + k`` perturbed symmetrically; with the band and
+        without it, and with ``C`` and ``X`` sharing one buffer as the
+        kernel keeps them."""
         rng = np.random.default_rng(n + bandwidth + first)
         lag = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
         raw = rng.standard_normal((n, n))
         mat = 0.5 * (raw + raw.T) * (lag <= bandwidth) + 3.0 * np.eye(n)
-        cols = np.linalg.inv(mat)[:, first:first + k] \
-            + 1e-6 * rng.standard_normal((n, k))
-        check = mat @ cols
-        check[np.arange(first, first + k), np.arange(k)] -= 1.0
+        noise = np.zeros((n, n))
+        noise[:, first:first + k] = 1e-6 * rng.standard_normal((n, k))
+        x = np.linalg.inv(mat)
+        x = 0.5 * (x + x.T) + noise + noise.T
+        check = mat @ x - np.eye(n)
         dense = np.abs(check).sum(axis=1).max()
-        scale = np.abs(mat).sum(axis=1).max() * np.abs(cols).sum(axis=0).max()
+        scale = np.abs(mat).sum(axis=1).max() * np.abs(x).sum(axis=0).max()
+        shared = np.tril(mat, -1) + np.triu(x)
         for bw in (bandwidth, None):
-            got = oc._inverse_residual(mat, cols, first, bw)
+            got = oc._inverse_residual(mat, np.diagonal(mat), x, bw)
             assert abs(got - dense) <= 4 * n * np.finfo(float).eps * scale
+            assert oc._inverse_residual(shared, np.diagonal(mat), shared.T, bw) == got
+
+    @pytest.mark.parametrize("i,j,lo,hi", [(0, 1, 0, 1), (0, 600, 0, 600),
+                                           (100, 400, 40, 500), (300, 364, 0, 600)])
+    def test_sym_rows_reads_the_symmetric_matrix(self, i, j, lo, hi):
+        """Rows of the matrix held in a lower triangle, with its own or a
+        given diagonal, for strips of any height."""
+        rng = np.random.default_rng(j)
+        a = rng.standard_normal((600, 600))
+        full = np.tril(a) + np.tril(a, -1).T
+        assert np.array_equal(oc._sym_rows(a, i, j, lo=lo, hi=hi), full[i:j, lo:hi])
+        diag = rng.standard_normal(600)
+        full[np.diag_indices(600)] = diag
+        got = oc._sym_rows(a, i, j, diag, lo, hi)
+        assert got.flags.c_contiguous and np.array_equal(got, full[i:j, lo:hi])
 
     @pytest.mark.parametrize("n", [1, 20, 256, 300, 600])
     def test_symmetric_product_matches_full_product(self, n):
@@ -726,6 +763,137 @@ class TestSpdKernel:
         e = np.array([[2.0, 0.1], [0.0, 2.0]])
         with pytest.raises(InputError):
             nc.schur_complement(np.eye(1), np.ones((1, 2)), e)
+
+
+def copying_inverse(mat):
+    """The SPD inverse on a Fortran copy, as ``spd_inverse`` computed it
+    before it worked in place: ``dpotrf``, ``dpotri`` and the mirror, the
+    residual from numpy's product of the full matrices.  Returns
+    ``(inv, ||mat||_inf, ||inv||_inf, residual)``."""
+    factor, info = scipy.linalg.lapack.dpotrf(mat, lower=1, clean=1)
+    assert not info
+    inv, info = scipy.linalg.lapack.dpotri(factor, lower=1, overwrite_c=1)
+    assert not info
+    inv = np.tril(inv) + np.tril(inv, -1).T
+    residual = np.abs(mat @ inv - np.eye(len(mat))).sum(axis=1).max()
+    return inv, np.abs(mat).sum(axis=1).max(), np.abs(inv).sum(axis=1).max(), residual
+
+
+class TestInPlaceKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), length=st.integers(1, 60),
+           p=st.integers(1, 3), bandwidth=st.integers(0, 60),
+           log_cond=st.floats(0.0, 7.0), banded=st.booleans())
+    @example(seed=0, length=100, p=3, bandwidth=100, log_cond=3.0, banded=False)
+    @example(seed=1, length=140, p=2, bandwidth=4, log_cond=5.0, banded=True)
+    @example(seed=2, length=120, p=3, bandwidth=60, log_cond=4.0, banded=True)
+    def test_matches_the_copying_path(self, seed, length, p, bandwidth, log_cond,
+                                      banded):
+        """Inverse and the norms of the condition bound bit for bit; the
+        residual, summed in another order, within the rounding of the
+        product (``4 n eps ||C|| ||X||``, the same order as the residual
+        itself)."""
+        n = length * p
+        rows = min((bandwidth + 1) * p - 1, n - 1)
+        mat = banded_with_condition(seed, n, rows, 10.0 ** log_cond)
+        inv, c_norm, x_norm, residual = copying_inverse(mat)
+        buf = mat.copy()
+        bound, got = oc._spd_inverse_in_place(buf, "m", rows if banded else None)
+        assert np.array_equal(buf, inv)
+        assert bound == c_norm * x_norm / (1.0 - got)
+        assert abs(got - residual) <= 4 * n * np.finfo(float).eps * c_norm * x_norm
+        public = nc.spd_inverse(mat, "m", rows if banded else None)
+        assert np.array_equal(public[0], inv) and public[1:] == (bound, got)
+
+    def test_works_in_the_buffer_it_is_handed(self, monkeypatch):
+        shared = []
+        real = scipy.linalg.lapack.dpotri
+
+        def recording(c, **kwargs):
+            shared.append(np.shares_memory(c, buf))
+            return real(c, **kwargs)
+        monkeypatch.setattr(scipy.linalg.lapack, "dpotri", recording)
+        buf = spd_with_condition(3, 300, 1e4)
+        oc._spd_inverse_in_place(buf, "m")
+        assert shared == [True]
+
+    def test_public_inverse_leaves_its_input_unchanged(self):
+        mat = spd_with_condition(4, 40, 1e3)
+        before = mat.copy()
+        inv, _, _ = nc.spd_inverse(mat, "m")
+        assert np.array_equal(mat, before) and not np.shares_memory(inv, mat)
+        mat.flags.writeable = False
+        assert np.array_equal(nc.spd_inverse(mat, "m")[0], inv)
+        fortran = np.asfortranarray(before)
+        assert np.array_equal(nc.spd_inverse(fortran, "m")[0], inv)
+        assert np.array_equal(fortran, before)
+
+    @pytest.mark.parametrize("case", ["singular", "indefinite", "dpotrf", "dpotri",
+                                      "residual"])
+    def test_refusals_restore_the_matrix_first(self, monkeypatch, case):
+        """Every refusal raises the copying path's message, in the same
+        order, and leaves the buffer holding the matrix bit for bit."""
+        mat = spd_with_condition(5, 30, 1e2)
+        if case == "singular":
+            mat = np.diag([2.0, 1.0, 0.0])
+            want = "m is numerically singular"
+        elif case == "indefinite":
+            vals, vecs = np.linalg.eigh(mat)
+            vals[0] = -vals[0]
+            mat = (vecs * vals) @ vecs.T
+            mat = 0.5 * (mat + mat.T)
+            want = "m is numerically singular"
+        elif case == "residual":
+            monkeypatch.setattr(oc, "_inverse_residual", lambda *args: 1e-6)
+            want = "m: inversion residual 1.000e-06 exceeds 1e-08"
+        else:
+            real = getattr(scipy.linalg.lapack, case)
+
+            def failing(a, **kwargs):
+                out, _ = real(a, **kwargs)
+                out[np.tril_indices(len(out))] = np.nan   # a failure may scribble
+                return out, 3
+            monkeypatch.setattr(scipy.linalg.lapack, case, failing)
+            step = ("Cholesky factorisation" if case == "dpotrf"
+                    else "inversion of the Cholesky factor")
+            want = f"m: {step} failed (LAPACK info=3)"
+        seen = []
+        real_guard = oc._exact_guard
+
+        def guard(flat, *args):
+            seen.append(np.array_equal(flat, mat))
+            return real_guard(flat, *args)
+        monkeypatch.setattr(oc, "_exact_guard", guard)
+        buf = mat.copy()
+        with pytest.raises(ConditioningError) as err:
+            oc._spd_inverse_in_place(buf, "m")
+        assert str(err.value).startswith(want)
+        assert seen == [True]
+        assert np.array_equal(buf, mat)
+
+    @pytest.mark.parametrize("n,row,col", [(40, 3, 17), (300, 280, 5)])
+    def test_public_inverse_refuses_a_matrix_symmetric_only_to_rounding(self, n, row,
+                                                                        col):
+        """Triangles one ulp apart, in the first or a later row block."""
+        mat = spd_with_condition(6, n, 1e3)
+        mat[row, col] = np.nextafter(mat[row, col], np.inf)
+        before = mat.copy()
+        with pytest.raises(InputError, match="^spd_inverse: m is not an exactly "
+                                             "symmetric matrix$"):
+            nc.spd_inverse(mat, "m")
+        assert np.array_equal(mat, before)
+        for bad in (np.ones((3, 4)), np.ones(3)):
+            with pytest.raises(InputError, match="not an exactly symmetric"):
+                nc.spd_inverse(bad, "m")
+
+    def test_release_hands_the_matrix_over_and_empties_the_window(self):
+        model = nc.get_reference_model("tvvma_kappa4_p2")
+        window = nc.cov_window(model, 200, 0, 29)
+        own = window.flatten()
+        want = own.copy()
+        got = window._release()
+        assert got is own and got.flags.writeable and np.array_equal(got, want)
+        assert window.flatten() is None and window.blocks is None
 
 
 class TestBlockWindow:

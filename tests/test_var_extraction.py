@@ -67,7 +67,7 @@ class TestVarCoeffsFinite:
     def test_dual_paths_agree(self):
         model = reference_tvvma()
         window = nc.cov_window(model, 200, 92, 100)
-        a = _bottom_row_coeffs(window, 100, 8, 100)
+        a = _bottom_row_coeffs(window, 100, 8, 100, own=False)
         b = _normal_equation_coeffs(window, 100, 8, 100)
         assert np.allclose(a.sigma, b.sigma, atol=1e-8)
         for pa, pb in zip(a.phis, b.phis):
@@ -231,3 +231,58 @@ class TestKolmogorov:
         gaps = {n: nc.kolmogorov_gap(model, n, n // 2).gap for n in (100, 200)}
         ratio = gaps[100] / gaps[200]
         assert 1.5 <= ratio <= 2.7
+
+
+class TestInputContract:
+    """Counts and times are integers, refused at the entry point by name."""
+
+    @pytest.mark.parametrize("call,message", [
+        (lambda m: nc.var_coeffs_finite(m, 200, 100, True),
+         "var_coeffs_finite: order must be an integer, got True"),
+        (lambda m: nc.var_coeffs_finite(m, 200, 100, 2.5),
+         "var_coeffs_finite: order must be an integer, got 2.5"),
+        (lambda m: nc.var_coeffs_finite(m, 200, 100.5, 2),
+         "var_coeffs_finite: t_index must be an integer, got 100.5"),
+        (lambda m: nc.kolmogorov_gap(m, 200, 100, depth=2.5),
+         "kolmogorov_gap: depth must be an integer, got 2.5"),
+        (lambda m: nc.var_coeffs_finite(m, 200.5, 100, 2),
+         "var_coeffs_finite: n must be an integer, got 200.5"),
+        (lambda m: nc.cov_window(m, 2.5, 0, 5),
+         "cov_window: n must be an integer, got 2.5"),
+        (lambda m: nc.model_inverse_window(m, math.nan, 0, 5),
+         "model_inverse_window: n must be an integer, got nan"),
+    ], ids=["bool_order", "float_order", "float_t_index", "float_depth",
+            "float_n", "cov_window_float_n", "model_inverse_window_nan_n"])
+    def test_reported_cases(self, call, message):
+        with pytest.raises(nc.InputError) as err:
+            call(reference_tvvma())
+        assert str(err.value) == message
+
+    ENTRY_POINTS = {
+        "var_coeffs_infinite": (nc.var_coeffs_infinite,
+                                dict(n=200, t_index=100, order=2, depth=60)),
+        "var_coeffs_finite": (nc.var_coeffs_finite, dict(n=200, t_index=100, order=2)),
+        "stationary_var_coeffs": (nc.stationary_var_coeffs, dict(u=0.5, order=2)),
+        "stationary_var_coeffs_infinite": (nc.stationary_var_coeffs_infinite,
+                                           dict(u=0.5, order=2, depth=60)),
+        "baxter_gaps": (nc.baxter_gaps, dict(n=200, t_index=100, order=2, ref_order=4)),
+        "var_smoothness_gap": (nc.var_smoothness_gap, dict(n=200, t_index=100, order=2)),
+        "kolmogorov_gap": (nc.kolmogorov_gap, dict(n=200, t_index=100, depth=60)),
+        "cov_window": (nc.cov_window, dict(n=200, t_lo=0, t_hi=5)),
+        "model_inverse_window": (nc.model_inverse_window, dict(n=200, t_lo=0, t_hi=5)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize("bad", [2.5, True, math.nan, np.float64(3.0), "4", -1, 0])
+    def test_every_count_is_refused_by_name(self, name, bad):
+        fn, good = self.ENTRY_POINTS[name]
+        for param in set(good) & {"n", "t_index", "order", "depth", "ref_order"}:
+            if isinstance(bad, int) and not isinstance(bad, bool) and (
+                    param == "t_index" or (bad == 0 and param != "n")):
+                continue   # a signed time, or a count that may be 0
+            with pytest.raises(nc.NonstatcovError) as err:
+                fn(reference_tvvma(), **{**good, param: bad})
+            text = str(err.value)
+            assert text.startswith(f"{name}: ")
+            assert (f" {param} " in text if param != "n" or bad != 0 else
+                    text == f"{name}: requires n >= 1")
