@@ -21,8 +21,9 @@ from .errors import (ConditioningError, DegenerateFitError, DivergenceError,
 from .models import (ModelSpec, _inverse_spectrum, _transfer_order, cov_pad,
                      cov_window, stationary_window)
 from .operator_core import (_ROW_BLOCK, BlockWindow, SPD_RTOL, _spd_inverse_in_place,
-                            block_norms, block_view, gu, krylov_norm, outside_band,
-                            spd_inverse, sym_eig_range, symmetric_product, zeta)
+                            _symmetric_product_into, block_norms, block_view, gu,
+                            krylov_norm, outside_band, sym_eig_range,
+                            symmetric_product, zeta)
 from .reports import (DecayProfile, GapReport, envelope_constant, fit_decay_profile,
                       pair_gaps, two_sided)
 
@@ -128,6 +129,8 @@ def model_inverse_window(model: ModelSpec, n: int, t_lo: int, t_hi: int,
         DomainError: ``n < 1`` or a negative ``pad``.
     """
     check_size(n, "model_inverse_window")
+    check_count(t_lo, "t_lo", "model_inverse_window", signed=True)
+    check_count(t_hi, "t_hi", "model_inverse_window", signed=True)
     if pad is None:
         pad = cov_pad(model)
     check_count(pad, "pad", "model_inverse_window")
@@ -170,25 +173,36 @@ def _neumann_sum(r: np.ndarray, operands: list, terms: int) -> np.ndarray:
     products for the powers, one :func:`symmetric_product` for ``Q`` and
     ``g - 1`` for Horner's rule ``H <- Q + y H`` from ``H = Q``.  Every
     product is a polynomial in ``x`` times ``R``, hence exactly symmetric.
-    At most five n x n arrays are alive at once, ``r`` included, and every
-    product operand goes through :func:`_flush_tiny`.
+
+    Sums and products run in buffers already held: once ``x^b`` exists,
+    ``x`` is no longer a factor and ``A`` is summed in its buffer, and
+    every Horner step after the first multiplies into ``H``'s own buffer
+    (:func:`_symmetric_product_into`, one strip of temporary).  So at most
+    four n x n arrays are alive at once for ``b <= 3``, ``r`` included:
+    ``R, x, x^2, x^3`` at the last baby step, then ``R, y, Q, H``.  A
+    larger ``b`` keeps a running sum beside ``x`` and two powers, five
+    arrays.  Every product operand goes through :func:`_flush_tiny`.
     """
     x = operands.pop()
     if terms == 0:
         return r
     b = _split_length(terms)
     acc = power = x
-    for _ in range(b - 1):
-        power = _flush_tiny(x @ power)
-        acc = acc + power if acc is x else np.add(acc, power, out=acc)
+    for step in range(1, b):
+        prev, power = power, _flush_tiny(x @ power)
+        if prev is not x:
+            # x + ... + prev, in x's own buffer after the last product
+            acc = acc + prev if acc is x and step < b - 1 else np.add(acc, prev, out=acc)
+        del prev
     del x
     if b > 1:
-        _flush_tiny(acc)
+        _flush_tiny(np.add(acc, power, out=acc))
     q = symmetric_product(acc, r)
     del acc
     h = q
     for _ in range(terms // b - 1):
-        h = symmetric_product(power, _flush_tiny(h))
+        _flush_tiny(h)
+        h = symmetric_product(power, h) if h is q else _symmetric_product_into(power, h)
         np.add(h, q, out=h)
     del q, power
     return np.add(h, r, out=h)
@@ -202,8 +216,10 @@ def neumann_inverse(c: BlockWindow, m: int, terms: int) -> NeumannResult:
     :func:`_neumann_sum`): ``(b - 1) + terms / b`` products for the divisor
     ``b`` of ``terms`` that makes them fewest, 4 for 6 terms and 6 for 12,
     where Horner's rule takes one per term; a prime count falls back to
-    Horner.  It holds no more n x n arrays at once than Horner's rule:
-    ``||E||_2`` is taken before the series and ``E`` dropped.  The
+    Horner.  ``B_M`` is inverted in its own buffer, and ``||E||_2`` is taken
+    before the series and ``E`` dropped, so besides the window the call
+    holds at most four n x n arrays at once for ``b <= 3``, which covers
+    every term count below 16, and five for ``b >= 4``.  The
     certificate bounds the dropped tail by the geometric series
     ``||B_M^{-1}|| q^{terms+1} / (1 - q)`` with ``q = ||B_M^{-1} E||_2``
     computed on the window; ``q`` and ``||E||_2`` come from
@@ -229,14 +245,18 @@ def neumann_inverse(c: BlockWindow, m: int, terms: int) -> NeumannResult:
     err = np.where(outside, flat, 0.0)
     del outside
     bandwidth = (m + 1) * c.p - 1
+    # the certificate reads the exact extremes of B_M, taken from its band
+    # before B_M is inverted in its own buffer
+    rng = sym_eig_range(bf, bandwidth)
     try:
-        b_inv, _, _ = spd_inverse(bf, f"neumann_inverse: banded truncation "
-                                      f"at bandwidth {m}", bandwidth=bandwidth)
+        _spd_inverse_in_place(bf, f"neumann_inverse: banded truncation at bandwidth {m}",
+                              bandwidth)
     except ConditioningError:
         # Banding can destroy positive definiteness while B_M stays
         # invertible and the series still contracts; such a truncation (or
         # an SPD one too ill-conditioned for the Cholesky residual check)
-        # is inverted by LU, guarded by its smallest |eigenvalue|.
+        # is inverted by LU, guarded by its smallest |eigenvalue|.  The
+        # kernel put B_M back bit for bit before it refused.
         vals = np.abs(np.linalg.eigvalsh(bf))
         amin, amax = float(vals.min()), float(vals.max())
         if amin <= SPD_RTOL * max(amax, 1e-300):
@@ -246,14 +266,13 @@ def neumann_inverse(c: BlockWindow, m: int, terms: int) -> NeumannResult:
         b_inv = np.linalg.inv(bf)
         b_inv = 0.5 * (b_inv + b_inv.T)
     else:
-        # the certificate reads the exact extremes of B_M
-        rng = sym_eig_range(bf, bandwidth)
+        b_inv = bf
         amin, amax = rng.lambda_min, rng.lambda_max
+    del bf
     b_inv_norm = 1.0 / amin
     _flush_tiny(b_inv)
     prod = _flush_tiny(b_inv @ err)
-    n = bf.shape[0]
-    del bf
+    n = b_inv.shape[0]
     # E is exactly symmetric, so its spectral norm is its largest |eigenvalue|
     c_norm = amax + krylov_norm(err, symmetric=True)
     del err
@@ -318,8 +337,15 @@ def stationary_inverse_sequence(model: ModelSpec, u: float, max_lag: int,
 
     The section has half-width ``max_lag + pad``; the centered row of its
     inverse approximates the bi-infinite Toeplitz inverse.
+
+    Raises:
+        InputError: a ``bool`` or non-integer ``max_lag`` or ``pad``.
+        DomainError: a negative ``max_lag`` or ``pad``.
     """
-    pad = cov_pad(model) if pad is None else pad
+    check_count(max_lag, "max_lag", "stationary_inverse_sequence")
+    if pad is None:
+        pad = cov_pad(model)
+    check_count(pad, "pad", "stationary_inverse_sequence")
     half = max_lag + pad
     window = stationary_window(model, u, -half, half)
     p = window.p

@@ -636,6 +636,28 @@ def symmetric_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _symmetric_product_into(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """:func:`symmetric_product` ``a @ b`` written over ``b``, a C-contiguous
+    array that ``a`` does not share; the same bits, one strip of temporary.
+
+    The lower-triangle row blocks go from the bottom up.  Block ``i:j`` is
+    the strip ``a[i:j] @ b[:, :j]``, the operands and layout of
+    :func:`symmetric_product`, and is written transposed over ``b[:j, i:j]``.
+    The blocks above it read only the columns left of ``i``, which no block
+    overwrites, so the upper triangle ends up holding the product and is
+    mirrored down.
+    """
+    n = a.shape[0]
+    strip = np.empty((min(_ROW_BLOCK, n), n))
+    for i in reversed(range(0, n, _ROW_BLOCK)):
+        j = min(i + _ROW_BLOCK, n)
+        rows = np.matmul(a[i:j], b[:, :j], out=strip[:j - i, :j])
+        b[:j, i:j] = rows.T
+    del strip, rows
+    _mirror_lower(b.T)
+    return b
+
+
 def _sym_rows(low: np.ndarray, i: int, j: int, diag: np.ndarray | None = None,
               lo: int = 0, hi: int | None = None) -> np.ndarray:
     """Rows ``i:j`` and columns ``lo:hi`` (``lo <= i``, ``j <= hi``) of the

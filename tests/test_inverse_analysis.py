@@ -4,6 +4,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import nonstatcov as nc
 from nonstatcov import inverse_analysis as ia
@@ -234,14 +236,62 @@ class TestNeumannInverse:
         c = nc.cov_window(reference_tvvma(), 200, 30, 109)
         products = []
 
-        def counting(a, b):
-            products.append(a.shape)
-            return oc.symmetric_product(a, b)
-        monkeypatch.setattr(ia, "symmetric_product", counting)
+        def counting(kernel):
+            def count(a, b):
+                products.append(kernel.__name__)
+                return kernel(a, b)
+            return count
+        # Q and the first Horner step are fresh products, the later Horner
+        # steps multiply into H's own buffer
+        for name in ("symmetric_product", "_symmetric_product_into"):
+            monkeypatch.setattr(ia, name, counting(getattr(oc, name)))
         for terms in (0, 1, 6, 7, 12, 20):
             products.clear()
             nc.neumann_inverse(c, 12, terms)
-            assert len(products) == (terms // ia._split_length(terms) if terms else 0)
+            steps = terms // ia._split_length(terms) if terms else 0
+            assert len(products) == steps
+            assert products.count("symmetric_product") == min(steps, 2)
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(1, 600), terms=st.integers(0, 30), seed=st.integers(0, 2**32 - 1))
+    @example(n=600, terms=12, seed=0)
+    @example(n=513, terms=16, seed=1)
+    @example(n=257, terms=30, seed=2)
+    @example(n=256, terms=6, seed=3)
+    def test_split_sum_keeps_the_bits_of_fresh_buffers(self, n, terms, seed):
+        """The in-place sum against the split sum with a fresh array for
+        ``A`` and for every Horner step, bit for bit."""
+        from nonstatcov import operator_core as oc
+
+        def fresh_buffer_sum(r, x, terms):
+            if terms == 0:
+                return r
+            b = ia._split_length(terms)
+            acc = power = x
+            for _ in range(b - 1):
+                power = ia._flush_tiny(x @ power)
+                acc = acc + power if acc is x else np.add(acc, power, out=acc)
+            if b > 1:
+                ia._flush_tiny(acc)
+            q = oc.symmetric_product(acc, r)
+            h = q
+            for _ in range(terms // b - 1):
+                h = oc.symmetric_product(power, ia._flush_tiny(h))
+                np.add(h, q, out=h)
+            return np.add(h, r, out=h)
+
+        # R and E decay off the diagonal as banded inverses do, so that the
+        # products reach the flush level of _flush_tiny on wide matrices
+        rng = np.random.default_rng(seed)
+        lag = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+        noise = rng.standard_normal((2, n, n))
+        noise += noise.transpose(0, 2, 1)
+        r = rng.uniform(0.05, 0.9) ** lag * (1.0 + 0.05 * noise[0])
+        e = 0.2 * rng.uniform(0.05, 0.9) ** lag * noise[1] / math.sqrt(n)
+        x = -(r @ e)
+        want = fresh_buffer_sum(r.copy(), x.copy(), terms)
+        got = ia._neumann_sum(r.copy(), [x.copy()], terms)
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("lu", [False, True])
     def test_certificate_fields_independent_of_the_series(self, lu):

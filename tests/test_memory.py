@@ -7,6 +7,8 @@ library's own workspace or the allocator's layout.
 
 import tracemalloc
 
+import pytest
+
 import nonstatcov as nc
 from nonstatcov import verification as vf
 from nonstatcov.reference import reference_tvvma
@@ -41,3 +43,16 @@ def test_inverse_decay_check_peak():
     peak, (result,) = traced_peak(lambda: vf.run_all(names=["inverse_decay"]))
     assert result.passed
     assert peak <= 21 * MIB
+
+
+@pytest.mark.parametrize("rows,terms", [(1200, 6), (1200, 12), (720, 12)])
+def test_neumann_inverse_holds_four_sections(rows, terms):
+    # the reference TvVMA sections of the large-section benchmark at
+    # bandwidth 12; 6 and 12 terms split with b = 2 and b = 3, so the sum
+    # holds R, x, x^2, x^3 and then R, y, Q, H, besides strips
+    c = nc.cov_window(reference_tvvma(), 400, 0, rows // 2 - 1)
+    call = lambda: nc.neumann_inverse(c, 12, terms)  # noqa: E731
+    call()
+    peak, res = traced_peak(call)
+    assert res.approx.flatten().shape == (rows, rows)
+    assert peak <= 4.5 * c.flatten().nbytes

@@ -735,6 +735,16 @@ class TestSpdKernel:
         assert np.array_equal(out, out.T)
         assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
 
+    @pytest.mark.parametrize("n", [1, 20, 255, 256, 257, 513, 600])
+    def test_symmetric_product_into_overwrites_with_the_same_bits(self, n):
+        rng = np.random.default_rng(n)
+        raw = rng.standard_normal((n, n))
+        s = 0.5 * (raw + raw.T)
+        a, b = s, s @ s + np.eye(n)
+        want = oc.symmetric_product(a, b)
+        got = oc._symmetric_product_into(a, b)
+        assert got is b and np.array_equal(got, want)
+
     @pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 600])
     def test_mirror_lower_copies_the_lower_triangle_exactly(self, n):
         # the diagonal tiles of every size read one cached 256 x 256 mask

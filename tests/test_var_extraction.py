@@ -258,6 +258,25 @@ class TestInputContract:
             call(reference_tvvma())
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("call,error,message", [
+        (lambda m: nc.model_inverse_window(m, 200, 0.5, 5), nc.InputError,
+         "model_inverse_window: t_lo must be an integer, got 0.5"),
+        (lambda m: nc.model_inverse_window(m, 200, 0, 5.5), nc.InputError,
+         "model_inverse_window: t_hi must be an integer, got 5.5"),
+        (lambda m: nc.stationary_inverse_sequence(m, 0.5, -1), nc.DomainError,
+         "stationary_inverse_sequence: max_lag must be >= 0"),
+        (lambda m: nc.stationary_inverse_sequence(m, 0.5, 2.5), nc.InputError,
+         "stationary_inverse_sequence: max_lag must be an integer, got 2.5"),
+        (lambda m: nc.stationary_inverse_sequence(m, 0.5, 2, pad=1.5), nc.InputError,
+         "stationary_inverse_sequence: pad must be an integer, got 1.5"),
+    ], ids=["float_t_lo", "float_t_hi", "negative_max_lag", "float_max_lag", "float_pad"])
+    def test_padded_counts_are_refused_before_padding(self, call, error, message):
+        # refused by the entry point, not by the window it would build with
+        # the pad added (cov_window's "got -49.5" or an empty sequence)
+        with pytest.raises(error) as err:
+            call(reference_tvvma())
+        assert str(err.value) == message
+
     ENTRY_POINTS = {
         "var_coeffs_infinite": (nc.var_coeffs_infinite,
                                 dict(n=200, t_index=100, order=2, depth=60)),
@@ -269,16 +288,21 @@ class TestInputContract:
         "var_smoothness_gap": (nc.var_smoothness_gap, dict(n=200, t_index=100, order=2)),
         "kolmogorov_gap": (nc.kolmogorov_gap, dict(n=200, t_index=100, depth=60)),
         "cov_window": (nc.cov_window, dict(n=200, t_lo=0, t_hi=5)),
-        "model_inverse_window": (nc.model_inverse_window, dict(n=200, t_lo=0, t_hi=5)),
+        "model_inverse_window": (nc.model_inverse_window,
+                                 dict(n=200, t_lo=0, t_hi=5, pad=10)),
+        "stationary_inverse_sequence": (nc.stationary_inverse_sequence,
+                                        dict(u=0.5, max_lag=5, pad=10)),
     }
+    COUNTS = {"n", "order", "depth", "ref_order", "max_lag", "pad"}
+    TIMES = {"t_index", "t_lo", "t_hi"}
 
     @pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
     @pytest.mark.parametrize("bad", [2.5, True, math.nan, np.float64(3.0), "4", -1, 0])
     def test_every_count_is_refused_by_name(self, name, bad):
         fn, good = self.ENTRY_POINTS[name]
-        for param in set(good) & {"n", "t_index", "order", "depth", "ref_order"}:
+        for param in set(good) & (self.COUNTS | self.TIMES):
             if isinstance(bad, int) and not isinstance(bad, bool) and (
-                    param == "t_index" or (bad == 0 and param != "n")):
+                    param in self.TIMES or (bad == 0 and param != "n")):
                 continue   # a signed time, or a count that may be 0
             with pytest.raises(nc.NonstatcovError) as err:
                 fn(reference_tvvma(), **{**good, param: bad})
