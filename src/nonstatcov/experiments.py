@@ -109,10 +109,10 @@ def _check_schema(rows) -> None:
                              f"{sorted(row)}")
 
 
-def _blas_threads(maps: str = "/proc/self/maps") -> dict:
-    """Threads of each OpenBLAS library loaded in this process, by file
-    name; empty where ``maps`` cannot be read, and a library that cannot be
-    opened is left out."""
+def _openblas_libraries(maps: str = "/proc/self/maps") -> dict:
+    """The OpenBLAS libraries loaded in this process, opened with ctypes, by
+    file name; empty where ``maps`` cannot be read, and a library that
+    cannot be opened is left out."""
     try:
         with open(maps, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
@@ -124,19 +124,37 @@ def _blas_threads(maps: str = "/proc/self/maps") -> dict:
         fields = line.split(maxsplit=5)
         if len(fields) == 6 and "openblas" in os.path.basename(fields[5]).lower():
             paths.add(fields[5])
-    threads = {}
+    libraries = {}
     for path in sorted(paths):
         try:
-            lib = ctypes.CDLL(path)
+            libraries[os.path.basename(path)] = ctypes.CDLL(path)
         except OSError:
             continue
-        for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
-                     "scipy_openblas_get_num_threads", "openblas_get_num_threads"):
-            getter = getattr(lib, name, None)
-            if getter is not None:
-                getter.argtypes, getter.restype = [], ctypes.c_int
-                threads[os.path.basename(path)] = getter()
-                break
+    return libraries
+
+
+def _openblas_function(lib, verb: str):
+    """The ``<verb>`` entry point of an OpenBLAS library (``get_num_threads``,
+    ``set_num_threads``) under whichever of its builds' names it exports,
+    or ``None``."""
+    for name in (f"scipy_openblas_{verb}64_", f"openblas_{verb}64_",
+                 f"scipy_openblas_{verb}", f"openblas_{verb}"):
+        fn = getattr(lib, name, None)
+        if fn is not None:
+            return fn
+    return None
+
+
+def _blas_threads(maps: str = "/proc/self/maps") -> dict:
+    """Threads of each OpenBLAS library loaded in this process, by file
+    name; empty where ``maps`` cannot be read, and a library that cannot be
+    opened is left out."""
+    threads = {}
+    for name, lib in _openblas_libraries(maps).items():
+        getter = _openblas_function(lib, "get_num_threads")
+        if getter is not None:
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            threads[name] = getter()
     return threads
 
 

@@ -20,10 +20,10 @@ from .errors import (ConditioningError, DegenerateFitError, DivergenceError,
                      InputError, check_count, check_size)
 from .models import (ModelSpec, _inverse_spectrum, _transfer_order, cov_pad,
                      cov_window, stationary_window)
-from .operator_core import (_ROW_BLOCK, BlockWindow, SPD_RTOL, _spd_inverse_in_place,
-                            _symmetric_product_into, block_norms, block_view, gu,
-                            krylov_norm, outside_band, sym_eig_range,
-                            symmetric_product, zeta)
+from .operator_core import (_ROW_BLOCK, _STRIP_ROWS, BlockWindow, SPD_RTOL,
+                            _spd_inverse_in_place, _symmetric_product_into,
+                            block_norms, block_view, gu, krylov_norm, outside_band,
+                            sym_eig_range, symmetric_product, zeta)
 from .reports import (DecayProfile, GapReport, envelope_constant, fit_decay_profile,
                       pair_gaps, two_sided)
 
@@ -97,12 +97,17 @@ def _interior_inverse(c: BlockWindow, pad: int, own: bool) -> InverseWindow:
     buf = c._release() if own else np.array(c.flatten())
     del c
     bound, residual = _spd_inverse_in_place(buf, "finite_section_inverse: window")
-    lo, m = pad * p, buf.shape[0] - 2 * pad * p
-    # row blocks in order: a block is read before any later one overwrites it
+    n = buf.shape[0]
+    lo, m = pad * p, n - 2 * pad * p
+    # strips of rows in order: a strip is read before any later one
+    # overwrites it, and it ends before its source begins, at the flat
+    # offset (lo + i) n + lo, so numpy copies no source
     front = buf.reshape(-1)
-    for i in range(0, m, _ROW_BLOCK):
-        j = min(i + _ROW_BLOCK, m)
+    i = 0
+    while lo and i < m:
+        j = min(i + _STRIP_ROWS, m, ((lo + i) * n + lo) // m)
         front[i * m:j * m].reshape(j - i, m)[...] = buf[lo + i:lo + j, lo:lo + m]
+        i = j
     del front
     try:
         buf.resize((m, m))

@@ -619,35 +619,45 @@ def _lag_products(left: np.ndarray, right: np.ndarray, max_lag: int, step: int):
     """Lag convolutions of two coefficient stacks, one batched matmul per lag.
 
     ``left`` and ``right`` have shape ``(T, K, p, q)``: ``left[t, j]`` is the
-    lag-``j`` coefficient at time ``t``.  Yields ``(r, prod)`` for
-    ``r = 0 .. min(max_lag, K - 1)``, where
+    lag-``j`` coefficient at time ``t``.  Returns an iterator of ``(r, prod)``
+    for ``r = 0 .. min(max_lag, K - 1)``, where
     ``prod[t] = sum_j left[t, j] @ right[t + step*r, j + r].T`` for the
     ``T - step*r`` times ``t`` that keep ``t + step*r`` inside the stack
     (``step`` is 1 for a window of the array, 0 for frozen-time sequences).
 
-    Each stack is copied once into the layout ``(T, p, K, q)``; there the sum
-    over ``(j, b)`` of every lag is a contiguous run of each row, so both
-    operands of the ``(T', p, (K-r) q) @ (T', (K-r) q, p)`` product are views.
+    Each stack is copied once, before this returns, into the layout
+    ``(T, p, K, q)``, so a caller may drop the stacks before it iterates;
+    there the sum over ``(j, b)`` of every lag is a contiguous run of each
+    row, so both operands of the ``(T', p, (K-r) q) @ (T', (K-r) q, p)``
+    product are views.
     """
     rows_l = np.ascontiguousarray(np.swapaxes(left, 1, 2))
     rows_r = rows_l if right is left else np.ascontiguousarray(np.swapaxes(right, 1, 2))
+    return ((r, _lag_product(rows_l, rows_r, r, step))
+            for r in range(min(max_lag, rows_l.shape[2] - 1) + 1))
+
+
+def _lag_product(rows_l: np.ndarray, rows_r: np.ndarray, r: int, step: int) -> np.ndarray:
+    """The lag-``r`` product of :func:`_lag_products` from its row layouts."""
     times, p, k, q = rows_l.shape
-    for r in range(min(max_lag, k - 1) + 1):
-        m = times - step * r
-        a = rows_l[:m, :, :k - r].reshape(m, p, (k - r) * q)
-        b = rows_r[step * r:, :, r:].reshape(m, rows_r.shape[1], (k - r) * q)
-        with np.errstate(over="ignore", invalid="ignore"):   # callers refuse overflow
-            prod = a @ b.transpose(0, 2, 1)
-        yield r, prod
+    m = times - step * r
+    a = rows_l[:m, :, :k - r].reshape(m, p, (k - r) * q)
+    b = rows_r[step * r:, :, r:].reshape(m, rows_r.shape[1], (k - r) * q)
+    with np.errstate(over="ignore", invalid="ignore"):   # callers refuse overflow
+        return a @ b.transpose(0, 2, 1)
 
 
 def _vma_cov_window(model: TvVMA, n: int, t_lo: int, t_hi: int) -> BlockWindow:
     length, p = t_hi - t_lo + 1, model.p
     stacks = model.psi_stacks_array(np.arange(t_lo, t_hi + 1), n)  # (L, J+1, p, p)
+    # the products' copy of the stacks is made now, and the stacks dropped,
+    # before the window is allocated
+    products = _lag_products(stacks, stacks, length - 1, step=1)
+    del stacks
     flat = np.zeros((length * p, length * p))
     blocks = block_view(flat, p)
     # C_{t,t+delta} = sum_j Psi_{t,j} Psi_{t+delta,j+delta}^T
-    for delta, vals in _lag_products(stacks, stacks, length - 1, step=1):
+    for delta, vals in products:
         idx = np.arange(length - delta)
         if delta == 0:
             # sum_j Psi Psi^T is symmetric; the mirror makes it exactly so
@@ -656,6 +666,7 @@ def _vma_cov_window(model: TvVMA, n: int, t_lo: int, t_hi: int) -> BlockWindow:
         blocks[idx, idx + delta] = vals
         if delta:
             blocks[idx + delta, idx] = vals.transpose(0, 2, 1)
+    del products
     return BlockWindow._adopt(flat, p, t_lo=t_lo)
 
 
@@ -697,6 +708,16 @@ def _var_cov_window(model: TvVAR, n: int, t_lo: int, t_hi: int, pad: int) -> np.
     return flat
 
 
+def _check_window(n, t_lo, t_hi, what: str) -> None:
+    """Refuse, under the entry point's name ``what``, a bad sample size
+    ``n``, a ``bool`` or non-integer time, or an empty window."""
+    check_size(n, what)
+    check_count(t_lo, "t_lo", what, signed=True)
+    check_count(t_hi, "t_hi", what, signed=True)
+    if t_hi < t_lo:
+        raise InputError(f"{what}: empty window")
+
+
 def cov_pad(model: ModelSpec) -> int:
     """Default pad for covariance assembly and finite-section inversion.
 
@@ -731,13 +752,9 @@ def cov_window(model: ModelSpec, n: int, t_lo: int, t_hi: int,
         ModelError: if the family invariants fail.
         UnsupportedFamilyError: for SRE models (Monte Carlo only).
     """
-    check_size(n, "cov_window")
-    check_count(t_lo, "t_lo", "cov_window", signed=True)
-    check_count(t_hi, "t_hi", "cov_window", signed=True)
+    _check_window(n, t_lo, t_hi, "cov_window")
     if pad is not None:
         check_count(pad, "pad", "cov_window")
-    if t_hi < t_lo:
-        raise InputError("cov_window: empty window")
     validate_model(model)
     if isinstance(model, TvVMA):
         return _vma_cov_window(model, n, t_lo, t_hi)
@@ -1373,7 +1390,13 @@ def simulate_path(model: ModelSpec, n: int, t_lo: int, t_hi: int,
 
     The one-replication case of :func:`simulate_ensemble`; bitwise
     reproducible for a fixed seed.
+
+    Raises:
+        InputError: a ``bool`` or non-integer ``n``, ``t_lo`` or ``t_hi``,
+            or an empty window.
+        DomainError: ``n < 1``.
     """
+    _check_window(n, t_lo, t_hi, "simulate_path")
     path = simulate_ensemble(model, n, t_lo, t_hi, reps=1, seed=seed)[0]
     return SamplePath(data=path, t_lo=t_lo, n=n, seed=seed)
 
@@ -1384,7 +1407,14 @@ def simulate_ensemble(model: ModelSpec, n: int, t_lo: int, t_hi: int,
 
     Recursive families are burnt in over at least ten effective memory
     lengths; the result is bitwise reproducible for a fixed seed.
+
+    Raises:
+        InputError: a ``bool`` or non-integer ``n``, ``t_lo``, ``t_hi`` or
+            ``reps``, or an empty window.
+        DomainError: ``n < 1`` or a negative ``reps``.
     """
+    _check_window(n, t_lo, t_hi, "simulate_ensemble")
+    check_count(reps, "reps", "simulate_ensemble")
     _validate_for_simulation(model)
     burn = _burn_in(model)
     start = t_lo - burn
@@ -1404,10 +1434,14 @@ def physical_dep_estimate(model: ModelSpec, n: int, t: int, j: int,
     10-batch standard error.
 
     Raises:
-        DomainError: if ``j < 0`` or ``reps < 100``.
+        InputError: a ``bool`` or non-integer ``n``, ``t``, ``j`` or
+            ``reps``.
+        DomainError: ``n < 1``, ``j < 0`` or ``reps < 100``.
     """
-    if j < 0:
-        raise DomainError("physical_dep_estimate: requires j >= 0")
+    check_size(n, "physical_dep_estimate")
+    check_count(t, "t", "physical_dep_estimate", signed=True)
+    check_count(j, "j", "physical_dep_estimate")
+    check_count(reps, "reps", "physical_dep_estimate")
     if reps < 100:
         raise DomainError("physical_dep_estimate: requires reps >= 100")
     _validate_for_simulation(model)

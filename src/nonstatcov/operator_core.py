@@ -226,7 +226,7 @@ class BlockWindow:
         # the one copy, in time-major order; a block view of a flat matrix
         # (as from_flat passes) is copied without reordering
         flat = np.array(b.transpose(0, 2, 1, 3), order="C").reshape(n, n)
-        if not np.all(np.isfinite(flat)):
+        if not _all_finite(flat):
             raise InputError("BlockWindow: non-finite entries")
         if self.symmetric and not np.array_equal(flat, flat.T):
             raise InputError("BlockWindow: symmetric flag set but blocks[t,tau] != blocks[tau,t]^T")
@@ -291,7 +291,7 @@ class BlockWindow:
             # non-finite entry non-finite, and an overflow is refused below
             with np.errstate(over="ignore", invalid="ignore"):
                 flat = 0.5 * (flat + flat.T)
-        if not np.all(np.isfinite(flat)):
+        if not _all_finite(flat):
             raise InputError(f"{what}: non-finite entries")
         flat.flags.writeable = False
         window = object.__new__(cls)
@@ -587,15 +587,24 @@ def _certified_cholesky(flat: np.ndarray, what: str) -> np.ndarray:
 #: Rows per block in the blocked triangle kernels below.
 _ROW_BLOCK = 256
 
-#: Rows per block of a banded residual product: each block multiplies only
-#: ``2 * bandwidth`` more columns than rows, so smaller blocks waste less.
-_BAND_ROW_BLOCK = 64
+#: Rows per strip of the SPD kernel's residual and norms, of the finiteness
+#: check and of the interior compaction: the temporaries that live beside an
+#: n x n buffer are strips of this height.  A banded residual strip also
+#: multiplies only ``2 * bandwidth`` more columns than rows.
+_STRIP_ROWS = 64
 
 
 #: The strict upper triangle of one diagonal tile of :func:`_mirror_lower`;
 #: a smaller tile reads its leading corner.
 _TILE_UPPER = np.triu(np.ones((_ROW_BLOCK, _ROW_BLOCK), dtype=bool), 1)
 _TILE_UPPER.flags.writeable = False
+
+
+def _all_finite(a: np.ndarray) -> bool:
+    """Whether every entry of the 2-d array ``a`` is finite, checked in
+    strips of rows, so no mask of its full size is made."""
+    return all(np.isfinite(a[i:i + _STRIP_ROWS]).all()
+               for i in range(0, a.shape[0], _STRIP_ROWS))
 
 
 def _exactly_symmetric(a: np.ndarray) -> bool:
@@ -659,13 +668,14 @@ def _symmetric_product_into(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _sym_rows(low: np.ndarray, i: int, j: int, diag: np.ndarray | None = None,
-              lo: int = 0, hi: int | None = None) -> np.ndarray:
+              lo: int = 0, hi: int | None = None,
+              out: np.ndarray | None = None) -> np.ndarray:
     """Rows ``i:j`` and columns ``lo:hi`` (``lo <= i``, ``j <= hi``) of the
     symmetric matrix held in the lower triangle of ``low``, with the
-    diagonal ``diag`` instead of that of ``low`` when given; a fresh
-    C-contiguous array."""
+    diagonal ``diag`` instead of that of ``low`` when given; written to
+    ``out``, a C-contiguous ``(j - i, hi - lo)`` array, or to a fresh one."""
     hi = low.shape[0] if hi is None else hi
-    rows = np.empty((j - i, hi - lo))
+    rows = np.empty((j - i, hi - lo)) if out is None else out
     rows[:, :i - lo] = low[i:j, lo:i]
     rows[:, j - lo:] = low[j:hi, i:j].T
     tile = rows[:, i - lo:j - lo]
@@ -683,22 +693,26 @@ def _inverse_residual(c: np.ndarray, c_diag: np.ndarray, x: np.ndarray,
     ``c_diag``, ``X`` from the lower triangle of ``x`` (which may be the
     Fortran view ``c.T`` of the same buffer).
 
-    Works in strips of rows of ``C X``, one BLAS call each, so the
-    temporaries are O(strip * n).  A dense strip is one ``dsymm``: row
-    ``t`` of ``C X`` is column ``t`` of ``X C``, so ``X`` multiplies
-    columns of ``C`` straight from its triangle.  A matrix that is exactly
-    zero beyond ``bandwidth`` diagonals multiplies only the rows of ``X``
-    inside its band, copied out of the triangle, so its temporaries are
-    O((strip + bandwidth) * n).
+    Works in strips of ``_STRIP_ROWS`` rows of ``C X``, one BLAS call each.
+    A dense strip is one ``dsymm``: row ``t`` of ``C X`` is column ``t`` of
+    ``X C``, so ``X`` multiplies columns of ``C`` straight from its
+    triangle; the rows of ``C`` and the product go to two strip buffers that
+    every strip reuses.  A matrix that is exactly zero beyond ``bandwidth``
+    diagonals multiplies only the rows of ``X`` inside its band, copied out
+    of the triangle, so its temporaries are O((strip + bandwidth) * n).
     """
     n = c.shape[0]
-    step = _ROW_BLOCK if bandwidth is None else _BAND_ROW_BLOCK
+    if bandwidth is None:
+        rows = np.empty((min(_STRIP_ROWS, n), n))
+        product = np.empty((n, rows.shape[0]), order="F")
     worst = 0.0
-    for i in range(0, n, step):
-        j = min(i + step, n)
+    for i in range(0, n, _STRIP_ROWS):
+        j = min(i + _STRIP_ROWS, n)
         idx = np.arange(i, j)
         if bandwidth is None:
-            check = scipy.linalg.blas.dsymm(1.0, x, _sym_rows(c, i, j, c_diag).T, lower=1)
+            c_rows = _sym_rows(c, i, j, c_diag, out=rows[:j - i])
+            check = scipy.linalg.blas.dsymm(1.0, x, c_rows.T, lower=1,
+                                            c=product[:, :j - i], overwrite_c=1)
             check[idx, idx - i] -= 1.0
             sums = np.abs(check, out=check).sum(axis=0)
         else:
@@ -712,14 +726,20 @@ def _inverse_residual(c: np.ndarray, c_diag: np.ndarray, x: np.ndarray,
 
 
 def _row_sum_norm(a: np.ndarray, lower: bool = False) -> float:
-    """``||a||_inf``, the largest absolute row sum, in row blocks; with
-    ``lower``, that of the symmetric matrix held in the lower triangle of
-    ``a``."""
+    """``||a||_inf``, the largest absolute row sum, in strips of
+    ``_STRIP_ROWS`` rows; with ``lower``, that of the symmetric matrix held
+    in the lower triangle of ``a``, whose rows are rebuilt and made absolute
+    in one strip.  Each row is summed on its own, so the strip height
+    changes no bit."""
     n = a.shape[0]
     worst = 0.0
-    for i in range(0, n, _ROW_BLOCK):
-        j = min(i + _ROW_BLOCK, n)
-        rows = np.abs(_sym_rows(a, i, j) if lower else a[i:j])
+    for i in range(0, n, _STRIP_ROWS):
+        j = min(i + _STRIP_ROWS, n)
+        if lower:
+            rows = _sym_rows(a, i, j)
+            np.abs(rows, out=rows)
+        else:
+            rows = np.abs(a[i:j])
         worst = max(worst, float(rows.sum(axis=1).max()))
         del rows
     return worst

@@ -51,6 +51,7 @@ def check_inverse_decay(model=None, n: int = 200, window: int = 240,
     t_lo = -(window - n) // 2
     inv1 = ia.model_inverse_window(model, n, t_lo, t_lo + window - 1, pad=pad)
     fit1 = ia.inverse_decay_fit(inv1, kappa_ref=kappa)
+    del inv1   # not held beside the doubled window
     t_lo2 = t_lo - window // 2
     inv2 = ia.model_inverse_window(model, n, t_lo2, t_lo2 + 2 * window - 1, pad=pad)
     fit2 = ia.inverse_decay_fit(inv2, kappa_ref=kappa)

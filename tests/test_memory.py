@@ -3,13 +3,22 @@
 numpy reports every array allocation to ``tracemalloc``, so these peaks are
 deterministic: they count the arrays a call holds at once, not the BLAS
 library's own workspace or the allocator's layout.
+
+The finite-section inverse holds its window and strips of at most
+``operator_core._STRIP_ROWS`` (64) rows beside it: building the 1200-row
+reference window holds it and one copy of the coefficients, the SPD kernel's
+norms and residual hold one or two strips, and the interior is compacted in
+strips that do not overlap their source.  The Neumann sum holds at most four
+sections.
 """
 
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import nonstatcov as nc
+from nonstatcov import operator_core as oc
 from nonstatcov import verification as vf
 from nonstatcov.reference import reference_tvvma
 
@@ -35,14 +44,42 @@ def test_model_inverse_window_holds_one_window_and_strips():
     call()   # the first call fills the model's caches
     peak, inv = traced_peak(call)
     assert inv.base.flatten().shape == (960, 960)
-    assert peak <= 1.5 * 1200**2 * 8
+    assert peak <= 1.15 * 1200**2 * 8
+
+
+def test_cov_window_holds_its_window_and_one_coefficient_copy():
+    # the same 1200-row window; the coefficient stacks (L, J + 1, p, p) are
+    # copied for the lag products and dropped before the window is made
+    model = reference_tvvma()
+    call = lambda: nc.cov_window(model, 200, -200, 399)  # noqa: E731
+    call()
+    peak, c = traced_peak(call)
+    assert peak - c.flatten().nbytes <= 1.3 * MIB
 
 
 def test_inverse_decay_check_peak():
     vf.run_all(names=["inverse_decay"])
     peak, (result,) = traced_peak(lambda: vf.run_all(names=["inverse_decay"]))
     assert result.passed
-    assert peak <= 21 * MIB
+    assert peak <= 13.5 * MIB
+
+
+@pytest.mark.parametrize("name,call", [
+    ("norm", lambda a: oc._row_sum_norm(a)),
+    ("norm_lower", lambda a: oc._row_sum_norm(a.T, lower=True)),
+    ("residual", lambda a: oc._inverse_residual(a, np.diagonal(a), a.T, None)),
+])
+def test_kernel_norms_and_residual_hold_two_strips(name, call):
+    # a strip is 64 rows of 1200 columns; rebuilding rows from a triangle
+    # also copies the 64 x 64 diagonal tile it mirrors
+    rows = 1200
+    rng = np.random.default_rng(rows)
+    a = rng.standard_normal((rows, rows))
+    a += a.T
+    call(a)
+    peak, _ = traced_peak(lambda: call(a))
+    strip = oc._STRIP_ROWS * rows * 8
+    assert peak <= 2 * strip + oc._STRIP_ROWS**2 * 8 + 8192
 
 
 @pytest.mark.parametrize("rows,terms", [(1200, 6), (1200, 12), (720, 12)])

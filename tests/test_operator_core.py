@@ -1,5 +1,6 @@
 
 import contextlib
+import ctypes
 import os
 import subprocess
 import sys
@@ -11,8 +12,28 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nonstatcov as nc
+from nonstatcov import experiments
 from nonstatcov import operator_core as oc
 from nonstatcov.errors import ConditioningError, DomainError, InputError
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Every loaded OpenBLAS library at one thread, its old count restored
+    afterwards: a threaded product may split two layouts of the same
+    operands differently, so only one thread makes them agree bit for bit."""
+    threads, restore = experiments._blas_threads(), []
+    for name, lib in experiments._openblas_libraries().items():
+        setter = experiments._openblas_function(lib, "set_num_threads")
+        if setter is not None:
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            restore.append((setter, threads[name]))
+            setter(1)
+    try:
+        yield
+    finally:
+        for setter, count in restore:
+            setter(count)
 
 
 def toeplitz_ar1_window(phi, sigma2, length):
@@ -708,7 +729,9 @@ class TestSpdKernel:
         for bw in (bandwidth, None):
             got = oc._inverse_residual(mat, np.diagonal(mat), x, bw)
             assert abs(got - dense) <= 4 * n * np.finfo(float).eps * scale
-            assert oc._inverse_residual(shared, np.diagonal(mat), shared.T, bw) == got
+            with one_blas_thread():
+                assert (oc._inverse_residual(shared, np.diagonal(mat), shared.T, bw)
+                        == oc._inverse_residual(mat, np.diagonal(mat), x, bw))
 
     @pytest.mark.parametrize("i,j,lo,hi", [(0, 1, 0, 1), (0, 600, 0, 600),
                                            (100, 400, 40, 500), (300, 364, 0, 600)])
@@ -814,6 +837,31 @@ class TestInPlaceKernel:
         assert abs(got - residual) <= 4 * n * np.finfo(float).eps * c_norm * x_norm
         public = nc.spd_inverse(mat, "m", rows if banded else None)
         assert np.array_equal(public[0], inv) and public[1:] == (bound, got)
+
+    @staticmethod
+    def block_row_sum_norm(a, lower=False):
+        """``_row_sum_norm`` in 256-row blocks, each a fresh absolute copy of
+        the rows, the way it was computed before it worked in strips."""
+        worst = 0.0
+        for i in range(0, a.shape[0], 256):
+            j = min(i + 256, a.shape[0])
+            rows = np.abs(oc._sym_rows(a, i, j) if lower else a[i:j])
+            worst = max(worst, float(rows.sum(axis=1).max()))
+        return worst
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 600), seed=st.integers(0, 2**32 - 1),
+           order=st.sampled_from("CF"), lower=st.booleans())
+    @example(n=1200, seed=0, order="F", lower=True)
+    @example(n=1200, seed=1, order="C", lower=False)
+    def test_row_sum_norm_keeps_the_bits_of_row_blocks(self, n, seed, order, lower):
+        """Strip height and the in-place absolute value change no bit: each
+        row is summed on its own, on C and Fortran layouts (the kernel reads
+        ``||X||_inf`` from the Fortran view of its buffer)."""
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((n, n)) * 10.0 ** rng.integers(-8, 9, (n, n))
+        a = np.asarray(a, order=order)
+        assert oc._row_sum_norm(a, lower) == self.block_row_sum_norm(a, lower)
 
     def test_works_in_the_buffer_it_is_handed(self, monkeypatch):
         shared = []
@@ -1002,6 +1050,21 @@ class TestBlockWindow:
         want = [max(np.diagonal(norms, lag).max(), np.diagonal(norms, -lag).max())
                 for lag in range(length)]
         assert np.array_equal(w.lag_max_norms(), want)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("row", [0, 199], ids=["first_strip", "last_strip"])
+    def test_adopt_refuses_non_finite_in_any_strip(self, bad, row):
+        """Finiteness is checked strip by strip; a diagonal entry in the
+        first or the last of the four strips of a 200-row matrix is found,
+        with the message of the whole-matrix check."""
+        rng = np.random.default_rng(31)
+        a = rng.standard_normal((200, 200))
+        flat = a + a.T
+        flat[row, row] = bad
+        with pytest.raises(InputError, match=r"^cov_window: non-finite entries$"):
+            nc.BlockWindow._adopt(flat.copy(), 2, what="cov_window")
+        with pytest.raises(InputError, match=r"^BlockWindow: non-finite entries$"):
+            nc.BlockWindow._adopt(flat, 2)
 
     def test_from_flat_compares_once(self, monkeypatch):
         rng = np.random.default_rng(23)

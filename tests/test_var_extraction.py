@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import nonstatcov as nc
-from nonstatcov.reference import ar1_model, reference_tvvma, white_noise_model
+from nonstatcov.reference import (ar1_model, reference_sre, reference_tvvma,
+                                  white_noise_model)
 from nonstatcov.var_extraction import (_bottom_row_coeffs,
                                        _normal_equation_coeffs)
 
@@ -277,6 +278,28 @@ class TestInputContract:
             call(reference_tvvma())
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("call,error,message", [
+        (lambda m: nc.simulate_ensemble(m, 0, 0, 10, 5, 1), nc.DomainError,
+         "simulate_ensemble: requires n >= 1"),
+        (lambda m: nc.simulate_ensemble(m, 2.5, 0, 10, 5, 1), nc.InputError,
+         "simulate_ensemble: n must be an integer, got 2.5"),
+        (lambda m: nc.simulate_ensemble(m, 100, 10, 0, 5, 1), nc.InputError,
+         "simulate_ensemble: empty window"),
+        (lambda m: nc.physical_dep_estimate(m, 0, 50, 2, 100, 1), nc.DomainError,
+         "physical_dep_estimate: requires n >= 1"),
+        (lambda m: nc.physical_dep_estimate(m, True, 50, 2, 100, 1), nc.InputError,
+         "physical_dep_estimate: n must be an integer, got True"),
+        (lambda m: nc.physical_dep_estimate(m, 100, 50, 2.5, 100, 1), nc.InputError,
+         "physical_dep_estimate: j must be an integer, got 2.5"),
+    ], ids=["ensemble_zero_n", "ensemble_float_n", "ensemble_empty_window",
+            "dependence_zero_n", "dependence_bool_n", "dependence_float_j"])
+    def test_simulators_refuse_before_any_work(self, call, error, message):
+        # these ran (a zero n after a divide-by-zero warning, an empty window
+        # as a (5, 0, 2) array) or ended in a bare TypeError
+        with pytest.raises(error) as err:
+            call(reference_sre())
+        assert str(err.value) == message
+
     ENTRY_POINTS = {
         "var_coeffs_infinite": (nc.var_coeffs_infinite,
                                 dict(n=200, t_index=100, order=2, depth=60)),
@@ -292,9 +315,14 @@ class TestInputContract:
                                  dict(n=200, t_lo=0, t_hi=5, pad=10)),
         "stationary_inverse_sequence": (nc.stationary_inverse_sequence,
                                         dict(u=0.5, max_lag=5, pad=10)),
+        "simulate_path": (nc.simulate_path, dict(n=200, t_lo=0, t_hi=5, seed=1)),
+        "simulate_ensemble": (nc.simulate_ensemble,
+                              dict(n=200, t_lo=0, t_hi=5, reps=4, seed=1)),
+        "physical_dep_estimate": (nc.physical_dep_estimate,
+                                  dict(n=200, t=50, j=2, reps=100, seed=1)),
     }
-    COUNTS = {"n", "order", "depth", "ref_order", "max_lag", "pad"}
-    TIMES = {"t_index", "t_lo", "t_hi"}
+    COUNTS = {"n", "order", "depth", "ref_order", "max_lag", "pad", "j", "reps"}
+    TIMES = {"t_index", "t_lo", "t_hi", "t"}
 
     @pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
     @pytest.mark.parametrize("bad", [2.5, True, math.nan, np.float64(3.0), "4", -1, 0])
