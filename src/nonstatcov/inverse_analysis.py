@@ -18,8 +18,8 @@ import numpy as np
 
 from .errors import (ConditioningError, DegenerateFitError, DivergenceError,
                      InputError, check_count, check_size)
-from .models import (ModelSpec, _inverse_spectrum, _transfer_order, cov_pad,
-                     cov_window, stationary_window)
+from .models import (ModelSpec, _check_window, _inverse_spectrum, _transfer_order,
+                     cov_pad, cov_window, stationary_window)
 from .operator_core import (_ROW_BLOCK, _STRIP_ROWS, BlockWindow, SPD_RTOL,
                             _spd_inverse_in_place, _symmetric_product_into,
                             block_norms, block_view, gu, krylov_norm, outside_band,
@@ -454,6 +454,7 @@ def inverse_smoothness_gap(model: ModelSpec, n: int, t_lo: int, t_hi: int,
     against the envelope ``zeta(t-tau)^(kappa-2) * min(1/N, 2*zeta(t-tau))``.
     The variant with ``min(1/N, 2/gu(t-tau))`` is reported as ``alt_bound``.
     """
+    _check_window(n, t_lo, t_hi, "inverse_smoothness_gap")
     kappa = _kappa_or_raise(model, kappa)
     dn = model_inverse_window(model, n, t_lo, t_hi)
     length = dn.base.length
@@ -469,6 +470,7 @@ def inverse_smoothness_gap(model: ModelSpec, n: int, t_lo: int, t_hi: int,
 def inverse_lipschitz_gap(model: ModelSpec, u: float, v: float, max_lag: int,
                           kappa: float | None = None) -> GapReport:
     """Lipschitz gap ``||D_r(u) - D_r(v)||`` against ``|u-v| zeta(r)^(kappa-1)``."""
+    check_count(max_lag, "max_lag", "inverse_lipschitz_gap")
     kappa = _kappa_or_raise(model, kappa)
     seq_u, seq_v = two_sided(_frozen_inverse_lags(model, [u, v], max_lag))
     lags = np.arange(-max_lag, max_lag + 1)

@@ -937,65 +937,59 @@ def local_spectral_density(model: ModelSpec, u: float, omega: float) -> np.ndarr
     ``C_r(u) = (2*pi)^{-1} \\int_0^{2*pi} f(omega; u) e^{-i r omega} d omega``.
 
     Raises:
+        InputError: a nan or non-numeric ``u``, or a non-finite ``omega``.
         ModelError: if a TvVAR transfer function is singular at ``(u, omega)``.
     """
-    return local_spectral_densities(model, u, [omega])[0]
+    return _densities(model, [u], [omega], "local_spectral_density")[0, 0]
 
 
 def local_spectral_densities(model: ModelSpec, u: float, omega_grid) -> np.ndarray:
-    """``f(omega; u)`` at every ``omega`` of a grid, shape ``(len, p, p)``.
-
-    The coefficients at ``u`` are evaluated once and the whole grid is
-    computed by stacked kernels; see :func:`local_spectral_density`.
+    """``f(omega; u)`` at every ``omega`` of a grid, shape ``(len, p, p)``:
+    the one-``u`` row of :func:`_densities`.
 
     Raises:
+        InputError: a nan or non-numeric ``u``, or a non-finite ``omega``.
         ModelError: naming the first ``omega`` of the grid, in grid order, at
             which a TvVAR transfer function is singular.
     """
-    omegas = np.atleast_1d(np.asarray(omega_grid, dtype=float))
-    coeffs = _frozen_coefficients(model, [u])
-    return _densities(model, u, omegas, _transfer_powers(model, omegas),
-                      [c[0] for c in coeffs])
+    return _densities(model, [u], omega_grid, "local_spectral_densities")[0]
 
 
-def _frozen_coefficients(model: ModelSpec, us) -> tuple:
-    """What the density kernel reads, for every ``u`` of ``us``: ``C_0(u)``
-    (TvARCH), the MA stack (TvVMA), or the lag stack and the innovation
-    variance (TvVAR)."""
+def _densities(model: ModelSpec, us, omegas, what: str) -> np.ndarray:
+    """``f(omega; u)`` for every ``u`` of ``us`` and every ``omega``, shape
+    ``(U, W, p, p)``, from stacked kernels; the transfer, its inverse and the
+    densities each hold ``U W p^2`` complex numbers.  An infinite ``u`` is
+    clamped to ``[0, 1]``, as by every coefficient function.
+
+    Raises:
+        InputError: naming ``what``, a nan or non-numeric ``u`` or a
+            non-finite or non-numeric ``omega``.
+        ModelError: naming the first singular ``(u, omega)`` of a TvVAR
+            transfer, ``u`` first.
+        UnsupportedFamilyError: for SRE models.
+    """
+    us, omegas = (np.atleast_1d(np.asarray(g)) for g in (us, omegas))
+    if us.dtype.kind not in "iuf" or np.isnan(us).any():
+        raise InputError(f"{what}: every u must be a number other than nan")
+    if omegas.dtype.kind not in "iuf" or not np.isfinite(omegas).all():
+        raise InputError(f"{what}: every omega must be a finite number")
+    us, omegas = us.astype(float), omegas.astype(float)
     if isinstance(model, TvARCH):
-        return (_stationary_cov_sequences(model, us, 0)[:, 0],)
+        c0 = _stationary_cov_sequences(model, us, 0)[:, 0]
+        return np.repeat(c0.astype(complex)[:, None], omegas.size, axis=1)
     if isinstance(model, TvVMA):
-        return (model.psi_stacks(us),)
-    if isinstance(model, TvVAR):
-        return model.phi_stacks(us), model.sigma_stacks(us)
-    raise UnsupportedFamilyError("no spectral density for this family")
-
-
-def _transfer_powers(model: ModelSpec, omegas: np.ndarray):
-    """``e^{i j omega}`` for every ``omega`` and every lag ``j`` of the
-    transfer function, shape ``(len(omegas), J)``; None for TvARCH."""
-    if isinstance(model, TvVMA):
-        lags = np.arange(model.order + 1)
+        lags, coeffs = np.arange(model.order + 1), model.psi_stacks(us)
     elif isinstance(model, TvVAR):
-        lags = np.arange(1, model.order + 1)
+        lags, coeffs = np.arange(1, model.order + 1), model.phi_stacks(us)
     else:
-        return None
-    return np.exp(1j * omegas)[:, None] ** lags
-
-
-def _densities(model: ModelSpec, u: float, omegas: np.ndarray, powers,
-               coeffs) -> np.ndarray:
-    """``f(omega; u)`` over the grid from the coefficients ``coeffs`` at
-    ``u`` (one entry of :func:`_frozen_coefficients` each)."""
-    if isinstance(model, TvARCH):
-        return np.repeat(coeffs[0].astype(complex)[None], omegas.size, axis=0)
-    transfer = np.einsum("wj,jab->wab", powers, coeffs[0])
+        raise UnsupportedFamilyError("no spectral density for this family")
+    transfer = np.einsum("wj,ujab->uwab", np.exp(1j * omegas)[:, None] ** lags, coeffs)
     if isinstance(model, TvVMA):
-        f = transfer @ transfer.conj().transpose(0, 2, 1)
+        f = transfer @ transfer.conj().swapaxes(-2, -1)
     else:
-        ainv = _transfer_inverse(np.eye(model.p) - transfer, u, omegas)
-        f = ainv @ coeffs[1] @ ainv.conj().transpose(0, 2, 1)
-    return 0.5 * (f + f.conj().transpose(0, 2, 1))
+        ainv = _transfer_inverse(np.eye(model.p) - transfer, us, omegas)
+        f = ainv @ model.sigma_stacks(us)[:, None] @ ainv.conj().swapaxes(-2, -1)
+    return 0.5 * (f + f.conj().swapaxes(-2, -1))
 
 
 _TRANSFER_RTOL = 1e-10     # singular: sigma_min < _TRANSFER_RTOL * max(sigma_max, 1)
@@ -1015,29 +1009,34 @@ def _screened_inverse(a: np.ndarray):
     return ainv, resid <= 0.5
 
 
-def _transfer_guard(a: np.ndarray, u: float, omegas: np.ndarray,
+def _transfer_guard(a: np.ndarray, us, omegas: np.ndarray,
                     screened: np.ndarray) -> None:
     """The singular-transfer refusal, decided by a batched SVD at the
-    ``omega`` that a certified screen did not accept.
+    ``(u, omega)`` that a certified screen did not accept.
 
-    A transfer matrix is singular when ``sigma_min < 1e-10 * max(sigma_max, 1)``;
-    ``screened`` marks the matrices that a screen has shown are not.
+    ``a`` stacks the transfer matrices at ``(W,)`` omegas of one ``u`` or
+    at ``(U, W)`` pairs.  One is singular when
+    ``sigma_min < 1e-10 * max(sigma_max, 1)``; ``screened`` marks the
+    matrices that a screen has shown are not.
 
     Raises:
-        ModelError: naming the first singular ``omega`` in grid order.
+        ModelError: naming the first singular ``(u, omega)``, ``u`` first.
     """
     rest = np.flatnonzero(~screened)
     if rest.size == 0:
         return
-    svals = np.linalg.svd(a[rest], compute_uv=False)
+    svals = np.linalg.svd(a.reshape((-1,) + a.shape[-2:])[rest], compute_uv=False)
     singular = svals[:, -1] < _TRANSFER_RTOL * np.maximum(svals[:, 0], 1.0)
     if singular.any():
-        omega = omegas[rest[np.argmax(singular)]]
+        k = rest[np.argmax(singular)]
+        u = np.broadcast_to(np.asarray(us)[..., None], screened.shape).flat[k]
+        omega = np.broadcast_to(omegas, screened.shape).flat[k]
         raise ModelError(f"TvVAR: transfer singular at u={u}, omega={omega}")
 
 
-def _transfer_inverse(a: np.ndarray, u: float, omegas: np.ndarray) -> np.ndarray:
-    """Inverses of the TvVAR transfer matrices ``A(omega)``, shape ``(W, p, p)``.
+def _transfer_inverse(a: np.ndarray, us, omegas: np.ndarray) -> np.ndarray:
+    """Inverses of the TvVAR transfer matrices ``A(omega)`` of a stack as
+    :func:`_transfer_guard` takes it.
 
     The batched inverse ``X``, which the density needs anyway, passes the
     singular-transfer screen at an ``omega`` where ``||AX - I||_F <= 1/2``
@@ -1050,38 +1049,30 @@ def _transfer_inverse(a: np.ndarray, u: float, omegas: np.ndarray) -> np.ndarray
     the other ``omega``.
 
     Raises:
-        ModelError: naming the first singular ``omega`` in grid order.
+        ModelError: naming the first singular ``(u, omega)``, ``u`` first.
     """
     ainv, screened = _screened_inverse(a)
     if ainv is not None:
         with np.errstate(all="ignore"):
-            bound = 2.0 * np.linalg.norm(ainv, axis=(1, 2)) \
-                * np.maximum(np.linalg.norm(a, axis=(1, 2)), 1.0)
+            bound = 2.0 * _frobenius(ainv) * np.maximum(_frobenius(a), 1.0)
         screened &= bound < 1.0 / _TRANSFER_RTOL
-    _transfer_guard(a, u, omegas, screened)
+    _transfer_guard(a, us, omegas, screened)
     # a failed inv that the SVD passes raises its own error again
     return np.linalg.inv(a) if ainv is None else ainv
 
 
 def spectral_eig_range(model: ModelSpec, u_grid, omega_grid) -> EigRange:
-    """Extremal eigenvalues of ``f(omega; u)`` over the given grids.
+    """Extremal eigenvalues of ``f(omega; u)`` over the given grids: one
+    batched ``eigvalsh`` of the stack :func:`_densities` gives.
 
-    The coefficients are evaluated once for the whole ``u`` grid; the
-    densities at each ``u`` are those of :func:`local_spectral_densities`.
+    Raises:
+        InputError: an empty grid, or a grid that :func:`_densities` refuses.
     """
-    u_grid = np.atleast_1d(np.asarray(u_grid, dtype=float))
-    omega_grid = np.atleast_1d(np.asarray(omega_grid, dtype=float))
-    if u_grid.size == 0 or omega_grid.size == 0:
+    if np.size(u_grid) == 0 or np.size(omega_grid) == 0:
         raise InputError("spectral_eig_range: grids must be nonempty")
-    coeffs = _frozen_coefficients(model, u_grid)
-    powers = _transfer_powers(model, omega_grid)
-    lo, hi = math.inf, -math.inf
-    for i, u in enumerate(u_grid):
-        vals = np.linalg.eigvalsh(_densities(model, u, omega_grid, powers,
-                                             [c[i] for c in coeffs]))
-        lo = min(lo, float(vals[:, 0].min()))
-        hi = max(hi, float(vals[:, -1].max()))
-    return EigRange(lo, hi)
+    vals = np.linalg.eigvalsh(_densities(model, u_grid, omega_grid,
+                                         "spectral_eig_range"))
+    return EigRange(float(vals[..., 0].min()), float(vals[..., -1].max()))
 
 
 # ---------------------------------------------------------------------------
@@ -1283,12 +1274,13 @@ def _innovation_width(model: ModelSpec) -> int:
 
 
 def _psd_sqrt(s: np.ndarray) -> np.ndarray:
-    """Symmetric square root, tolerating semidefinite matrices."""
-    s = 0.5 * (s + s.T)
+    """Symmetric square roots of a ``(..., p, p)`` stack, tolerating
+    semidefinite matrices."""
+    s = 0.5 * (s + s.swapaxes(-2, -1))
     vals, vecs = np.linalg.eigh(s)
-    if vals[0] < -1e-10 * max(abs(vals[-1]), 1.0):
+    if np.any(vals[..., 0] < -1e-10 * np.maximum(np.abs(vals[..., -1]), 1.0)):
         raise ModelError("innovation variance has a negative eigenvalue")
-    return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
+    return (vecs * np.sqrt(np.clip(vals, 0.0, None))[..., None, :]) @ vecs.swapaxes(-2, -1)
 
 
 def _validate_for_simulation(model: ModelSpec) -> None:
@@ -1355,10 +1347,9 @@ def _run_from_innovations(model: ModelSpec, n: int, start: int,
         return out
     if isinstance(model, TvVAR):
         d = model.order
-        phis, sigmas = model.phi_stacks(us), model.sigma_stacks(us)
-        for i, phi, sigma in zip(range(first, steps), phis, sigmas):
-            chol = _psd_sqrt(sigma)
-            acc = eps[:, i] @ chol.T
+        phis, roots = model.phi_stacks(us), _psd_sqrt(model.sigma_stacks(us))
+        for i, phi, root in zip(range(first, steps), phis, roots):
+            acc = eps[:, i] @ root.T
             for j in range(1, min(d, i) + 1):
                 acc = acc + out[:, i - j] @ phi[j - 1].T
             out[:, i] = acc
@@ -1392,11 +1383,12 @@ def simulate_path(model: ModelSpec, n: int, t_lo: int, t_hi: int,
     reproducible for a fixed seed.
 
     Raises:
-        InputError: a ``bool`` or non-integer ``n``, ``t_lo`` or ``t_hi``,
-            or an empty window.
-        DomainError: ``n < 1``.
+        InputError: a ``bool`` or non-integer ``n``, ``t_lo``, ``t_hi`` or
+            ``seed``, or an empty window.
+        DomainError: ``n < 1`` or a negative ``seed``.
     """
     _check_window(n, t_lo, t_hi, "simulate_path")
+    check_count(seed, "seed", "simulate_path")
     path = simulate_ensemble(model, n, t_lo, t_hi, reps=1, seed=seed)[0]
     return SamplePath(data=path, t_lo=t_lo, n=n, seed=seed)
 
@@ -1409,12 +1401,13 @@ def simulate_ensemble(model: ModelSpec, n: int, t_lo: int, t_hi: int,
     lengths; the result is bitwise reproducible for a fixed seed.
 
     Raises:
-        InputError: a ``bool`` or non-integer ``n``, ``t_lo``, ``t_hi`` or
-            ``reps``, or an empty window.
-        DomainError: ``n < 1`` or a negative ``reps``.
+        InputError: a ``bool`` or non-integer ``n``, ``t_lo``, ``t_hi``,
+            ``reps`` or ``seed``, or an empty window.
+        DomainError: ``n < 1`` or a negative ``reps`` or ``seed``.
     """
     _check_window(n, t_lo, t_hi, "simulate_ensemble")
     check_count(reps, "reps", "simulate_ensemble")
+    check_count(seed, "seed", "simulate_ensemble")
     _validate_for_simulation(model)
     burn = _burn_in(model)
     start = t_lo - burn
@@ -1434,14 +1427,15 @@ def physical_dep_estimate(model: ModelSpec, n: int, t: int, j: int,
     10-batch standard error.
 
     Raises:
-        InputError: a ``bool`` or non-integer ``n``, ``t``, ``j`` or
-            ``reps``.
-        DomainError: ``n < 1``, ``j < 0`` or ``reps < 100``.
+        InputError: a ``bool`` or non-integer ``n``, ``t``, ``j``, ``reps``
+            or ``seed``.
+        DomainError: ``n < 1``, ``j < 0``, ``reps < 100`` or ``seed < 0``.
     """
     check_size(n, "physical_dep_estimate")
     check_count(t, "t", "physical_dep_estimate", signed=True)
     check_count(j, "j", "physical_dep_estimate")
     check_count(reps, "reps", "physical_dep_estimate")
+    check_count(seed, "seed", "physical_dep_estimate")
     if reps < 100:
         raise DomainError("physical_dep_estimate: requires reps >= 100")
     _validate_for_simulation(model)
@@ -1499,8 +1493,12 @@ def assumption_fit(model: ModelSpec, n: int, t_lo: int, t_hi: int,
     * min(1/N, 2/gu(t-tau))`` over the window.
 
     Raises:
+        InputError: a ``bool`` or non-integer ``n``, ``t_lo`` or ``t_hi``,
+            or an empty window.
+        DomainError: ``n < 1``.
         FitError: if fewer than 4 lags carry a nonzero norm.
     """
+    _check_window(n, t_lo, t_hi, "assumption_fit")
     w = cov_window(model, n, t_lo, t_hi)
     length = w.length
     lag_norms = w.lag_max_norms()

@@ -350,12 +350,6 @@ def _lower_band(flat: np.ndarray, bandwidth: int) -> np.ndarray:
     return band
 
 
-#: Narrowest band whose two extremes :func:`sym_eig_range` takes from one
-#: all-eigenvalue call instead of two index-selected ones (measured on one
-#: core: the two cost the same near 11 diagonals at n = 400 and n = 1500).
-_ONE_REDUCTION_MIN_BANDWIDTH = 12
-
-
 def sym_eig_range(w: BlockWindow | np.ndarray,
                   bandwidth: int | None = None) -> EigRange:
     """Extremal eigenvalues of a symmetric window or of a symmetric matrix.
@@ -363,9 +357,9 @@ def sym_eig_range(w: BlockWindow | np.ndarray,
     A window must be flagged symmetric and is flattened; a matrix is taken
     as given (only its lower triangle is read).  A matrix that is exactly
     zero beyond ``bandwidth`` diagonals (counted in rows, not blocks) may
-    say so: its extremes then come from the band alone (LAPACK ``dsbevd`` or,
-    on a band narrower than ``_ONE_REDUCTION_MIN_BANDWIDTH``, two ``dsbevx``
-    bisections; a band reduction costs O(n^2 * bandwidth) instead of O(n^3)).
+    say so: its extremes then come from the band alone (one LAPACK
+    ``dsbevd``, whose band reduction costs O(n^2 * bandwidth) instead of
+    O(n^3)).
 
     Raises:
         InputError: if a window is not flagged symmetric.
@@ -374,29 +368,17 @@ def sym_eig_range(w: BlockWindow | np.ndarray,
         if not w.symmetric:
             raise InputError("sym_eig_range: window must be symmetric")
         w = w.flatten()
-    n = w.shape[0]
     if bandwidth is None:
         vals = scipy.linalg.eigvalsh(w)
         return EigRange(float(vals[0]), float(vals[-1]))
-    bandwidth = min(bandwidth, n - 1)
-    band = _lower_band(w, bandwidth)
+    band = _lower_band(w, min(bandwidth, w.shape[0] - 1))
     try:
-        if bandwidth >= _ONE_REDUCTION_MIN_BANDWIDTH:
-            # all eigenvalues (dsbevd) from one band reduction
-            vals = scipy.linalg.eigvals_banded(band, lower=True)
-            lo, hi = vals[0], vals[-1]
-        else:
-            # two bisections (dsbevx) repeat the O(n^2 * bandwidth)
-            # reduction, but on a narrow band that is cheaper than the
-            # O(n^2) root finding of all eigenvalues
-            lo, hi = (scipy.linalg.eigvals_banded(band, lower=True, select="i",
-                                                  select_range=(i, i))[0]
-                      for i in (0, n - 1))
+        vals = scipy.linalg.eigvals_banded(band, lower=True)
     except np.linalg.LinAlgError:
         # the band eigensolver can fail to converge on a tight cluster of
         # eigenvalues (a nearly scalar matrix); the dense solver then decides
         return sym_eig_range(w)
-    return EigRange(float(lo), float(hi))
+    return EigRange(float(vals[0]), float(vals[-1]))
 
 
 #: Below this order :func:`krylov_norm` uses the dense solver.  Timed with

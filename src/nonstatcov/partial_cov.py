@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConditioningError, InputError, ModelError, check_count
+from .errors import ConditioningError, InputError, ModelError, check_count, check_size
 from .inverse_analysis import _fft_lags, _kappa_or_raise
-from .models import (ModelSpec, cov_pad, cov_window, local_spectral_densities,
+from .models import (ModelSpec, _check_window, _densities, cov_pad, cov_window,
                      stationary_window)
 from .operator_core import (BlockWindow, SPD_RTOL, block_norms, schur_complement,
                             zeta)
@@ -264,6 +264,7 @@ def partial_smoothness_gap(model: ModelSpec, n: int, a: int, b: int,
     ``zeta(t-tau)^(kappa-2) * min(1/N, zeta(t-tau))``; the Lipschitz gaps
     between two rescaled times against ``|u-v| * zeta(r)^(kappa-1)``.
     """
+    _check_window(n, t_lo, t_hi, "partial_smoothness_gap")
     kappa = _kappa_or_raise(model, kappa)
     pad = cov_pad(model)
     c = cov_window(model, n, t_lo - pad, t_hi + pad)
@@ -304,10 +305,13 @@ def partial_spectral_coherence(model: ModelSpec, u: float, a: int, b: int,
     ``g_{a,b}(omega; u) = -G_ab / sqrt(G_aa G_bb)`` with ``G = f^{-1}``.
 
     Raises:
+        InputError: a bad component pair, a nan or non-numeric ``u``, or a
+            non-finite ``omega``.
         ModelError: if the spectral density is singular on the grid.
     """
+    _check_components((a, b), model.p, "partial_spectral_coherence")
+    fs = _densities(model, [u], omega_grid, "partial_spectral_coherence")[0]
     omega_grid = np.atleast_1d(np.asarray(omega_grid, dtype=float))
-    fs = local_spectral_densities(model, u, omega_grid)
     vals = np.linalg.eigvalsh(fs)
     singular = vals[:, 0] <= SPD_RTOL * np.maximum(vals[:, -1], 1e-300)
     if np.any(singular):
@@ -345,8 +349,15 @@ def coherence_consistency_gap(model: ModelSpec, n: int, t_index: int,
     ``g_{a,b}(omega; t/N)`` is O(1/N) plus the Fourier truncation.
 
     Raises:
+        InputError: a ``bool`` or non-integer ``n``, ``t_index`` or
+            ``max_lag``.
+        DomainError: ``n < 1`` or a negative ``max_lag``.
         ConditioningError: a denominator sum within 1e-8 of zero.
     """
+    check_size(n, "coherence_consistency_gap")
+    check_count(t_index, "t_index", "coherence_consistency_gap", signed=True)
+    if max_lag is not None:
+        check_count(max_lag, "max_lag", "coherence_consistency_gap")
     omega_grid = np.atleast_1d(np.asarray(omega_grid, dtype=float))
     pad = cov_pad(model)
     if max_lag is None:

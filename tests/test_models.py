@@ -332,6 +332,41 @@ def _unit_matrix(p):
         lambda v: np.array(v).reshape(p, p))
 
 
+@st.composite
+def small_tvarch_models(draw):
+    # nonnegative coefficients whose lag sum stays below 1/2
+    order = draw(st.integers(0, 3))
+    weights = st.floats(0.0, 0.5 / max(order, 1))
+    coeffs = [nc.affine_fn([[draw(st.floats(0.1, 2.0))]], [[draw(st.floats(0.0, 0.5))]])]
+    coeffs += [nc.affine_fn([[draw(weights)]], [[0.0]]) for _ in range(order)]
+    return nc.TvARCH(coeffs=tuple(coeffs))
+
+
+def per_u_densities(model, u, omegas):
+    """``f(omega; u)`` over a grid at one ``u``, as the package computed it
+    one ``u`` at a time before the ``u`` grids were batched."""
+    if isinstance(model, nc.TvARCH):
+        c0 = models._stationary_cov_sequences(model, [u], 0)[0, 0]
+        return np.repeat(c0.astype(complex)[None], omegas.size, axis=0)
+    if isinstance(model, nc.TvVMA):
+        lags, coeffs = np.arange(model.order + 1), model.psi_stacks([u])[0]
+    else:
+        lags, coeffs = np.arange(1, model.order + 1), model.phi_stacks([u])[0]
+    transfer = np.einsum("wj,jab->wab", np.exp(1j * omegas)[:, None] ** lags, coeffs)
+    if isinstance(model, nc.TvVMA):
+        f = transfer @ transfer.conj().transpose(0, 2, 1)
+    else:
+        ainv = np.linalg.inv(np.eye(model.p) - transfer)
+        f = ainv @ model.sigma_stacks([u])[0] @ ainv.conj().transpose(0, 2, 1)
+    return 0.5 * (f + f.conj().transpose(0, 2, 1))
+
+
+def per_matrix_psd_sqrt(s):
+    """The symmetric square root of one matrix, from its own ``eigh``."""
+    vals, vecs = np.linalg.eigh(0.5 * (s + s.T))
+    return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
+
+
 def einsum_lag_sum(left, right):
     """``sum_j left[..., j] right[..., j]^T`` with the error scale of that sum,
     ``sum_j |left_j| |right_j|^T`` (a dot product of k terms is accurate to
@@ -1249,6 +1284,89 @@ class TestSpectralDensity:
         assert ar.lambda_min == pytest.approx(4.0 / 9.0, abs=1e-3)
         assert ar.lambda_max == pytest.approx(4.0, abs=1e-3)
 
+    @settings(max_examples=60, deadline=None)
+    @given(model=st.one_of(tvvma_models(), small_tvvar_models(), small_tvarch_models()),
+           us=st.lists(st.floats(-0.5, 1.5), min_size=1, max_size=6),
+           omegas=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=12))
+    def test_batched_densities_match_the_per_u_kernel_bitwise(self, model, us, omegas):
+        omegas = np.array(omegas)
+        want = np.stack([per_u_densities(model, u, omegas) for u in us])
+        got = models._densities(model, us, omegas, "test")
+        assert got.shape == want.shape and np.array_equal(got, want)
+        for u, row in zip(us, want):
+            assert np.array_equal(nc.local_spectral_densities(model, u, omegas), row)
+        vals = np.linalg.eigvalsh(want)
+        got = nc.spectral_eig_range(model, us, omegas)
+        assert (got.lambda_min, got.lambda_max) == (vals[..., 0].min(), vals[..., -1].max())
+
+    def test_singular_transfer_names_the_first_u_then_the_first_omega(self):
+        # 1 - Phi(u) z with Phi(u) = 2u - 1 vanishes at z = 1 for u = 1
+        # (omega = 0 and, to rounding, 2 pi) and at z = -1 for u = 0
+        # (omega = pi); the u grid comes first, then the omega grid
+        model = nc.TvVAR(p=1, phis=(nc.affine_fn([[-1.0]], [[2.0]]),),
+                         sigma=nc.constant_fn([[1.0]]))
+        us, omegas = [0.25, 1.0, 0.0], [0.5, math.pi, 2.0 * math.pi, 0.0]
+        message = f"TvVAR: transfer singular at u=1.0, omega={2.0 * math.pi}"
+        for call in (lambda: nc.spectral_eig_range(model, us, omegas),
+                     lambda: models._densities(model, us, omegas, "test"),
+                     lambda: nc.local_spectral_densities(model, 1.0, omegas)):
+            with pytest.raises(ModelError) as err:
+                call()
+            assert str(err.value) == message
+        with pytest.raises(ModelError) as err:
+            nc.spectral_eig_range(model, [0.25, 0.0, 1.0], omegas)
+        assert str(err.value) == f"TvVAR: transfer singular at u=0.0, omega={math.pi}"
+
+    @pytest.mark.parametrize("call,message", [
+        (lambda: nc.spectral_eig_range(nc.get_reference_model("tvvar1_p3"),
+                                       [math.nan], [0.1]),
+         "spectral_eig_range: every u must be a number other than nan"),
+        (lambda: nc.local_spectral_densities(nc.get_reference_model("tvvar1_p3"),
+                                             0.3, [math.nan]),
+         "local_spectral_densities: every omega must be a finite number"),
+        (lambda: nc.partial_spectral_coherence(nc.get_reference_model("tvvar1_p3"),
+                                               math.nan, 0, 1, [0.1]),
+         "partial_spectral_coherence: every u must be a number other than nan"),
+        (lambda: nc.local_spectral_densities(nc.get_reference_model("tvvma_kappa4_p2"),
+                                             0.3, [math.inf]),
+         "local_spectral_densities: every omega must be a finite number"),
+        (lambda: nc.spectral_eig_range(nc.get_reference_model("tvvma_kappa4_p2"),
+                                       [0.3], [0.1, -math.inf]),
+         "spectral_eig_range: every omega must be a finite number"),
+        (lambda: nc.spectral_eig_range(nc.get_reference_model("tvarch_order2"),
+                                       [0.3, math.nan], [0.1]),
+         "spectral_eig_range: every u must be a number other than nan"),
+        (lambda: nc.partial_spectral_coherence(nc.get_reference_model("tvvar1_p3"),
+                                               0.3, 0, 5, [0.1]),
+         "partial_spectral_coherence: bad component pair (0, 5) for p=3"),
+        (lambda: nc.partial_spectral_coherence(nc.get_reference_model("tvvar1_p3"),
+                                               0.3, 2.5, 1, [0.1]),
+         "partial_spectral_coherence: component must be an integer, got 2.5"),
+        (lambda: nc.partial_spectral_coherence(nc.get_reference_model("tvvar1_p3"),
+                                               0.3, 1, 1, [0.1]),
+         "partial_spectral_coherence: bad component pair (1, 1) for p=3"),
+        (lambda: nc.local_spectral_densities(nc.get_reference_model("tvvar1_p3"),
+                                             "x", [0.1]),
+         "local_spectral_densities: every u must be a number other than nan"),
+        (lambda: nc.local_spectral_density(nc.get_reference_model("tvvar1_p3"),
+                                           0.3, "x"),
+         "local_spectral_density: every omega must be a finite number"),
+    ], ids=["range_nan_u", "densities_nan_omega", "coherence_nan_u",
+            "vma_inf_omega", "range_inf_omega", "arch_nan_u", "coherence_pair_out_of_range",
+            "coherence_float_component", "coherence_equal_pair", "densities_string_u",
+            "density_string_omega"])
+    def test_spectral_entry_points_refuse_bad_grids_by_name(self, call, message):
+        # these ended in a bare LinAlgError, IndexError or ValueError, in NaN
+        # densities, or (a == b) in a coherence near -1
+        with pytest.raises(InputError) as err:
+            call()
+        assert str(err.value) == message
+
+    def test_an_infinite_u_is_clamped(self):
+        model, omegas = reference_tvvar3(), [0.1, 2.0]
+        assert nc.spectral_eig_range(model, [math.inf, -math.inf], omegas) == \
+            nc.spectral_eig_range(model, [1.0, 0.0], omegas)
+
     def test_section_eigenvalues_inside_spectral_range(self):
         model = reference_tvvma()
         spec = nc.spectral_eig_range(model, np.linspace(0, 1, 21),
@@ -1310,6 +1428,35 @@ class TestSimulation:
             for j in range(min(model.order, i) + 1):
                 want[:, i] += eps[:, i - j] @ stacks[i, j].T
         assert_close_to_scale(got, want[:, model.order:], np.abs(want).max())
+
+    def test_var_paths_match_the_per_step_recursion_bitwise(self):
+        # one square root of Sigma(u) per step, from its own eigh, against the
+        # simulator's one batched square root per path
+        model, n, t_lo, t_hi, reps = reference_tvvar3(), 120, -5, 60, 7
+        got = nc.simulate_ensemble(model, n, t_lo, t_hi, reps=reps, seed=11)
+        burn = models._burn_in(model)
+        start = t_lo - burn
+        eps = np.random.default_rng(11).standard_normal(
+            (reps, t_hi - start + 1, model.p))
+        want = np.zeros_like(eps)
+        for i in range(eps.shape[1]):
+            u = (start + i) / n
+            acc = eps[:, i] @ per_matrix_psd_sqrt(model.sigma_at(u)).T
+            for j in range(1, min(model.order, i) + 1):
+                acc = acc + want[:, i - j] @ model.phi_stack(u)[j - 1].T
+            want[:, i] = acc
+        assert np.array_equal(got, want[:, burn:])
+
+    def test_batched_psd_sqrt_matches_one_eigh_per_matrix(self):
+        roots = np.random.default_rng(3).standard_normal((6, 3, 3))
+        s = roots @ roots.transpose(0, 2, 1)
+        s[2] = np.diag([1.0, 0.0, 2.0])
+        got = models._psd_sqrt(s)
+        assert np.array_equal(got, np.stack([per_matrix_psd_sqrt(m) for m in s]))
+        s[4] = np.diag([1.0, -1e-3, 2.0])
+        with pytest.raises(ModelError) as err:
+            models._psd_sqrt(s)
+        assert str(err.value) == "innovation variance has a negative eigenvalue"
 
     def test_positive_definiteness_of_assembled_windows(self):
         for name in ("tvvma_kappa4_p2", "tvvar1_p3"):

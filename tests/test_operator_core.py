@@ -526,7 +526,7 @@ class TestSpdKernel:
 
     def test_banded_extremes_fall_back_to_the_dense_solver(self, monkeypatch):
         # a rotated multiple of the identity: some LAPACK builds report no
-        # convergence of dsbevx's bisection on it
+        # convergence of the band eigensolver on it
         mat = spd_with_condition(1004, 27, 1.0)
         dense = oc.sym_eig_range(mat)
         banded = oc.sym_eig_range(mat, 26)

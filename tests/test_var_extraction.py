@@ -291,11 +291,19 @@ class TestInputContract:
          "physical_dep_estimate: n must be an integer, got True"),
         (lambda m: nc.physical_dep_estimate(m, 100, 50, 2.5, 100, 1), nc.InputError,
          "physical_dep_estimate: j must be an integer, got 2.5"),
+        (lambda m: nc.simulate_ensemble(m, 100, 0, 5, 4, 2.5), nc.InputError,
+         "simulate_ensemble: seed must be an integer, got 2.5"),
+        (lambda m: nc.simulate_ensemble(m, 100, 0, 5, 4, -1), nc.DomainError,
+         "simulate_ensemble: seed must be >= 0"),
+        (lambda m: nc.simulate_path(m, 100, 0, 5, True), nc.InputError,
+         "simulate_path: seed must be an integer, got True"),
     ], ids=["ensemble_zero_n", "ensemble_float_n", "ensemble_empty_window",
-            "dependence_zero_n", "dependence_bool_n", "dependence_float_j"])
+            "dependence_zero_n", "dependence_bool_n", "dependence_float_j",
+            "ensemble_float_seed", "ensemble_negative_seed", "path_bool_seed"])
     def test_simulators_refuse_before_any_work(self, call, error, message):
         # these ran (a zero n after a divide-by-zero warning, an empty window
-        # as a (5, 0, 2) array) or ended in a bare TypeError
+        # as a (5, 0, 2) array, a seed of True as 1) or ended in a bare
+        # TypeError or ValueError (a float or negative seed, left to numpy)
         with pytest.raises(error) as err:
             call(reference_sre())
         assert str(err.value) == message
@@ -320,8 +328,16 @@ class TestInputContract:
                               dict(n=200, t_lo=0, t_hi=5, reps=4, seed=1)),
         "physical_dep_estimate": (nc.physical_dep_estimate,
                                   dict(n=200, t=50, j=2, reps=100, seed=1)),
+        "inverse_smoothness_gap": (nc.inverse_smoothness_gap, dict(n=200, t_lo=90, t_hi=95)),
+        "inverse_lipschitz_gap": (nc.inverse_lipschitz_gap, dict(u=0.3, v=0.4, max_lag=5)),
+        "partial_smoothness_gap": (nc.partial_smoothness_gap,
+                                   dict(n=200, a=0, b=1, t_lo=90, t_hi=95)),
+        "coherence_consistency_gap": (nc.coherence_consistency_gap,
+                                      dict(n=200, t_index=100, a=0, b=1,
+                                           omega_grid=[0.1], max_lag=5)),
+        "assumption_fit": (nc.assumption_fit, dict(n=200, t_lo=0, t_hi=5)),
     }
-    COUNTS = {"n", "order", "depth", "ref_order", "max_lag", "pad", "j", "reps"}
+    COUNTS = {"n", "order", "depth", "ref_order", "max_lag", "pad", "j", "reps", "seed"}
     TIMES = {"t_index", "t_lo", "t_hi", "t"}
 
     @pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
