@@ -18,11 +18,11 @@ import numpy as np
 
 from .errors import (ConditioningError, DegenerateFitError, DivergenceError,
                      InputError, check_count, check_size)
-from .models import (ModelSpec, _check_window, _inverse_spectrum, _transfer_order,
-                     cov_pad, cov_window, stationary_window)
+from .models import (ModelSpec, _check_us, _check_window, _inverse_spectrum,
+                     _transfer_order, cov_pad, cov_window, stationary_window)
 from .operator_core import (_ROW_BLOCK, _STRIP_ROWS, BlockWindow, SPD_RTOL,
                             _spd_inverse_in_place, _symmetric_product_into,
-                            block_norms, block_view, gu, krylov_norm, outside_band,
+                            block_norms, block_view, krylov_norm, outside_band,
                             sym_eig_range, symmetric_product, zeta)
 from .reports import (DecayProfile, GapReport, envelope_constant, fit_decay_profile,
                       pair_gaps, two_sided)
@@ -344,9 +344,11 @@ def stationary_inverse_sequence(model: ModelSpec, u: float, max_lag: int,
     inverse approximates the bi-infinite Toeplitz inverse.
 
     Raises:
-        InputError: a ``bool`` or non-integer ``max_lag`` or ``pad``.
+        InputError: a nan or non-numeric ``u``, or a ``bool`` or non-integer
+            ``max_lag`` or ``pad``.
         DomainError: a negative ``max_lag`` or ``pad``.
     """
+    _check_us(u, "stationary_inverse_sequence")
     check_count(max_lag, "max_lag", "stationary_inverse_sequence")
     if pad is None:
         pad = cov_pad(model)
@@ -452,7 +454,6 @@ def inverse_smoothness_gap(model: ModelSpec, n: int, t_lo: int, t_hi: int,
 
     Measures ``||[D^(N) - D(t/N)]_{t,tau}||`` over the interior window
     against the envelope ``zeta(t-tau)^(kappa-2) * min(1/N, 2*zeta(t-tau))``.
-    The variant with ``min(1/N, 2/gu(t-tau))`` is reported as ``alt_bound``.
     """
     _check_window(n, t_lo, t_hi, "inverse_smoothness_gap")
     kappa = _kappa_or_raise(model, kappa)
@@ -463,13 +464,14 @@ def inverse_smoothness_gap(model: ModelSpec, n: int, t_lo: int, t_hi: int,
     frozen = two_sided(_frozen_inverse_lags(model, times / n, length - 1))
     return pair_gaps(
         times, dn.base.blocks, frozen,
-        lambda r: zeta(r) ** (kappa - 2.0) * np.minimum(1.0 / n, 2.0 * zeta(r)),
-        lambda r: zeta(r) ** (kappa - 2.0) * np.minimum(1.0 / n, 2.0 / gu(r)))
+        lambda r: zeta(r) ** (kappa - 2.0) * np.minimum(1.0 / n, 2.0 * zeta(r)))
 
 
 def inverse_lipschitz_gap(model: ModelSpec, u: float, v: float, max_lag: int,
                           kappa: float | None = None) -> GapReport:
-    """Lipschitz gap ``||D_r(u) - D_r(v)||`` against ``|u-v| zeta(r)^(kappa-1)``."""
+    """Lipschitz gap ``||D_r(u) - D_r(v)||`` against ``|u-v| zeta(r)^(kappa-1)``;
+    a nan or non-numeric ``u`` or ``v`` raises :class:`InputError`."""
+    _check_us([u, v], "inverse_lipschitz_gap")
     check_count(max_lag, "max_lag", "inverse_lipschitz_gap")
     kappa = _kappa_or_raise(model, kappa)
     seq_u, seq_v = two_sided(_frozen_inverse_lags(model, [u, v], max_lag))

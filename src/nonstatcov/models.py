@@ -42,6 +42,15 @@ def _clamp_u(us) -> np.ndarray:
     return np.where(us < 0.0, 0.0, np.where(us > 1.0, 1.0, us))
 
 
+def _check_us(us, what: str) -> np.ndarray:
+    """``us`` as a 1-d float array, refusing a nan or non-numeric ``u``
+    under ``what``; an infinite ``u`` is left for clamping."""
+    us = np.atleast_1d(np.asarray(us))
+    if us.dtype.kind not in "iuf" or np.isnan(us).any():
+        raise InputError(f"{what}: every u must be a number other than nan")
+    return us.astype(float)
+
+
 def _readonly_copy(v) -> np.ndarray:
     a = np.array(v, dtype=float)
     a.flags.writeable = False
@@ -146,8 +155,8 @@ def _check_piecewise(knots: np.ndarray, values: np.ndarray) -> None:
         raise InputError("piecewise values must match knots", key="values")
     if not np.all(np.diff(knots) > 0):
         raise InputError("piecewise knots must be strictly increasing", key="knots")
-    # a knot gap near the float minimum makes a slope, and so the derivative
-    # and the Lipschitz constant, overflow
+    # a knot gap near the float minimum makes a slope overflow; the function
+    # then has no Lipschitz constant, which every smoothness envelope assumes
     with np.errstate(over="ignore", invalid="ignore"):
         slopes = np.diff(values, axis=0) \
             / np.diff(knots).reshape((-1,) + (1,) * (values.ndim - 1))
@@ -221,43 +230,6 @@ class CoefficientFn:
 
     def __call__(self, u: float) -> np.ndarray:
         return self.at(np.array([float(u)]))[0]
-
-    def derivative(self, u: float) -> np.ndarray:
-        """d/du at an interior point of [0, 1] (zero outside, and zero
-        outside the knots of a ``piecewise`` form)."""
-        uf = float(u)
-        if uf < 0.0 or uf > 1.0 or self.form == "constant":
-            return np.zeros(self.matrix_shape)
-        p = self.payload
-        if self.form == "affine":
-            return p["slope"].copy()
-        if self.form == "sinusoidal":
-            freq = p["frequency"]
-            return (2.0 * math.pi * freq
-                    * math.cos(2.0 * math.pi * (freq * uf + p["phase"]))
-                    * p["amplitude"])
-        knots = p["knots"]
-        values = p["values"]
-        if uf < knots[0] or uf > knots[-1]:
-            return np.zeros(self.matrix_shape)
-        i = int(np.clip(np.searchsorted(knots, uf, side="right") - 1, 0, len(knots) - 2))
-        return (values[i + 1] - values[i]) / (knots[i + 1] - knots[i])
-
-    def lipschitz_constant(self) -> float:
-        """Explicit spectral-norm Lipschitz constant of the form."""
-        p = self.payload
-        if self.form == "constant":
-            return 0.0
-        if self.form == "affine":
-            return float(np.linalg.norm(p["slope"], 2))
-        if self.form == "sinusoidal":
-            return float(2.0 * math.pi * abs(p["frequency"])
-                         * np.linalg.norm(p["amplitude"], 2))
-        knots = p["knots"]
-        values = p["values"]
-        slopes = [np.linalg.norm(values[i + 1] - values[i], 2) / (knots[i + 1] - knots[i])
-                  for i in range(len(knots) - 1)]
-        return float(max(slopes))
 
 
 def constant_fn(value) -> CoefficientFn:
@@ -336,9 +308,6 @@ class TvVMA:
     def psi_stack_array(self, u: float, n: int) -> np.ndarray:
         """Array coefficients at time ``t = u*n``, including the 1/N term."""
         return self._array_stacks([u], n)[0]
-
-    def psi_stack_derivative(self, u: float) -> np.ndarray:
-        return np.stack([fn.derivative(u) for fn in self.psis])
 
 
 @dataclass(frozen=True, eq=False)
@@ -615,34 +584,33 @@ def _check_invariants(model: ModelSpec) -> dict:
 # covariances of the observed array
 # ---------------------------------------------------------------------------
 
-def _lag_products(left: np.ndarray, right: np.ndarray, max_lag: int, step: int):
-    """Lag convolutions of two coefficient stacks, one batched matmul per lag.
+def _lag_products(stacks: np.ndarray, max_lag: int, step: int):
+    """Lag convolutions of a coefficient stack with itself, one batched
+    matmul per lag.
 
-    ``left`` and ``right`` have shape ``(T, K, p, q)``: ``left[t, j]`` is the
-    lag-``j`` coefficient at time ``t``.  Returns an iterator of ``(r, prod)``
-    for ``r = 0 .. min(max_lag, K - 1)``, where
-    ``prod[t] = sum_j left[t, j] @ right[t + step*r, j + r].T`` for the
+    ``stacks`` has shape ``(T, K, p, p)``: ``stacks[t, j]`` is the lag-``j``
+    coefficient at time ``t``.  Returns an iterator of ``(r, prod)`` for
+    ``r = 0 .. min(max_lag, K - 1)``, where
+    ``prod[t] = sum_j stacks[t, j] @ stacks[t + step*r, j + r].T`` for the
     ``T - step*r`` times ``t`` that keep ``t + step*r`` inside the stack
     (``step`` is 1 for a window of the array, 0 for frozen-time sequences).
 
-    Each stack is copied once, before this returns, into the layout
-    ``(T, p, K, q)``, so a caller may drop the stacks before it iterates;
-    there the sum over ``(j, b)`` of every lag is a contiguous run of each
-    row, so both operands of the ``(T', p, (K-r) q) @ (T', (K-r) q, p)``
-    product are views.
+    The stack is copied once, before this returns, into the layout
+    ``(T, p, K, p)``, so a caller may drop it before it iterates; there the
+    sum over ``(j, b)`` of every lag is a contiguous run of each row, so both
+    operands of the ``(T', p, (K-r) p) @ (T', (K-r) p, p)`` product are views.
     """
-    rows_l = np.ascontiguousarray(np.swapaxes(left, 1, 2))
-    rows_r = rows_l if right is left else np.ascontiguousarray(np.swapaxes(right, 1, 2))
-    return ((r, _lag_product(rows_l, rows_r, r, step))
-            for r in range(min(max_lag, rows_l.shape[2] - 1) + 1))
+    rows = np.ascontiguousarray(np.swapaxes(stacks, 1, 2))
+    return ((r, _lag_product(rows, r, step))
+            for r in range(min(max_lag, rows.shape[2] - 1) + 1))
 
 
-def _lag_product(rows_l: np.ndarray, rows_r: np.ndarray, r: int, step: int) -> np.ndarray:
-    """The lag-``r`` product of :func:`_lag_products` from its row layouts."""
-    times, p, k, q = rows_l.shape
+def _lag_product(rows: np.ndarray, r: int, step: int) -> np.ndarray:
+    """The lag-``r`` product of :func:`_lag_products` from its row layout."""
+    times, p, k, _ = rows.shape
     m = times - step * r
-    a = rows_l[:m, :, :k - r].reshape(m, p, (k - r) * q)
-    b = rows_r[step * r:, :, r:].reshape(m, rows_r.shape[1], (k - r) * q)
+    a = rows[:m, :, :k - r].reshape(m, p, (k - r) * p)
+    b = rows[step * r:, :, r:].reshape(m, p, (k - r) * p)
     with np.errstate(over="ignore", invalid="ignore"):   # callers refuse overflow
         return a @ b.transpose(0, 2, 1)
 
@@ -652,7 +620,7 @@ def _vma_cov_window(model: TvVMA, n: int, t_lo: int, t_hi: int) -> BlockWindow:
     stacks = model.psi_stacks_array(np.arange(t_lo, t_hi + 1), n)  # (L, J+1, p, p)
     # the products' copy of the stacks is made now, and the stacks dropped,
     # before the window is allocated
-    products = _lag_products(stacks, stacks, length - 1, step=1)
+    products = _lag_products(stacks, length - 1, step=1)
     del stacks
     flat = np.zeros((length * p, length * p))
     blocks = block_view(flat, p)
@@ -856,18 +824,14 @@ def _stationary_cov_sequences(model: ModelSpec, us, max_lag: int) -> np.ndarray:
         psis = model.psi_stacks(us)
         out = np.zeros((us.size, max_lag + 1, model.p, model.p))
         # C_r = sum_j Psi_{j+r} Psi_j^T, the transpose of the lag product
-        for r, prod in _lag_products(psis, psis, max_lag, step=0):
+        for r, prod in _lag_products(psis, max_lag, step=0):
             out[:, r] = prod.transpose(0, 2, 1)
     else:
         raise _no_ma_representation(model)
-    _require_finite(out, "stationary_cov_sequence")
-    return out
-
-
-def _require_finite(out: np.ndarray, what: str) -> None:
-    """Refuse a sum that overflowed, as a non-finite window is refused."""
+    # a sum that overflowed is refused, as a non-finite window is
     if not np.all(np.isfinite(out)):
-        raise InputError(f"{what}: non-finite entries")
+        raise InputError("stationary_cov_sequence: non-finite entries")
+    return out
 
 
 def stationary_cov_sequence(model: ModelSpec, u: float, max_lag: int) -> np.ndarray:
@@ -876,13 +840,14 @@ def stationary_cov_sequence(model: ModelSpec, u: float, max_lag: int) -> np.ndar
     Negative lags follow from ``C_{-r}(u) = C_r(u)^T``.
 
     Raises:
-        InputError: a ``bool`` or non-integer ``max_lag``, or a lag sum that
-            overflows.
+        InputError: a nan or non-numeric ``u``, a ``bool`` or non-integer
+            ``max_lag``, or a lag sum that overflows.
         DomainError: a negative ``max_lag``.
         ModelError: a TvVAR whose frozen process at ``u`` is unstable, whose
             innovation variance is not SPD there, or whose covariance
             doubling does not settle.
     """
+    _check_us(u, "stationary_cov_sequence")
     check_count(max_lag, "max_lag", "stationary_cov_sequence")
     return _stationary_cov_sequences(model, [u], max_lag)[0]
 
@@ -895,35 +860,13 @@ def stationary_cov(model: ModelSpec, u: float, r: int) -> np.ndarray:
 
 
 def stationary_window(model: ModelSpec, u: float, t_lo: int, t_hi: int) -> BlockWindow:
-    """Block Toeplitz section of the frozen-process covariance at ``u``."""
+    """Block Toeplitz section of the frozen-process covariance at ``u``;
+    a nan or non-numeric ``u`` is refused with :class:`InputError`."""
+    _check_us(u, "stationary_window")
     length = t_hi - t_lo + 1
     seq = stationary_cov_sequence(model, u, length - 1)
     # C_{t,tau} = C_{t-tau}(u)
     return BlockWindow._adopt(block_toeplitz(seq, length), seq.shape[1], t_lo=t_lo)
-
-
-def stationary_cov_derivative(model: ModelSpec, u: float, max_lag: int) -> np.ndarray:
-    """``d C_r(u)/du`` for ``r = 0..max_lag`` (moving-average models only).
-
-    Raises:
-        InputError: if a lag sum overflows, as with a ``piecewise`` slope
-            near the float range.
-        UnsupportedFamilyError: for other families.
-    """
-    if not isinstance(model, TvVMA):
-        raise UnsupportedFamilyError("analytic covariance derivative is only "
-                                     "available for moving-average models")
-    psis = model.psi_stack(u)[None]
-    dpsis = model.psi_stack_derivative(u)[None]
-    # [Psi_j | Psi'_j] [Psi'_{j+r} | Psi_{j+r}]^T = Psi_j Psi'_{j+r}^T + Psi'_j Psi_{j+r}^T,
-    # the transpose of the lag-r term of the product rule
-    left = np.concatenate([psis, dpsis], axis=3)
-    right = np.concatenate([dpsis, psis], axis=3)
-    out = np.zeros((max_lag + 1, model.p, model.p))
-    for r, prod in _lag_products(left, right, max_lag, step=0):
-        out[r] = prod[0].T
-    _require_finite(out, "stationary_cov_derivative")
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -955,6 +898,15 @@ def local_spectral_densities(model: ModelSpec, u: float, omega_grid) -> np.ndarr
     return _densities(model, [u], omega_grid, "local_spectral_densities")[0]
 
 
+def _check_omegas(omegas, what: str) -> np.ndarray:
+    """``omegas`` as a 1-d float array, refusing a non-finite or non-numeric
+    ``omega`` under ``what``."""
+    omegas = np.atleast_1d(np.asarray(omegas))
+    if omegas.dtype.kind not in "iuf" or not np.isfinite(omegas).all():
+        raise InputError(f"{what}: every omega must be a finite number")
+    return omegas.astype(float)
+
+
 def _densities(model: ModelSpec, us, omegas, what: str) -> np.ndarray:
     """``f(omega; u)`` for every ``u`` of ``us`` and every ``omega``, shape
     ``(U, W, p, p)``, from stacked kernels; the transfer, its inverse and the
@@ -968,12 +920,7 @@ def _densities(model: ModelSpec, us, omegas, what: str) -> np.ndarray:
             transfer, ``u`` first.
         UnsupportedFamilyError: for SRE models.
     """
-    us, omegas = (np.atleast_1d(np.asarray(g)) for g in (us, omegas))
-    if us.dtype.kind not in "iuf" or np.isnan(us).any():
-        raise InputError(f"{what}: every u must be a number other than nan")
-    if omegas.dtype.kind not in "iuf" or not np.isfinite(omegas).all():
-        raise InputError(f"{what}: every omega must be a finite number")
-    us, omegas = us.astype(float), omegas.astype(float)
+    us, omegas = _check_us(us, what), _check_omegas(omegas, what)
     if isinstance(model, TvARCH):
         c0 = _stationary_cov_sequences(model, us, 0)[:, 0]
         return np.repeat(c0.astype(complex)[:, None], omegas.size, axis=1)

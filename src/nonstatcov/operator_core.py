@@ -140,8 +140,8 @@ class EigRange:
         if self.lambda_min > self.lambda_max + 1e-15:
             raise InputError("EigRange: lambda_min exceeds lambda_max")
 
-    def is_spd(self, rtol: float = SPD_RTOL) -> bool:
-        return self.lambda_min > rtol * max(abs(self.lambda_max), 1e-300)
+    def is_spd(self) -> bool:
+        return self.lambda_min > SPD_RTOL * max(abs(self.lambda_max), 1e-300)
 
     @property
     def condition(self) -> float:
@@ -487,8 +487,14 @@ def demko_bound(a: float, b: float, m: int, lag) -> float | np.ndarray:
     ``lag`` may be an integer array; the bound is then returned per lag.
 
     Raises:
+        InputError: a ``bool`` or non-integer ``m``, or a non-finite or
+            non-numeric ``lag``.
         DomainError: if ``a <= 0``, ``b < a`` or ``m < 1``.
     """
+    check_count(m, "m", "demko_bound")
+    lag = np.asarray(lag)
+    if lag.dtype.kind not in "iuf" or not np.isfinite(lag).all():
+        raise InputError("demko_bound: every lag must be a finite number")
     if a <= 0:
         raise DomainError("demko_bound: requires a > 0")
     if b < a:
@@ -498,7 +504,7 @@ def demko_bound(a: float, b: float, m: int, lag) -> float | np.ndarray:
     r = b / a
     sr = math.sqrt(r)
     rho = (sr - 1.0) / (sr + 1.0)
-    bound = (1.0 + sr) ** 2 / b * rho ** (-(-np.abs(np.asarray(lag)) // m))
+    bound = (1.0 + sr) ** 2 / b * rho ** (-(-np.abs(lag) // m))
     return float(bound) if bound.ndim == 0 else bound
 
 
@@ -827,14 +833,13 @@ def spd_inverse(flat: np.ndarray, what: str,
     return inv, bound, residual
 
 
-def schur_complement(a: np.ndarray, b: np.ndarray, e: BlockWindow | np.ndarray,
+def schur_complement(a: np.ndarray, b: np.ndarray, e: np.ndarray,
                      what: str = "schur_complement: E") -> np.ndarray:
-    """``A - B E^{-1} B^T`` with ``E`` a symmetric SPD window or matrix.
+    """``A - B E^{-1} B^T`` with ``E`` an exactly symmetric SPD matrix.
 
     The result is the covariance of the ``A`` coordinates after projecting
     out the coordinates carried by ``E``.  Symmetric whenever ``A`` is.
-    ``E`` may be given flattened, as an exactly symmetric matrix; ``what``
-    names it in error messages.
+    ``what`` names ``E`` in error messages.
 
     Raises:
         ConditioningError: if ``E`` is numerically singular.
@@ -842,14 +847,9 @@ def schur_complement(a: np.ndarray, b: np.ndarray, e: BlockWindow | np.ndarray,
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    if isinstance(e, BlockWindow):
-        if not e.symmetric:
-            raise InputError("schur_complement: E must be symmetric")
-        ef = e.flatten()
-    else:
-        ef = np.asarray(e, dtype=float)
-        if ef.ndim != 2 or not np.array_equal(ef, ef.T):
-            raise InputError("schur_complement: E must be symmetric")
+    ef = np.asarray(e, dtype=float)
+    if ef.ndim != 2 or not np.array_equal(ef, ef.T):
+        raise InputError("schur_complement: E must be symmetric")
     if b.shape != (a.shape[0], ef.shape[0]) or a.shape[0] != a.shape[1]:
         raise InputError(f"schur_complement: non-conformable shapes {a.shape}, "
                          f"{b.shape}, {ef.shape}")

@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import ConditioningError, InputError, ModelError, check_count, check_size
 from .inverse_analysis import _fft_lags, _kappa_or_raise
-from .models import (ModelSpec, _check_window, _densities, cov_pad, cov_window,
-                     stationary_window)
+from .models import (ModelSpec, _check_omegas, _check_us, _check_window, _densities,
+                     cov_pad, cov_window, stationary_window)
 from .operator_core import (BlockWindow, SPD_RTOL, block_norms, schur_complement,
                             zeta)
 from .reports import GapReport, pair_gaps, two_sided
@@ -158,8 +158,10 @@ def stationary_partial_pair(model: ModelSpec, u: float, a: int, b: int,
 
     ``toeplitz_drift`` records how far the interior of the windowed Schur
     complement is from exactly Toeplitz; it should sit at the pad
-    truncation level (<= 1e-8 for the bundled models).
+    truncation level (<= 1e-8 for the bundled models).  A nan or
+    non-numeric ``u`` is refused with :class:`InputError`.
     """
+    _check_us(u, "stationary_partial_pair")
     pad = cov_pad(model)
     half = max_lag + pad
     d = partial_cov_pair(stationary_window(model, u, -half, half), a, b,
@@ -223,10 +225,8 @@ def _frozen_partial_lags(model: ModelSpec, us, a: int, b: int,
     goes to :func:`_dense_partial_lags`, which decides with its own refusals.
 
     Raises:
-        InputError: a bad component pair.
         UnsupportedFamilyError: for SRE models.
     """
-    _check_components((a, b), model.p, "partial_smoothness_gap")
     lags = _fft_lags(model, us, max_lag,
                      lambda u: _dense_partial_lags(model, u, a, b, max_lag),
                      _partial_symbol(a, b))
@@ -247,15 +247,15 @@ class PartialSmoothnessReport:
 
 
 def partial_smoothness_gap(model: ModelSpec, n: int, a: int, b: int,
-                           t_lo: int, t_hi: int, kappa: float | None = None,
-                           u_pair: tuple[float, float] | None = None) -> PartialSmoothnessReport:
+                           t_lo: int, t_hi: int,
+                           kappa: float | None = None) -> PartialSmoothnessReport:
     """Partial-covariance smoothness gaps over an interior window.
 
     The array partials come from one padded covariance window: the pair
     ``(a, b)`` given the other components and ``a`` given all the others,
     each one Schur step.  Their frozen-time counterparts at every row time
-    ``t/n`` and at the Lipschitz times ``u_pair`` (by default the first and
-    last row times) come in one batch from the FFT of the frozen partial
+    ``t/n`` and at the Lipschitz times ``u_pair``, the first and last row
+    times, come in one batch from the FFT of the frozen partial
     spectral densities (:func:`_frozen_partial_lags`), with no window; a
     time the FFT path leaves is taken from one dense frozen window, as
     :func:`stationary_partial_pair` does.
@@ -263,8 +263,12 @@ def partial_smoothness_gap(model: ModelSpec, n: int, a: int, b: int,
     Pair and self gaps are measured against
     ``zeta(t-tau)^(kappa-2) * min(1/N, zeta(t-tau))``; the Lipschitz gaps
     between two rescaled times against ``|u-v| * zeta(r)^(kappa-1)``.
+
+    Raises:
+        InputError: a bad component pair, refused before any window is built.
     """
     _check_window(n, t_lo, t_hi, "partial_smoothness_gap")
+    _check_components((a, b), model.p, "partial_smoothness_gap")
     kappa = _kappa_or_raise(model, kappa)
     pad = cov_pad(model)
     c = cov_window(model, n, t_lo - pad, t_hi + pad)
@@ -274,9 +278,7 @@ def partial_smoothness_gap(model: ModelSpec, n: int, a: int, b: int,
     length = pair.length
     max_lag = length - 1
 
-    if u_pair is None:
-        u_pair = (t_lo / n, t_hi / n)
-    u, v = u_pair
+    u, v = t_lo / n, t_hi / n
     times = np.arange(t_lo, t_lo + length)
     frozen_pair, frozen_self = _frozen_partial_lags(model, [*times / n, u, v],
                                                     a, b, max_lag)
@@ -350,7 +352,7 @@ def coherence_consistency_gap(model: ModelSpec, n: int, t_index: int,
 
     Raises:
         InputError: a ``bool`` or non-integer ``n``, ``t_index`` or
-            ``max_lag``.
+            ``max_lag``, or a non-finite or non-numeric ``omega``.
         DomainError: ``n < 1`` or a negative ``max_lag``.
         ConditioningError: a denominator sum within 1e-8 of zero.
     """
@@ -358,7 +360,7 @@ def coherence_consistency_gap(model: ModelSpec, n: int, t_index: int,
     check_count(t_index, "t_index", "coherence_consistency_gap", signed=True)
     if max_lag is not None:
         check_count(max_lag, "max_lag", "coherence_consistency_gap")
-    omega_grid = np.atleast_1d(np.asarray(omega_grid, dtype=float))
+    omega_grid = _check_omegas(omega_grid, "coherence_consistency_gap")
     pad = cov_pad(model)
     if max_lag is None:
         max_lag = _default_fourier_lag(model, n, t_index, a, b, pad)

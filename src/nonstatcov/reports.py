@@ -39,16 +39,12 @@ class GapReport:
     ``bound`` holds the envelope *shape* evaluated at the same indices (no
     leading constant); ``constant_estimate`` is derived from them: the
     smallest multiplier making ``measured <= constant * bound`` everywhere.
-    Some operations also report an alternative envelope variant in
-    ``alt_bound``, with its constant in ``alt_constant``.
     """
 
     indices: list
     measured: np.ndarray
     bound: np.ndarray
-    alt_bound: np.ndarray | None = None
     constant_estimate: float = field(init=False)
-    alt_constant: float | None = field(init=False)
 
     def __post_init__(self):
         measured = np.asarray(self.measured, dtype=float)
@@ -60,8 +56,6 @@ class GapReport:
         object.__setattr__(self, "measured", measured)
         object.__setattr__(self, "bound", bound)
         object.__setattr__(self, "constant_estimate", envelope_constant(measured, bound))
-        object.__setattr__(self, "alt_constant", None if self.alt_bound is None
-                           else envelope_constant(measured, self.alt_bound))
 
     @property
     def max_measured(self) -> float:
@@ -76,23 +70,21 @@ def two_sided(seq: np.ndarray) -> np.ndarray:
 
 
 def pair_gaps(times: np.ndarray, array: np.ndarray, frozen: np.ndarray,
-              envelope, alt_envelope=None) -> GapReport:
+              envelope) -> GapReport:
     """Array values against their frozen-time approximations over a window.
 
     ``array[i, j]`` is the block at ``(times[i], times[j])``; ``frozen[i]``
     holds the two-sided frozen lags at the rescaled time of ``times[i]``,
     lag ``r = -(L-1)..L-1`` at index ``r + L - 1``.  Each pair ``(t, tau)``
     is measured as ``||array[t, tau] - frozen[t][t - tau]||`` against
-    ``envelope(t - tau)`` (and ``alt_envelope``), in row-major order.
+    ``envelope(t - tau)``, in row-major order.
     """
     length = len(times)
     lag = times[:, None] - times[None, :]
     target = frozen[np.arange(length)[:, None], lag + length - 1]
-    lag = lag.ravel()
     return GapReport(indices=[(int(t), int(tau)) for t in times for tau in times],
                      measured=block_norms(array - target).ravel(),
-                     bound=envelope(lag),
-                     alt_bound=None if alt_envelope is None else alt_envelope(lag))
+                     bound=envelope(lag.ravel()))
 
 
 def envelope_constant(measured: np.ndarray, shape: np.ndarray) -> float:
@@ -107,18 +99,18 @@ def envelope_constant(measured: np.ndarray, shape: np.ndarray) -> float:
 
 
 def fit_decay_profile(lags: np.ndarray, norms: np.ndarray, shape: np.ndarray,
-                      log_abscissa: np.ndarray, zero_tol: float = 1e-14) -> DecayProfile:
+                      log_abscissa: np.ndarray) -> DecayProfile:
     """Least-squares decay fit of ``log norms`` against ``log log_abscissa``.
 
     ``shape`` is the envelope evaluated at the lags; the reported constant is
-    the max ratio ``norms/shape``.  Lags with norms at numerical zero are
-    dropped; if every lag is dropped the profile is flagged band-limited and
-    the slope is NaN.
+    the max ratio ``norms/shape``.  Lags with norms at numerical zero (at
+    most ``1e-14``, or ``1e-13`` of the largest norm) are dropped; if every
+    lag is dropped the profile is flagged band-limited and the slope is NaN.
     """
     lags = np.asarray(lags)
     norms = np.asarray(norms, dtype=float)
     scale = max(float(norms.max(initial=0.0)), 1e-300)
-    usable = norms > max(zero_tol, 1e-13 * scale)
+    usable = norms > max(1e-14, 1e-13 * scale)
     band_limited = bool((~usable).any())
     if usable.sum() == 0:
         return DecayProfile(constant=0.0, exponent=float("nan"),

@@ -18,7 +18,8 @@ import numpy as np
 from .errors import (ConditioningError, DomainError, NonstatcovError, check_count,
                      check_size)
 from .inverse_analysis import _kappa_or_raise
-from .models import ModelSpec, _log_det_integral, cov_window, stationary_window
+from .models import (ModelSpec, _check_us, _log_det_integral, cov_window,
+                     stationary_window)
 from .operator_core import (BlockWindow, _spd_inverse_in_place, block_norms, block_view,
                             zeta)
 from .reports import GapReport
@@ -166,15 +167,17 @@ def var_coeffs_finite(model: ModelSpec, n: int, t_index: int, order: int) -> Var
 
 def stationary_var_coeffs(model: ModelSpec, u: float, order: int) -> VarCoefficients:
     """Finite-order projection coefficients of the frozen process at ``u``."""
+    _check_us(u, "stationary_var_coeffs")
     return _finite_projection("stationary_var_coeffs",
                               lambda lo, hi: stationary_window(model, u, lo, hi),
                               0, order, None)
 
 
-def stationary_var_coeffs_infinite(model: ModelSpec, u: float, order: int,
-                                   depth: int | None = None) -> VarCoefficients:
-    """Leading infinite-past coefficients of the frozen process at ``u``."""
-    depth = _past_depth("stationary_var_coeffs_infinite", order, depth)
+def stationary_var_coeffs_infinite(model: ModelSpec, u: float, order: int) -> VarCoefficients:
+    """Leading infinite-past coefficients of the frozen process at ``u``,
+    from a past of depth ``order + 100``."""
+    _check_us(u, "stationary_var_coeffs_infinite")
+    depth = _past_depth("stationary_var_coeffs_infinite", order, None)
     return _bottom_row_coeffs(stationary_window(model, u, -depth, 0), 0, order, None,
                               own=True)
 

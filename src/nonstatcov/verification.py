@@ -20,6 +20,7 @@ from . import operator_core as oc
 from . import partial_cov as pc
 from . import inverse_analysis as ia
 from . import var_extraction as vx
+from .errors import DegenerateFitError
 from .reference import ar1_model, reference_sre, reference_tvvar3, reference_tvvma
 
 
@@ -47,7 +48,7 @@ def table_row(kind: str, i, j, measured, envelope=0.0, constant=0.0, n=0) -> dic
 def check_inverse_decay(model=None, n: int = 200, window: int = 240,
                         pad: int = 60) -> CheckResult:
     model = reference_tvvma() if model is None else model
-    kappa = model.kappa or 4.0
+    kappa = getattr(model, "kappa", None) or 4.0
     t_lo = -(window - n) // 2
     inv1 = ia.model_inverse_window(model, n, t_lo, t_lo + window - 1, pad=pad)
     fit1 = ia.inverse_decay_fit(inv1, kappa_ref=kappa)
@@ -187,7 +188,7 @@ def check_ar1_analytic(phi: float = 0.5, sigma2: float = 1.0) -> CheckResult:
 def check_baxter(model=None, n: int = 200, t_index: int = 100,
                  orders=(5, 10, 20, 40)) -> CheckResult:
     model = reference_tvvma() if model is None else model
-    kappa = model.kappa or 4.0
+    kappa = getattr(model, "kappa", None) or 4.0
     sums = {}
     rows = []
     for d in orders:
@@ -334,6 +335,8 @@ def check_coherence(var_model=None, ns=(200, 400), u: float = 0.3,
             rows.append(table_row("coherence_re", float(w), 0, val.real, n=n))
             rows.append(table_row("coherence_im", float(w), 0, val.imag, n=n))
             rows.append(table_row("coherence_abs", float(w), 0, abs(val), n=n))
+    if sup[ns[1]] == 0.0:
+        raise DegenerateFitError(f"check_coherence: no rate, the gap at N={ns[1]} is 0")
     ratio = sup[ns[0]] / sup[ns[1]]
     within_baseline = sup[ns[0]] <= 2.0 * sup[ns[1]]
     ratio_ok = 1.4 <= ratio <= 2.8

@@ -1,9 +1,12 @@
+import ast
 import importlib
 import importlib.util
+import inspect
 import json
 import math
 import os
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -19,7 +22,7 @@ from nonstatcov import cli, experiments
 from nonstatcov.config import (EXPERIMENT_KINDS, GRID_FIELDS, MODEL_FAMILIES,
                                PARTIAL_GAP_FIELDS, REQUIRED, coefficient_fn_to_json,
                                config_digest, load_config, model_from_json,
-                               model_to_json)
+                               model_to_json, partial_gaps_apply)
 from nonstatcov.errors import ConfigError
 from nonstatcov.experiments import run_experiment, write_report
 from nonstatcov.models import COEFFICIENT_FORMS
@@ -372,7 +375,62 @@ class TestRunExperiment:
         assert "timestamp" in report.metadata
 
 
+#: Small values for every grid field of the cheap experiment kinds; a few
+#: fall outside a field's range, so configs refused with exit 2 come too.
+_SMALL_GRID = {
+    "N": st.integers(0, 80), "t_lo": st.integers(-5, 40), "t_hi": st.integers(-5, 60),
+    "kappa": st.floats(0.5, 6.0), "window": st.integers(19, 40), "pad": st.integers(0, 8),
+    "count": st.integers(1, 2), "t": st.integers(-5, 80), "p": st.integers(2, 3),
+    "orders": st.lists(st.integers(0, 5), min_size=1, max_size=3, unique=True).map(sorted),
+    "Ns": st.lists(st.integers(20, 80), min_size=2, max_size=2),
+    "length": st.integers(1, 4), "a": st.integers(0, 2), "b": st.integers(0, 2),
+    "u": st.floats(-0.5, 1.5), "max_lag": st.integers(0, 8),
+    "omega_points": st.integers(1, 9), "reps": st.integers(99, 150),
+    "js": st.lists(st.integers(0, 3), min_size=1, max_size=2),
+}
+#: Every kind but the ones whose smallest run takes a quarter of a second or more.
+_CHEAP_KINDS = [kind for kind in EXPERIMENT_KINDS if kind not in ("smoothness", "verify-all")]
+
+
+@st.composite
+def _small_configs(draw):
+    kind = draw(st.sampled_from(_CHEAP_KINDS))
+    reference = draw(st.sampled_from(sorted(nc.REFERENCE_BUILDERS)))
+    # the partial-gap fields only where the model has partial gaps
+    skip = PARTIAL_GAP_FIELDS if kind == "partial" and not partial_gaps_apply(
+        nc.get_reference_model(reference)) else ()
+    grid = {key: draw(_SMALL_GRID[key]) for key in GRID_FIELDS[kind] if key not in skip}
+    return kind, {"experiment": kind, "seed": draw(st.integers(0, 2**32 - 1)),
+                  "model": {"reference": reference}, "grid": grid}
+
+
 class TestCli:
+    @settings(max_examples=60, deadline=None)
+    @example(config=("invert", {"experiment": "invert", "seed": 0,
+                                "model": {"reference": "ar1_phi05"},
+                                "grid": {"N": 1, "window": 20, "pad": 0}}))
+    @example(config=("coherence", {"experiment": "coherence", "seed": 0,
+                                   "model": {"reference": "white_noise_p2"},
+                                   "grid": {"a": 0, "b": 1, "Ns": [20, 20], "u": 0.0,
+                                            "max_lag": 0, "omega_points": 1}}))
+    @given(config=_small_configs())
+    def test_generated_configs_keep_the_exit_code_contract(self, config):
+        # a run ends in 0, 1, 2 or 3, never a traceback, and in 1 exactly
+        # when a verdict it wrote failed; the examples ended in an
+        # AttributeError (a TvVAR has no kappa) and a ZeroDivisionError (a
+        # coherence gap of 0 at both N)
+        kind, cfg = config
+        with tempfile.TemporaryDirectory() as tmp:
+            path, out = os.path.join(tmp, "cfg.json"), os.path.join(tmp, "out")
+            with open(path, "w") as fh:
+                json.dump(cfg, fh)
+            code = cli.main([kind, "--config", path, "--out", out])
+            assert code in (0, 1, 2, 3)
+            if code in (0, 1):
+                with open(os.path.join(out, "verdicts.json")) as fh:
+                    verdicts = json.load(fh)["verdicts"]
+                assert (code == 1) == (not all(v["passed"] for v in verdicts))
+
     def test_list_reference_configs(self, capsys):
         assert cli.main(["--list-reference-configs"]) == 0
         out = capsys.readouterr().out
@@ -632,6 +690,41 @@ def test_benchmark_traced_functions_exist(monkeypatch):
                if not callable(getattr(importlib.import_module(f"nonstatcov.{module}"),
                                        name, None))]
     assert spans.TRACED_FUNCTIONS and missing == []
+
+
+def test_benchmark_names_exist():
+    """Every package name the benchmark reads exists: the names
+    ``bench/spans.py``, ``bench/workloads.py`` and ``bench/oracles.py`` import
+    from the package, the attributes they read from its modules (``md.``,
+    ``ia.``, ``pc.``, ``vx.``, ``cf.``, ``ex.``, ``nonstatcov.`` and the rest)
+    and the ``model.`` attributes, each on some reference model.  The files
+    are parsed, never run or edited."""
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    models = [nc.get_reference_model(name) for name in nc.REFERENCE_BUILDERS]
+    missing = []
+    for name in ("spans.py", "workloads.py", "oracles.py"):
+        tree = ast.parse((bench / name).read_text(encoding="utf-8"))
+        modules = {"nonstatcov": nc}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module.startswith("nonstatcov"):
+                for alias in node.names:
+                    try:
+                        value = importlib.import_module(f"{node.module}.{alias.name}")
+                    except ImportError:
+                        value = getattr(importlib.import_module(node.module),
+                                        alias.name, None)
+                    if value is None:
+                        missing.append(f"{node.module}.{alias.name}")
+                    elif inspect.ismodule(value):
+                        modules[alias.asname or alias.name] = value
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)):
+                continue
+            owner = node.value.id
+            if (owner in modules and not hasattr(modules[owner], node.attr)) or \
+                    (owner == "model" and not any(hasattr(m, node.attr) for m in models)):
+                missing.append(f"{name}: {owner}.{node.attr}")
+    assert missing == []
 
 
 def _readme_tables(heading: str) -> dict:

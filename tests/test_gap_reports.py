@@ -16,7 +16,7 @@ import pytest
 
 import nonstatcov as nc
 from nonstatcov.inverse_analysis import _frozen_inverse_lags
-from nonstatcov.operator_core import gu, zeta
+from nonstatcov.operator_core import zeta
 from nonstatcov.partial_cov import _frozen_partial_lags
 from nonstatcov.reports import GapReport, envelope_constant
 
@@ -45,7 +45,7 @@ def test_inverse_smoothness_gap_matches_pair_loop(name):
     length = dn.base.length
     # the frozen lags of every row time, from the one kernel the gap reads
     frozen = _frozen_inverse_lags(model, np.arange(t_lo, t_lo + length) / n, length - 1)
-    indices, measured, bound, alt = [], [], [], []
+    indices, measured, bound = [], [], []
     for ti in range(length):
         t = t_lo + ti
         seq = frozen[ti]
@@ -53,14 +53,11 @@ def test_inverse_smoothness_gap_matches_pair_loop(name):
             tau = t_lo + tj
             r = t - tau
             target = seq[r] if r >= 0 else seq[-r].T
-            zr, gr = float(zeta(r)), float(gu(r))
+            zr = float(zeta(r))
             indices.append((t, tau))
             measured.append(np.linalg.norm(dn.base.blocks[ti, tj] - target, 2))
             bound.append(zr ** (kappa - 2.0) * min(1.0 / n, 2.0 * zr))
-            alt.append(zr ** (kappa - 2.0) * min(1.0 / n, 2.0 / gr))
     assert_report(rep, indices, measured, bound, model.p)
-    assert_ulps(rep.alt_bound, alt, 4)
-    assert_ulps(rep.alt_constant, envelope_constant(measured, alt), 4 * model.p + 4)
 
 
 @pytest.mark.parametrize("name", ["tvvma_kappa4_p2", "tvvar1_p3"])
@@ -146,8 +143,7 @@ def test_var_smoothness_gap_matches_lag_loop(name):
     n, t_index, order, kappa = 200, 100, 5, 4.0
     rep = nc.var_smoothness_gap(model, n, t_index, order, kappa=kappa)
     array_fit = nc.var_coeffs_infinite(model, n, t_index, order, depth=order + 100)
-    frozen_fit = nc.stationary_var_coeffs_infinite(model, t_index / n, order,
-                                                   depth=order + 100)
+    frozen_fit = nc.stationary_var_coeffs_infinite(model, t_index / n, order)
     sigma_gap = np.linalg.norm(array_fit.sigma - frozen_fit.sigma, 2)
     indices, measured, bound = [], [], []
     for j in range(1, order + 1):
@@ -164,10 +160,6 @@ def test_gap_report_derives_its_constants():
     measured, bound = np.array([0.5, 2.0, 0.0]), np.array([1.0, 4.0, 0.0])
     rep = GapReport(indices=[0, 1, 2], measured=measured, bound=bound)
     assert rep.constant_estimate == envelope_constant(measured, bound) == 0.5
-    assert rep.alt_bound is None and rep.alt_constant is None
-    alt = np.array([0.25, 1.0, 1.0])
-    rep = GapReport(indices=[0, 1, 2], measured=measured, bound=bound, alt_bound=alt)
-    assert rep.alt_constant == envelope_constant(measured, alt) == 2.0
 
 
 def test_gap_report_constant_is_inf_where_the_bound_vanishes():
@@ -178,6 +170,3 @@ def test_gap_report_constant_is_inf_where_the_bound_vanishes():
 def test_gap_report_refuses_a_handed_in_constant():
     with pytest.raises(TypeError):
         GapReport(indices=[0], measured=[1.0], bound=[1.0], constant_estimate=1.0)
-    with pytest.raises(TypeError):
-        GapReport(indices=[0], measured=[1.0], bound=[1.0], alt_bound=[1.0],
-                  alt_constant=1.0)

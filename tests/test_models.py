@@ -31,36 +31,22 @@ class TestCoefficientFn:
     def test_constant(self):
         fn = nc.constant_fn([[1.0, 2.0], [3.0, 4.0]])
         assert np.array_equal(fn(0.3), [[1.0, 2.0], [3.0, 4.0]])
-        assert np.all(fn.derivative(0.3) == 0)
-        assert fn.lipschitz_constant() == 0.0
 
     def test_affine_clamps_outside_unit_interval(self):
         fn = nc.affine_fn([[1.0]], [[2.0]])
         assert fn(0.5)[0, 0] == pytest.approx(2.0)
         assert fn(-3.0)[0, 0] == pytest.approx(1.0)
         assert fn(7.0)[0, 0] == pytest.approx(3.0)
-        assert fn.lipschitz_constant() == pytest.approx(2.0)
 
     def test_piecewise_holds_end_values_outside_the_knots(self):
         got = INNER_KNOTS.at(np.array([-1.0, 0.0, 0.1, 0.35, 0.6, 1.0, 2.0]))[:, 0, 0]
         assert got.tolist() == [0.0, 0.0, 0.0, INNER_KNOTS(0.35)[0, 0], 0.3, 0.3, 0.3]
         assert INNER_KNOTS(0.35)[0, 0] == pytest.approx(0.15)
         assert TINY_KNOTS.at(np.array([0.0, 0.5, 1.0]))[:, 0, 0].tolist() == [0.5, -0.25, -0.25]
-        for u in (0.0, 0.1, 0.6, 1.0):
-            assert np.array_equal(INNER_KNOTS.derivative(u), np.zeros((1, 1)))
-        assert INNER_KNOTS.derivative(0.35)[0, 0] == pytest.approx(1.0)
         # the held form is 1-Lipschitz: its slope is 1 between the knots, 0 outside
         us = np.linspace(-0.5, 1.5, 401)
         vals = INNER_KNOTS.at(us)[:, 0, 0]
-        assert np.all(np.abs(np.diff(vals)) <= INNER_KNOTS.lipschitz_constant()
-                      * np.diff(us) + 1e-15)
-
-    def test_sinusoidal_derivative(self):
-        fn = nc.sinusoidal_fn([[0.0]], [[1.0]])
-        h = 1e-7
-        for u in (0.1, 0.33, 0.61):
-            fd = (fn(u + h)[0, 0] - fn(u - h)[0, 0]) / (2 * h)
-            assert fn.derivative(u)[0, 0] == pytest.approx(fd, abs=1e-6)
+        assert np.all(np.abs(np.diff(vals)) <= np.diff(us) + 1e-15)
 
     def test_payload_matrices_must_share_one_shape(self):
         with pytest.raises(nc.InputError):
@@ -106,7 +92,6 @@ class TestCoefficientFn:
             "values": np.array([[[0.0]], [[1.0]], [[0.0]]])})
         assert fn(0.25)[0, 0] == pytest.approx(0.5)
         assert fn(0.5)[0, 0] == pytest.approx(1.0)
-        assert fn.lipschitz_constant() == pytest.approx(2.0)
 
 
 def scalar_reference(fn, u):
@@ -184,8 +169,8 @@ INNER_KNOTS = nc.CoefficientFn("piecewise", {
     "knots": np.array([0.2, 0.5]), "values": np.array([[[0.0]], [[0.3]]])})
 TINY_KNOTS = nc.CoefficientFn("piecewise", {
     "knots": np.array([0.0, 4.3e-269]), "values": np.array([[[0.5]], [[-0.25]]])})
-#: A slope of -2**1023, whose product with 2 overflows to -inf: the
-#: covariance derivative refuses it.  (A slope of 1/5e-324 = inf is refused
+#: A slope of -2**1023, the steepest finite one: evaluation interpolates
+#: across its 2**-1022-wide segment.  (A slope of 1/5e-324 = inf is refused
 #: when the function is built.)
 STEEP_KNOTS = nc.CoefficientFn("piecewise", {
     "knots": np.array([0.0, 2.0 ** -1022]), "values": np.array([[[2.0]], [[0.0]]])})
@@ -466,34 +451,14 @@ class TestStackedKernels:
     @given(model=tvvma_models(), u=st.floats(-0.2, 1.2), max_lag=st.integers(0, 12))
     @example(model=nc.TvVMA(p=1, psis=(STEEP_KNOTS,)), u=0.0, max_lag=0)
     @example(model=nc.TvVMA(p=1, psis=(STEEP_KNOTS, TINY_KNOTS)), u=0.0, max_lag=1)
-    def test_stationary_sequence_and_derivative_match_einsum(self, model, u, max_lag):
-        psis, dpsis = model.psi_stack(u), model.psi_stack_derivative(u)
+    def test_stationary_sequence_matches_einsum(self, model, u, max_lag):
+        psis = model.psi_stack(u)
         k, p = psis.shape[0], model.p
         seq, seq_scale = np.zeros((2, max_lag + 1, p, p))
-        der, der_scale = np.zeros((2, max_lag + 1, p, p))
-        with np.errstate(over="ignore", invalid="ignore"):
-            for r in range(min(max_lag, k - 1) + 1):
-                seq[r], seq_scale[r] = einsum_lag_sum(psis[r:], psis[:k - r])
-                a, a_mag = einsum_lag_sum(dpsis[r:], psis[:k - r])
-                b, b_mag = einsum_lag_sum(psis[r:], dpsis[:k - r])
-                der[r], der_scale[r] = a + b, a_mag + b_mag
+        for r in range(min(max_lag, k - 1) + 1):
+            seq[r], seq_scale[r] = einsum_lag_sum(psis[r:], psis[:k - r])
         assert_close_to_scale(nc.stationary_cov_sequence(model, u, max_lag), seq,
                               seq_scale)
-        try:
-            got = nc.models.stationary_cov_derivative(model, u, max_lag)
-        except nc.InputError:
-            # refused only where a piecewise slope near the float range makes
-            # some order of the sum overflow
-            assert not np.all(np.isfinite(der_scale))
-        else:
-            assert_close_to_scale(got, der, der_scale)
-
-    @pytest.mark.parametrize("psis", [(STEEP_KNOTS,)], ids=["overflowing-product"])
-    def test_overflowing_derivative_is_refused(self, psis):
-        model = nc.TvVMA(p=1, psis=psis)
-        with pytest.raises(nc.InputError,
-                           match="^stationary_cov_derivative: non-finite entries$"):
-            nc.models.stationary_cov_derivative(model, 0.0, len(psis) - 1)
 
     @settings(max_examples=30, deadline=None)
     @given(model=small_tvvar_models(), u=st.floats(0.0, 1.0),
@@ -1351,13 +1316,55 @@ class TestSpectralDensity:
         (lambda: nc.local_spectral_density(nc.get_reference_model("tvvar1_p3"),
                                            0.3, "x"),
          "local_spectral_density: every omega must be a finite number"),
+        (lambda: nc.stationary_cov_sequence(nc.get_reference_model("tvvar1_p3"),
+                                            math.nan, 3),
+         "stationary_cov_sequence: every u must be a number other than nan"),
+        (lambda: nc.stationary_cov_sequence(nc.get_reference_model("tvvma_kappa4_p2"),
+                                            math.nan, 3),
+         "stationary_cov_sequence: every u must be a number other than nan"),
+        (lambda: nc.stationary_window(nc.get_reference_model("tvvar1_p3"),
+                                      math.nan, 0, 3),
+         "stationary_window: every u must be a number other than nan"),
+        (lambda: nc.stationary_inverse_sequence(nc.get_reference_model("tvvar1_p3"),
+                                                math.nan, 3),
+         "stationary_inverse_sequence: every u must be a number other than nan"),
+        (lambda: nc.inverse_lipschitz_gap(nc.get_reference_model("tvvar1_p3"),
+                                          0.3, math.nan, 3, kappa=4.0),
+         "inverse_lipschitz_gap: every u must be a number other than nan"),
+        (lambda: nc.stationary_partial_pair(nc.get_reference_model("tvvar1_p3"),
+                                            math.nan, 0, 1, 3),
+         "stationary_partial_pair: every u must be a number other than nan"),
+        (lambda: nc.stationary_var_coeffs_infinite(nc.get_reference_model("tvvar1_p3"),
+                                                   math.nan, 2),
+         "stationary_var_coeffs_infinite: every u must be a number other than nan"),
+        (lambda: nc.stationary_var_coeffs(nc.get_reference_model("tvvar1_p3"), "x", 2),
+         "stationary_var_coeffs: every u must be a number other than nan"),
+        (lambda: nc.demko_bound(1.0, 2.0, 3, "x"),
+         "demko_bound: every lag must be a finite number"),
+        (lambda: nc.demko_bound(1.0, 2.0, 1.5, 1),
+         "demko_bound: m must be an integer, got 1.5"),
+        (lambda: nc.coherence_consistency_gap(nc.get_reference_model("tvvar1_p3"),
+                                              200, 100, 0, 1, ["x"]),
+         "coherence_consistency_gap: every omega must be a finite number"),
+        (lambda: nc.coherence_consistency_gap(nc.get_reference_model("tvvar1_p3"),
+                                              200, 100, 0, 1, [math.nan], max_lag=3),
+         "coherence_consistency_gap: every omega must be a finite number"),
+        (lambda: nc.partial_smoothness_gap(nc.get_reference_model("tvvma_kappa4_p2"),
+                                           200, 0, 7, 90, 95),
+         "partial_smoothness_gap: bad component pair (0, 7) for p=2"),
     ], ids=["range_nan_u", "densities_nan_omega", "coherence_nan_u",
             "vma_inf_omega", "range_inf_omega", "arch_nan_u", "coherence_pair_out_of_range",
             "coherence_float_component", "coherence_equal_pair", "densities_string_u",
-            "density_string_omega"])
+            "density_string_omega", "var_sequence_nan_u", "vma_sequence_nan_u",
+            "window_nan_u", "inverse_sequence_nan_u", "inverse_lipschitz_nan_v",
+            "partial_pair_nan_u", "var_infinite_nan_u", "var_finite_string_u",
+            "demko_string_lag", "demko_float_m", "consistency_string_omega",
+            "consistency_nan_omega", "partial_gap_pair_out_of_range"])
     def test_spectral_entry_points_refuse_bad_grids_by_name(self, call, message):
-        # these ended in a bare LinAlgError, IndexError or ValueError, in NaN
-        # densities, or (a == b) in a coherence near -1
+        # the spectral, frozen-time and coherence entry points and the Demko
+        # bound; these ended in a bare LinAlgError, IndexError, ValueError or
+        # UFuncTypeError, in a RuntimeWarning or NaN densities, in an error
+        # named for an inner call, or (a == b) in a coherence near -1
         with pytest.raises(InputError) as err:
             call()
         assert str(err.value) == message

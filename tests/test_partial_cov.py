@@ -286,8 +286,10 @@ class TestFrozenPartialKernel:
             _frozen_partial_lags(reference_sre(), [0.5], 0, 1, 4)
 
     def test_scalar_model_has_no_pair(self):
-        with pytest.raises(InputError, match="bad component pair"):
-            _frozen_partial_lags(nc.get_reference_model("ar1_phi05"), [0.5], 0, 1, 4)
+        # refused by name in the one caller of the frozen partial lags
+        with pytest.raises(InputError, match="^partial_smoothness_gap: bad component pair"):
+            nc.partial_smoothness_gap(nc.get_reference_model("ar1_phi05"), 100, 0, 1,
+                                      48, 52, kappa=4.0)
 
     def test_unstable_frozen_var_falls_back_to_the_dense_refusal(self):
         model = nc.TvVAR(p=2, phis=(nc.constant_fn(1.5 * np.eye(2)),),
@@ -313,8 +315,7 @@ class TestFrozenPartialKernel:
 
 
 class TestPartialSmoothness:
-    @pytest.mark.parametrize("u_pair", [None, (0.3013, 0.7021)])
-    def test_frozen_times_share_one_fft_batch(self, monkeypatch, u_pair):
+    def test_frozen_times_share_one_fft_batch(self, monkeypatch):
         from nonstatcov import inverse_analysis, partial_cov
         windows, batches = [], []
 
@@ -330,11 +331,11 @@ class TestPartialSmoothness:
         monkeypatch.setattr(inverse_analysis, "_inverse_spectrum", counting_spectrum)
         model = nc.get_reference_model("tvvar1_p3")
         n, t_lo, t_hi = 200, 98, 102
-        rep = nc.partial_smoothness_gap(model, n, 0, 1, t_lo, t_hi, kappa=4.0,
-                                        u_pair=u_pair)
-        # the row times and the Lipschitz pair in one batch on each grid the
-        # doubling tries; no frozen window
+        rep = nc.partial_smoothness_gap(model, n, 0, 1, t_lo, t_hi, kappa=4.0)
+        # the row times and the Lipschitz pair, the first and last of them, in
+        # one batch on each grid the doubling tries; no frozen window
         assert windows == []
+        assert rep.u_pair == (t_lo / n, t_hi / n)
         want = [t / n for t in range(t_lo, t_hi + 1)] + list(rep.u_pair)
         assert batches and all(batch == want for batch in batches)
 

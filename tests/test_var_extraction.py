@@ -314,7 +314,7 @@ class TestInputContract:
         "var_coeffs_finite": (nc.var_coeffs_finite, dict(n=200, t_index=100, order=2)),
         "stationary_var_coeffs": (nc.stationary_var_coeffs, dict(u=0.5, order=2)),
         "stationary_var_coeffs_infinite": (nc.stationary_var_coeffs_infinite,
-                                           dict(u=0.5, order=2, depth=60)),
+                                           dict(u=0.5, order=2)),
         "baxter_gaps": (nc.baxter_gaps, dict(n=200, t_index=100, order=2, ref_order=4)),
         "var_smoothness_gap": (nc.var_smoothness_gap, dict(n=200, t_index=100, order=2)),
         "kolmogorov_gap": (nc.kolmogorov_gap, dict(n=200, t_index=100, depth=60)),
