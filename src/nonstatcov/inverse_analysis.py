@@ -34,7 +34,9 @@ class InverseWindow:
 
     ``condition_bound`` is the certified upper bound on the spectral
     condition number of the inverted window that :func:`spd_inverse`
-    returns; ``residual`` is its inversion residual.
+    returns; ``residual`` is its certified bound on the inversion residual
+    ``||C X - I||_inf``: the O(n^2) a priori bound, or the computed residual
+    where that bound does not pass the kernel's gates.
     """
 
     base: BlockWindow

@@ -678,8 +678,14 @@ def _var_cov_window(model: TvVAR, n: int, t_lo: int, t_hi: int, pad: int) -> np.
 
 def _check_window(n, t_lo, t_hi, what: str) -> None:
     """Refuse, under the entry point's name ``what``, a bad sample size
-    ``n``, a ``bool`` or non-integer time, or an empty window."""
+    ``n``, then what :func:`_check_times` refuses."""
     check_size(n, what)
+    _check_times(t_lo, t_hi, what)
+
+
+def _check_times(t_lo, t_hi, what: str) -> None:
+    """Refuse, under the entry point's name ``what``, a ``bool`` or
+    non-integer time, or an empty window."""
     check_count(t_lo, "t_lo", what, signed=True)
     check_count(t_hi, "t_hi", what, signed=True)
     if t_hi < t_lo:
@@ -861,8 +867,10 @@ def stationary_cov(model: ModelSpec, u: float, r: int) -> np.ndarray:
 
 def stationary_window(model: ModelSpec, u: float, t_lo: int, t_hi: int) -> BlockWindow:
     """Block Toeplitz section of the frozen-process covariance at ``u``;
-    a nan or non-numeric ``u`` is refused with :class:`InputError`."""
+    a nan or non-numeric ``u``, a ``bool`` or non-integer time, or an empty
+    window is refused with :class:`InputError`."""
     _check_us(u, "stationary_window")
+    _check_times(t_lo, t_hi, "stationary_window")
     length = t_hi - t_lo + 1
     seq = stationary_cov_sequence(model, u, length - 1)
     # C_{t,tau} = C_{t-tau}(u)

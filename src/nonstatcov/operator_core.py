@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -487,14 +488,19 @@ def demko_bound(a: float, b: float, m: int, lag) -> float | np.ndarray:
     ``lag`` may be an integer array; the bound is then returned per lag.
 
     Raises:
-        InputError: a ``bool`` or non-integer ``m``, or a non-finite or
-            non-numeric ``lag``.
+        InputError: a ``bool`` or non-integer ``m``, a non-finite or
+            non-numeric ``lag``, or a ``bool``, non-numeric, nan or infinite
+            ``a`` or ``b``.
         DomainError: if ``a <= 0``, ``b < a`` or ``m < 1``.
     """
     check_count(m, "m", "demko_bound")
     lag = np.asarray(lag)
     if lag.dtype.kind not in "iuf" or not np.isfinite(lag).all():
         raise InputError("demko_bound: every lag must be a finite number")
+    for name, value in (("a", a), ("b", b)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+                or not math.isfinite(value):
+            raise InputError(f"demko_bound: {name} must be a finite number, got {value!r}")
     if a <= 0:
         raise DomainError("demko_bound: requires a > 0")
     if b < a:
@@ -521,6 +527,11 @@ def _exact_guard(flat: np.ndarray, what: str, bandwidth: int | None) -> EigRange
 #: Unit roundoff and smallest positive (subnormal) double.
 _UNIT_ROUNDOFF = 2.0**-53
 _ETA = 2.0**-1074
+
+
+def _gamma(k: int) -> float:
+    """Higham's ``gamma_k = k u / (1 - k u)``."""
+    return k * _UNIT_ROUNDOFF / (1.0 - k * _UNIT_ROUNDOFF)
 
 
 def _certified_cholesky(flat: np.ndarray, what: str) -> np.ndarray:
@@ -559,7 +570,7 @@ def _certified_cholesky(flat: np.ndarray, what: str) -> np.ndarray:
                                 f"(LAPACK info={info})")
     # the factor succeeded, so every diagonal entry is positive
     diag = np.diagonal(flat)
-    gamma = (n + 1) * _UNIT_ROUNDOFF / (1.0 - (n + 1) * _UNIT_ROUNDOFF)
+    gamma = _gamma(n + 1)
     top = float(diag.max())
     shift = (_BOUND_MARGIN * SPD_RTOL * _row_sum_norm(flat)
              + 2.0 * gamma / (1.0 - gamma) * float(diag.sum())
@@ -575,10 +586,10 @@ def _certified_cholesky(flat: np.ndarray, what: str) -> np.ndarray:
 #: Rows per block in the blocked triangle kernels below.
 _ROW_BLOCK = 256
 
-#: Rows per strip of the SPD kernel's residual and norms, of the finiteness
-#: check and of the interior compaction: the temporaries that live beside an
-#: n x n buffer are strips of this height.  A banded residual strip also
-#: multiplies only ``2 * bandwidth`` more columns than rows.
+#: Rows per strip of the SPD kernel's residual, residual bound and norms, of
+#: the finiteness check and of the interior compaction: the temporaries that
+#: live beside an n x n buffer are strips of this height.  A banded residual
+#: strip also multiplies only ``2 * bandwidth`` more columns than rows.
 _STRIP_ROWS = 64
 
 
@@ -733,26 +744,110 @@ def _row_sum_norm(a: np.ndarray, lower: bool = False) -> float:
     return worst
 
 
-def _invert_upper(buf: np.ndarray, diag: np.ndarray, what: str,
-                  bandwidth: int | None) -> None:
-    """Overwrite the upper triangle of ``buf``, an exactly symmetric SPD
-    matrix with the saved diagonal ``diag``, by that of its inverse.
+#: The strict lower triangle of the diagonal tile of a strip of
+#: :func:`_triangle_strips`; a shorter last strip reads its leading corner.
+_STRIP_LOWER = np.tril(np.ones((_STRIP_ROWS, _STRIP_ROWS), dtype=bool), -1)
+_STRIP_LOWER.flags.writeable = False
 
-    ``dpotrf`` and ``dpotri`` run in place on ``buf.T``, the Fortran view of
-    the same matrix, and write only its lower triangle; the strict lower
-    triangle of ``buf`` keeps the matrix.  A LAPACK failure puts the matrix
-    back and is reported after :func:`_exact_guard`.
+
+def _triangle_strips(buf: np.ndarray, strip: np.ndarray):
+    """``|T^T|`` for the lower triangular ``T`` held in the lower triangle of
+    the Fortran view ``buf.T``, in strips: yields ``(i, j, rows)`` with
+    ``rows = |buf[i:j, i:]|`` and the strict lower part of its diagonal
+    tile zero, so that ``rows.sum(axis=1)`` is ``(|T^T| 1)[i:j]``, ``v[i:j]
+    @ rows`` adds strip ``i:j``'s share of ``(|T| v)[i:]`` and ``rows @
+    v[i:]`` is ``(|T^T| v)[i:j]``.  Every strip is written to ``strip``, a
+    ``(_STRIP_ROWS, n)`` buffer (fewer rows for a smaller ``n``)."""
+    n = buf.shape[0]
+    for i in range(0, n, _STRIP_ROWS):
+        j = min(i + _STRIP_ROWS, n)
+        rows = np.abs(buf[i:j, i:], out=strip[:j - i, :n - i])
+        np.copyto(rows[:, :j - i], 0.0, where=_STRIP_LOWER[:j - i, :j - i])
+        yield i, j, rows
+
+
+def _residual_bound(n: int, c_norm: float, factor: tuple, inverse: tuple) -> float:
+    """A priori bound ``r_bar >= ||C X - I||_inf`` on the residual of the
+    inverse ``X`` that ``dpotrf``, ``dtrtri`` and ``dlauum`` compute from
+    ``C`` in floating point with unit roundoff ``u``.
+
+    With ``L`` the computed factor, ``Y`` the computed ``L^-1`` and ``X =
+    fl(Y^T Y)``:
+
+    - ``L L^T = C + dC``, ``|dC| <= gamma_{n+1} |L||L^T|`` (Higham,
+      Accuracy and Stability, Thm 10.3);
+    - ``Y L = I + E``, ``|E| <= e_t |Y||L|``, ``e_t = gamma_{2n+2}``: the
+      left residual of the triangular inverse (Du Croz and Higham, IMA J.
+      Numer. Anal. 12, 1992; Higham ch. 14);
+    - ``X = Y^T Y + dX``, ``|dX| <= gamma_n |Y^T||Y|`` (inner products).
+
+    Then ``L L^T Y^T Y = L (Y L)^T Y = I + F + L E^T Y``, where the right
+    residual ``F = L Y - I``, which no theorem bounds componentwise for this
+    inverse, is the similarity ``L E L^-1 = L E (I + E)^-1 Y`` and enters
+    normwise.  Hence ``C X - I = C dX - dC Y^T Y + L E^T Y + F`` and
+
+        ``r_bar = 1.01 (gamma_n ||C|| B + (gamma_{n+1} + e_t) A B
+        + ||L|| ||Y|| e / (1 - e))``
+
+    with ``A = || |L||L^T| ||``, ``B = || |Y^T||Y| ||`` and ``e = e_t
+    || |Y||L| ||``, all ``inf``-norms; ``factor`` is ``(A, ||L||)`` and
+    ``inverse`` is ``(B, ||Y||, || |Y||L| ||)``.  The factor ``1.01``
+    covers the rounding of these sums of nonnegative terms, and of their
+    underflow while ``||C||`` lies in ``[2^-500, 2^500]``; outside it, and
+    where ``e >= 1``, the bound is ``inf``.
     """
+    (a_norm, l_norm), (b_norm, y_norm, yl_norm) = factor, inverse
+    e = _gamma(2 * n + 2) * yl_norm
+    if not (2.0**-500 <= c_norm <= 2.0**500 and e < 1.0):
+        return math.inf
+    return 1.01 * (_gamma(n) * c_norm * b_norm
+                   + (_gamma(n + 1) + _gamma(2 * n + 2)) * a_norm * b_norm
+                   + l_norm * y_norm * e / (1.0 - e))
+
+
+def _invert_upper(buf: np.ndarray, diag: np.ndarray, c_norm: float, what: str,
+                  bandwidth: int | None) -> float:
+    """Overwrite the upper triangle of ``buf``, an exactly symmetric SPD
+    matrix with the saved diagonal ``diag`` and ``||.||_inf`` ``c_norm``, by
+    that of its inverse; returns :func:`_residual_bound`.
+
+    ``dpotrf``, ``dtrtri`` and ``dlauum`` (``dpotri``'s two steps, the same
+    bits) run in place on ``buf.T``, the Fortran view of the same matrix,
+    and write only its lower triangle; the strict lower triangle of ``buf``
+    keeps the matrix.  Between the steps one strip pass over the factor
+    ``L`` and two over its inverse ``Y`` read the norms of the bound.  A
+    LAPACK failure puts the matrix back and is reported after
+    :func:`_exact_guard`.
+    """
+    n = buf.shape[0]
+    strip = np.empty((min(_STRIP_ROWS, n), n))
     low = buf.T
     low, info = scipy.linalg.lapack.dpotrf(low, lower=1, clean=0, overwrite_a=1)
     step = "Cholesky factorisation"
     if not info:
-        low, info = scipy.linalg.lapack.dpotri(low, lower=1, overwrite_c=1)
+        # |L| 1 and |L| (|L^T| 1), one strip at a time
+        sums = np.zeros((2, n))
+        for i, j, rows in _triangle_strips(buf, strip):
+            sums[:, i:] += np.stack([np.ones(j - i), rows.sum(axis=1)]) @ rows
+        l_sums = sums[0]
+        factor = (float(sums[1].max()), float(l_sums.max()))
+        low, info = scipy.linalg.lapack.dtrtri(low, lower=1, overwrite_c=1)
         step = "inversion of the Cholesky factor"
+    if not info:
+        # |Y| 1 and |Y| (|L| 1), then |Y^T| (|Y| 1)
+        sums = np.zeros((2, n))
+        for i, j, rows in _triangle_strips(buf, strip):
+            sums[:, i:] += np.stack([np.ones(j - i), l_sums[i:j]]) @ rows
+        y_sums = sums[0]
+        b_norm = max(float((rows @ y_sums[i:]).max())
+                      for i, _, rows in _triangle_strips(buf, strip))
+        inverse = (b_norm, float(y_sums.max()), float(sums[1].max()))
+        low, info = scipy.linalg.lapack.dlauum(low, lower=1, overwrite_c=1)
     if info:
         _restore(buf, diag)
         _exact_guard(buf, what, bandwidth)
         raise ConditioningError(f"{what}: {step} failed (LAPACK info={info})")
+    return _residual_bound(n, c_norm, factor, inverse)
 
 
 def _restore(buf: np.ndarray, diag: np.ndarray) -> None:
@@ -770,26 +865,36 @@ def _spd_inverse_in_place(buf: np.ndarray, what: str,
 
     The one SPD inverse of the package.  The inverse builds up in the upper
     triangle of ``buf`` while its strict lower triangle and a saved diagonal
-    keep the matrix (:func:`_invert_upper`), and the residual and
-    ``||inv||_inf`` are read from those triangles, so nothing of the order
-    of the matrix is allocated.  Before the exact guard or a refusal reads
-    it, ``buf`` holds the matrix again, bit for bit; an inverse accepted
-    only by the guard is then computed once more.
+    keep the matrix (:func:`_invert_upper`), and the norms are read from
+    those triangles, so nothing of the order of the matrix is allocated.
+    ``residual`` is a certified bound on ``||C X - I||_inf``: the O(n^2)
+    a priori bound of :func:`_residual_bound` when it passes both gates,
+    and otherwise the computed residual (:func:`_inverse_residual`, 2n^3
+    flops), which then decides alone.  Before the exact guard or a refusal
+    reads it, ``buf`` holds the matrix again, bit for bit; an inverse
+    accepted only by the guard is then computed once more.
     """
     diag = np.diagonal(buf).copy()
     c_norm = _row_sum_norm(buf)
-    _invert_upper(buf, diag, what, bandwidth)
-    residual = _inverse_residual(buf, diag, buf.T, bandwidth)
-    bound = math.inf
-    if residual < 1.0:
-        bound = c_norm * _row_sum_norm(buf.T, lower=True) / (1.0 - residual)
-    if not (residual <= SPD_RESIDUAL_TOL and bound * _BOUND_MARGIN < 1.0 / SPD_RTOL):
+    residual = _invert_upper(buf, diag, c_norm, what, bandwidth)
+    x_norm = _row_sum_norm(buf.T, lower=True)
+
+    def gated(residual):
+        bound = c_norm * x_norm / (1.0 - residual) if residual < 1.0 else math.inf
+        return bound, residual <= SPD_RESIDUAL_TOL and bound * _BOUND_MARGIN < 1.0 / SPD_RTOL
+
+    bound, accepted = gated(residual)
+    if not accepted:
+        # the a priori bound does not pass: the computed residual decides
+        residual = _inverse_residual(buf, diag, buf.T, bandwidth)
+        bound, accepted = gated(residual)
+    if not accepted:
         _restore(buf, diag)
         _exact_guard(buf, what, bandwidth)
         if not residual <= SPD_RESIDUAL_TOL:
             raise ConditioningError(f"{what}: inversion residual {residual:.3e} "
                                     f"exceeds {SPD_RESIDUAL_TOL:g}")
-        _invert_upper(buf, diag, what, bandwidth)
+        _invert_upper(buf, diag, c_norm, what, bandwidth)
     _mirror_lower(buf.T)
     return bound, residual
 
@@ -801,9 +906,12 @@ def spd_inverse(flat: np.ndarray, what: str,
 
     Every dense SPD inverse of the package is this one: a copy, inverted in
     place by ``_spd_inverse_in_place``.  It factors ``flat = L L^T``
-    (``dpotrf``), inverts the factor in place (``dpotri``), mirrors the
-    result so it is exactly symmetric and computes the residual
-    ``r = ||flat @ inv - I||_inf``.  For symmetric matrices
+    (``dpotrf``), inverts the factor in place (``dtrtri``, then ``dlauum``:
+    ``dpotri``'s two steps), mirrors the result so it is exactly symmetric
+    and bounds the residual ``r >= ||flat @ inv - I||_inf``: a priori, in
+    O(n^2) from norms of the factor and its inverse read between the steps,
+    or, when that bound does not pass the two gates below, by the computed
+    residual (a 2n^3-flop product).  For symmetric matrices
     ``||.||_2 <= ||.||_inf``, and ``inv (I + R)^-1`` is the exact inverse, so
 
         ``kappa_2(flat) <= ||flat||_inf ||inv||_inf / (1 - r)``,
@@ -815,9 +923,10 @@ def spd_inverse(flat: np.ndarray, what: str,
     decide as :func:`_exact_guard` does, and the refusals keep their order:
     "numerically singular" first, then the LAPACK failures or the residual.
 
-    Returns ``(inv, condition_bound, residual)``; ``inv`` is C-contiguous.
-    ``bandwidth`` is as in :func:`sym_eig_range`; it also restricts the
-    residual product to the band.
+    Returns ``(inv, condition_bound, residual)``; ``inv`` is C-contiguous,
+    and ``residual`` is the a priori bound or, where that did not pass, the
+    computed residual.  ``bandwidth`` is as in :func:`sym_eig_range`; it
+    also restricts the computed residual's product to the band.
 
     Raises:
         InputError: if ``flat`` is not a square matrix whose two triangles

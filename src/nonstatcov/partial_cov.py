@@ -158,10 +158,16 @@ def stationary_partial_pair(model: ModelSpec, u: float, a: int, b: int,
 
     ``toeplitz_drift`` records how far the interior of the windowed Schur
     complement is from exactly Toeplitz; it should sit at the pad
-    truncation level (<= 1e-8 for the bundled models).  A nan or
-    non-numeric ``u`` is refused with :class:`InputError`.
+    truncation level (<= 1e-8 for the bundled models).
+
+    Raises:
+        InputError: a nan or non-numeric ``u``, a bad component pair, or a
+            ``bool`` or non-integer ``max_lag``.
+        DomainError: a negative ``max_lag``.
     """
     _check_us(u, "stationary_partial_pair")
+    _check_components((a, b), model.p, "stationary_partial_pair")
+    check_count(max_lag, "max_lag", "stationary_partial_pair")
     pad = cov_pad(model)
     half = max_lag + pad
     d = partial_cov_pair(stationary_window(model, u, -half, half), a, b,
@@ -352,7 +358,8 @@ def coherence_consistency_gap(model: ModelSpec, n: int, t_index: int,
 
     Raises:
         InputError: a ``bool`` or non-integer ``n``, ``t_index`` or
-            ``max_lag``, or a non-finite or non-numeric ``omega``.
+            ``max_lag``, an empty ``omega_grid``, or a non-finite or
+            non-numeric ``omega``.
         DomainError: ``n < 1`` or a negative ``max_lag``.
         ConditioningError: a denominator sum within 1e-8 of zero.
     """
@@ -361,6 +368,8 @@ def coherence_consistency_gap(model: ModelSpec, n: int, t_index: int,
     if max_lag is not None:
         check_count(max_lag, "max_lag", "coherence_consistency_gap")
     omega_grid = _check_omegas(omega_grid, "coherence_consistency_gap")
+    if not omega_grid.size:
+        raise InputError("coherence_consistency_gap: omega_grid must be nonempty")
     pad = cov_pad(model)
     if max_lag is None:
         max_lag = _default_fourier_lag(model, n, t_index, a, b, pad)

@@ -619,3 +619,39 @@ class TestInverseLipschitz:
         _, _, rel5 = inverse_derivative_gap(model, 0.37, max_lag=5, h=1e-5)
         assert rel5 <= 1e-4
         assert rel5 <= 0.2 * rel4
+
+
+class TestAPrioriResidualGuard:
+    """The SPD kernel accepts every inverse of the paper's battery and of the
+    large sections on its O(n^2) residual bound: a change that falls back to
+    the 2n^3 residual product on them fails here."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        from nonstatcov import operator_core as oc
+        counts = {"kernel": 0, "residual": 0}
+
+        def counting(key, real):
+            def wrapped(*args, **kwargs):
+                counts[key] += 1
+                return real(*args, **kwargs)
+            return wrapped
+        monkeypatch.setattr(oc, "_invert_upper", counting("kernel", oc._invert_upper))
+        monkeypatch.setattr(oc, "_inverse_residual",
+                            counting("residual", oc._inverse_residual))
+        return counts
+
+    def test_battery_takes_no_residual_product(self, counts):
+        from nonstatcov.verification import run_all
+        run_all()
+        assert counts == {"kernel": 71, "residual": 0}
+
+    @pytest.mark.parametrize("name,bandwidth", [("tvvma_kappa4_p2", 12), ("tvvar1_p3", 6)])
+    def test_large_sections_take_no_residual_product(self, counts, name, bandwidth):
+        # one 1200-row window of each large-section model, through both the
+        # finite-section inverse and the Neumann truncation B_M
+        model = nc.get_reference_model(name)
+        c = nc.cov_window(model, 500, 0, 1200 // model.p - 1)
+        nc.finite_section_inverse(c, nc.cov_pad(model))
+        nc.neumann_inverse(c, bandwidth, 1)
+        assert counts == {"kernel": 2, "residual": 0}

@@ -7,9 +7,9 @@ library's own workspace or the allocator's layout.
 The finite-section inverse holds its window and strips of at most
 ``operator_core._STRIP_ROWS`` (64) rows beside it: building the 1200-row
 reference window holds it and one copy of the coefficients, the SPD kernel's
-norms and residual hold one or two strips, and the interior is compacted in
-strips that do not overlap their source.  The Neumann sum holds at most four
-sections.
+norms, residual and residual bound hold one or two strips, and the interior is
+compacted in strips that do not overlap their source.  The Neumann sum holds
+at most four sections.
 """
 
 import tracemalloc
@@ -80,6 +80,22 @@ def test_kernel_norms_and_residual_hold_two_strips(name, call):
     peak, _ = traced_peak(lambda: call(a))
     strip = oc._STRIP_ROWS * rows * 8
     assert peak <= 2 * strip + oc._STRIP_ROWS**2 * 8 + 8192
+
+
+def test_kernel_bound_passes_hold_two_strips():
+    # the a priori residual bound reads the factor and its inverse between
+    # the LAPACK steps in strips, beside the buffer the steps overwrite
+    rows = 1200
+    mat = nc.cov_window(reference_tvvma(), 400, 0, rows // 2 - 1).flatten()
+
+    def call(buf):
+        return oc._invert_upper(buf, np.diagonal(buf).copy(), oc._row_sum_norm(buf), "m",
+                                None)
+    call(mat.copy())
+    buf = mat.copy()
+    peak, bound = traced_peak(lambda: call(buf))
+    assert bound <= oc.SPD_RESIDUAL_TOL
+    assert peak <= 2 * oc._STRIP_ROWS * rows * 8
 
 
 @pytest.mark.parametrize("rows,terms", [(1200, 6), (1200, 12), (720, 12)])

@@ -1352,6 +1352,23 @@ class TestSpectralDensity:
         (lambda: nc.partial_smoothness_gap(nc.get_reference_model("tvvma_kappa4_p2"),
                                            200, 0, 7, 90, 95),
          "partial_smoothness_gap: bad component pair (0, 7) for p=2"),
+        (lambda: nc.coherence_consistency_gap(nc.get_reference_model("tvvar1_p3"),
+                                              200, 100, 0, 1, [], max_lag=3),
+         "coherence_consistency_gap: omega_grid must be nonempty"),
+        (lambda: nc.stationary_partial_pair(nc.get_reference_model("tvvar1_p3"),
+                                            0.3, 0, 1, 2.5),
+         "stationary_partial_pair: max_lag must be an integer, got 2.5"),
+        (lambda: nc.stationary_partial_pair(nc.get_reference_model("tvvar1_p3"),
+                                            0.3, 0, 5, 3),
+         "stationary_partial_pair: bad component pair (0, 5) for p=3"),
+        (lambda: nc.stationary_window(nc.get_reference_model("tvvar1_p3"), 0.3, 3, 0),
+         "stationary_window: empty window"),
+        (lambda: nc.demko_bound("x", 2.0, 1, 1),
+         "demko_bound: a must be a finite number, got 'x'"),
+        (lambda: nc.demko_bound(math.nan, 2.0, 1, 1),
+         "demko_bound: a must be a finite number, got nan"),
+        (lambda: nc.demko_bound(1.0, math.inf, 1, 1),
+         "demko_bound: b must be a finite number, got inf"),
     ], ids=["range_nan_u", "densities_nan_omega", "coherence_nan_u",
             "vma_inf_omega", "range_inf_omega", "arch_nan_u", "coherence_pair_out_of_range",
             "coherence_float_component", "coherence_equal_pair", "densities_string_u",
@@ -1359,12 +1376,16 @@ class TestSpectralDensity:
             "window_nan_u", "inverse_sequence_nan_u", "inverse_lipschitz_nan_v",
             "partial_pair_nan_u", "var_infinite_nan_u", "var_finite_string_u",
             "demko_string_lag", "demko_float_m", "consistency_string_omega",
-            "consistency_nan_omega", "partial_gap_pair_out_of_range"])
+            "consistency_nan_omega", "partial_gap_pair_out_of_range",
+            "consistency_empty_grid", "stationary_partial_float_max_lag",
+            "stationary_partial_pair_out_of_range", "stationary_window_empty",
+            "demko_string_a", "demko_nan_a", "demko_inf_b"])
     def test_spectral_entry_points_refuse_bad_grids_by_name(self, call, message):
         # the spectral, frozen-time and coherence entry points and the Demko
-        # bound; these ended in a bare LinAlgError, IndexError, ValueError or
-        # UFuncTypeError, in a RuntimeWarning or NaN densities, in an error
-        # named for an inner call, or (a == b) in a coherence near -1
+        # bound; these ended in a bare LinAlgError, IndexError, ValueError,
+        # TypeError or UFuncTypeError, in a RuntimeWarning or NaN densities or
+        # bounds, in an error named for an inner call, or (a == b) in a
+        # coherence near -1
         with pytest.raises(InputError) as err:
             call()
         assert str(err.value) == message

@@ -611,7 +611,9 @@ class TestSpdKernel:
             assert got == want
             return
         inv, bound, residual = got
-        assert np.array_equal(inv, want[0]) and residual == want[1]
+        # the residual is the a priori bound or the computed one: never below
+        # the oracle's
+        assert np.array_equal(inv, want[0]) and want[1] <= residual <= oc.SPD_RESIDUAL_TOL
         rng = oc.sym_eig_range(mat)
         # the bound is certified: it is never below the condition number,
         # which eigvalsh gives to about n * eps * cond relative
@@ -678,15 +680,17 @@ class TestSpdKernel:
 
     @pytest.mark.parametrize("cond,accepted", [(1e6, True), (1e10, True), (1e13, False)])
     def test_exact_inverses_beyond_the_bound_go_to_the_exact_guard(self, cond, accepted):
-        # diagonal matrices invert to rounding (residual <= eps), so only
-        # the eigenvalue guard can refuse them; from 1e9 on the bound no
-        # longer clears and the exact extremes decide
+        # diagonal matrices invert to rounding (a computed residual <= eps),
+        # so only the eigenvalue guard can refuse them; from 1e9 on the
+        # bound no longer clears and the exact extremes decide
         mat = np.diag([2.0, 2.0 / cond, 1.0])
         for bandwidth in (None, 0):
             if accepted:
                 inv, bound, residual = nc.spd_inverse(mat, "m", bandwidth=bandwidth)
-                assert residual <= np.finfo(float).eps
-                assert bound == pytest.approx(cond, rel=1e-12)
+                oracle = oc._inverse_residual(mat, np.diagonal(mat), inv, bandwidth)
+                assert oracle <= np.finfo(float).eps
+                assert oracle <= residual <= oc.SPD_RESIDUAL_TOL
+                assert bound == pytest.approx(cond / (1.0 - residual), rel=1e-12)
                 assert np.allclose(inv, np.diag(1.0 / np.diag(mat)), rtol=1e-15, atol=0)
             else:
                 with pytest.raises(ConditioningError, match="m is numerically singular"):
@@ -820,9 +824,9 @@ class TestInPlaceKernel:
     def test_matches_the_copying_path(self, seed, length, p, bandwidth, log_cond,
                                       banded):
         """Inverse and the norms of the condition bound bit for bit; the
-        residual, summed in another order, within the rounding of the
-        product (``4 n eps ||C|| ||X||``, the same order as the residual
-        itself)."""
+        residual is a bound, never below the copying path's residual, which
+        is summed in another order, less the rounding of that product
+        (``4 n eps ||C|| ||X||``, the same order as the residual itself)."""
         n = length * p
         rows = min((bandwidth + 1) * p - 1, n - 1)
         mat = banded_with_condition(seed, n, rows, 10.0 ** log_cond)
@@ -831,9 +835,60 @@ class TestInPlaceKernel:
         bound, got = oc._spd_inverse_in_place(buf, "m", rows if banded else None)
         assert np.array_equal(buf, inv)
         assert bound == c_norm * x_norm / (1.0 - got)
-        assert abs(got - residual) <= 4 * n * np.finfo(float).eps * c_norm * x_norm
+        assert residual - 4 * n * np.finfo(float).eps * c_norm * x_norm <= got
+        assert got <= oc.SPD_RESIDUAL_TOL
         public = nc.spd_inverse(mat, "m", rows if banded else None)
         assert np.array_equal(public[0], inv) and public[1:] == (bound, got)
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 150),
+           bandwidth=st.integers(0, 150), log_cond=st.floats(0.0, 10.0),
+           banded=st.booleans())
+    @example(seed=0, n=400, bandwidth=400, log_cond=6.0, banded=False)
+    @example(seed=1, n=600, bandwidth=20, log_cond=4.0, banded=True)
+    @example(seed=2, n=60, bandwidth=60, log_cond=10.0, banded=False)
+    def test_a_priori_bound_is_never_below_the_computed_residual(self, seed, n,
+                                                                 bandwidth, log_cond,
+                                                                 banded):
+        """``_residual_bound`` against ``_inverse_residual`` as the oracle,
+        on dense and banded SPD matrices from well conditioned to past the
+        point where the bound stops clearing ``SPD_RESIDUAL_TOL``."""
+        cond = 10.0 ** log_cond
+        if banded:
+            bandwidth = min(bandwidth, n - 1)
+            mat = banded_with_condition(seed, n, bandwidth, cond)
+        else:
+            bandwidth, mat = None, spd_with_condition(seed, n, cond)
+        buf = mat.copy()
+        try:
+            bound = oc._invert_upper(buf, np.diagonal(mat).copy(), oc._row_sum_norm(mat),
+                                     "m", bandwidth)
+        except ConditioningError:
+            return
+        oc._mirror_lower(buf.T)
+        assert bound >= oc._inverse_residual(mat, np.diagonal(mat), buf, bandwidth)
+        if log_cond <= 1.0:
+            # a well conditioned matrix is accepted on the bound
+            assert bound <= oc.SPD_RESIDUAL_TOL
+
+    @pytest.mark.parametrize("threads", ["one", "default"])
+    @pytest.mark.parametrize("name", ["tvvma_kappa4_p2", "tvvar1_p3"])
+    def test_trtri_then_lauum_gives_the_bits_of_dpotri(self, name, threads):
+        """``dpotri`` is ``dtrtri`` and then ``dlauum``: the kernel's two
+        calls give its bits on the 1200-row reference windows, at one BLAS
+        thread and at the default count."""
+        model = nc.get_reference_model(name)
+        mat = nc.cov_window(model, 500, 0, 1200 // model.p - 1).flatten()
+        factor, info = scipy.linalg.lapack.dpotrf(mat, lower=1, clean=0)
+        assert not info
+        with one_blas_thread() if threads == "one" else contextlib.nullcontext():
+            want, info = scipy.linalg.lapack.dpotri(factor, lower=1)
+            assert not info
+            got, info = scipy.linalg.lapack.dtrtri(factor, lower=1)
+            assert not info
+            got, info = scipy.linalg.lapack.dlauum(got, lower=1, overwrite_c=1)
+            assert not info
+        assert np.array_equal(np.tril(got), np.tril(want))
 
     @staticmethod
     def block_row_sum_norm(a, lower=False):
@@ -862,15 +917,14 @@ class TestInPlaceKernel:
 
     def test_works_in_the_buffer_it_is_handed(self, monkeypatch):
         shared = []
-        real = scipy.linalg.lapack.dpotri
-
-        def recording(c, **kwargs):
-            shared.append(np.shares_memory(c, buf))
-            return real(c, **kwargs)
-        monkeypatch.setattr(scipy.linalg.lapack, "dpotri", recording)
+        for name in ("dtrtri", "dlauum"):
+            def recording(c, real=getattr(scipy.linalg.lapack, name), **kwargs):
+                shared.append(np.shares_memory(c, buf))
+                return real(c, **kwargs)
+            monkeypatch.setattr(scipy.linalg.lapack, name, recording)
         buf = spd_with_condition(3, 300, 1e4)
         oc._spd_inverse_in_place(buf, "m")
-        assert shared == [True]
+        assert shared == [True, True]
 
     def test_public_inverse_leaves_its_input_unchanged(self):
         mat = spd_with_condition(4, 40, 1e3)
@@ -883,8 +937,8 @@ class TestInPlaceKernel:
         assert np.array_equal(nc.spd_inverse(fortran, "m")[0], inv)
         assert np.array_equal(fortran, before)
 
-    @pytest.mark.parametrize("case", ["singular", "indefinite", "dpotrf", "dpotri",
-                                      "residual"])
+    @pytest.mark.parametrize("case", ["singular", "indefinite", "dpotrf", "dtrtri",
+                                      "dlauum", "residual"])
     def test_refusals_restore_the_matrix_first(self, monkeypatch, case):
         """Every refusal raises the copying path's message, in the same
         order, and leaves the buffer holding the matrix bit for bit."""
@@ -899,6 +953,8 @@ class TestInPlaceKernel:
             mat = 0.5 * (mat + mat.T)
             want = "m is numerically singular"
         elif case == "residual":
+            # both the a priori bound and the computed residual fail
+            monkeypatch.setattr(oc, "_residual_bound", lambda *args: 2e-6)
             monkeypatch.setattr(oc, "_inverse_residual", lambda *args: 1e-6)
             want = "m: inversion residual 1.000e-06 exceeds 1e-08"
         else:

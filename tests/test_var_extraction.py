@@ -336,6 +336,9 @@ class TestInputContract:
                                       dict(n=200, t_index=100, a=0, b=1,
                                            omega_grid=[0.1], max_lag=5)),
         "assumption_fit": (nc.assumption_fit, dict(n=200, t_lo=0, t_hi=5)),
+        "stationary_partial_pair": (nc.stationary_partial_pair,
+                                    dict(u=0.5, a=0, b=1, max_lag=5)),
+        "stationary_window": (nc.stationary_window, dict(u=0.5, t_lo=0, t_hi=5)),
     }
     COUNTS = {"n", "order", "depth", "ref_order", "max_lag", "pad", "j", "reps", "seed"}
     TIMES = {"t_index", "t_lo", "t_hi", "t"}
