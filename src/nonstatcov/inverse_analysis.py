@@ -20,10 +20,11 @@ from .errors import (ConditioningError, DegenerateFitError, DivergenceError,
                      InputError, check_count, check_size)
 from .models import (ModelSpec, _check_us, _check_window, _inverse_spectrum,
                      _transfer_order, cov_pad, cov_window, stationary_window)
-from .operator_core import (_ROW_BLOCK, _STRIP_ROWS, BlockWindow, SPD_RTOL,
+from .operator_core import (_KRYLOV_MIN_N, _ROW_BLOCK, _STRIP_ROWS, BlockWindow,
+                            SPD_RTOL, _BandCholesky, _lanczos_norm, _mirror_lower,
                             _spd_inverse_in_place, _symmetric_product_into,
-                            block_norms, block_view, krylov_norm, outside_band,
-                            sym_eig_range, symmetric_product, zeta)
+                            _transpose_in_place, block_norms, block_view, krylov_norm,
+                            outside_band, sym_eig_range, symmetric_product, zeta)
 from .reports import (DecayProfile, GapReport, envelope_constant, fit_decay_profile,
                       pair_gaps, two_sided)
 
@@ -52,10 +53,16 @@ class InverseWindow:
 class NeumannResult:
     """Banded-plus-series approximate inverse with a geometric certificate.
 
+    ``approx`` is the exactly symmetric sum of :func:`neumann_inverse`,
+    formed in the whitened coordinates of the band Cholesky factor of
+    ``B_M`` when ``B_M`` is SPD and around its LU inverse otherwise.
     ``certificate`` bounds the spectral-norm distance to the exact inverse:
     the geometric series tail (``tail``) plus a roundoff allowance
     (``roundoff``), so it stays sound in floating point even when the tail
-    underflows the arithmetic noise floor.
+    underflows the arithmetic noise floor.  ``contraction_norm`` is ``q =
+    ||B_M^-1 E||_2`` and ``banded_inverse_norm`` is ``||B_M^-1||_2``, the
+    inverse of the smallest ``|eigenvalue|`` of ``B_M``; neither depends on
+    the branch that summed the series.
     """
 
     approx: BlockWindow
@@ -170,33 +177,43 @@ def _split_length(terms: int) -> int:
                key=lambda b: b - 1 + terms // b)
 
 
-def _neumann_sum(r: np.ndarray, operands: list, terms: int) -> np.ndarray:
-    """``sum_{s<=terms} x^s R`` for ``R = r`` and ``x = operands.pop()``.
+def _neumann_sum(r: np.ndarray | None, operands: list, terms: int) -> np.ndarray:
+    """``sum_{s<=terms} x^s R`` for ``R = r`` (the identity when ``r`` is
+    ``None``) and ``x = operands.pop()``.
 
     Takes ``x`` out of ``operands``, so that it holds the only reference
     and frees it once the powers are built.  With ``terms = g * b`` (``b``
     from :func:`_split_length`) the sum is ``R + (1 + y + ... + y^{g-1}) Q``
-    with ``y = x^b``, ``A = x + ... + x^b`` and ``Q = A R``: ``b - 1`` plain
+    with ``y = x^b``, ``A = x + ... + x^b`` and ``Q = A R``: ``b - 1``
     products for the powers, one :func:`symmetric_product` for ``Q`` and
     ``g - 1`` for Horner's rule ``H <- Q + y H`` from ``H = Q``.  Every
     product is a polynomial in ``x`` times ``R``, hence exactly symmetric.
+    With ``r = None``, ``x`` is exactly symmetric, ``Q`` is ``A`` itself and
+    the powers are :func:`symmetric_product` too; otherwise the powers are
+    plain products.
 
     Sums and products run in buffers already held: once ``x^b`` exists,
     ``x`` is no longer a factor and ``A`` is summed in its buffer, and
     every Horner step after the first multiplies into ``H``'s own buffer
     (:func:`_symmetric_product_into`, one strip of temporary).  So at most
     four n x n arrays are alive at once for ``b <= 3``, ``r`` included:
-    ``R, x, x^2, x^3`` at the last baby step, then ``R, y, Q, H``.  A
-    larger ``b`` keeps a running sum beside ``x`` and two powers, five
-    arrays.  Every product operand goes through :func:`_flush_tiny`.
+    ``R, x, x^2, x^3`` at the last baby step, then ``R, y, Q, H``; without
+    ``r``, three.  A larger ``b`` keeps a running sum beside ``x`` and two
+    powers, one array more.  Every product operand goes through
+    :func:`_flush_tiny`.
     """
     x = operands.pop()
     if terms == 0:
-        return r
+        if r is not None:
+            return r
+        x.fill(0.0)
+        np.fill_diagonal(x, 1.0)
+        return x
     b = _split_length(terms)
     acc = power = x
     for step in range(1, b):
-        prev, power = power, _flush_tiny(x @ power)
+        prev, power = power, _flush_tiny(x @ power if r is not None
+                                         else symmetric_product(x, power))
         if prev is not x:
             # x + ... + prev, in x's own buffer after the last product
             acc = acc + prev if acc is x and step < b - 1 else np.add(acc, prev, out=acc)
@@ -204,7 +221,7 @@ def _neumann_sum(r: np.ndarray, operands: list, terms: int) -> np.ndarray:
     del x
     if b > 1:
         _flush_tiny(np.add(acc, power, out=acc))
-    q = symmetric_product(acc, r)
+    q = acc if r is None else symmetric_product(acc, r)
     del acc
     h = q
     for _ in range(terms // b - 1):
@@ -212,7 +229,41 @@ def _neumann_sum(r: np.ndarray, operands: list, terms: int) -> np.ndarray:
         h = symmetric_product(power, h) if h is q else _symmetric_product_into(power, h)
         np.add(h, q, out=h)
     del q, power
+    if r is None:
+        h.reshape(-1)[::h.shape[0] + 1] += 1.0
+        return h
     return np.add(h, r, out=h)
+
+
+def _contraction(q: float) -> float:
+    """``q``, refused with :class:`DivergenceError` unless below one."""
+    if q >= 1.0:
+        raise DivergenceError(
+            f"neumann_inverse: series does not contract, ||B^-1 (C - B)|| = {q:.4f}",
+            contraction_norm=q)
+    return q
+
+
+def _whitened_contraction(err: np.ndarray, chol: _BandCholesky, e_norm: float,
+                          b_inv_norm: float) -> float:
+    """``q = ||B^-1 E||_2`` for ``B = L L^T`` (``chol``) and ``E = err``.
+
+    From ``_KRYLOV_MIN_N`` rows up, Lanczos on the implicit operator
+    ``v -> B^-1 (E v)``, ``u -> E (B^-1 u)``: one product with ``E`` and two
+    band solves (``dpbtrs``) a step.  Below it, or if ARPACK fails,
+    :func:`krylov_norm` of ``B^-1 E`` formed by the two blocked solves of a
+    copy of ``E``.
+    """
+    if e_norm == 0.0:
+        return 0.0
+    n = err.shape[0]
+    if n >= _KRYLOV_MIN_N:
+        q = _lanczos_norm(n, lambda v: chol.solve_vector(err @ v),
+                          lambda u: err @ chol.solve_vector(u), e_norm * b_inv_norm)
+        if q is not None:
+            return q
+    prod = chol.solve(chol.solve(err.copy()), upper=True)
+    return krylov_norm(_flush_tiny(prod))
 
 
 def neumann_inverse(c: BlockWindow, m: int, terms: int) -> NeumannResult:
@@ -223,15 +274,27 @@ def neumann_inverse(c: BlockWindow, m: int, terms: int) -> NeumannResult:
     :func:`_neumann_sum`): ``(b - 1) + terms / b`` products for the divisor
     ``b`` of ``terms`` that makes them fewest, 4 for 6 terms and 6 for 12,
     where Horner's rule takes one per term; a prime count falls back to
-    Horner.  ``B_M`` is inverted in its own buffer, and ``||E||_2`` is taken
-    before the series and ``E`` dropped, so besides the window the call
-    holds at most four n x n arrays at once for ``b <= 3``, which covers
-    every term count below 16, and five for ``b >= 4``.  The
-    certificate bounds the dropped tail by the geometric series
+    Horner.
+
+    When the extremes of ``B_M`` (read from its band) say it is SPD and its
+    band Cholesky factor ``B_M = L L^T`` exists (``dpbtrf``), the series is
+    summed in the whitened coordinates of ``L``: ``K = L^-1 E L^-T`` is
+    formed in ``E``'s own buffer by blocked banded solves, ``P =
+    sum_{s<=terms} (-K)^s`` with symmetric products only, and the result is
+    ``L^-T P L^-1``, from two more solves in ``P``'s buffer.  No dense
+    ``B_M^-1`` is formed, so besides the window the call holds at most three
+    n x n arrays at once for ``b <= 3``, which covers every term count below
+    16, and four for ``b >= 4``.  Otherwise (an indefinite truncation, or a
+    factor that breaks down) ``B_M`` is inverted by LU, guarded by its
+    smallest ``|eigenvalue|``, and the series is summed around ``B_M^-1``
+    (four n x n arrays, five for ``b >= 4``).
+
+    The certificate bounds the dropped tail by the geometric series
     ``||B_M^{-1}|| q^{terms+1} / (1 - q)`` with ``q = ||B_M^{-1} E||_2``
-    computed on the window; ``q`` and ``||E||_2`` come from
-    :func:`krylov_norm`, the extremes of ``B_M`` from its band.  None of
-    them depends on how the series is summed.
+    computed on the window; ``q`` and ``||E||_2`` come from Lanczos
+    (:func:`krylov_norm`, and an implicit operator on the factor in the
+    whitened case), the extremes of ``B_M`` from its band.  None of them
+    depends on how the series is summed.
 
     Raises:
         InputError: if the window is not symmetric or ``m`` or ``terms`` is
@@ -253,17 +316,13 @@ def neumann_inverse(c: BlockWindow, m: int, terms: int) -> NeumannResult:
     del outside
     bandwidth = (m + 1) * c.p - 1
     # the certificate reads the exact extremes of B_M, taken from its band
-    # before B_M is inverted in its own buffer
     rng = sym_eig_range(bf, bandwidth)
-    try:
-        _spd_inverse_in_place(bf, f"neumann_inverse: banded truncation at bandwidth {m}",
-                              bandwidth)
-    except ConditioningError:
+    chol = _BandCholesky.factor(bf, bandwidth) if rng.is_spd() else None
+    n = bf.shape[0]
+    if chol is None:
         # Banding can destroy positive definiteness while B_M stays
-        # invertible and the series still contracts; such a truncation (or
-        # an SPD one too ill-conditioned for the Cholesky residual check)
-        # is inverted by LU, guarded by its smallest |eigenvalue|.  The
-        # kernel put B_M back bit for bit before it refused.
+        # invertible and the series still contracts; such a truncation is
+        # inverted by LU, guarded by its smallest |eigenvalue|.
         vals = np.abs(np.linalg.eigvalsh(bf))
         amin, amax = float(vals.min()), float(vals.max())
         if amin <= SPD_RTOL * max(amax, 1e-300):
@@ -272,29 +331,39 @@ def neumann_inverse(c: BlockWindow, m: int, terms: int) -> NeumannResult:
                 contraction_norm=math.inf) from None
         b_inv = np.linalg.inv(bf)
         b_inv = 0.5 * (b_inv + b_inv.T)
+        del bf
+        _flush_tiny(b_inv)
+        prod = _flush_tiny(b_inv @ err)
+        # E is exactly symmetric, so its spectral norm is its largest |eigenvalue|
+        e_norm = krylov_norm(err, symmetric=True)
+        del err
+        q = _contraction(krylov_norm(prod))
+        operands = [np.negative(prod, out=prod)]
+        del prod
+        approx_flat = _neumann_sum(b_inv, operands, terms)
     else:
-        b_inv = bf
+        del bf
         amin, amax = rng.lambda_min, rng.lambda_max
-    del bf
+        # ||E|| and q are taken before E is overwritten by K
+        e_norm = krylov_norm(err, symmetric=True)
+        q = _contraction(_whitened_contraction(err, chol, e_norm, 1.0 / amin))
+        # K = L^-1 E L^-T = L^-1 (L^-1 E)^T, in E's buffer, made exactly
+        # symmetric from one triangle, and negated into x = -K
+        _transpose_in_place(chol.solve(err))
+        _mirror_lower(chol.solve(err))
+        operands = [_flush_tiny(np.negative(err, out=err))]
+        del err
+        approx_flat = _neumann_sum(None, operands, terms)
+        # L^-T P L^-1 = L^-T (L^-T P)^T, in P's buffer
+        _transpose_in_place(chol.solve(approx_flat, upper=True))
+        _mirror_lower(chol.solve(approx_flat, upper=True))
     b_inv_norm = 1.0 / amin
-    _flush_tiny(b_inv)
-    prod = _flush_tiny(b_inv @ err)
-    n = b_inv.shape[0]
-    # E is exactly symmetric, so its spectral norm is its largest |eigenvalue|
-    c_norm = amax + krylov_norm(err, symmetric=True)
-    del err
-    q = krylov_norm(prod)
-    if q >= 1.0:
-        raise DivergenceError(
-            f"neumann_inverse: series does not contract, ||B^-1 (C - B)|| = {q:.4f}",
-            contraction_norm=q)
-    operands = [np.negative(prod, out=prod)]
-    del prod
-    approx_flat = _neumann_sum(b_inv, operands, terms)
+    c_norm = amax + e_norm
     approx = BlockWindow._adopt(approx_flat, c.p, t_lo=c.t_lo)
     tail = b_inv_norm * q ** (terms + 1) / (1.0 - q)
     # ||C^-1|| <= ||B^-1||/(1-q), so a conservative allowance for the
-    # rounding of the series products and of any dense reference inverse is
+    # rounding of the factor or inverse of B_M, of the series products and of
+    # any dense reference inverse is
     inv_bound = b_inv_norm / (1.0 - q)
     roundoff = n * np.finfo(float).eps * inv_bound \
         * (1.0 + c_norm * inv_bound)

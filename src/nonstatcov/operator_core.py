@@ -382,11 +382,19 @@ def sym_eig_range(w: BlockWindow | np.ndarray,
     return EigRange(float(vals[0]), float(vals[-1]))
 
 
-#: Below this order :func:`krylov_norm` uses the dense solver.  Timed with
-#: one BLAS thread on the matrices ``neumann_inverse`` hands it, the dense
-#: solve is faster below about 180 rows (so the 100-180 row ``verify_all``
-#: windows stay dense), the two tie at 180-200 rows, and Lanczos is
-#: 1.3-2x faster at 220-300 rows and 1.5-4x at 720-1200.
+#: Below this order :func:`krylov_norm`, and ``neumann_inverse`` for its
+#: ``q``, use the dense solver.  Timed with one BLAS thread on the matrices
+#: ``neumann_inverse`` hands it, the dense solve is faster below about 180
+#: rows (so the 100-180 row ``verify_all`` windows stay dense), the two tie
+#: at 180-200 rows, and Lanczos is 1.3-2x faster at 220-300 rows and 1.5-4x
+#: at 720-1200.  On the implicit operator ``v -> B_M^-1 (E v)`` of the
+#: whitened Neumann branch (one ``dpbtrs`` band solve more per product) against
+#: ``B_M^-1 E`` from two blocked solves and the dense Gram eigensolve
+#: (reference TvVMA windows at ``m`` = 8 and 12, median of 9 calls), the
+#: dense path is 2.1-2.7x faster at 100 rows and 1.3-1.7x at 140; at
+#: 180-260 rows either wins by up to 1.8x, as the Lanczos step count
+#: varies; Lanczos is 2.0-2.4x faster at 300 rows, 1.5-2.7x at 720 and
+#: 2.6-3.6x at 1200.  So one threshold serves both.
 _KRYLOV_MIN_N = 200
 
 #: Seed of the Krylov start vector, so that repeated calls agree bit for bit.
@@ -402,16 +410,11 @@ def krylov_norm(a: np.ndarray, symmetric: bool = False) -> float:
     """Spectral norm ``||a||_2`` of a square matrix, from ``_KRYLOV_MIN_N``
     rows up without a dense tridiagonal reduction.
 
-    Runs Lanczos (ARPACK ``eigsh``, ``k=1``, ``tol=0``, so converged to
-    machine precision) on ``v -> a^T (a v)`` for the top eigenvalue of
-    ``a^T a``, or, when the caller knows ``a`` is exactly ``symmetric``, on
-    ``v -> a v`` for its largest ``|eigenvalue|``; O(n^2) per product.  The
-    start vector is seeded and random, never ``ones``: the top eigenvector
-    of a persymmetric (Toeplitz) window can be antisymmetric and hence
-    orthogonal to ``ones``.  The products are scaled by a power of two so
-    that ARPACK's relative stopping test sees values near one.  Matrices
-    below ``_KRYLOV_MIN_N`` rows, and any ARPACK failure, go to the dense
-    ``eigvalsh``.  An exactly zero matrix gives ``0.0``.
+    Runs :func:`_lanczos_norm` on ``v -> a v`` and ``u -> a^T u``, or, when
+    the caller knows ``a`` is exactly ``symmetric``, on ``v -> a v`` alone;
+    O(n^2) per product.  Matrices below ``_KRYLOV_MIN_N`` rows, and any
+    ARPACK failure, go to the dense ``eigvalsh``.  An exactly zero matrix
+    gives ``0.0``.
 
     Raises:
         InputError: if ``a`` is not a finite square matrix.
@@ -427,28 +430,9 @@ def krylov_norm(a: np.ndarray, symmetric: bool = False) -> float:
         return 0.0
     n = a.shape[0]
     if n >= _KRYLOV_MIN_N:
-        # imported here: a module-level import slows the package import
-        import scipy.sparse.linalg as spla
-        exponent = math.frexp(top)[1]
-        scale = math.ldexp(1.0, -exponent)
-
-        def matvec(v):
-            av = a @ v * scale
-            return av if symmetric else a.T @ av * scale
-
-        op = spla.LinearOperator((n, n), matvec=matvec, dtype=float)
-        rng = np.random.default_rng(_KRYLOV_SEED)
-        try:
-            # a^T a is positive semidefinite: its largest eigenvalue is the top
-            val = spla.eigsh(op, k=1, which="LM" if symmetric else "LA", tol=0,
-                             v0=rng.standard_normal(n), maxiter=_KRYLOV_MAXITER,
-                             rng=rng, return_eigenvectors=False)[0]
-        except (spla.ArpackNoConvergence, spla.ArpackError):
-            pass
-        else:
-            if symmetric:
-                return abs(math.ldexp(float(val), exponent))
-            return math.sqrt(max(0.0, math.ldexp(float(val), 2 * exponent)))
+        norm = _lanczos_norm(n, a.__matmul__, None if symmetric else a.T.__matmul__, top)
+        if norm is not None:
+            return norm
     if symmetric:
         return float(np.max(np.abs(scipy.linalg.eigvalsh(a))))
     # syrk fills the upper triangle of a^T a, computed as (a^T)(a^T)^T on
@@ -456,6 +440,44 @@ def krylov_norm(a: np.ndarray, symmetric: bool = False) -> float:
     gram = scipy.linalg.blas.dsyrk(1.0, a.T)
     return math.sqrt(max(0.0, float(scipy.linalg.eigvalsh(
         gram, lower=False, subset_by_index=[n - 1, n - 1])[0])))
+
+
+def _lanczos_norm(n: int, matvec, rmatvec, top: float) -> float | None:
+    """``||a||_2`` of a square operator ``a`` of order ``n``, given by
+    ``matvec`` (``v -> a v``) and ``rmatvec`` (``u -> a^T u``), or ``None``
+    when ARPACK fails.
+
+    Runs Lanczos (ARPACK ``eigsh``, ``k=1``, ``tol=0``, so converged to
+    machine precision) on ``v -> a^T (a v)`` for the top eigenvalue of
+    ``a^T a``, or, when ``rmatvec`` is ``None`` because ``a`` is exactly
+    symmetric, on ``v -> a v`` for its largest ``|eigenvalue|``.  The start
+    vector is seeded and random, never ``ones``: the top eigenvector of a
+    persymmetric (Toeplitz) window can be antisymmetric and hence orthogonal
+    to ``ones``.  The products are scaled by the power of two that brings
+    ``top``, a positive estimate of the size of ``a``, into ``[1/2, 1)``, so
+    that ARPACK's relative stopping test sees values near one.
+    """
+    # imported here: a module-level import slows the package import
+    import scipy.sparse.linalg as spla
+    exponent = math.frexp(top)[1]
+    scale = math.ldexp(1.0, -exponent)
+
+    def product(v):
+        av = matvec(v) * scale
+        return av if rmatvec is None else rmatvec(av) * scale
+
+    op = spla.LinearOperator((n, n), matvec=product, dtype=float)
+    rng = np.random.default_rng(_KRYLOV_SEED)
+    try:
+        # a^T a is positive semidefinite: its largest eigenvalue is the top
+        val = spla.eigsh(op, k=1, which="LM" if rmatvec is None else "LA", tol=0,
+                         v0=rng.standard_normal(n), maxiter=_KRYLOV_MAXITER,
+                         rng=rng, return_eigenvectors=False)[0]
+    except (spla.ArpackNoConvergence, spla.ArpackError):
+        return None
+    if rmatvec is None:
+        return abs(math.ldexp(float(val), exponent))
+    return math.sqrt(max(0.0, math.ldexp(float(val), 2 * exponent)))
 
 
 def band_truncate(w: BlockWindow, m: int) -> BandedBlockWindow:
@@ -514,9 +536,9 @@ def demko_bound(a: float, b: float, m: int, lag) -> float | np.ndarray:
     return float(bound) if bound.ndim == 0 else bound
 
 
-def _exact_guard(flat: np.ndarray, what: str, bandwidth: int | None) -> EigRange:
+def _exact_guard(flat: np.ndarray, what: str) -> EigRange:
     """The exact guard: raise unless ``lambda_min > SPD_RTOL * lambda_max``."""
-    rng = sym_eig_range(flat, bandwidth)
+    rng = sym_eig_range(flat)
     if not rng.is_spd():
         raise ConditioningError(
             f"{what} is numerically singular "
@@ -565,7 +587,7 @@ def _certified_cholesky(flat: np.ndarray, what: str) -> np.ndarray:
     n = flat.shape[0]
     factor, info = scipy.linalg.lapack.dpotrf(flat, lower=1, clean=1)
     if info:
-        _exact_guard(flat, what, None)
+        _exact_guard(flat, what)
         raise ConditioningError(f"{what}: Cholesky factorisation failed "
                                 f"(LAPACK info={info})")
     # the factor succeeded, so every diagonal entry is positive
@@ -579,7 +601,7 @@ def _certified_cholesky(flat: np.ndarray, what: str) -> np.ndarray:
     shifted = np.array(flat, order="F")
     shifted[np.diag_indices(n)] -= shift
     if scipy.linalg.lapack.dpotrf(shifted, lower=1, clean=1, overwrite_a=1)[1]:
-        _exact_guard(flat, what, None)
+        _exact_guard(flat, what)
     return factor
 
 
@@ -587,9 +609,9 @@ def _certified_cholesky(flat: np.ndarray, what: str) -> np.ndarray:
 _ROW_BLOCK = 256
 
 #: Rows per strip of the SPD kernel's residual, residual bound and norms, of
-#: the finiteness check and of the interior compaction: the temporaries that
-#: live beside an n x n buffer are strips of this height.  A banded residual
-#: strip also multiplies only ``2 * bandwidth`` more columns than rows.
+#: the finiteness check, of the interior compaction and of the blocked banded
+#: solves: the temporaries that live beside an n x n buffer are strips of
+#: this height.
 _STRIP_ROWS = 64
 
 
@@ -666,18 +688,95 @@ def _symmetric_product_into(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return b
 
 
+def _transpose_in_place(a: np.ndarray) -> None:
+    """Transpose a square array in place, one tile pair at a time, so the
+    only temporary is one ``_ROW_BLOCK`` square tile."""
+    n = a.shape[0]
+    for i in range(0, n, _ROW_BLOCK):
+        j = min(i + _ROW_BLOCK, n)
+        a[i:j, i:j] = a[i:j, i:j].T.copy()
+        for k in range(j, n, _ROW_BLOCK):
+            tile = a[i:j, k:k + _ROW_BLOCK].copy()
+            a[i:j, k:k + _ROW_BLOCK] = a[k:k + _ROW_BLOCK, i:j].T
+            a[k:k + _ROW_BLOCK, i:j] = tile.T
+
+
+class _BandCholesky:
+    """``B = L L^T`` for a symmetric matrix ``B`` that is exactly zero
+    beyond ``bandwidth`` diagonals, with ``L`` in LAPACK lower band storage
+    (``dpbtrf``, O(n bandwidth^2) flops), and the blocked triangular solves
+    with ``L`` and ``L^T``.
+
+    :meth:`solve` works in place on the rows of a C-contiguous matrix, in
+    strips of ``_STRIP_ROWS`` rows: per strip one ``dgemm`` subtracts the
+    band part from the rows already solved and one ``dtrsm`` solves with the
+    strip's diagonal tile of ``L``, both on the strip's transposed view,
+    which is Fortran-contiguous, so neither copies it.  The dense pieces of
+    ``L`` that the strips read are cut from the band once.
+    """
+
+    def __init__(self, band: np.ndarray):
+        self.band = band
+        w, n = band.shape[0] - 1, band.shape[1]
+        self.strips = []
+        for i in range(0, n, _STRIP_ROWS):
+            j = min(i + _STRIP_ROWS, n)
+            lo, hi = max(0, i - w), min(n, j + w)
+            # L[i:j, lo:i], L[i:j, i:j] and, Fortran-ordered, L[j:hi, i:j]
+            self.strips.append((i, j, lo, hi, self._dense(i, j, lo, i),
+                                self._dense(i, j, i, j),
+                                np.asfortranarray(self._dense(j, hi, i, j))))
+
+    @classmethod
+    def factor(cls, flat: np.ndarray, bandwidth: int) -> "_BandCholesky | None":
+        """The factor of ``flat``, read from its band, or ``None`` when
+        ``dpbtrf`` breaks down."""
+        band = _lower_band(flat, min(bandwidth, flat.shape[0] - 1))
+        factor, info = scipy.linalg.lapack.dpbtrf(band, lower=1, overwrite_ab=1)
+        return None if info else cls(factor)
+
+    def _dense(self, r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
+        """``L[r0:r1, c0:c1]`` as a dense C-contiguous array."""
+        w = self.band.shape[0] - 1
+        rows, cols = np.arange(r0, r1)[:, None], np.arange(c0, c1)[None, :]
+        lag = rows - cols
+        inside = (lag >= 0) & (lag <= w)
+        return np.where(inside, self.band[np.clip(lag, 0, w), cols], 0.0)
+
+    def solve(self, b: np.ndarray, upper: bool = False) -> np.ndarray:
+        """``b <- L^-1 b``, or ``L^-T b`` with ``upper``, in place on the
+        C-contiguous ``(n, k)`` array ``b``; returns ``b``."""
+        blas = scipy.linalg.blas
+        for i, j, lo, hi, left, diag, below in (reversed(self.strips) if upper
+                                                 else self.strips):
+            rows = b[i:j].T
+            if upper and hi > j:
+                # b[i:j] -= L[j:hi, i:j]^T b[j:hi]
+                blas.dgemm(-1.0, b[j:hi].T, below, beta=1.0, c=rows, overwrite_c=1)
+            elif not upper and i > lo:
+                # b[i:j] -= L[i:j, lo:i] b[lo:i]
+                blas.dgemm(-1.0, b[lo:i].T, left.T, beta=1.0, c=rows, overwrite_c=1)
+            # rows^T = D^-1 rows^T (or D^-T): rows <- rows D^-T (or D^-1);
+            # diag.T is the upper triangular D^T in Fortran order
+            blas.dtrsm(1.0, diag.T, rows, side=1, lower=0, trans_a=int(upper),
+                       overwrite_b=1)
+        return b
+
+    def solve_vector(self, v: np.ndarray) -> np.ndarray:
+        """``B^-1 v`` for a vector ``v`` (``dpbtrs``)."""
+        return scipy.linalg.lapack.dpbtrs(self.band, v, lower=1)[0]
+
+
 def _sym_rows(low: np.ndarray, i: int, j: int, diag: np.ndarray | None = None,
-              lo: int = 0, hi: int | None = None,
               out: np.ndarray | None = None) -> np.ndarray:
-    """Rows ``i:j`` and columns ``lo:hi`` (``lo <= i``, ``j <= hi``) of the
-    symmetric matrix held in the lower triangle of ``low``, with the
-    diagonal ``diag`` instead of that of ``low`` when given; written to
-    ``out``, a C-contiguous ``(j - i, hi - lo)`` array, or to a fresh one."""
-    hi = low.shape[0] if hi is None else hi
-    rows = np.empty((j - i, hi - lo)) if out is None else out
-    rows[:, :i - lo] = low[i:j, lo:i]
-    rows[:, j - lo:] = low[j:hi, i:j].T
-    tile = rows[:, i - lo:j - lo]
+    """Rows ``i:j`` of the symmetric matrix held in the lower triangle of
+    ``low``, with the diagonal ``diag`` instead of that of ``low`` when
+    given; written to ``out``, a C-contiguous ``(j - i, n)`` array, or to a
+    fresh one."""
+    rows = np.empty((j - i, low.shape[0])) if out is None else out
+    rows[:, :i] = low[i:j, :i]
+    rows[:, j:] = low[j:, i:j].T
+    tile = rows[:, i:j]
     tile[...] = low[i:j, i:j]
     _mirror_lower(tile)
     if diag is not None:
@@ -685,42 +784,29 @@ def _sym_rows(low: np.ndarray, i: int, j: int, diag: np.ndarray | None = None,
     return rows
 
 
-def _inverse_residual(c: np.ndarray, c_diag: np.ndarray, x: np.ndarray,
-                      bandwidth: int | None) -> float:
+def _inverse_residual(c: np.ndarray, c_diag: np.ndarray, x: np.ndarray) -> float:
     """``||C X - I||_inf`` for symmetric ``C`` and ``X`` of order ``n``, read
     from one triangle each: ``C`` from the strict lower triangle of ``c`` and
     ``c_diag``, ``X`` from the lower triangle of ``x`` (which may be the
     Fortran view ``c.T`` of the same buffer).
 
-    Works in strips of ``_STRIP_ROWS`` rows of ``C X``, one BLAS call each.
-    A dense strip is one ``dsymm``: row ``t`` of ``C X`` is column ``t`` of
-    ``X C``, so ``X`` multiplies columns of ``C`` straight from its
-    triangle; the rows of ``C`` and the product go to two strip buffers that
-    every strip reuses.  A matrix that is exactly zero beyond ``bandwidth``
-    diagonals multiplies only the rows of ``X`` inside its band, copied out
-    of the triangle, so its temporaries are O((strip + bandwidth) * n).
+    Works in strips of ``_STRIP_ROWS`` rows of ``C X``, one ``dsymm`` each:
+    row ``t`` of ``C X`` is column ``t`` of ``X C``, so ``X`` multiplies
+    columns of ``C`` straight from its triangle; the rows of ``C`` and the
+    product go to two strip buffers that every strip reuses.
     """
     n = c.shape[0]
-    if bandwidth is None:
-        rows = np.empty((min(_STRIP_ROWS, n), n))
-        product = np.empty((n, rows.shape[0]), order="F")
+    rows = np.empty((min(_STRIP_ROWS, n), n))
+    product = np.empty((n, rows.shape[0]), order="F")
     worst = 0.0
     for i in range(0, n, _STRIP_ROWS):
         j = min(i + _STRIP_ROWS, n)
         idx = np.arange(i, j)
-        if bandwidth is None:
-            c_rows = _sym_rows(c, i, j, c_diag, out=rows[:j - i])
-            check = scipy.linalg.blas.dsymm(1.0, x, c_rows.T, lower=1,
-                                            c=product[:, :j - i], overwrite_c=1)
-            check[idx, idx - i] -= 1.0
-            sums = np.abs(check, out=check).sum(axis=0)
-        else:
-            lo, hi = max(0, i - bandwidth), min(n, j + bandwidth)
-            check = _sym_rows(c, i, j, c_diag, lo, hi) @ _sym_rows(x, lo, hi)
-            check[idx - i, idx] -= 1.0
-            sums = np.abs(check, out=check).sum(axis=1)
-        del check
-        worst = max(worst, float(sums.max()))
+        c_rows = _sym_rows(c, i, j, c_diag, out=rows[:j - i])
+        check = scipy.linalg.blas.dsymm(1.0, x, c_rows.T, lower=1,
+                                        c=product[:, :j - i], overwrite_c=1)
+        check[idx, idx - i] -= 1.0
+        worst = max(worst, float(np.abs(check, out=check).sum(axis=0).max()))
     return worst
 
 
@@ -805,8 +891,7 @@ def _residual_bound(n: int, c_norm: float, factor: tuple, inverse: tuple) -> flo
                    + l_norm * y_norm * e / (1.0 - e))
 
 
-def _invert_upper(buf: np.ndarray, diag: np.ndarray, c_norm: float, what: str,
-                  bandwidth: int | None) -> float:
+def _invert_upper(buf: np.ndarray, diag: np.ndarray, c_norm: float, what: str) -> float:
     """Overwrite the upper triangle of ``buf``, an exactly symmetric SPD
     matrix with the saved diagonal ``diag`` and ``||.||_inf`` ``c_norm``, by
     that of its inverse; returns :func:`_residual_bound`.
@@ -845,7 +930,7 @@ def _invert_upper(buf: np.ndarray, diag: np.ndarray, c_norm: float, what: str,
         low, info = scipy.linalg.lapack.dlauum(low, lower=1, overwrite_c=1)
     if info:
         _restore(buf, diag)
-        _exact_guard(buf, what, bandwidth)
+        _exact_guard(buf, what)
         raise ConditioningError(f"{what}: {step} failed (LAPACK info={info})")
     return _residual_bound(n, c_norm, factor, inverse)
 
@@ -857,8 +942,7 @@ def _restore(buf: np.ndarray, diag: np.ndarray) -> None:
     np.fill_diagonal(buf, diag)
 
 
-def _spd_inverse_in_place(buf: np.ndarray, what: str,
-                          bandwidth: int | None = None) -> tuple[float, float]:
+def _spd_inverse_in_place(buf: np.ndarray, what: str) -> tuple[float, float]:
     """:func:`spd_inverse` of ``buf``, a writable, C-contiguous and exactly
     symmetric matrix that it overwrites with the inverse; returns
     ``(condition_bound, residual)``.
@@ -876,7 +960,7 @@ def _spd_inverse_in_place(buf: np.ndarray, what: str,
     """
     diag = np.diagonal(buf).copy()
     c_norm = _row_sum_norm(buf)
-    residual = _invert_upper(buf, diag, c_norm, what, bandwidth)
+    residual = _invert_upper(buf, diag, c_norm, what)
     x_norm = _row_sum_norm(buf.T, lower=True)
 
     def gated(residual):
@@ -886,21 +970,20 @@ def _spd_inverse_in_place(buf: np.ndarray, what: str,
     bound, accepted = gated(residual)
     if not accepted:
         # the a priori bound does not pass: the computed residual decides
-        residual = _inverse_residual(buf, diag, buf.T, bandwidth)
+        residual = _inverse_residual(buf, diag, buf.T)
         bound, accepted = gated(residual)
     if not accepted:
         _restore(buf, diag)
-        _exact_guard(buf, what, bandwidth)
+        _exact_guard(buf, what)
         if not residual <= SPD_RESIDUAL_TOL:
             raise ConditioningError(f"{what}: inversion residual {residual:.3e} "
                                     f"exceeds {SPD_RESIDUAL_TOL:g}")
-        _invert_upper(buf, diag, c_norm, what, bandwidth)
+        _invert_upper(buf, diag, c_norm, what)
     _mirror_lower(buf.T)
     return bound, residual
 
 
-def spd_inverse(flat: np.ndarray, what: str,
-                bandwidth: int | None = None) -> tuple[np.ndarray, float, float]:
+def spd_inverse(flat: np.ndarray, what: str) -> tuple[np.ndarray, float, float]:
     """Inverse of an exactly symmetric SPD matrix, certified without an
     eigensolve; ``flat`` is left unchanged.
 
@@ -925,8 +1008,7 @@ def spd_inverse(flat: np.ndarray, what: str,
 
     Returns ``(inv, condition_bound, residual)``; ``inv`` is C-contiguous,
     and ``residual`` is the a priori bound or, where that did not pass, the
-    computed residual.  ``bandwidth`` is as in :func:`sym_eig_range`; it
-    also restricts the computed residual's product to the band.
+    computed residual.
 
     Raises:
         InputError: if ``flat`` is not a square matrix whose two triangles
@@ -938,7 +1020,7 @@ def spd_inverse(flat: np.ndarray, what: str,
     inv = np.array(flat, dtype=float, order="C")
     if inv.ndim != 2 or not _exactly_symmetric(inv):
         raise InputError(f"spd_inverse: {what} is not an exactly symmetric matrix")
-    bound, residual = _spd_inverse_in_place(inv, what, bandwidth)
+    bound, residual = _spd_inverse_in_place(inv, what)
     return inv, bound, residual
 
 
@@ -947,8 +1029,10 @@ def schur_complement(a: np.ndarray, b: np.ndarray, e: np.ndarray,
     """``A - B E^{-1} B^T`` with ``E`` an exactly symmetric SPD matrix.
 
     The result is the covariance of the ``A`` coordinates after projecting
-    out the coordinates carried by ``E``.  Symmetric whenever ``A`` is.
-    ``what`` names ``E`` in error messages.
+    out the coordinates carried by ``E``.  With ``E = L L^T`` it is formed
+    as ``A - W^T W``, ``W = L^-1 B^T`` (``dtrsm``), whose product ``dsyrk``
+    computes in one triangle, mirrored; so the result is exactly symmetric
+    whenever ``A`` is.  ``what`` names ``E`` in error messages.
 
     Raises:
         ConditioningError: if ``E`` is numerically singular.
@@ -963,7 +1047,7 @@ def schur_complement(a: np.ndarray, b: np.ndarray, e: np.ndarray,
         raise InputError(f"schur_complement: non-conformable shapes {a.shape}, "
                          f"{b.shape}, {ef.shape}")
     factor = _certified_cholesky(ef, what)
-    result = a - b @ scipy.linalg.cho_solve((factor, True), b.T)
-    if np.array_equal(a, a.T):
-        result = 0.5 * (result + result.T)
-    return result
+    w = scipy.linalg.blas.dtrsm(1.0, factor, b.T, lower=1)
+    gram = scipy.linalg.blas.dsyrk(1.0, w, trans=1, lower=1)
+    _mirror_lower(gram)
+    return a - gram

@@ -231,7 +231,7 @@ class TestNeumannInverse:
     def test_split_sum_product_count(self, monkeypatch):
         from nonstatcov import inverse_analysis as ia
         from nonstatcov import operator_core as oc
-        # b - 1 plain products for the powers and r = terms / b symmetric ones
+        # b - 1 products for the powers and r = terms / b for Q and Horner
         assert {t: ia._split_length(t) for t in (1, 6, 7, 12, 20)} == {
             1: 1, 6: 2, 7: 1, 12: 3, 20: 4}
         for terms, products in [(6, 4), (12, 6), (20, 8), (7, 7)]:
@@ -241,7 +241,6 @@ class TestNeumannInverse:
             b = ia._split_length(terms)
             assert (b - 1) + terms // b == min(
                 d - 1 + terms // d for d in range(1, terms + 1) if terms % d == 0)
-        c = nc.cov_window(reference_tvvma(), 200, 30, 109)
         products = []
 
         def counting(kernel):
@@ -249,16 +248,48 @@ class TestNeumannInverse:
                 products.append(kernel.__name__)
                 return kernel(a, b)
             return count
-        # Q and the first Horner step are fresh products, the later Horner
-        # steps multiply into H's own buffer
+        # the first product of its kind is fresh, the later Horner steps
+        # multiply into H's own buffer
         for name in ("symmetric_product", "_symmetric_product_into"):
             monkeypatch.setattr(ia, name, counting(getattr(oc, name)))
+        whitened = nc.cov_window(reference_tvvma(), 200, 30, 109), 12
+        lu = _indefinite_window(), 2
         for terms in (0, 1, 6, 7, 12, 20):
-            products.clear()
-            nc.neumann_inverse(c, 12, terms)
-            steps = terms // ia._split_length(terms) if terms else 0
-            assert len(products) == steps
-            assert products.count("symmetric_product") == min(steps, 2)
+            b = ia._split_length(terms) if terms else 1
+            horner = max(terms // b - 1, 0)
+            # whitened: the b - 1 powers are symmetric products and Q = A is
+            # free; LU: the powers are plain products and Q = A R is one more
+            for (c, m), first in [(whitened, b - 1), (lu, 1)]:
+                products.clear()
+                nc.neumann_inverse(c, m, terms)
+                if not terms:
+                    assert products == []
+                    continue
+                assert len(products) == first + horner
+                assert products.count("symmetric_product") == first + min(horner, 1)
+
+    def test_whitened_branch_inverts_no_dense_matrix(self, monkeypatch):
+        from nonstatcov import operator_core as oc
+        calls = []
+
+        def counting(name, real):
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return wrapped
+        for module in (oc, ia):
+            monkeypatch.setattr(module, "_spd_inverse_in_place",
+                                counting("spd", oc._spd_inverse_in_place))
+        monkeypatch.setattr(np.linalg, "inv", counting("inv", np.linalg.inv))
+        monkeypatch.setattr(oc._BandCholesky, "factor",
+                            counting("factor", oc._BandCholesky.factor))
+        c = nc.cov_window(reference_tvvma(), 200, 0, 299)
+        for terms in (0, 6, 12):
+            nc.neumann_inverse(c, 8, terms)
+        assert calls == ["factor"] * 3
+        calls.clear()
+        nc.neumann_inverse(_indefinite_window(), 2, 6)
+        assert calls == ["inv"]
 
     @settings(max_examples=30, deadline=None)
     @given(n=st.integers(1, 600), terms=st.integers(0, 30), seed=st.integers(0, 2**32 - 1))
@@ -303,9 +334,12 @@ class TestNeumannInverse:
 
     @pytest.mark.parametrize("lu", [False, True])
     def test_certificate_fields_independent_of_the_series(self, lu):
-        from nonstatcov.operator_core import _KRYLOV_MIN_N, krylov_norm
-        # B_M^-1, P = B_M^-1 E, q and ||E|| taken the way the Horner kernel
-        # took them: one full-size mask per flush, ||E|| after the series
+        import scipy.linalg
+        from nonstatcov.operator_core import _KRYLOV_MIN_N, _lanczos_norm, krylov_norm
+        # the extremes of B_M, q and ||E|| taken apart from the series: for
+        # the LU branch from B_M^-1 and P = B_M^-1 E with one full-size mask
+        # per flush; for the whitened branch by Lanczos on v -> B_M^-1 (E v),
+        # u -> E (B_M^-1 u) with scipy's banded Cholesky and solve
         def flush(a):
             scale = max(a.max(initial=0.0), -a.min(initial=0.0))
             a[np.abs(a) < 1e-150 * scale] = 0.0
@@ -315,23 +349,31 @@ class TestNeumannInverse:
         else:
             c, m = nc.cov_window(reference_tvvma(), 200, 0, 109), 8
         bf = nc.band_truncate(c, m).base.flatten()
+        err = c.flatten() - bf
         n = bf.shape[0]
+        e_norm = krylov_norm(err, symmetric=True)
         if lu:
             vals = np.abs(np.linalg.eigvalsh(bf))
             amin, amax = float(vals.min()), float(vals.max())
             b_inv = np.linalg.inv(bf)
             b_inv = 0.5 * (b_inv + b_inv.T)
+            flush(b_inv)
+            q = krylov_norm(flush(b_inv @ err))
         else:
             assert n >= _KRYLOV_MIN_N
             bandwidth = (m + 1) * c.p - 1
-            b_inv, _, _ = nc.spd_inverse(bf, "B_M", bandwidth=bandwidth)
             rng = nc.sym_eig_range(bf, bandwidth)
             amin, amax = rng.lambda_min, rng.lambda_max
-        flush(b_inv)
-        err = c.flatten() - bf
-        q = krylov_norm(flush(b_inv @ err))
+            band = np.array([np.pad(np.diagonal(bf, -k), (0, k))
+                             for k in range(bandwidth + 1)])
+            factor = scipy.linalg.cholesky_banded(band, lower=True)
+
+            def solve(v):
+                return scipy.linalg.cho_solve_banded((factor, True), v)
+            q = _lanczos_norm(n, lambda v: solve(err @ v), lambda u: err @ solve(u),
+                              e_norm * (1.0 / amin))
         inv_bound = (1.0 / amin) / (1.0 - q)
-        c_norm = amax + krylov_norm(err, symmetric=True)
+        c_norm = amax + e_norm
         roundoff = n * np.finfo(float).eps * inv_bound * (1.0 + c_norm * inv_bound)
         for terms in (0, 5, 6, 12):
             res = nc.neumann_inverse(c, m, terms)
@@ -372,6 +414,56 @@ class TestNeumannInverse:
             assert 0.0 < res.contraction_norm < 1.0
             err = np.linalg.norm(res.approx.flatten() - dense, 2)
             assert err <= res.certificate
+
+    @pytest.mark.parametrize("cond", [1e9, 3e9, 1e10])
+    def test_ill_conditioned_spd_truncation_is_whitened(self, monkeypatch, cond):
+        """An SPD ``B_M`` with condition ``1e9``-``1e10``, beyond the SPD
+        kernel's a priori bound, goes through its band factor, and the
+        certificate still dominates the true error."""
+        from nonstatcov import operator_core as oc
+        n, m = 80, 3
+        lag = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+        raw = np.random.default_rng(5).standard_normal((2, n, n))
+        sym = raw + raw.transpose(0, 2, 1)
+        banded = sym[0] * (lag <= m)
+        vals = np.linalg.eigvalsh(banded)
+        banded += ((vals[-1] - vals[0]) / (cond - 1.0) - vals[0]) * np.eye(n)
+        # the out-of-band part scaled so that q = 0.3
+        tail = sym[1] * (lag > m)
+        tail *= 0.3 / np.linalg.norm(np.linalg.solve(banded, tail), 2)
+        w = nc.BlockWindow.from_flat(banded + tail, 1, symmetrize=True)
+        rng = nc.sym_eig_range(banded, m)
+        assert rng.is_spd() and 0.5 * cond <= rng.condition <= 2.0 * cond
+        dense = np.linalg.inv(w.flatten())
+        factors = []
+        real = oc._BandCholesky.factor
+        monkeypatch.setattr(oc._BandCholesky, "factor",
+                            lambda *args: factors.append(real(*args)) or factors[-1])
+        monkeypatch.setattr(np.linalg, "inv", None)   # the LU branch would fail
+        for terms in (0, 6, 13, 40):
+            res = nc.neumann_inverse(w, m, terms)
+            assert res.contraction_norm == pytest.approx(0.3, rel=1e-6)
+            assert np.linalg.norm(res.approx.flatten() - dense, 2) <= res.certificate
+        assert len(factors) == 4 and all(f is not None for f in factors)
+
+    @pytest.mark.parametrize("terms", [0, 1, 7, 20])
+    def test_exactly_banded_window_has_no_contraction(self, terms):
+        """``E = 0``: ``q = 0`` and no tail, the result is ``B_M^-1`` for any
+        number of terms, a prime count and ``b = 4`` (20 terms) included,
+        below and above the Lanczos threshold; a 1 x 1 window too."""
+        from nonstatcov.verification import random_spd_banded
+        rng = np.random.default_rng(terms)
+        for length in (20, 110):
+            mat, _, _ = random_spd_banded(rng, 2, 2, length)
+            w = nc.BlockWindow.from_flat(mat, p=2, symmetrize=True)
+            res = nc.neumann_inverse(w, 3, terms)
+            assert (res.contraction_norm, res.tail) == (0.0, 0.0)
+            assert np.allclose(res.approx.flatten(), np.linalg.inv(mat), rtol=0,
+                               atol=1e-13 * np.abs(np.linalg.inv(mat)).max())
+        one = nc.BlockWindow.from_flat(np.array([[4.0]]), p=1, symmetrize=True)
+        res = nc.neumann_inverse(one, 0, terms)
+        assert res.approx.flatten().tolist() == [[0.25]]
+        assert (res.contraction_norm, res.tail, res.banded_inverse_norm) == (0.0, 0.0, 0.25)
 
     def test_divergence_reports_product_norm(self):
         flat = np.array([[1.0, 1.2], [1.2, 1.0]])
@@ -624,7 +716,8 @@ class TestInverseLipschitz:
 class TestAPrioriResidualGuard:
     """The SPD kernel accepts every inverse of the paper's battery and of the
     large sections on its O(n^2) residual bound: a change that falls back to
-    the 2n^3 residual product on them fails here."""
+    the 2n^3 residual product on them fails here.  The Neumann truncations
+    ``B_M`` are SPD and go through their band factor, not this kernel."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
@@ -644,14 +737,17 @@ class TestAPrioriResidualGuard:
     def test_battery_takes_no_residual_product(self, counts):
         from nonstatcov.verification import run_all
         run_all()
-        assert counts == {"kernel": 71, "residual": 0}
+        # the finite-section and stationary inverses; the 50 Neumann
+        # truncations B_M take their band factor instead
+        assert counts == {"kernel": 21, "residual": 0}
 
     @pytest.mark.parametrize("name,bandwidth", [("tvvma_kappa4_p2", 12), ("tvvar1_p3", 6)])
     def test_large_sections_take_no_residual_product(self, counts, name, bandwidth):
-        # one 1200-row window of each large-section model, through both the
-        # finite-section inverse and the Neumann truncation B_M
+        # one 1200-row window of each large-section model, through the
+        # finite-section inverse; its Neumann truncation B_M takes no SPD
+        # inverse at all
         model = nc.get_reference_model(name)
         c = nc.cov_window(model, 500, 0, 1200 // model.p - 1)
         nc.finite_section_inverse(c, nc.cov_pad(model))
         nc.neumann_inverse(c, bandwidth, 1)
-        assert counts == {"kernel": 2, "residual": 0}
+        assert counts == {"kernel": 1, "residual": 0}

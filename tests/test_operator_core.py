@@ -455,10 +455,10 @@ def banded_with_condition(seed, n, bandwidth, cond, indefinite=False):
     return sym + ((-low if indefinite else low) - vals[0]) * np.eye(n)
 
 
-def exact_guard(mat, what, bandwidth=None):
+def exact_guard(mat, what):
     """The exact eigenvalue guard, written out: raise unless
     ``lambda_min > SPD_RTOL * lambda_max``."""
-    rng = oc.sym_eig_range(mat, bandwidth)
+    rng = oc.sym_eig_range(mat)
     if not rng.is_spd():
         raise ConditioningError(
             f"{what} is numerically singular "
@@ -467,21 +467,22 @@ def exact_guard(mat, what, bandwidth=None):
 
 def exact_guard_schur(a, b, e, what):
     """``schur_complement`` as it decided before the certified factor: the
-    exact guard first, then Cholesky and the solve."""
+    exact guard first, then Cholesky and ``A - W^T W``, ``W = L^-1 B^T``."""
     exact_guard(e, what)
     factor, info = scipy.linalg.lapack.dpotrf(e, lower=1, clean=1)
     if info:
         raise ConditioningError(f"{what}: Cholesky factorisation failed "
                                 f"(LAPACK info={info})")
-    result = a - b @ scipy.linalg.cho_solve((factor, True), b.T)
-    return 0.5 * (result + result.T) if np.array_equal(a, a.T) else result
+    w = scipy.linalg.blas.dtrsm(1.0, factor, np.asarray(b).T, lower=1)
+    gram = scipy.linalg.blas.dsyrk(1.0, w, trans=1, lower=1)
+    return a - (np.tril(gram) + np.tril(gram, -1).T)
 
 
-def exact_guard_inverse(mat, what, bandwidth=None):
+def exact_guard_inverse(mat, what):
     """``spd_inverse`` as it decided before the certified bound: the exact
     extremal eigenvalues first, then Cholesky, inversion and residual.
     Returns ``(inv, residual)``."""
-    exact_guard(mat, what, bandwidth)
+    exact_guard(mat, what)
     factor, info = scipy.linalg.lapack.dpotrf(mat, lower=1, clean=1)
     if info:
         raise ConditioningError(f"{what}: Cholesky factorisation failed "
@@ -491,7 +492,7 @@ def exact_guard_inverse(mat, what, bandwidth=None):
         raise ConditioningError(f"{what}: inversion of the Cholesky factor "
                                 f"failed (LAPACK info={info})")
     inv = np.tril(inv) + np.tril(inv, -1).T
-    residual = oc._inverse_residual(mat, np.diagonal(mat), inv, bandwidth)
+    residual = oc._inverse_residual(mat, np.diagonal(mat), inv)
     if residual > oc.SPD_RESIDUAL_TOL:
         raise ConditioningError(f"{what}: inversion residual {residual:.3e} "
                                 f"exceeds {oc.SPD_RESIDUAL_TOL:g}")
@@ -529,7 +530,6 @@ class TestSpdKernel:
         banded = oc.sym_eig_range(mat, 26)
         assert abs(banded.lambda_min - dense.lambda_min) <= 1e-13 * dense.lambda_max
         assert abs(banded.lambda_max - dense.lambda_max) <= 1e-13 * dense.lambda_max
-        oc._exact_guard(mat, "m", 26)
 
         def failing(*args, **kwargs):
             raise np.linalg.LinAlgError("no convergence")
@@ -540,10 +540,8 @@ class TestSpdKernel:
         mat = np.diag([2.0, 1.0, 0.0])
         with pytest.raises(ConditioningError, match="test matrix is numerically singular"):
             nc.schur_complement(np.eye(1), np.ones((1, 3)), mat, what="test matrix")
-        with pytest.raises(ConditioningError):
-            nc.spd_inverse(mat, "test matrix")
         with pytest.raises(ConditioningError, match="numerically singular"):
-            nc.spd_inverse(mat, "test matrix", bandwidth=0)
+            nc.spd_inverse(mat, "test matrix")
 
     def test_indefinite_raises(self):
         rng = np.random.default_rng(8)
@@ -577,34 +575,31 @@ class TestSpdKernel:
 
     @settings(max_examples=200, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30),
-           log_cond=st.floats(0.0, 14.0), flip=st.booleans(),
-           banded=st.booleans())
-    @example(seed=5, n=20, log_cond=12.0, flip=False, banded=False)
-    @example(seed=6, n=30, log_cond=11.999, flip=False, banded=True)
-    @example(seed=7, n=25, log_cond=12.001, flip=False, banded=False)
-    @example(seed=0, n=20, log_cond=8.0, flip=False, banded=False)
-    @example(seed=1, n=8, log_cond=8.5, flip=False, banded=True)
-    @example(seed=0, n=30, log_cond=6.9, flip=False, banded=False)
-    @example(seed=3, n=12, log_cond=2.0, flip=True, banded=False)
-    @example(seed=1004, n=27, log_cond=0.0, flip=False, banded=True)
-    def test_certified_bound_decides_as_the_exact_guard(self, seed, n, log_cond,
-                                                        flip, banded):
+           log_cond=st.floats(0.0, 14.0), flip=st.booleans())
+    @example(seed=5, n=20, log_cond=12.0, flip=False)
+    @example(seed=6, n=30, log_cond=11.999, flip=False)
+    @example(seed=7, n=25, log_cond=12.001, flip=False)
+    @example(seed=0, n=20, log_cond=8.0, flip=False)
+    @example(seed=1, n=8, log_cond=8.5, flip=False)
+    @example(seed=0, n=30, log_cond=6.9, flip=False)
+    @example(seed=3, n=12, log_cond=2.0, flip=True)
+    @example(seed=1004, n=27, log_cond=0.0, flip=False)
+    def test_certified_bound_decides_as_the_exact_guard(self, seed, n, log_cond, flip):
         """Accepts and refuses exactly as the exact-eigenvalue guard does,
         with the same exception and message (``flip`` makes the matrix
-        indefinite; ``banded`` passes a bandwidth of ``n - 1``)."""
+        indefinite)."""
         mat = spd_with_condition(seed, n, 10.0 ** log_cond if n > 1 else 1.0)
         if flip:
             vals, vecs = np.linalg.eigh(mat)
             vals[0] = -vals[0]
             mat = (vecs * vals) @ vecs.T
             mat = 0.5 * (mat + mat.T)
-        bandwidth = n - 1 if banded else None
         try:
-            want = exact_guard_inverse(mat, "test matrix", bandwidth)
+            want = exact_guard_inverse(mat, "test matrix")
         except ConditioningError as err:
             want = str(err)
         try:
-            got = nc.spd_inverse(mat, "test matrix", bandwidth=bandwidth)
+            got = nc.spd_inverse(mat, "test matrix")
         except ConditioningError as err:
             got = str(err)
         if isinstance(want, str) or isinstance(got, str):
@@ -684,17 +679,16 @@ class TestSpdKernel:
         # so only the eigenvalue guard can refuse them; from 1e9 on the
         # bound no longer clears and the exact extremes decide
         mat = np.diag([2.0, 2.0 / cond, 1.0])
-        for bandwidth in (None, 0):
-            if accepted:
-                inv, bound, residual = nc.spd_inverse(mat, "m", bandwidth=bandwidth)
-                oracle = oc._inverse_residual(mat, np.diagonal(mat), inv, bandwidth)
-                assert oracle <= np.finfo(float).eps
-                assert oracle <= residual <= oc.SPD_RESIDUAL_TOL
-                assert bound == pytest.approx(cond / (1.0 - residual), rel=1e-12)
-                assert np.allclose(inv, np.diag(1.0 / np.diag(mat)), rtol=1e-15, atol=0)
-            else:
-                with pytest.raises(ConditioningError, match="m is numerically singular"):
-                    nc.spd_inverse(mat, "m", bandwidth=bandwidth)
+        if accepted:
+            inv, bound, residual = nc.spd_inverse(mat, "m")
+            oracle = oc._inverse_residual(mat, np.diagonal(mat), inv)
+            assert oracle <= np.finfo(float).eps
+            assert oracle <= residual <= oc.SPD_RESIDUAL_TOL
+            assert bound == pytest.approx(cond / (1.0 - residual), rel=1e-12)
+            assert np.allclose(inv, np.diag(1.0 / np.diag(mat)), rtol=1e-15, atol=0)
+        else:
+            with pytest.raises(ConditioningError, match="m is numerically singular"):
+                nc.spd_inverse(mat, "m")
 
     def test_lapack_failures_are_reported_only_after_the_guard(self, monkeypatch):
         def failing(a, **kwargs):
@@ -709,12 +703,12 @@ class TestSpdKernel:
     @pytest.mark.parametrize("n,bandwidth,first,k", [
         (1, 0, 0, 1), (50, 0, 0, 50), (90, 4, 10, 70), (200, 9, 0, 200),
         (300, 17, 37, 200), (130, 200, 5, 60), (600, 150, 100, 300)])
-    def test_banded_residual_matches_dense(self, n, bandwidth, first, k):
+    def test_residual_matches_dense(self, n, bandwidth, first, k):
         """``||C X - I||_inf`` read from the triangles, against numpy on the
         full matrices, for ``X`` the inverse with rows and columns
-        ``first:first + k`` perturbed symmetrically; with the band and
-        without it, and with ``C`` and ``X`` sharing one buffer as the
-        kernel keeps them."""
+        ``first:first + k`` perturbed symmetrically, ``C`` zero beyond
+        ``bandwidth`` diagonals; also with ``C`` and ``X`` sharing one buffer
+        as the kernel keeps them."""
         rng = np.random.default_rng(n + bandwidth + first)
         lag = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
         raw = rng.standard_normal((n, n))
@@ -727,26 +721,24 @@ class TestSpdKernel:
         dense = np.abs(check).sum(axis=1).max()
         scale = np.abs(mat).sum(axis=1).max() * np.abs(x).sum(axis=0).max()
         shared = np.tril(mat, -1) + np.triu(x)
-        for bw in (bandwidth, None):
-            got = oc._inverse_residual(mat, np.diagonal(mat), x, bw)
-            assert abs(got - dense) <= 4 * n * np.finfo(float).eps * scale
-            with one_blas_thread():
-                assert (oc._inverse_residual(shared, np.diagonal(mat), shared.T, bw)
-                        == oc._inverse_residual(mat, np.diagonal(mat), x, bw))
+        got = oc._inverse_residual(mat, np.diagonal(mat), x)
+        assert abs(got - dense) <= 4 * n * np.finfo(float).eps * scale
+        with one_blas_thread():
+            assert (oc._inverse_residual(shared, np.diagonal(mat), shared.T)
+                    == oc._inverse_residual(mat, np.diagonal(mat), x))
 
-    @pytest.mark.parametrize("i,j,lo,hi", [(0, 1, 0, 1), (0, 600, 0, 600),
-                                           (100, 400, 40, 500), (300, 364, 0, 600)])
-    def test_sym_rows_reads_the_symmetric_matrix(self, i, j, lo, hi):
+    @pytest.mark.parametrize("i,j", [(0, 1), (0, 600), (100, 400), (300, 364)])
+    def test_sym_rows_reads_the_symmetric_matrix(self, i, j):
         """Rows of the matrix held in a lower triangle, with its own or a
         given diagonal, for strips of any height."""
         rng = np.random.default_rng(j)
         a = rng.standard_normal((600, 600))
         full = np.tril(a) + np.tril(a, -1).T
-        assert np.array_equal(oc._sym_rows(a, i, j, lo=lo, hi=hi), full[i:j, lo:hi])
+        assert np.array_equal(oc._sym_rows(a, i, j), full[i:j])
         diag = rng.standard_normal(600)
         full[np.diag_indices(600)] = diag
-        got = oc._sym_rows(a, i, j, diag, lo, hi)
-        assert got.flags.c_contiguous and np.array_equal(got, full[i:j, lo:hi])
+        got = oc._sym_rows(a, i, j, diag)
+        assert got.flags.c_contiguous and np.array_equal(got, full[i:j])
 
     @pytest.mark.parametrize("n", [1, 20, 256, 300, 600])
     def test_symmetric_product_matches_full_product(self, n):
@@ -798,6 +790,78 @@ class TestSpdKernel:
         with pytest.raises(InputError):
             nc.schur_complement(np.eye(1), np.ones((1, 2)), e)
 
+    @pytest.mark.parametrize("k,m", [(1, 1), (6, 20), (200, 400), (400, 200)])
+    def test_schur_complement_is_symmetric_and_matches_the_solve(self, k, m):
+        """``A - W^T W`` is exactly symmetric for a symmetric ``A`` and within
+        a few ulps of ``A - B E^-1 B^T`` by ``cho_solve``; a non-symmetric
+        ``A`` is kept as it is."""
+        rng = np.random.default_rng(k + m)
+        raw = rng.standard_normal((k + m, k + m))
+        full = raw @ raw.T / (k + m) + np.eye(k + m)
+        full = 0.5 * (full + full.T)
+        a, b, e = full[:k, :k], full[:k, k:], full[k:, k:]
+        got = nc.schur_complement(a, b, e)
+        factor = scipy.linalg.cho_factor(e, lower=True)
+        want = a - b @ scipy.linalg.cho_solve(factor, b.T)
+        assert np.array_equal(got, got.T)
+        assert np.abs(got - want).max() <= 8 * np.finfo(float).eps * np.abs(want).max()
+        skew = a + np.triu(np.ones((k, k)), 1)
+        moved = nc.schur_complement(skew, b, e) - got
+        assert np.abs(moved - (skew - a)).max() <= 8 * np.finfo(float).eps * np.abs(skew).max()
+
+
+class TestBandCholesky:
+    @staticmethod
+    def banded_spd(seed, n, bandwidth):
+        rng = np.random.default_rng(seed)
+        lag = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+        raw = rng.standard_normal((n, n)) * (lag <= bandwidth)
+        sym = 0.5 * (raw + raw.T)
+        return sym + (np.abs(sym).sum(axis=1).max() + 1.0) * np.eye(n)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 300),
+           bandwidth=st.integers(0, 150), columns=st.integers(1, 40))
+    @example(seed=0, n=300, bandwidth=64, columns=300)
+    @example(seed=1, n=257, bandwidth=100, columns=7)
+    @example(seed=2, n=129, bandwidth=63, columns=1)
+    @example(seed=3, n=1, bandwidth=0, columns=1)
+    @example(seed=4, n=65, bandwidth=0, columns=65)
+    def test_blocked_solves_match_the_dense_triangular_solve(self, seed, n, bandwidth,
+                                                              columns):
+        """``L^-1 b`` and ``L^-T b`` in place, in 64-row strips, against
+        ``solve_triangular`` on the same factor in dense form, for orders
+        that are and are not a multiple of the strip and bandwidths below
+        and above it."""
+        bandwidth = min(bandwidth, n - 1)
+        mat = self.banded_spd(seed, n, bandwidth)
+        chol = oc._BandCholesky.factor(mat, bandwidth)
+        dense = np.zeros((n, n))
+        for k in range(bandwidth + 1):
+            dense[np.arange(k, n), np.arange(n - k)] = chol.band[k, :n - k]
+        assert np.allclose(dense @ dense.T, mat, rtol=0, atol=1e-13 * np.abs(mat).max())
+        rhs = np.random.default_rng(seed + 1).standard_normal((n, columns))
+        for upper in (False, True):
+            want = scipy.linalg.solve_triangular(dense, rhs, lower=True, trans=int(upper))
+            buf = rhs.copy()
+            assert chol.solve(buf, upper=upper) is buf
+            assert np.abs(buf - want).max() <= 1e-13 * np.abs(want).max()
+        v = rhs[:, 0].copy()
+        want = scipy.linalg.solve(mat, v, assume_a="pos")
+        assert np.abs(chol.solve_vector(v) - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_indefinite_matrix_has_no_factor(self):
+        mat = self.banded_spd(7, 40, 3)
+        mat[10, 10] = -5.0
+        assert oc._BandCholesky.factor(mat, 3) is None
+
+    @pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 600])
+    def test_transpose_in_place(self, n):
+        a = np.random.default_rng(n).standard_normal((n, n))
+        want = a.T.copy()
+        oc._transpose_in_place(a)
+        assert np.array_equal(a, want)
+
 
 def copying_inverse(mat):
     """The SPD inverse on a Fortran copy, as ``spd_inverse`` computed it
@@ -817,13 +881,13 @@ class TestInPlaceKernel:
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), length=st.integers(1, 60),
            p=st.integers(1, 3), bandwidth=st.integers(0, 60),
-           log_cond=st.floats(0.0, 7.0), banded=st.booleans())
-    @example(seed=0, length=100, p=3, bandwidth=100, log_cond=3.0, banded=False)
-    @example(seed=1, length=140, p=2, bandwidth=4, log_cond=5.0, banded=True)
-    @example(seed=2, length=120, p=3, bandwidth=60, log_cond=4.0, banded=True)
-    def test_matches_the_copying_path(self, seed, length, p, bandwidth, log_cond,
-                                      banded):
-        """Inverse and the norms of the condition bound bit for bit; the
+           log_cond=st.floats(0.0, 7.0))
+    @example(seed=0, length=100, p=3, bandwidth=100, log_cond=3.0)
+    @example(seed=1, length=140, p=2, bandwidth=4, log_cond=5.0)
+    @example(seed=2, length=120, p=3, bandwidth=60, log_cond=4.0)
+    def test_matches_the_copying_path(self, seed, length, p, bandwidth, log_cond):
+        """Inverse and the norms of the condition bound bit for bit, on
+        matrices zero beyond ``bandwidth`` blocks; the
         residual is a bound, never below the copying path's residual, which
         is summed in another order, less the rounding of that product
         (``4 n eps ||C|| ||X||``, the same order as the residual itself)."""
@@ -832,12 +896,12 @@ class TestInPlaceKernel:
         mat = banded_with_condition(seed, n, rows, 10.0 ** log_cond)
         inv, c_norm, x_norm, residual = copying_inverse(mat)
         buf = mat.copy()
-        bound, got = oc._spd_inverse_in_place(buf, "m", rows if banded else None)
+        bound, got = oc._spd_inverse_in_place(buf, "m")
         assert np.array_equal(buf, inv)
         assert bound == c_norm * x_norm / (1.0 - got)
         assert residual - 4 * n * np.finfo(float).eps * c_norm * x_norm <= got
         assert got <= oc.SPD_RESIDUAL_TOL
-        public = nc.spd_inverse(mat, "m", rows if banded else None)
+        public = nc.spd_inverse(mat, "m")
         assert np.array_equal(public[0], inv) and public[1:] == (bound, got)
 
     @settings(max_examples=150, deadline=None)
@@ -855,18 +919,17 @@ class TestInPlaceKernel:
         point where the bound stops clearing ``SPD_RESIDUAL_TOL``."""
         cond = 10.0 ** log_cond
         if banded:
-            bandwidth = min(bandwidth, n - 1)
-            mat = banded_with_condition(seed, n, bandwidth, cond)
+            mat = banded_with_condition(seed, n, min(bandwidth, n - 1), cond)
         else:
-            bandwidth, mat = None, spd_with_condition(seed, n, cond)
+            mat = spd_with_condition(seed, n, cond)
         buf = mat.copy()
         try:
             bound = oc._invert_upper(buf, np.diagonal(mat).copy(), oc._row_sum_norm(mat),
-                                     "m", bandwidth)
+                                     "m")
         except ConditioningError:
             return
         oc._mirror_lower(buf.T)
-        assert bound >= oc._inverse_residual(mat, np.diagonal(mat), buf, bandwidth)
+        assert bound >= oc._inverse_residual(mat, np.diagonal(mat), buf)
         if log_cond <= 1.0:
             # a well conditioned matrix is accepted on the bound
             assert bound <= oc.SPD_RESIDUAL_TOL
