@@ -2,11 +2,11 @@
 
 Usage::
 
-    nonstatcov <experiment> --config cfg.json --out results/ [--threads k]
+    nonstatcov <experiment> --config cfg.json --out results/
     nonstatcov --list-reference-configs
 
 Exit codes: 0 all verdicts pass, 1 verdict failure, 2 config error,
-3 numeric error.  ``NONSTATCOV_THREADS`` is the fallback thread count.
+3 numeric error.
 """
 
 from __future__ import annotations
@@ -61,10 +61,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True,
                        help="JSON config path or bundled config name")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker threads for the verify-all checks; other "
-                            "experiments ignore it "
-                            "(default: NONSTATCOV_THREADS or 1)")
     return parser
 
 
@@ -78,15 +74,6 @@ def main(argv=None) -> int:
     if not args.experiment:
         parser.print_help()
         return EXIT_CONFIG_ERROR
-    threads = args.threads
-    if threads is None:
-        raw = os.environ.get("NONSTATCOV_THREADS", "1")
-        try:
-            threads = int(raw)
-        except ValueError:
-            print(f"config error: NONSTATCOV_THREADS must be an integer, "
-                  f"got {raw!r}", file=sys.stderr)
-            return EXIT_CONFIG_ERROR
     try:
         config = load_config(resolve_config_path(args.config),
                              default_experiment=args.experiment)
@@ -94,7 +81,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     try:
-        report = run_experiment(config, threads=max(1, threads))
+        report = run_experiment(config)
     except NonstatcovError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC_ERROR

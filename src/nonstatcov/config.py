@@ -310,6 +310,9 @@ def load_config(obj_or_path, default_experiment: str | None = None) -> Experimen
     companions = {key: model_from_json(raw_companions.get(key, {"reference": name}),
                                        f"/companions/{key}")
                   for key, name in defaults.items()}
+    # the physical-dependence check reads the contraction bound of an SRE
+    _expect(isinstance(companions.get("sre_model"), (SRE, type(None))),
+            "the sre_model companion must be an sre model", "/companions/sre_model")
     return ExperimentConfig(experiment=experiment, seed=obj["seed"],
                             model=model, grid=grid,
                             companions=companions, raw=obj)

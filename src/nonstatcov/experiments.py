@@ -385,10 +385,10 @@ def _run_physical(config: ExperimentConfig):
     return rows, [Verdict("beyond_memory_null", beyond_ok, {"memory": memory})]
 
 
-def _run_verify_all(config: ExperimentConfig, threads: int):
+def _run_verify_all(config: ExperimentConfig):
     """Rows and verdicts of the battery, and the wall seconds of each check."""
-    results = vf.run_all(model=config.model, threads=threads,
-                         names=config.grid["checks"], **config.companions)
+    results = vf.run_all(model=config.model, names=config.grid["checks"],
+                         **config.companions)
     rows = []
     verdicts = []
     timings = {}
@@ -431,13 +431,16 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> Report:
     Numeric failures inside a check become failed verdicts where the
     runner is structured to continue; hard errors (singular inputs, config
     contradictions) propagate as :class:`NonstatcovError`.
+
+    Every experiment runs serially.  ``threads`` is kept only for callers
+    that still pass ``threads=1`` (the benchmark harness); it accepts ``1``
+    and refuses any other value with :class:`InputError`, and goes once the
+    harness stops passing it.
     """
+    if isinstance(threads, bool) or threads != 1:
+        raise InputError(f"run_experiment: threads must be 1, got {threads!r}")
     runner = _RUNNERS.get(config.experiment)
     if runner is None:
         raise ConfigError(f"unknown experiment {config.experiment!r}",
                           path="/experiment")
-    # only the verify-all battery has independent parts to run in threads,
-    # and only it times its parts
-    if runner is _run_verify_all:
-        return _finalize(config.experiment, config, *runner(config, threads))
     return _finalize(config.experiment, config, *runner(config))

@@ -347,14 +347,15 @@ class CoherenceGapReport:
 
 def coherence_consistency_gap(model: ModelSpec, n: int, t_index: int,
                               a: int, b: int, omega_grid,
-                              max_lag: int | None = None) -> CoherenceGapReport:
+                              max_lag: int = 40) -> CoherenceGapReport:
     """Assemble the local partial coherence from nonstationary partial
     covariances and compare with the frozen-coherence closed form.
 
     The assembled curve is
     ``sum_r rho^(ab)_{t,t+r} e^{i r omega}`` normalized by the principal
     square root of the product of the self sums; its gap to
-    ``g_{a,b}(omega; t/N)`` is O(1/N) plus the Fourier truncation.
+    ``g_{a,b}(omega; t/N)`` is O(1/N) plus the Fourier truncation, the
+    norms of the two end lags ``+-max_lag``.
 
     Raises:
         InputError: a ``bool`` or non-integer ``n``, ``t_index`` or
@@ -365,14 +366,11 @@ def coherence_consistency_gap(model: ModelSpec, n: int, t_index: int,
     """
     check_size(n, "coherence_consistency_gap")
     check_count(t_index, "t_index", "coherence_consistency_gap", signed=True)
-    if max_lag is not None:
-        check_count(max_lag, "max_lag", "coherence_consistency_gap")
+    check_count(max_lag, "max_lag", "coherence_consistency_gap")
     omega_grid = _check_omegas(omega_grid, "coherence_consistency_gap")
     if not omega_grid.size:
         raise InputError("coherence_consistency_gap: omega_grid must be nonempty")
     pad = cov_pad(model)
-    if max_lag is None:
-        max_lag = _default_fourier_lag(model, n, t_index, a, b, pad)
     c = cov_window(model, n, t_index - max_lag - pad, t_index + max_lag + pad)
     pair = partial_cov_pair(c, a, b, pad=pad)
     center = max_lag
@@ -400,16 +398,3 @@ def coherence_consistency_gap(model: ModelSpec, n: int, t_index: int,
     return CoherenceGapReport(omega_grid=omega_grid, assembled=assembled,
                               frozen=frozen, gaps=gaps,
                               imag_residue=imag_residue, truncation_tail=tail)
-
-
-def _default_fourier_lag(model: ModelSpec, n: int, t_index: int, a: int,
-                         b: int, pad: int, cap: int = 80) -> int:
-    """Smallest lag where the partial covariance norm drops below 1e-8."""
-    c = cov_window(model, n, t_index - cap - pad, t_index + cap + pad)
-    pair = partial_cov_pair(c, a, b, pad=pad)
-    center = cap
-    norms = block_norms(pair.deltas[center])
-    # the larger norm at lags +r and -r, for r = 1..cap
-    tails = np.maximum(norms[center + 1:], norms[:center][::-1])
-    small = np.flatnonzero(tails < 1e-8 * max(float(norms[center]), 1e-300))
-    return int(small[0]) + 1 if small.size else cap

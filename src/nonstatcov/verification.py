@@ -244,6 +244,10 @@ def check_smoothness(model=None, var_model=None,
     ratios = {}
     for name, gaps in (("sigma", sigma_gap), ("inverse", d_gap),
                        ("partial", delta_gap)):
+        zero = [n for n in ns if gaps[n] == 0.0]
+        if zero:
+            raise DegenerateFitError(f"check_smoothness: no rate, the {name} "
+                                     f"gap at N={zero[0]} is 0")
         for n1, n2 in zip(ns, ns[1:]):
             ratios[f"{name}_{n1}_{n2}"] = gaps[n1] / gaps[n2]
     halving = all(1.5 <= r <= 2.7 for r in ratios.values())
@@ -488,27 +492,18 @@ ALL_CHECKS = (
 )
 
 
-def run_all(model=None, var_model=None, sre_model=None, threads: int = 1,
+def run_all(model=None, var_model=None, sre_model=None,
             names=None) -> list[CheckResult]:
-    """Run the verification battery (deterministic, order-preserving); each
-    result carries its check's wall time in ``wall_s``."""
+    """Run the checks of the battery in ``ALL_CHECKS`` order (deterministic);
+    each result carries its check's wall time in ``wall_s``."""
     kwargs_all = {"model": model, "var_model": var_model, "sre_model": sre_model}
-    jobs = []
+    results = []
     for name, fn, wants in ALL_CHECKS:
         if names is not None and name not in names:
             continue
         kwargs = {k: kwargs_all[k] for k in wants if kwargs_all.get(k) is not None}
-        jobs.append((name, fn, kwargs))
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(_timed, fn, kw) for _, fn, kw in jobs]
-            return [f.result() for f in futures]
-    return [_timed(fn, kw) for _, fn, kw in jobs]
-
-
-def _timed(fn, kwargs: dict) -> CheckResult:
-    start = time.perf_counter()
-    result = fn(**kwargs)
-    result.wall_s = time.perf_counter() - start
-    return result
+        start = time.perf_counter()
+        result = fn(**kwargs)
+        result.wall_s = time.perf_counter() - start
+        results.append(result)
+    return results

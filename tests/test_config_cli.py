@@ -19,11 +19,11 @@ from hypothesis import strategies as st
 
 import nonstatcov as nc
 from nonstatcov import cli, experiments
-from nonstatcov.config import (EXPERIMENT_KINDS, GRID_FIELDS, MODEL_FAMILIES,
-                               PARTIAL_GAP_FIELDS, REQUIRED, coefficient_fn_to_json,
-                               config_digest, load_config, model_from_json,
-                               model_to_json, partial_gaps_apply)
-from nonstatcov.errors import ConfigError
+from nonstatcov.config import (COMPANIONS, EXPERIMENT_KINDS, GRID_FIELDS,
+                               MODEL_FAMILIES, PARTIAL_GAP_FIELDS, REQUIRED,
+                               coefficient_fn_to_json, config_digest, load_config,
+                               model_from_json, model_to_json, partial_gaps_apply)
+from nonstatcov.errors import ConfigError, InputError
 from nonstatcov.experiments import run_experiment, write_report
 from nonstatcov.models import COEFFICIENT_FORMS
 
@@ -286,28 +286,17 @@ class TestRunExperiment:
         assert a.table_csv() == b.table_csv()
         assert a.verdicts_json() == b.verdicts_json()
 
-    def test_verify_all_tables_independent_of_threads(self):
-        # the checks share one model instance, validated once across threads;
-        # coherence_consistency and smoothness_transfer read TvVAR covariance
-        # windows, physical_dependence simulates the SRE companion
-        cfg = {"experiment": "verify-all", "seed": 7,
-               "model": {"reference": "tvvma_kappa4_p2"},
-               "grid": {"checks": ["inverse_decay", "eigenvalue_sandwich",
-                                   "ar1_analytic", "neumann_certificates",
-                                   "partial_oracle", "coherence_consistency",
-                                   "smoothness_transfer", "physical_dependence",
-                                   "lemma_utilities", "banded_inverse_soundness",
-                                   "baxter_gaps"]}}
-        serial = run_experiment(load_config(cfg), threads=1)
-        assert [v.name for v in serial.verdicts][:11] == [
-            "inverse_decay", "banded_inverse_soundness", "neumann_certificates",
-            "ar1_analytic", "baxter_gaps", "smoothness_transfer", "partial_oracle",
-            "coherence_consistency", "eigenvalue_sandwich", "physical_dependence",
-            "lemma_utilities"]
-        for threads in (2, 3):
-            threaded = run_experiment(load_config(cfg), threads=threads)
-            assert serial.table_csv() == threaded.table_csv()
-            assert serial.verdicts_json() == threaded.verdicts_json()
+    def test_threads_keyword_takes_only_one(self):
+        # the benchmark harness calls run_experiment(config, threads=1)
+        cfg = load_config({"experiment": "verify-all", "seed": 7,
+                           "model": {"reference": "tvvma_kappa4_p2"},
+                           "grid": {"checks": ["ar1_analytic", "partial_oracle"]}})
+        plain, harness = run_experiment(cfg), run_experiment(cfg, threads=1)
+        assert plain.table_csv() == harness.table_csv()
+        assert plain.verdicts_json() == harness.verdicts_json()
+        for threads in (2, 0, True):
+            with pytest.raises(InputError, match="run_experiment: threads must be 1"):
+                run_experiment(cfg, threads=threads)
 
     def test_simulate_deterministic(self):
         cfg = load_config(minimal_config("simulate", t_lo=0, t_hi=40))
@@ -404,6 +393,41 @@ def _small_configs(draw):
                   "model": {"reference": reference}, "grid": grid}
 
 
+#: The checks of the battery that take at most about a fifth of a second on
+#: every reference model.
+_CHEAP_CHECKS = ["ar1_analytic", "baxter_gaps", "smoothness_transfer", "partial_oracle",
+                 "coherence_consistency", "eigenvalue_sandwich", "physical_dependence"]
+
+
+@st.composite
+def _small_battery_configs(draw):
+    kind = draw(st.sampled_from(["smoothness", "verify-all"]))
+    references = st.sampled_from(sorted(nc.REFERENCE_BUILDERS))
+    grid = ({"Ns": draw(_SMALL_GRID["Ns"])} if kind == "smoothness" else
+            {"checks": draw(st.lists(st.sampled_from(_CHEAP_CHECKS), max_size=2,
+                                     unique=True))})
+    companions = {key: {"reference": draw(references)}
+                  for key in draw(st.sets(st.sampled_from(sorted(COMPANIONS[kind]))))}
+    return kind, {"experiment": kind, "seed": draw(st.integers(0, 2**32 - 1)),
+                  "model": {"reference": draw(references)},
+                  "companions": companions, "grid": grid}
+
+
+def _assert_exit_code_contract(kind, cfg):
+    """A run ends in 0, 1, 2 or 3, never a traceback, and in 1 exactly when
+    a verdict it wrote failed."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = os.path.join(tmp, "cfg.json"), os.path.join(tmp, "out")
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        code = cli.main([kind, "--config", path, "--out", out])
+        assert code in (0, 1, 2, 3)
+        if code in (0, 1):
+            with open(os.path.join(out, "verdicts.json")) as fh:
+                verdicts = json.load(fh)["verdicts"]
+            assert (code == 1) == (not all(v["passed"] for v in verdicts))
+
+
 class TestCli:
     @settings(max_examples=60, deadline=None)
     @example(config=("invert", {"experiment": "invert", "seed": 0,
@@ -415,21 +439,35 @@ class TestCli:
                                             "max_lag": 0, "omega_points": 1}}))
     @given(config=_small_configs())
     def test_generated_configs_keep_the_exit_code_contract(self, config):
-        # a run ends in 0, 1, 2 or 3, never a traceback, and in 1 exactly
-        # when a verdict it wrote failed; the examples ended in an
-        # AttributeError (a TvVAR has no kappa) and a ZeroDivisionError (a
-        # coherence gap of 0 at both N)
-        kind, cfg = config
-        with tempfile.TemporaryDirectory() as tmp:
-            path, out = os.path.join(tmp, "cfg.json"), os.path.join(tmp, "out")
-            with open(path, "w") as fh:
-                json.dump(cfg, fh)
-            code = cli.main([kind, "--config", path, "--out", out])
-            assert code in (0, 1, 2, 3)
-            if code in (0, 1):
-                with open(os.path.join(out, "verdicts.json")) as fh:
-                    verdicts = json.load(fh)["verdicts"]
-                assert (code == 1) == (not all(v["passed"] for v in verdicts))
+        # the examples ended in an AttributeError (a TvVAR has no kappa) and
+        # a ZeroDivisionError (a coherence gap of 0 at both N)
+        _assert_exit_code_contract(*config)
+
+    @settings(max_examples=25, deadline=None)
+    @example(config=("smoothness", {"experiment": "smoothness", "seed": 0,
+                                    "model": {"reference": "tvvma_kappa4_p1"},
+                                    "companions": {"var_model": {"reference": "white_noise_p2"}},
+                                    "grid": {"Ns": [20, 40]}}))
+    @example(config=("verify-all", {"experiment": "verify-all", "seed": 0,
+                                    "model": {"reference": "tvvma_kappa4_p1"},
+                                    "companions": {"sre_model": {"reference": "tvvar1_p3"}},
+                                    "grid": {"checks": ["physical_dependence"]}}))
+    @given(config=_small_battery_configs())
+    def test_generated_battery_configs_keep_the_exit_code_contract(self, config):
+        # smoothness and verify-all, on the cheap checks; the examples ended
+        # in a ZeroDivisionError (a partial gap of 0 at every N) and an
+        # AttributeError (a TvVAR has no contraction bound)
+        _assert_exit_code_contract(*config)
+
+    def test_threads_option_is_a_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify-all", "--config", "verify_all_tvvma",
+                      "--out", str(tmp_path / "out"), "--threads", "2"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage: nonstatcov" in err and "unrecognized arguments: --threads 2" in err
+        assert "Traceback" not in err
+        assert os.listdir(tmp_path) == []
 
     def test_list_reference_configs(self, capsys):
         assert cli.main(["--list-reference-configs"]) == 0
@@ -609,6 +647,8 @@ class TestCli:
          "/companions/var_model"),
         ("smoothness", {"companions": {"var_model": {"reference": "tvvar1_p3", "p": 3}}},
          "/companions/var_model/p"),
+        ("verify-all", {"companions": {"sre_model": {"reference": "tvvar1_p3"}}},
+         "/companions/sre_model"),
     ])
     def test_malformed_seed_or_companion_exit_two(self, tmp_path, capsys, experiment,
                                                   extra, field):
@@ -639,20 +679,6 @@ class TestCli:
             "grid": {"N": 100, "t_lo": 10, "t_hi": 60}}))
         code = cli.main(["decay", "--config", str(cfg), "--out", str(tmp_path)])
         assert code == 3
-
-    def test_threads_env_var_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("NONSTATCOV_THREADS", "2")
-        code = cli.main(["decay", "--config", "decay_white_noise",
-                         "--out", str(tmp_path)])
-        assert code == 0
-
-    def test_threads_env_var_not_an_integer(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("NONSTATCOV_THREADS", "abc")
-        code = cli.main(["decay", "--config", "decay_white_noise",
-                         "--out", str(tmp_path)])
-        assert code == 2
-        assert "config error: NONSTATCOV_THREADS" in capsys.readouterr().err
-        assert not os.path.exists(tmp_path / "decay_table.csv")
 
     def test_coherence_rows_carry_curves(self):
         cfg = load_config({"experiment": "coherence", "seed": 5,

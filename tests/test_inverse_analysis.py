@@ -736,10 +736,15 @@ class TestAPrioriResidualGuard:
 
     def test_battery_takes_no_residual_product(self, counts):
         from nonstatcov.verification import run_all
-        run_all()
+        results = run_all()
         # the finite-section and stationary inverses; the 50 Neumann
         # truncations B_M take their band factor instead
         assert counts == {"kernel": 21, "residual": 0}
+        assert [res.name for res in results] == [
+            "inverse_decay", "banded_inverse_soundness", "neumann_certificates",
+            "ar1_analytic", "baxter_gaps", "smoothness_transfer", "partial_oracle",
+            "coherence_consistency", "eigenvalue_sandwich", "physical_dependence",
+            "lemma_utilities"]
 
     @pytest.mark.parametrize("name,bandwidth", [("tvvma_kappa4_p2", 12), ("tvvar1_p3", 6)])
     def test_large_sections_take_no_residual_product(self, counts, name, bandwidth):

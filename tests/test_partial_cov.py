@@ -436,10 +436,3 @@ class TestCoherenceConsistency:
                                                omegas, max_lag=40)
             sup[n] = rep.sup_gap
         assert 1.4 <= sup[200] / sup[400] <= 2.8
-
-    def test_default_lag_rule(self):
-        model = nc.get_reference_model("tvvar1_p3")
-        omegas = np.linspace(0, 2 * math.pi, 9, endpoint=False)
-        rep = nc.coherence_consistency_gap(model, 200, 60, 0, 1, omegas,
-                                           max_lag=None)
-        assert rep.truncation_tail <= 1e-7
