@@ -310,7 +310,12 @@ def load_config(obj_or_path, default_experiment: str | None = None) -> Experimen
     companions = {key: model_from_json(raw_companions.get(key, {"reference": name}),
                                        f"/companions/{key}")
                   for key, name in defaults.items()}
-    # the physical-dependence check reads the contraction bound of an SRE
+    # the smoothness and coherence checks measure the partial-covariance
+    # gaps of var_model; the physical-dependence check reads the contraction
+    # bound of an SRE
+    _expect("var_model" not in companions or partial_gaps_apply(companions["var_model"]),
+            "the var_model companion must be a TvVMA or TvVAR model with p >= 2",
+            "/companions/var_model")
     _expect(isinstance(companions.get("sre_model"), (SRE, type(None))),
             "the sre_model companion must be an sre model", "/companions/sre_model")
     return ExperimentConfig(experiment=experiment, seed=obj["seed"],

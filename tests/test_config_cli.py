@@ -649,6 +649,13 @@ class TestCli:
          "/companions/var_model/p"),
         ("verify-all", {"companions": {"sre_model": {"reference": "tvvar1_p3"}}},
          "/companions/sre_model"),
+        # the partial-covariance gaps need a TvVMA or TvVAR with p >= 2
+        ("smoothness", {"companions": {"var_model": {"reference": "ar1_phi05"}}},
+         "/companions/var_model"),
+        ("smoothness", {"companions": {"var_model": {"reference": "tvarch_order2"}}},
+         "/companions/var_model"),
+        ("verify-all", {"companions": {"var_model": {"reference": "sre_p2"}}},
+         "/companions/var_model"),
     ])
     def test_malformed_seed_or_companion_exit_two(self, tmp_path, capsys, experiment,
                                                   extra, field):

@@ -150,9 +150,8 @@ class TestFiniteSectionInverse:
 
 
 def _indefinite_window() -> nc.BlockWindow:
-    """A symmetric window whose bandwidth-2 truncation is indefinite while
-    its Neumann series contracts (q < 1 keeps the inertia of B_M, so the
-    window is indefinite too): the LU branch of ``neumann_inverse``."""
+    """A symmetric window whose bandwidth-2 truncation is indefinite; the
+    window itself is indefinite too, so it is no covariance."""
     rng = np.random.default_rng(12)
     length, m = 30, 2
     lag = np.abs(np.subtract.outer(np.arange(length), np.arange(length)))
@@ -162,6 +161,18 @@ def _indefinite_window() -> nc.BlockWindow:
     banded = 0.2 * sym * (lag <= m) + np.diag(signs * rng.uniform(3.0, 4.0, length))
     tail = 0.02 * sym * (lag > m)
     return nc.BlockWindow.from_flat(banded + tail, p=1, symmetrize=True)
+
+
+def _decaying_spd_window(seed: int, n: int) -> np.ndarray:
+    """An exactly symmetric SPD ``n x n`` matrix whose entries decay
+    geometrically off the diagonal, shifted to a smallest eigenvalue of
+    0.001-0.05, so that some of its banded truncations are indefinite."""
+    rng = np.random.default_rng(seed)
+    lag = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+    raw = rng.standard_normal((n, n))
+    c = (raw + raw.T) * rng.uniform(0.5, 0.95) ** lag
+    c += (rng.uniform(0.001, 0.05) - np.linalg.eigvalsh(c)[0]) * np.eye(n)
+    return c
 
 
 class TestNeumannInverse:
@@ -211,22 +222,19 @@ class TestNeumannInverse:
             assert res.contraction_norm == pytest.approx(ref, rel=1e-12)
 
     def test_split_sum_matches_power_sum(self):
-        # the SPD branch and the LU branch (an indefinite truncation)
-        cases = [(nc.cov_window(reference_tvvma(), 200, -20, 49), 6),
-                 (_indefinite_window(), 2)]
-        for c, m in cases:
-            bf = nc.band_truncate(c, m).base.flatten()
-            b_inv = np.linalg.inv(bf)
-            prod = b_inv @ (c.flatten() - bf)
-            power, total = b_inv, b_inv.copy()
-            for terms in range(42):
-                if terms:
-                    power = -prod @ power
-                    total += power
-                res = nc.neumann_inverse(c, m, terms)
-                scale = np.abs(total).max()
-                assert np.abs(res.approx.flatten() - total).max() <= 1e-13 * scale
-                assert res.approx.symmetric
+        c, m = nc.cov_window(reference_tvvma(), 200, -20, 49), 6
+        bf = nc.band_truncate(c, m).base.flatten()
+        b_inv = np.linalg.inv(bf)
+        prod = b_inv @ (c.flatten() - bf)
+        power, total = b_inv, b_inv.copy()
+        for terms in range(42):
+            if terms:
+                power = -prod @ power
+                total += power
+            res = nc.neumann_inverse(c, m, terms)
+            scale = np.abs(total).max()
+            assert np.abs(res.approx.flatten() - total).max() <= 1e-13 * scale
+            assert res.approx.symmetric
 
     def test_split_sum_product_count(self, monkeypatch):
         from nonstatcov import inverse_analysis as ia
@@ -252,23 +260,22 @@ class TestNeumannInverse:
         # multiply into H's own buffer
         for name in ("symmetric_product", "_symmetric_product_into"):
             monkeypatch.setattr(ia, name, counting(getattr(oc, name)))
-        whitened = nc.cov_window(reference_tvvma(), 200, 30, 109), 12
-        lu = _indefinite_window(), 2
+        c = nc.cov_window(reference_tvvma(), 200, 30, 109)
         for terms in (0, 1, 6, 7, 12, 20):
             b = ia._split_length(terms) if terms else 1
             horner = max(terms // b - 1, 0)
-            # whitened: the b - 1 powers are symmetric products and Q = A is
-            # free; LU: the powers are plain products and Q = A R is one more
-            for (c, m), first in [(whitened, b - 1), (lu, 1)]:
-                products.clear()
-                nc.neumann_inverse(c, m, terms)
-                if not terms:
-                    assert products == []
-                    continue
-                assert len(products) == first + horner
-                assert products.count("symmetric_product") == first + min(horner, 1)
+            # the b - 1 powers are symmetric products, the first Horner step
+            # one more, and A is summed with no product
+            products.clear()
+            nc.neumann_inverse(c, 12, terms)
+            if not terms:
+                assert products == []
+                continue
+            assert len(products) == b - 1 + horner
+            assert products.count("symmetric_product") == b - 1 + min(horner, 1)
 
     def test_whitened_branch_inverts_no_dense_matrix(self, monkeypatch):
+        import scipy.linalg
         from nonstatcov import operator_core as oc
         calls = []
 
@@ -281,15 +288,21 @@ class TestNeumannInverse:
             monkeypatch.setattr(module, "_spd_inverse_in_place",
                                 counting("spd", oc._spd_inverse_in_place))
         monkeypatch.setattr(np.linalg, "inv", counting("inv", np.linalg.inv))
+        for module in (np.linalg, scipy.linalg):
+            monkeypatch.setattr(module, "eigvalsh", counting("eigvalsh", module.eigvalsh))
         monkeypatch.setattr(oc._BandCholesky, "factor",
                             counting("factor", oc._BandCholesky.factor))
         c = nc.cov_window(reference_tvvma(), 200, 0, 299)
         for terms in (0, 6, 12):
             nc.neumann_inverse(c, 8, terms)
         assert calls == ["factor"] * 3
+        # an indefinite truncation is refused from its band extremes
+        spd = nc.BlockWindow.from_flat(_decaying_spd_window(18, 19), p=1, symmetrize=True)
         calls.clear()
-        nc.neumann_inverse(_indefinite_window(), 2, 6)
-        assert calls == ["inv"]
+        for w in (_indefinite_window(), spd):
+            with pytest.raises(DivergenceError):
+                nc.neumann_inverse(w, 2, 6)
+        assert calls == []
 
     @settings(max_examples=30, deadline=None)
     @given(n=st.integers(1, 600), terms=st.integers(0, 30), seed=st.integers(0, 2**32 - 1))
@@ -299,79 +312,59 @@ class TestNeumannInverse:
     @example(n=256, terms=6, seed=3)
     def test_split_sum_keeps_the_bits_of_fresh_buffers(self, n, terms, seed):
         """The in-place sum against the split sum with a fresh array for
-        ``A`` and for every Horner step, bit for bit."""
+        ``A``, for every power and for every Horner step, bit for bit."""
         from nonstatcov import operator_core as oc
 
-        def fresh_buffer_sum(r, x, terms):
+        def fresh_buffer_sum(x, terms):
             if terms == 0:
-                return r
+                return np.eye(n)
             b = ia._split_length(terms)
             acc = power = x
             for _ in range(b - 1):
-                power = ia._flush_tiny(x @ power)
-                acc = acc + power if acc is x else np.add(acc, power, out=acc)
+                power = ia._flush_tiny(oc.symmetric_product(x, power))
+                acc = acc + power
             if b > 1:
                 ia._flush_tiny(acc)
-            q = oc.symmetric_product(acc, r)
-            h = q
+            h = acc
             for _ in range(terms // b - 1):
-                h = oc.symmetric_product(power, ia._flush_tiny(h))
-                np.add(h, q, out=h)
-            return np.add(h, r, out=h)
+                h = oc.symmetric_product(power, ia._flush_tiny(h)) + acc
+            h[np.diag_indices(n)] += 1.0
+            return h
 
-        # R and E decay off the diagonal as banded inverses do, so that the
+        # x decays off the diagonal as whitened contractions do, so that the
         # products reach the flush level of _flush_tiny on wide matrices
         rng = np.random.default_rng(seed)
         lag = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
-        noise = rng.standard_normal((2, n, n))
-        noise += noise.transpose(0, 2, 1)
-        r = rng.uniform(0.05, 0.9) ** lag * (1.0 + 0.05 * noise[0])
-        e = 0.2 * rng.uniform(0.05, 0.9) ** lag * noise[1] / math.sqrt(n)
-        x = -(r @ e)
-        want = fresh_buffer_sum(r.copy(), x.copy(), terms)
-        got = ia._neumann_sum(r.copy(), [x.copy()], terms)
+        noise = rng.standard_normal((n, n))
+        x = -0.2 * rng.uniform(0.05, 0.9) ** lag * (noise + noise.T) / math.sqrt(n)
+        assert np.array_equal(x, x.T)
+        want = fresh_buffer_sum(x.copy(), terms)
+        got = ia._neumann_sum([x.copy()], terms)
         assert got.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("lu", [False, True])
-    def test_certificate_fields_independent_of_the_series(self, lu):
+    def test_certificate_fields_independent_of_the_series(self):
         import scipy.linalg
         from nonstatcov.operator_core import _KRYLOV_MIN_N, _lanczos_norm, krylov_norm
-        # the extremes of B_M, q and ||E|| taken apart from the series: for
-        # the LU branch from B_M^-1 and P = B_M^-1 E with one full-size mask
-        # per flush; for the whitened branch by Lanczos on v -> B_M^-1 (E v),
-        # u -> E (B_M^-1 u) with scipy's banded Cholesky and solve
-        def flush(a):
-            scale = max(a.max(initial=0.0), -a.min(initial=0.0))
-            a[np.abs(a) < 1e-150 * scale] = 0.0
-            return a
-        if lu:
-            c, m = _indefinite_window(), 2
-        else:
-            c, m = nc.cov_window(reference_tvvma(), 200, 0, 109), 8
+        # the extremes of B_M, q and ||E|| taken apart from the series: q by
+        # Lanczos on v -> B_M^-1 (E v), u -> E (B_M^-1 u) with scipy's
+        # banded Cholesky and solve
+        c, m = nc.cov_window(reference_tvvma(), 200, 0, 109), 8
         bf = nc.band_truncate(c, m).base.flatten()
         err = c.flatten() - bf
         n = bf.shape[0]
         e_norm = krylov_norm(err, symmetric=True)
-        if lu:
-            vals = np.abs(np.linalg.eigvalsh(bf))
-            amin, amax = float(vals.min()), float(vals.max())
-            b_inv = np.linalg.inv(bf)
-            b_inv = 0.5 * (b_inv + b_inv.T)
-            flush(b_inv)
-            q = krylov_norm(flush(b_inv @ err))
-        else:
-            assert n >= _KRYLOV_MIN_N
-            bandwidth = (m + 1) * c.p - 1
-            rng = nc.sym_eig_range(bf, bandwidth)
-            amin, amax = rng.lambda_min, rng.lambda_max
-            band = np.array([np.pad(np.diagonal(bf, -k), (0, k))
-                             for k in range(bandwidth + 1)])
-            factor = scipy.linalg.cholesky_banded(band, lower=True)
+        assert n >= _KRYLOV_MIN_N
+        bandwidth = (m + 1) * c.p - 1
+        rng = nc.sym_eig_range(bf, bandwidth)
+        amin, amax = rng.lambda_min, rng.lambda_max
+        band = np.array([np.pad(np.diagonal(bf, -k), (0, k))
+                         for k in range(bandwidth + 1)])
+        factor = scipy.linalg.cholesky_banded(band, lower=True)
 
-            def solve(v):
-                return scipy.linalg.cho_solve_banded((factor, True), v)
-            q = _lanczos_norm(n, lambda v: solve(err @ v), lambda u: err @ solve(u),
-                              e_norm * (1.0 / amin))
+        def solve(v):
+            return scipy.linalg.cho_solve_banded((factor, True), v)
+        q = _lanczos_norm(n, lambda v: solve(err @ v), lambda u: err @ solve(u),
+                          e_norm * (1.0 / amin))
         inv_bound = (1.0 / amin) / (1.0 - q)
         c_norm = amax + e_norm
         roundoff = n * np.finfo(float).eps * inv_bound * (1.0 + c_norm * inv_bound)
@@ -404,16 +397,40 @@ class TestNeumannInverse:
             err = np.linalg.norm(res.approx.flatten() - dense, 2)
             assert err <= res.certificate
 
-    def test_indefinite_truncation_takes_lu_branch(self):
-        w, m = _indefinite_window(), 2
-        assert np.linalg.eigvalsh(nc.band_truncate(w, m).base.flatten())[0] < 0
-        assert not nc.sym_eig_range(nc.band_truncate(w, m).base.flatten()).is_spd()
-        dense = np.linalg.inv(w.flatten())
-        for terms in (0, 2, 6, 12):
-            res = nc.neumann_inverse(w, m, terms)
-            assert 0.0 < res.contraction_norm < 1.0
-            err = np.linalg.norm(res.approx.flatten() - dense, 2)
-            assert err <= res.certificate
+    def test_indefinite_truncation_is_refused(self):
+        """An indefinite ``B_M`` is refused with ``contraction_norm = inf``:
+        the indefinite ``_indefinite_window`` and an SPD window whose
+        truncation is indefinite, for which the series cannot contract."""
+        spd = _decaying_spd_window(18, 19)
+        indefinite = _indefinite_window()
+        assert np.linalg.eigvalsh(indefinite.flatten())[0] < 0 < np.linalg.eigvalsh(spd)[0]
+        for w in (indefinite, nc.BlockWindow.from_flat(spd, p=1, symmetrize=True)):
+            assert np.linalg.eigvalsh(nc.band_truncate(w, 2).base.flatten())[0] < 0
+            for terms in (0, 2, 6, 12):
+                with pytest.raises(DivergenceError, match="not positive definite") as err:
+                    nc.neumann_inverse(w, 2, terms)
+                assert err.value.contraction_norm == math.inf
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(6, 40), m=st.integers(1, 3))
+    @example(seed=10, n=35, m=3)
+    @example(seed=18, n=19, m=2)
+    @example(seed=65, n=12, m=3)
+    @example(seed=66, n=18, m=1)
+    @example(seed=114, n=33, m=3)
+    def test_indefinite_truncation_of_an_spd_window_cannot_contract(self, seed, n, m):
+        """``B_M^-1 C`` is similar to ``C^1/2 B_M^-1 C^1/2``, so by
+        Sylvester's law of inertia an indefinite ``B_M`` of an SPD ``C``
+        gives ``B_M^-1 E = B_M^-1 C - I`` an eigenvalue below -1: the
+        refusal loses no series that would contract."""
+        c = _decaying_spd_window(seed, n)
+        lag = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+        bf = np.where(lag <= m, c, 0.0)
+        if np.linalg.eigvalsh(bf)[0] < 0:
+            assert np.linalg.norm(np.linalg.solve(bf, c - bf), 2) > 1.0
+            with pytest.raises(DivergenceError):
+                nc.neumann_inverse(nc.BlockWindow.from_flat(c, p=1, symmetrize=True),
+                                   m, 6)
 
     @pytest.mark.parametrize("cond", [1e9, 3e9, 1e10])
     def test_ill_conditioned_spd_truncation_is_whitened(self, monkeypatch, cond):
@@ -439,7 +456,7 @@ class TestNeumannInverse:
         real = oc._BandCholesky.factor
         monkeypatch.setattr(oc._BandCholesky, "factor",
                             lambda *args: factors.append(real(*args)) or factors[-1])
-        monkeypatch.setattr(np.linalg, "inv", None)   # the LU branch would fail
+        monkeypatch.setattr(np.linalg, "inv", None)   # no dense inverse is taken
         for terms in (0, 6, 13, 40):
             res = nc.neumann_inverse(w, m, terms)
             assert res.contraction_norm == pytest.approx(0.3, rel=1e-6)
