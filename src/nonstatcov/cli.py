@@ -16,9 +16,9 @@ import os
 import sys
 from importlib import resources
 
-from .config import EXPERIMENT_KINDS, load_config
+from .config import load_config
 from .errors import ConfigError, NonstatcovError
-from .experiments import run_experiment, write_report
+from .experiments import EXPERIMENTS, run_experiment, write_report
 
 EXIT_OK = 0
 EXIT_VERDICT_FAILURE = 1
@@ -56,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--list-reference-configs", action="store_true",
                         help="print the bundled reproduction configs and exit")
     sub = parser.add_subparsers(dest="experiment")
-    for kind in EXPERIMENT_KINDS:
+    for kind in EXPERIMENTS:
         p = sub.add_parser(kind, help=f"run the {kind} experiment")
         p.add_argument("--config", required=True,
                        help="JSON config path or bundled config name")

@@ -1,8 +1,8 @@
 """JSON experiment configuration: schema validation and model (de)serialization.
 
 Matrices are row-major nested arrays; coefficient functions are tagged
-unions keyed on ``form`` and models on ``family``.  ``GRID_FIELDS``,
-``MODEL_FAMILIES`` and ``models.COEFFICIENT_FORMS`` are the schema.
+unions keyed on ``form`` and models on ``family``.  ``MODEL_FAMILIES``,
+``models.COEFFICIENT_FORMS`` and ``experiments.EXPERIMENTS`` are the schema.
 Validation errors carry a JSON-pointer-style path to the offending field.
 """
 
@@ -17,54 +17,11 @@ from typing import Any, NamedTuple
 import numpy as np
 
 from .errors import ConfigError, InputError
+from .experiments import EXPERIMENT_KINDS, EXPERIMENTS, GridField, partial_gaps_apply
 from .models import (COEFFICIENT_FORMS, SRE, CoefficientFn, ModelSpec, TvARCH,
                      TvVAR, TvVMA)
 from .reference import REFERENCE_BUILDERS, get_reference_model
 from .verification import ALL_CHECKS
-
-
-class GridField(NamedTuple):
-    """A grid field: ``kind`` is ``"int"`` (not a bool), ``"number"`` (finite),
-    ``"ints"`` (a list of at least ``min_len`` integers) or ``"checks"``
-    (``verify-all`` check names); ``least`` bounds the value or each entry.
-    A callable default is worked out from the fields before it; a ``None``
-    default (also given as ``null``) is left for the runner to fill."""
-
-    kind: str
-    default: Any = None
-    least: int | None = None
-    min_len: int = 1
-
-
-_N = GridField("int", 200, 1)
-_HALF_N = GridField("int", lambda grid: grid["N"] // 2)
-
-#: experiment -> field -> GridField, in the order the fields are checked.
-#: Each least value is the smallest one the numerics accept.
-GRID_FIELDS: dict[str, dict[str, GridField]] = {
-    "simulate": {"N": _N, "t_lo": GridField("int", 0),
-                 "t_hi": GridField("int", lambda grid: grid["t_lo"] + grid["N"] - 1)},
-    "decay": {"N": _N, "t_lo": GridField("int", 60), "t_hi": GridField("int", 140),
-              "kappa": GridField("number")},
-    "invert": {"N": _N, "window": GridField("int", 240, 20), "pad": GridField("int", 60, 0)},
-    "neumann": {"count": GridField("int", 50, 1), "N": _N},
-    "var": {"N": _N, "t": _HALF_N, "orders": GridField("ints", (1, 2, 4, 8), 0),
-            "kappa": GridField("number")},
-    "baxter": {"N": _N, "t": GridField("int", 100),
-               "orders": GridField("ints", (5, 10, 20, 40), 1, 2)},
-    "smoothness": {"Ns": GridField("ints", (100, 200, 400), 1, 2)},
-    "partial": {"count": GridField("int", 100, 1), "p": GridField("int", 3, 2),
-                "length": GridField("int", 20, 1), "N": _N, "a": GridField("int", 0, 0),
-                "b": GridField("int", 1, 0), "t": _HALF_N, "kappa": GridField("number", 4.0)},
-    "coherence": {"a": GridField("int", 0, 0), "b": GridField("int", 1, 0),
-                  "Ns": GridField("ints", (200, 400), 1, 2), "u": GridField("number", 0.3),
-                  "max_lag": GridField("int", 40, 0), "omega_points": GridField("int", 65, 1)},
-    "physical": {"N": _N, "t": GridField("int", 100), "reps": GridField("int", 5000, 100),
-                 "js": GridField("ints", tuple(range(1, 9)), 0)},
-    "verify-all": {"checks": GridField("checks")},
-}
-
-EXPERIMENT_KINDS = tuple(GRID_FIELDS)
 
 
 class ModelField(NamedTuple):
@@ -95,11 +52,6 @@ MODEL_FAMILIES: dict[str, tuple[type, dict[str, ModelField]]] = {
                   "a_matrix": ModelField("a_matrix", "matrix", REQUIRED),
                   "b_scale": ModelField("b_scale", "fn", REQUIRED)}),
 }
-
-#: experiment -> companion model its runner reads -> default reference model.
-COMPANIONS = {"smoothness": {"var_model": "tvvar1_p3"},
-              "verify-all": {"var_model": "tvvar1_p3", "sre_model": "sre_p2"}}
-
 
 def _expect(cond: bool, message: str, path: str) -> None:
     if not cond:
@@ -239,9 +191,9 @@ _WRITERS = {"dim": int, "number": lambda x: x, "matrix": np.ndarray.tolist,
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated experiment description; ``grid`` holds every field of the
-    experiment's ``GRID_FIELDS`` entry, checked, with the defaults filled in,
-    and ``companions`` every model of its ``COMPANIONS`` entry."""
+    """Validated experiment description; ``grid`` holds every grid field of
+    the experiment's ``EXPERIMENTS`` entry, checked, with the defaults filled
+    in, and ``companions`` every companion model of that entry."""
 
     experiment: str
     seed: int
@@ -304,7 +256,7 @@ def load_config(obj_or_path, default_experiment: str | None = None) -> Experimen
     raw_companions = obj.get("companions", {})
     _expect(isinstance(raw_companions, dict), "companions must be an object",
             "/companions")
-    defaults = COMPANIONS.get(experiment, {})
+    defaults = EXPERIMENTS[experiment].companions
     _known_fields(raw_companions, defaults, f"the {experiment} companions object",
                   "/companions")
     companions = {key: model_from_json(raw_companions.get(key, {"reference": name}),
@@ -342,6 +294,8 @@ def _grid_value(key: str, spec: GridField, val: Any):
                 f"(at least {spec.min_len})", path)
         _expect(all(v >= spec.least for v in val),
                 f"grid field {key!r} entries must be >= {spec.least}", path)
+        _expect(not spec.increasing or list(val) == sorted(set(val)),
+                f"grid field {key!r} must be strictly increasing", path)
         return tuple(int(v) for v in val)
     known = [name for name, _, _ in ALL_CHECKS]
     _expect(isinstance(val, list) and all(n in known for n in val),
@@ -349,47 +303,24 @@ def _grid_value(key: str, spec: GridField, val: Any):
     return list(val)
 
 
-#: The ``partial`` fields read only by the model's partial-covariance gaps.
-PARTIAL_GAP_FIELDS = ("N", "a", "b", "t", "kappa")
-
-
-def partial_gaps_apply(model: ModelSpec) -> bool:
-    """Whether ``partial`` measures the model's partial-covariance gaps:
-    only TvVMA and TvVAR models with ``p >= 2`` have them."""
-    return isinstance(model, (TvVMA, TvVAR)) and model.p >= 2
-
-
 def _checked_grid(experiment: str, raw: dict, model: ModelSpec) -> dict:
-    """Every field of the experiment's ``GRID_FIELDS`` entry, checked, with
-    the defaults filled in; unknown fields are refused."""
-    fields = GRID_FIELDS[experiment]
-    _known_fields(raw, fields, f"the {experiment} grid", "/grid")
+    """Every grid field of the experiment's ``EXPERIMENTS`` entry, checked, with
+    the defaults filled in, then its rule and the rules that tie fields together."""
+    entry = EXPERIMENTS[experiment]
+    _known_fields(raw, entry.grid, f"the {experiment} grid", "/grid")
     grid: dict = {}
-    for key, spec in fields.items():
+    for key, spec in entry.grid.items():
         default = spec.default(grid) if callable(spec.default) else spec.default
         grid[key] = _grid_value(key, spec, raw.get(key, default))
+    if entry.rule is not None:
+        entry.rule(grid, raw, model)
     if "t_hi" in grid:
         _expect(grid["t_hi"] >= grid["t_lo"], f"grid field 't_hi' must be >= "
                 f"{grid['t_lo']}, got {grid['t_hi']}", "/grid/t_hi")
-    p = getattr(model, "p", 1)
-    if experiment == "partial" and not partial_gaps_apply(model):
-        for key in PARTIAL_GAP_FIELDS:
-            _expect(key not in raw, f"grid field {key!r} applies only to the "
-                    "partial-covariance gaps, which need a TvVMA or TvVAR model "
-                    f"with p >= 2; {type(model).__name__} with p = {p} runs the "
-                    "random oracle alone", f"/grid/{key}")
-    if experiment == "coherence":
-        _expect(p >= 2, "coherence requires a model with p >= 2", "/model")
-    if "a" in grid and p >= 2:
+    if "a" in grid and model.p >= 2:
         for key in ("a", "b"):
-            _expect(grid[key] < p, f"grid field {key!r} must be < p = {p}, "
+            _expect(grid[key] < model.p, f"grid field {key!r} must be < p = {model.p}, "
                     f"got {grid[key]}", f"/grid/{key}")
         _expect(grid["a"] != grid["b"], f"grid field 'b' must differ from 'a', "
                 f"got {grid['b']}", "/grid/b")
-    if experiment == "baxter":
-        _expect(list(grid["orders"]) == sorted(set(grid["orders"])),
-                "grid field 'orders' must be strictly increasing", "/grid/orders")
-    if experiment == "physical" and isinstance(model, SRE):
-        _expect(len(set(grid["js"])) >= 2, "grid field 'js' needs at least two "
-                "distinct entries to fit a slope on an SRE model", "/grid/js")
     return grid

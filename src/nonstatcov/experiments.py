@@ -1,4 +1,8 @@
-"""Experiment runners: config in, CSV/JSON report out.
+"""Experiment kinds: config in, CSV/JSON report out.
+
+``EXPERIMENTS`` is the one table of experiment kinds: each kind's runner,
+grid fields, companion models and cross-field rule.  The config reader, the
+CLI subcommands and :func:`run_experiment` all read it.
 
 Every runner emits rows in one uniform schema
 ``(experiment, model_hash, N, kind, i, j, measured, envelope, constant)``
@@ -18,6 +22,7 @@ import sys
 import tempfile
 import time
 from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 
 import numpy as np
 import scipy
@@ -28,9 +33,12 @@ from . import operator_core as oc
 from . import partial_cov as pc
 from . import var_extraction as vx
 from . import verification as vf
-from .config import ExperimentConfig, load_config, partial_gaps_apply
 from .errors import ConfigError, InputError
-from .models import SRE, TvVMA
+from .models import SRE, ModelSpec, TvVAR, TvVMA
+from .verification import CheckResult
+
+if TYPE_CHECKING:
+    from .config import ExperimentConfig
 
 try:
     import resource
@@ -42,18 +50,11 @@ COLUMNS = ("experiment", "model_hash", "N", "kind", "i", "j",
 
 
 @dataclass
-class Verdict:
-    name: str
-    passed: bool
-    details: dict
-
-
-@dataclass
 class Report:
     experiment: str
     metadata: dict
     rows: list
-    verdicts: list
+    verdicts: list[CheckResult]
 
     @property
     def all_passed(self) -> bool:
@@ -100,13 +101,6 @@ def _jsonable(obj):
     if isinstance(obj, float) and (math.isnan(obj) or math.isinf(obj)):
         return repr(obj)
     return obj
-
-
-def _check_schema(rows) -> None:
-    for i, row in enumerate(rows):
-        if set(row) != set(COLUMNS):
-            raise InputError(f"report row {i} violates the column schema: "
-                             f"{sorted(row)}")
 
 
 def _openblas_libraries(maps: str = "/proc/self/maps") -> dict:
@@ -158,13 +152,14 @@ def _blas_threads(maps: str = "/proc/self/maps") -> dict:
     return threads
 
 
-def _finalize(experiment: str, config: ExperimentConfig, rows, verdicts,
-              timings: dict | None = None) -> Report:
+def _finalize(config: ExperimentConfig, rows, verdicts, timings: dict | None = None) -> Report:
+    experiment = config.experiment
     model_hash = config.model_hash  # serialises the whole model: once per report
-    for row in rows:
+    for i, row in enumerate(rows):
         row.setdefault("experiment", experiment)
         row.setdefault("model_hash", model_hash)
-    _check_schema(rows)
+        if set(row) != set(COLUMNS):
+            raise InputError(f"report row {i} violates the column schema: {sorted(row)}")
     metadata = {
         "experiment": experiment,
         "config_sha256": config.config_hash,
@@ -222,23 +217,25 @@ def write_report(report: Report, out_dir: str) -> dict:
 # runners
 # ---------------------------------------------------------------------------
 
+def _check(result: CheckResult):
+    """The rows of one check, and the check as the only verdict."""
+    return result.rows, [result]
+
+
 def _run_simulate(config: ExperimentConfig):
     n, t_lo, t_hi = config.grid["N"], config.grid["t_lo"], config.grid["t_hi"]
     path = md.simulate_path(config.model, n, t_lo, t_hi, config.seed)
     again = md.simulate_path(config.model, n, t_lo, t_hi, config.seed)
-    rows = []
-    for i, t in enumerate(path.times):
-        for comp in range(path.data.shape[1]):
-            rows.append(vf.table_row("path", int(t), comp, path.data[i, comp], n=n))
+    rows = [vf.table_row("path", int(t), comp, path.data[i, comp], n=n)
+            for i, t in enumerate(path.times) for comp in range(path.data.shape[1])]
     deterministic = bool(np.array_equal(path.data, again.data))
-    return rows, [Verdict("deterministic_replay", deterministic, {})]
+    return rows, [CheckResult("deterministic_replay", deterministic, {})]
 
 
 def _run_decay(config: ExperimentConfig):
     grid = config.grid
     n, t_lo, t_hi = grid["N"], grid["t_lo"], grid["t_hi"]
-    w = md.cov_window(config.model, n, t_lo, t_hi)
-    lag_norms = w.lag_max_norms()
+    lag_norms = md.cov_window(config.model, n, t_lo, t_hi).lag_max_norms()
     try:
         fit = md.assumption_fit(config.model, n, t_lo, t_hi, kappa=grid["kappa"])
     except md.FitError:
@@ -249,48 +246,34 @@ def _run_decay(config: ExperimentConfig):
         const = fit.decay.constant if fit else 0.0
         rows.append(vf.table_row("lag_norm", lag, 0, norm, shape, const, n=n))
     verdicts = []
-    order = getattr(config.model, "order", None)
-    degenerate_is_fine = isinstance(config.model, TvVMA) and order == 0
+    degenerate_is_fine = isinstance(config.model, TvVMA) and config.model.order == 0
     if degenerate_is_fine:
         off = float(lag_norms[1:].max(initial=0.0))
-        verdicts.append(Verdict("white_noise_offdiagonal", off <= 1e-12,
-                                {"max_offdiagonal": off}))
+        verdicts.append(CheckResult("white_noise_offdiagonal", off <= 1e-12,
+                                    {"max_offdiagonal": off}))
     if fit is not None:
         rows.append(vf.table_row("smoothness_constant", t_lo, t_hi,
                             fit.smoothness_constant, 0.0, fit.kappa_used, n=n))
         declared = getattr(config.model, "kappa", None)
         if declared is not None:
             ok = abs(fit.decay.exponent - declared) <= 1.0
-            verdicts.append(Verdict("decay_exponent_window", ok,
-                                    {"fitted": fit.decay.exponent,
-                                     "declared": declared}))
-        verdicts.append(Verdict("smoothness_constant_finite",
-                                math.isfinite(fit.smoothness_constant),
-                                {"constant": fit.smoothness_constant}))
+            verdicts.append(CheckResult("decay_exponent_window", ok,
+                                        {"fitted": fit.decay.exponent,
+                                         "declared": declared}))
+        verdicts.append(CheckResult("smoothness_constant_finite",
+                                    math.isfinite(fit.smoothness_constant),
+                                    {"constant": fit.smoothness_constant}))
     elif not degenerate_is_fine:
-        verdicts.append(Verdict("decay_fit_available", False,
-                                {"reason": "fewer than 4 usable lags"}))
+        verdicts.append(CheckResult("decay_fit_available", False,
+                                    {"reason": "fewer than 4 usable lags"}))
     return rows, verdicts
-
-
-def _run_invert(config: ExperimentConfig):
-    n, window, pad = config.grid["N"], config.grid["window"], config.grid["pad"]
-    res = vf.check_inverse_decay(config.model, n=n, window=window, pad=pad)
-    return res.rows, [Verdict(res.name, res.passed, res.details)]
-
-
-def _run_neumann(config: ExperimentConfig):
-    res = vf.check_neumann_certificates(config.model, seed=config.seed,
-                                        count=config.grid["count"], n=config.grid["N"])
-    return res.rows, [Verdict(res.name, res.passed, res.details)]
 
 
 def _run_var(config: ExperimentConfig):
     grid = config.grid
     n, t_index, orders = grid["N"], grid["t"], grid["orders"]
-    kappa = grid["kappa"]
-    if kappa is None:
-        kappa = getattr(config.model, "kappa", None)
+    kappa = (grid["kappa"] if grid["kappa"] is not None
+             else getattr(config.model, "kappa", None))
     rows = []
     sigmas = {}
     for d in orders:
@@ -306,33 +289,33 @@ def _run_var(config: ExperimentConfig):
     for lo, hi in zip(ordered, ordered[1:]):
         slack = float(np.linalg.eigvalsh(sigmas[lo] - sigmas[hi])[0])
         worst = min(worst, slack)
-    verdicts = [Verdict("innovation_variance_nesting", worst >= -1e-9,
-                        {"worst_slack": worst})]
+    verdicts = [CheckResult("innovation_variance_nesting", worst >= -1e-9,
+                            {"worst_slack": worst})]
     kol = vx.kolmogorov_gap(config.model, n, t_index)
     rows.append(vf.table_row("kolmogorov_gap", t_index, 0, kol.gap, 10.0 / n, n=n))
-    verdicts.append(Verdict("kolmogorov_gap_order", kol.gap <= 10.0 / n,
-                            {"lhs": kol.lhs, "rhs": kol.rhs, "gap": kol.gap}))
+    verdicts.append(CheckResult("kolmogorov_gap_order", kol.gap <= 10.0 / n,
+                                {"lhs": kol.lhs, "rhs": kol.rhs, "gap": kol.gap}))
     return rows, verdicts
 
 
-def _run_baxter(config: ExperimentConfig):
-    res = vf.check_baxter(config.model, n=config.grid["N"], t_index=config.grid["t"],
-                          orders=config.grid["orders"])
-    return res.rows, [
-        Verdict("baxter_sums_decreasing", bool(res.details["decreasing"]),
-                {"sums": res.details["sums"]}),
-        Verdict("baxter_slope_window",
-                res.details["slope_window_lo"] <= res.details["slope"]
-                <= res.details["slope_window_hi"],
-                {k: res.details[k] for k in
-                 ("slope", "slope_window_lo", "slope_window_hi")}),
-    ]
+def _baxter_verdicts(result: CheckResult):
+    """The rows of ``check_baxter``, and its verdict split in two."""
+    d = result.details
+    window = {k: d[k] for k in ("slope", "slope_window_lo", "slope_window_hi")}
+    return result.rows, [
+        CheckResult("baxter_sums_decreasing", bool(d["decreasing"]), {"sums": d["sums"]}),
+        CheckResult("baxter_slope_window",
+                    d["slope_window_lo"] <= d["slope"] <= d["slope_window_hi"], window)]
 
 
-def _run_smoothness(config: ExperimentConfig):
-    res = vf.check_smoothness(config.model, config.companions["var_model"],
-                              ns=config.grid["Ns"])
-    return res.rows, [Verdict(res.name, res.passed, res.details)]
+#: The ``partial`` fields read only by the model's partial-covariance gaps.
+PARTIAL_GAP_FIELDS = ("N", "a", "b", "t", "kappa")
+
+
+def partial_gaps_apply(model: ModelSpec) -> bool:
+    """Whether ``partial`` measures the model's partial-covariance gaps:
+    only TvVMA and TvVAR models with ``p >= 2`` have them."""
+    return isinstance(model, (TvVMA, TvVAR)) and model.p >= 2
 
 
 def _run_partial(config: ExperimentConfig):
@@ -340,7 +323,7 @@ def _run_partial(config: ExperimentConfig):
     res = vf.check_partial_oracle(seed=config.seed, count=grid["count"],
                                   p=grid["p"], length=grid["length"])
     rows = list(res.rows)
-    verdicts = [Verdict(res.name, res.passed, res.details)]
+    verdicts = [res]
     model = config.model
     if partial_gaps_apply(model):
         n, a, b, t = grid["N"], grid["a"], grid["b"], grid["t"]
@@ -351,18 +334,10 @@ def _run_partial(config: ExperimentConfig):
                                        rep.pair_gaps.bound):
             rows.append(vf.table_row("partial_gap", ti, tj, meas, env,
                                 rep.pair_gaps.constant_estimate, n=n))
-        verdicts.append(Verdict("partial_gap_constant_finite",
-                                math.isfinite(rep.pair_gaps.constant_estimate),
-                                {"constant": rep.pair_gaps.constant_estimate}))
+        verdicts.append(CheckResult("partial_gap_constant_finite",
+                                    math.isfinite(rep.pair_gaps.constant_estimate),
+                                    {"constant": rep.pair_gaps.constant_estimate}))
     return rows, verdicts
-
-
-def _run_coherence(config: ExperimentConfig):
-    grid = config.grid
-    res = vf.check_coherence(var_model=config.model, ns=grid["Ns"], u=grid["u"],
-                             a=grid["a"], b=grid["b"], max_lag=grid["max_lag"],
-                             omega_points=grid["omega_points"])
-    return res.rows, [Verdict(res.name, res.passed, res.details)]
 
 
 def _run_physical(config: ExperimentConfig):
@@ -370,9 +345,8 @@ def _run_physical(config: ExperimentConfig):
     n, t_index, reps, js = grid["N"], grid["t"], grid["reps"], grid["js"]
     model = config.model
     if isinstance(model, SRE):
-        res = vf.check_physical_dependence(model, n=n, t_index=t_index,
-                                           js=js, reps=reps, seed=config.seed)
-        return res.rows, [Verdict(res.name, res.passed, res.details)]
+        return _check(vf.check_physical_dependence(model, n=n, t_index=t_index, js=js,
+                                                   reps=reps, seed=config.seed))
     rows = []
     beyond_ok = True
     memory = md.effective_memory(model)
@@ -382,20 +356,17 @@ def _run_physical(config: ExperimentConfig):
         rows.append(vf.table_row("physical_dep", j, 0, est.value, est.stderr, n=n))
         if isinstance(model, TvVMA) and j > model.order:
             beyond_ok = beyond_ok and est.value <= 3.0 * max(est.stderr, 1e-300)
-    return rows, [Verdict("beyond_memory_null", beyond_ok, {"memory": memory})]
+    return rows, [CheckResult("beyond_memory_null", beyond_ok, {"memory": memory})]
 
 
 def _run_verify_all(config: ExperimentConfig):
     """Rows and verdicts of the battery, and the wall seconds of each check."""
+    from .config import load_config
+
     results = vf.run_all(model=config.model, names=config.grid["checks"],
                          **config.companions)
-    rows = []
-    verdicts = []
-    timings = {}
-    for res in results:
-        rows.extend(res.rows)
-        verdicts.append(Verdict(res.name, res.passed, res.details))
-        timings[res.name] = round(res.wall_s, 4)
+    rows = [row for res in results for row in res.rows]
+    timings = {res.name: round(res.wall_s, 4) for res in results}
     # byte-level determinism of a table assembly, run twice in process
     start = time.perf_counter()
     sub = load_config({"experiment": "decay", "seed": config.seed,
@@ -404,25 +375,122 @@ def _run_verify_all(config: ExperimentConfig):
     rep1 = run_experiment(sub)
     rep2 = run_experiment(sub)
     same = rep1.table_csv() == rep2.table_csv()
-    verdicts.append(Verdict("determinism", same,
-                            {"bytes": len(rep1.table_csv())}))
+    verdicts = [*results, CheckResult("determinism", same,
+                                      {"bytes": len(rep1.table_csv())})]
     timings["determinism"] = round(time.perf_counter() - start, 4)
     return rows, verdicts, timings
 
 
-_RUNNERS = {
-    "simulate": _run_simulate,
-    "decay": _run_decay,
-    "invert": _run_invert,
-    "neumann": _run_neumann,
-    "var": _run_var,
-    "baxter": _run_baxter,
-    "smoothness": _run_smoothness,
-    "partial": _run_partial,
-    "coherence": _run_coherence,
-    "physical": _run_physical,
-    "verify-all": _run_verify_all,
+def _closed_form(grid: dict, raw: dict, model: ModelSpec) -> None:
+    """Refuse an SRE model, which has no closed-form covariance to read."""
+    if isinstance(model, SRE):
+        raise ConfigError("this experiment reads the model's closed-form covariance, "
+                          "which an sre model does not have", path="/model")
+
+
+def _coherence_rule(grid: dict, raw: dict, model: ModelSpec) -> None:
+    """Coherence measures the model as the other checks measure a ``var_model``."""
+    if not partial_gaps_apply(model):
+        raise ConfigError("coherence needs a TvVMA or TvVAR model with p >= 2", path="/model")
+
+
+def _partial_rule(grid: dict, raw: dict, model: ModelSpec) -> None:
+    """Refuse a gap field given for a model without partial-covariance gaps."""
+    for key in () if partial_gaps_apply(model) else PARTIAL_GAP_FIELDS:
+        if key in raw:
+            raise ConfigError(f"grid field {key!r} applies only to the partial-covariance "
+                              "gaps, which need a TvVMA or TvVAR model with p >= 2; "
+                              f"{type(model).__name__} with p = {model.p} runs the "
+                              "random oracle alone", path=f"/grid/{key}")
+
+
+def _physical_rule(grid: dict, raw: dict, model: ModelSpec) -> None:
+    if isinstance(model, SRE) and len(set(grid["js"])) < 2:
+        raise ConfigError("grid field 'js' needs at least two distinct entries to fit "
+                          "a slope on an SRE model", path="/grid/js")
+
+
+# ---------------------------------------------------------------------------
+# the table of experiment kinds
+# ---------------------------------------------------------------------------
+
+class GridField(NamedTuple):
+    """A grid field: ``kind`` is ``"int"`` (not a bool), ``"number"`` (finite),
+    ``"ints"`` (a list of at least ``min_len`` integers, strictly increasing
+    if ``increasing``) or ``"checks"`` (``verify-all`` check names); ``least``
+    bounds the value or each entry and is the smallest the numerics accept.
+    A callable default is worked out from the fields before it; a ``None``
+    default (also given as ``null``) is left for the runner to fill."""
+
+    kind: str
+    default: Any = None
+    least: int | None = None
+    min_len: int = 1
+    increasing: bool = False
+
+
+class Experiment(NamedTuple):
+    """An experiment kind: ``run(config)`` gives ``(rows, verdicts)``, and
+    ``verify-all`` also the per-check wall times; ``grid`` maps each field to
+    its :class:`GridField` in the order they are checked; ``companions`` maps
+    each companion model to its default reference model; ``rule(grid, raw,
+    model)`` refuses with :class:`ConfigError` what no one field can check."""
+
+    run: Callable
+    grid: dict
+    companions: dict = {}
+    rule: Callable | None = None
+
+
+_N = GridField("int", 200, 1)
+_HALF_N = GridField("int", lambda grid: grid["N"] // 2)
+
+EXPERIMENTS: dict[str, Experiment] = {
+    "simulate": Experiment(_run_simulate, {
+        "N": _N, "t_lo": GridField("int", 0),
+        "t_hi": GridField("int", lambda grid: grid["t_lo"] + grid["N"] - 1)}),
+    "decay": Experiment(_run_decay, {
+        "N": _N, "t_lo": GridField("int", 60), "t_hi": GridField("int", 140),
+        "kappa": GridField("number")}, rule=_closed_form),
+    "invert": Experiment(lambda c: _check(vf.check_inverse_decay(
+        c.model, n=c.grid["N"], window=c.grid["window"], pad=c.grid["pad"])), {
+        "N": _N, "window": GridField("int", 240, 20), "pad": GridField("int", 60, 0)},
+        rule=_closed_form),
+    "neumann": Experiment(lambda c: _check(vf.check_neumann_certificates(
+        c.model, seed=c.seed, count=c.grid["count"], n=c.grid["N"])), {
+        "count": GridField("int", 50, 1), "N": _N}, rule=_closed_form),
+    "var": Experiment(_run_var, {
+        "N": _N, "t": _HALF_N, "orders": GridField("ints", (1, 2, 4, 8), 0),
+        "kappa": GridField("number")}, rule=_closed_form),
+    "baxter": Experiment(lambda c: _baxter_verdicts(vf.check_baxter(
+        c.model, n=c.grid["N"], t_index=c.grid["t"], orders=c.grid["orders"])), {
+        "N": _N, "t": GridField("int", 100),
+        "orders": GridField("ints", (5, 10, 20, 40), 1, 2, increasing=True)},
+        rule=_closed_form),
+    "smoothness": Experiment(lambda c: _check(vf.check_smoothness(
+        c.model, c.companions["var_model"], ns=c.grid["Ns"])), {
+        "Ns": GridField("ints", (100, 200, 400), 1, 2, increasing=True)},
+        companions={"var_model": "tvvar1_p3"}, rule=_closed_form),
+    "partial": Experiment(_run_partial, {
+        "count": GridField("int", 100, 1), "p": GridField("int", 3, 2),
+        "length": GridField("int", 20, 1), "N": _N, "a": GridField("int", 0, 0),
+        "b": GridField("int", 1, 0), "t": _HALF_N, "kappa": GridField("number", 4.0)},
+        rule=_partial_rule),
+    "coherence": Experiment(lambda c: _check(vf.check_coherence(
+        var_model=c.model, ns=c.grid["Ns"], u=c.grid["u"], a=c.grid["a"], b=c.grid["b"],
+        max_lag=c.grid["max_lag"], omega_points=c.grid["omega_points"])), {
+        "a": GridField("int", 0, 0), "b": GridField("int", 1, 0),
+        "Ns": GridField("ints", (200, 400), 1, 2, increasing=True),
+        "u": GridField("number", 0.3), "max_lag": GridField("int", 40, 0),
+        "omega_points": GridField("int", 65, 1)}, rule=_coherence_rule),
+    "physical": Experiment(_run_physical, {
+        "N": _N, "t": GridField("int", 100), "reps": GridField("int", 5000, 100),
+        "js": GridField("ints", tuple(range(1, 9)), 0)}, rule=_physical_rule),
+    "verify-all": Experiment(_run_verify_all, {"checks": GridField("checks")},
+                             companions={"var_model": "tvvar1_p3", "sre_model": "sre_p2"}),
 }
+
+EXPERIMENT_KINDS = tuple(EXPERIMENTS)
 
 
 def run_experiment(config: ExperimentConfig, threads: int = 1) -> Report:
@@ -439,8 +507,8 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> Report:
     """
     if isinstance(threads, bool) or threads != 1:
         raise InputError(f"run_experiment: threads must be 1, got {threads!r}")
-    runner = _RUNNERS.get(config.experiment)
-    if runner is None:
+    entry = EXPERIMENTS.get(config.experiment)
+    if entry is None:
         raise ConfigError(f"unknown experiment {config.experiment!r}",
                           path="/experiment")
-    return _finalize(config.experiment, config, *runner(config))
+    return _finalize(config, *entry.run(config))

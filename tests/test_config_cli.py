@@ -11,6 +11,7 @@ import time
 from pathlib import Path
 
 import re
+import subprocess
 
 import numpy as np
 import pytest
@@ -19,12 +20,12 @@ from hypothesis import strategies as st
 
 import nonstatcov as nc
 from nonstatcov import cli, experiments
-from nonstatcov.config import (COMPANIONS, EXPERIMENT_KINDS, GRID_FIELDS,
-                               MODEL_FAMILIES, PARTIAL_GAP_FIELDS, REQUIRED,
+from nonstatcov.config import (EXPERIMENT_KINDS, MODEL_FAMILIES, REQUIRED,
                                coefficient_fn_to_json, config_digest, load_config,
-                               model_from_json, model_to_json, partial_gaps_apply)
+                               model_from_json, model_to_json)
 from nonstatcov.errors import ConfigError, InputError
-from nonstatcov.experiments import run_experiment, write_report
+from nonstatcov.experiments import (EXPERIMENTS, PARTIAL_GAP_FIELDS, partial_gaps_apply,
+                                    run_experiment, write_report)
 from nonstatcov.models import COEFFICIENT_FORMS
 
 
@@ -44,6 +45,11 @@ def minimal_config(experiment="decay", **grid):
     return {"experiment": experiment, "seed": 11,
             "model": {"reference": "tvvma_kappa4_p2"}, "grid": base_grid}
 
+
+#: The kinds that read the model's closed-form covariance, which an SRE
+#: model does not have.
+CLOSED_FORM_KINDS = ("decay", "invert", "neumann", "var", "baxter", "smoothness",
+                     "coherence")
 
 #: ``model_hash`` of every reference model; the hash is in every table row.
 REFERENCE_MODEL_HASHES = {
@@ -97,7 +103,7 @@ class TestModelSerialization:
         for name, want in REFERENCE_MODEL_HASHES.items():
             model = nc.get_reference_model(name)
             assert config_digest(model_to_json(model))[:12] == want, name
-            loaded = load_config({"experiment": "decay", "seed": 1,
+            loaded = load_config({"experiment": "simulate", "seed": 1,
                                   "model": {"reference": name}})
             assert loaded.model_hash == want, name
 
@@ -175,8 +181,8 @@ class TestConfigValidation:
            reference=st.sampled_from(["tvvma_kappa4_p2", "tvvar1_p3",
                                       "ar1_phi05", "sre_p2"]),
            grid=st.dictionaries(
-               st.one_of(st.sampled_from(sorted({k for fields in GRID_FIELDS.values()
-                                                 for k in fields})),
+               st.one_of(st.sampled_from(sorted({k for entry in EXPERIMENTS.values()
+                                                 for k in entry.grid})),
                          st.text(max_size=3)),
                st.one_of(st.sampled_from([10**400, -10**400, [], [5, 5], [0]]),
                          st.integers(-10**400, 10**400), st.integers(-3, 300),
@@ -197,14 +203,15 @@ class TestConfigValidation:
         except ConfigError as exc:
             p = nc.get_reference_model(reference).p
             if exc.path == "/model":
-                assert experiment == "coherence" and p < 2
+                assert (experiment == "coherence" and p < 2) or (
+                    reference == "sre_p2" and experiment in CLOSED_FORM_KINDS)
             else:
                 assert exc.path.startswith("/grid/")
                 assert exc.path[len("/grid/"):] in set(grid) | set(
-                    GRID_FIELDS[experiment])
+                    EXPERIMENTS[experiment].grid)
                 assert str(exc).startswith(f"{exc.path}: ")
         else:
-            assert list(loaded.grid) == list(GRID_FIELDS[experiment])
+            assert list(loaded.grid) == list(EXPERIMENTS[experiment].grid)
             assert set(grid) <= set(loaded.grid)
 
 
@@ -388,7 +395,7 @@ def _small_configs(draw):
     # the partial-gap fields only where the model has partial gaps
     skip = PARTIAL_GAP_FIELDS if kind == "partial" and not partial_gaps_apply(
         nc.get_reference_model(reference)) else ()
-    grid = {key: draw(_SMALL_GRID[key]) for key in GRID_FIELDS[kind] if key not in skip}
+    grid = {key: draw(_SMALL_GRID[key]) for key in EXPERIMENTS[kind].grid if key not in skip}
     return kind, {"experiment": kind, "seed": draw(st.integers(0, 2**32 - 1)),
                   "model": {"reference": reference}, "grid": grid}
 
@@ -406,8 +413,8 @@ def _small_battery_configs(draw):
     grid = ({"Ns": draw(_SMALL_GRID["Ns"])} if kind == "smoothness" else
             {"checks": draw(st.lists(st.sampled_from(_CHEAP_CHECKS), max_size=2,
                                      unique=True))})
-    companions = {key: {"reference": draw(references)}
-                  for key in draw(st.sets(st.sampled_from(sorted(COMPANIONS[kind]))))}
+    companions = {key: {"reference": draw(references)} for key in draw(
+        st.sets(st.sampled_from(sorted(EXPERIMENTS[kind].companions))))}
     return kind, {"experiment": kind, "seed": draw(st.integers(0, 2**32 - 1)),
                   "model": {"reference": draw(references)},
                   "companions": companions, "grid": grid}
@@ -435,7 +442,7 @@ class TestCli:
                                 "grid": {"N": 1, "window": 20, "pad": 0}}))
     @example(config=("coherence", {"experiment": "coherence", "seed": 0,
                                    "model": {"reference": "white_noise_p2"},
-                                   "grid": {"a": 0, "b": 1, "Ns": [20, 20], "u": 0.0,
+                                   "grid": {"a": 0, "b": 1, "Ns": [20, 40], "u": 0.0,
                                             "max_lag": 0, "omega_points": 1}}))
     @given(config=_small_configs())
     def test_generated_configs_keep_the_exit_code_contract(self, config):
@@ -575,6 +582,38 @@ class TestCli:
                             "model": {"reference": reference},
                             "grid": oracle_only}).grid["count"] == 2
 
+    @pytest.mark.parametrize("experiment", CLOSED_FORM_KINDS)
+    def test_sre_model_refused_where_a_closed_form_covariance_is_read(
+            self, tmp_path, capsys, experiment):
+        cfg = tmp_path / "sre.json"
+        cfg.write_text(json.dumps({"seed": 1, "model": {"reference": "sre_p2"}}))
+        code = cli.main([experiment, "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: /model: ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("experiment", ["simulate", "partial", "physical",
+                                            "verify-all"])
+    def test_sre_model_accepted_where_no_covariance_is_read(self, experiment):
+        loaded = load_config({"experiment": experiment, "seed": 1,
+                              "model": {"reference": "sre_p2"}})
+        assert model_to_json(loaded.model)["family"] == "sre"
+
+    @pytest.mark.parametrize("experiment,reference,ns", [
+        ("smoothness", "tvvma_kappa4_p2", [400, 200]),
+        ("smoothness", "tvvma_kappa4_p2", [200, 200]),
+        ("coherence", "tvvar1_p3", [200, 200]), ("coherence", "tvvar1_p3", [400, 200])])
+    def test_ns_must_be_strictly_increasing(self, tmp_path, capsys, experiment,
+                                            reference, ns):
+        # without the rule these ran to a meaningless halving ratio, exit 1
+        cfg = tmp_path / "ns.json"
+        cfg.write_text(json.dumps({"seed": 1, "model": {"reference": reference},
+                                   "grid": {"Ns": ns}}))
+        code = cli.main([experiment, "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == 2
+        assert "config error: /grid/Ns: grid field 'Ns' must be strictly increasing" \
+            in capsys.readouterr().err
+
     @pytest.mark.parametrize("coefficients,message", [
         ([{"form": "constant", "value": np.eye(3).tolist()},
           {"form": "constant", "value": np.eye(2).tolist()}],
@@ -711,6 +750,20 @@ class TestCli:
         assert not names["baxter_slope_window"]
 
 
+@pytest.mark.parametrize("module", ["config", "experiments", "cli"])
+def test_each_module_imports_first(module):
+    """The experiment table lives in ``experiments`` and ``config`` reads it;
+    importing either module, or ``cli``, first in a fresh interpreter must
+    not meet an import cycle."""
+    env = dict(os.environ)
+    root = Path(__file__).resolve().parents[1]
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    done = subprocess.run([sys.executable, "-c", f"import nonstatcov.{module}"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
 def test_benchmark_traced_functions_exist(monkeypatch):
     """The traced benchmark pass rebinds the functions ``bench/spans.py``
     lists by name; each must still exist in the package."""
@@ -791,10 +844,11 @@ def _range_text(spec) -> str:
 
 def test_readme_grid_tables_match_grid_fields():
     """README's per-experiment grid tables list exactly the fields of
-    ``GRID_FIELDS``, with the same defaults and ranges."""
+    ``EXPERIMENTS``, with the same defaults and ranges."""
     tables = _readme_tables("Grid fields")
-    assert list(tables) == list(GRID_FIELDS)
-    for experiment, fields in GRID_FIELDS.items():
+    assert list(tables) == list(EXPERIMENTS)
+    for experiment, entry in EXPERIMENTS.items():
+        fields = entry.grid
         assert list(tables[experiment]) == list(fields), experiment
         defaults = {}
         for key, spec in fields.items():
