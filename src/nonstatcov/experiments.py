@@ -410,6 +410,20 @@ def _physical_rule(grid: dict, raw: dict, model: ModelSpec) -> None:
                           "a slope on an SRE model", path="/grid/js")
 
 
+def _verify_all_rule(grid: dict, raw: dict, model: ModelSpec) -> None:
+    """Refuse an SRE model when a selected check reads ``model`` (every such
+    check reads its closed-form covariance); ``physical_dependence`` alone
+    reads only the ``sre_model`` companion."""
+    if not isinstance(model, SRE):
+        return
+    names = grid["checks"]
+    reading = [name for name, _, wants in vf.ALL_CHECKS
+               if "model" in wants and (names is None or name in names)]
+    if reading:
+        raise ConfigError(f"the checks {reading} read the model's closed-form "
+                          "covariance, which an sre model does not have", path="/model")
+
+
 # ---------------------------------------------------------------------------
 # the table of experiment kinds
 # ---------------------------------------------------------------------------
@@ -487,7 +501,8 @@ EXPERIMENTS: dict[str, Experiment] = {
         "N": _N, "t": GridField("int", 100), "reps": GridField("int", 5000, 100),
         "js": GridField("ints", tuple(range(1, 9)), 0)}, rule=_physical_rule),
     "verify-all": Experiment(_run_verify_all, {"checks": GridField("checks")},
-                             companions={"var_model": "tvvar1_p3", "sre_model": "sre_p2"}),
+                             companions={"var_model": "tvvar1_p3", "sre_model": "sre_p2"},
+                             rule=_verify_all_rule),
 }
 
 EXPERIMENT_KINDS = tuple(EXPERIMENTS)

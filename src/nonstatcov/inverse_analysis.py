@@ -21,10 +21,11 @@ from .errors import (ConditioningError, DegenerateFitError, DivergenceError,
 from .models import (ModelSpec, _check_us, _check_window, _inverse_spectrum,
                      _transfer_order, cov_pad, cov_window, stationary_window)
 from .operator_core import (_KRYLOV_MIN_N, _ROW_BLOCK, _STRIP_ROWS, BlockWindow,
-                            _BandCholesky, _lanczos_norm, _mirror_lower,
-                            _spd_inverse_in_place, _symmetric_product_into,
+                            _band_extremes, _BandCholesky, _lanczos_norm, _lower_band,
+                            _mirror_lower, _spd_inverse_in_place,
+                            _symmetric_matvec, _symmetric_product_into,
                             _transpose_in_place, block_norms, block_view, krylov_norm,
-                            outside_band, sym_eig_range, symmetric_product, zeta)
+                            symmetric_product, zeta)
 from .reports import (DecayProfile, GapReport, envelope_constant, fit_decay_profile,
                       pair_gaps, two_sided)
 
@@ -227,8 +228,9 @@ def _whitened_contraction(err: np.ndarray, chol: _BandCholesky, e_norm: float,
     """``q = ||B^-1 E||_2`` for ``B = L L^T`` (``chol``) and ``E = err``.
 
     From ``_KRYLOV_MIN_N`` rows up, Lanczos on the implicit operator
-    ``v -> B^-1 (E v)``, ``u -> E (B^-1 u)``: one product with ``E`` and two
-    band solves (``dpbtrs``) a step.  Below it, or if ARPACK fails,
+    ``v -> B^-1 (E v)``, ``u -> E (B^-1 u)``: one product with ``E`` (from
+    one triangle, :func:`_symmetric_matvec`) and one band solve
+    (``dpbtrs``) each way.  Below it, or if ARPACK fails,
     :func:`krylov_norm` of ``B^-1 E`` formed by the two blocked solves of a
     copy of ``E``.
     """
@@ -236,8 +238,9 @@ def _whitened_contraction(err: np.ndarray, chol: _BandCholesky, e_norm: float,
         return 0.0
     n = err.shape[0]
     if n >= _KRYLOV_MIN_N:
-        q = _lanczos_norm(n, lambda v: chol.solve_vector(err @ v),
-                          lambda u: err @ chol.solve_vector(u), e_norm * b_inv_norm)
+        err_times = _symmetric_matvec(err)
+        q = _lanczos_norm(n, lambda v: chol.solve_vector(err_times(v)),
+                          lambda u: err_times(chol.solve_vector(u)), e_norm * b_inv_norm)
         if q is not None:
             return q
     prod = chol.solve(chol.solve(err.copy()), upper=True)
@@ -247,9 +250,12 @@ def _whitened_contraction(err: np.ndarray, chol: _BandCholesky, e_norm: float,
 def neumann_inverse(c: BlockWindow, m: int, terms: int) -> NeumannResult:
     """Approximate ``C^{-1}`` by a Neumann series around the banded truncation.
 
-    Writes ``C = B_M + E`` and sums ``sum_{s<=terms} (-B_M^{-1} E)^s B_M^{-1}``
-    in the whitened coordinates of the band Cholesky factor ``B_M = L L^T``
-    (``dpbtrf``): ``K = L^-1 E L^-T`` is formed in ``E``'s own buffer by
+    Writes ``C = B_M + E`` straight from the window: ``E`` is a copy of it
+    with the blocks within ``m`` lags zeroed, and ``B_M`` is read into LAPACK
+    lower band storage (:func:`_lower_band`); no dense ``B_M`` is formed.
+    It sums ``sum_{s<=terms} (-B_M^{-1} E)^s B_M^{-1}`` in the whitened
+    coordinates of the band Cholesky factor ``B_M = L L^T`` (``dpbtrf``):
+    ``K = L^-1 E L^-T`` is formed in ``E``'s own buffer by
     blocked banded solves, ``P = sum_{s<=terms} (-K)^s`` is a split sum
     (Paterson and Stockmeyer's baby steps and giant steps,
     :func:`_neumann_sum`) with symmetric products only, ``(b - 1) + terms /
@@ -265,15 +271,17 @@ def neumann_inverse(c: BlockWindow, m: int, terms: int) -> NeumannResult:
     ``B_M^-1 C`` is similar to ``C^1/2 B_M^-1 C^1/2``, which by Sylvester's
     law of inertia has a negative eigenvalue when ``B_M`` has one, so
     ``B_M^-1 E = B_M^-1 C - I`` has one below ``-1`` and the series cannot
-    contract.  An indefinite truncation is refused from the extremes of its
-    band, or when ``dpbtrf`` breaks down, before any O(n^3) step.
+    contract.  An indefinite truncation is refused when ``dpbtrf`` breaks
+    down, or else from the extremes of its band, before any O(n^3) step.
 
     The certificate bounds the dropped tail by the geometric series
     ``||B_M^{-1}|| q^{terms+1} / (1 - q)`` with ``q = ||B_M^{-1} E||_2``
     computed on the window; ``||E||_2`` comes from Lanczos
-    (:func:`krylov_norm`), ``q`` from Lanczos on an implicit operator on the
-    factor, the extremes of ``B_M`` from its band.  None of them depends on
-    how the series is summed.
+    (:func:`krylov_norm`, one triangle of ``E`` a product), ``q`` from
+    Lanczos on an implicit operator on the factor, the extremes of ``B_M``
+    from its band and factor (:func:`_band_extremes`: Lanczos on ``B_M`` and
+    on ``B_M^-1`` from 512 rows up, one band eigensolve below).  None of
+    them depends on how the series is summed.
 
     Raises:
         InputError: if the window is not symmetric or ``m`` or ``terms`` is
@@ -288,22 +296,22 @@ def neumann_inverse(c: BlockWindow, m: int, terms: int) -> NeumannResult:
     check_count(m, "m", "neumann_inverse")
     check_count(terms, "terms", "neumann_inverse")
     flat = c.flatten()
-    outside = outside_band(c.length, c.p, m)
-    # B_M and E = C - B_M split by the block-lag mask (inside the band
-    # x - x == +0.0, so E is exactly what the subtraction would give)
-    bf = np.where(outside, 0.0, flat)
-    err = np.where(outside, flat, 0.0)
-    del outside
-    bandwidth = (m + 1) * c.p - 1
-    # the certificate reads the exact extremes of B_M, taken from its band
-    rng = sym_eig_range(bf, bandwidth)
-    chol = _BandCholesky.factor(bf, bandwidth) if rng.is_spd() else None
-    n = bf.shape[0]
-    del bf
-    if chol is None:
+    p = c.p
+    # E = C - B_M: the window with its blocks within m lags zeroed block row
+    # by block row (+0.0, as the subtraction x - x gives)
+    err = flat.copy()
+    for i in range(c.length):
+        err[i * p:(i + 1) * p, max(i - m, 0) * p:(i + m + 1) * p] = 0.0
+    band = _lower_band(flat, p, m)
+    chol = _BandCholesky.factor(band)
+    # the certificate reads the extremes of B_M, taken from its band
+    rng = _band_extremes(band, chol) if chol is not None else None
+    del band
+    if rng is None or not rng.is_spd():
         raise DivergenceError(
             f"neumann_inverse: banded truncation at bandwidth {m} is not positive definite",
             contraction_norm=math.inf)
+    n = flat.shape[0]
     b_inv_norm = 1.0 / rng.lambda_min
     # ||E|| and q are taken before E is overwritten by K; E is exactly
     # symmetric, so its spectral norm is its largest |eigenvalue|

@@ -342,25 +342,38 @@ class BandedBlockWindow:
             raise InputError("BandedBlockWindow: nonzero block outside the band")
 
 
-def _lower_band(flat: np.ndarray, bandwidth: int) -> np.ndarray:
-    """LAPACK lower band storage: row ``k`` holds diagonal ``-k`` of ``flat``."""
+def _lower_band(flat: np.ndarray, p: int, m: int) -> np.ndarray:
+    """LAPACK lower band storage, Fortran-ordered, of ``flat`` truncated to
+    its ``p x p`` blocks at most ``m`` block lags off the diagonal: row
+    ``k < (m + 1) p`` holds diagonal ``-k`` (entry ``(j + k, j)`` in column
+    ``j``), with ``0.0`` for an entry of a block beyond lag ``m`` or past the
+    matrix.  With ``p = 1`` it is the band of the ``m`` subdiagonals."""
     n = flat.shape[0]
-    band = np.zeros((bandwidth + 1, n))
-    for k in range(bandwidth + 1):
+    width = min((m + 1) * p, n)
+    band = np.zeros((width, n), order="F")
+    for k in range(width):
         band[k, :n - k] = np.diagonal(flat, -k)
+    cols = np.arange(n)
+    band[(np.arange(width)[:, None] + cols) // p - cols // p > m] = 0.0
     return band
 
 
-def sym_eig_range(w: BlockWindow | np.ndarray,
-                  bandwidth: int | None = None) -> EigRange:
-    """Extremal eigenvalues of a symmetric window or of a symmetric matrix.
+def _band_dense(band: np.ndarray, r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
+    """Rows ``r0:r1`` and columns ``c0:c1`` of the lower triangular matrix
+    held in the lower band storage ``band``, as a dense C-contiguous array."""
+    w = band.shape[0] - 1
+    rows, cols = np.arange(r0, r1)[:, None], np.arange(c0, c1)[None, :]
+    lag = rows - cols
+    inside = (lag >= 0) & (lag <= w)
+    return np.where(inside, band[np.clip(lag, 0, w), cols], 0.0)
+
+
+def sym_eig_range(w: BlockWindow | np.ndarray) -> EigRange:
+    """Extremal eigenvalues of a symmetric window or of a symmetric matrix,
+    from the dense solver.
 
     A window must be flagged symmetric and is flattened; a matrix is taken
-    as given (only its lower triangle is read).  A matrix that is exactly
-    zero beyond ``bandwidth`` diagonals (counted in rows, not blocks) may
-    say so: its extremes then come from the band alone (one LAPACK
-    ``dsbevd``, whose band reduction costs O(n^2 * bandwidth) instead of
-    O(n^3)).
+    as given (only its lower triangle is read).
 
     Raises:
         InputError: if a window is not flagged symmetric.
@@ -369,16 +382,7 @@ def sym_eig_range(w: BlockWindow | np.ndarray,
         if not w.symmetric:
             raise InputError("sym_eig_range: window must be symmetric")
         w = w.flatten()
-    if bandwidth is None:
-        vals = scipy.linalg.eigvalsh(w)
-        return EigRange(float(vals[0]), float(vals[-1]))
-    band = _lower_band(w, min(bandwidth, w.shape[0] - 1))
-    try:
-        vals = scipy.linalg.eigvals_banded(band, lower=True)
-    except np.linalg.LinAlgError:
-        # the band eigensolver can fail to converge on a tight cluster of
-        # eigenvalues (a nearly scalar matrix); the dense solver then decides
-        return sym_eig_range(w)
+    vals = scipy.linalg.eigvalsh(w)
     return EigRange(float(vals[0]), float(vals[-1]))
 
 
@@ -411,10 +415,10 @@ def krylov_norm(a: np.ndarray, symmetric: bool = False) -> float:
     rows up without a dense tridiagonal reduction.
 
     Runs :func:`_lanczos_norm` on ``v -> a v`` and ``u -> a^T u``, or, when
-    the caller knows ``a`` is exactly ``symmetric``, on ``v -> a v`` alone;
-    O(n^2) per product.  Matrices below ``_KRYLOV_MIN_N`` rows, and any
-    ARPACK failure, go to the dense ``eigvalsh``.  An exactly zero matrix
-    gives ``0.0``.
+    the caller knows ``a`` is exactly ``symmetric``, on ``v -> a v`` alone,
+    from one triangle (:func:`_symmetric_matvec`); O(n^2) per product.
+    Matrices below ``_KRYLOV_MIN_N`` rows, and any ARPACK failure, go to
+    the dense ``eigvalsh``.  An exactly zero matrix gives ``0.0``.
 
     Raises:
         InputError: if ``a`` is not a finite square matrix.
@@ -430,7 +434,8 @@ def krylov_norm(a: np.ndarray, symmetric: bool = False) -> float:
         return 0.0
     n = a.shape[0]
     if n >= _KRYLOV_MIN_N:
-        norm = _lanczos_norm(n, a.__matmul__, None if symmetric else a.T.__matmul__, top)
+        norm = (_lanczos_norm(n, _symmetric_matvec(a), None, top) if symmetric
+                else _lanczos_norm(n, a.__matmul__, a.T.__matmul__, top))
         if norm is not None:
             return norm
     if symmetric:
@@ -478,6 +483,57 @@ def _lanczos_norm(n: int, matvec, rmatvec, top: float) -> float | None:
     if rmatvec is None:
         return abs(math.ldexp(float(val), exponent))
     return math.sqrt(max(0.0, math.ldexp(float(val), 2 * exponent)))
+
+
+def _symmetric_matvec(a: np.ndarray):
+    """``v -> a v`` for an exactly symmetric ``a``: BLAS ``dsymv`` on the
+    Fortran-ordered view ``a.T``, which reads one triangle (at 1200 rows,
+    one BLAS thread, 290 us a product against 509 us for ``a @ v``)."""
+    at = np.asfortranarray(a.T)
+    return lambda v: scipy.linalg.blas.dsymv(1.0, at, v)
+
+
+#: From this order up :func:`_band_extremes` takes the two extremes of an
+#: SPD band matrix by Lanczos, below it from one band eigensolve.  Timed
+#: with one BLAS thread on the truncations ``B_M`` of ``neumann_inverse``
+#: (reference TvVMA and TvVAR windows, m = 6-12), the band ``dsbevd``
+#: against the Lanczos pair took 0.6-8.7 ms against 2.4-12 ms at 120-450
+#: rows, 17-27 against 9-15 ms at 720, and 47-83 against 16-25 ms at 1200:
+#: the crossover lies between 450 and 720 rows.
+_BAND_LANCZOS_MIN_N = 512
+
+
+def _band_extremes(band: np.ndarray, chol: "_BandCholesky") -> EigRange:
+    """Extremal eigenvalues of the symmetric matrix ``B`` held in the lower
+    band storage ``band`` (:func:`_lower_band`), whose band Cholesky factor
+    ``chol`` exists.
+
+    From ``_BAND_LANCZOS_MIN_N`` rows up, two seeded :func:`_lanczos_norm`
+    runs: ``lambda_max = ||B||`` on ``v -> B v`` (``dsbmv`` over the band)
+    and ``lambda_min = 1 / ||B^-1||`` on ``v -> B^-1 v`` (``dpbtrs`` with
+    the factor).  A factor that exists makes ``B`` positive definite to
+    within the factorisation's backward error, far below ``SPD_RTOL``, so
+    these norms are its two extremes.  Below that order, on an ARPACK
+    failure, or when the two separate runs return ``lambda_min >
+    lambda_max`` (on a multiple of the identity they can differ by an ulp),
+    one all-eigenvalue band eigensolve (``eigvals_banded``, ``dsbevd``)
+    decides; if it does not converge (it can fail on a tight cluster of
+    eigenvalues), the dense solver on the band's lower triangle.
+    """
+    n = band.shape[1]
+    if n >= _BAND_LANCZOS_MIN_N:
+        k = band.shape[0] - 1
+        diag = band[0]
+        top = _lanczos_norm(n, lambda v: scipy.linalg.blas.dsbmv(k, 1.0, band, v, lower=1),
+                            None, float(diag.max()))
+        inv = _lanczos_norm(n, chol.solve_vector, None, 1.0 / float(diag.min()))
+        if top is not None and inv is not None and 1.0 / inv <= top:
+            return EigRange(1.0 / inv, top)
+    try:
+        vals = scipy.linalg.eigvals_banded(band, lower=True)
+    except np.linalg.LinAlgError:
+        vals = scipy.linalg.eigvalsh(_band_dense(band, 0, n, 0, n))
+    return EigRange(float(vals[0]), float(vals[-1]))
 
 
 def band_truncate(w: BlockWindow, m: int) -> BandedBlockWindow:
@@ -723,25 +779,17 @@ class _BandCholesky:
             j = min(i + _STRIP_ROWS, n)
             lo, hi = max(0, i - w), min(n, j + w)
             # L[i:j, lo:i], L[i:j, i:j] and, Fortran-ordered, L[j:hi, i:j]
-            self.strips.append((i, j, lo, hi, self._dense(i, j, lo, i),
-                                self._dense(i, j, i, j),
-                                np.asfortranarray(self._dense(j, hi, i, j))))
+            self.strips.append((i, j, lo, hi, _band_dense(band, i, j, lo, i),
+                                _band_dense(band, i, j, i, j),
+                                np.asfortranarray(_band_dense(band, j, hi, i, j))))
 
     @classmethod
-    def factor(cls, flat: np.ndarray, bandwidth: int) -> "_BandCholesky | None":
-        """The factor of ``flat``, read from its band, or ``None`` when
-        ``dpbtrf`` breaks down."""
-        band = _lower_band(flat, min(bandwidth, flat.shape[0] - 1))
-        factor, info = scipy.linalg.lapack.dpbtrf(band, lower=1, overwrite_ab=1)
+    def factor(cls, band: np.ndarray) -> "_BandCholesky | None":
+        """The factor of the matrix held in the lower band storage ``band``
+        (:func:`_lower_band`, left unchanged), or ``None`` when ``dpbtrf``
+        breaks down."""
+        factor, info = scipy.linalg.lapack.dpbtrf(band, lower=1)
         return None if info else cls(factor)
-
-    def _dense(self, r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
-        """``L[r0:r1, c0:c1]`` as a dense C-contiguous array."""
-        w = self.band.shape[0] - 1
-        rows, cols = np.arange(r0, r1)[:, None], np.arange(c0, c1)[None, :]
-        lag = rows - cols
-        inside = (lag >= 0) & (lag <= w)
-        return np.where(inside, self.band[np.clip(lag, 0, w), cols], 0.0)
 
     def solve(self, b: np.ndarray, upper: bool = False) -> np.ndarray:
         """``b <- L^-1 b``, or ``L^-T b`` with ``upper``, in place on the

@@ -204,7 +204,7 @@ class TestConfigValidation:
             p = nc.get_reference_model(reference).p
             if exc.path == "/model":
                 assert (experiment == "coherence" and p < 2) or (
-                    reference == "sre_p2" and experiment in CLOSED_FORM_KINDS)
+                    reference == "sre_p2" and experiment in (*CLOSED_FORM_KINDS, "verify-all"))
             else:
                 assert exc.path.startswith("/grid/")
                 assert exc.path[len("/grid/"):] in set(grid) | set(
@@ -378,7 +378,7 @@ _SMALL_GRID = {
     "kappa": st.floats(0.5, 6.0), "window": st.integers(19, 40), "pad": st.integers(0, 8),
     "count": st.integers(1, 2), "t": st.integers(-5, 80), "p": st.integers(2, 3),
     "orders": st.lists(st.integers(0, 5), min_size=1, max_size=3, unique=True).map(sorted),
-    "Ns": st.lists(st.integers(20, 80), min_size=2, max_size=2),
+    "Ns": st.lists(st.integers(20, 80), min_size=2, max_size=2, unique=True).map(sorted),
     "length": st.integers(1, 4), "a": st.integers(0, 2), "b": st.integers(0, 2),
     "u": st.floats(-0.5, 1.5), "max_lag": st.integers(0, 8),
     "omega_points": st.integers(1, 9), "reps": st.integers(99, 150),
@@ -459,11 +459,18 @@ class TestCli:
                                     "model": {"reference": "tvvma_kappa4_p1"},
                                     "companions": {"sre_model": {"reference": "tvvar1_p3"}},
                                     "grid": {"checks": ["physical_dependence"]}}))
+    @example(config=("verify-all", {"experiment": "verify-all", "seed": 0,
+                                    "model": {"reference": "sre_p2"}, "companions": {},
+                                    "grid": {"checks": ["inverse_decay"]}}))
+    @example(config=("verify-all", {"experiment": "verify-all", "seed": 0,
+                                    "model": {"reference": "sre_p2"}, "companions": {},
+                                    "grid": {"checks": ["physical_dependence"]}}))
     @given(config=_small_battery_configs())
     def test_generated_battery_configs_keep_the_exit_code_contract(self, config):
-        # smoothness and verify-all, on the cheap checks; the examples ended
-        # in a ZeroDivisionError (a partial gap of 0 at every N) and an
-        # AttributeError (a TvVAR has no contraction bound)
+        # smoothness and verify-all, on the cheap checks; the first two
+        # examples ended in a ZeroDivisionError (a partial gap of 0 at every
+        # N) and an AttributeError (a TvVAR has no contraction bound), the
+        # third in exit 3 mid-run; an sre model runs physical_dependence
         _assert_exit_code_contract(*config)
 
     def test_threads_option_is_a_usage_error(self, tmp_path, capsys):
@@ -595,9 +602,37 @@ class TestCli:
     @pytest.mark.parametrize("experiment", ["simulate", "partial", "physical",
                                             "verify-all"])
     def test_sre_model_accepted_where_no_covariance_is_read(self, experiment):
+        # verify-all only with checks that do not read the model
+        grid = {"checks": ["physical_dependence", "ar1_analytic"]} \
+            if experiment == "verify-all" else {}
         loaded = load_config({"experiment": experiment, "seed": 1,
-                              "model": {"reference": "sre_p2"}})
+                              "model": {"reference": "sre_p2"}, "grid": grid})
         assert model_to_json(loaded.model)["family"] == "sre"
+
+    def test_verify_all_runs_physical_dependence_on_an_sre_model(self, tmp_path):
+        cfg, out = tmp_path / "sre.json", tmp_path / "out"
+        cfg.write_text(json.dumps({"seed": 1, "model": {"reference": "sre_p2"},
+                                   "grid": {"checks": ["physical_dependence"]}}))
+        code = cli.main(["verify-all", "--config", str(cfg), "--out", str(out)])
+        verdicts = json.loads((out / "verdicts.json").read_text())["verdicts"]
+        assert [v["name"] for v in verdicts] == ["physical_dependence", "determinism"]
+        assert code == (0 if all(v["passed"] for v in verdicts) else 1)
+
+    @pytest.mark.parametrize("checks", [None, ["inverse_decay"],
+                                        ["physical_dependence", "eigenvalue_sandwich"]])
+    def test_verify_all_refuses_an_sre_model_for_a_model_reading_check(
+            self, tmp_path, capsys, checks):
+        # these ran until the first model-reading check and exited 3
+        cfg = tmp_path / "sre.json"
+        grid = {} if checks is None else {"checks": checks}
+        cfg.write_text(json.dumps({"seed": 1, "model": {"reference": "sre_p2"},
+                                   "grid": grid}))
+        code = cli.main(["verify-all", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: /model: the checks [")
+        assert "'physical_dependence'" not in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("experiment,reference,ns", [
         ("smoothness", "tvvma_kappa4_p2", [400, 200]),

@@ -296,13 +296,14 @@ class TestNeumannInverse:
         for terms in (0, 6, 12):
             nc.neumann_inverse(c, 8, terms)
         assert calls == ["factor"] * 3
-        # an indefinite truncation is refused from its band extremes
+        # an indefinite truncation is factored first and refused from the
+        # breakdown or from its band extremes, still with no dense inverse
         spd = nc.BlockWindow.from_flat(_decaying_spd_window(18, 19), p=1, symmetrize=True)
         calls.clear()
         for w in (_indefinite_window(), spd):
             with pytest.raises(DivergenceError):
                 nc.neumann_inverse(w, 2, 6)
-        assert calls == []
+        assert calls == ["factor"] * 2
 
     @settings(max_examples=30, deadline=None)
     @given(n=st.integers(1, 600), terms=st.integers(0, 30), seed=st.integers(0, 2**32 - 1))
@@ -343,35 +344,50 @@ class TestNeumannInverse:
         assert got.tobytes() == want.tobytes()
 
     def test_certificate_fields_independent_of_the_series(self):
+        """The certificate's scalars against scipy's banded eigensolver and
+        banded Cholesky, to 1e-13 relative, on 220 rows (band eigensolve)
+        and 600 (Lanczos extremes); ``tail``, ``roundoff`` and
+        ``certificate`` are the formula on the scalars, bit for bit, for
+        every number of terms."""
+        for t_hi in (109, 299):
+            self.assert_certificate_fields(t_hi)
+
+    @staticmethod
+    def assert_certificate_fields(t_hi):
         import scipy.linalg
-        from nonstatcov.operator_core import _KRYLOV_MIN_N, _lanczos_norm, krylov_norm
-        # the extremes of B_M, q and ||E|| taken apart from the series: q by
-        # Lanczos on v -> B_M^-1 (E v), u -> E (B_M^-1 u) with scipy's
-        # banded Cholesky and solve
-        c, m = nc.cov_window(reference_tvvma(), 200, 0, 109), 8
+        from nonstatcov import operator_core as oc
+        c, m = nc.cov_window(reference_tvvma(), 200, 0, t_hi), 8
         bf = nc.band_truncate(c, m).base.flatten()
         err = c.flatten() - bf
         n = bf.shape[0]
-        e_norm = krylov_norm(err, symmetric=True)
-        assert n >= _KRYLOV_MIN_N
+        assert (n >= oc._BAND_LANCZOS_MIN_N) == (t_hi == 299) and n >= oc._KRYLOV_MIN_N
         bandwidth = (m + 1) * c.p - 1
-        rng = nc.sym_eig_range(bf, bandwidth)
-        amin, amax = rng.lambda_min, rng.lambda_max
         band = np.array([np.pad(np.diagonal(bf, -k), (0, k))
                          for k in range(bandwidth + 1)])
+        vals = scipy.linalg.eigvals_banded(band, lower=True)
         factor = scipy.linalg.cholesky_banded(band, lower=True)
 
         def solve(v):
             return scipy.linalg.cho_solve_banded((factor, True), v)
-        q = _lanczos_norm(n, lambda v: solve(err @ v), lambda u: err @ solve(u),
-                          e_norm * (1.0 / amin))
-        inv_bound = (1.0 / amin) / (1.0 - q)
-        c_norm = amax + e_norm
-        roundoff = n * np.finfo(float).eps * inv_bound * (1.0 + c_norm * inv_bound)
+        q_ref = oc._lanczos_norm(n, lambda v: solve(err @ v), lambda u: err @ solve(u),
+                                 np.abs(err).max() / vals[0])
+        # the scalars the certificate reads besides q and 1 / lambda_min,
+        # by the package's own routines
+        ours = oc._lower_band(c.flatten(), c.p, m)
+        assert np.array_equal(ours, band)
+        amax = oc._band_extremes(ours, oc._BandCholesky.factor(ours)).lambda_max
+        e_norm = oc.krylov_norm(err, symmetric=True)
+        assert amax == pytest.approx(vals[-1], rel=1e-13, abs=0)
+        assert e_norm == pytest.approx(np.linalg.norm(err, 2), rel=1e-13, abs=0)
         for terms in (0, 5, 6, 12):
             res = nc.neumann_inverse(c, m, terms)
-            tail = (1.0 / amin) * q ** (terms + 1) / (1.0 - q)
-            assert (res.contraction_norm, res.banded_inverse_norm) == (q, 1.0 / amin)
+            q, b_inv_norm = res.contraction_norm, res.banded_inverse_norm
+            assert q == pytest.approx(q_ref, rel=1e-13, abs=0)
+            assert b_inv_norm == pytest.approx(1.0 / vals[0], rel=1e-13, abs=0)
+            tail = b_inv_norm * q ** (terms + 1) / (1.0 - q)
+            inv_bound = b_inv_norm / (1.0 - q)
+            roundoff = n * np.finfo(float).eps * inv_bound \
+                * (1.0 + (amax + e_norm) * inv_bound)
             assert (res.tail, res.roundoff, res.certificate) == (
                 tail, roundoff, tail + roundoff)
 
@@ -411,6 +427,46 @@ class TestNeumannInverse:
                     nc.neumann_inverse(w, 2, terms)
                 assert err.value.contraction_norm == math.inf
 
+    def test_refusals_above_the_band_lanczos_threshold(self, monkeypatch):
+        """From ``_BAND_LANCZOS_MIN_N`` rows up an indefinite truncation is
+        refused from its failed factor, before any extremes are taken, and
+        an SPD one whose condition exceeds ``1 / SPD_RTOL`` from its Lanczos
+        extremes; both with ``contraction_norm = inf``."""
+        from nonstatcov import operator_core as oc
+        n, m = 600, 2
+        assert n >= oc._BAND_LANCZOS_MIN_N
+        lag = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+        signs = np.where(np.arange(n) % 3 == 0, -1.0, 1.0)
+        tail = 0.01 * (lag > m) * 0.5 ** lag
+        indefinite = np.diag(3.0 * signs) + 0.2 * (lag == 1) + tail
+        singular = np.diag(np.where(np.arange(n) == 7, 1e-14, 1.0))
+        factors, extremes = [], []
+        real_factor, real_extremes = oc._BandCholesky.factor, ia._band_extremes
+        monkeypatch.setattr(oc._BandCholesky, "factor",
+                            lambda band: factors.append(real_factor(band)) or factors[-1])
+        monkeypatch.setattr(ia, "_band_extremes",
+                            lambda *args: extremes.append(real_extremes(*args)) or extremes[-1])
+        for mat in (indefinite, singular):
+            w = nc.BlockWindow.from_flat(mat, p=1, symmetrize=True)
+            with pytest.raises(DivergenceError, match="not positive definite") as err:
+                nc.neumann_inverse(w, m, 6)
+            assert err.value.contraction_norm == math.inf
+        assert factors[0] is None and factors[1] is not None
+        assert len(extremes) == 1 and not extremes[0].is_spd()
+        assert extremes[0].lambda_min == pytest.approx(1e-14, rel=1e-12)
+
+    @pytest.mark.parametrize("scale", [73.0, 7.3])
+    def test_scalar_truncation_above_the_band_lanczos_threshold(self, scale):
+        """``B_M = c I`` with ``E = 0`` from ``_BAND_LANCZOS_MIN_N`` rows up:
+        the two Lanczos runs may return an out-of-order pair, which must
+        not raise; the result is ``I / c`` with no contraction."""
+        w = nc.BlockWindow.from_flat(scale * np.eye(600), p=2, symmetrize=True)
+        for terms in (0, 6):
+            res = nc.neumann_inverse(w, 3, terms)
+            assert (res.contraction_norm, res.tail) == (0.0, 0.0)
+            assert res.banded_inverse_norm == pytest.approx(1.0 / scale, rel=1e-15)
+            assert np.allclose(res.approx.flatten(), np.eye(600) / scale, rtol=1e-15, atol=0)
+
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(6, 40), m=st.integers(1, 3))
     @example(seed=10, n=35, m=3)
@@ -449,7 +505,7 @@ class TestNeumannInverse:
         tail = sym[1] * (lag > m)
         tail *= 0.3 / np.linalg.norm(np.linalg.solve(banded, tail), 2)
         w = nc.BlockWindow.from_flat(banded + tail, 1, symmetrize=True)
-        rng = nc.sym_eig_range(banded, m)
+        rng = nc.sym_eig_range(banded)
         assert rng.is_spd() and 0.5 * cond <= rng.condition <= 2.0 * cond
         dense = np.linalg.inv(w.flatten())
         factors = []

@@ -196,6 +196,64 @@ class TestSymEigRange:
             nc.sym_eig_range(w)
 
 
+class TestBandExtremes:
+    """``_band_extremes``: Lanczos on ``B`` and ``B^-1`` from
+    ``_BAND_LANCZOS_MIN_N`` rows up, the band eigensolver below it and
+    whenever Lanczos gives no ordered pair."""
+
+    @staticmethod
+    def truncation(name, rows, m):
+        """The Neumann truncation of a reference window of ``rows`` rows:
+        its band, its factor and the dense ``B_M``."""
+        model = nc.get_reference_model(name)
+        c = nc.cov_window(model, 400, 0, rows // model.p - 1)
+        band = oc._lower_band(c.flatten(), c.p, m)
+        return band, oc._BandCholesky.factor(band), nc.band_truncate(c, m).base.flatten()
+
+    @pytest.mark.parametrize("name,rows,m", [
+        ("tvvma_kappa4_p2", 510, 8), ("tvvma_kappa4_p2", 514, 8),
+        ("tvvar1_p3", 510, 6), ("tvvar1_p3", 513, 6)])
+    def test_windows_at_the_threshold_match_dense(self, monkeypatch, name, rows, m):
+        calls = []
+        real = scipy.linalg.eigvals_banded
+        monkeypatch.setattr(scipy.linalg, "eigvals_banded",
+                            lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+        band, chol, bf = self.truncation(name, rows, m)
+        got = oc._band_extremes(band, chol)
+        vals = scipy.linalg.eigvalsh(bf)
+        assert got.lambda_min == pytest.approx(vals[0], rel=1e-13, abs=0)
+        assert got.lambda_max == pytest.approx(vals[-1], rel=1e-13, abs=0)
+        assert len(calls) == (rows < oc._BAND_LANCZOS_MIN_N)
+
+    def test_arpack_failure_gives_the_band_eigensolver_bits(self, monkeypatch):
+        band, chol, _ = self.truncation("tvvma_kappa4_p2", 600, 10)
+        vals = scipy.linalg.eigvals_banded(band, lower=True)
+        lanczos = oc._band_extremes(band, chol)
+        monkeypatch.setattr(oc, "_lanczos_norm", lambda *args: None)
+        got = oc._band_extremes(band, chol)
+        assert (got.lambda_min, got.lambda_max) == (vals[0], vals[-1])
+        assert got.lambda_min == pytest.approx(lanczos.lambda_min, rel=1e-13)
+
+    @pytest.mark.parametrize("scale,ordered", [(73.0, True), (7.3, False)])
+    def test_scalar_matrix_above_the_threshold(self, scale, ordered):
+        """Two separate Lanczos runs can put ``lambda_min`` an ulp above
+        ``lambda_max`` on ``c I`` (at ``c = 7.3`` and 600 rows they do), which
+        ``EigRange`` would refuse; the band eigensolver then decides."""
+        n = 600
+        band = oc._lower_band(scale * np.eye(n), 2, 4)
+        chol = oc._BandCholesky.factor(band)
+        k = band.shape[0] - 1
+        top = oc._lanczos_norm(n, lambda v: scipy.linalg.blas.dsbmv(k, 1.0, band, v, lower=1),
+                               None, scale)
+        inv = oc._lanczos_norm(n, chol.solve_vector, None, 1.0 / scale)
+        assert (1.0 / inv <= top) == ordered
+        got = oc._band_extremes(band, chol)
+        assert got.lambda_min <= got.lambda_max
+        assert got.lambda_max == pytest.approx(scale, rel=1e-15)
+        if not ordered:
+            assert (got.lambda_min, got.lambda_max) == (scale, scale)
+
+
 def symmetric_with_spectrum(seed, vals):
     q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((len(vals),) * 2))
     mat = (q * np.asarray(vals, dtype=float)) @ q.T
@@ -509,14 +567,17 @@ class TestSpdKernel:
         assert rng.condition == pytest.approx(1e3, rel=1e-6)
 
     @pytest.mark.parametrize("n,bandwidth", [(1, 0), (7, 0), (40, 3), (60, 11), (9, 20),
-                                             (80, 12), (150, 25)])
+                                             (80, 12), (150, 25), (600, 20), (700, 40)])
     def test_banded_guard_matches_dense(self, n, bandwidth):
+        # the band extremes below _BAND_LANCZOS_MIN_N (band eigensolve) and
+        # above it (Lanczos on B and on B^-1) against the dense solver
         rng = np.random.default_rng(n + bandwidth)
         raw = rng.standard_normal((n, n))
         lag = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
         sym = 0.5 * (raw + raw.T) * (lag <= bandwidth)
         mat = sym + (np.abs(np.linalg.eigvalsh(sym)[0]) + 0.5) * np.eye(n)
-        rng_b = oc.sym_eig_range(mat, bandwidth)
+        band = oc._lower_band(mat, 1, bandwidth)
+        rng_b = oc._band_extremes(band, oc._BandCholesky.factor(band))
         rng_d = oc.sym_eig_range(mat)
         scale = rng_d.lambda_max
         assert abs(rng_b.lambda_min - rng_d.lambda_min) <= 1e-13 * scale
@@ -527,14 +588,16 @@ class TestSpdKernel:
         # convergence of the band eigensolver on it
         mat = spd_with_condition(1004, 27, 1.0)
         dense = oc.sym_eig_range(mat)
-        banded = oc.sym_eig_range(mat, 26)
+        band = oc._lower_band(mat, 1, 26)
+        chol = oc._BandCholesky.factor(band)
+        banded = oc._band_extremes(band, chol)
         assert abs(banded.lambda_min - dense.lambda_min) <= 1e-13 * dense.lambda_max
         assert abs(banded.lambda_max - dense.lambda_max) <= 1e-13 * dense.lambda_max
 
         def failing(*args, **kwargs):
             raise np.linalg.LinAlgError("no convergence")
         monkeypatch.setattr(scipy.linalg, "eigvals_banded", failing)
-        assert oc.sym_eig_range(mat, 26) == dense
+        assert oc._band_extremes(band, chol) == dense
 
     def test_singular_raises(self):
         mat = np.diag([2.0, 1.0, 0.0])
@@ -835,7 +898,9 @@ class TestBandCholesky:
         and above it."""
         bandwidth = min(bandwidth, n - 1)
         mat = self.banded_spd(seed, n, bandwidth)
-        chol = oc._BandCholesky.factor(mat, bandwidth)
+        band = oc._lower_band(mat, 1, bandwidth)
+        chol = oc._BandCholesky.factor(band)
+        assert np.array_equal(band, oc._lower_band(mat, 1, bandwidth))
         dense = np.zeros((n, n))
         for k in range(bandwidth + 1):
             dense[np.arange(k, n), np.arange(n - k)] = chol.band[k, :n - k]
@@ -853,7 +918,7 @@ class TestBandCholesky:
     def test_indefinite_matrix_has_no_factor(self):
         mat = self.banded_spd(7, 40, 3)
         mat[10, 10] = -5.0
-        assert oc._BandCholesky.factor(mat, 3) is None
+        assert oc._BandCholesky.factor(oc._lower_band(mat, 1, 3)) is None
 
     @pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 600])
     def test_transpose_in_place(self, n):
