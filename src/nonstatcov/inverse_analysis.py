@@ -20,12 +20,12 @@ from .errors import (ConditioningError, DegenerateFitError, DivergenceError,
                      InputError, check_count, check_size)
 from .models import (ModelSpec, _check_us, _check_window, _inverse_spectrum,
                      _transfer_order, cov_pad, cov_window, stationary_window)
-from .operator_core import (_KRYLOV_MIN_N, _ROW_BLOCK, _STRIP_ROWS, BlockWindow,
-                            _band_extremes, _BandCholesky, _lanczos_norm, _lower_band,
-                            _mirror_lower, _spd_inverse_in_place,
+from .operator_core import (_KRYLOV_MIN_N, _ROW_BLOCK, _STRIP_ROWS, _TILE_UPPER,
+                            BlockWindow, _band_extremes, _BandCholesky, _lanczos_norm,
+                            _lower_band, _mirror_lower, _spd_inverse_in_place, _sym_rows,
                             _symmetric_matvec, _symmetric_product_into,
                             _transpose_in_place, block_norms, block_view, krylov_norm,
-                            symmetric_product, zeta)
+                            zeta)
 from .reports import (DecayProfile, GapReport, envelope_constant, fit_decay_profile,
                       pair_gaps, two_sided)
 
@@ -151,75 +151,112 @@ def model_inverse_window(model: ModelSpec, n: int, t_lo: int, t_hi: int,
     return _interior_inverse(cov_window(model, n, t_lo - pad, t_hi + pad), pad, own=True)
 
 
-def _flush_tiny(a: np.ndarray) -> np.ndarray:
+def _flush_tiny(a: np.ndarray, diag: np.ndarray | None = None) -> np.ndarray:
     """Zero the entries below ``1e-150`` of the largest, in place.
 
     Away from the diagonal, banded inverses decay geometrically far below
     that level; products of such entries underflow to subnormal numbers,
     which slow a dense product several times.  The change is far below the
     rounding error of the matrix.  Works in row blocks with boolean masks,
-    so no float temporary is made.
+    so no float temporary is made.  With ``diag``, the matrix is the
+    symmetric one held in the strict lower triangle of the square ``a`` and
+    in ``diag``, both flushed in place; the upper triangle of ``a`` is
+    neither read nor changed.
     """
-    floor = 1e-150 * max(a.max(initial=0.0), -a.min(initial=0.0))
-    for i in range(0, a.shape[0], _ROW_BLOCK):
-        rows = a[i:i + _ROW_BLOCK]
-        tiny = rows < floor
-        tiny &= rows > -floor
-        rows[tiny] = 0.0
+    n = a.shape[0]
+    if diag is None:
+        parts = [(a[i:i + _ROW_BLOCK], True) for i in range(0, n, _ROW_BLOCK)]
+    else:
+        parts = [(diag, True)]
+        for i in range(0, n, _ROW_BLOCK):
+            j = min(i + _ROW_BLOCK, n)
+            parts += [(a[i:j, :i], True), (a[i:j, i:j], _TILE_UPPER.T[:j - i, :j - i])]
+    floor = 1e-150 * max(max(part.max(initial=0.0, where=mask),
+                             -part.min(initial=0.0, where=mask)) for part, mask in parts)
+    for part, mask in parts:
+        tiny = part < floor
+        tiny &= part > -floor
+        if mask is not True:
+            tiny &= mask
+        part[tiny] = 0.0
     return a
 
 
 def _split_length(terms: int) -> int:
     """The inner length ``b`` of the split Neumann sum: the divisor of
-    ``terms >= 1`` with the fewest products ``(b - 1) + terms / b``; ties go
-    to the smaller ``b``, which keeps fewer powers alive."""
+    ``terms >= 1`` with the fewest products, ``b - 1`` for the powers and
+    ``terms / b - 1`` for Horner's rule; ties go to the smaller ``b``."""
     return min((b for b in range(1, terms + 1) if terms % b == 0),
-               key=lambda b: b - 1 + terms // b)
+               key=lambda b: (b - 1) + (terms // b - 1))
+
+
+def _add_upper(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Add the strict upper triangle of the square ``b`` onto that of ``a``,
+    in place, in row blocks; returns ``a``."""
+    n = a.shape[0]
+    for i in range(0, n, _ROW_BLOCK):
+        j = min(i + _ROW_BLOCK, n)
+        np.add(a[i:j, j:], b[i:j, j:], out=a[i:j, j:])
+        np.add(a[i:j, i:j], b[i:j, i:j], out=a[i:j, i:j], where=_TILE_UPPER[:j - i, :j - i])
+    return a
 
 
 def _neumann_sum(operands: list, terms: int) -> np.ndarray:
     """``sum_{s<=terms} x^s`` for the exactly symmetric ``x = operands.pop()``.
 
-    Takes ``x`` out of ``operands``, so that it holds the only reference
-    and frees it once the powers are built.  With ``terms = g * b`` (``b``
-    from :func:`_split_length`) the sum is ``I + (1 + y + ... + y^{g-1}) A``
-    with ``y = x^b`` and ``A = x + ... + x^b``: ``b - 1``
-    :func:`symmetric_product` calls for the powers and ``g - 1`` for
-    Horner's rule ``H <- A + y H`` from ``H = A``.  Every product is a
-    polynomial in ``x``, hence exactly symmetric.
+    Takes ``x`` out of ``operands``, so that it holds the only reference,
+    and flushes it (:func:`_flush_tiny`).  With ``terms = g * b`` (``b`` from
+    :func:`_split_length`) the sum is ``I + (1 + y + ... + y^{g-1}) A`` with
+    ``y = x^b`` and ``A = x + ... + x^b``: ``b - 1`` products for the powers
+    and ``g - 1`` for Horner's rule ``H <- A + y H`` from ``H = A``.  Every
+    product is a polynomial in ``x``, hence exactly symmetric.
 
-    Sums and products run in buffers already held: once ``x^b`` exists,
-    ``x`` is no longer a factor and ``A`` is summed in its buffer, and
-    every Horner step after the first multiplies into ``H``'s own buffer
-    (:func:`_symmetric_product_into`, one strip of temporary).  So at most
-    three n x n arrays are alive at once for ``b <= 3``: ``x, x^2, x^3`` at
-    the last baby step, then ``A, y, H``.  A larger ``b`` keeps a running
-    sum beside ``x`` and two powers, one array more.  Every product operand
-    goes through :func:`_flush_tiny`.
+    Two n x n arrays hold the sum.  ``x``'s own buffer keeps ``x``, later
+    ``y``, in its strict lower triangle and the running sum, later ``A``, in
+    its strict upper one, with their diagonals in two vectors.  ``H`` holds
+    the current power and then Horner's sum, the right-hand side of every
+    product: :func:`_symmetric_product_into` rebuilds the rows of the left
+    operand from its triangle and writes the product over ``H``'s upper
+    triangle.  Each power is added into the running sum before the next
+    product overwrites it, and a Horner step adds ``A`` to the product's
+    upper triangle before mirroring it.  Besides the two arrays the sum
+    holds two ``_ROW_BLOCK``-row strips while a product runs.  The flushed
+    operands are ``x``, each power, ``A`` once summed and ``H`` before every
+    Horner step but the first, whose ``H = A`` is flushed already.
     """
     x = operands.pop()
     if terms == 0:
         x.fill(0.0)
         np.fill_diagonal(x, 1.0)
         return x
-    b = _split_length(terms)
-    acc = power = x
-    for step in range(1, b):
-        prev, power = power, _flush_tiny(symmetric_product(x, power))
-        if prev is not x:
-            # x + ... + prev, in x's own buffer after the last product
-            acc = acc + prev if acc is x and step < b - 1 else np.add(acc, prev, out=acc)
-        del prev
+    pair = _flush_tiny(x)
     del x
+    n = pair.shape[0]
+    sum_diag = np.diagonal(pair).copy()
+    power_diag = sum_diag.copy()
+    h = pair.copy()
+    b = _split_length(terms)
+    for _ in range(b - 1):
+        _mirror_lower(_symmetric_product_into(pair, power_diag, h).T)
+        _add_upper(pair, _flush_tiny(h))
+        sum_diag += np.diagonal(h)
     if b > 1:
-        _flush_tiny(np.add(acc, power, out=acc))
-    h = acc
-    for _ in range(terms // b - 1):
-        _flush_tiny(h)
-        h = symmetric_product(power, h) if h is acc else _symmetric_product_into(power, h)
-        np.add(h, acc, out=h)
-    del acc, power
-    h.reshape(-1)[::h.shape[0] + 1] += 1.0
+        _flush_tiny(pair.T, sum_diag)
+        # y = x^b takes the place of x, and H starts from A
+        power_diag[:] = np.diagonal(h)
+        for i in range(0, n, _ROW_BLOCK):
+            j = min(i + _ROW_BLOCK, n)
+            pair[i:j, :i] = h[i:j, :i]
+            np.copyto(pair[i:j, i:j], h[i:j, i:j], where=_TILE_UPPER.T[:j - i, :j - i])
+            _sym_rows(pair.T, i, j, sum_diag, out=h[i:j])
+    for step in range(terms // b - 1):
+        if step:
+            _flush_tiny(h)
+        _add_upper(_symmetric_product_into(pair, power_diag, h), pair)
+        h.reshape(-1)[::n + 1] += sum_diag
+        _mirror_lower(h.T)
+    del pair
+    h.reshape(-1)[::n + 1] += 1.0
     return h
 
 
@@ -258,14 +295,14 @@ def neumann_inverse(c: BlockWindow, m: int, terms: int) -> NeumannResult:
     ``K = L^-1 E L^-T`` is formed in ``E``'s own buffer by
     blocked banded solves, ``P = sum_{s<=terms} (-K)^s`` is a split sum
     (Paterson and Stockmeyer's baby steps and giant steps,
-    :func:`_neumann_sum`) with symmetric products only, ``(b - 1) + terms /
-    b`` of them for the divisor ``b`` of ``terms`` that makes them fewest, 4
-    for 6 terms and 6 for 12, where Horner's rule takes one per term (a
-    prime count falls back to Horner), and the result is ``L^-T P L^-1``,
-    from two more solves in ``P``'s buffer.  No dense ``B_M^-1`` is formed,
-    so besides the window the call holds at most three n x n arrays at once
-    for ``b <= 3``, which covers every term count below 16, and four for
-    ``b >= 4``.
+    :func:`_neumann_sum`) with symmetric products only, ``(b - 1) + (terms /
+    b - 1)`` of them for the divisor ``b`` of ``terms`` that makes them
+    fewest, 3 for 6 terms, 5 for 12 and 7 for 20, where Horner's rule takes
+    one per term but the first (a prime count falls back to Horner), and the
+    result is ``L^-T P L^-1``, from two more solves in ``P``'s buffer.  No
+    dense ``B_M^-1`` is formed, and the sum keeps its running sum and its
+    power in the two triangles of one buffer, so besides the window the call
+    holds two n x n arrays and a few strips at once, for every term count.
 
     The truncation must be SPD.  For an SPD window ``C`` that is no loss:
     ``B_M^-1 C`` is similar to ``C^1/2 B_M^-1 C^1/2``, which by Sylvester's
@@ -325,7 +362,7 @@ def neumann_inverse(c: BlockWindow, m: int, terms: int) -> NeumannResult:
     # symmetric from one triangle, and negated into x = -K
     _transpose_in_place(chol.solve(err))
     _mirror_lower(chol.solve(err))
-    operands = [_flush_tiny(np.negative(err, out=err))]
+    operands = [np.negative(err, out=err)]
     del err
     approx_flat = _neumann_sum(operands, terms)
     # L^-T P L^-1 = L^-T (L^-T P)^T, in P's buffer

@@ -693,54 +693,48 @@ def _exactly_symmetric(a: np.ndarray) -> bool:
         for i in range(0, n, _ROW_BLOCK))
 
 
-def _mirror_lower(a: np.ndarray) -> None:
-    """Copy the lower triangle of a square array onto its upper one, in place.
+def _mirror_lower(a: np.ndarray, src: np.ndarray | None = None) -> None:
+    """Copy the lower triangle of a square array onto its upper one, in place;
+    with ``src``, an array of the same shape, copy the lower triangle of
+    ``src`` onto the upper one of ``a``.
 
-    Works in row blocks, so no temporary of the full size is made.
+    Works in row blocks, so no temporary of the full size is made (a
+    diagonal tile copied onto itself is copied once to a temporary).
     """
     n = a.shape[0]
+    src = a if src is None else src
     for i in range(0, n, _ROW_BLOCK):
         j = min(i + _ROW_BLOCK, n)
-        diag = a[i:j, i:j]
-        np.copyto(diag, diag.T, where=_TILE_UPPER[:j - i, :j - i])
-        a[i:j, j:] = a[j:, i:j].T
+        np.copyto(a[i:j, i:j], src[i:j, i:j].T, where=_TILE_UPPER[:j - i, :j - i])
+        a[i:j, j:] = src[j:, i:j].T
 
 
-def symmetric_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b`` for square factors whose product is known to be symmetric.
+def _symmetric_product_into(low: np.ndarray, diag: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` for square factors whose product is known to be symmetric,
+    written over the upper triangle of ``b``, diagonal included: ``a`` is the
+    symmetric matrix held in the lower triangle of ``low`` with the diagonal
+    ``diag``, and ``b`` a C-contiguous array that ``low`` does not share.
 
-    Only the lower triangle is multiplied out, in row blocks (a little over
-    half the flops of the full product), and then mirrored, so the result
-    is exactly symmetric.
+    Only the lower triangle is multiplied out (a little over half the flops
+    of the full product), in row blocks from the bottom up.  Block ``i:j`` is
+    the strip ``a[i:j] @ b[:, :j]``, whose rows of ``a`` are rebuilt from the
+    triangle (:func:`_sym_rows`), and is written transposed over
+    ``b[:j, i:j]``.  The blocks above it read only the columns left of
+    ``i``, which no block overwrites, so the upper triangle ends up holding
+    the product.  The strict lower triangle is left stale: the caller
+    mirrors the upper one down (``_mirror_lower(b.T)``), which makes the
+    product exactly symmetric, and may add to the upper one first.  The
+    temporaries are two strips of ``_ROW_BLOCK`` rows: the rows of ``a``
+    and the product.
     """
-    n = a.shape[0]
-    out = np.empty((n, n))
-    for i in range(0, n, _ROW_BLOCK):
-        j = min(i + _ROW_BLOCK, n)
-        np.matmul(a[i:j], b[:, :j], out=out[i:j, :j])
-    _mirror_lower(out)
-    return out
-
-
-def _symmetric_product_into(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """:func:`symmetric_product` ``a @ b`` written over ``b``, a C-contiguous
-    array that ``a`` does not share; the same bits, one strip of temporary.
-
-    The lower-triangle row blocks go from the bottom up.  Block ``i:j`` is
-    the strip ``a[i:j] @ b[:, :j]``, the operands and layout of
-    :func:`symmetric_product`, and is written transposed over ``b[:j, i:j]``.
-    The blocks above it read only the columns left of ``i``, which no block
-    overwrites, so the upper triangle ends up holding the product and is
-    mirrored down.
-    """
-    n = a.shape[0]
-    strip = np.empty((min(_ROW_BLOCK, n), n))
+    n = b.shape[0]
+    rows = np.empty((min(_ROW_BLOCK, n), n))
+    strip = np.empty_like(rows)
     for i in reversed(range(0, n, _ROW_BLOCK)):
         j = min(i + _ROW_BLOCK, n)
-        rows = np.matmul(a[i:j], b[:, :j], out=strip[:j - i, :j])
-        b[:j, i:j] = rows.T
-    del strip, rows
-    _mirror_lower(b.T)
+        left = _sym_rows(low, i, j, diag, out=rows[:j - i])
+        product = np.matmul(left, b[:, :j], out=strip[:j - i, :j])
+        b[:j, i:j] = product.T
     return b
 
 
@@ -826,7 +820,7 @@ def _sym_rows(low: np.ndarray, i: int, j: int, diag: np.ndarray | None = None,
     rows[:, j:] = low[j:, i:j].T
     tile = rows[:, i:j]
     tile[...] = low[i:j, i:j]
-    _mirror_lower(tile)
+    _mirror_lower(tile, low[i:j, i:j])
     if diag is not None:
         np.fill_diagonal(tile, diag[i:j])
     return rows
@@ -1080,7 +1074,9 @@ def schur_complement(a: np.ndarray, b: np.ndarray, e: np.ndarray,
     out the coordinates carried by ``E``.  With ``E = L L^T`` it is formed
     as ``A - W^T W``, ``W = L^-1 B^T`` (``dtrsm``), whose product ``dsyrk``
     computes in one triangle, mirrored; so the result is exactly symmetric
-    whenever ``A`` is.  ``what`` names ``E`` in error messages.
+    whenever ``A`` is.  The difference is taken in the ``dsyrk`` buffer, so
+    ``A``, ``B`` and ``E`` are left unchanged and no second array of the
+    result's size is made.  ``what`` names ``E`` in error messages.
 
     Raises:
         ConditioningError: if ``E`` is numerically singular.
@@ -1098,4 +1094,7 @@ def schur_complement(a: np.ndarray, b: np.ndarray, e: np.ndarray,
     w = scipy.linalg.blas.dtrsm(1.0, factor, b.T, lower=1)
     gram = scipy.linalg.blas.dsyrk(1.0, w, trans=1, lower=1)
     _mirror_lower(gram)
-    return a - gram
+    # W^T W is exactly symmetric, so its Fortran-ordered buffer read as a C
+    # array holds it too; A - W^T W is formed there
+    gram = gram.T
+    return np.subtract(a, gram, out=gram)

@@ -16,6 +16,8 @@ from nonstatcov.inverse_analysis import _frozen_inverse_lags, _wiener_lags
 from nonstatcov.models import _grid_transfer, _half_grid, _inverse_spectrum
 from nonstatcov.reference import ar1_model, reference_sre, reference_tvvma
 
+import reference_kernels
+
 
 def cov_sequence_derivative(model, u, max_lag, h_c=1e-5):
     """``C'_r(u)``, ``r = 0..max_lag``, by a central difference of the frozen
@@ -239,40 +241,66 @@ class TestNeumannInverse:
     def test_split_sum_product_count(self, monkeypatch):
         from nonstatcov import inverse_analysis as ia
         from nonstatcov import operator_core as oc
-        # b - 1 products for the powers and r = terms / b for Q and Horner
+        # b - 1 products for the powers and terms / b - 1 for Horner's rule
         assert {t: ia._split_length(t) for t in (1, 6, 7, 12, 20)} == {
             1: 1, 6: 2, 7: 1, 12: 3, 20: 4}
-        for terms, products in [(6, 4), (12, 6), (20, 8), (7, 7)]:
+        for terms, products in [(6, 3), (12, 5), (20, 7), (7, 6)]:
             b = ia._split_length(terms)
-            assert (b - 1) + terms // b == products
+            assert (b - 1) + (terms // b - 1) == products
         for terms in range(1, 42):
             b = ia._split_length(terms)
             assert (b - 1) + terms // b == min(
                 d - 1 + terms // d for d in range(1, terms + 1) if terms % d == 0)
         products = []
 
-        def counting(kernel):
-            def count(a, b):
-                products.append(kernel.__name__)
-                return kernel(a, b)
-            return count
-        # the first product of its kind is fresh, the later Horner steps
-        # multiply into H's own buffer
-        for name in ("symmetric_product", "_symmetric_product_into"):
-            monkeypatch.setattr(ia, name, counting(getattr(oc, name)))
+        def count(low, diag, b):
+            products.append(None)
+            return oc._symmetric_product_into(low, diag, b)
+        # every power and every Horner step multiplies into H's own buffer
+        monkeypatch.setattr(ia, "_symmetric_product_into", count)
         c = nc.cov_window(reference_tvvma(), 200, 30, 109)
         for terms in (0, 1, 6, 7, 12, 20):
             b = ia._split_length(terms) if terms else 1
             horner = max(terms // b - 1, 0)
-            # the b - 1 powers are symmetric products, the first Horner step
-            # one more, and A is summed with no product
             products.clear()
             nc.neumann_inverse(c, 12, terms)
-            if not terms:
-                assert products == []
-                continue
-            assert len(products) == b - 1 + horner
-            assert products.count("symmetric_product") == b - 1 + min(horner, 1)
+            assert len(products) == (b - 1 + horner if terms else 0)
+
+    @pytest.mark.parametrize("terms", [0, 1, 2, 6, 7, 12, 20])
+    def test_split_sum_flushes_each_operand_once(self, monkeypatch, terms):
+        """``x`` on entry, each power, ``A`` once summed and ``H`` before
+        every Horner step but the first, where ``H = A`` is flushed already;
+        the bits are those of the fresh-buffer sum, which flushes ``H``
+        before the first step too."""
+        calls = []
+
+        def count(a, diag=None):
+            calls.append(diag is not None)
+            return real(a, diag)
+        real = ia._flush_tiny
+        monkeypatch.setattr(ia, "_flush_tiny", count)
+        x = self.decaying_symmetric(300, 7)
+        got = ia._neumann_sum([x.copy()], terms)
+        assert got.tobytes() == reference_kernels.neumann_sum(x, terms).tobytes()
+        if not terms:
+            assert calls == []
+            return
+        b = ia._split_length(terms)
+        horner = terms // b - 1
+        # only A is flushed from its triangle
+        assert calls == [False] * b + [True] * (b > 1) + [False] * max(horner - 1, 0)
+
+    @staticmethod
+    def decaying_symmetric(n, seed):
+        """An exactly symmetric ``x`` that decays off the diagonal as the
+        whitened contractions do, so that the products reach the flush
+        level of ``_flush_tiny`` on wide matrices."""
+        rng = np.random.default_rng(seed)
+        lag = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+        noise = rng.standard_normal((n, n))
+        x = -0.2 * rng.uniform(0.05, 0.9) ** lag * (noise + noise.T) / math.sqrt(n)
+        assert np.array_equal(x, x.T)
+        return x
 
     def test_whitened_branch_inverts_no_dense_matrix(self, monkeypatch):
         import scipy.linalg
@@ -305,41 +333,22 @@ class TestNeumannInverse:
                 nc.neumann_inverse(w, 2, 6)
         assert calls == ["factor"] * 2
 
-    @settings(max_examples=30, deadline=None)
-    @given(n=st.integers(1, 600), terms=st.integers(0, 30), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.one_of(st.integers(1, 40), st.sampled_from([255, 256, 257, 513, 600])),
+           terms=st.integers(0, 20), seed=st.integers(0, 2**32 - 1))
     @example(n=600, terms=12, seed=0)
     @example(n=513, terms=16, seed=1)
-    @example(n=257, terms=30, seed=2)
+    @example(n=257, terms=20, seed=2)
     @example(n=256, terms=6, seed=3)
+    @example(n=255, terms=19, seed=4)
+    @example(n=1, terms=1, seed=5)
     def test_split_sum_keeps_the_bits_of_fresh_buffers(self, n, terms, seed):
-        """The in-place sum against the split sum with a fresh array for
-        ``A``, for every power and for every Horner step, bit for bit."""
-        from nonstatcov import operator_core as oc
-
-        def fresh_buffer_sum(x, terms):
-            if terms == 0:
-                return np.eye(n)
-            b = ia._split_length(terms)
-            acc = power = x
-            for _ in range(b - 1):
-                power = ia._flush_tiny(oc.symmetric_product(x, power))
-                acc = acc + power
-            if b > 1:
-                ia._flush_tiny(acc)
-            h = acc
-            for _ in range(terms // b - 1):
-                h = oc.symmetric_product(power, ia._flush_tiny(h)) + acc
-            h[np.diag_indices(n)] += 1.0
-            return h
-
-        # x decays off the diagonal as whitened contractions do, so that the
-        # products reach the flush level of _flush_tiny on wide matrices
-        rng = np.random.default_rng(seed)
-        lag = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
-        noise = rng.standard_normal((n, n))
-        x = -0.2 * rng.uniform(0.05, 0.9) ** lag * (noise + noise.T) / math.sqrt(n)
-        assert np.array_equal(x, x.T)
-        want = fresh_buffer_sum(x.copy(), terms)
+        """The two-buffer sum against the split sum with a fresh array for
+        ``A``, for every power and for every Horner step, bit for bit, over
+        every split length ``b`` of 0-20 terms (prime counts, ``b = 1``,
+        included) and orders on both sides of the 256-row blocks."""
+        x = self.decaying_symmetric(n, seed)
+        want = reference_kernels.neumann_sum(x, terms)
         got = ia._neumann_sum([x.copy()], terms)
         assert got.tobytes() == want.tobytes()
 

@@ -9,7 +9,10 @@ The finite-section inverse holds its window and strips of at most
 reference window holds it and one copy of the coefficients, the SPD kernel's
 norms, residual and residual bound hold one or two strips, and the interior is
 compacted in strips that do not overlap their source.  The Neumann sum holds
-at most three sections for up to 15 terms.
+two sections for every term count, one for its power or Horner sum and one
+whose two triangles keep the running sum and the power it multiplies by,
+and two 256-row product strips.  The pair partial covariance takes the Schur
+difference in the ``dsyrk`` buffer.
 """
 
 import tracemalloc
@@ -97,18 +100,32 @@ def test_kernel_bound_passes_hold_two_strips():
     assert peak <= 2 * oc._STRIP_ROWS * rows * 8
 
 
-@pytest.mark.parametrize("rows,terms,sections", [(1200, 6, 3), (1200, 12, 3), (720, 12, 3),
-                                                 (1200, 20, 4)])
-def test_neumann_inverse_holds_three_sections(rows, terms, sections):
+@pytest.mark.parametrize("rows,terms", [(1200, 6), (1200, 12), (720, 12), (1200, 20)])
+def test_neumann_inverse_holds_two_sections(rows, terms):
     # the reference TvVMA sections of the large-section benchmark at
-    # bandwidth 12, summed in the whitened coordinates of B_M; 6 and 12
-    # terms split with b = 2 and b = 3, so the sum holds x, x^2, x^3 and then
-    # A, y, H, and 20 terms (b = 4) one running sum more; besides these, a
-    # 256-row product strip, the strips of the band factor and a transpose
-    # tile
+    # bandwidth 12, summed in the whitened coordinates of B_M; for every
+    # term count (b = 2, 3 and 4 here) the sum holds x's buffer, whose two
+    # triangles keep the running sum and the power, and H, and while a
+    # product runs two 256-row strips: its left rows and its product.
+    # Besides these, the factor's strips, the band and a few masks: 200 rows
+    # of the section
     c = nc.cov_window(reference_tvvma(), 400, 0, rows // 2 - 1)
     call = lambda: nc.neumann_inverse(c, 12, terms)  # noqa: E731
     call()
     peak, res = traced_peak(call)
     assert res.approx.flatten().shape == (rows, rows)
-    assert peak <= (sections + 0.6) * c.flatten().nbytes
+    section = c.flatten().nbytes
+    assert peak <= 2 * section + (2 * oc._ROW_BLOCK + 200) * rows * 8
+
+
+def test_partial_cov_pair_takes_the_difference_in_the_gram_buffer():
+    # the pair (0, 1) of the p = 3 reference TvVAR on 1200 rows: the kept
+    # rows are 2/3 of the section, so the kept block, the result and the
+    # deltas are 4/9 of it each, and the Schur step's difference is taken
+    # in the dsyrk buffer instead of a fresh array
+    c = nc.cov_window(nc.get_reference_model("tvvar1_p3"), 400, 0, 399)
+    call = lambda: nc.partial_cov_pair(c, 0, 1)  # noqa: E731
+    call()
+    peak, pair = traced_peak(call)
+    assert pair.deltas.shape == (400, 400, 2, 2)
+    assert peak <= 1.7 * c.flatten().nbytes

@@ -16,6 +16,8 @@ from nonstatcov import experiments
 from nonstatcov import operator_core as oc
 from nonstatcov.errors import ConditioningError, DomainError, InputError
 
+import reference_kernels
+
 
 @contextlib.contextmanager
 def one_blas_thread():
@@ -803,26 +805,38 @@ class TestSpdKernel:
         got = oc._sym_rows(a, i, j, diag)
         assert got.flags.c_contiguous and np.array_equal(got, full[i:j])
 
-    @pytest.mark.parametrize("n", [1, 20, 256, 300, 600])
-    def test_symmetric_product_matches_full_product(self, n):
+    @staticmethod
+    def commuting_factors(n):
+        """Commuting symmetric ``a`` and ``b``, and ``a`` held in the lower
+        triangle of an array whose strict upper triangle and diagonal are
+        noise, with its diagonal apart."""
         rng = np.random.default_rng(n)
         raw = rng.standard_normal((n, n))
         s = 0.5 * (raw + raw.T)
-        a, b = s, s @ s + np.eye(n)          # commuting symmetric factors
-        out = oc.symmetric_product(a, b)
+        low = np.tril(s, -1) + np.triu(rng.standard_normal((n, n)))
+        return s, s @ s + np.eye(n), low, np.diagonal(s).copy()
+
+    @pytest.mark.parametrize("n", [1, 20, 256, 300, 600])
+    def test_symmetric_product_matches_full_product(self, n):
+        a, b, low, diag = self.commuting_factors(n)
         ref = a @ b
+        out = oc._symmetric_product_into(low, diag, b.copy())
+        oc._mirror_lower(out.T)
         assert np.array_equal(out, out.T)
         assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
 
     @pytest.mark.parametrize("n", [1, 20, 255, 256, 257, 513, 600])
     def test_symmetric_product_into_overwrites_with_the_same_bits(self, n):
-        rng = np.random.default_rng(n)
-        raw = rng.standard_normal((n, n))
-        s = 0.5 * (raw + raw.T)
-        a, b = s, s @ s + np.eye(n)
-        want = oc.symmetric_product(a, b)
-        got = oc._symmetric_product_into(a, b)
-        assert got is b and np.array_equal(got, want)
+        """The product of the triangle-held ``a`` written over the upper
+        triangle of ``b`` and mirrored down has the bits of the fresh-buffer
+        product of the full ``a``; ``low`` and ``diag`` are left unchanged."""
+        a, b, low, diag = self.commuting_factors(n)
+        want = reference_kernels.symmetric_product(a, b)
+        kept = low.copy(), diag.copy()
+        got = oc._symmetric_product_into(low, diag, b)
+        oc._mirror_lower(got.T)
+        assert got is b and got.tobytes() == want.tobytes()
+        assert np.array_equal(low, kept[0]) and np.array_equal(diag, kept[1])
 
     @pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 600])
     def test_mirror_lower_copies_the_lower_triangle_exactly(self, n):
@@ -847,6 +861,26 @@ class TestSpdKernel:
         assert np.array_equal(out, ref)
         oracle = np.linalg.inv(np.linalg.inv(flat)[np.ix_(keep, keep)])
         assert np.allclose(out, oracle, atol=1e-10)
+
+    @pytest.mark.parametrize("k,m", [(1, 1), (6, 20), (400, 200)])
+    def test_schur_complement_leaves_its_operands_and_keeps_the_bits(self, k, m):
+        """``A - W^T W`` is taken in the ``dsyrk`` buffer: ``A``, ``B`` and
+        ``E`` are left unchanged, and the result has the bits of ``A``
+        minus the mirrored ``W^T W`` in a fresh array, C-ordered."""
+        rng = np.random.default_rng(k * m)
+        raw = rng.standard_normal((k + m, k + m))
+        full = raw @ raw.T / (k + m) + np.eye(k + m)
+        full = 0.5 * (full + full.T)
+        a, b, e = full[:k, :k].copy(), full[:k, k:].copy(), full[k:, k:].copy()
+        kept = [x.copy() for x in (a, b, e)]
+        got = nc.schur_complement(a, b, e)
+        w = scipy.linalg.blas.dtrsm(1.0, oc._certified_cholesky(e, "E"), b.T, lower=1)
+        gram = scipy.linalg.blas.dsyrk(1.0, w, trans=1, lower=1)
+        upper = np.triu_indices(k, 1)
+        gram[upper] = gram.T[upper]
+        assert got.flags.c_contiguous
+        assert got.tobytes() == (a - gram).tobytes()
+        assert all(np.array_equal(x, y) for x, y in zip((a, b, e), kept))
 
     def test_schur_complement_rejects_nonsymmetric_flat_e(self):
         e = np.array([[2.0, 0.1], [0.0, 2.0]])
